@@ -11,9 +11,9 @@ GO ?= go
 # accumulate instead of overwriting the previous PR's committed artifact.
 BENCH_OUT ?= BENCH_PR10.json
 
-.PHONY: check vet lint build test test-full bench bench-full bench-json fmt docs-check mc-smoke
+.PHONY: check vet lint build test test-full bench bench-full bench-json benchmark benchmark-check fmt docs-check mc-smoke
 
-check: vet lint build test bench
+check: vet lint build test bench benchmark-check
 
 vet:
 	$(GO) vet ./...
@@ -61,6 +61,19 @@ bench-json:
 	  $(GO) test -bench='InternetLadder|OracleChurn' -benchtime=1x -benchmem -timeout=30m -run='^$$' . >> $$tmp && \
 	  $(GO) run ./cmd/benchjson -out $(BENCH_OUT) < $$tmp; }; \
 	status=$$?; rm -f $$tmp; exit $$status
+
+# The repository's benchmark (benchmark/README.md, BENCHMARK.json): one full
+# set, four workloads × five repetitions, about a minute. It is a module of
+# its own, so the root's vet/build/test never see it; benchmark-check is
+# their counterpart for it — vet, its contract/plan/pump/smoke tests, and one
+# tiny-scale set end to end.
+benchmark:
+	$(GO) run -C benchmark .
+
+benchmark-check:
+	$(GO) vet -C benchmark ./...
+	$(GO) test -C benchmark ./...
+	$(GO) run -C benchmark . -scale tiny
 
 # The model-checking gate (DESIGN.md §16): bounded exhaustive DFS over the
 # paper-sized topology (the ≥10k-schedule acceptance test lives in

@@ -74,12 +74,16 @@ type Link struct {
 // Graph is a network. Build it with AddRouter/AddHost/Connect. Node and link
 // structure is append-only, but links support controlled mutation —
 // SetCapacity, FailLink, RestoreLink — each of which bumps the graph's
-// generation so cached path state (see Resolver) can invalidate itself.
+// generation so cached derived state (see Partition) can invalidate itself.
+// Cached routes (see Resolver) depend on less: on which links are up, which
+// routeGen stamps, and on growth, which the node and link counts show.
 type Graph struct {
-	nodes []Node
-	links []Link
-	out   [][]LinkID // outgoing link IDs per node, in insertion order
-	gen   uint64     // bumped by every topology-affecting mutation
+	nodes    []Node
+	links    []Link
+	out      [][]LinkID // outgoing link IDs per node, in insertion order
+	gen      uint64     // bumped by every topology-affecting mutation
+	routeGen uint64     // bumped by FailLink and RestoreLink only
+	failed   int        // links currently failed
 }
 
 // New returns an empty graph.
@@ -194,7 +198,9 @@ func (g *Graph) Out(id NodeID) []LinkID { g.checkNode(id); return g.out[id] }
 
 // Generation returns a counter bumped by every topology-affecting mutation
 // (capacity change, link failure, link restoration). Consumers caching
-// derived path state compare generations to detect staleness.
+// state derived from capacities as well as structure — shard partitions —
+// compare generations to detect staleness; the Resolver, whose min-hop
+// routes no capacity can change, does not.
 func (g *Graph) Generation() uint64 { return g.gen }
 
 func (g *Graph) checkLink(id LinkID) {
@@ -224,7 +230,9 @@ func (g *Graph) FailLink(id LinkID) {
 		return
 	}
 	g.links[id].Failed = true
+	g.failed++
 	g.gen++
+	g.routeGen++
 }
 
 // RestoreLink brings a failed directed link back up. Restoring an up link is
@@ -235,7 +243,9 @@ func (g *Graph) RestoreLink(id LinkID) {
 		return
 	}
 	g.links[id].Failed = false
+	g.failed--
 	g.gen++
+	g.routeGen++
 }
 
 // LinkUp reports whether a directed link is currently up.
@@ -266,8 +276,8 @@ func (g *Graph) Hosts() []NodeID {
 // HostRouter returns the router a host is attached to. It panics if id is
 // not a host or the host is unattached.
 func (g *Graph) HostRouter(id NodeID) NodeID {
-	n := g.Node(id)
-	if n.Kind != Host {
+	g.checkNode(id)
+	if g.nodes[id].Kind != Host {
 		panic(fmt.Sprintf("graph: node %d is not a host", id))
 	}
 	for _, l := range g.out[id] {
@@ -278,8 +288,8 @@ func (g *Graph) HostRouter(id NodeID) NodeID {
 
 // AccessLink returns the host→router link of a host.
 func (g *Graph) AccessLink(id NodeID) LinkID {
-	n := g.Node(id)
-	if n.Kind != Host {
+	g.checkNode(id)
+	if g.nodes[id].Kind != Host {
 		panic(fmt.Sprintf("graph: node %d is not a host", id))
 	}
 	for _, l := range g.out[id] {

@@ -9,178 +9,265 @@ import (
 type Path []LinkID
 
 // Resolver computes shortest (minimum hop) host-to-host paths, the paper's
-// session path policy. Interior nodes are always routers: BFS never expands
-// through a host.
+// session path policy. Interior nodes are always routers: the search never
+// expands through a host. Ties are broken by link insertion order, so
+// results are deterministic.
 //
-// BFS trees are computed per source router and cached with an LRU policy, so
-// resolving many sessions is cheap when they are grouped by source router
-// (the experiment harness sorts its workloads accordingly). A Resolver is not
-// safe for concurrent use.
+// A query costs what it needs. The search walks a packed router-to-router
+// adjacency, rebuilt only when the graph has grown. One breadth-first tree
+// per source router is cached, and a tree is partial: its frontier advances
+// only until the queried destination is labelled, and a later query on the
+// same tree resumes from the saved frontier. That is exact — a BFS label is
+// final once set, and nothing about an unexamined link is read before its
+// tail is expanded. FailLink and RestoreLink make a tree stale (it restarts
+// on its next use); SetCapacity does not, because capacity cannot change a
+// min-hop path. Resolving many sessions is cheapest when they are grouped
+// by source router (the experiment harness sorts its workloads
+// accordingly). A Resolver is not safe for concurrent use.
 type Resolver struct {
-	g        *Graph
-	capacity int
-	cache    map[NodeID]*bfsTree
-	order    []NodeID // LRU order, least recent first
+	g     *Graph
+	count int // most trees ever cached (NewResolver's cacheSize)
+
+	// Router-to-router adjacency over the first adjNodes nodes and adjLinks
+	// links of g: node n's router neighbours are hops[off[n]:off[n+1]], in
+	// link insertion order. Hosts have none.
+	adjNodes, adjLinks int
+	off                []int32
+	hops               []hop
+
+	// limit is how many trees are kept on a graph of this size: count,
+	// capped so that their arrays stay within treeCacheBytes.
+	limit int
+	cache map[NodeID]*bfsTree
+	lru   bfsTree // sentinel of the recency ring: next is most recent, prev least
 }
+
+// hop is one packed adjacency entry: the neighbouring router and the link
+// that reaches it.
+type hop struct {
+	to   NodeID
+	link LinkID
+}
+
+// treeCacheBytes bounds the memory of one resolver's cached trees. A tree
+// holds up to two 4-byte entries per node (parentLink and the frontier), so
+// graphs of up to 2048 nodes keep every one of 256 trees while the
+// 10k-router internet topology keeps about 40 — without the bound a cache
+// of large trees that are never hit again dominates the process's memory.
+const treeCacheBytes = 4 << 20
+
+// treeRoot labels a tree's own source in parentLink: reached, by no link.
+const treeRoot LinkID = -2
 
 type bfsTree struct {
 	src NodeID
-	// gen is the graph generation the tree was computed at; a later mutation
-	// (capacity change, link fail/restore) makes the tree stale.
+	// gen is the graph's route generation the tree was started at; a later
+	// FailLink or RestoreLink makes the tree stale.
 	gen uint64
 	// parentLink[n] is the link used to reach router n from its BFS parent,
-	// or NoLink if unreached / the source itself.
+	// NoLink while n is unlabelled, treeRoot for the source.
 	parentLink []LinkID
+	// queue lists the labelled routers in label order; queue[head:] is the
+	// frontier still to be expanded.
+	queue []NodeID
+	head  int
+
+	prev, next *bfsTree // recency ring
 }
 
 // NewResolver returns a Resolver over g caching up to cacheSize BFS trees
-// (minimum 1; 128 is a good default for the paper's workloads).
+// (minimum 1; the repository's callers pass 256). On large graphs fewer are
+// kept: see treeCacheBytes.
 func NewResolver(g *Graph, cacheSize int) *Resolver {
 	if cacheSize < 1 {
 		cacheSize = 1
 	}
-	return &Resolver{
-		g:        g,
-		capacity: cacheSize,
-		cache:    make(map[NodeID]*bfsTree, cacheSize),
-	}
+	r := &Resolver{g: g, count: cacheSize}
+	r.lru.src = NoNode // no query's source: an empty ring never looks like a hit
+	return r
 }
 
 // HostPath returns a shortest path from host src to host dst:
 // [src→router, router hops..., router→dst]. It returns an error if the hosts
 // coincide or no path exists.
 func (r *Resolver) HostPath(src, dst NodeID) (Path, error) {
+	g := r.g
 	if src == dst {
 		return nil, fmt.Errorf("graph: source and destination host coincide (%d)", src)
 	}
-	if r.g.Node(src).Kind != Host || r.g.Node(dst).Kind != Host {
+	g.checkNode(src)
+	g.checkNode(dst)
+	if g.nodes[src].Kind != Host || g.nodes[dst].Kind != Host {
 		return nil, fmt.Errorf("graph: HostPath endpoints must be hosts (%d, %d)", src, dst)
 	}
-	srcRouter := r.g.HostRouter(src)
-	dstRouter := r.g.HostRouter(dst)
-
-	up := r.g.AccessLink(src)
-	if r.g.Link(up).Failed {
+	up, dstUp := g.AccessLink(src), g.AccessLink(dst)
+	srcRouter, dstRouter := g.links[up].To, g.links[dstUp].To
+	if g.links[up].Failed {
 		return nil, fmt.Errorf("graph: access link of host %d is down", src)
 	}
-	down, err := r.hostDownLink(dst)
-	if err != nil {
-		return nil, err
+	down := g.links[dstUp].Reverse
+	if down == NoLink {
+		return nil, fmt.Errorf("graph: host %d has no router→host link", dst)
 	}
-	if r.g.Link(down).Failed {
+	if g.links[down].Failed {
 		return nil, fmt.Errorf("graph: access link of host %d is down", dst)
 	}
 
 	if srcRouter == dstRouter {
 		return Path{up, down}, nil
 	}
-	mid, err := r.RouterPath(srcRouter, dstRouter)
+	path, err := r.route(srcRouter, dstRouter, 1)
 	if err != nil {
 		return nil, err
 	}
-	path := make(Path, 0, len(mid)+2)
-	path = append(path, up)
-	path = append(path, mid...)
-	path = append(path, down)
+	path[0], path[len(path)-1] = up, down
 	return path, nil
 }
 
 // RouterPath returns a shortest router-level path between two routers.
 func (r *Resolver) RouterPath(src, dst NodeID) (Path, error) {
-	if r.g.Node(src).Kind != Router || r.g.Node(dst).Kind != Router {
+	return r.route(src, dst, 0)
+}
+
+// route returns the shortest router-level path from src to dst with pad
+// unset slots before and after it, allocated once at that length.
+func (r *Resolver) route(src, dst NodeID, pad int) (Path, error) {
+	g := r.g
+	g.checkNode(src)
+	g.checkNode(dst)
+	if g.nodes[src].Kind != Router || g.nodes[dst].Kind != Router {
 		return nil, fmt.Errorf("graph: RouterPath endpoints must be routers (%d, %d)", src, dst)
 	}
 	if src == dst {
 		return Path{}, nil
 	}
 	t := r.tree(src)
-	if t.parentLink[dst] == NoLink {
+	r.advance(t, dst)
+	parent := t.parentLink
+	if parent[dst] == NoLink {
 		return nil, fmt.Errorf("graph: no path from router %d to router %d", src, dst)
 	}
-	// Walk back from dst to src.
-	var rev Path
-	for n := dst; n != src; {
-		l := t.parentLink[n]
-		rev = append(rev, l)
-		n = r.g.Link(l).From
+	// Walk back from dst to src: once to size the path, once to fill it.
+	hops := 0
+	for n := dst; n != src; n = g.links[parent[n]].From {
+		hops++
 	}
-	// Reverse in place.
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
+	path := make(Path, hops+2*pad)
+	i := pad + hops
+	for n := dst; n != src; n = g.links[parent[n]].From {
+		i--
+		path[i] = parent[n]
 	}
-	return rev, nil
+	return path, nil
 }
 
-func (r *Resolver) hostDownLink(host NodeID) (LinkID, error) {
-	up := r.g.AccessLink(host)
-	down := r.g.Link(up).Reverse
-	if down == NoLink {
-		return NoLink, fmt.Errorf("graph: host %d has no router→host link", host)
-	}
-	return down, nil
-}
-
-// tree returns the BFS tree rooted at the given router, computing and
-// caching it if needed. Trees computed before a topology mutation are
-// recomputed lazily on their next use: only sources actually re-resolved
-// after a reconfiguration pay for it.
+// tree returns the cached tree rooted at router src — complete, partial or
+// freshly rooted — and marks it most recently used. A tree started before a
+// link failed or came back restarts here, lazily: only sources actually
+// re-resolved after a reconfiguration pay for it.
 func (r *Resolver) tree(src NodeID) *bfsTree {
-	if t, ok := r.cache[src]; ok {
-		if t.gen != r.g.Generation() {
-			// Stale tree: replace in place, keeping the LRU slot.
-			t = r.bfs(src)
+	r.syncAdjacency()
+	t := r.lru.next
+	if t.src != src {
+		var cached bool
+		if t, cached = r.cache[src]; cached {
+			t.unlink()
+		} else {
+			if len(r.cache) < r.limit {
+				t = &bfsTree{parentLink: make([]LinkID, r.adjNodes)}
+				for i := range t.parentLink {
+					t.parentLink[i] = NoLink
+				}
+			} else {
+				// Recycle the least recently used tree and its arrays.
+				t = r.lru.prev
+				t.unlink()
+				delete(r.cache, t.src)
+				t.clear()
+			}
+			t.root(src, r.g.routeGen)
 			r.cache[src] = t
 		}
-		r.touch(src)
-		return t
+		t.prev, t.next = &r.lru, r.lru.next
+		t.prev.next, t.next.prev = t, t
 	}
-	t := r.bfs(src)
-	if len(r.order) >= r.capacity {
-		evict := r.order[0]
-		r.order = r.order[1:]
-		delete(r.cache, evict)
+	if t.gen != r.g.routeGen {
+		t.clear()
+		t.root(src, r.g.routeGen)
 	}
-	r.cache[src] = t
-	r.order = append(r.order, src)
 	return t
 }
 
-func (r *Resolver) touch(src NodeID) {
-	for i, n := range r.order {
-		if n == src {
-			copy(r.order[i:], r.order[i+1:])
-			r.order[len(r.order)-1] = src
-			return
-		}
-	}
+func (t *bfsTree) unlink() {
+	t.prev.next, t.next.prev = t.next, t.prev
 }
 
-// bfs runs a breadth-first search over routers only, skipping failed links.
-// Ties are broken by link insertion order, so results are deterministic.
-func (r *Resolver) bfs(src NodeID) *bfsTree {
-	g := r.g
-	t := &bfsTree{src: src, gen: g.Generation(), parentLink: make([]LinkID, g.NumNodes())}
-	for i := range t.parentLink {
-		t.parentLink[i] = NoLink
+// clear unlabels every router the tree reached, at the cost of what its
+// search labelled rather than of the graph's size.
+func (t *bfsTree) clear() {
+	for _, n := range t.queue {
+		t.parentLink[n] = NoLink
 	}
-	visited := make([]bool, g.NumNodes())
-	visited[src] = true
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, lid := range g.Out(n) {
-			l := g.Link(lid)
-			to := l.To
-			if l.Failed || visited[to] || g.Node(to).Kind != Router {
+	t.queue, t.head = t.queue[:0], 0
+}
+
+// root starts a cleared tree at src: the source is labelled and is the
+// whole frontier.
+func (t *bfsTree) root(src NodeID, gen uint64) {
+	t.src, t.gen = src, gen
+	t.parentLink[src] = treeRoot
+	t.queue = append(t.queue, src)
+}
+
+// advance expands t's frontier, in BFS order, until dst is labelled or the
+// frontier is exhausted. Failed links are looked at only while the graph
+// has any.
+func (r *Resolver) advance(t *bfsTree, dst NodeID) {
+	links, anyFailed := r.g.links, r.g.failed > 0
+	parent, queue, head := t.parentLink, t.queue, t.head
+	for head < len(queue) && parent[dst] == NoLink {
+		n := queue[head]
+		head++
+		for _, h := range r.hops[r.off[n]:r.off[n+1]] {
+			if parent[h.to] != NoLink || (anyFailed && links[h.link].Failed) {
 				continue
 			}
-			visited[to] = true
-			t.parentLink[to] = lid
-			queue = append(queue, to)
+			parent[h.to] = h.link
+			queue = append(queue, h.to)
 		}
 	}
-	return t
+	t.queue, t.head = queue, head
+}
+
+// syncAdjacency rebuilds the packed adjacency if the graph has grown since
+// it was built. Node and link structure is append-only, so the two counts
+// say so exactly (and a new resolver's are zero, which no graph with a node
+// to query has). Growth can shorten any route and changes the length of
+// every tree's parentLink, so the cached trees are dropped with it.
+func (r *Resolver) syncAdjacency() {
+	g := r.g
+	if len(g.nodes) == r.adjNodes && len(g.links) == r.adjLinks {
+		return
+	}
+	r.adjNodes, r.adjLinks = len(g.nodes), len(g.links)
+	r.off = make([]int32, r.adjNodes+1)
+	r.hops = make([]hop, 0, r.adjLinks)
+	for n := range g.nodes {
+		r.off[n] = int32(len(r.hops))
+		if g.nodes[n].Kind != Router {
+			continue
+		}
+		for _, l := range g.out[n] {
+			if to := g.links[l].To; g.nodes[to].Kind == Router {
+				r.hops = append(r.hops, hop{to: to, link: l})
+			}
+		}
+	}
+	r.off[r.adjNodes] = int32(len(r.hops))
+
+	r.limit = min(r.count, max(1, treeCacheBytes/(8*max(1, r.adjNodes))))
+	r.cache = make(map[NodeID]*bfsTree, r.limit)
+	r.lru.prev, r.lru.next = &r.lru, &r.lru
 }
 
 // PathNodes expands a path into its node sequence (source of the first link
@@ -205,23 +292,24 @@ func ValidatePath(g *Graph, p Path) error {
 		return fmt.Errorf("graph: path too short (%d links)", len(p))
 	}
 	for _, l := range p {
-		if g.Link(l).Failed {
+		g.checkLink(l)
+		if g.links[l].Failed {
 			return fmt.Errorf("graph: path crosses failed link %d", l)
 		}
 	}
 	for i := 1; i < len(p); i++ {
-		prev, cur := g.Link(p[i-1]), g.Link(p[i])
+		prev, cur := &g.links[p[i-1]], &g.links[p[i]]
 		if prev.To != cur.From {
 			return fmt.Errorf("graph: path disconnected at hop %d (link %d→ link %d)", i, prev.ID, cur.ID)
 		}
-		if g.Node(cur.From).Kind != Router {
+		if g.nodes[cur.From].Kind != Router {
 			return fmt.Errorf("graph: interior path node %d is not a router", cur.From)
 		}
 	}
-	if g.Node(g.Link(p[0]).From).Kind != Host {
+	if g.nodes[g.links[p[0]].From].Kind != Host {
 		return fmt.Errorf("graph: path does not start at a host")
 	}
-	if g.Node(g.Link(p[len(p)-1]).To).Kind != Host {
+	if g.nodes[g.links[p[len(p)-1]].To].Kind != Host {
 		return fmt.Errorf("graph: path does not end at a host")
 	}
 	return nil

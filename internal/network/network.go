@@ -373,6 +373,14 @@ func newNetwork(g *graph.Graph, cfg Config) *Network {
 	}
 }
 
+// HostPath returns a shortest path from host src to host dst, resolved by
+// the resolver the network's own dynamics (migration, readmission,
+// re-optimization) use. Callers that place sessions through it share one
+// tree cache with those dynamics instead of keeping a second.
+func (n *Network) HostPath(src, dst graph.NodeID) (graph.Path, error) {
+	return n.resolver.HostPath(src, dst)
+}
+
 // Engine returns the driving serial simulator (nil when the network runs on
 // a sharded engine).
 func (n *Network) Engine() *sim.Engine { return n.eng }

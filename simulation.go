@@ -21,7 +21,6 @@ type Simulation struct {
 	eng      *sim.Engine        // classic serial engine (nil when sharded)
 	she      *sim.ShardedEngine // sharded engine (nil when serial)
 	net      *network.Network
-	resolver *graph.Resolver
 	sessions map[SessionID]*Session
 }
 
@@ -50,7 +49,6 @@ func newSimulation(g *graph.Graph, topo topology.Hosted, opts ...Option) (*Simul
 	out := &Simulation{
 		g:        g,
 		topo:     topo,
-		resolver: graph.NewResolver(g, 256),
 		sessions: make(map[SessionID]*Session),
 	}
 	shards, windowBatch := o.shards, o.windowBatch
@@ -114,7 +112,7 @@ func (s *Simulation) RandomHostPair() (Node, Node, error) {
 // Session creates a session from src to dst along a shortest path. The
 // session is inert until JoinAt.
 func (s *Simulation) Session(src, dst Node) (*Session, error) {
-	path, err := s.resolver.HostPath(src.id, dst.id)
+	path, err := s.net.HostPath(src.id, dst.id)
 	if err != nil {
 		return nil, err
 	}
