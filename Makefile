@@ -37,9 +37,13 @@ test:
 test-full:
 	$(GO) test ./...
 
-# The perf gate: engine scheduling microbenchmarks, allocation counts on.
+# The perf gate, allocation counts on: the engine scheduling microbenchmarks,
+# then the protocol layer's — a packet's table lookup, the idle index under a
+# moving B_e, one probe cycle on dense and on sparse links (internal/core),
+# and the rational arithmetic by operand shape (internal/rate).
 bench:
 	$(GO) test -bench=SimEngine -benchmem -run='^$$' .
+	$(GO) test -bench='TableGet|RateSetChurn|ProbeCycle|Add|DivInt' -benchmem -run='^$$' ./internal/core ./internal/rate
 
 # Full benchmark sweep, including the figure-shaped end-to-end runs.
 bench-full:

@@ -31,7 +31,13 @@
 //   - The table (table.go) maintains incremental sums and rate-indexed
 //     buckets so that each packet costs O(log k) instead of O(|S_e|); a
 //     naive transcription of the figures lives in the tests and is checked
-//     to be observationally equivalent.
+//     to be observationally equivalent. Its layout keeps a packet's visit
+//     to a few cache lines and off the runtime's maps: an open-addressed
+//     session index (entrymap.go), buckets that list their members and
+//     members that know their bucket (rateset.go), and the table embedded
+//     in the RouterLink by value; see DESIGN.md §5. Handlers iterate
+//     snapshots sorted by session ID, so emission order depends on the
+//     sets' contents only.
 //   - Packets for sessions unknown at a link (removed by an earlier Leave
 //     racing with in-flight traffic) are dropped, which the figures leave
 //     implicit.

@@ -1,21 +1,29 @@
 package core
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"bneck/internal/rate"
 )
 
-// rateSet is a multiset of sessions keyed by their rate, ordered by rate.
-// The number of distinct rates at one link is small in practice (bounded by
-// the number of bottleneck levels that ever touched the link), so a sorted
-// slice of buckets with binary search is both simple and fast.
+// rateSet is a multiset of table entries keyed by their rate, ordered by
+// rate. The number of distinct rates at one link is small in practice
+// (bounded by the number of bottleneck levels that ever touched the link),
+// so a sorted slice of buckets with binary search is both simple and fast.
 //
-// Buckets whose last session leaves are parked on a free list instead of
+// The set is intrusive: a bucket lists its members in arrival order and
+// every member records its bucket and its position in it
+// (tableEntry.bucket/pos), so once the bucket is found add is an append and
+// remove a swap with the last member — no per-bucket hashing. An entry is in
+// at most one rateSet at a time (the table files idle R_e members in one set
+// and F_e members in the other), which is why one bucket/pos pair per entry
+// suffices.
+//
+// Buckets whose last member leaves are parked on a free list instead of
 // being dropped: rates churn heavily while a link converges (every B_e
 // revision empties one bucket and fills another), and reusing the bucket and
-// its session map keeps that churn allocation-free.
+// its member slice keeps that churn allocation-free.
 type rateSet struct {
 	buckets []*rateBucket // ascending by rate
 	size    int
@@ -23,57 +31,78 @@ type rateSet struct {
 }
 
 type rateBucket struct {
-	rate     rate.Rate
-	sessions map[SessionID]struct{}
+	rate    rate.Rate
+	members []*tableEntry // unordered; members[i].pos == i
 }
 
-// add inserts session s with rate r.
-func (rs *rateSet) add(r rate.Rate, s SessionID) {
-	i := rs.search(r)
-	if i < len(rs.buckets) && rs.buckets[i].rate.Equal(r) {
-		rs.buckets[i].sessions[s] = struct{}{}
+// add inserts ent with rate r. It panics if ent is already in a set.
+func (rs *rateSet) add(r rate.Rate, ent *tableEntry) {
+	if ent.bucket != nil {
+		panic("core: rateSet.add of indexed session")
+	}
+	i, ok := rs.search(r)
+	var b *rateBucket
+	if ok {
+		b = rs.buckets[i]
 	} else {
-		var b *rateBucket
 		if k := len(rs.free); k > 0 {
 			b = rs.free[k-1]
 			rs.free = rs.free[:k-1]
 			b.rate = r
 		} else {
-			b = &rateBucket{rate: r, sessions: make(map[SessionID]struct{})}
+			b = &rateBucket{rate: r}
 		}
-		b.sessions[s] = struct{}{}
 		rs.buckets = append(rs.buckets, nil)
 		copy(rs.buckets[i+1:], rs.buckets[i:])
 		rs.buckets[i] = b
 	}
+	ent.bucket, ent.pos = b, len(b.members)
+	b.members = append(b.members, ent)
 	rs.size++
 }
 
-// remove deletes session s with rate r. It panics if absent: the table keeps
+// remove deletes ent, filed at rate r. It panics if absent: the table keeps
 // index membership in lockstep with entries, and a mismatch is a bug.
-func (rs *rateSet) remove(r rate.Rate, s SessionID) {
-	i := rs.search(r)
-	if i >= len(rs.buckets) || !rs.buckets[i].rate.Equal(r) {
+func (rs *rateSet) remove(r rate.Rate, ent *tableEntry) {
+	i, ok := rs.search(r)
+	if !ok {
 		panic("core: rateSet.remove of absent rate")
 	}
 	b := rs.buckets[i]
-	if _, ok := b.sessions[s]; !ok {
+	if ent.bucket != b {
 		panic("core: rateSet.remove of absent session")
 	}
-	delete(b.sessions, s)
+	last := len(b.members) - 1
+	moved := b.members[last]
+	b.members[ent.pos] = moved
+	moved.pos = ent.pos
+	b.members[last] = nil
+	b.members = b.members[:last]
+	ent.bucket, ent.pos = nil, 0
 	rs.size--
-	if len(b.sessions) == 0 {
+	if last == 0 {
 		rs.buckets = append(rs.buckets[:i], rs.buckets[i+1:]...)
 		b.rate = rate.Zero
 		rs.free = append(rs.free, b)
 	}
 }
 
-// search returns the first index whose bucket rate is >= r.
-func (rs *rateSet) search(r rate.Rate) int {
-	return sort.Search(len(rs.buckets), func(i int) bool {
-		return rs.buckets[i].rate.GreaterEq(r)
-	})
+// search returns the index of the bucket with rate r and true, or the index
+// at which such a bucket would be inserted and false.
+func (rs *rateSet) search(r rate.Rate) (int, bool) {
+	lo, hi := 0, len(rs.buckets)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		switch c := rs.buckets[mid].rate.Cmp(r); {
+		case c < 0:
+			lo = mid + 1
+		case c > 0:
+			hi = mid
+		default:
+			return mid, true
+		}
+	}
+	return lo, false
 }
 
 // max returns the largest rate present, if any.
@@ -86,69 +115,59 @@ func (rs *rateSet) max() (rate.Rate, bool) {
 
 // countAt returns how many sessions have exactly rate r.
 func (rs *rateSet) countAt(r rate.Rate) int {
-	i := rs.search(r)
-	if i < len(rs.buckets) && rs.buckets[i].rate.Equal(r) {
-		return len(rs.buckets[i].sessions)
+	if i, ok := rs.search(r); ok {
+		return len(rs.buckets[i].members)
 	}
 	return 0
 }
 
-// sessionsAt returns the sessions with exactly rate r, sorted by ID so that
-// emission order (and hence the whole simulation) is deterministic. The
-// caller owns the returned slice.
-func (rs *rateSet) sessionsAt(r rate.Rate) []SessionID {
-	return rs.appendSessionsAt(nil, r)
-}
-
-// appendSessionsAt appends the sessions with exactly rate r to dst, sorted
-// by ID, and returns the extended slice. Passing a reused scratch slice
-// (dst[:0]) makes the snapshot allocation-free once warm.
-func (rs *rateSet) appendSessionsAt(dst []SessionID, r rate.Rate) []SessionID {
-	i := rs.search(r)
-	if i >= len(rs.buckets) || !rs.buckets[i].rate.Equal(r) {
+// appendSessionsAt appends the entries with exactly rate r to dst, sorted
+// by session ID so that emission order (and hence the whole simulation) is
+// deterministic, and returns the extended slice. Passing a reused scratch
+// slice (dst[:0]) makes the snapshot allocation-free once warm.
+func (rs *rateSet) appendSessionsAt(dst []*tableEntry, r rate.Rate) []*tableEntry {
+	i, ok := rs.search(r)
+	if !ok {
 		return dst
 	}
 	base := len(dst)
-	for s := range rs.buckets[i].sessions {
-		dst = append(dst, s)
-	}
-	slices.Sort(dst[base:])
+	dst = append(dst, rs.buckets[i].members...)
+	sortByID(dst[base:])
 	return dst
 }
 
-// sessionsAbove returns all sessions with rate strictly greater than r,
-// sorted by ID.
-func (rs *rateSet) sessionsAbove(r rate.Rate) []SessionID {
-	return rs.appendSessionsAbove(nil, r)
-}
-
-// appendSessionsAbove appends all sessions with rate strictly greater than r
-// to dst, sorted by ID, and returns the extended slice.
-func (rs *rateSet) appendSessionsAbove(dst []SessionID, r rate.Rate) []SessionID {
-	i := sort.Search(len(rs.buckets), func(i int) bool {
-		return rs.buckets[i].rate.Greater(r)
-	})
+// appendSessionsAbove appends all entries with rate strictly greater than r
+// to dst, sorted by session ID, and returns the extended slice.
+func (rs *rateSet) appendSessionsAbove(dst []*tableEntry, r rate.Rate) []*tableEntry {
+	i, ok := rs.search(r)
+	if ok {
+		i++
+	}
 	base := len(dst)
-	for ; i < len(rs.buckets); i++ {
-		for s := range rs.buckets[i].sessions {
-			dst = append(dst, s)
-		}
+	for _, b := range rs.buckets[i:] {
+		dst = append(dst, b.members...)
 	}
-	slices.Sort(dst[base:])
+	sortByID(dst[base:])
 	return dst
 }
 
-// appendAll appends every session in the set to dst, sorted by ID, and
-// returns the extended slice.
-func (rs *rateSet) appendAll(dst []SessionID) []SessionID {
+// appendAll appends every entry in the set to dst, sorted by session ID,
+// and returns the extended slice.
+func (rs *rateSet) appendAll(dst []*tableEntry) []*tableEntry {
 	base := len(dst)
 	for _, b := range rs.buckets {
-		for s := range b.sessions {
-			dst = append(dst, s)
-		}
+		dst = append(dst, b.members...)
 	}
-	slices.Sort(dst[base:])
+	sortByID(dst[base:])
 	return dst
+}
+
+// sortByID orders a snapshot by session ID. Bucket order is arrival order
+// perturbed by swap-removes — a function of the packet history, not of the
+// set's contents — so every snapshot is sorted before anything is emitted
+// from it.
+func sortByID(ents []*tableEntry) {
+	slices.SortFunc(ents, func(a, b *tableEntry) int { return cmp.Compare(a.id, b.id) })
 }
 
 // len returns the number of sessions in the set.

@@ -13,9 +13,10 @@ func TestRateSetBasics(t *testing.T) {
 	if _, ok := rs.max(); ok {
 		t.Fatalf("empty set has a max")
 	}
-	rs.add(rate.Mbps(5), 1)
-	rs.add(rate.Mbps(3), 2)
-	rs.add(rate.Mbps(5), 3)
+	e1, e2, e3 := &tableEntry{id: 1}, &tableEntry{id: 2}, &tableEntry{id: 3}
+	rs.add(rate.Mbps(5), e3)
+	rs.add(rate.Mbps(3), e2)
+	rs.add(rate.Mbps(5), e1)
 	if rs.len() != 3 || rs.distinct() != 2 {
 		t.Fatalf("len=%d distinct=%d", rs.len(), rs.distinct())
 	}
@@ -25,18 +26,27 @@ func TestRateSetBasics(t *testing.T) {
 	if rs.countAt(rate.Mbps(5)) != 2 || rs.countAt(rate.Mbps(3)) != 1 || rs.countAt(rate.Mbps(9)) != 0 {
 		t.Fatalf("counts wrong")
 	}
-	got := rs.sessionsAt(rate.Mbps(5))
+	got := ids(rs.appendSessionsAt(nil, rate.Mbps(5)))
 	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("sessionsAt = %v (must be sorted)", got)
+		t.Fatalf("appendSessionsAt = %v (must be sorted)", got)
 	}
-	above := rs.sessionsAbove(rate.Mbps(3))
+	above := rs.appendSessionsAbove(nil, rate.Mbps(3))
 	if len(above) != 2 {
-		t.Fatalf("sessionsAbove = %v", above)
+		t.Fatalf("appendSessionsAbove = %v", ids(above))
 	}
-	rs.remove(rate.Mbps(5), 1)
-	rs.remove(rate.Mbps(5), 3)
+	if all := ids(rs.appendAll(nil)); len(all) != 3 || all[0] != 1 || all[1] != 2 || all[2] != 3 {
+		t.Fatalf("appendAll = %v (must be sorted)", all)
+	}
+	rs.remove(rate.Mbps(5), e1)
+	if e3.bucket == nil || e3.bucket.members[e3.pos] != e3 {
+		t.Fatalf("swap-remove lost track of the moved member")
+	}
+	rs.remove(rate.Mbps(5), e3)
 	if rs.countAt(rate.Mbps(5)) != 0 || rs.distinct() != 1 {
 		t.Fatalf("bucket not collapsed")
+	}
+	if e1.bucket != nil || e3.bucket != nil {
+		t.Fatalf("removed members still point at a bucket")
 	}
 }
 
@@ -48,7 +58,7 @@ func TestRateSetRemovePanics(t *testing.T) {
 			}
 		}()
 		var rs rateSet
-		rs.remove(rate.Mbps(1), 1)
+		rs.remove(rate.Mbps(1), &tableEntry{id: 1})
 	})
 	t.Run("absent session", func(t *testing.T) {
 		defer func() {
@@ -57,8 +67,31 @@ func TestRateSetRemovePanics(t *testing.T) {
 			}
 		}()
 		var rs rateSet
-		rs.add(rate.Mbps(1), 1)
-		rs.remove(rate.Mbps(1), 2)
+		rs.add(rate.Mbps(1), &tableEntry{id: 1})
+		rs.remove(rate.Mbps(1), &tableEntry{id: 2})
+	})
+	t.Run("session at another rate", func(t *testing.T) {
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("expected panic")
+			}
+		}()
+		var rs rateSet
+		e := &tableEntry{id: 1}
+		rs.add(rate.Mbps(1), e)
+		rs.add(rate.Mbps(2), &tableEntry{id: 2})
+		rs.remove(rate.Mbps(2), e)
+	})
+	t.Run("double add", func(t *testing.T) {
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("expected panic")
+			}
+		}()
+		var rs rateSet
+		e := &tableEntry{id: 1}
+		rs.add(rate.Mbps(1), e)
+		rs.add(rate.Mbps(2), e)
 	})
 }
 
@@ -67,7 +100,7 @@ func TestRateSetRemovePanics(t *testing.T) {
 func TestRateSetMatchesReference(t *testing.T) {
 	type pair struct {
 		r rate.Rate
-		s SessionID
+		s *tableEntry
 	}
 	r := rand.New(rand.NewSource(41))
 	for iter := 0; iter < 50; iter++ {
@@ -76,7 +109,7 @@ func TestRateSetMatchesReference(t *testing.T) {
 		for step := 0; step < 500; step++ {
 			if len(ref) == 0 || r.Intn(3) > 0 {
 				rt := rate.FromFrac(int64(1+r.Intn(20)), int64(1+r.Intn(4)))
-				s := SessionID(step)
+				s := &tableEntry{id: SessionID(step)}
 				rs.add(rt, s)
 				ref = append(ref, pair{rt, s})
 			} else {
@@ -102,11 +135,11 @@ func TestRateSetMatchesReference(t *testing.T) {
 				var wantAt []SessionID
 				for _, p := range ref {
 					if p.r.Equal(probe) {
-						wantAt = append(wantAt, p.s)
+						wantAt = append(wantAt, p.s.id)
 					}
 				}
 				sort.Slice(wantAt, func(i, j int) bool { return wantAt[i] < wantAt[j] })
-				gotAt := rs.sessionsAt(probe)
+				gotAt := ids(rs.appendSessionsAt(nil, probe))
 				if len(gotAt) != len(wantAt) {
 					t.Fatalf("sessionsAt len %d vs %d", len(gotAt), len(wantAt))
 				}
@@ -122,11 +155,11 @@ func TestRateSetMatchesReference(t *testing.T) {
 				var wantAbove []SessionID
 				for _, p := range ref {
 					if p.r.Greater(probe) {
-						wantAbove = append(wantAbove, p.s)
+						wantAbove = append(wantAbove, p.s.id)
 					}
 				}
 				sort.Slice(wantAbove, func(i, j int) bool { return wantAbove[i] < wantAbove[j] })
-				gotAbove := rs.sessionsAbove(probe)
+				gotAbove := ids(rs.appendSessionsAbove(nil, probe))
 				if len(gotAbove) != len(wantAbove) {
 					t.Fatalf("sessionsAbove len %d vs %d", len(gotAbove), len(wantAbove))
 				}
@@ -143,8 +176,13 @@ func TestRateSetMatchesReference(t *testing.T) {
 				}
 			}
 			for _, b := range rs.buckets {
-				if len(b.sessions) == 0 {
+				if len(b.members) == 0 {
 					t.Fatalf("empty bucket kept")
+				}
+				for pos, m := range b.members {
+					if m.bucket != b || m.pos != pos {
+						t.Fatalf("member %d does not point back at its bucket", m.id)
+					}
 				}
 			}
 		}

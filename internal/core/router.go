@@ -11,17 +11,19 @@ import (
 // concurrently).
 type RouterLink struct {
 	ref LinkRef
-	tbl *table
+	// tbl is embedded by value: the task and its table are one allocation,
+	// and a packet reaches the entry index without a pointer hop.
+	tbl table
 	em  Emitter
 	// scratch is a reusable buffer for session-set snapshots taken while
 	// mutating the table underneath (handlers never run reentrantly, and no
 	// snapshot outlives its loop, so one buffer suffices).
-	scratch []SessionID
+	scratch []*tableEntry
 }
 
 // NewRouterLink returns the task for link ref with the given data capacity.
 func NewRouterLink(ref LinkRef, capacity rate.Rate, em Emitter) *RouterLink {
-	return &RouterLink{ref: ref, tbl: newTable(capacity), em: em}
+	return &RouterLink{ref: ref, tbl: table{capacity: capacity}, em: em}
 }
 
 // Ref returns the link reference this task controls.
@@ -44,7 +46,7 @@ func (rl *RouterLink) Bottleneck() rate.Rate { return rl.tbl.be() }
 // new B_e. Traffic is bounded by the sessions crossing the link, and the
 // network re-quiesces through the protocol's own dynamics — no global reset.
 func (rl *RouterLink) SetCapacity(c rate.Rate) {
-	t := rl.tbl
+	t := &rl.tbl
 	if c.Equal(t.capacity) {
 		return
 	}
@@ -55,16 +57,12 @@ func (rl *RouterLink) SetCapacity(c rate.Rate) {
 			break
 		}
 		rl.scratch = t.appendFeSessionsAt(rl.scratch[:0], maxR)
-		for _, r := range rl.scratch {
-			t.moveFeToRe(r, t.get(r))
+		for _, ent := range rl.scratch {
+			t.moveFeToRe(ent)
 		}
 	}
 	rl.scratch = t.appendIdleAll(rl.scratch[:0])
-	for _, r := range rl.scratch {
-		ent := t.get(r)
-		t.setState(r, ent, WaitingProbe)
-		rl.em.Emit(r, ent.hop, Up, Packet{Type: PktUpdate, Session: r})
-	}
+	rl.reprobe(nil)
 }
 
 // Capacity returns the link's current data capacity C_e.
@@ -99,28 +97,37 @@ func (rl *RouterLink) Receive(pkt Packet, hop int) {
 // idle R_e member whose rate exceeds the (possibly lowered) estimate is told
 // to re-probe.
 func (rl *RouterLink) processNewRestricted() {
-	t := rl.tbl
+	t := &rl.tbl
 	for {
 		maxR, ok := t.feMax()
 		if !ok || maxR.Less(t.be()) {
 			break
 		}
 		rl.scratch = t.appendFeSessionsAt(rl.scratch[:0], maxR)
-		for _, r := range rl.scratch {
-			t.moveFeToRe(r, t.get(r))
+		for _, ent := range rl.scratch {
+			t.moveFeToRe(ent)
 		}
 	}
 	be := t.be()
 	rl.scratch = t.appendIdleAbove(rl.scratch[:0], be)
-	for _, r := range rl.scratch {
-		ent := t.get(r)
-		t.setState(r, ent, WaitingProbe)
-		rl.em.Emit(r, ent.hop, Up, Packet{Type: PktUpdate, Session: r})
+	rl.reprobe(nil)
+}
+
+// reprobe tells every session of the snapshot in rl.scratch, except skip, to
+// start a new probe cycle: μ becomes WAITING_PROBE and an Update goes
+// upstream.
+func (rl *RouterLink) reprobe(skip *tableEntry) {
+	for _, ent := range rl.scratch {
+		if ent == skip {
+			continue
+		}
+		rl.tbl.setState(ent, WaitingProbe)
+		rl.em.Emit(ent.id, ent.hop, Up, Packet{Type: PktUpdate, Session: ent.id})
 	}
 }
 
 func (rl *RouterLink) onJoin(pkt Packet, hop int) {
-	t := rl.tbl
+	t := &rl.tbl
 	s := pkt.Session
 	if t.get(s) != nil {
 		// A stale entry can only exist if a rejoin raced ahead of a Leave's
@@ -138,15 +145,15 @@ func (rl *RouterLink) onJoin(pkt Packet, hop int) {
 }
 
 func (rl *RouterLink) onProbe(pkt Packet, hop int) {
-	t := rl.tbl
+	t := &rl.tbl
 	s := pkt.Session
 	ent := t.get(s)
 	if ent == nil {
 		return // session left; drop
 	}
-	t.setState(s, ent, WaitingResponse)
+	t.setState(ent, WaitingResponse)
 	if !ent.inRe {
-		t.moveFeToRe(s, ent)
+		t.moveFeToRe(ent)
 		rl.processNewRestricted()
 	}
 	lambda, eta := pkt.Rate, pkt.Bneck
@@ -157,7 +164,7 @@ func (rl *RouterLink) onProbe(pkt Packet, hop int) {
 }
 
 func (rl *RouterLink) onResponse(pkt Packet, hop int) {
-	t := rl.tbl
+	t := &rl.tbl
 	s := pkt.Session
 	ent := t.get(s)
 	if ent == nil {
@@ -165,19 +172,19 @@ func (rl *RouterLink) onResponse(pkt Packet, hop int) {
 	}
 	tau, lambda, eta := pkt.Resp, pkt.Rate, pkt.Bneck
 	if tau == RespUpdate {
-		t.setState(s, ent, WaitingProbe)
+		t.setState(ent, WaitingProbe)
 	} else {
 		be := t.be()
 		if (eta == rl.ref && lambda.Equal(be)) || (eta != rl.ref && lambda.LessEq(be)) {
 			// The probe's answer is consistent with this link's current
 			// estimate: accept it.
-			t.setIdle(s, ent, lambda)
+			t.setIdle(ent, lambda)
 		} else {
 			// Either this link capped the probe but its estimate has moved
 			// (η = e ∧ λ < B_e), or the granted rate now exceeds this link's
 			// share (λ > B_e): a new probe cycle is needed.
 			tau = RespUpdate
-			t.setState(s, ent, WaitingProbe)
+			t.setState(ent, WaitingProbe)
 		}
 		if t.allReIdleAtBe() {
 			// Every session not restricted elsewhere is idle at B_e: this
@@ -187,10 +194,10 @@ func (rl *RouterLink) onResponse(pkt Packet, hop int) {
 			eta = rl.ref
 			rl.scratch = t.appendIdleAt(rl.scratch[:0], be)
 			for _, r := range rl.scratch {
-				if r == s {
+				if r == ent {
 					continue
 				}
-				rl.em.Emit(r, t.get(r).hop, Up, Packet{Type: PktBottleneck, Session: r})
+				rl.em.Emit(r.id, r.hop, Up, Packet{Type: PktBottleneck, Session: r.id})
 			}
 		}
 	}
@@ -198,14 +205,14 @@ func (rl *RouterLink) onResponse(pkt Packet, hop int) {
 }
 
 func (rl *RouterLink) onUpdate(pkt Packet, hop int) {
-	t := rl.tbl
+	t := &rl.tbl
 	s := pkt.Session
 	ent := t.get(s)
 	if ent == nil {
 		return
 	}
 	if ent.mu == Idle {
-		t.setState(s, ent, WaitingProbe)
+		t.setState(ent, WaitingProbe)
 		rl.em.Emit(s, hop, Up, Packet{Type: PktUpdate, Session: s})
 	}
 	// Non-idle: a probe cycle is already pending or in flight; the Update is
@@ -224,7 +231,7 @@ func (rl *RouterLink) onBottleneck(pkt Packet, hop int) {
 }
 
 func (rl *RouterLink) onSetBottleneck(pkt Packet, hop int) {
-	t := rl.tbl
+	t := &rl.tbl
 	s := pkt.Session
 	ent := t.get(s)
 	if ent == nil {
@@ -239,13 +246,9 @@ func (rl *RouterLink) onSetBottleneck(pkt Packet, hop int) {
 		// s is restricted elsewhere: move it to F_e. Idle sessions pinned at
 		// the old estimate can now get more, so they must re-probe.
 		rl.scratch = t.appendIdleAt(rl.scratch[:0], be)
-		for _, r := range rl.scratch {
-			rEnt := t.get(r)
-			t.setState(r, rEnt, WaitingProbe)
-			rl.em.Emit(r, rEnt.hop, Up, Packet{Type: PktUpdate, Session: r})
-		}
+		rl.reprobe(nil)
 		if ent.inRe {
-			t.moveReToFe(s, ent)
+			t.moveReToFe(ent)
 		}
 		rl.em.Emit(s, hop, Down, Packet{Type: PktSetBottleneck, Session: s, Beta: pkt.Beta})
 	case ent.mu == Idle && ent.hasLambda && ent.lambda.Equal(be):
@@ -259,7 +262,7 @@ func (rl *RouterLink) onSetBottleneck(pkt Packet, hop int) {
 }
 
 func (rl *RouterLink) onLeave(pkt Packet, hop int) {
-	t := rl.tbl
+	t := &rl.tbl
 	s := pkt.Session
 	if ent := t.get(s); ent != nil {
 		// R′ with the *old* B_e: sessions pinned at the current estimate can
@@ -269,14 +272,7 @@ func (rl *RouterLink) onLeave(pkt Packet, hop int) {
 			rl.scratch = t.appendIdleAt(rl.scratch, t.be())
 		}
 		t.remove(s)
-		for _, r := range rl.scratch {
-			if r == s {
-				continue
-			}
-			rEnt := t.get(r)
-			t.setState(r, rEnt, WaitingProbe)
-			rl.em.Emit(r, rEnt.hop, Up, Packet{Type: PktUpdate, Session: r})
-		}
+		rl.reprobe(ent)
 	}
 	rl.em.Emit(s, hop, Down, Packet{Type: PktLeave, Session: s})
 }
@@ -285,9 +281,9 @@ func (rl *RouterLink) onLeave(pkt Packet, hop int) {
 // known sessions IDLE, all R_e members at B_e, and (when R_e is nonempty)
 // every F_e member strictly below B_e.
 func (rl *RouterLink) Stable() bool {
-	t := rl.tbl
-	for _, ent := range t.entries {
-		if ent.mu != Idle {
+	t := &rl.tbl
+	for _, slot := range t.entries.slots {
+		if slot.ent != nil && slot.ent.mu != Idle {
 			return false
 		}
 	}
@@ -314,9 +310,11 @@ type snapshotEntry struct {
 
 // snapshot exposes the table state (tests only).
 func (rl *RouterLink) snapshot() map[SessionID]snapshotEntry {
-	out := make(map[SessionID]snapshotEntry, len(rl.tbl.entries))
-	for s, e := range rl.tbl.entries {
-		out[s] = snapshotEntry{InRe: e.inRe, Mu: e.mu, Lambda: e.lambda, HasLam: e.hasLambda}
+	out := make(map[SessionID]snapshotEntry, rl.tbl.sessions())
+	for _, slot := range rl.tbl.entries.slots {
+		if e := slot.ent; e != nil {
+			out[slot.id] = snapshotEntry{InRe: e.inRe, Mu: e.mu, Lambda: e.lambda, HasLam: e.hasLambda}
+		}
 	}
 	return out
 }

@@ -7,6 +7,19 @@ import (
 	"bneck/internal/rate"
 )
 
+// newTable returns an empty table of capacity c, the way RouterLink embeds
+// one.
+func newTable(c rate.Rate) *table { return &table{capacity: c} }
+
+// ids returns the session IDs of a snapshot, in snapshot order.
+func ids(ents []*tableEntry) []SessionID {
+	out := make([]SessionID, len(ents))
+	for i, ent := range ents {
+		out[i] = ent.id
+	}
+	return out
+}
+
 // naiveTable is a direct transcription of Figure 2's per-link state: plain
 // sets scanned in O(n) for every predicate. The optimized table must be
 // observationally equivalent under arbitrary operation sequences.
@@ -131,14 +144,14 @@ func TestTableMatchesNaive(t *testing.T) {
 			case 3, 4: // setIdle with a rate (must be in Re)
 				if s, ent := pick(); ent != nil && ent.inRe {
 					lam := randRate()
-					opt.setIdle(s, ent, lam)
+					opt.setIdle(ent, lam)
 					ref.re[s].mu = Idle
 					ref.re[s].lambda = lam
 					ref.re[s].hasLambda = true
 				}
 			case 5: // setState to WaitingProbe
 				if s, ent := pick(); ent != nil && ent.mu != WaitingProbe {
-					opt.setState(s, ent, WaitingProbe)
+					opt.setState(ent, WaitingProbe)
 					if e, ok := ref.re[s]; ok {
 						e.mu = WaitingProbe
 					} else {
@@ -147,7 +160,7 @@ func TestTableMatchesNaive(t *testing.T) {
 				}
 			case 6: // setState to WaitingResponse
 				if s, ent := pick(); ent != nil && ent.mu != WaitingResponse {
-					opt.setState(s, ent, WaitingResponse)
+					opt.setState(ent, WaitingResponse)
 					if e, ok := ref.re[s]; ok {
 						e.mu = WaitingResponse
 					} else {
@@ -156,13 +169,13 @@ func TestTableMatchesNaive(t *testing.T) {
 				}
 			case 7: // moveReToFe (requires Re + Idle + λ < Be, as the protocol does)
 				if s, ent := pick(); ent != nil && ent.inRe && ent.mu == Idle && ent.lambda.Less(opt.be()) {
-					opt.moveReToFe(s, ent)
+					opt.moveReToFe(ent)
 					ref.fe[s] = ref.re[s]
 					delete(ref.re, s)
 				}
 			case 8, 9: // moveFeToRe
 				if s, ent := pick(); ent != nil && !ent.inRe {
-					opt.moveFeToRe(s, ent)
+					opt.moveFeToRe(ent)
 					ref.re[s] = ref.fe[s]
 					delete(ref.fe, s)
 				}
@@ -188,7 +201,7 @@ func TestTableMatchesNaive(t *testing.T) {
 			be := opt.be()
 			if !be.IsInf() {
 				wantAt := ref.idleAt(be)
-				gotAt := opt.idleAt(be)
+				gotAt := ids(opt.appendIdleAt(nil, be))
 				if len(gotAt) != len(wantAt) {
 					t.Fatalf("iter %d step %d: idleAt size %d vs %d", iter, step, len(gotAt), len(wantAt))
 				}
@@ -198,7 +211,7 @@ func TestTableMatchesNaive(t *testing.T) {
 					}
 				}
 				wantAbove := ref.idleAbove(be)
-				gotAbove := opt.idleAbove(be)
+				gotAbove := ids(opt.appendIdleAbove(nil, be))
 				if len(gotAbove) != len(wantAbove) {
 					t.Fatalf("iter %d step %d: idleAbove size %d vs %d", iter, step, len(gotAbove), len(wantAbove))
 				}
@@ -224,21 +237,21 @@ func TestTablePanicsOnMisuse(t *testing.T) {
 		},
 		"setIdle on Fe": func(tb *table) {
 			ent := tb.addNew(1, 1)
-			tb.setIdle(1, ent, rate.Mbps(1))
-			tb.moveReToFe(1, ent)
-			tb.setIdle(1, ent, rate.Mbps(2))
+			tb.setIdle(ent, rate.Mbps(1))
+			tb.moveReToFe(ent)
+			tb.setIdle(ent, rate.Mbps(2))
 		},
 		"setState to Idle": func(tb *table) {
 			ent := tb.addNew(1, 1)
-			tb.setState(1, ent, Idle)
+			tb.setState(ent, Idle)
 		},
 		"moveReToFe non-idle": func(tb *table) {
 			ent := tb.addNew(1, 1)
-			tb.moveReToFe(1, ent)
+			tb.moveReToFe(ent)
 		},
 		"moveFeToRe on Re": func(tb *table) {
 			ent := tb.addNew(1, 1)
-			tb.moveFeToRe(1, ent)
+			tb.moveFeToRe(ent)
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -260,8 +273,8 @@ func TestTableBeCaching(t *testing.T) {
 		t.Fatalf("be = %v", tb.be())
 	}
 	// Cached value must be invalidated by structural changes.
-	tb.setIdle(1, e1, rate.Mbps(2))
-	tb.moveReToFe(1, e1)
+	tb.setIdle(e1, rate.Mbps(2))
+	tb.moveReToFe(e1)
 	if !tb.be().Equal(rate.Mbps(10)) {
 		t.Fatalf("be after moveReToFe = %v", tb.be())
 	}

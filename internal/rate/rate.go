@@ -181,22 +181,59 @@ func (r Rate) Add(o Rate) Rate {
 	rn, rd, rok := r.parts()
 	on, od, ook := o.parts()
 	if rok && ook {
-		// Knuth's reduced rational addition: with g = gcd(rd, od),
-		// r + o = (rn*(od/g) + on*(rd/g)) / (rd*(od/g)), which keeps the
-		// intermediates as small as possible and so stays on the int64 fast
-		// path far longer than the textbook cross-multiplication.
-		g := gcd64(rd, od)
-		odg, rdg := od/g, rd/g
-		a, ok1 := mul64(rn, odg)
-		b, ok2 := mul64(on, rdg)
-		d, ok3 := mul64(rd, odg)
-		if ok1 && ok2 && ok3 {
-			if n, ok := add64(a, b); ok {
-				return normalizeInt(n, d)
-			}
+		if sum, ok := addInt(rn, rd, on, od); ok {
+			return sum
 		}
 	}
 	return normalizeBig(new(big.Rat).Add(r.toBig(), o.toBig()))
+}
+
+// addInt returns rn/rd + on/od on the int64 path, or false when an
+// intermediate overflows. Both operands are reduced with positive
+// denominators, and so is the result: it is Knuth's reduced rational
+// addition (TAOCP vol. 2, §4.5.1), which needs one gcd against g =
+// gcd(rd, od) in place of a gcd of the full-width sum and product.
+//
+// With t = rn·(od/g) + on·(rd/g), the sum is t over (rd/g)·(od/g)·g. t is
+// coprime to rd/g — a prime dividing both would divide rn·(od/g), yet it
+// divides neither factor, rn/rd being reduced and rd/g, od/g coprime — and
+// likewise to od/g, so all t shares with the denominator is g2 = gcd(t, g),
+// and t/g2 over (rd/g)·(od/g2) is in lowest terms. A zero sum has rd = od
+// and leaves through the first branch, where gcd(0, rd) = rd makes it 0/1.
+func addInt(rn, rd, on, od int64) (Rate, bool) {
+	if rd == od {
+		// Same denominator (two integers above all): no products at all, and
+		// only the sum can share a factor with rd.
+		n, ok := add64(rn, on)
+		if !ok {
+			return Rate{}, false
+		}
+		if rd == 1 {
+			return Rate{num: n, den: 1}, true
+		}
+		g2 := gcd64(abs64(n), rd)
+		return Rate{num: n / g2, den: rd / g2}, true
+	}
+	g := gcd64(rd, od)
+	rdg, odg := rd/g, od/g
+	a, ok1 := mul64(rn, odg)
+	b, ok2 := mul64(on, rdg)
+	if !ok1 || !ok2 {
+		return Rate{}, false
+	}
+	t, ok := add64(a, b)
+	if !ok {
+		return Rate{}, false
+	}
+	if g > 1 {
+		g2 := gcd64(abs64(t), g)
+		t, odg = t/g2, od/g2
+	}
+	d, ok := mul64(rdg, odg)
+	if !ok {
+		return Rate{}, false
+	}
+	return Rate{num: t, den: d}, true
 }
 
 // Sub returns r - o. It panics if o is +∞ and r is finite; ∞ - x = ∞ for
@@ -237,10 +274,12 @@ func (r Rate) DivInt(n int) Rate {
 	rn, rd, ok := r.parts()
 	if ok {
 		// Divide the gcd out of the numerator first so the new denominator
-		// grows as little as possible.
+		// grows as little as possible. What is left is already in lowest
+		// terms: rn/g is coprime to n/g by construction and to rd because
+		// rn is (and a zero rn gives g = n, rd = 1, hence 0/1).
 		g := gcd64(abs64(rn), int64(n))
 		if d, ok := mul64(rd, int64(n)/g); ok {
-			return normalizeInt(rn/g, d)
+			return Rate{num: rn / g, den: d}
 		}
 	}
 	q := new(big.Rat).SetFrac(big.NewInt(1), big.NewInt(int64(n)))
@@ -258,9 +297,11 @@ func (r Rate) MulInt(n int) Rate {
 	}
 	rn, rd, ok := r.parts()
 	if ok {
+		// Lowest terms for the same reason as in DivInt, with the roles of
+		// numerator and denominator swapped (n = 0 gives g = rd, hence 0/1).
 		g := gcd64(rd, int64(n))
 		if p, ok := mul64(rn, int64(n)/g); ok {
-			return normalizeInt(p, rd/g)
+			return Rate{num: p, den: rd / g}
 		}
 	}
 	q := new(big.Rat).SetInt64(int64(n))
