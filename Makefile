@@ -2,8 +2,7 @@
 # captures the perf trajectory of the simulator hot path per PR, and
 # `make bench-json` snapshots it as BENCH_PR<n>.json — a committed artifact
 # per PR, so the perf trajectory (engine scheduling, protocol throughput,
-# sharded-engine scaling on LAN and WAN, live-Emit contention) accumulates
-# in the repository. Override the output with BENCH_OUT=... (CI also
+# sharded-engine scaling on LAN and WAN) accumulates in the repository. Override the output with BENCH_OUT=... (CI also
 # uploads it).
 
 GO ?= go
@@ -40,10 +39,14 @@ test-full:
 # The perf gate, allocation counts on: the engine scheduling microbenchmarks,
 # then the protocol layer's — a packet's table lookup, the idle index under a
 # moving B_e, one probe cycle on dense and on sparse links (internal/core),
-# and the rational arithmetic by operand shape (internal/rate).
+# and the rational arithmetic by operand shape (internal/rate) — and the live
+# transport's: the uncontended per-hop floor and a join storm over one shared
+# runtime (internal/live), whose iterations are whole runs, hence the fixed
+# count.
 bench:
 	$(GO) test -bench=SimEngine -benchmem -run='^$$' .
 	$(GO) test -bench='TableGet|RateSetChurn|ProbeCycle|Add|DivInt' -benchmem -run='^$$' ./internal/core ./internal/rate
+	$(GO) test -bench='LiveHop|LiveEmit' -benchtime=3x -benchmem -run='^$$' ./internal/live
 
 # Full benchmark sweep, including the figure-shaped end-to-end runs.
 bench-full:
@@ -51,17 +54,17 @@ bench-full:
 
 # Machine-readable perf snapshot: engine scheduling, protocol throughput,
 # the dynamic-topology reconfiguration benchmark, the sharded-engine scaling
-# sweep (classic vs 1/2/4 shards, LAN and WAN), the live-Emit contention
-# benchmark, the internet-topology ladder (paper/metro/internet rungs at
-# 1 vs 8 shards) and the oracle churn-validation sweep (full re-solve vs
-# the incremental mirror at every ladder rung), as $(BENCH_OUT). The
+# sweep (classic vs 1/2/4 shards, LAN and WAN), the internet-topology ladder
+# (paper/metro/internet rungs at 1 vs 8 shards) and the oracle
+# churn-validation sweep (full re-solve vs the incremental mirror at every
+# ladder rung), as $(BENCH_OUT). The
 # micro-benchmarks run at the default benchtime; the end-to-end sweeps pin
 # a fixed iteration count so the snapshot costs minutes, not hours — the
 # ladder's 10k-router rungs run exactly once each.
 bench-json:
 	@tmp=$$(mktemp); \
 	{ $(GO) test -bench=SimEngine -benchmem -run='^$$' . > $$tmp && \
-	  $(GO) test -bench='ProtocolThroughput|Reconfiguration|ShardedEngine|LiveEmit' -benchtime=3x -benchmem -run='^$$' . >> $$tmp && \
+	  $(GO) test -bench='ProtocolThroughput|Reconfiguration|ShardedEngine' -benchtime=3x -benchmem -run='^$$' . >> $$tmp && \
 	  $(GO) test -bench='InternetLadder|OracleChurn' -benchtime=1x -benchmem -timeout=30m -run='^$$' . >> $$tmp && \
 	  $(GO) run ./cmd/benchjson -out $(BENCH_OUT) < $$tmp; }; \
 	status=$$?; rm -f $$tmp; exit $$status

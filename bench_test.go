@@ -9,13 +9,10 @@ package bneck_test
 import (
 	"math/rand"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
 	"bneck/internal/exp"
-	"bneck/internal/graph"
-	"bneck/internal/live"
 	"bneck/internal/network"
 	"bneck/internal/rate"
 	"bneck/internal/sim"
@@ -613,63 +610,6 @@ func benchOracleChurn(b *testing.B, params topology.InternetParams, sessions int
 	if inc {
 		b.ReportMetric(float64(deltaSolves)/float64(b.N), "delta_solves/run")
 	}
-}
-
-// BenchmarkLiveEmitContention measures the live actor runtime's packet
-// throughput under maximal Emit concurrency: a join storm from many
-// goroutines over one shared runtime, every packet of every hop crossing
-// the striped incarnation/link domains that replaced the old global mutex.
-// pkts/sec is packets counted by the per-link counters per wall second.
-func BenchmarkLiveEmitContention(b *testing.B) {
-	topo, err := topology.Generate(topology.Small, topology.LAN, 17)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const sessions = 256
-	hosts := topo.AddHosts(2 * sessions)
-	res := graph.NewResolver(topo.Graph, 128)
-	rng := rand.New(rand.NewSource(5))
-	paths := make([]graph.Path, sessions)
-	for i := range paths {
-		src := hosts[i]
-		dst := hosts[rng.Intn(len(hosts))]
-		for dst == src {
-			dst = hosts[rng.Intn(len(hosts))]
-		}
-		p, err := res.HostPath(src, dst)
-		if err != nil {
-			b.Fatal(err)
-		}
-		paths[i] = p
-	}
-	var packets uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rt := live.New(topo.Graph)
-		ss := make([]*live.Session, sessions)
-		for j, p := range paths {
-			s, err := rt.NewSession(p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ss[j] = s
-		}
-		var wg sync.WaitGroup
-		for _, s := range ss {
-			wg.Add(1)
-			go func(s *live.Session) {
-				defer wg.Done()
-				s.Join(rate.Inf)
-			}(s)
-		}
-		wg.Wait()
-		rt.WaitQuiescent()
-		for _, lc := range rt.LinkPackets() {
-			packets += lc.Packets
-		}
-		rt.Close()
-	}
-	b.ReportMetric(float64(packets)/b.Elapsed().Seconds(), "pkts/sec")
 }
 
 // BenchmarkProtocolThroughput measures end-to-end packets processed per

@@ -9,7 +9,9 @@
 // a global activity counter tracks enqueued-but-unprocessed messages
 // (a counter-based variant of Dijkstra–Scholten termination detection,
 // possible here because all sends happen inside message handlers), and
-// WaitQuiescent blocks until the network goes silent.
+// WaitQuiescent blocks until the network goes silent. The counter is one
+// atomic; its mutex is touched only when the count reaches zero and by
+// waiters (see activityCounter).
 //
 // The runtime supports dynamic topologies: SetLinkCapacity reconfigures a
 // link's router task in place (the crossing sessions re-probe), and
@@ -26,9 +28,10 @@
 // packet flow (links send both up- and downstream).
 //
 // The runtime's locking is two-tier: topology mutation and session
-// lifecycle serialize on one mutex, while the packet hot path (Emit) runs
-// over independently-locked stripes of the incarnation and link tables —
-// see Runtime.
+// lifecycle serialize on one mutex, while a packet hop takes the target's
+// mailbox lock and otherwise only atomics — every task a session's packets
+// can reach is resolved into the incarnation's hop table by the call that
+// enqueues its Join — see Runtime.
 package live
 
 import (
@@ -48,18 +51,29 @@ import (
 
 // Runtime hosts a concurrent B-Neck deployment over a mutable graph.
 //
-// Locking is two-tier, mirroring the simulator transport's per-shard
-// stats/delivery domains. The cold path — session lifecycle, topology
+// Locking is two-tier. The cold path — session lifecycle, topology
 // mutation, migration, validation — serializes on mu, so concurrent
 // reconfigurations never interleave half-applied. The hot path — Emit, one
-// call per packet per hop across every actor, and the rate upcall every
-// source task fires per λ-change — touches only small sharded domains: the
-// incarnation lookup, the granted-rate table and the per-link
-// actor/packet-counter tables are each split across emitDomains
-// independently-locked stripes, so actors emitting on different sessions
-// and links (and sources granting rates) proceed without contending on a
-// global lock. Merge-on-demand readers (LinkPackets, Rates, Validate)
-// gather the stripes.
+// call per packet per hop across every actor — takes one lock, the target's
+// mailbox, and otherwise only atomics: the emitting task already holds its
+// packet's incarnation (each task owns its emitter), and the incarnation's
+// hop table names the target actor and the link's packet counters. A link
+// task emitting for a session other than its packet's (an Update to the
+// sessions a bottleneck change affects) looks that incarnation up in one
+// stripe of the incarnation table; the rate upcall every source task fires
+// per λ-change writes the same stripe. Merge-on-demand readers
+// (LinkPackets, Rates, Validate) gather the stripes.
+//
+// No handler ever takes mu or a link stripe. Hop tables are resolved, and
+// the link actors and packet counters they point to created, under mu by
+// the call that enqueues an incarnation's Join (joinLocked), before any of
+// its packets exists; creating them lazily from inside a handler would make
+// the first packet on a link wait behind a running FailLinks. Resolving at
+// Join and not at NewSession keeps session set-up as cheap as it was and
+// creates exactly the actors a Join cascade would have reached. Because
+// every creation holds mu, SetLinkCapacity (which holds mu too) either
+// lands in the capacity a new task is built with or finds the installed
+// actor and enqueues its re-probe.
 //
 // Lock order: mu → domain stripe → actor mailbox. Emit never holds two
 // locks at once, and nothing acquires mu while holding a stripe. The order
@@ -94,14 +108,15 @@ type Runtime struct {
 	// incs shards the incarnation table and the granted-rate table by
 	// session ID; lnks shards the link-actor table and the per-link packet
 	// counters (the live twin of the simulator's per-wire counters) by link
-	// ID.
+	// ID. Entries of lnks are added only under mu (plus the stripe, for the
+	// readers that do not hold mu) and never removed.
 	incs [emitDomains]incDomain
 	lnks [emitDomains]linkDomain
 }
 
-// emitDomains is the stripe count of the Emit-path tables. A power of two
-// so the stripe pick is a mask; 32 stripes keep the collision probability
-// low at actor counts well past the paper's topologies.
+// emitDomains is the stripe count of the striped tables. A power of two so
+// the stripe pick is a mask; 32 stripes keep the collision probability low
+// at actor counts well past the paper's topologies.
 const emitDomains = 32
 
 type incDomain struct {
@@ -109,21 +124,31 @@ type incDomain struct {
 	m  map[core.SessionID]*incarnation
 	// rates holds the granted rates of this stripe's sessions. Rate upcalls
 	// arrive from every source actor concurrently (one per λ-change per
-	// session), so a single global rates mutex was the one remaining
-	// hot-path funnel; striping it here puts the write under the same lock
-	// Emit's incarnation lookup already takes, with the same collision odds.
+	// session), so they are striped like the incarnation lookups of link
+	// tasks emitting for a session other than their packet's.
 	rates map[core.SessionID]rate.Rate
 }
 
 type linkDomain struct {
 	mu     sync.Mutex //bneck:lock stripe
 	actors map[graph.LinkID]*linkActor
-	pkts   map[graph.LinkID]uint64
+	// pkts holds one counter per directed link some joined incarnation's
+	// packets can cross, in either direction; hop tables point at them and
+	// Emit bumps them without a lock.
+	pkts map[graph.LinkID]*atomic.Uint64
 }
 
 type linkActor struct {
 	a    *actor
 	task *core.RouterLink
+}
+
+// hopRef is what Emit needs about one link of an incarnation's path: the
+// actor hosting the link's router task and the packet counters of the link
+// and of its reverse (nil when the link has none).
+type hopRef struct {
+	task     *actor
+	fwd, rev *atomic.Uint64
 }
 
 func incStripe(id core.SessionID) int { return int(uint64(id) & (emitDomains - 1)) }
@@ -148,6 +173,10 @@ type incarnation struct {
 	dst   *actor
 	srcT  *core.SourceNode
 	owner *Session
+	// hops[i] serves path[i]. Written once, under mu, by joinLocked before
+	// the incarnation's Join is enqueued; every Emit for the incarnation is
+	// a consequence of that message, so handlers read it without a lock.
+	hops []hopRef
 	// pkts counts the packets sent across physical links on this
 	// incarnation's behalf. Bumped by Emit from any actor goroutine, hence
 	// atomic; everything else reads it under mu.
@@ -156,8 +185,9 @@ type incarnation struct {
 	// are already attributed to reconfiguration traffic (guarded by mu).
 	reconfAccounted bool
 	// reclaimed marks an incarnation whose actors were stopped after its
-	// Leave cascade drained; a later Join mints a fresh incarnation.
-	reclaimed bool
+	// Leave cascade drained; a later Join mints a fresh incarnation. Set
+	// under mu; atomic because Emit checks it on a handler goroutine.
+	reclaimed atomic.Bool
 	// departed marks an incarnation a Leave was issued to. A later Join
 	// mints a fresh incarnation instead of rejoining this ID: responses of
 	// the departed lifetime can still be in flight, and a link receiving
@@ -182,7 +212,7 @@ func New(g *graph.Graph) *Runtime {
 	}
 	for i := range rt.lnks {
 		rt.lnks[i].actors = make(map[graph.LinkID]*linkActor)
-		rt.lnks[i].pkts = make(map[graph.LinkID]uint64)
+		rt.lnks[i].pkts = make(map[graph.LinkID]*atomic.Uint64)
 	}
 	return rt
 }
@@ -198,7 +228,10 @@ func (rt *Runtime) SetPathPolicy(cfg policy.Config) {
 }
 
 // incarnationFor returns the live incarnation registered under a session ID
-// (nil when retired and reclaimed). Hot path: one stripe lock.
+// (nil when retired and reclaimed). One stripe lock; Emit needs it only when
+// a link task emits for a session other than its packet's.
+//
+//bneck:locks stripe
 func (rt *Runtime) incarnationFor(id core.SessionID) *incarnation {
 	d := &rt.incs[incStripe(id)]
 	d.mu.Lock()
@@ -210,6 +243,8 @@ func (rt *Runtime) incarnationFor(id core.SessionID) *incarnation {
 // setRate records a granted rate from a source task's rate upcall. Hot
 // path: upcalls arrive concurrently from every source actor goroutine; one
 // stripe lock each.
+//
+//bneck:locks stripe
 func (rt *Runtime) setRate(id core.SessionID, lambda rate.Rate) {
 	d := &rt.incs[incStripe(id)]
 	d.mu.Lock()
@@ -219,6 +254,8 @@ func (rt *Runtime) setRate(id core.SessionID, lambda rate.Rate) {
 
 // dropRate forgets a departed incarnation's granted rate. Callers may hold
 // rt.mu: mu → stripe is the established order.
+//
+//bneck:locks stripe
 func (rt *Runtime) dropRate(id core.SessionID) {
 	d := &rt.incs[incStripe(id)]
 	d.mu.Lock()
@@ -227,21 +264,14 @@ func (rt *Runtime) dropRate(id core.SessionID) {
 }
 
 // rateFor reads one session's granted rate. One stripe lock.
+//
+//bneck:locks stripe
 func (rt *Runtime) rateFor(id core.SessionID) (rate.Rate, bool) {
 	d := &rt.incs[incStripe(id)]
 	d.mu.Lock()
 	r, ok := d.rates[id]
 	d.mu.Unlock()
 	return r, ok
-}
-
-// countPacket bumps a directed link's packet counter. Hot path: one stripe
-// lock.
-func (rt *Runtime) countPacket(l graph.LinkID) {
-	d := &rt.lnks[linkStripe(l)]
-	d.mu.Lock()
-	d.pkts[l]++
-	d.mu.Unlock()
 }
 
 // Session is a logical session between two hosts. Reroutes change its
@@ -283,12 +313,15 @@ func (rt *Runtime) newIncarnationLocked(s *Session, path graph.Path) {
 	id := rt.nextID
 	rt.nextID++
 	inc := &incarnation{id: id, path: path, owner: s}
-	inc.srcT = core.NewSourceNode(id, (*emitter)(rt), rt.setRate)
-	dstT := core.NewDestinationNode(id, (*emitter)(rt))
+	// Both endpoint tasks only ever emit for their own session, so they
+	// share one emitter whose incarnation is fixed.
+	em := &emitter{rt: rt, cur: inc}
+	inc.srcT = core.NewSourceNode(id, em, rt.setRate)
+	dstT := core.NewDestinationNode(id, em)
 	inc.src = newActor(rt.activity)
 	inc.dst = newActor(rt.activity)
 	srcT := inc.srcT
-	inc.src.start(func(m message) {
+	inc.src.start(func(m *message) {
 		// Guards make session events idempotent: a user Leave racing a
 		// migration Leave (or a scripted double event) dissolves instead of
 		// tripping the task's state machine.
@@ -310,7 +343,7 @@ func (rt *Runtime) newIncarnationLocked(s *Session, path graph.Path) {
 		}
 	})
 	hop := len(path) + 1
-	inc.dst.start(func(m message) { dstT.Receive(m.pkt, hop) })
+	inc.dst.start(func(m *message) { dstT.Receive(m.pkt, hop) })
 	d := &rt.incs[incStripe(id)]
 	d.mu.Lock()
 	d.m[id] = inc
@@ -356,14 +389,59 @@ func (s *Session) Join(demand rate.Rate) {
 	if s.stranded {
 		return // joins when a restore reconnects the hosts
 	}
-	if s.cur.reclaimed || s.cur.departed {
+	if s.rt.closed {
+		return // a closed runtime starts no actors; the Join would be dropped
+	}
+	if !s.rt.pathUpLocked(s.cur.path) {
+		// Failures migrate only joined sessions, so a link of this path can
+		// have failed while the session was not joined (or was stranded and
+		// then left). Route around it, or park until a restore — what the
+		// simulator transport's joinOrStrand does.
+		path, err := s.rt.resolver.HostPath(s.srcHost, s.dstHost)
+		if err != nil {
+			s.stranded = true
+			return
+		}
+		s.rt.newIncarnationLocked(s, path)
+	} else if s.cur.reclaimed.Load() || s.cur.departed {
 		// The previous incarnation left (its actors may or may not have
 		// been reclaimed yet); rejoin as a fresh incarnation on the same
 		// path so its in-flight teardown traffic cannot touch the new
 		// lifetime's state.
 		s.rt.newIncarnationLocked(s, s.cur.path)
 	}
-	s.cur.src.enqueue(message{kind: msgJoin, demand: demand})
+	s.rt.joinLocked(s.cur, demand)
+}
+
+func (rt *Runtime) pathUpLocked(p graph.Path) bool {
+	for _, l := range p {
+		if !rt.g.LinkUp(l) {
+			return false
+		}
+	}
+	return true
+}
+
+// joinLocked enqueues inc's Join — the only place one is enqueued — after
+// resolving its hop table: the link actor and the packet counters of every
+// link on the path, created here if this is the first incarnation to cross
+// them. It is the twin of the simulator transport's ensurePathTasks: tasks
+// materialize in the caller, under mu, before the first packet exists, so
+// Emit only ever indexes a finished table. Callers hold rt.mu.
+//
+//bneck:locks stripe mailbox
+func (rt *Runtime) joinLocked(inc *incarnation, demand rate.Rate) {
+	if inc.hops == nil {
+		hops := make([]hopRef, len(inc.path))
+		for i, l := range inc.path {
+			hops[i] = hopRef{task: rt.linkActorLocked(l), fwd: rt.linkCounterLocked(l)}
+			if rev := rt.g.LinkReverse(l); rev != graph.NoLink {
+				hops[i].rev = rt.linkCounterLocked(rev)
+			}
+		}
+		inc.hops = hops
+	}
+	inc.src.enqueue(message{kind: msgJoin, demand: demand})
 }
 
 // Leave asynchronously invokes API.Leave(s). See Join for the locking
@@ -468,8 +546,10 @@ func (rt *Runtime) FailLinks(links ...graph.LinkID) {
 	if len(failed) == 0 {
 		return
 	}
+	// Only joined sessions migrate, as on the simulator transport; a session
+	// that is not joined keeps its path and Join routes around what failed.
 	for _, s := range rt.order {
-		if s.stranded || !crossesAny(s.cur.path, failed) {
+		if !s.active || s.stranded || !crossesAny(s.cur.path, failed) {
 			continue
 		}
 		rt.migrateLocked(s)
@@ -538,33 +618,25 @@ func (rt *Runtime) retireLocked(s *Session) {
 	rt.dropRate(s.cur.id)
 }
 
-// rejoinLocked mints a fresh incarnation for s on path and, when the user
-// intent is joined, enqueues its Join with reconfiguration accounting —
-// the shared second half of every topology-driven reroute. Callers hold
-// rt.mu.
+// rejoinLocked mints a fresh incarnation for s — a joined session — on path
+// and enqueues its Join with reconfiguration accounting: the shared second
+// half of every topology-driven reroute. Callers hold rt.mu.
 func (rt *Runtime) rejoinLocked(s *Session, path graph.Path) {
 	rt.newIncarnationLocked(s, path)
-	if !s.active {
-		return
-	}
 	rt.markReconfigJoinLocked(s.cur)
-	s.cur.src.enqueue(message{kind: msgJoin, demand: s.demand})
+	rt.joinLocked(s.cur, s.demand)
 }
 
-// migrateLocked retires s's current incarnation through Leave and rejoins a
-// fresh one on a surviving path, or strands the session.
+// migrateLocked retires a joined session's current incarnation through Leave
+// and rejoins a fresh one on a surviving path, or strands the session.
 func (rt *Runtime) migrateLocked(s *Session) {
-	if s.active {
-		rt.retireLocked(s)
-	}
+	rt.retireLocked(s)
 	path, err := rt.resolver.HostPath(s.srcHost, s.dstHost)
 	if err != nil {
 		s.stranded = true
 		return
 	}
-	if s.active {
-		rt.migrated++
-	}
+	rt.migrated++
 	rt.rejoinLocked(s, path)
 }
 
@@ -696,7 +768,7 @@ func (rt *Runtime) reclaimRetired() {
 			if !retired {
 				continue
 			}
-			inc.reclaimed = true
+			inc.reclaimed.Store(true)
 			inc.src.stop()
 			inc.dst.stop()
 			delete(d.m, id)
@@ -721,15 +793,16 @@ func (rt *Runtime) Incarnations() int {
 // LinkPackets returns per-directed-link packet totals for every link that
 // carried traffic, ordered by link ID — the same report, with the same
 // field names, as the simulator transport's Network.LinkPackets. The
-// per-stripe counters merge on demand, the same shape as the sharded
-// simulator's stats domains.
+// stripes merge on demand; each counter is read atomically, so a call that
+// races traffic sees every link at some recent value, and one made after
+// WaitQuiescent sees the exact totals.
 func (rt *Runtime) LinkPackets() []metrics.LinkCount {
 	var out []metrics.LinkCount
 	for i := range rt.lnks {
 		d := &rt.lnks[i]
 		d.mu.Lock()
-		for id, n := range d.pkts {
-			if n > 0 {
+		for id, c := range d.pkts {
+			if n := c.Load(); n > 0 {
 				out = append(out, metrics.LinkCount{Link: id, Packets: n})
 			}
 		}
@@ -791,8 +864,15 @@ var ErrStaleIncarnation = errors.New("live: departed-but-active incarnation (sta
 // Validate cross-checks, after WaitQuiescent, every routed active session's
 // granted rate against the centralized water-filling oracle and every link
 // task's stability — the same validation the simulator applies, over the
-// live deployment. The activity counter's mutex orders the last handler
-// before this read, so the task state is safely visible.
+// live deployment.
+//
+// The task state is read without a lock, and safely: every handler's writes
+// precede its actor's decrement of the activity counter, every change of
+// the counter is a read-modify-write of one atomic — so each is ordered
+// after all before it, a release sequence in C11 terms — and WaitQuiescent
+// returned because it read the zero the last of them wrote. That load
+// therefore happens after every handler that has run, and this read after
+// it.
 func (rt *Runtime) Validate() error {
 	rt.mu.Lock()
 	type entry struct {
@@ -816,6 +896,13 @@ func (rt *Runtime) Validate() error {
 		}
 		ws := waterfill.Session{Demand: s.demand}
 		for _, l := range s.cur.path {
+			// Failures migrate every joined session off the link and Join
+			// routes around failed links, so this is a runtime bug.
+			if !rt.g.LinkUp(l) {
+				id := s.cur.id
+				rt.mu.Unlock()
+				return fmt.Errorf("live: session %d is routed over failed link %d", id, l)
+			}
 			li, ok := linkIdx[l]
 			if !ok {
 				li = len(inst.Capacity)
@@ -892,36 +979,32 @@ func (rt *Runtime) Close() {
 	}
 }
 
-// linkActorFor returns (creating if needed) the actor hosting the RouterLink
-// task of a directed link. The fast path takes only the link's stripe; a
-// miss creates the actor under mu (respecting the mu → stripe order), which
-// excludes SetLinkCapacity for the whole read-capacity-and-install sequence
-// — a reconfiguration therefore either lands in the capacity the new task
-// is built with, or finds the installed actor and enqueues its re-probe.
-func (rt *Runtime) linkActorFor(id graph.LinkID) *actor {
+// linkActorLocked returns (creating if needed) the actor hosting the
+// RouterLink task of a directed link. Callers hold rt.mu, which excludes
+// SetLinkCapacity for the whole read-capacity-and-install sequence — a
+// reconfiguration therefore either lands in the capacity the new task is
+// built with, or finds the installed actor and enqueues its re-probe. The
+// stripe is taken only to publish the entry to the readers that do not hold
+// mu.
+//
+//bneck:locks stripe
+func (rt *Runtime) linkActorLocked(id graph.LinkID) *actor {
 	d := &rt.lnks[linkStripe(id)]
-	d.mu.Lock()
-	la, ok := d.actors[id]
-	d.mu.Unlock()
-	if ok {
+	if la, ok := d.actors[id]; ok {
 		return la.a
 	}
-
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	d.mu.Lock()
-	la, ok = d.actors[id]
-	d.mu.Unlock()
-	if ok {
-		return la.a // lost the creation race
-	}
-	task := core.NewRouterLink(core.LinkRef(id), rt.g.Link(id).Capacity, (*emitter)(rt))
+	// A link task emits for whichever session its current packet belongs to;
+	// the handler points the task's emitter at that incarnation first.
+	em := &emitter{rt: rt}
+	task := core.NewRouterLink(core.LinkRef(id), rt.g.Link(id).Capacity, em)
 	a := newActor(rt.activity)
-	a.start(func(m message) {
+	a.start(func(m *message) {
 		switch m.kind {
 		case msgPacket:
-			task.Receive(m.pkt, m.hop)
+			em.cur = m.inc
+			task.Receive(m.pkt, int(m.hop))
 		case msgSetCapacity:
+			em.cur = nil // the re-probes go to whoever crosses the link
 			task.SetCapacity(m.demand)
 		}
 	})
@@ -931,55 +1014,78 @@ func (rt *Runtime) linkActorFor(id graph.LinkID) *actor {
 	return a
 }
 
-// emitter adapts the Runtime to core.Emitter. Emissions always happen inside
-// an actor's handler, so the activity counter can never reach zero while a
-// cascade is in flight.
-type emitter Runtime
+// linkCounterLocked returns (creating if needed) a directed link's packet
+// counter. Callers hold rt.mu; the stripe publishes the entry to LinkPackets.
+//
+//bneck:locks stripe
+func (rt *Runtime) linkCounterLocked(id graph.LinkID) *atomic.Uint64 {
+	d := &rt.lnks[linkStripe(id)]
+	c, ok := d.pkts[id]
+	if !ok {
+		c = new(atomic.Uint64)
+		d.mu.Lock()
+		d.pkts[id] = c
+		d.mu.Unlock()
+	}
+	return c
+}
+
+// emitter adapts the Runtime to core.Emitter for one task. Emissions always
+// happen inside an actor's handler, so the activity counter can never reach
+// zero while a cascade is in flight.
+//
+// cur is the incarnation the task is most likely to emit for: fixed for a
+// session's endpoint tasks, set by a link actor's handler from the message
+// being handled. Only the owning task's goroutine touches it.
+type emitter struct {
+	rt  *Runtime
+	cur *incarnation
+}
 
 // Emit implements core.Emitter. This is the hottest call site of the whole
 // runtime — every packet of every hop of every session goes through it, from
-// every actor goroutine concurrently — so it takes no global lock: the
-// incarnation lookup and the packet counter each touch one stripe, the path
-// and the endpoint actors are immutable once the incarnation is published,
-// and graph.LinkReverse reads only immutable link structure.
+// every actor goroutine concurrently — so it takes no lock but the target's
+// mailbox: the incarnation is at hand (or one stripe away, when a link task
+// emits for a session other than its packet's), and its hop table, immutable
+// once the Join is enqueued, holds the target actor and the counters of the
+// link the packet crosses.
 func (e *emitter) Emit(s core.SessionID, from int, dir core.Direction, pkt core.Packet) {
-	rt := (*Runtime)(e)
-	inc := rt.incarnationFor(s)
-	if inc == nil {
+	inc := e.cur
+	if inc == nil || inc.id != s {
+		inc = e.rt.incarnationFor(s)
+	}
+	if inc == nil || inc.reclaimed.Load() {
 		return // retired and reclaimed; stragglers dissolve
 	}
-	// Account the physical link the packet crosses (intra-host hand-offs
-	// have no wire), exactly the simulator's per-link counting rule.
-	wire := graph.NoLink
+	// hops[i] serves path[i], whose task sits at hop i+1. A packet accounts
+	// the physical link it crosses (intra-host hand-offs, to and from the
+	// source task, have no wire) — exactly the simulator's per-link counting
+	// rule: downstream out of hop from ≥ 1 that is path[from-1], upstream
+	// out of hop from ≥ 2 the reverse of path[from-2].
+	hops := inc.hops
+	target, hop := inc.src, 0
 	if dir == core.Down {
 		if from >= 1 {
-			wire = inc.path[from-1]
+			hops[from-1].fwd.Add(1)
+			inc.pkts.Add(1)
+		}
+		if hop = from + 1; from < len(hops) {
+			target = hops[from].task
+		} else {
+			target = inc.dst
 		}
 	} else if from >= 2 {
-		wire = rt.g.LinkReverse(inc.path[from-2])
+		h := &hops[from-2]
+		if h.rev != nil {
+			h.rev.Add(1)
+			inc.pkts.Add(1)
+		}
+		target, hop = h.task, from-1
 	}
-	if wire != graph.NoLink {
-		rt.countPacket(wire)
-		inc.pkts.Add(1)
-	}
-	to := from + 1
-	if dir == core.Up {
-		to = from - 1
-	}
-	var target *actor
-	var hop int
-	switch {
-	case to <= 0:
-		target, hop = inc.src, 0
-	case to >= len(inc.path)+1:
-		target, hop = inc.dst, len(inc.path)+1
-	default:
-		target, hop = rt.linkActorFor(inc.path[to-1]), to
-	}
-	target.enqueue(message{kind: msgPacket, pkt: pkt, hop: hop})
+	target.enqueue(message{kind: msgPacket, hop: int32(hop), pkt: pkt, inc: inc})
 }
 
-type msgKind int
+type msgKind uint8
 
 const (
 	msgPacket msgKind = iota + 1
@@ -991,8 +1097,11 @@ const (
 
 type message struct {
 	kind msgKind
+	hop  int32
 	pkt  core.Packet
-	hop  int
+	// inc is the incarnation a msgPacket was emitted for; the receiving link
+	// actor's emitter starts from it.
+	inc *incarnation
 	// demand carries the Join/Change demand, or the new capacity for
 	// msgSetCapacity.
 	demand rate.Rate

@@ -226,39 +226,12 @@ func TestCloseDropsQueuedWork(t *testing.T) {
 	_ = s
 }
 
-func TestActorFIFO(t *testing.T) {
-	acts := newActivityCounter()
-	a := newActor(acts)
-	var mu sync.Mutex
-	var got []int
-	a.start(func(m message) {
-		mu.Lock()
-		got = append(got, m.hop)
-		mu.Unlock()
-	})
-	for i := 0; i < 1000; i++ {
-		a.enqueue(message{kind: msgPacket, hop: i})
-	}
-	acts.wait()
-	a.stop()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 1000 {
-		t.Fatalf("processed %d", len(got))
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("FIFO violated at %d: %d", i, v)
-		}
-	}
-}
-
 func TestSessionUnknownDrops(t *testing.T) {
 	g, paths := buildDumbbell(t)
 	rt := New(g)
 	defer rt.Close()
 	// Emitting for an unknown session must not panic or hang.
-	(*emitter)(rt).Emit(core.SessionID(999), 0, core.Down, core.Packet{Type: core.PktJoin})
+	(&emitter{rt: rt}).Emit(core.SessionID(999), 0, core.Down, core.Packet{Type: core.PktJoin})
 	rt.WaitQuiescent()
 	_ = paths
 }

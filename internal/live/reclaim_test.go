@@ -1,12 +1,14 @@
 package live
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
 
 	"bneck/internal/graph"
 	"bneck/internal/rate"
+	"bneck/internal/topology"
 )
 
 // churnGrid builds a 2x2 router grid with redundant paths, so failing a link
@@ -150,5 +152,148 @@ func TestLinkPacketCountersParity(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("zero packets counted")
+	}
+}
+
+// settledGoroutines samples runtime.NumGoroutine until it stops moving:
+// actors stopped by an earlier test's Close exit asynchronously.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for same := 0; same < 3; {
+		time.Sleep(2 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
+}
+
+// TestBoundedGrowthUnderChurn is the runtime's bounded-growth contract
+// (ROADMAP item 3.4): after a churn soak with failures, restores, leaves,
+// rejoins and demand changes, a quiescent runtime holds no queued message,
+// no mailbox buffer past mailboxKeep, and exactly the goroutines it must —
+// two per live incarnation plus one per directed link on the path of some
+// incarnation that was ever joined. Resolving hop tables at Join creates the
+// link actors in the caller instead of lazily in a handler, and must not
+// create one that a Join cascade would not have reached.
+func TestBoundedGrowthUnderChurn(t *testing.T) {
+	topo, err := topology.Generate(topology.Small, topology.LAN, 29)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sessions = 48
+	hosts := topo.AddHosts(2 * sessions)
+	g := topo.Graph
+	res := graph.NewResolver(g, 128)
+	base := settledGoroutines()
+	rt := New(g)
+	defer rt.Close()
+
+	rng := rand.New(rand.NewSource(7))
+	all := make([]*Session, sessions)
+	for i := range all {
+		p, err := res.HostPath(hosts[i], hosts[sessions+rng.Intn(sessions)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if all[i], err = rt.NewSession(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// joined collects every directed link on the path of an incarnation that
+	// has been joined. All API calls come from this goroutine, so sampling
+	// the active sessions' paths after each call that can join — Join, and
+	// the topology events that migrate or readmit — misses none.
+	joined := make(map[graph.LinkID]bool)
+	record := func() {
+		for _, s := range all {
+			if s.Active() {
+				for _, l := range s.Path() {
+					joined[l] = true
+				}
+			}
+		}
+	}
+	demand := func() rate.Rate {
+		if rng.Intn(3) == 0 {
+			return rate.Inf
+		}
+		return rate.Mbps(int64(1 + rng.Intn(80)))
+	}
+	for _, s := range all[:sessions*3/4] { // the rest join during the soak
+		s.Join(demand())
+	}
+	record()
+	rt.WaitQuiescent()
+
+	for round := 0; round < 12; round++ {
+		// Fail a router link under some routed session, churn while the
+		// migrations run, restore, churn again.
+		var victim graph.LinkID = graph.NoLink
+		for _, i := range rng.Perm(sessions) {
+			if s := all[i]; s.Active() && len(s.Path()) >= 3 {
+				victim = s.Path()[1+rng.Intn(len(s.Path())-2)]
+				break
+			}
+		}
+		if victim == graph.NoLink {
+			t.Fatal("no routed session with an interior link")
+		}
+		rev := g.LinkReverse(victim)
+		rt.FailLinks(victim, rev)
+		record()
+		for k := 0; k < 8; k++ {
+			s := all[rng.Intn(sessions)]
+			switch {
+			case !s.Active() && !s.Stranded():
+				s.Join(demand())
+				record()
+			case rng.Intn(2) == 0:
+				s.Leave()
+			default:
+				s.Change(demand())
+			}
+		}
+		rt.WaitQuiescent()
+		rt.RestoreLinks(victim, rev)
+		record()
+		rt.WaitQuiescent()
+		if err := rt.Validate(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+	if rt.Migrations() == 0 {
+		t.Fatal("the soak migrated nothing; the test exercises too little")
+	}
+
+	linkActors := 0
+	for i := range rt.lnks {
+		for l, la := range rt.lnks[i].actors {
+			linkActors++
+			if !joined[l] {
+				t.Errorf("link %d has an actor but is on no joined incarnation's path", l)
+			}
+			checkMailboxBounded(t, "link actor", la.a)
+		}
+	}
+	if linkActors != len(joined) {
+		t.Errorf("%d link actors, %d directed links on joined paths", linkActors, len(joined))
+	}
+	for i := range rt.incs {
+		for _, inc := range rt.incs[i].m {
+			checkMailboxBounded(t, "source actor", inc.src)
+			checkMailboxBounded(t, "destination actor", inc.dst)
+		}
+	}
+	want := base + 2*rt.Incarnations() + len(joined)
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() != want { // reclaimed actors exit asynchronously
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d, want %d (baseline %d + 2 × %d incarnations + %d link actors)",
+				runtime.NumGoroutine(), want, base, rt.Incarnations(), len(joined))
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -304,6 +304,9 @@ func RunLive(sc *Script) (*Result, error) {
 		er.Active, er.Stranded = countLive(sessions)
 		out.Epochs = append(out.Epochs, er)
 	}
+	for _, lc := range rt.LinkPackets() {
+		out.TotalPackets += lc.Packets
+	}
 	out.Migrations = rt.Migrations()
 	out.Reoptimizations = rt.Reoptimizations()
 	out.ReconfigPackets = rt.ReconfigPackets()

@@ -138,6 +138,9 @@ func TestRunLiveHandScript(t *testing.T) {
 	if last.Active != 1 || last.Stranded != 0 {
 		t.Fatalf("final state: active %d stranded %d", last.Active, last.Stranded)
 	}
+	if res.TotalPackets == 0 {
+		t.Fatal("no packets counted")
+	}
 }
 
 func TestRunSimDeterministic(t *testing.T) {
@@ -201,6 +204,9 @@ func TestFailoverScenarioBothTransports(t *testing.T) {
 	liveRes, err := RunLive(sc)
 	if err != nil {
 		t.Fatalf("live transport: %v", err)
+	}
+	if liveRes.TotalPackets == 0 {
+		t.Fatal("live run counted no packets")
 	}
 	liveFinal := liveRes.Epochs[len(liveRes.Epochs)-1]
 	if liveFinal.Active != final.Active {
