@@ -40,13 +40,14 @@ test-full:
 # then the protocol layer's — a packet's table lookup, the idle index under a
 # moving B_e, one probe cycle on dense and on sparse links (internal/core),
 # and the rational arithmetic by operand shape (internal/rate) — and the live
-# transport's: the uncontended per-hop floor and a join storm over one shared
-# runtime (internal/live), whose iterations are whole runs, hence the fixed
-# count.
+# transport's: the uncontended per-hop floor, a 64-session re-probe fanned out
+# from one claim and a join storm over one shared runtime (internal/live),
+# whose iterations are whole runs, hence the fixed count; at -cpu 1,2 because
+# a cascade runs on the worker that claimed it however many CPUs are idle.
 bench:
 	$(GO) test -bench=SimEngine -benchmem -run='^$$' .
 	$(GO) test -bench='TableGet|RateSetChurn|ProbeCycle|Add|DivInt' -benchmem -run='^$$' ./internal/core ./internal/rate
-	$(GO) test -bench='LiveHop|LiveEmit' -benchtime=3x -benchmem -run='^$$' ./internal/live
+	$(GO) test -bench='LiveHop|LiveFanout|LiveEmit' -benchtime=3x -cpu 1,2 -benchmem -run='^$$' ./internal/live
 
 # Full benchmark sweep, including the figure-shaped end-to-end runs.
 bench-full:

@@ -50,7 +50,6 @@ import (
 	"time"
 
 	"bneck/internal/exp"
-	"bneck/internal/graph"
 	"bneck/internal/live"
 	"bneck/internal/network"
 	"bneck/internal/policy"
@@ -269,7 +268,6 @@ func runScenario(path string, liveMode bool, opts scenario.SimOptions, overlay f
 func runLive(topo topology.Hosted, desc string, sessions int, demandCap float64, seed int64, validate bool, pol policy.Config) {
 	hosts := topo.AddHosts(2 * sessions)
 	g := topo.Topology()
-	res := graph.NewResolver(g, 256)
 	rt := live.New(g)
 	defer rt.Close()
 	rt.SetPathPolicy(pol)
@@ -287,7 +285,7 @@ func runLive(topo topology.Hosted, desc string, sessions int, demandCap float64,
 		for dst == src {
 			dst = hosts[rng.Intn(len(hosts))]
 		}
-		p, err := res.HostPath(src, dst)
+		p, err := rt.HostPath(src, dst)
 		if err != nil {
 			log.Fatal(err)
 		}

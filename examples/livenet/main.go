@@ -39,13 +39,12 @@ func main() {
 
 	rt := live.New(g)
 	defer rt.Close()
-	res := graph.NewResolver(g, 32)
 
 	// Sessions: each host i talks to host (i+5)%12, crossing the core.
 	var sessions []*live.Session
 	for i, src := range hosts {
 		dst := hosts[(i+5)%len(hosts)]
-		p, err := res.HostPath(src, dst)
+		p, err := rt.HostPath(src, dst)
 		if err != nil {
 			log.Fatal(err)
 		}

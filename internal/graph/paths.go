@@ -87,6 +87,9 @@ func NewResolver(g *Graph, cacheSize int) *Resolver {
 	return r
 }
 
+// Trees reports how many BFS trees the resolver holds cached.
+func (r *Resolver) Trees() int { return len(r.cache) }
+
 // HostPath returns a shortest path from host src to host dst:
 // [src→router, router hops..., router→dst]. It returns an error if the hosts
 // coincide or no path exists.

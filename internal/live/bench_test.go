@@ -123,10 +123,11 @@ func BenchmarkLiveEmitContention(b *testing.B) {
 
 // BenchmarkLiveHop measures the uncontended per-hop floor: one session over
 // a 16-link chain, nothing else in the runtime, probe cycles driven by
-// Change. Every packet finds its target's mailbox empty, so each hop pays a
-// full wake-up — the cost batching cannot amortise. One iteration is 1000
-// cycles, so the fixed -benchtime=3x of `make bench` measures ≈ 150k
-// packets; allocs/op is per iteration, allocs/pkt the figure to watch.
+// Change. Every packet finds its target idle, so each hop is a claim onto
+// the list of the one worker the Change started, batches of one — the cost
+// batching cannot amortise. One iteration is 1000 cycles, so the fixed
+// -benchtime=3x of `make bench` measures ≈ 150k packets; allocs/op is per
+// iteration, allocs/pkt the figure to watch.
 func BenchmarkLiveHop(b *testing.B) {
 	const links, cycles = 16, 1000
 	g := graph.New()
@@ -168,4 +169,46 @@ func BenchmarkLiveHop(b *testing.B) {
 	packets := float64(totalPackets(rt) - before)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/packets, "ns/pkt")
 	b.ReportMetric(float64(ms.Mallocs-mallocs)/packets, "allocs/pkt")
+}
+
+// BenchmarkLiveFanout measures the case a worker's private list could hurt:
+// 64 sessions share one bottleneck link, and a SetLinkCapacity on it
+// re-probes them all — a cascade 64 sessions wide that starts from a single
+// claim, so one worker runs all of it however many CPUs are idle. Run it at
+// -cpu 1,2: the two ns/pkt figures are the price of that serialisation.
+func BenchmarkLiveFanout(b *testing.B) {
+	const sessions, cycles = 64, 100
+	g := graph.New()
+	r1, r2 := g.AddRouter("r1"), g.AddRouter("r2")
+	neck, _ := g.Connect(r1, r2, rate.Mbps(640), time.Microsecond)
+	rt := New(g)
+	defer rt.Close()
+	for i := 0; i < sessions; i++ {
+		src, dst := g.AddHost("s"+strconv.Itoa(i)), g.AddHost("d"+strconv.Itoa(i))
+		g.Connect(src, r1, rate.Mbps(100), time.Microsecond)
+		g.Connect(r2, dst, rate.Mbps(100), time.Microsecond)
+		p, err := rt.HostPath(src, dst)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s, err := rt.NewSession(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.Join(rate.Inf)
+	}
+	rt.WaitQuiescent()
+	before := totalPackets(rt)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for c := 0; c < cycles; c++ {
+			rt.SetLinkCapacity(rate.Mbps(int64(320+320*(c%2))), neck)
+			rt.WaitQuiescent()
+		}
+	}
+	b.StopTimer()
+	if err := rt.Validate(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(totalPackets(rt)-before), "ns/pkt")
 }

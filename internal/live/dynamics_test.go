@@ -2,6 +2,7 @@ package live
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -29,6 +30,36 @@ func buildDiamondLive(t *testing.T) (g *graph.Graph, ha, hb graph.NodeID, top, b
 	bot[1][0], bot[1][1] = g.Connect(r3, r4, rate.Mbps(25), time.Microsecond)
 	g.Connect(r4, hb, rate.Mbps(100), time.Microsecond)
 	return
+}
+
+// TestHostPathSharesMigrationCache: a path handed out by Runtime.HostPath and
+// the path a migration picks for the same hosts come out of one tree cache —
+// the runtime's resolver holds the single tree rooted at the source router
+// after the first, and still only that one after the second.
+func TestHostPathSharesMigrationCache(t *testing.T) {
+	g, ha, hb, top, _ := buildDiamondLive(t)
+	rt := New(g)
+	defer rt.Close()
+	p, err := rt.HostPath(ha, hb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rt.resolver.Trees(); got != 1 {
+		t.Fatalf("%d trees in the runtime's resolver after HostPath, want 1", got)
+	}
+	s, err := rt.NewSession(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Join(rate.Inf)
+	rt.FailLinks(top[0][0], top[0][1])
+	rt.WaitQuiescent()
+	if rt.Migrations() != 1 || rt.resolver.Trees() != 1 {
+		t.Fatalf("%d migrations, %d trees: the migration did not resolve from HostPath's tree", rt.Migrations(), rt.resolver.Trees())
+	}
+	if again, _ := rt.HostPath(ha, hb); !slices.Equal(again, s.Path()) {
+		t.Fatalf("HostPath = %v, the migration picked %v", again, s.Path())
+	}
 }
 
 func TestLiveSetLinkCapacity(t *testing.T) {

@@ -1,9 +1,11 @@
 // Package live runs the B-Neck protocol as a genuinely concurrent system:
 // every protocol task (each session's source and destination, and each
-// directed link's router task) is an actor goroutine with an unbounded FIFO
-// mailbox. This is the deployment shape the paper describes — asynchronous
-// tasks that execute their when-blocks atomically and exchange packets over
-// FIFO links — realized with goroutines instead of a simulator.
+// directed link's router task) is an actor — an unbounded FIFO mailbox and a
+// handler that runs one message at a time — the deployment shape the paper
+// describes: asynchronous tasks that execute their when-blocks atomically
+// and exchange packets over FIFO links. Actors own no goroutine: the send
+// that finds one idle claims it, so a cascade runs on the goroutine its API
+// call started and concurrent calls are the parallelism (DESIGN.md §3).
 //
 // Quiescence, the paper's headline property, becomes observable termination:
 // a global activity counter tracks enqueued-but-unprocessed messages
@@ -29,9 +31,7 @@
 //
 // The runtime's locking is two-tier: topology mutation and session
 // lifecycle serialize on one mutex, while a packet hop takes the target's
-// mailbox lock and otherwise only atomics — every task a session's packets
-// can reach is resolved into the incarnation's hop table by the call that
-// enqueues its Join — see Runtime.
+// mailbox lock and otherwise only atomics — see Runtime.
 package live
 
 import (
@@ -55,25 +55,26 @@ import (
 // mutation, migration, validation — serializes on mu, so concurrent
 // reconfigurations never interleave half-applied. The hot path — Emit, one
 // call per packet per hop across every actor — takes one lock, the target's
-// mailbox, and otherwise only atomics: the emitting task already holds its
-// packet's incarnation (each task owns its emitter), and the incarnation's
-// hop table names the target actor and the link's packet counters. A link
-// task emitting for a session other than its packet's (an Update to the
-// sessions a bottleneck change affects) looks that incarnation up in one
-// stripe of the incarnation table; the rate upcall every source task fires
-// per λ-change writes the same stripe. Merge-on-demand readers
-// (LinkPackets, Rates, Validate) gather the stripes.
+// mailbox, otherwise only atomics, and wakes nobody (a target found idle
+// joins the emitting worker's own list): the emitting task already holds
+// its packet's incarnation (each task owns its emitter), and the
+// incarnation's hop table names the target actor and the link's packet
+// counters. A link task emitting for a session other than its packet's (an
+// Update to the sessions a bottleneck change affects) looks that
+// incarnation up in one stripe of the incarnation table; the rate upcall
+// every source task fires per λ-change writes the same stripe.
+// Merge-on-demand readers (LinkPackets, Rates, Validate) gather the stripes.
 //
-// No handler ever takes mu or a link stripe. Hop tables are resolved, and
-// the link actors and packet counters they point to created, under mu by
-// the call that enqueues an incarnation's Join (joinLocked), before any of
-// its packets exists; creating them lazily from inside a handler would make
-// the first packet on a link wait behind a running FailLinks. Resolving at
-// Join and not at NewSession keeps session set-up as cheap as it was and
-// creates exactly the actors a Join cascade would have reached. Because
-// every creation holds mu, SetLinkCapacity (which holds mu too) either
-// lands in the capacity a new task is built with or finds the installed
-// actor and enqueues its re-probe.
+// No handler ever takes mu or a link stripe, and no caller holding mu runs
+// a handler (a claim made under mu starts a worker). Hop tables are
+// resolved, and the link actors and packet counters they point to created,
+// under mu by the call that enqueues an incarnation's Join (joinLocked),
+// before any of its packets exists: lazily, from inside a handler, the
+// first packet on a link would wait behind a running FailLinks. Resolving
+// at Join and not at NewSession keeps session set-up cheap and creates
+// exactly the actors a Join cascade would have reached. Because every
+// creation holds mu, SetLinkCapacity (which holds mu too) either lands in
+// the capacity a new task is built with or finds the installed actor.
 //
 // Lock order: mu → domain stripe → actor mailbox. Emit never holds two
 // locks at once, and nothing acquires mu while holding a stripe. The order
@@ -171,14 +172,13 @@ type incarnation struct {
 	path  graph.Path
 	src   *actor
 	dst   *actor
-	srcT  *core.SourceNode
 	owner *Session
 	// hops[i] serves path[i]. Written once, under mu, by joinLocked before
 	// the incarnation's Join is enqueued; every Emit for the incarnation is
 	// a consequence of that message, so handlers read it without a lock.
 	hops []hopRef
 	// pkts counts the packets sent across physical links on this
-	// incarnation's behalf. Bumped by Emit from any actor goroutine, hence
+	// incarnation's behalf. Bumped by Emit from any worker goroutine, hence
 	// atomic; everything else reads it under mu.
 	pkts atomic.Uint64
 	// reconfAccounted marks an incarnation whose packets-until-quiescence
@@ -186,7 +186,7 @@ type incarnation struct {
 	reconfAccounted bool
 	// reclaimed marks an incarnation whose actors were stopped after its
 	// Leave cascade drained; a later Join mints a fresh incarnation. Set
-	// under mu; atomic because Emit checks it on a handler goroutine.
+	// under mu; atomic because Emit checks it on a worker goroutine.
 	reclaimed atomic.Bool
 	// departed marks an incarnation a Leave was issued to. A later Join
 	// mints a fresh incarnation instead of rejoining this ID: responses of
@@ -241,7 +241,7 @@ func (rt *Runtime) incarnationFor(id core.SessionID) *incarnation {
 }
 
 // setRate records a granted rate from a source task's rate upcall. Hot
-// path: upcalls arrive concurrently from every source actor goroutine; one
+// path: upcalls arrive concurrently from every worker goroutine; one
 // stripe lock each.
 //
 //bneck:locks stripe
@@ -287,7 +287,17 @@ type Session struct {
 	stranded bool // no path between the hosts right now
 }
 
-// NewSession creates a session along path (see graph.Resolver.HostPath).
+// HostPath returns a shortest path from host src to host dst, resolved by
+// the resolver the runtime's own dynamics (migration, readmission,
+// re-optimization) use. Callers that place sessions through it share one
+// tree cache with those dynamics instead of keeping a second.
+func (rt *Runtime) HostPath(src, dst graph.NodeID) (graph.Path, error) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return rt.resolver.HostPath(src, dst)
+}
+
+// NewSession creates a session along path (see HostPath).
 func (rt *Runtime) NewSession(path graph.Path) (*Session, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -313,15 +323,11 @@ func (rt *Runtime) newIncarnationLocked(s *Session, path graph.Path) {
 	id := rt.nextID
 	rt.nextID++
 	inc := &incarnation{id: id, path: path, owner: s}
-	// Both endpoint tasks only ever emit for their own session, so they
-	// share one emitter whose incarnation is fixed.
-	em := &emitter{rt: rt, cur: inc}
-	inc.srcT = core.NewSourceNode(id, em, rt.setRate)
-	dstT := core.NewDestinationNode(id, em)
-	inc.src = newActor(rt.activity)
-	inc.dst = newActor(rt.activity)
-	srcT := inc.srcT
-	inc.src.start(func(m *message) {
+	// An endpoint task only ever emits for its session: its emitter is fixed.
+	srcEm, dstEm := &emitter{rt: rt, cur: inc}, &emitter{rt: rt, cur: inc}
+	srcT := core.NewSourceNode(id, srcEm, rt.setRate)
+	dstT := core.NewDestinationNode(id, dstEm)
+	inc.src = newActor(rt.activity, func(m *message) {
 		// Guards make session events idempotent: a user Leave racing a
 		// migration Leave (or a scripted double event) dissolves instead of
 		// tripping the task's state machine.
@@ -343,7 +349,8 @@ func (rt *Runtime) newIncarnationLocked(s *Session, path graph.Path) {
 		}
 	})
 	hop := len(path) + 1
-	inc.dst.start(func(m *message) { dstT.Receive(m.pkt, hop) })
+	inc.dst = newActor(rt.activity, func(m *message) { dstT.Receive(m.pkt, hop) })
+	srcEm.self, dstEm.self = inc.src, inc.dst
 	d := &rt.incs[incStripe(id)]
 	d.mu.Lock()
 	d.m[id] = inc
@@ -441,7 +448,7 @@ func (rt *Runtime) joinLocked(inc *incarnation, demand rate.Rate) {
 		}
 		inc.hops = hops
 	}
-	inc.src.enqueue(message{kind: msgJoin, demand: demand})
+	inc.src.enqueue(message{kind: msgJoin, demand: demand}, nil)
 }
 
 // Leave asynchronously invokes API.Leave(s). See Join for the locking
@@ -457,7 +464,7 @@ func (s *Session) Leave() {
 		return
 	}
 	s.cur.departed = true
-	s.cur.src.enqueue(message{kind: msgLeave})
+	s.cur.src.enqueue(message{kind: msgLeave}, nil)
 }
 
 // Active reports whether the session has joined, not left, and is not
@@ -477,7 +484,7 @@ func (s *Session) Change(demand rate.Rate) {
 	if s.stranded {
 		return // the recorded demand applies on rejoin
 	}
-	s.cur.src.enqueue(message{kind: msgChange, demand: demand})
+	s.cur.src.enqueue(message{kind: msgChange, demand: demand}, nil)
 }
 
 // Rate returns the session's last granted rate. Safe to call from any
@@ -513,7 +520,7 @@ func (rt *Runtime) SetLinkCapacity(c rate.Rate, links ...graph.LinkID) {
 		la, ok := d.actors[l]
 		d.mu.Unlock()
 		if ok {
-			la.a.enqueue(message{kind: msgSetCapacity, demand: c})
+			la.a.enqueue(message{kind: msgSetCapacity, demand: c}, nil)
 		}
 		if rt.policy.CapacityTriggers(old, c) {
 			if upgraded == nil {
@@ -614,7 +621,7 @@ func (rt *Runtime) Reoptimizations() uint64 {
 func (rt *Runtime) retireLocked(s *Session) {
 	rt.beginTeardownLocked(s.cur)
 	s.cur.departed = true
-	s.cur.src.enqueue(message{kind: msgLeave})
+	s.cur.src.enqueue(message{kind: msgLeave}, nil)
 	rt.dropRate(s.cur.id)
 }
 
@@ -734,9 +741,9 @@ func crossesAny(p graph.Path, links map[graph.LinkID]bool) bool {
 //
 // Quiescence is also the reclamation point: an incarnation retired by a
 // migration Leave, a departure or a stranding has, by definition, drained
-// its Leave cascade once the network is silent, so its two actor goroutines
-// are stopped and the incarnation is dropped. Actor counts therefore return
-// to baseline after churn instead of accumulating until Close.
+// its Leave cascade once the network is silent, so its two actors are
+// stopped and the incarnation is dropped. Actor counts therefore return to
+// baseline after churn instead of accumulating until Close.
 //
 // Callers racing WaitQuiescent against concurrent Join/Leave/Change calls
 // from other goroutines can observe a transiently idle network; make sure
@@ -997,8 +1004,7 @@ func (rt *Runtime) linkActorLocked(id graph.LinkID) *actor {
 	// the handler points the task's emitter at that incarnation first.
 	em := &emitter{rt: rt}
 	task := core.NewRouterLink(core.LinkRef(id), rt.g.Link(id).Capacity, em)
-	a := newActor(rt.activity)
-	a.start(func(m *message) {
+	a := newActor(rt.activity, func(m *message) {
 		switch m.kind {
 		case msgPacket:
 			em.cur = m.inc
@@ -1008,6 +1014,7 @@ func (rt *Runtime) linkActorLocked(id graph.LinkID) *actor {
 			task.SetCapacity(m.demand)
 		}
 	})
+	em.self = a
 	d.mu.Lock()
 	d.actors[id] = &linkActor{a: a, task: task}
 	d.mu.Unlock()
@@ -1036,15 +1043,17 @@ func (rt *Runtime) linkCounterLocked(id graph.LinkID) *atomic.Uint64 {
 //
 // cur is the incarnation the task is most likely to emit for: fixed for a
 // session's endpoint tasks, set by a link actor's handler from the message
-// being handled. Only the owning task's goroutine touches it.
+// being handled. self is the actor hosting the task; what the task's
+// emissions claim goes to self.w. Only self's claim holder touches either.
 type emitter struct {
-	rt  *Runtime
-	cur *incarnation
+	rt   *Runtime
+	cur  *incarnation
+	self *actor
 }
 
 // Emit implements core.Emitter. This is the hottest call site of the whole
 // runtime — every packet of every hop of every session goes through it, from
-// every actor goroutine concurrently — so it takes no lock but the target's
+// every worker goroutine concurrently — so it takes no lock but the target's
 // mailbox: the incarnation is at hand (or one stripe away, when a link task
 // emits for a session other than its packet's), and its hop table, immutable
 // once the Join is enqueued, holds the target actor and the counters of the
@@ -1082,7 +1091,7 @@ func (e *emitter) Emit(s core.SessionID, from int, dir core.Direction, pkt core.
 		}
 		target, hop = h.task, from-1
 	}
-	target.enqueue(message{kind: msgPacket, hop: int32(hop), pkt: pkt, inc: inc})
+	target.enqueue(message{kind: msgPacket, hop: int32(hop), pkt: pkt, inc: inc}, e.self.w)
 }
 
 type msgKind uint8

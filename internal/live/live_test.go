@@ -2,6 +2,7 @@ package live
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -224,6 +225,61 @@ func TestCloseDropsQueuedWork(t *testing.T) {
 	// Enqueue after close must be a no-op rather than a hang or panic.
 	s.Leave()
 	_ = s
+}
+
+// TestCloseMidCascade (ROADMAP item 3(d), the live half): Close lands while
+// 256 join cascades are running. It returns, the network then goes quiescent,
+// the workers caught mid-cascade end, and every later call is a no-op — no
+// packet, no migration, no link taken down — and nothing panics or hangs.
+func TestCloseMidCascade(t *testing.T) {
+	topo, err := topology.Generate(topology.Small, topology.LAN, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 256
+	hosts := topo.AddHosts(2 * n)
+	g := topo.Graph
+	base := settledGoroutines()
+	rt := New(g)
+	sessions := make([]*Session, n)
+	for i := range sessions {
+		p, err := rt.HostPath(hosts[i], hosts[n+i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sessions[i], err = rt.NewSession(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, s := range sessions {
+		s.Join(rate.Inf)
+	}
+	for totalPackets(rt) < n { // the cascades are in full flight, a few per cent done
+		runtime.Gosched()
+	}
+	rt.Close()
+	waitOrFail(t, rt.activity)
+	rt.WaitQuiescent()
+	awaitGoroutines(t, base)
+
+	packets := totalPackets(rt)
+	victim := sessions[0].Path()[1]
+	sessions[0].Leave()
+	sessions[0].Join(rate.Mbps(3))
+	sessions[1].Change(rate.Mbps(5))
+	sessions[2].Leave()
+	rt.FailLinks(victim, g.LinkReverse(victim))
+	rt.RestoreLinks(victim, g.LinkReverse(victim))
+	rt.SetLinkCapacity(rate.Mbps(1), victim)
+	rt.Close()
+	if got := rt.activity.n.Load(); got != 0 {
+		t.Fatalf("counter = %d after calls on a closed runtime, want 0", got)
+	}
+	rt.WaitQuiescent()
+	if !g.LinkUp(victim) || rt.Migrations() != 0 || totalPackets(rt) != packets {
+		t.Fatalf("closed runtime acted: link up %t, %d migrations, packets %d → %d",
+			g.LinkUp(victim), rt.Migrations(), packets, totalPackets(rt))
+	}
 }
 
 func TestSessionUnknownDrops(t *testing.T) {

@@ -88,20 +88,7 @@ func TestReclaimRetiredIncarnations(t *testing.T) {
 	if got := rt.Incarnations(); got != len(sessions) {
 		t.Fatalf("incarnations after churn = %d, want %d (retired ones reclaimed)", got, len(sessions))
 	}
-	// Goroutines: every round retires ≥ 1 incarnation (2 goroutines each);
-	// without reclamation the count would grow by ≥ 2·rounds. Allow slack
-	// for new link actors (reroutes touch the c–d detour) and runtime noise.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= baseline+4 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines = %d after churn, baseline %d: retired actors not reclaimed",
-				runtime.NumGoroutine(), baseline)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	awaitGoroutines(t, baseline) // actors own no goroutine, retired or not
 
 	// Rates still correct for the rejoined population.
 	for i, s := range sessions {
@@ -170,11 +157,55 @@ func settledGoroutines() int {
 	return n
 }
 
+// checkQuiescentFootprint asserts what a quiescent runtime may hold: no
+// goroutine past the pre-traffic baseline (workers end with their cascades),
+// one incarnation per live session, and every mailbox empty with neither
+// buffer past mailboxKeep. Call only right after WaitQuiescent.
+func checkQuiescentFootprint(t *testing.T, rt *Runtime, base int, all []*Session) {
+	t.Helper()
+	live := 0
+	for _, s := range all {
+		if s.Active() {
+			live++
+		}
+	}
+	if got := rt.Incarnations(); got != live {
+		t.Errorf("%d incarnations, %d live sessions", got, live)
+	}
+	for i := range rt.lnks {
+		for _, la := range rt.lnks[i].actors {
+			checkMailboxBounded(t, "link actor", la.a)
+		}
+	}
+	for i := range rt.incs {
+		for _, inc := range rt.incs[i].m {
+			checkMailboxBounded(t, "source actor", inc.src)
+			checkMailboxBounded(t, "destination actor", inc.dst)
+		}
+	}
+	awaitGoroutines(t, base)
+}
+
+// awaitGoroutines fails the test unless runtime.NumGoroutine() falls to max
+// shortly: a worker's last decrement, which is what WaitQuiescent waits for,
+// precedes its exit by a few instructions.
+func awaitGoroutines(t *testing.T, max int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > max {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d after quiescence, want at most %d", runtime.NumGoroutine(), max)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestBoundedGrowthUnderChurn is the runtime's bounded-growth contract
-// (ROADMAP item 3.4): after a churn soak with failures, restores, leaves,
-// rejoins and demand changes, a quiescent runtime holds no queued message,
-// no mailbox buffer past mailboxKeep, and exactly the goroutines it must —
-// two per live incarnation plus one per directed link on the path of some
+// (ROADMAP item 3.4): through a churn soak with failures, restores, leaves,
+// rejoins and demand changes, every quiescence finds the runtime at its
+// footprint (checkQuiescentFootprint) — actors own no goroutine, so the
+// count returns to the pre-traffic baseline every time — and at the end a
+// link actor exists for exactly the directed links on the path of some
 // incarnation that was ever joined. Resolving hop tables at Join creates the
 // link actors in the caller instead of lazily in a handler, and must not
 // create one that a Join cascade would not have reached.
@@ -186,7 +217,6 @@ func TestBoundedGrowthUnderChurn(t *testing.T) {
 	const sessions = 48
 	hosts := topo.AddHosts(2 * sessions)
 	g := topo.Graph
-	res := graph.NewResolver(g, 128)
 	base := settledGoroutines()
 	rt := New(g)
 	defer rt.Close()
@@ -194,7 +224,7 @@ func TestBoundedGrowthUnderChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	all := make([]*Session, sessions)
 	for i := range all {
-		p, err := res.HostPath(hosts[i], hosts[sessions+rng.Intn(sessions)])
+		p, err := rt.HostPath(hosts[i], hosts[sessions+rng.Intn(sessions)])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,6 +257,7 @@ func TestBoundedGrowthUnderChurn(t *testing.T) {
 	}
 	record()
 	rt.WaitQuiescent()
+	checkQuiescentFootprint(t, rt, base, all)
 
 	for round := 0; round < 12; round++ {
 		// Fail a router link under some routed session, churn while the
@@ -257,9 +288,11 @@ func TestBoundedGrowthUnderChurn(t *testing.T) {
 			}
 		}
 		rt.WaitQuiescent()
+		checkQuiescentFootprint(t, rt, base, all)
 		rt.RestoreLinks(victim, rev)
 		record()
 		rt.WaitQuiescent()
+		checkQuiescentFootprint(t, rt, base, all)
 		if err := rt.Validate(); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -270,30 +303,14 @@ func TestBoundedGrowthUnderChurn(t *testing.T) {
 
 	linkActors := 0
 	for i := range rt.lnks {
-		for l, la := range rt.lnks[i].actors {
+		for l := range rt.lnks[i].actors {
 			linkActors++
 			if !joined[l] {
 				t.Errorf("link %d has an actor but is on no joined incarnation's path", l)
 			}
-			checkMailboxBounded(t, "link actor", la.a)
 		}
 	}
 	if linkActors != len(joined) {
 		t.Errorf("%d link actors, %d directed links on joined paths", linkActors, len(joined))
-	}
-	for i := range rt.incs {
-		for _, inc := range rt.incs[i].m {
-			checkMailboxBounded(t, "source actor", inc.src)
-			checkMailboxBounded(t, "destination actor", inc.dst)
-		}
-	}
-	want := base + 2*rt.Incarnations() + len(joined)
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() != want { // reclaimed actors exit asynchronously
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines = %d, want %d (baseline %d + 2 × %d incarnations + %d link actors)",
-				runtime.NumGoroutine(), want, base, rt.Incarnations(), len(joined))
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -261,10 +261,9 @@ func RunLive(sc *Script) (*Result, error) {
 	rt := live.New(w.g)
 	defer rt.Close()
 	rt.SetPathPolicy(sc.Policy)
-	res := graph.NewResolver(w.g, 256)
 	sessions := make([]*live.Session, len(sc.Sessions))
 	for i, d := range sc.Sessions {
-		path, err := res.HostPath(w.nodes[d.Src], w.nodes[d.Dst])
+		path, err := rt.HostPath(w.nodes[d.Src], w.nodes[d.Dst])
 		if err != nil {
 			return nil, fmt.Errorf("scenario: session %q: %w", d.Name, err)
 		}
