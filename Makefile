@@ -44,9 +44,13 @@ test-full:
 # from one claim and a join storm over one shared runtime (internal/live),
 # whose iterations are whole runs, hence the fixed count; at -cpu 1,2 because
 # a cascade runs on the worker that claimed it however many CPUs are idle.
+# Between them the simulated transport's hop (internal/network): disjoint
+# chains with one session per link, in cache and out of it — ns/pkt is the
+# hop, allocs/pkt must stay at one record per link (≈ 0.17), whole runs again.
 bench:
 	$(GO) test -bench=SimEngine -benchmem -run='^$$' .
 	$(GO) test -bench='TableGet|RateSetChurn|ProbeCycle|Add|DivInt' -benchmem -run='^$$' ./internal/core ./internal/rate
+	$(GO) test -bench=ChainHop -benchtime=3x -benchmem -run='^$$' ./internal/network
 	$(GO) test -bench='LiveHop|LiveFanout|LiveEmit' -benchtime=3x -cpu 1,2 -benchmem -run='^$$' ./internal/live
 
 # Full benchmark sweep, including the figure-shaped end-to-end runs.

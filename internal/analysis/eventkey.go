@@ -10,7 +10,7 @@ import (
 // engines execute is ordered by (time, creator node, creator sequence), and
 // that key is only assigned by the blessed constructors — sim.Engine.SendFrom
 // and sim.ShardedEngine.SendAt (reached in the transport through
-// taskEmitter/serialLinkSched/linkSched). Two bypass shapes are flagged:
+// its per-node port). Two bypass shapes are flagged:
 //
 //   - in the transport (internal/network): a direct call to the engines'
 //     ExtCreator entry points At/After/DaemonAt. Those schedule un-keyed

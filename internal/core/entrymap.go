@@ -11,11 +11,18 @@ import "math/bits"
 // and the array never shrinks, like the Go map it replaced: a link that
 // once carried k sessions is likely to carry k again.
 //
-// The zero value is an empty index; the first put allocates minEntrySlots.
+// The zero value is an empty index. The first slot group is part of the map
+// itself: the first put points slots at first, so the index of a link that
+// carries few sessions lives in the link's own record — a lookup there
+// touches no second object — and only the growth past it allocates. slots
+// then aliases the map's own storage, which is why a map (and everything
+// that embeds one) must not be copied once used; see noCopy.
 type entryMap struct {
+	_     noCopy
 	slots []entrySlot // len is zero or a power of two
-	shift uint        // 64 − log2(len(slots)): hash → home slot
-	n     int
+	n     int32
+	shift uint8 // 64 − log2(len(slots)): hash → home slot
+	first [minEntrySlots]entrySlot
 }
 
 // entrySlot is one cell: ent == nil marks it free.
@@ -24,7 +31,12 @@ type entrySlot struct {
 	ent *tableEntry
 }
 
-const minEntrySlots = 4
+// minEntrySlots is the size of the inline first slot group. At the ¾ load
+// limit it files one session; a second spills the index to the heap (four
+// slots, then doubling). A four-slot group, which would also hold a second
+// and a third session, measured slower and larger on every simulated
+// workload (docs/PR23_SIM_HOP.md).
+const minEntrySlots = 2
 
 // home returns id's preferred slot: the top bits of the Fibonacci hash
 // (2^64/φ, odd). Masking the shift tells the compiler it is in range.
@@ -48,7 +60,7 @@ func (m *entryMap) get(id SessionID) *tableEntry {
 
 // put files ent under ent.id. The caller must have ensured the ID is absent.
 func (m *entryMap) put(ent *tableEntry) {
-	if (m.n+1)*4 > len(m.slots)*3 {
+	if (int(m.n)+1)*4 > len(m.slots)*3 {
 		m.grow()
 	}
 	m.place(ent)
@@ -65,20 +77,25 @@ func (m *entryMap) place(ent *tableEntry) {
 	m.slots[i] = entrySlot{id: ent.id, ent: ent}
 }
 
-// grow doubles the array (minEntrySlots the first time) and refiles every
-// entry.
+// grow moves the index into the inline group the first time and doubles the
+// array after that, refiling every entry.
 func (m *entryMap) grow() {
 	old := m.slots
-	size := 2 * len(old)
-	if size < minEntrySlots {
-		size = minEntrySlots
+	if old == nil {
+		m.slots = m.first[:]
+		m.shift = uint8(64 - bits.TrailingZeros(minEntrySlots))
+		return
 	}
+	size := 2 * len(old)
 	m.slots = make([]entrySlot, size)
-	m.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	m.shift = uint8(64 - bits.TrailingZeros(uint(size)))
 	for _, s := range old {
 		if s.ent != nil {
 			m.place(s.ent)
 		}
+	}
+	if &old[0] == &m.first[0] {
+		m.first = [minEntrySlots]entrySlot{} // spilled: drop the stale pointers
 	}
 }
 
@@ -110,4 +127,4 @@ func (m *entryMap) del(id SessionID) *tableEntry {
 }
 
 // len returns the number of entries filed.
-func (m *entryMap) len() int { return m.n }
+func (m *entryMap) len() int { return int(m.n) }

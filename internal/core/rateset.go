@@ -20,23 +20,72 @@ import (
 // and F_e members in the other), which is why one bucket/pos pair per entry
 // suffices.
 //
-// Buckets whose last member leaves are parked on a free list instead of
+// Buckets whose last member leaves are parked in a bucketPool instead of
 // being dropped: rates churn heavily while a link converges (every B_e
 // revision empties one bucket and fills another), and reusing the bucket and
-// its member slice keeps that churn allocation-free.
+// its member slice keeps that churn allocation-free. A table's two sets
+// share one pool — a bucket does not care which set files it — so a session
+// moving between R_e and F_e carries its bucket along.
+//
+// The first of everything is inline: the pool's first bucket, the
+// one-element first backing arrays of buckets and of the pool's free list,
+// and every bucket's first member slot. A link whose sessions all hold one
+// rate — any link carrying a single session — therefore indexes them without
+// allocating, and the walk from the set to the member stays inside the
+// link's record; a second distinct rate, or a second member, spills to the
+// heap through the ordinary append. The slices then point into the set, the
+// pool and the bucket themselves, so none of them may be copied once used;
+// see noCopy.
 type rateSet struct {
-	buckets []*rateBucket // ascending by rate
-	size    int
-	free    []*rateBucket // emptied buckets kept for reuse
+	_          noCopy
+	buckets    []*rateBucket // ascending by rate
+	size       int
+	bucketsBuf [1]*rateBucket
 }
 
 type rateBucket struct {
-	rate    rate.Rate
-	members []*tableEntry // unordered; members[i].pos == i
+	rate       rate.Rate
+	members    []*tableEntry // unordered; members[i].pos == i; nil only in a pool's unclaimed first bucket
+	membersBuf [1]*tableEntry
 }
 
-// add inserts ent with rate r. It panics if ent is already in a set.
-func (rs *rateSet) add(r rate.Rate, ent *tableEntry) {
+// bucketPool supplies the rate sets of one table with buckets: emptied ones
+// first, then its inline first bucket (once), then the heap.
+type bucketPool struct {
+	_       noCopy
+	free    []*rateBucket // emptied buckets kept for reuse
+	freeBuf [1]*rateBucket
+	first   rateBucket
+}
+
+// get returns an empty bucket; a new one starts its member list in the
+// bucket's own inline slot.
+func (p *bucketPool) get() *rateBucket {
+	if k := len(p.free); k > 0 {
+		b := p.free[k-1]
+		p.free = p.free[:k-1]
+		return b
+	}
+	b := &p.first
+	if b.members != nil {
+		b = new(rateBucket)
+	}
+	b.members = b.membersBuf[:0]
+	return b
+}
+
+// put parks an emptied bucket.
+func (p *bucketPool) put(b *rateBucket) {
+	if p.free == nil {
+		p.free = p.freeBuf[:0]
+	}
+	b.rate = rate.Zero
+	p.free = append(p.free, b)
+}
+
+// add inserts ent with rate r, taking a bucket from pool if r is new to the
+// set. It panics if ent is already in a set.
+func (rs *rateSet) add(r rate.Rate, ent *tableEntry, pool *bucketPool) {
 	if ent.bucket != nil {
 		panic("core: rateSet.add of indexed session")
 	}
@@ -45,34 +94,41 @@ func (rs *rateSet) add(r rate.Rate, ent *tableEntry) {
 	if ok {
 		b = rs.buckets[i]
 	} else {
-		if k := len(rs.free); k > 0 {
-			b = rs.free[k-1]
-			rs.free = rs.free[:k-1]
-			b.rate = r
-		} else {
-			b = &rateBucket{rate: r}
+		b = pool.get()
+		b.rate = r
+		if rs.buckets == nil {
+			rs.buckets = rs.bucketsBuf[:0]
 		}
 		rs.buckets = append(rs.buckets, nil)
 		copy(rs.buckets[i+1:], rs.buckets[i:])
 		rs.buckets[i] = b
 	}
-	ent.bucket, ent.pos = b, len(b.members)
+	ent.bucket, ent.pos = b, int32(len(b.members))
 	b.members = append(b.members, ent)
 	rs.size++
 }
 
-// remove deletes ent, filed at rate r. It panics if absent: the table keeps
-// index membership in lockstep with entries, and a mismatch is a bug.
-func (rs *rateSet) remove(r rate.Rate, ent *tableEntry) {
-	i, ok := rs.search(r)
-	if !ok {
-		panic("core: rateSet.remove of absent rate")
-	}
-	b := rs.buckets[i]
-	if ent.bucket != b {
-		panic("core: rateSet.remove of absent session")
+// remove deletes ent, filed at rate r, and hands a bucket it empties to
+// pool. It panics if absent: the table keeps index membership in lockstep
+// with entries, and a mismatch is a bug. The bucket comes from the entry, not
+// from a search: only a remove that empties its bucket has to find the
+// bucket's place in the order, and that is also where an entry filed at r in
+// some other set is caught (between those, the table's checkInvariants sees
+// it). Nothing is modified before the checks pass.
+func (rs *rateSet) remove(r rate.Rate, ent *tableEntry, pool *bucketPool) {
+	b := ent.bucket
+	if b == nil || !b.rate.Equal(r) {
+		rs.panicAbsent(r)
 	}
 	last := len(b.members) - 1
+	if last == 0 {
+		i, ok := rs.search(r)
+		if !ok || rs.buckets[i] != b {
+			rs.panicAbsent(r)
+		}
+		rs.buckets = append(rs.buckets[:i], rs.buckets[i+1:]...)
+		pool.put(b)
+	}
 	moved := b.members[last]
 	b.members[ent.pos] = moved
 	moved.pos = ent.pos
@@ -80,11 +136,15 @@ func (rs *rateSet) remove(r rate.Rate, ent *tableEntry) {
 	b.members = b.members[:last]
 	ent.bucket, ent.pos = nil, 0
 	rs.size--
-	if last == 0 {
-		rs.buckets = append(rs.buckets[:i], rs.buckets[i+1:]...)
-		b.rate = rate.Zero
-		rs.free = append(rs.free, b)
+}
+
+// panicAbsent reports a remove of an entry that is not filed at r in this
+// set: no bucket holds r at all, or one does and the entry is not in it.
+func (rs *rateSet) panicAbsent(r rate.Rate) {
+	if _, ok := rs.search(r); !ok {
+		panic("core: rateSet.remove of absent rate")
 	}
+	panic("core: rateSet.remove of absent session")
 }
 
 // search returns the index of the bucket with rate r and true, or the index

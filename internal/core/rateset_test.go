@@ -10,13 +10,14 @@ import (
 
 func TestRateSetBasics(t *testing.T) {
 	var rs rateSet
+	var pool bucketPool
 	if _, ok := rs.max(); ok {
 		t.Fatalf("empty set has a max")
 	}
 	e1, e2, e3 := &tableEntry{id: 1}, &tableEntry{id: 2}, &tableEntry{id: 3}
-	rs.add(rate.Mbps(5), e3)
-	rs.add(rate.Mbps(3), e2)
-	rs.add(rate.Mbps(5), e1)
+	rs.add(rate.Mbps(5), e3, &pool)
+	rs.add(rate.Mbps(3), e2, &pool)
+	rs.add(rate.Mbps(5), e1, &pool)
 	if rs.len() != 3 || rs.distinct() != 2 {
 		t.Fatalf("len=%d distinct=%d", rs.len(), rs.distinct())
 	}
@@ -37,11 +38,11 @@ func TestRateSetBasics(t *testing.T) {
 	if all := ids(rs.appendAll(nil)); len(all) != 3 || all[0] != 1 || all[1] != 2 || all[2] != 3 {
 		t.Fatalf("appendAll = %v (must be sorted)", all)
 	}
-	rs.remove(rate.Mbps(5), e1)
+	rs.remove(rate.Mbps(5), e1, &pool)
 	if e3.bucket == nil || e3.bucket.members[e3.pos] != e3 {
 		t.Fatalf("swap-remove lost track of the moved member")
 	}
-	rs.remove(rate.Mbps(5), e3)
+	rs.remove(rate.Mbps(5), e3, &pool)
 	if rs.countAt(rate.Mbps(5)) != 0 || rs.distinct() != 1 {
 		t.Fatalf("bucket not collapsed")
 	}
@@ -50,48 +51,77 @@ func TestRateSetBasics(t *testing.T) {
 	}
 }
 
+// TestRateSetRemovePanics pins the two messages of a remove that finds
+// nothing to remove — no bucket holds the rate at all, or one does and the
+// entry is not in it — and that the set is untouched when either fires.
+// remove reaches the bucket through the entry, so each shape of a stale or
+// foreign entry is spelled out.
 func TestRateSetRemovePanics(t *testing.T) {
-	t.Run("absent rate", func(t *testing.T) {
+	const absentRate, absentSession = "core: rateSet.remove of absent rate", "core: rateSet.remove of absent session"
+	mustPanic := func(t *testing.T, want string, rs *rateSet, f func()) {
+		t.Helper()
+		size, distinct := rs.len(), rs.distinct()
 		defer func() {
-			if recover() == nil {
-				t.Fatalf("expected panic")
+			t.Helper()
+			if got := recover(); got != want {
+				t.Fatalf("panic %v, want %q", got, want)
+			}
+			if rs.len() != size || rs.distinct() != distinct {
+				t.Fatalf("the failed remove changed the set: %d/%d → %d/%d", size, distinct, rs.len(), rs.distinct())
 			}
 		}()
+		f()
+	}
+	t.Run("absent rate", func(t *testing.T) {
 		var rs rateSet
-		rs.remove(rate.Mbps(1), &tableEntry{id: 1})
+		var pool bucketPool
+		mustPanic(t, absentRate, &rs, func() { rs.remove(rate.Mbps(1), &tableEntry{id: 1}, &pool) })
+	})
+	t.Run("absent rate, filed elsewhere", func(t *testing.T) {
+		var rs rateSet
+		var pool bucketPool
+		e := &tableEntry{id: 1}
+		rs.add(rate.Mbps(1), e, &pool)
+		mustPanic(t, absentRate, &rs, func() { rs.remove(rate.Mbps(3), e, &pool) })
 	})
 	t.Run("absent session", func(t *testing.T) {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("expected panic")
-			}
-		}()
 		var rs rateSet
-		rs.add(rate.Mbps(1), &tableEntry{id: 1})
-		rs.remove(rate.Mbps(1), &tableEntry{id: 2})
+		var pool bucketPool
+		rs.add(rate.Mbps(1), &tableEntry{id: 1}, &pool)
+		mustPanic(t, absentSession, &rs, func() { rs.remove(rate.Mbps(1), &tableEntry{id: 2}, &pool) })
 	})
 	t.Run("session at another rate", func(t *testing.T) {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("expected panic")
-			}
-		}()
 		var rs rateSet
+		var pool bucketPool
 		e := &tableEntry{id: 1}
-		rs.add(rate.Mbps(1), e)
-		rs.add(rate.Mbps(2), &tableEntry{id: 2})
-		rs.remove(rate.Mbps(2), e)
+		rs.add(rate.Mbps(1), e, &pool)
+		rs.add(rate.Mbps(2), &tableEntry{id: 2}, &pool)
+		mustPanic(t, absentSession, &rs, func() { rs.remove(rate.Mbps(2), e, &pool) })
+	})
+	t.Run("session of another set, rate present", func(t *testing.T) {
+		var rs, other rateSet
+		var pool bucketPool
+		e := &tableEntry{id: 1}
+		other.add(rate.Mbps(1), e, &pool)
+		rs.add(rate.Mbps(1), &tableEntry{id: 2}, &pool)
+		mustPanic(t, absentSession, &rs, func() { rs.remove(rate.Mbps(1), e, &pool) })
+		if e.bucket == nil || other.len() != 1 {
+			t.Fatalf("the failed remove disturbed the set the entry is in")
+		}
+	})
+	t.Run("session of another set, rate absent", func(t *testing.T) {
+		var rs, other rateSet
+		var pool bucketPool
+		e := &tableEntry{id: 1}
+		other.add(rate.Mbps(1), e, &pool)
+		mustPanic(t, absentRate, &rs, func() { rs.remove(rate.Mbps(1), e, &pool) })
 	})
 	t.Run("double add", func(t *testing.T) {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("expected panic")
-			}
-		}()
 		var rs rateSet
+		var pool bucketPool
 		e := &tableEntry{id: 1}
-		rs.add(rate.Mbps(1), e)
-		rs.add(rate.Mbps(2), e)
+		rs.add(rate.Mbps(1), e, &pool)
+		mustPanic(t, "core: rateSet.add of indexed session", &rs, func() { rs.add(rate.Mbps(2), e, &pool) })
 	})
 }
 
@@ -105,16 +135,17 @@ func TestRateSetMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	for iter := 0; iter < 50; iter++ {
 		var rs rateSet
+		var pool bucketPool
 		var ref []pair
 		for step := 0; step < 500; step++ {
 			if len(ref) == 0 || r.Intn(3) > 0 {
 				rt := rate.FromFrac(int64(1+r.Intn(20)), int64(1+r.Intn(4)))
 				s := &tableEntry{id: SessionID(step)}
-				rs.add(rt, s)
+				rs.add(rt, s, &pool)
 				ref = append(ref, pair{rt, s})
 			} else {
 				i := r.Intn(len(ref))
-				rs.remove(ref[i].r, ref[i].s)
+				rs.remove(ref[i].r, ref[i].s, &pool)
 				ref = append(ref[:i], ref[i+1:]...)
 			}
 			if rs.len() != len(ref) {
@@ -180,7 +211,7 @@ func TestRateSetMatchesReference(t *testing.T) {
 					t.Fatalf("empty bucket kept")
 				}
 				for pos, m := range b.members {
-					if m.bucket != b || m.pos != pos {
+					if m.bucket != b || int(m.pos) != pos {
 						t.Fatalf("member %d does not point back at its bucket", m.id)
 					}
 				}

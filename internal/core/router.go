@@ -9,21 +9,44 @@ import (
 // session; all packets of sessions whose path crosses the link are processed
 // here, atomically (the transport guarantees handlers never run
 // concurrently).
+//
+// A RouterLink must not be copied after Init: its table and its scratch
+// buffer hold slices into the task's own storage (see table and noCopy).
+// Transports either take one from NewRouterLink or embed one in a larger
+// per-link record and call Init on it in place.
 type RouterLink struct {
+	_   noCopy
 	ref LinkRef
-	// tbl is embedded by value: the task and its table are one allocation,
-	// and a packet reaches the entry index without a pointer hop.
-	tbl table
 	em  Emitter
 	// scratch is a reusable buffer for session-set snapshots taken while
 	// mutating the table underneath (handlers never run reentrantly, and no
-	// snapshot outlives its loop, so one buffer suffices).
-	scratch []*tableEntry
+	// snapshot outlives its loop, so one buffer suffices). It starts in
+	// scratchBuf, which is all a single-session link ever needs.
+	scratch    []*tableEntry
+	scratchBuf [1]*tableEntry
+	// tbl is embedded by value: the task and its table are one allocation,
+	// and a packet reaches the entry index without a pointer hop.
+	tbl table
 }
 
-// NewRouterLink returns the task for link ref with the given data capacity.
+// NewRouterLink returns the task for link ref with the given data capacity,
+// in an allocation of its own. It and Init are the only ways a usable
+// RouterLink comes to be, and neither copies one.
 func NewRouterLink(ref LinkRef, capacity rate.Rate, em Emitter) *RouterLink {
-	return &RouterLink{ref: ref, tbl: table{capacity: capacity}, em: em}
+	rl := new(RouterLink)
+	rl.Init(ref, capacity, em)
+	return rl
+}
+
+// Init makes the zero RouterLink at rl the task for link ref with the given
+// data capacity — NewRouterLink for a task that lives inside another
+// allocation. Call it once, before the first packet, and never copy *rl
+// afterwards.
+func (rl *RouterLink) Init(ref LinkRef, capacity rate.Rate, em Emitter) {
+	rl.ref = ref
+	rl.em = em
+	rl.scratch = rl.scratchBuf[:0]
+	rl.tbl.capacity = capacity
 }
 
 // Ref returns the link reference this task controls.
@@ -122,7 +145,7 @@ func (rl *RouterLink) reprobe(skip *tableEntry) {
 			continue
 		}
 		rl.tbl.setState(ent, WaitingProbe)
-		rl.em.Emit(ent.id, ent.hop, Up, Packet{Type: PktUpdate, Session: ent.id})
+		rl.em.Emit(ent.id, int(ent.hop), Up, Packet{Type: PktUpdate, Session: ent.id})
 	}
 }
 
@@ -197,7 +220,7 @@ func (rl *RouterLink) onResponse(pkt Packet, hop int) {
 				if r == ent {
 					continue
 				}
-				rl.em.Emit(r.id, r.hop, Up, Packet{Type: PktBottleneck, Session: r.id})
+				rl.em.Emit(r.id, int(r.hop), Up, Packet{Type: PktBottleneck, Session: r.id})
 			}
 		}
 	}

@@ -12,16 +12,17 @@ import (
 // the session's path (needed to emit packets for sessions other than the one
 // currently being processed). bucket and pos are the entry's place in the
 // rate index (idleRates while IDLE in R_e, feRates while in F_e, nil
-// otherwise); see rateSet.
+// otherwise); see rateSet. The fields are ordered and sized so the entry
+// fills a 64-byte allocation class (and one cache line) exactly.
 type tableEntry struct {
 	id        SessionID
-	inRe      bool
-	mu        State
 	lambda    rate.Rate
-	hasLambda bool
-	hop       int
 	bucket    *rateBucket
-	pos       int
+	pos       int32
+	hop       int32
+	inRe      bool
+	hasLambda bool
+	mu        State
 }
 
 // table is a link's session table: the paper's R_e and F_e with the
@@ -37,18 +38,45 @@ type tableEntry struct {
 //   - feRates: rates of F_e members (for ProcessNewRestricted's max test)
 //
 // A table{capacity: c} is ready to use; RouterLink embeds one by value.
+//
+// The first session's state is inline too: first is the tableEntry the first
+// addNew hands out (and hands out again whenever it is free), next to the
+// index's first slot group and the rate sets' first bucket. A link carrying
+// one session — every link of a chain, most links of a sparse topology —
+// keeps everything a packet touches in the one record, and allocates nothing
+// after it; further sessions get heap entries exactly as before. Because
+// first is reused, a pointer to it can outlive the session it described (in
+// RouterLink.scratch, or as the skip argument of a reprobe): addNew resets
+// the whole entry, remove leaves it out of both rate sets, and no handler
+// keeps a snapshot across an addNew.
 type table struct {
+	_         noCopy
 	capacity  rate.Rate
-	entries   entryMap
 	sumFe     rate.Rate
 	reCount   int
 	reIdle    int
+	beCache   rate.Rate
+	beValid   bool
+	firstLive bool // first is filed in entries
+	entries   entryMap
+	first     tableEntry
 	idleRates rateSet
 	feRates   rateSet
-
-	beCache rate.Rate
-	beValid bool
+	buckets   bucketPool // shared by idleRates and feRates
 }
+
+// noCopy marks a type that must not be copied after first use, because it
+// holds slices into its own inline storage (entryMap.slots, rateSet.buckets,
+// bucketPool.free, rateBucket.members, RouterLink.scratch): a copy would
+// share the original's arrays and then diverge from it at the first spill.
+// `go vet`'s copylocks check reports any by-value copy of a type containing
+// one. Zero values and composite literals (table{capacity: c}) are where
+// such a type starts; RouterLink.Init is the one initialiser, and everything
+// after it goes through pointers.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
 
 // be returns B_e = (C_e − Σ_{s∈F_e} λ_s)/|R_e|, or +∞ when R_e is empty
 // (an empty R_e restricts nothing).
@@ -74,7 +102,13 @@ func (t *table) addNew(s SessionID, hop int) *tableEntry {
 	if t.entries.get(s) != nil {
 		panic(fmt.Sprintf("core: addNew of existing session %d", s))
 	}
-	ent := &tableEntry{id: s, inRe: true, mu: WaitingResponse, hop: hop}
+	ent := &t.first
+	if t.firstLive {
+		ent = new(tableEntry)
+	} else {
+		t.firstLive = true
+	}
+	*ent = tableEntry{id: s, inRe: true, mu: WaitingResponse, hop: int32(hop)}
 	t.entries.put(ent)
 	t.reCount++
 	t.invalidateBe()
@@ -89,13 +123,16 @@ func (t *table) remove(s SessionID) {
 	}
 	if ent.inRe {
 		if ent.mu == Idle {
-			t.idleRates.remove(ent.lambda, ent)
+			t.idleRates.remove(ent.lambda, ent, &t.buckets)
 			t.reIdle--
 		}
 		t.reCount--
 	} else {
-		t.feRates.remove(ent.lambda, ent)
+		t.feRates.remove(ent.lambda, ent, &t.buckets)
 		t.sumFe = t.sumFe.Sub(ent.lambda)
+	}
+	if ent == &t.first {
+		t.firstLive = false
 	}
 	t.invalidateBe()
 }
@@ -109,7 +146,7 @@ func (t *table) setState(ent *tableEntry, mu State) {
 		panic("core: use setIdle to enter IDLE")
 	}
 	if ent.inRe && ent.mu == Idle {
-		t.idleRates.remove(ent.lambda, ent)
+		t.idleRates.remove(ent.lambda, ent, &t.buckets)
 		t.reIdle--
 	}
 	ent.mu = mu
@@ -122,13 +159,13 @@ func (t *table) setIdle(ent *tableEntry, lambda rate.Rate) {
 		panic(fmt.Sprintf("core: setIdle on F_e member %d", ent.id))
 	}
 	if ent.mu == Idle {
-		t.idleRates.remove(ent.lambda, ent)
+		t.idleRates.remove(ent.lambda, ent, &t.buckets)
 		t.reIdle--
 	}
 	ent.lambda = lambda
 	ent.hasLambda = true
 	ent.mu = Idle
-	t.idleRates.add(lambda, ent)
+	t.idleRates.add(lambda, ent, &t.buckets)
 	t.reIdle++
 }
 
@@ -138,12 +175,12 @@ func (t *table) moveFeToRe(ent *tableEntry) {
 	if ent.inRe {
 		panic(fmt.Sprintf("core: moveFeToRe on R_e member %d", ent.id))
 	}
-	t.feRates.remove(ent.lambda, ent)
+	t.feRates.remove(ent.lambda, ent, &t.buckets)
 	t.sumFe = t.sumFe.Sub(ent.lambda)
 	ent.inRe = true
 	t.reCount++
 	if ent.mu == Idle {
-		t.idleRates.add(ent.lambda, ent)
+		t.idleRates.add(ent.lambda, ent, &t.buckets)
 		t.reIdle++
 	}
 	t.invalidateBe()
@@ -158,12 +195,12 @@ func (t *table) moveReToFe(ent *tableEntry) {
 	if ent.mu != Idle || !ent.hasLambda {
 		panic(fmt.Sprintf("core: moveReToFe on non-idle session %d", ent.id))
 	}
-	t.idleRates.remove(ent.lambda, ent)
+	t.idleRates.remove(ent.lambda, ent, &t.buckets)
 	t.reIdle--
 	ent.inRe = false
 	t.reCount--
 	t.sumFe = t.sumFe.Add(ent.lambda)
-	t.feRates.add(ent.lambda, ent)
+	t.feRates.add(ent.lambda, ent, &t.buckets)
 	t.invalidateBe()
 }
 
@@ -295,7 +332,7 @@ func (t *table) checkInvariants() error {
 // whose rate is its λ.
 func (ent *tableEntry) indexed() bool {
 	b := ent.bucket
-	return b != nil && ent.pos < len(b.members) && b.members[ent.pos] == ent && b.rate.Equal(ent.lambda)
+	return b != nil && int(ent.pos) < len(b.members) && b.members[ent.pos] == ent && b.rate.Equal(ent.lambda)
 }
 
 // checkIndex verifies one rate index from the bucket side: buckets ascending
@@ -314,7 +351,7 @@ func (t *table) checkIndex(rs *rateSet, name string, inRe bool) error {
 		}
 		size += len(b.members)
 		for pos, m := range b.members {
-			if m.bucket != b || m.pos != pos {
+			if m.bucket != b || int(m.pos) != pos {
 				return fmt.Errorf("%s index member %d at %v does not point back", name, m.id, b.rate)
 			}
 			if t.entries.get(m.id) != m {

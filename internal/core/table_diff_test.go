@@ -14,9 +14,26 @@ import (
 // session-ID *sequence* from every snapshot helper — the sequence is the
 // emission order of Figure 2's handlers, so equal sequences are what keeps
 // the simulation bit-identical.
+//
+// Programs 320 and up shape the population around the table's inline first
+// entry, slot group and buckets (the first 320 are the programs the test
+// always ran): even ones keep a single session on the link, so every addNew
+// after a remove reuses the inline entry while the bucket it just left sits
+// on a free list; odd ones breathe 1 → 5 → 1 sessions, across the spill of
+// the slot group, the member lists and the bucket arrays and back.
 func TestTableMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
-	for prog := 0; prog < 320; prog++ {
+	for prog := 0; prog < 400; prog++ {
+		// popCap bounds the population at a step (0: unbounded).
+		popCap := func(step int) int {
+			switch {
+			case prog < 320:
+				return 0
+			case prog%2 == 0 || (step/40)%2 == 0:
+				return 1
+			}
+			return 5
+		}
 		capacity := rate.FromInt64(int64(10+r.Intn(1000)) * 1_000_000)
 		opt := newTable(capacity)
 		ref := newRefTable(capacity)
@@ -53,13 +70,28 @@ func TestTableMatchesReference(t *testing.T) {
 		}
 
 		steps := 100 + r.Intn(300)
+		spilled := false
 		for step := 0; step < steps; step++ {
-			switch op := r.Intn(12); op {
+			op := r.Intn(12)
+			if c := popCap(step); c > 0 {
+				switch {
+				case len(known) > c || (len(known) == c && op <= 2):
+					op = 3 // full: a leave makes room for the next join
+				case len(known) == 0:
+					op = 0
+				}
+			}
+			switch op {
 			case 0, 1, 2: // addNew
 				s := newID()
 				hop := r.Intn(30)
-				if got := opt.addNew(s, hop); got.id != s || got.hop != hop {
+				wasEmpty := opt.sessions() == 0
+				got := opt.addNew(s, hop)
+				if got.id != s || int(got.hop) != hop {
 					t.Fatalf("prog %d step %d: addNew(%d, %d) returned id %d hop %d", prog, step, s, hop, got.id, got.hop)
+				}
+				if wasEmpty && got != &opt.first {
+					t.Fatalf("prog %d step %d: first session of an empty table not filed inline", prog, step)
 				}
 				ref.addNew(s, hop)
 				known = append(known, s)
@@ -113,7 +145,7 @@ func TestTableMatchesReference(t *testing.T) {
 			for _, s := range known {
 				ent, rent := opt.get(s), ref.get(s)
 				if ent == nil || ent.id != s || ent.inRe != rent.inRe || ent.mu != rent.mu ||
-					ent.hasLambda != rent.hasLambda || !ent.lambda.Equal(rent.lambda) || ent.hop != rent.hop {
+					ent.hasLambda != rent.hasLambda || !ent.lambda.Equal(rent.lambda) || int(ent.hop) != rent.hop {
 					t.Fatalf("prog %d step %d: entry %d is %+v, reference %+v", prog, step, s, ent, rent)
 				}
 			}
@@ -135,6 +167,14 @@ func TestTableMatchesReference(t *testing.T) {
 					t.Fatalf("prog %d step %d: %s = %v, reference %v", prog, step, what, ids(got), want)
 				}
 			}
+			spilled = spilled || len(opt.entries.slots) > minEntrySlots
+			if prog >= 320 && prog%2 == 0 {
+				// One session at a time: nothing may have spilled.
+				if len(opt.entries.slots) > minEntrySlots || cap(opt.idleRates.buckets) > 1 || cap(opt.feRates.buckets) > 1 ||
+					cap(opt.buckets.free) > 1 {
+					t.Fatalf("prog %d step %d: a single-session table spilled to the heap", prog, step)
+				}
+			}
 			same("appendIdleAll", opt.appendIdleAll(nil), ref.appendIdleAll(nil))
 			probes := []rate.Rate{randRate(), randRate()}
 			if !be.IsInf() {
@@ -148,6 +188,9 @@ func TestTableMatchesReference(t *testing.T) {
 				same("appendIdleAbove", opt.appendIdleAbove(nil, p), ref.appendIdleAbove(nil, p))
 				same("appendFeSessionsAt", opt.appendFeSessionsAt(nil, p), ref.appendFeSessionsAt(nil, p))
 			}
+		}
+		if prog >= 320 && prog%2 == 1 && !spilled {
+			t.Fatalf("prog %d: a breathing program never crossed the inline/heap boundary", prog)
 		}
 	}
 }

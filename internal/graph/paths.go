@@ -289,7 +289,10 @@ func PathNodes(g *Graph, p Path) []NodeID {
 }
 
 // ValidatePath checks that p is a connected host-to-host path in g whose
-// links are all up.
+// links are all up and all have a reverse (the paper's duplex model; only
+// ConnectAsym builds a link without one). Both transports resolve a
+// session's way back from the reverse links when the session joins, so a
+// path that passes here can carry every packet of the protocol.
 func ValidatePath(g *Graph, p Path) error {
 	if len(p) < 2 {
 		return fmt.Errorf("graph: path too short (%d links)", len(p))
@@ -298,6 +301,11 @@ func ValidatePath(g *Graph, p Path) error {
 		g.checkLink(l)
 		if g.links[l].Failed {
 			return fmt.Errorf("graph: path crosses failed link %d", l)
+		}
+		if g.links[l].Reverse == NoLink {
+			// A session's upstream packets (Response, Update, Bottleneck)
+			// retrace its path over the reverse links.
+			return fmt.Errorf("graph: path crosses link %d, which has no reverse", l)
 		}
 	}
 	for i := 1; i < len(p); i++ {

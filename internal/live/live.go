@@ -432,7 +432,7 @@ func (rt *Runtime) pathUpLocked(p graph.Path) bool {
 // joinLocked enqueues inc's Join — the only place one is enqueued — after
 // resolving its hop table: the link actor and the packet counters of every
 // link on the path, created here if this is the first incarnation to cross
-// them. It is the twin of the simulator transport's ensurePathTasks: tasks
+// them. It is the twin of the simulator transport's resolveHops: tasks
 // materialize in the caller, under mu, before the first packet exists, so
 // Emit only ever indexes a finished table. Callers hold rt.mu.
 //

@@ -296,9 +296,10 @@ func (n *Network) join(s *Session, demand rate.Rate) {
 	s.active = true
 	s.everJoined = true
 	s.joinedAt = n.globalNow()
-	// Materialize the path's tasks and wires now, in serial context: window
-	// execution on the sharded engine must never mutate the link tables.
-	n.ensurePathTasks(s.Path)
+	// The one place a path becomes live: resolve its hop table (and the
+	// records of links nobody used before) now, in serial context, before the
+	// Join below emits the session's first packet.
+	s.hops = n.resolveHops(s.Path)
 	s.src.Join(demand)
 	n.oracleJoin(s, demand)
 }

@@ -108,16 +108,24 @@ func DefaultConfig() Config {
 // place, so in-flight packets of the two incarnations can never interfere.
 // Current follows the successor chain; the read accessors do so implicitly.
 type Session struct {
-	ID       core.SessionID
-	SrcHost  graph.NodeID
-	DstHost  graph.NodeID
-	Path     graph.Path
-	src      *core.SourceNode
-	dst      *core.DestinationNode
-	joinedAt sim.Time
-	rateAt   sim.Time
-	active   bool
-	departed bool
+	ID      core.SessionID
+	SrcHost graph.NodeID
+	DstHost graph.NodeID
+	Path    graph.Path
+	src     *core.SourceNode
+	dst     *core.DestinationNode
+	// hops is the session's hop table: hops[i] serves Path[i]. join resolves
+	// it — in serial context, before the session's first packet exists — and
+	// every Emit and delivery for the session indexes it instead of walking
+	// Path → graph → links[]/wires[].
+	hops []hopRef
+	// srcPort and dstPort are the ports of the session's endpoint tasks on
+	// their hosts; src and dst emit through pointers to them.
+	srcPort, dstPort port
+	joinedAt         sim.Time
+	rateAt           sim.Time
+	active           bool
+	departed         bool
 
 	everJoined bool
 	// succ is the migrated continuation of this session, if any.
@@ -180,8 +188,13 @@ type Network struct {
 	eng      *sim.Engine        // classic serial engine; nil in sharded mode
 	she      *sim.ShardedEngine // sharded engine; nil in classic mode
 	resolver *graph.Resolver
-	links    []*core.RouterLink // dense by LinkID; nil until a path uses it
-	wires    []*sim.Wire        // dense by LinkID; nil until a path uses it
+	// links and wires index the per-link records by LinkID (nil until a path
+	// uses the link). They are the creation index — join resolves hop tables
+	// through them; SetCapacity, Validate, LinkPackets and the speculation
+	// gate sweep them — and no packet reads them. Growing them (AddHosts
+	// between runs) moves the pointers, never the records.
+	links []*core.RouterLink
+	wires []*wireRec
 	// sessByID is the session table, densely indexed by ID (IDs are assigned
 	// 1, 2, …): Emit resolves its session once per packet per hop, and at
 	// internet scale (~10⁵ sessions) a map here would cost a hash plus a
@@ -561,15 +574,18 @@ func (n *Network) NewSession(srcHost, dstHost graph.NodeID, path graph.Path) (*S
 	}
 	id := n.nextID
 	n.nextID++
-	s := &Session{ID: id, SrcHost: srcHost, DstHost: dstHost, Path: path}
-	s.src = core.NewSourceNode(id, taskEmitter{n, srcHost}, func(sid core.SessionID, lambda rate.Rate) {
+	s := &Session{
+		ID: id, SrcHost: srcHost, DstHost: dstHost, Path: path,
+		srcPort: port{n: n, node: srcHost}, dstPort: port{n: n, node: dstHost},
+	}
+	s.src = core.NewSourceNode(id, &s.srcPort, func(sid core.SessionID, lambda rate.Rate) {
 		at := n.nowFor(srcHost)
 		s.rateAt = at
 		if n.cfg.OnRate != nil {
 			n.cfg.OnRate(sid, lambda, at)
 		}
 	})
-	s.dst = core.NewDestinationNode(id, taskEmitter{n, dstHost})
+	s.dst = core.NewDestinationNode(id, &s.dstPort)
 	for int(id) >= len(n.sessByID) {
 		n.sessByID = append(n.sessByID, nil)
 	}
@@ -734,18 +750,68 @@ func (n *Network) linkFloors() []time.Duration {
 	return floors
 }
 
-// taskEmitter implements core.Emitter for one protocol task, bound to the
-// node the task executes on: session endpoints live on their hosts, a
-// RouterLink on the From side of its directed link. The node decides the
-// shard whose clock, statistics and delivery pool an emission uses.
-type taskEmitter struct {
+// port is a foothold on one node: what a protocol task emits through and
+// what a wire schedules through. Session endpoints live on their hosts, a
+// RouterLink — and the sending end of its link's wire — on the From side of
+// the directed link. The node decides the shard whose clock, statistics and
+// delivery pool an emission uses. Tasks and wires hold a pointer to a port
+// stored next to them (in the Session, in the link's record), so binding one
+// allocates nothing.
+type port struct {
 	n    *Network
 	node graph.NodeID
+	// peer is the receiving end when the port serves a wire (unused by a
+	// session endpoint): deliveries are keyed by node — the creator whose
+	// execution sends the packet — and owned by peer, which feeds the
+	// schedule explorer's independence relation and picks the receiving
+	// shard. The same key on both engines is what makes classic and sharded
+	// runs byte-identical.
+	peer graph.NodeID
+}
+
+// Now and At make a port the sim.Sched of its wire.
+func (p *port) Now() sim.Time { return p.n.nowFor(p.node) }
+
+func (p *port) At(t sim.Time, f func()) {
+	if p.n.she == nil {
+		p.n.eng.SendFromTo(int32(p.node), int32(p.peer), t, f)
+		return
+	}
+	p.n.she.SendAt(int32(p.node), int32(p.peer), t, f)
+}
+
+// hopRef is what a packet needs to know about one link of its session's
+// path: the link's task, the wire a packet going down crosses to leave it,
+// and the wire of the reverse link, which a packet going up crosses to
+// reach it. A hop is one index into the session's table and the records
+// these point at; nothing on the way reads the graph or the link tables.
+type hopRef struct {
+	task     *core.RouterLink
+	fwd, rev *wireRec
+}
+
+// wireRec is one directed link's wire together with the port it runs on:
+// the wire's Sched points into the record, so nothing is boxed and a Send
+// stays inside one allocation.
+type wireRec struct {
+	sim.Wire
+	port
+}
+
+// linkRec is everything a directed link that carries a task owns, in one
+// allocation: the RouterLink (whose table holds its first session inline)
+// and the link's own wire — the one the task's downstream packets leave on —
+// whose port the task also emits through. A link used only in reverse, as
+// the way back for another link's upstream packets, has a bare wireRec
+// instead.
+type linkRec struct {
+	task core.RouterLink
+	wire wireRec
 }
 
 // Emit moves a packet one hop along (or against) the session's path,
 // crossing the corresponding physical wire.
-func (em taskEmitter) Emit(s core.SessionID, from int, dir core.Direction, pkt core.Packet) {
+func (em *port) Emit(s core.SessionID, from int, dir core.Direction, pkt core.Packet) {
 	n := em.n
 	var sess *Session
 	if int(s) < len(n.sessByID) {
@@ -755,20 +821,20 @@ func (em taskEmitter) Emit(s core.SessionID, from int, dir core.Direction, pkt c
 		panic(fmt.Sprintf("network: emit for unknown session %d", s))
 	}
 	var to int
-	wireLink := graph.NoLink
+	var w *wireRec
 	if dir == core.Down {
 		to = from + 1
 		if from >= 1 {
-			wireLink = sess.Path[from-1]
+			w = sess.hops[from-1].fwd
 		}
 	} else {
 		to = from - 1
 		if from >= 2 {
-			wireLink = n.g.LinkReverse(sess.Path[from-2])
+			w = sess.hops[from-2].rev
 		}
 	}
 	dom := n.domainFor(em.node)
-	if wireLink == graph.NoLink {
+	if w == nil {
 		// Intra-host hand-off (source ↔ its access-link task): no wire. Both
 		// endpoints live on the source host, so the delivery stays local.
 		// Both engines key the event by the emitting node, so the classic
@@ -784,100 +850,99 @@ func (em taskEmitter) Emit(s core.SessionID, from int, dir core.Direction, pkt c
 	}
 	// The packet crosses a physical link: account it (the paper counts
 	// every packet sent across a link) and serialize it on the wire.
-	target := n.g.LinkTo(wireLink)
-	deliver := n.takeDeliver(dom, sess, to, pkt, target)
-	dom.stats.Record(pkt.Type, n.nowFor(em.node))
+	deliver := n.takeDeliver(dom, sess, to, pkt, w.peer)
+	now := n.nowFor(em.node)
+	dom.stats.Record(pkt.Type, now)
 	dom.sessPkts[sess.ID]++
 	if n.cfg.OnPacket != nil {
-		n.cfg.OnPacket(wireLink, pkt, n.nowFor(em.node))
+		// The wire's link: the sender's own going down, the reverse of the
+		// one below it going up.
+		link := sess.Path[min(from, to)-1]
+		if dir == core.Up {
+			link = n.g.LinkReverse(link)
+		}
+		n.cfg.OnPacket(link, pkt, now)
 	}
-	n.wire(wireLink).Send(deliver)
+	w.Send(deliver)
 }
 
 func (n *Network) deliver(sess *Session, hop int, pkt core.Packet) {
 	switch {
 	case hop == 0:
 		sess.src.Receive(pkt)
-	case hop == len(sess.Path)+1:
+	case hop == len(sess.hops)+1:
 		sess.dst.Receive(pkt, hop)
 	default:
-		n.routerLink(sess.Path[hop-1]).Receive(pkt, hop)
+		sess.hops[hop-1].task.Receive(pkt, hop)
 	}
 }
 
-// growLinkSlices sizes the dense per-link task/wire tables to the graph
-// (hosts and their access links can be added between runs).
-func (n *Network) growLinkSlices() {
+// resolveHops returns the hop table of a path, materializing the records of
+// the links it is the first to use. join calls it from serial context (a
+// barrier event when sharded), so window execution never mutates the link
+// tables. Every link of a validated path has a reverse (graph.ValidatePath
+// says so to whoever passes a path in); a path the resolver hands a
+// first-time joiner directly is checked here, so a link without one stops
+// the join that would use it instead of the first Response to come back.
+func (n *Network) resolveHops(path graph.Path) []hopRef {
 	if want := n.g.NumLinks(); len(n.links) < want {
+		// Hosts and their access links can be added between runs.
 		n.links = append(n.links, make([]*core.RouterLink, want-len(n.links))...)
-		n.wires = append(n.wires, make([]*sim.Wire, want-len(n.wires))...)
+		n.wires = append(n.wires, make([]*wireRec, want-len(n.wires))...)
 	}
-}
-
-// ensurePathTasks materializes the RouterLink tasks and wires a path uses.
-// Joins, migrations and rejoins call it from serial context (a barrier event
-// when sharded), so window execution never mutates the tables.
-func (n *Network) ensurePathTasks(path graph.Path) {
-	n.growLinkSlices()
+	hops := make([]hopRef, len(path))
+	// The ways back nobody has used yet come out of one allocation, in path
+	// order: a session's upstream packets cross them one after the other.
+	unused := 0
 	for _, l := range path {
-		n.routerLink(l)
-		n.wire(l)
-		if rev := n.g.Link(l).Reverse; rev != graph.NoLink {
-			n.wire(rev)
+		rev := n.g.LinkReverse(l)
+		if rev == graph.NoLink {
+			panic(fmt.Sprintf("network: join over link %d, which has no reverse", l))
+		}
+		if n.wires[rev] == nil {
+			unused++
 		}
 	}
+	bare := make([]wireRec, unused)
+	for i, l := range path {
+		// The task first: a link's wire then lands in the task's record.
+		hops[i].task = n.routerLink(l)
+		hops[i].fwd = n.wires[l]
+		rev := n.g.LinkReverse(l)
+		if n.wires[rev] == nil {
+			n.wires[rev] = n.initWire(&bare[0], n.g.Link(rev))
+			bare = bare[1:]
+		}
+		hops[i].rev = n.wires[rev]
+	}
+	return hops
 }
 
-// routerLink lazily creates the RouterLink task for a directed link. The
-// task executes on the link's From node.
+// routerLink returns the RouterLink task of a directed link, creating the
+// link's record at first use. The task executes on the link's From node.
 func (n *Network) routerLink(id graph.LinkID) *core.RouterLink {
-	n.growLinkSlices()
 	if rl := n.links[id]; rl != nil {
 		return rl
 	}
 	l := n.g.Link(id)
-	rl := core.NewRouterLink(core.LinkRef(id), l.Capacity, taskEmitter{n, l.From})
-	n.links[id] = rl
-	return rl
+	rec := new(linkRec)
+	w := n.initWire(&rec.wire, l)
+	rec.task.Init(core.LinkRef(id), l.Capacity, &w.port)
+	n.links[id] = &rec.task
+	if n.wires[id] == nil {
+		// Otherwise the link already served as somebody's way back and keeps
+		// that wire (and its backlog); the record's own then carries only
+		// the task's port.
+		n.wires[id] = w
+	}
+	return &rec.task
 }
 
-// wire lazily creates the simulator wire for a directed link. Both engines
-// key a wire's deliveries by the link's From node — the creator whose
-// execution sends the packet — which is what makes classic and sharded runs
-// byte-identical.
-func (n *Network) wire(id graph.LinkID) *sim.Wire {
-	n.growLinkSlices()
-	if w := n.wires[id]; w != nil {
-		return w
-	}
-	l := n.g.Link(id)
-	var sched sim.Sched
-	if n.she == nil {
-		sched = serialLinkSched{n.eng, int32(l.From), int32(l.To)}
-	} else {
-		sched = n.she.LinkSched(int32(l.From), int32(l.To))
-	}
-	w := sim.NewWire(sched, l.Propagation, n.txFor(l.Capacity))
-	n.wires[id] = w
+func (n *Network) initWire(w *wireRec, l graph.Link) *wireRec {
+	w.port = port{n: n, node: l.From, peer: l.To}
+	w.Init(&w.port, l.Propagation, n.txFor(l.Capacity))
 	return w
 }
-
-// serialLinkSched is the classic engine's counterpart of the sharded
-// engine's per-link scheduler: deliveries carry the sending node as their
-// creator, so the serial event order equals the sharded (time, creator,
-// creator sequence) order.
-type serialLinkSched struct {
-	eng  *sim.Engine
-	from int32
-	to   int32
-}
-
-func (ls serialLinkSched) Now() sim.Time { return ls.eng.Now() }
-
-// At keys the delivery by the sending node and stamps the receiving node as
-// the event's owner — the key (and so the default order) is unchanged; the
-// owner feeds the schedule explorer's independence relation.
-func (ls serialLinkSched) At(t sim.Time, f func()) { ls.eng.SendFromTo(ls.from, ls.to, t, f) }
 
 // txFor returns the per-packet transmission time on a link of the given
 // capacity: tx = bits / capacity, in seconds.

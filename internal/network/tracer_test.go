@@ -58,6 +58,18 @@ func TestOnPacketTracer(t *testing.T) {
 			t.Fatalf("join crossed %v, want path %v", joinLinks, path)
 		}
 	}
+	// The Response retraces the path over the reverse links, last link first.
+	var respLinks []graph.LinkID
+	for _, e := range events {
+		if e.typ == core.PktResponse {
+			respLinks = append(respLinks, e.link)
+		}
+	}
+	for i, l := range respLinks {
+		if want := g.LinkReverse(path[len(path)-1-i]); l != want {
+			t.Fatalf("response crossed %v, want the reverses of %v from the far end", respLinks, path)
+		}
+	}
 }
 
 func TestSettlingTime(t *testing.T) {

@@ -421,18 +421,6 @@ func (se *ShardedEngine) SendAt(from, to int32, t Time, fn func()) {
 	d.regular++
 }
 
-// LinkSched returns the wire scheduler for a directed link from→to: Now reads
-// the sending shard's clock, At crosses into the receiving node's shard.
-func (se *ShardedEngine) LinkSched(from, to int32) Sched { return linkSched{se, from, to} }
-
-type linkSched struct {
-	se       *ShardedEngine
-	from, to int32
-}
-
-func (ls linkSched) Now() Time           { return ls.se.NowAt(ls.from) }
-func (ls linkSched) At(t Time, f func()) { ls.se.SendAt(ls.from, ls.to, t, f) }
-
 // Stop makes the innermost Run/RunUntil return at the next event boundary
 // (shards finish their current window batch).
 func (se *ShardedEngine) Stop() { se.stopped.Store(true) }

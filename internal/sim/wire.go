@@ -33,7 +33,17 @@ type Sched interface {
 // NewWire returns a wire on the given scheduler with a propagation delay and
 // a per-packet transmission time (0 for an ideal link).
 func NewWire(eng Sched, propagation, txPerPacket time.Duration) *Wire {
-	return &Wire{eng: eng, prop: propagation, tx: txPerPacket}
+	w := new(Wire)
+	w.Init(eng, propagation, txPerPacket)
+	return w
+}
+
+// Init makes the zero Wire at w what NewWire returns, for a wire that lives
+// inside a larger per-link record. Passing a pointer into that same record
+// as eng keeps the wire and its scheduler adapter in one allocation (an
+// interface holding a pointer boxes nothing).
+func (w *Wire) Init(eng Sched, propagation, txPerPacket time.Duration) {
+	w.eng, w.prop, w.tx = eng, propagation, txPerPacket
 }
 
 // Send schedules deliver to run after the packet is serialized onto the wire
