@@ -47,11 +47,16 @@ test-full:
 # Between them the simulated transport's hop (internal/network): disjoint
 # chains with one session per link, in cache and out of it — ns/pkt is the
 # hop, allocs/pkt must stay at one record per link (≈ 0.17), whole runs again.
+# Last the validation oracle (internal/waterfill): one full solve on a reused
+# Solver and one instance assembly, on the three instance shapes the
+# repository's benchmark validates — one allocation per solve (the result),
+# none per assembly.
 bench:
 	$(GO) test -bench=SimEngine -benchmem -run='^$$' .
 	$(GO) test -bench='TableGet|RateSetChurn|ProbeCycle|Add|DivInt' -benchmem -run='^$$' ./internal/core ./internal/rate
 	$(GO) test -bench=ChainHop -benchtime=3x -benchmem -run='^$$' ./internal/network
 	$(GO) test -bench='LiveHop|LiveFanout|LiveEmit' -benchtime=3x -cpu 1,2 -benchmem -run='^$$' ./internal/live
+	$(GO) test -bench='Solve|Assemble' -benchmem -run='^$$' ./internal/waterfill
 
 # Full benchmark sweep, including the figure-shaped end-to-end runs.
 bench-full:

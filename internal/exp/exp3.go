@@ -116,9 +116,10 @@ type exp3Workload struct {
 	window  time.Duration
 	stays   []int // session indexes active at the end
 
-	mu      sync.Mutex                    // guards oracles (shared across protocol runs)
+	mu      sync.Mutex                    // guards oracles and asm (shared across protocol runs)
 	oracles map[time.Duration]*exp3Oracle // per sample instant (burst phase)
 	final   *exp3Oracle
+	asm     waterfill.Assembler[graph.LinkID]
 }
 
 // exp3Oracle is the max-min ground truth for one set of active sessions:
@@ -226,6 +227,7 @@ func buildExp3Workload(cfg Exp3Config) (*exp3Workload, error) {
 		return nil, err
 	}
 	w := &exp3Workload{topo: topo}
+	w.asm.Capacity = func(l graph.LinkID) rate.Rate { return topo.Graph.Link(l).Capacity }
 
 	// Place sessions directly (not via PlaceSessions: we need raw paths to
 	// reuse across protocols).
@@ -315,30 +317,16 @@ func buildExp3Workload(cfg Exp3Config) (*exp3Workload, error) {
 // indexes.
 func (w *exp3Workload) solveOracle(active []int) (*exp3Oracle, error) {
 	g := w.topo.Graph
-	linkIdx := make(map[graph.LinkID]int)
-	var inst waterfill.Instance
+	w.asm.Reset()
 	for _, i := range active {
-		ws := waterfill.Session{Demand: rate.Inf}
-		for _, l := range w.paths[i] {
-			li, ok := linkIdx[l]
-			if !ok {
-				li = len(inst.Capacity)
-				linkIdx[l] = li
-				inst.Capacity = append(inst.Capacity, g.Link(l).Capacity)
-			}
-			ws.Path = append(ws.Path, li)
-		}
-		inst.Sessions = append(inst.Sessions, ws)
+		w.asm.Add(rate.Inf, w.paths[i])
 	}
 	o := &exp3Oracle{
 		fair:     make(map[int]float64, len(active)),
 		fairLoad: make(map[graph.LinkID]float64),
 		crossers: make(map[graph.LinkID][]int),
 	}
-	if len(active) == 0 {
-		return o, nil
-	}
-	rates, err := waterfill.Solve(inst)
+	rates, err := w.asm.Solve()
 	if err != nil {
 		return nil, err
 	}

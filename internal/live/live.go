@@ -113,6 +113,14 @@ type Runtime struct {
 	// readers that do not hold mu) and never removed.
 	incs [emitDomains]incDomain
 	lnks [emitDomains]linkDomain
+
+	// oracle assembles and solves Validate's waterfill instance in scratch
+	// kept between calls; oracleIDs lists the instance's sessions by their
+	// current incarnation. oracleMu guards both and is taken before mu, so
+	// concurrent Validates queue up instead of sharing the scratch.
+	oracleMu  sync.Mutex
+	oracle    waterfill.Assembler[graph.LinkID]
+	oracleIDs []core.SessionID
 }
 
 // emitDomains is the stripe count of the striped tables. A power of two so
@@ -206,6 +214,7 @@ func New(g *graph.Graph) *Runtime {
 		nextID:   1,
 		activity: newActivityCounter(),
 	}
+	rt.oracle.Capacity = func(l graph.LinkID) rate.Rate { return g.Link(l).Capacity }
 	for i := range rt.incs {
 		rt.incs[i].m = make(map[core.SessionID]*incarnation)
 		rt.incs[i].rates = make(map[core.SessionID]rate.Rate)
@@ -881,14 +890,11 @@ var ErrStaleIncarnation = errors.New("live: departed-but-active incarnation (sta
 // therefore happens after every handler that has run, and this read after
 // it.
 func (rt *Runtime) Validate() error {
+	rt.oracleMu.Lock()
+	defer rt.oracleMu.Unlock()
 	rt.mu.Lock()
-	type entry struct {
-		s  *Session
-		id core.SessionID
-	}
-	var active []entry
-	linkIdx := make(map[graph.LinkID]int)
-	var inst waterfill.Instance
+	active := rt.oracleIDs[:0]
+	rt.oracle.Reset()
 	for _, s := range rt.order {
 		if !s.active || s.stranded {
 			continue
@@ -901,7 +907,6 @@ func (rt *Runtime) Validate() error {
 			rt.mu.Unlock()
 			return fmt.Errorf("live: session %d: %w", id, ErrStaleIncarnation)
 		}
-		ws := waterfill.Session{Demand: s.demand}
 		for _, l := range s.cur.path {
 			// Failures migrate every joined session off the link and Join
 			// routes around failed links, so this is a runtime bug.
@@ -910,17 +915,11 @@ func (rt *Runtime) Validate() error {
 				rt.mu.Unlock()
 				return fmt.Errorf("live: session %d is routed over failed link %d", id, l)
 			}
-			li, ok := linkIdx[l]
-			if !ok {
-				li = len(inst.Capacity)
-				linkIdx[l] = li
-				inst.Capacity = append(inst.Capacity, rt.g.Link(l).Capacity)
-			}
-			ws.Path = append(ws.Path, li)
 		}
-		inst.Sessions = append(inst.Sessions, ws)
-		active = append(active, entry{s, s.cur.id})
+		rt.oracle.Add(s.demand, s.cur.path)
+		active = append(active, s.cur.id)
 	}
+	rt.oracleIDs = active
 	tasks := make(map[graph.LinkID]*core.RouterLink)
 	for i := range rt.lnks {
 		d := &rt.lnks[i]
@@ -932,20 +931,17 @@ func (rt *Runtime) Validate() error {
 	}
 	rt.mu.Unlock()
 
-	if len(active) > 0 {
-		want, err := waterfill.Solve(inst)
-		if err != nil {
-			return fmt.Errorf("live: oracle failed: %w", err)
+	want, err := rt.oracle.Solve()
+	if err != nil {
+		return fmt.Errorf("live: oracle failed: %w", err)
+	}
+	for i, id := range active {
+		got, ok := rt.rateFor(id)
+		if !ok {
+			return fmt.Errorf("live: session %d has no rate after quiescence", id)
 		}
-		rates := rt.Rates()
-		for i, e := range active {
-			got, ok := rates[e.id]
-			if !ok {
-				return fmt.Errorf("live: session %d has no rate after quiescence", e.id)
-			}
-			if !got.Equal(want[i]) {
-				return fmt.Errorf("live: session %d rate %v, oracle %v", e.id, got, want[i])
-			}
+		if !got.Equal(want[i]) {
+			return fmt.Errorf("live: session %d rate %v, oracle %v", id, got, want[i])
 		}
 	}
 	for l, task := range tasks {

@@ -158,6 +158,21 @@ func TestLiveMatchesOracleOnTopology(t *testing.T) {
 			t.Fatalf("session %d rate = %v, oracle %v", i, got, want[i])
 		}
 	}
+
+	// Validate reaches the same verdict, also from several goroutines at
+	// once: they share the runtime's one kept assembler and solver.
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 5; k++ {
+				if err := rt.Validate(); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestLiveChurnStress(t *testing.T) {

@@ -228,28 +228,13 @@ type Network struct {
 	// repartition rebuilds the list whenever the partition moves.
 	cutLinks []graph.LinkID
 
-	// oracle holds the reusable scratch of Oracle/Validate: the waterfill
-	// instance, its link index and the flattened path arena survive between
-	// calls, so per-epoch validation of a churning run stops reallocating.
-	oracle oracleScratch
+	// oracle assembles and solves the waterfill instance of Oracle/Validate
+	// in scratch that survives between calls, so per-epoch validation of a
+	// churning run stops reallocating.
+	oracle waterfill.Assembler[graph.LinkID]
 	// incOracle is the delta-driven validation mirror (nil unless
 	// Config.IncrementalOracle / OracleCrossCheck is set).
 	incOracle *incOracle
-}
-
-type oracleScratch struct {
-	solver waterfill.Solver
-	// linkIdx maps LinkID → instance link index as a generation-stamped
-	// dense table (the PR 4 delivery-table pattern): an entry is valid only
-	// when linkStamp matches the current call's stamp, so resetting between
-	// calls is one counter increment instead of clearing a map of every
-	// link the previous epoch used.
-	linkIdx   []int32
-	linkStamp []uint32
-	stamp     uint32
-	inst      waterfill.Instance
-	pathBuf   []int
-	ids       []core.SessionID
 }
 
 // domain is the per-shard execution state: the shard's packet statistics,
@@ -376,7 +361,7 @@ func (n *Network) SpeculationStats() sim.SpeculationStats {
 }
 
 func newNetwork(g *graph.Graph, cfg Config) *Network {
-	return &Network{
+	n := &Network{
 		cfg:       cfg,
 		g:         g,
 		resolver:  graph.NewResolver(g, 256),
@@ -384,6 +369,8 @@ func newNetwork(g *graph.Graph, cfg Config) *Network {
 		nextID:    1,
 		incOracle: newIncOracle(cfg),
 	}
+	n.oracle.Capacity = func(l graph.LinkID) rate.Rate { return g.Link(l).Capacity }
+	return n
 }
 
 // HostPath returns a shortest path from host src to host dst, resolved by
@@ -963,85 +950,47 @@ func (n *Network) txFor(capacity rate.Rate) time.Duration {
 // (byte-identical, re-leveling only what churn touched since the last
 // epoch); otherwise the instance is assembled in (and solved with) reusable
 // scratch buffers, so per-epoch oracle validation of a long churning run
-// allocates only its result map.
+// allocates only its result.
 func (n *Network) Oracle() (map[core.SessionID]rate.Rate, error) {
-	if n.incOracle != nil {
-		return n.incrementalOracle()
-	}
-	sc := &n.oracle
-	// Grow the stamped link table to the graph (topology growth adds links),
-	// then open a fresh epoch: stamp mismatch invalidates every old entry.
-	for len(sc.linkIdx) < n.g.NumLinks() {
-		sc.linkIdx = append(sc.linkIdx, 0)
-		sc.linkStamp = append(sc.linkStamp, 0)
-	}
-	sc.stamp++
-	if sc.stamp == 0 { // wraparound: stale stamps could collide; clear once
-		for i := range sc.linkStamp {
-			sc.linkStamp[i] = 0
-		}
-		sc.stamp = 1
-	}
-	sc.inst.Capacity = sc.inst.Capacity[:0]
-	sc.inst.Sessions = sc.inst.Sessions[:0]
-	sc.ids = sc.ids[:0]
-	// Presize the path arena: sessions keep aliased subslices of it, so it
-	// must not reallocate while the instance is being assembled.
-	totalPath := 0
-	for _, id := range n.order {
-		if s := n.sessByID[id]; s.active {
-			totalPath += len(s.Path)
-		}
-	}
-	if cap(sc.pathBuf) < totalPath {
-		sc.pathBuf = make([]int, 0, totalPath)
-	}
-	buf := sc.pathBuf[:0]
-	for _, id := range n.order {
-		s := n.sessByID[id]
-		if !s.active {
-			continue
-		}
-		start := len(buf)
-		for _, l := range s.Path {
-			i := int(sc.linkIdx[l])
-			if sc.linkStamp[l] != sc.stamp {
-				i = len(sc.inst.Capacity)
-				sc.linkIdx[l] = int32(i)
-				sc.linkStamp[l] = sc.stamp
-				sc.inst.Capacity = append(sc.inst.Capacity, n.g.Link(l).Capacity)
-			}
-			buf = append(buf, i)
-		}
-		sc.inst.Sessions = append(sc.inst.Sessions, waterfill.Session{
-			Demand: s.src.Demand(),
-			Path:   buf[start:len(buf):len(buf)],
-		})
-		sc.ids = append(sc.ids, id)
-	}
-	sc.pathBuf = buf
-	if len(sc.ids) == 0 {
-		return map[core.SessionID]rate.Rate{}, nil
-	}
-	rates, err := sc.solver.Solve(sc.inst)
+	rates, err := n.oracleRates()
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[core.SessionID]rate.Rate, len(sc.ids))
-	for i, id := range sc.ids {
-		out[id] = rates[i]
+	out := make(map[core.SessionID]rate.Rate, len(rates))
+	k := 0
+	for _, id := range n.order {
+		if n.sessByID[id].active {
+			out[id] = rates[k]
+			k++
+		}
 	}
 	return out, nil
+}
+
+// oracleRates is Oracle without the map: one rate per active session, in
+// n.order order — what Validate walks.
+func (n *Network) oracleRates() ([]rate.Rate, error) {
+	if n.incOracle != nil {
+		return n.incrementalRates()
+	}
+	n.oracle.Reset()
+	for _, id := range n.order {
+		if s := n.sessByID[id]; s.active {
+			n.oracle.Add(s.src.Demand(), s.Path)
+		}
+	}
+	return n.oracle.Solve()
 }
 
 // Validate checks, after quiescence, that every active session holds exactly
 // its max-min fair rate (the paper validates every run this way), and that
 // every link task is stable per Definition 2 with consistent internal state.
 func (n *Network) Validate() error {
-	oracle, err := n.Oracle()
+	oracle, err := n.oracleRates()
 	if err != nil {
 		return fmt.Errorf("network: oracle failed: %w", err)
 	}
+	k := 0
 	for _, id := range n.order {
 		s := n.sessByID[id]
 		// No-stale-incarnation: once a lifetime departs it must never come
@@ -1060,7 +1009,8 @@ func (n *Network) Validate() error {
 		if !ok {
 			return fmt.Errorf("network: session %d has no rate after quiescence", id)
 		}
-		want := oracle[id]
+		want := oracle[k]
+		k++
 		if !got.Equal(want) {
 			return fmt.Errorf("network: session %d rate %v, oracle %v", id, got, want)
 		}

@@ -11,7 +11,6 @@
 package network
 
 import (
-	"bneck/internal/core"
 	"bneck/internal/graph"
 	"bneck/internal/rate"
 	"bneck/internal/waterfill"
@@ -137,21 +136,19 @@ func (n *Network) oracleRestore(l graph.LinkID) {
 	}
 }
 
-// incrementalOracle is the delta-driven body of Oracle: flush the pending
-// deltas (re-leveling the affected component) and read the rates off the
-// solver state.
-func (n *Network) incrementalOracle() (map[core.SessionID]rate.Rate, error) {
+// incrementalRates is the delta-driven body of oracleRates: flush the
+// pending deltas (re-leveling the affected component) and read the rates off
+// the solver state.
+func (n *Network) incrementalRates() ([]rate.Rate, error) {
 	o := n.incOracle
 	if err := o.inc.Flush(); err != nil {
 		return nil, err
 	}
-	out := make(map[core.SessionID]rate.Rate, o.inc.LiveSessions())
+	out := make([]rate.Rate, 0, o.inc.LiveSessions())
 	for _, id := range n.order {
-		s := n.sessByID[id]
-		if !s.active {
-			continue
+		if n.sessByID[id].active {
+			out = append(out, o.inc.Rate(int(o.sessOf[id])))
 		}
-		out[id] = o.inc.Rate(int(o.sessOf[id]))
 	}
 	return out, nil
 }

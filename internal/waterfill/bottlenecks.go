@@ -11,14 +11,7 @@ import "bneck/internal/rate"
 // limits this session?" — and also what the paper's R*_e / F*_e partition
 // formalizes.
 func Bottlenecks(in Instance, rates []rate.Rate) [][]int {
-	load := make([]rate.Rate, len(in.Capacity))
-	maxAt := make([]rate.Rate, len(in.Capacity))
-	for i, s := range in.Sessions {
-		for _, e := range s.Path {
-			load[e] = load[e].Add(rates[i])
-			maxAt[e] = rate.Max(maxAt[e], rates[i])
-		}
-	}
+	load, maxAt := linkLoads(in, rates)
 	out := make([][]int, len(in.Sessions))
 	for i, s := range in.Sessions {
 		for _, e := range s.Path {

@@ -73,25 +73,44 @@ func Solve(in Instance) ([]rate.Rate, error) {
 	return sv.Solve(in)
 }
 
-// Solver computes max-min fair rates with reusable scratch buffers: all the
-// per-link membership lists, counters and the virtual demand links live in
-// flat arrays that survive between calls, so solving one instance per
-// reconfiguration epoch allocates almost nothing after the first. The
-// zero value is ready to use. A Solver is not safe for concurrent use.
+// Solver computes max-min fair rates with reusable scratch buffers: the
+// per-link membership lists, the per-session link lists, the counters, the
+// virtual demand links and the heap live in flat arrays that survive between
+// calls, so solving one instance per reconfiguration epoch allocates almost
+// nothing after the first. The zero value is ready to use. A Solver is not
+// safe for concurrent use.
 type Solver struct {
-	capacity []rate.Rate // real + virtual (demand) link capacities
-	sumFe    []rate.Rate // per-link sum of fixed (assigned) rates
-	deg      []int32     // scratch: per-link member count during build
-	arena    []int32     // backing storage of all membership lists
-	members  [][]int32   // per-link unassigned sessions, slices of arena
-	live     []int32     // links still carrying unassigned sessions
-	nextLive []int32
+	resid    []rate.Rate // per-link Ce − ΣFe, real links then virtual (demand) ones
+	cnt      []int32     // per-link unassigned members, |Re|
+	off      []int32     // link e's members are arena[off[e]:off[e+1]]
+	arena    []int32     // member sessions of every link, by link
+	soff     []int32     // session s's links are spath[soff[s]:soff[s+1]]
+	spath    []int32     // distinct links of every session, its virtual one last
+	seen     []int32     // per-link 1 + the last session listed on it: paths are sets
+	dirty    []bool      // per-link: resid/cnt moved since the heap key was computed
+	heap     []linkShare
 	assigned []bool
-	be       []rate.Rate // scratch: per-live-link fair share this round
+}
+
+// linkShare is a heap entry: a link and its fair share Be = (Ce − ΣFe)/|Re|
+// as of the last time it was computed.
+type linkShare struct {
+	be   rate.Rate
+	link int32
 }
 
 // Solve computes the max-min fair rate of every session. The returned slice
 // is freshly allocated; everything else is drawn from the Solver's scratch.
+//
+// It is Figure 1 run one link at a time: a min-heap of the links carrying
+// unassigned sessions, keyed by fair share. The minimum link's unassigned
+// members X are restricted at its share B; each moves from Re to Fe on the
+// other links of its path, which only marks those links dirty. A dirty
+// link's key is recomputed when it reaches the top and not before: with
+// B ≤ Be, (Ce − ΣFe − B)/(|Re| − 1) ≥ Be, so a surviving link's share never
+// falls, a stale key is a lower bound, and a clean top is the true minimum.
+// Links of one level come out one after the other at the same B, which is
+// Figure 1's L' taken in turns.
 func (sv *Solver) Solve(in Instance) ([]rate.Rate, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -102,137 +121,150 @@ func (sv *Solver) Solve(in Instance) ([]rate.Rate, error) {
 		return lambda, nil
 	}
 
-	// Expand bounded demands into virtual private links (the paper's
-	// D_s = min(C_e, r_s) trick) without materializing expanded sessions:
-	// a virtual link's membership is exactly its one session.
-	sv.capacity = append(sv.capacity[:0], in.Capacity...)
-	total := 0
+	// Bounded demands become virtual private links (the paper's
+	// D_s = min(C_e, r_s) trick), numbered after the real ones. One pass
+	// lists every session's distinct links and counts every link's members.
+	nReal := len(in.Capacity)
+	sv.resid = append(sv.resid[:0], in.Capacity...)
+	sv.soff = grow(sv.soff, nS+1)
+	total := nS
 	for _, s := range in.Sessions {
 		total += len(s.Path)
-		if !s.Demand.IsInf() {
-			sv.capacity = append(sv.capacity, s.Demand)
-			total++
-		}
 	}
-	nL := len(sv.capacity)
-
-	sv.sumFe = grow(sv.sumFe, nL)
-	sv.deg = grow(sv.deg, nL)
-	sv.assigned = grow(sv.assigned, nS)
-	sv.members = grow(sv.members, nL)
-	if cap(sv.arena) < total {
-		sv.arena = make([]int32, total)
-	}
-	arena := sv.arena[:total]
-
-	// Two passes: count degrees, then carve the arena into per-link lists.
-	for e := 0; e < nL; e++ {
-		sv.deg[e] = 0
-	}
-	virtDeg := len(in.Capacity)
-	for _, s := range in.Sessions {
-		for _, e := range s.Path {
-			sv.deg[e]++
-		}
-		if !s.Demand.IsInf() {
-			sv.deg[virtDeg] = 1
-			virtDeg++
-		}
-	}
-	off := 0
-	for e := 0; e < nL; e++ {
-		sv.members[e] = arena[off : off : off+int(sv.deg[e])]
-		off += int(sv.deg[e])
-	}
-	virt := len(in.Capacity)
+	sv.spath = grow(sv.spath, total)[:0]
+	sv.seen = grow(sv.seen, nReal)
+	clear(sv.seen)
+	sv.cnt = grow(sv.cnt, nReal)
+	clear(sv.cnt)
 	for i, s := range in.Sessions {
+		sv.soff[i] = int32(len(sv.spath))
 		for _, e := range s.Path {
-			// Membership is a set, like the map-based R_e it replaces: a
-			// path crossing the same link twice still counts once. Sessions
-			// are added in index order, so a duplicate is always the list's
-			// current last element.
-			if n := len(sv.members[e]); n > 0 && sv.members[e][n-1] == int32(i) {
+			// Membership is a set, like the R_e of Figure 1: a path crossing
+			// the same link twice still counts once.
+			if sv.seen[e] == int32(i)+1 {
 				continue
 			}
-			sv.members[e] = append(sv.members[e], int32(i))
+			sv.seen[e] = int32(i) + 1
+			sv.cnt[e]++
+			sv.spath = append(sv.spath, int32(e))
 		}
 		if !s.Demand.IsInf() {
-			sv.members[virt] = append(sv.members[virt], int32(i))
-			virt++
+			sv.spath = append(sv.spath, int32(len(sv.resid)))
+			sv.resid = append(sv.resid, s.Demand)
+			sv.cnt = append(sv.cnt, 1)
 		}
 	}
+	sv.soff[nS] = int32(len(sv.spath))
+	nL := len(sv.resid)
 
-	sv.live = sv.live[:0]
+	// Carve the arena into per-link member lists, using cnt as the fill
+	// cursor: it is back at the member count when the lists are full.
+	sv.off = grow(sv.off, nL+1)
+	sv.off[0] = 0
 	for e := 0; e < nL; e++ {
-		sv.sumFe[e] = rate.Zero
-		if len(sv.members[e]) > 0 {
-			sv.live = append(sv.live, int32(e))
-		}
+		sv.off[e+1] = sv.off[e] + sv.cnt[e]
+		sv.cnt[e] = 0
 	}
-	for i := range sv.assigned {
-		sv.assigned[i] = false
+	sv.arena = grow(sv.arena, len(sv.spath))
+	for i := 0; i < nS; i++ {
+		for _, e := range sv.spath[sv.soff[i]:sv.soff[i+1]] {
+			sv.arena[sv.off[e]+sv.cnt[e]] = int32(i)
+			sv.cnt[e]++
+		}
 	}
 
-	live := sv.live
-	for len(live) > 0 {
-		// B ← min over live links of Be = (Ce − ΣFe)/|Re|. Each share is
-		// kept for the argmin pass below — rational arithmetic dominates the
-		// round, so computing every Be once instead of twice halves it.
-		sv.be = grow(sv.be, len(live))
-		var b rate.Rate
-		for i, e := range live {
-			be := sv.capacity[e].Sub(sv.sumFe[e]).DivInt(len(sv.members[e]))
-			sv.be[i] = be
-			if i == 0 || be.Less(b) {
-				b = be
-			}
+	sv.dirty = grow(sv.dirty, nL)
+	sv.assigned = grow(sv.assigned, nS)
+	clear(sv.dirty)
+	clear(sv.assigned)
+	h := grow(sv.heap, nL)[:0]
+	for e := 0; e < nL; e++ {
+		if sv.cnt[e] > 0 {
+			h = append(h, linkShare{sv.resid[e].DivInt(int(sv.cnt[e])), int32(e)})
 		}
-		// L' = argmin links; their members X are restricted at rate B.
-		for i, e := range live {
-			if sv.be[i].Equal(b) {
-				for _, s := range sv.members[e] {
-					if !sv.assigned[s] {
-						lambda[s] = b
-						sv.assigned[s] = true
-					}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+
+	remaining := nS
+	level := h[0].be // no key is below the initial minimum, stale or fresh
+	for remaining > 0 && len(h) > 0 {
+		e, b := h[0].link, h[0].be
+		if sv.cnt[e] > 0 && sv.dirty[e] {
+			h[0].be = sv.resid[e].DivInt(int(sv.cnt[e]))
+			sv.dirty[e] = false
+			siftDown(h, 0)
+			continue
+		}
+		h[0] = h[len(h)-1]
+		h = h[:len(h)-1]
+		siftDown(h, 0)
+		if sv.cnt[e] == 0 {
+			continue // every member was restricted elsewhere first
+		}
+		if b.Less(level) {
+			return nil, fmt.Errorf("waterfill: level fell from %v to %v at link %d", level, b, e)
+		}
+		level = b
+		if b.IsInf() {
+			// Every link still carrying an unassigned session is unlimited,
+			// and so is every such session. Taking ∞ out of their residuals
+			// would compute ∞ − ∞.
+			for s := range lambda {
+				if !sv.assigned[s] {
+					lambda[s] = rate.Inf
 				}
-				sv.members[e] = sv.members[e][:0] // drop L' from the live set
 			}
+			remaining = 0
+			break
 		}
-		// Surviving links move this round's X members from Re to Fe: compact
-		// each list in place, crediting every removal at its (just assigned)
-		// rate B. Links left without members leave the live set.
-		sv.nextLive = sv.nextLive[:0]
-		for _, e := range live {
-			m := sv.members[e]
-			if len(m) == 0 {
+		// e is L', its unassigned members are X: restricted at B, and moved
+		// from Re to Fe on every other link they cross.
+		for _, s := range sv.arena[sv.off[e]:sv.off[e+1]] {
+			if sv.assigned[s] {
 				continue
 			}
-			kept := m[:0]
-			for _, s := range m {
-				if sv.assigned[s] {
-					sv.sumFe[e] = sv.sumFe[e].Add(b)
-				} else {
-					kept = append(kept, s)
+			sv.assigned[s] = true
+			lambda[s] = b
+			remaining--
+			for _, x := range sv.spath[sv.soff[s]:sv.soff[s+1]] {
+				if x == e {
+					continue
+				}
+				// A link left without members needs no residual any more.
+				if sv.cnt[x]--; sv.cnt[x] > 0 {
+					sv.resid[x] = sv.resid[x].Sub(b)
+					sv.dirty[x] = true
 				}
 			}
-			sv.members[e] = kept
-			if len(kept) > 0 {
-				sv.nextLive = append(sv.nextLive, e)
-			}
 		}
-		live, sv.nextLive = sv.nextLive, live
+		sv.cnt[e] = 0
 	}
-	// live and sv.nextLive hold the two distinct scratch arrays after the
-	// final swap; re-home the one the loop variable ended up with.
-	sv.live = live
-
-	for i := 0; i < nS; i++ {
-		if !sv.assigned[i] {
-			return nil, fmt.Errorf("waterfill: session %d left unassigned", i)
-		}
+	sv.heap = h[:0]
+	if remaining > 0 {
+		return nil, fmt.Errorf("waterfill: %d sessions left unassigned", remaining)
 	}
 	return lambda, nil
+}
+
+// siftDown restores the min-heap order below h[i]. It is the only heap
+// operation there is: nothing is ever inserted and keys only grow.
+func siftDown(h []linkShare, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].be.Less(h[c].be) {
+			c++
+		}
+		if !h[c].be.Less(h[i].be) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // grow returns s resized to n elements, reusing its backing array when big
@@ -286,6 +318,16 @@ func WaterFilling(in Instance) ([]rate.Rate, error) {
 		if bestLink == -1 {
 			return nil, fmt.Errorf("waterfill: %d sessions unconstrained by any link", remaining)
 		}
+		if bestShare.IsInf() {
+			// No link constrains what is left; charging ∞ to the other links
+			// would make their next share ∞ − ∞.
+			for s := range lambda {
+				if !fixed[s] {
+					lambda[s] = rate.Inf
+				}
+			}
+			break
+		}
 		// Fix the sessions crossing it at the fair share, in session order:
 		// every crosser receives the same share, but iterating the map
 		// directly would mutate it mid-range and make the update order
@@ -300,6 +342,9 @@ func WaterFilling(in Instance) ([]rate.Rate, error) {
 			fixed[s] = true
 			remaining--
 			for _, e := range ex.Sessions[s].Path {
+				if _, member := active[e][s]; !member {
+					continue // a path crossing e twice leaves it once
+				}
 				delete(active[e], s)
 				if e != bestLink {
 					used[e] = used[e].Add(bestShare)
@@ -320,8 +365,6 @@ func Verify(in Instance, rates []rate.Rate) error {
 	if len(rates) != len(in.Sessions) {
 		return fmt.Errorf("waterfill: %d rates for %d sessions", len(rates), len(in.Sessions))
 	}
-	load := make([]rate.Rate, len(in.Capacity))
-	maxAt := make([]rate.Rate, len(in.Capacity))
 	for i, s := range in.Sessions {
 		if rates[i].Sign() <= 0 {
 			return fmt.Errorf("session %d has non-positive rate %v", i, rates[i])
@@ -329,11 +372,8 @@ func Verify(in Instance, rates []rate.Rate) error {
 		if rates[i].Greater(s.Demand) {
 			return fmt.Errorf("session %d rate %v exceeds demand %v", i, rates[i], s.Demand)
 		}
-		for _, e := range s.Path {
-			load[e] = load[e].Add(rates[i])
-			maxAt[e] = rate.Max(maxAt[e], rates[i])
-		}
 	}
+	load, maxAt := linkLoads(in, rates)
 	for e, c := range in.Capacity {
 		if load[e].Greater(c) {
 			return fmt.Errorf("link %d oversubscribed: %v > %v", e, load[e], c)
@@ -356,4 +396,24 @@ func Verify(in Instance, rates []rate.Rate) error {
 		}
 	}
 	return nil
+}
+
+// linkLoads returns, per link, the sum and the maximum of the rates of the
+// sessions crossing it. S_e is a set: a path crossing a link twice loads it
+// once, as in Solve.
+func linkLoads(in Instance, rates []rate.Rate) (load, maxAt []rate.Rate) {
+	load = make([]rate.Rate, len(in.Capacity))
+	maxAt = make([]rate.Rate, len(in.Capacity))
+	seen := make([]int, len(in.Capacity)) // 1 + the last session counted on the link
+	for i, s := range in.Sessions {
+		for _, e := range s.Path {
+			if seen[e] == i+1 {
+				continue
+			}
+			seen[e] = i + 1
+			load[e] = load[e].Add(rates[i])
+			maxAt[e] = rate.Max(maxAt[e], rates[i])
+		}
+	}
+	return load, maxAt
 }

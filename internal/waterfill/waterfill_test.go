@@ -11,23 +11,7 @@ func mbps(v int64) rate.Rate { return rate.Mbps(v) }
 
 func solveBoth(t *testing.T, in Instance) []rate.Rate {
 	t.Helper()
-	a, err := Solve(in)
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
-	b, err := WaterFilling(in)
-	if err != nil {
-		t.Fatalf("WaterFilling: %v", err)
-	}
-	for i := range a {
-		if !a[i].Equal(b[i]) {
-			t.Fatalf("Solve and WaterFilling disagree on session %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-	if err := Verify(in, a); err != nil {
-		t.Fatalf("Verify: %v", err)
-	}
-	return a
+	return checkSolve(t, new(Solver), in)
 }
 
 func TestSingleSession(t *testing.T) {
@@ -207,53 +191,123 @@ func TestVerifyCatchesWrongRates(t *testing.T) {
 	}
 }
 
-// randomInstance builds a random instance over a random set of links.
-func randomInstance(r *rand.Rand) Instance {
-	nLinks := 2 + r.Intn(10)
-	nSessions := 1 + r.Intn(20)
-	in := Instance{Capacity: make([]rate.Rate, nLinks)}
-	for e := range in.Capacity {
-		in.Capacity[e] = rate.FromInt64(int64(1+r.Intn(1000)) * 1000)
+// instanceFromBytes decodes an instance from arbitrary bytes; FuzzSolve and
+// randomInstance share it. Capacities and demands come from small palettes so
+// that the cases progressive filling has to get right are common, not lucky:
+// several links at one level, a demand equal to a link's share, paths
+// crossing a link twice, thirds and sevenths of numbers wide enough that the
+// shares leave rate's int64 path, and unlimited links.
+func instanceFromBytes(data []byte) Instance {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
 	}
-	for s := 0; s < nSessions; s++ {
-		pathLen := 1 + r.Intn(4)
-		if pathLen > nLinks {
-			pathLen = nLinks
+	first := next()
+	in := Instance{Capacity: make([]rate.Rate, 1+first%10)}
+	scale := int64(1)
+	if first >= 192 {
+		scale = 100_000_000_000_031 // sums of thirds and sevenths of these overflow int64
+	}
+	for e := range in.Capacity {
+		c := next()
+		base := int64(1+c%6) * 6000 * scale
+		switch c / 6 % 8 {
+		case 0, 1, 2:
+			in.Capacity[e] = rate.FromInt64(base)
+		case 3, 4:
+			in.Capacity[e] = rate.FromFrac(base, 3)
+		case 5, 6:
+			in.Capacity[e] = rate.FromFrac(base, 7)
+		case 7:
+			in.Capacity[e] = rate.Inf
 		}
-		perm := r.Perm(nLinks)
-		path := perm[:pathLen]
+	}
+	for len(data) > 0 && len(in.Sessions) < 24 {
+		d := next()
 		demand := rate.Inf
-		if r.Intn(3) == 0 {
-			demand = rate.FromInt64(int64(1+r.Intn(500)) * 1000)
+		if d%3 == 0 {
+			demand = rate.FromFrac(int64(1+d/3%6)*1000*scale, int64(1+d/18%3))
 		}
-		in.Sessions = append(in.Sessions, Session{Demand: demand, Path: append([]int(nil), path...)})
+		path := make([]int, 1+next()%5)
+		for k := range path {
+			path[k] = next() % len(in.Capacity)
+		}
+		in.Sessions = append(in.Sessions, Session{Demand: demand, Path: path})
 	}
 	return in
 }
 
-// TestPropRandomInstances: on random instances, Solve and WaterFilling agree
-// and the result passes Verify (which encodes Definition 1).
-func TestPropRandomInstances(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for i := 0; i < 500; i++ {
-		in := randomInstance(r)
-		a, err := Solve(in)
-		if err != nil {
-			t.Fatalf("iter %d: Solve: %v", i, err)
-		}
-		b, err := WaterFilling(in)
-		if err != nil {
-			t.Fatalf("iter %d: WaterFilling: %v", i, err)
-		}
-		for s := range a {
-			if !a[s].Equal(b[s]) {
-				t.Fatalf("iter %d: session %d: Solve %v != WaterFilling %v", i, s, a[s], b[s])
-			}
-		}
-		if err := Verify(in, a); err != nil {
-			t.Fatalf("iter %d: Verify: %v", i, err)
+// randomInstance builds a random instance over a random set of links.
+func randomInstance(r *rand.Rand) Instance {
+	data := make([]byte, 4+r.Intn(120))
+	r.Read(data)
+	return instanceFromBytes(data)
+}
+
+// checkSolve asserts what every instance must satisfy: Solve agrees with
+// WaterFilling value for value, and the result passes Verify (which encodes
+// Definition 1). Solve itself fails if a link ever comes off its heap below
+// the level before it, so a nil error is also the monotonicity of levels
+// that reading stale keys as lower bounds rests on.
+func checkSolve(t *testing.T, sv *Solver, in Instance) []rate.Rate {
+	t.Helper()
+	a, err := sv.Solve(in)
+	if err != nil {
+		t.Fatalf("Solve: %v\n%+v", err, in)
+	}
+	b, err := WaterFilling(in)
+	if err != nil {
+		t.Fatalf("WaterFilling: %v\n%+v", err, in)
+	}
+	for s := range a {
+		if !a[s].Equal(b[s]) {
+			t.Fatalf("session %d: Solve %v != WaterFilling %v\n%+v", s, a[s], b[s], in)
 		}
 	}
+	if err := Verify(in, a); err != nil {
+		t.Fatalf("Verify: %v\n%+v", err, in)
+	}
+	return a
+}
+
+// TestPropRandomInstances: on random instances, Solve and WaterFilling agree
+// and the result passes Verify, on a fresh Solver and on one reused across
+// all of them alike.
+func TestPropRandomInstances(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	var reused Solver
+	for i := 0; i < 2000; i++ {
+		in := randomInstance(r)
+		a := checkSolve(t, new(Solver), in)
+		b := checkSolve(t, &reused, in)
+		for s := range a {
+			if !a[s].Equal(b[s]) {
+				t.Fatalf("iter %d: session %d: fresh Solver %v, reused %v", i, s, a[s], b[s])
+			}
+		}
+	}
+}
+
+// FuzzSolve is TestPropRandomInstances over fuzzed bytes; tier-1 replays the
+// seed corpus.
+func FuzzSolve(f *testing.F) {
+	f.Add([]byte{})
+	// Two 6000 links, a session on both and one on each: one level, two links.
+	f.Add([]byte{1, 0, 0, 1, 1, 0, 1, 1, 0, 0, 1, 0, 1})
+	// 18000 over three sessions, one demanding exactly the share.
+	f.Add([]byte{0, 2, 15, 0, 0, 1, 0, 0, 1, 0, 0})
+	// Two unlimited links and a 6000 one: a session on all three, one on the
+	// unlimited pair, one on the second unlimited link alone.
+	f.Add([]byte{2, 42, 42, 0, 1, 1, 0, 1, 1, 2, 0, 1, 2, 1, 0, 1})
+	// Wide thirds and sevenths, paths with repeats, a finite demand.
+	f.Add([]byte{192, 19, 32, 0, 1, 2, 0, 1, 0, 1, 1, 1, 2, 3, 1, 2, 2, 1, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkSolve(t, new(Solver), instanceFromBytes(data))
+	})
 }
 
 // TestPropMaxMinUniqueUnderPerturbation: lowering any session below its
@@ -271,6 +325,9 @@ func TestPropVerifyRejectsPerturbations(t *testing.T) {
 			continue
 		}
 		j := r.Intn(len(rates))
+		if rates[j].IsInf() {
+			continue
+		}
 		perturbed := append([]rate.Rate(nil), rates...)
 		delta := rates[j].DivInt(10)
 		if delta.IsZero() {
@@ -335,19 +392,39 @@ func TestSolverReuseStable(t *testing.T) {
 	}
 	for round := 0; round < 3; round++ {
 		for _, in := range []Instance{big, small} {
-			got, err := sv.Solve(in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := WaterFilling(in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range got {
-				if !got[i].Equal(want[i]) {
-					t.Fatalf("round %d session %d: Solve %v, WaterFilling %v", round, i, got[i], want[i])
-				}
-			}
+			checkSolve(t, &sv, in)
 		}
+	}
+	// Shrink, then grow past every size seen so far: each scratch array is
+	// reused short, then reallocated, with the previous solve's contents in it.
+	r := rand.New(rand.NewSource(17))
+	for _, size := range []int{120, 8, 40, 4, 200, 12, 400} {
+		data := make([]byte, size)
+		r.Read(data)
+		checkSolve(t, &sv, instanceFromBytes(data))
+	}
+}
+
+// TestSolveInfiniteCapacity: graph allows unlimited links. Once a link comes
+// off the heap at ∞ nothing restricts what is left, and crediting ∞ to the
+// other links of its members would make their next share ∞ − ∞.
+func TestSolveInfiniteCapacity(t *testing.T) {
+	in := Instance{
+		Capacity: []rate.Rate{rate.Inf, rate.Inf, mbps(10)},
+		Sessions: []Session{
+			{Demand: rate.Inf, Path: []int{0, 1}},
+			{Demand: rate.Inf, Path: []int{0, 1, 2}},
+		},
+	}
+	got := solveBoth(t, in)
+	if !got[0].IsInf() || !got[1].Equal(mbps(10)) {
+		t.Fatalf("rates %v, want [inf 10mbps]", got)
+	}
+	// A third session on the second unlimited link alone: that link outlives
+	// the first one's members.
+	in.Sessions = append(in.Sessions, Session{Demand: rate.Inf, Path: []int{1}})
+	got = solveBoth(t, in)
+	if !got[0].IsInf() || !got[1].Equal(mbps(10)) || !got[2].IsInf() {
+		t.Fatalf("rates %v, want [inf 10mbps inf]", got)
 	}
 }
