@@ -1,16 +1,10 @@
 # Development and CI entry points. `make check` is the PR gate; `make bench`
-# captures the perf trajectory of the simulator hot path per PR, and
-# `make bench-json` snapshots it as BENCH_PR<n>.json — a committed artifact
-# per PR, so the perf trajectory (engine scheduling, protocol throughput,
-# sharded-engine scaling on LAN and WAN) accumulates in the repository. Override the output with BENCH_OUT=... (CI also
-# uploads it).
+# runs the micro-benchmarks that sit next to the code, and `make benchmark`
+# runs the repository's end-to-end benchmark (benchmark/, BENCHMARK.json).
 
 GO ?= go
-# Bump per PR (BENCH_PR5.json, …) — or pass BENCH_OUT=… — so snapshots
-# accumulate instead of overwriting the previous PR's committed artifact.
-BENCH_OUT ?= BENCH_PR10.json
 
-.PHONY: check vet lint build test test-full bench bench-full bench-json benchmark benchmark-check fmt docs-check mc-smoke
+.PHONY: check vet lint build test test-full bench benchmark benchmark-check fmt docs-check mc-smoke
 
 check: vet lint build test bench benchmark-check
 
@@ -52,32 +46,11 @@ test-full:
 # repository's benchmark validates — one allocation per solve (the result),
 # none per assembly.
 bench:
-	$(GO) test -bench=SimEngine -benchmem -run='^$$' .
+	$(GO) test -bench=SimEngine -benchmem -run='^$$' ./internal/sim
 	$(GO) test -bench='TableGet|RateSetChurn|ProbeCycle|Add|DivInt' -benchmem -run='^$$' ./internal/core ./internal/rate
 	$(GO) test -bench=ChainHop -benchtime=3x -benchmem -run='^$$' ./internal/network
 	$(GO) test -bench='LiveHop|LiveFanout|LiveEmit' -benchtime=3x -cpu 1,2 -benchmem -run='^$$' ./internal/live
 	$(GO) test -bench='Solve|Assemble' -benchmem -run='^$$' ./internal/waterfill
-
-# Full benchmark sweep, including the figure-shaped end-to-end runs.
-bench-full:
-	$(GO) test -bench=. -benchmem -run='^$$' .
-
-# Machine-readable perf snapshot: engine scheduling, protocol throughput,
-# the dynamic-topology reconfiguration benchmark, the sharded-engine scaling
-# sweep (classic vs 1/2/4 shards, LAN and WAN), the internet-topology ladder
-# (paper/metro/internet rungs at 1 vs 8 shards) and the oracle
-# churn-validation sweep (full re-solve vs the incremental mirror at every
-# ladder rung), as $(BENCH_OUT). The
-# micro-benchmarks run at the default benchtime; the end-to-end sweeps pin
-# a fixed iteration count so the snapshot costs minutes, not hours — the
-# ladder's 10k-router rungs run exactly once each.
-bench-json:
-	@tmp=$$(mktemp); \
-	{ $(GO) test -bench=SimEngine -benchmem -run='^$$' . > $$tmp && \
-	  $(GO) test -bench='ProtocolThroughput|Reconfiguration|ShardedEngine' -benchtime=3x -benchmem -run='^$$' . >> $$tmp && \
-	  $(GO) test -bench='InternetLadder|OracleChurn' -benchtime=1x -benchmem -timeout=30m -run='^$$' . >> $$tmp && \
-	  $(GO) run ./cmd/benchjson -out $(BENCH_OUT) < $$tmp; }; \
-	status=$$?; rm -f $$tmp; exit $$status
 
 # The repository's benchmark (benchmark/README.md, BENCHMARK.json): one full
 # set, four workloads × five repetitions, about a minute. It is a module of

@@ -229,28 +229,6 @@ func BenchmarkRateArithmetic(b *testing.B) {
 	})
 }
 
-func BenchmarkSimEngine(b *testing.B) {
-	b.Run("ScheduleExecute", func(b *testing.B) {
-		eng := sim.New()
-		fn := func() {}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			eng.After(time.Microsecond, fn)
-			eng.Step()
-		}
-	})
-	b.Run("WireSend", func(b *testing.B) {
-		eng := sim.New()
-		w := sim.NewWire(eng, time.Microsecond, 100*time.Nanosecond)
-		fn := func() {}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			w.Send(fn)
-			eng.Step()
-		}
-	})
-}
-
 // BenchmarkReconfiguration measures the cost of one topology-event epoch —
 // fail an in-use link, migrate the crossing sessions, re-converge, restore —
 // on a loaded Small/LAN network (the Experiment 4 shape). The custom metrics
@@ -287,175 +265,34 @@ func BenchmarkReconfiguration(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedEngine measures single-run scaling of the sharded
-// simulator on a paper-sized Experiment 4 shape over the Medium transit-stub
-// topology, under both propagation models: the WAN cells' millisecond link
-// delays give the engine large conservative windows, while the LAN cells'
-// uniform 1 µs delays are the hard case — their windows come almost entirely
-// from the transmission-aware lookahead, and window batching amortizes the
-// per-window synchronization. The classic serial engine (shards=0) is the
-// baseline; outputs are byte-identical at every setting, so the pkts/sec
-// ratios are pure engine overhead/speedup (on a single-core machine the
-// engine executes windows inline, so shards=4 measures sharding overhead
-// with zero goroutine parallelism). Multi-shard cells run twice, spec=off
-// and spec=on, measuring optimistic window execution (DESIGN.md §13) on
-// the churn workload; the Quiesce cells isolate its target regime — a join
-// storm followed by one long convergence tail, no churn at all — and also
-// report the attempt/commit/replay counters.
-func BenchmarkShardedEngine(b *testing.B) {
-	for _, scen := range []topology.Scenario{topology.WAN, topology.LAN} {
-		for _, shards := range []int{0, 1, 2, 4} {
-			specs := []bool{false}
-			if shards >= 2 {
-				specs = append(specs, true)
-			}
-			for _, spec := range specs {
-				name := "Exp4/Medium/" + scen.String() + "/shards=" + itoa(shards)
-				if shards >= 2 {
-					name += "/spec=" + onOff(spec)
-				}
-				b.Run(name, func(b *testing.B) {
-					cfg := exp.DefaultExp4()
-					cfg.Sizes = []topology.Params{topology.Medium}
-					cfg.Scenarios = []topology.Scenario{scen}
-					cfg.Sessions = 2000
-					cfg.Epochs = 6
-					cfg.Churn = 100
-					cfg.Validate = false
-					cfg.Shards = shards
-					cfg.Speculate = spec
-					var packets uint64
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						cfg.Seeds = []int64{int64(i + 1)}
-						rows, err := exp.RunExperiment4(cfg)
-						if err != nil {
-							b.Fatal(err)
-						}
-						for _, r := range rows {
-							packets += r.Packets
-						}
-					}
-					b.ReportMetric(float64(packets)/b.Elapsed().Seconds(), "pkts/sec")
-				})
-			}
-		}
-	}
-	for _, shards := range []int{0, 4} {
-		specs := []bool{false}
-		if shards >= 2 {
-			specs = append(specs, true)
-		}
-		for _, spec := range specs {
-			name := "Quiesce/Medium/WAN/shards=" + itoa(shards)
-			if shards >= 2 {
-				name += "/spec=" + onOff(spec)
-			}
-			b.Run(name, func(b *testing.B) {
-				benchQuiesce(b, shards, spec)
-			})
-		}
-	}
-}
-
-// benchQuiesce drives the speculation target workload directly through the
-// transport: 2000 sessions join a Medium/WAN network within a millisecond
-// and the run is a single convergence to quiescence — sparse cascades whose
-// every conservative lookahead window costs a coordinator round the
-// optimistic engine can cover many of at once.
-func benchQuiesce(b *testing.B, shards int, spec bool) {
-	var packets uint64
-	var stats sim.SpeculationStats
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		topo, err := topology.Generate(topology.Medium, topology.WAN, int64(i+1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg := network.DefaultConfig()
-		cfg.Speculate = spec
-		var net *network.Network
-		if shards >= 1 {
-			net = network.NewSharded(topo.Graph, sim.NewSharded(shards), cfg)
-		} else {
-			net = network.New(topo.Graph, sim.New(), cfg)
-		}
-		const sessions = 2000
-		ss, err := exp.PlaceSessions(topo, net, sessions)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(int64(i + 8)))
-		demand := trace.MixedDemands(0.25, 1, 100)
-		for _, ev := range trace.Joins(0, sessions, 0, time.Millisecond, demand, rng) {
-			net.ScheduleJoin(ss[ev.Session], ev.At, ev.Demand)
-		}
-		b.StartTimer()
-		net.Run()
-		b.StopTimer()
-		packets += net.Stats().Total()
-		st := net.SpeculationStats()
-		stats.Attempts += st.Attempts
-		stats.Commits += st.Commits
-		stats.Replays += st.Replays
-		stats.Events += st.Events
-		b.StartTimer()
-	}
-	b.ReportMetric(float64(packets)/b.Elapsed().Seconds(), "pkts/sec")
-	if spec {
-		n := float64(b.N)
-		b.ReportMetric(float64(stats.Attempts)/n, "spec_attempts/run")
-		b.ReportMetric(float64(stats.Commits)/n, "spec_commits/run")
-		b.ReportMetric(float64(stats.Replays)/n, "spec_replays/run")
-		b.ReportMetric(float64(stats.Events)/n, "spec_events/run")
-	}
-}
-
 // BenchmarkInternetLadder climbs the three-rung topology ladder — Paper
 // (~40 routers), Metro (~1k), Internet (~10k) — on the hierarchical
 // internet-scale generator, measuring a join burst to quiescence at each
-// rung (the exp.RunInternet shape; only net.Run is timed). Each rung runs
-// the sharded engine at 1 and 8 shards so the pkts/sec column directly
-// compares the hierarchical partition's profitability as the graph grows;
-// the Internet rung adds a speculation cell and a quarter-size session
-// count, whose bytes/event metric against the full-size cell shows
-// per-event memory growing sublinearly with session count (the dense
-// session tables at work — no O(sessions) scan on the steady-state path).
-// Cells pin -benchtime=1x in `make bench-json`: one 10k-router run is the
+// rung (the exp.RunInternet shape; only net.Run is timed). The Internet rung
+// adds a quarter-size session count, whose bytes/event metric against the
+// full-size cell shows per-event memory growing sublinearly with session
+// count (the dense session tables at work — no O(sessions) scan on the
+// steady-state path). Run it at -benchtime=1x: one 10k-router run is the
 // statistic, not an iteration.
 func BenchmarkInternetLadder(b *testing.B) {
-	type cell struct {
+	cells := []struct {
 		rung     string
 		params   topology.InternetParams
 		sessions int
-		shards   int
-		spec     bool
-	}
-	cells := []cell{
-		{"Paper", topology.InternetPaper, 400, 1, false},
-		{"Paper", topology.InternetPaper, 400, 8, false},
-		{"Metro", topology.InternetMetro, 2000, 1, false},
-		{"Metro", topology.InternetMetro, 2000, 8, false},
-		{"Metro", topology.InternetMetro, 2000, 8, true},
-		{"Internet", topology.InternetGlobal, 2500, 8, false},
-		{"Internet", topology.InternetGlobal, 10000, 1, false},
-		{"Internet", topology.InternetGlobal, 10000, 8, false},
-		{"Internet", topology.InternetGlobal, 10000, 8, true},
+	}{
+		{"Paper", topology.InternetPaper, 400},
+		{"Metro", topology.InternetMetro, 2000},
+		{"Internet", topology.InternetGlobal, 2500},
+		{"Internet", topology.InternetGlobal, 10000},
 	}
 	for _, c := range cells {
-		name := c.rung + "/" + itoa(c.params.Routers()) + "r/sessions=" + itoa(c.sessions) +
-			"/shards=" + itoa(c.shards)
-		if c.spec {
-			name += "/spec=on"
-		}
-		c := c
-		b.Run(name, func(b *testing.B) {
-			benchInternet(b, c.params, c.sessions, c.shards, c.spec)
+		b.Run(c.rung+"/"+itoa(c.params.Routers())+"r/sessions="+itoa(c.sessions), func(b *testing.B) {
+			benchInternet(b, c.params, c.sessions)
 		})
 	}
 }
 
-func benchInternet(b *testing.B, params topology.InternetParams, sessions, shards int, spec bool) {
+func benchInternet(b *testing.B, params topology.InternetParams, sessions int) {
 	var packets, events, allocBytes uint64
 	var ms runtime.MemStats
 	for i := 0; i < b.N; i++ {
@@ -464,11 +301,8 @@ func benchInternet(b *testing.B, params topology.InternetParams, sessions, shard
 		if err != nil {
 			b.Fatal(err)
 		}
-		cfg := network.DefaultConfig()
-		cfg.Speculate = spec
-		cfg.Hierarchy = topo.Hierarchy
-		she := sim.NewSharded(shards)
-		net := network.NewSharded(topo.Graph, she, cfg)
+		eng := sim.New()
+		net := network.New(topo.Graph, eng, network.DefaultConfig())
 		ss, err := exp.PlaceSessions(topo, net, sessions)
 		if err != nil {
 			b.Fatal(err)
@@ -486,7 +320,7 @@ func benchInternet(b *testing.B, params topology.InternetParams, sessions, shard
 		runtime.ReadMemStats(&ms)
 		allocBytes += ms.TotalAlloc - before
 		packets += net.Stats().Total()
-		events += she.Events()
+		events += eng.Events()
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(packets)/b.Elapsed().Seconds(), "pkts/sec")
@@ -494,13 +328,6 @@ func benchInternet(b *testing.B, params topology.InternetParams, sessions, shard
 	if events > 0 {
 		b.ReportMetric(float64(allocBytes)/float64(events), "bytes/event")
 	}
-}
-
-func onOff(on bool) string {
-	if on {
-		return "on"
-	}
-	return "off"
 }
 
 // BenchmarkOracleChurn times only the max-min oracle re-solve that validates

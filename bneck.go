@@ -51,13 +51,6 @@
 // — see PathPolicy and the ExamplePathPolicy example;
 // Simulation.Reoptimizations counts the moves.
 //
-// # Scaling a run
-//
-// WithShards partitions a single run across CPU cores under conservative
-// lookahead windows, and WithWindowBatch amortizes their synchronization;
-// both are pure performance levers — results are byte-identical at every
-// setting, including against the classic serial engine.
-//
 // See examples/ for runnable programs, docs/SCENARIOS.md for the
 // declarative scenario-script DSL that drives whole failure timelines, and
 // internal/exp for the harness that regenerates every figure of the paper's

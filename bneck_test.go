@@ -1,6 +1,7 @@
 package bneck_test
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -133,8 +134,7 @@ func TestPublicAPITransitStub(t *testing.T) {
 }
 
 func TestPublicAPIInternet(t *testing.T) {
-	// Sharded: the internet topology's hierarchy labels drive the partition.
-	sim, err := bneck.NewInternet(bneck.Small, 1, bneck.WithShards(2), bneck.WithSpeculation(true))
+	sim, err := bneck.NewInternet(bneck.Small, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,6 +158,130 @@ func TestPublicAPIInternet(t *testing.T) {
 	}
 	if _, err := bneck.NewInternet(bneck.Size(99), 1); err == nil {
 		t.Fatal("bad size accepted")
+	}
+}
+
+// TestWithShardsInert pins the deprecated option as a no-op: a seeded
+// internet run with churn and a link failure, built with WithShards(1) or
+// WithShards(4), reports exactly what the default build reports — packets,
+// quiescence instant and every rate — and StepUntil still works as the first
+// advance.
+func TestWithShardsInert(t *testing.T) {
+	run := func(opts ...bneck.Option) bneck.Report {
+		s, err := bneck.NewInternet(bneck.Small, 5, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hosts, err := s.AddHosts(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sessions []*bneck.Session
+		for i := 0; i < 4; i++ {
+			sess, err := s.Session(hosts[i], hosts[4+i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess.JoinAt(time.Duration(i)*200*time.Microsecond, bneck.Mbps(50))
+			sessions = append(sessions, sess)
+		}
+		sessions[1].ChangeAt(5*time.Millisecond, bneck.Mbps(10))
+		sessions[2].LeaveAt(8 * time.Millisecond)
+		links := s.RouterLinks()
+		links[len(links)/2].FailAt(12 * time.Millisecond)
+		links[len(links)/2].RestoreAt(40 * time.Millisecond)
+		s.StepUntil(time.Millisecond)
+		rep := s.RunToQuiescence()
+		if err := s.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	want := run()
+	if want.Packets == 0 || len(want.Rates) == 0 {
+		t.Fatalf("the run did nothing: %+v", want)
+	}
+	for _, n := range []int{1, 4} {
+		if got := run(bneck.WithShards(n)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("WithShards(%d) changed the report:\n%+v\nwant\n%+v", n, got, want)
+		}
+	}
+}
+
+// TestWithShardsByteIdentical: a WAN transit-stub with churn and a link
+// failure, built with WithShards(1) and WithShards(3), agrees on every rate,
+// the quiescence instant, and the packet total.
+func TestWithShardsByteIdentical(t *testing.T) {
+	run := func(shards int) bneck.Report {
+		s, err := bneck.NewTransitStub(bneck.Small, bneck.WAN, 5, bneck.WithShards(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hosts, err := s.AddHosts(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sessions []*bneck.Session
+		for i := 0; i < 4; i++ {
+			sess, err := s.Session(hosts[i], hosts[4+i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess.JoinAt(time.Duration(i)*200*time.Microsecond, bneck.Mbps(50))
+			sessions = append(sessions, sess)
+		}
+		sessions[1].ChangeAt(5*time.Millisecond, bneck.Mbps(10))
+		sessions[2].LeaveAt(8 * time.Millisecond)
+		links := s.RouterLinks()
+		if len(links) > 0 {
+			links[len(links)/2].FailAt(12 * time.Millisecond)
+			links[len(links)/2].RestoreAt(40 * time.Millisecond)
+		}
+		rep := s.RunToQuiescence()
+		if err := s.Validate(); err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		return rep
+	}
+	one, three := run(1), run(3)
+	if one.Quiescence != three.Quiescence || one.Packets != three.Packets {
+		t.Fatalf("1 shard %v/%d packets, 3 shards %v/%d packets",
+			one.Quiescence, one.Packets, three.Quiescence, three.Packets)
+	}
+	if len(one.Rates) != len(three.Rates) {
+		t.Fatalf("rate table sizes differ: %d vs %d", len(one.Rates), len(three.Rates))
+	}
+	for id, r := range one.Rates {
+		if three.Rates[id].String() != r.String() {
+			t.Fatalf("session %d: 1 shard %s, 3 shards %s", id, r, three.Rates[id])
+		}
+	}
+}
+
+// TestWithShardsStepUntilFirst: StepUntil as the very first advance on a
+// simulation built with WithShards must not panic (regression: it used to
+// bypass the network and index a nil partition).
+func TestWithShardsStepUntilFirst(t *testing.T) {
+	s, err := bneck.NewTransitStub(bneck.Small, bneck.WAN, 9, bneck.WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts, err := s.AddHosts(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := s.Session(hosts[0], hosts[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.JoinAt(0, bneck.Unlimited)
+	s.StepUntil(5 * time.Millisecond) // must not panic
+	rep := s.RunToQuiescence()
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Rates) != 1 {
+		t.Fatalf("rates = %v", rep.Rates)
 	}
 }
 

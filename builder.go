@@ -133,12 +133,10 @@ func NewTransitStub(size Size, scen Scenario, seed int64, opts ...Option) (*Simu
 // NewInternet generates a hierarchical internet-scale topology: regional
 // core meshes joined by geography-derived long-haul links, metro
 // aggregation rings under each core, and a power-law fringe of edge routers
-// hosts attach to. The three sizes are the benchmark ladder's rungs — Small
+// hosts attach to. The three sizes are the topology ladder's rungs — Small
 // ≈ 40 routers (paper scale), Medium ≈ 1k (metro scale), Big ≈ 10k (the
-// internet rung). Sharded simulations (WithShards) of an internet topology
-// partition along the generator's own region/metro hierarchy instead of the
-// flat latency sweep, which keeps 8–16 shards profitable on these sparse
-// graphs. Add hosts with Simulation.AddHosts before creating sessions.
+// internet rung). Add hosts with Simulation.AddHosts before creating
+// sessions.
 func NewInternet(size Size, seed int64, opts ...Option) (*Simulation, error) {
 	var params topology.InternetParams
 	switch size {
@@ -165,10 +163,6 @@ type options struct {
 	controlPacketBits int64
 	binSize           time.Duration
 	onRate            func(SessionID, Rate, time.Duration)
-	shards            int
-	shardsSet         bool
-	windowBatch       int
-	speculate         bool
 	pathPolicy        policy.Config
 }
 
@@ -201,8 +195,7 @@ const (
 // ReoptimizeOnRestore the simulation migrates sessions back onto shorter
 // paths after restores; tune the hysteresis with WithReoptimizeStretch,
 // WithReoptimizeMinGain and WithReoptimizeCapacityGain. Policy sweeps run
-// as barrier events in session-creation order, so results stay
-// byte-identical at every WithShards and WithWindowBatch setting.
+// in session-creation order, so results stay deterministic.
 func WithPathPolicy(p PathPolicy) Option {
 	return func(o *options) {
 		if p == ReoptimizeOnRestore {
@@ -251,44 +244,16 @@ func WithTrafficBinSize(d time.Duration) Option {
 }
 
 // WithRateCallback observes every API.Rate upcall: the session, the granted
-// rate, and the virtual time. On a sharded simulation (WithShards) the
-// callback runs on shard goroutines and may be invoked concurrently for
-// different sessions.
+// rate, and the virtual time.
 func WithRateCallback(fn func(s SessionID, r Rate, at time.Duration)) Option {
 	return func(o *options) { o.onRate = fn }
 }
 
-// WithShards runs the simulation on the sharded engine: the topology's nodes
-// are partitioned into n shards (graph-driven, cutting only the
-// highest-latency links) and a single run advances across n cores under
-// conservative lookahead windows. Results are byte-identical for every n,
-// including 1 — the sharded-serial reference — and identical to the classic
-// serial engine's. n == 0 auto-tunes the shard count and window batch from
-// the process's GOMAXPROCS (one shard per usable CPU, clamped to eight);
-// n < 0 — like omitting the option — selects the classic serial engine.
+// WithShards is kept for source compatibility and does nothing: the
+// simulator has one serial engine, and a run's results never depended on the
+// shard count.
+//
+// Deprecated: remove the option; every Simulation runs on the serial engine.
 func WithShards(n int) Option {
-	return func(o *options) { o.shards, o.shardsSet = n, true }
-}
-
-// WithSpeculation enables optimistic window execution on the sharded engine
-// (it has no effect without WithShards): at synchronization barriers where
-// every cut-link wire is idle, shards speculatively run windows several
-// lookaheads long, journaling cross-shard sends and externalizing them only
-// at commit; a window that would overtake a journaled arrival parks and its
-// suffix replays under the conservative bound — no work is ever rolled
-// back. Results are byte-identical with speculation on or off at every
-// shard count and batch setting; only wall-clock changes. See
-// Simulation.SpeculationStats for outcome counters.
-func WithSpeculation(on bool) Option {
-	return func(o *options) { o.speculate = on }
-}
-
-// WithWindowBatch bounds how many consecutive conservative windows the
-// sharded engine runs per synchronization round (its fork/join). Higher
-// values amortize synchronization on low-delay topologies, where a single
-// window is short; 1 disables batching, 0 (the default) keeps the engine's
-// default. Purely a performance knob: results are byte-identical at every
-// setting. It has no effect without WithShards.
-func WithWindowBatch(k int) Option {
-	return func(o *options) { o.windowBatch = k }
+	return func(*options) {}
 }

@@ -6,13 +6,13 @@
 // Usage:
 //
 //	bneck [-size small|medium|big] [-scenario lan|wan] [-internet] [-sessions N]
-//	      [-demand-cap P] [-seed S] [-shards N] [-window-batch K] [-speculate]
-//	      [-path-policy pinned|reoptimize] [-validate] [-v] [-live]
-//	bneck -run-scenario <script> [-live] [-shards N] [-speculate]
-//	      [-path-policy pinned|reoptimize]
+//	      [-demand-cap P] [-seed S] [-path-policy pinned|reoptimize]
+//	      [-validate] [-v] [-live]
+//	bneck -run-scenario <script> [-live] [-path-policy pinned|reoptimize]
 //
-// With -live the protocol runs on the concurrent actor runtime (one
-// goroutine per task, no simulator): quiescence becomes wall-clock
+// Without -live every run executes on the serial discrete-event simulator.
+// With -live the protocol runs on the concurrent actor runtime instead (one
+// mailbox per task, no simulator): quiescence becomes wall-clock
 // termination and the scenario exercises real parallelism.
 //
 // With -run-scenario the command executes a declarative event script — one
@@ -21,16 +21,10 @@
 // oracle after every epoch. See docs/SCENARIOS.md for the complete script
 // reference and examples/scenarios/ for ready-made scripts.
 //
-// -shards selects the engine (0 classic serial, N sharded, -1 auto-tuned
-// from GOMAXPROCS) and -speculate enables optimistic window execution on
-// the sharded engine; both apply to plain runs and -run-scenario alike, and
-// every combination prints byte-identical results.
-//
 // -internet swaps the transit-stub generator for the hierarchical
 // internet-scale one (core/metro/edge tiers, power-law fringe,
-// geography-derived latency bands): -size maps to ~40/~1k/~10k routers,
-// -scenario is ignored, and sharded runs partition along the generator's
-// region/metro hierarchy.
+// geography-derived latency bands): -size maps to ~40/~1k/~10k routers and
+// -scenario is ignored.
 //
 // -path-policy selects the path re-optimization policy (pinned, the
 // default, or reoptimize — migrate sessions back onto shorter paths after
@@ -67,7 +61,7 @@ func main() {
 	var (
 		sizeName     = flag.String("size", "small", "topology size: small, medium, big")
 		scenName     = flag.String("scenario", "lan", "propagation scenario: lan, wan (ignored with -internet)")
-		internet     = flag.Bool("internet", false, "generate a hierarchical internet-scale topology (core/metro/edge tiers, power-law fringe) instead of transit-stub; sharded runs partition along its region/metro hierarchy")
+		internet     = flag.Bool("internet", false, "generate a hierarchical internet-scale topology (core/metro/edge tiers, power-law fringe) instead of transit-stub")
 		sessions     = flag.Int("sessions", 100, "number of sessions to join")
 		demandCap    = flag.Float64("demand-cap", 0.25, "fraction of sessions with a finite demand")
 		seed         = flag.Int64("seed", 1, "deterministic seed")
@@ -75,9 +69,6 @@ func main() {
 		incOracle    = flag.Bool("incremental-oracle", true, "validate with the delta-driven incremental oracle (simulator runs): churn feeds the solver as deltas; rates are byte-identical to the full solver either way")
 		verbose      = flag.Bool("v", false, "print every session's rate")
 		liveMode     = flag.Bool("live", false, "run on the concurrent actor runtime instead of the simulator")
-		shards       = flag.Int("shards", 0, "shards for the simulator run: 0 = classic serial engine, >0 = sharded engine, -1 = auto-tune from GOMAXPROCS (byte-identical at any count)")
-		windowBatch  = flag.Int("window-batch", 0, "conservative windows per sharded fork/join: 0 = engine default, 1 = no batching (byte-identical at any setting)")
-		speculate    = flag.Bool("speculate", false, "optimistic window execution on the sharded engine: journaled lookahead past the conservative bound, committed rollback-free (byte-identical on or off; needs -shards)")
 		scenFile     = flag.String("run-scenario", "", "execute a declarative scenario script (full DSL reference: docs/SCENARIOS.md)")
 		pathPolicy   = flag.String("path-policy", "", "path re-optimization policy: pinned or reoptimize (migrate sessions back onto shorter paths after restores); overrides a scenario script's `policy` directive, keeping the script's hysteresis knobs")
 		reoptStretch = flag.Float64("reopt-stretch", 0, "reoptimize hysteresis: migrate only when the current path exceeds stretch × the best path (0 keeps the script/default setting)")
@@ -108,13 +99,8 @@ func main() {
 		return base
 	}
 
-	simOpts := scenario.SimOptions{
-		Shards:      *shards,
-		WindowBatch: *windowBatch,
-		Speculate:   *speculate,
-	}
 	if *scenFile != "" {
-		runScenario(*scenFile, *liveMode, simOpts, overlayPolicy)
+		runScenario(*scenFile, *liveMode, overlayPolicy)
 		return
 	}
 
@@ -133,7 +119,6 @@ func main() {
 			log.Fatal(err)
 		}
 		topo = it
-		cfg.Hierarchy = it.Hierarchy
 		topoDesc = fmt.Sprintf("%s (%d routers), internet hierarchy", params.Name, params.Routers())
 	} else {
 		size, err := sizeByName(*sizeName)
@@ -157,25 +142,8 @@ func main() {
 		return
 	}
 	cfg.PathPolicy = overlayPolicy(cfg.PathPolicy)
-	cfg.Speculate = *speculate
 	cfg.IncrementalOracle = *incOracle
-	nShards, nBatch := *shards, *windowBatch
-	if nShards < 0 {
-		nShards = sim.AutoShards()
-		if nBatch <= 0 {
-			nBatch = sim.AutoWindowBatch()
-		}
-	}
-	var net *network.Network
-	if nShards >= 1 {
-		she := sim.NewSharded(nShards)
-		if nBatch > 0 {
-			she.SetWindowBatch(nBatch)
-		}
-		net = network.NewSharded(topo.Topology(), she, cfg)
-	} else {
-		net = network.New(topo.Topology(), sim.New(), cfg)
-	}
+	net := network.New(topo.Topology(), sim.New(), cfg)
 	ss, err := exp.PlaceSessions(topo, net, *sessions)
 	if err != nil {
 		log.Fatal(err)
@@ -197,17 +165,6 @@ func main() {
 	}
 
 	fmt.Printf("topology   : %s\n", topoDesc)
-	if nShards >= 1 {
-		look := "unbounded (single shard)"
-		if l := net.Sharded().Lookahead(); l > 0 {
-			look = l.String()
-		}
-		fmt.Printf("engine     : sharded, %d shard(s), lookahead %s\n", net.Sharded().Shards(), look)
-		if st := net.SpeculationStats(); st.Attempts > 0 {
-			fmt.Printf("speculation: %d attempts, %d commits, %d replays, %d speculative events\n",
-				st.Attempts, st.Commits, st.Replays, st.Events)
-		}
-	}
 	fmt.Printf("sessions   : %d joined within 1ms (demand-capped fraction %.2f)\n", *sessions, *demandCap)
 	fmt.Printf("quiescence : %v (virtual), %v (wall)\n", q, wallDur.Round(time.Millisecond))
 	fmt.Printf("packets    : %d total, %.1f per session\n",
@@ -235,9 +192,8 @@ func main() {
 // runScenario parses and executes a scenario script, printing the per-epoch
 // re-quiescence table. Every epoch is validated against the oracle.
 // overlay applies the command-line policy flags on top of the script's
-// `policy` directive; opts carries the -shards/-window-batch/-speculate
-// engine selection (simulator transport only — -live ignores it).
-func runScenario(path string, liveMode bool, opts scenario.SimOptions, overlay func(policy.Config) policy.Config) {
+// `policy` directive.
+func runScenario(path string, liveMode bool, overlay func(policy.Config) policy.Config) {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		log.Fatal(err)
@@ -252,7 +208,7 @@ func runScenario(path string, liveMode bool, opts scenario.SimOptions, overlay f
 	if liveMode {
 		res, err = scenario.RunLive(sc)
 	} else {
-		res, err = scenario.RunSimOpts(sc, opts)
+		res, err = scenario.RunSim(sc)
 	}
 	if err != nil {
 		log.Fatal(err)

@@ -1,5 +1,5 @@
 // Command bnecklint is the repository's own static-analysis gate: a
-// multichecker of six repo-specific analyzers that machine-enforce the
+// multichecker of five repo-specific analyzers that machine-enforce the
 // determinism and lock-discipline invariants the simulator's correctness
 // claims rest on (see DESIGN.md §12 for the analyzer → invariant table):
 //
@@ -7,7 +7,6 @@
 //	walltime    time.Now / os.Getenv / unseeded math/rand in the same
 //	lockorder   the live runtime's mu → stripe → mailbox lock order
 //	eventkey    creator-keyed event scheduling (no ExtCreator/heap bypasses)
-//	shardowner  per-shard domain state touched only by its owning shard
 //	floatrate   no float arithmetic in the exact 128-bit rate pipeline
 //
 // Usage:

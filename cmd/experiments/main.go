@@ -11,21 +11,12 @@
 //	          reconfiguration packets)
 //	-exp internet → internet-scale join burst on a generated hierarchical
 //	          topology (core/metro/edge tiers, power-law fringe); size it
-//	          with -internet-size paper|metro|global and -sessions, and
-//	          ablate the hierarchical partitioner with -flat-partition
+//	          with -internet-size paper|metro|global and -sessions
 //	-exp all → everything (except internet, which is opt-in)
 //
 // Defaults are laptop-scale; use -scale to multiply session counts toward
 // the paper's numbers (e.g. -scale 10 runs Experiment 2 with 100,000 base
 // sessions, the paper's exact setting).
-//
-// -shards N runs every simulation on the sharded engine, splitting a single
-// run across N cores under conservative lookahead windows; output is
-// byte-identical at any shard count (and -exp4-paper makes the paper-sized
-// Medium/Big churn sweep affordable with it). -shards -1 auto-tunes the
-// shard count and window batch from GOMAXPROCS, and -speculate adds
-// optimistic window execution — journaled lookahead past the conservative
-// bound, committed rollback-free — again with byte-identical output.
 //
 // -workers N fans the sweeps across goroutines at each level: the selected
 // experiments run concurrently, and within them experiment 1's
@@ -52,7 +43,6 @@ import (
 
 	"bneck/internal/exp"
 	"bneck/internal/policy"
-	"bneck/internal/sim"
 	"bneck/internal/topology"
 )
 
@@ -64,7 +54,6 @@ func main() {
 		which        = flag.String("exp", "all", "experiment to run: 1, 2, 3, 4, 5, internet, all")
 		internetSize = flag.String("internet-size", "metro", "-exp internet topology: paper (~40 routers), metro (~1k), global (~10k)")
 		sessions     = flag.Int("sessions", 0, "-exp internet session count (0 = two per router)")
-		flatPart     = flag.Bool("flat-partition", false, "-exp internet: force the flat edge-cut partitioner instead of the hierarchical cut (ablation)")
 		scale        = flag.Float64("scale", 1.0, "session-count multiplier toward paper scale")
 		seed         = flag.Int64("seed", 1, "deterministic seed")
 		big          = flag.Bool("big", false, "include the Big (11,000 router) topology in experiment 1")
@@ -74,10 +63,7 @@ func main() {
 		quiet        = flag.Bool("q", false, "suppress progress lines")
 		csvDir       = flag.String("csv", "", "also write figure data as CSV files into this directory")
 		workers      = flag.Int("workers", 1, "parallel sweep workers per fan-out level (1 = serial, negative = GOMAXPROCS); output is identical at any setting")
-		shards       = flag.Int("shards", 0, "shards per simulation run: 0 = classic serial engine, 1 = sharded engine serial reference, >1 parallelizes each run across cores, -1 = auto-tune from GOMAXPROCS; sharded output is identical at any shard count")
-		windowBatch  = flag.Int("window-batch", 0, "conservative windows per sharded-engine fork/join: 0 = engine default, 1 = no batching, higher amortizes synchronization on low-delay (LAN) topologies; output is identical at any setting")
-		speculate    = flag.Bool("speculate", false, "optimistic window execution on the sharded engine (no effect with -shards 0): journaled lookahead past the conservative bound, committed rollback-free; output is identical on or off")
-		exp4Paper    = flag.Bool("exp4-paper", false, "run experiment 4 at paper size (Medium+Big topologies, WAN failure sweep); combine with -shards and -workers")
+		exp4Paper    = flag.Bool("exp4-paper", false, "run experiment 4 at paper size (Medium+Big topologies, WAN failure sweep); combine with -workers")
 		pathPolicy   = flag.String("path-policy", "pinned", "path re-optimization policy for experiment 4: pinned (historical behavior) or reoptimize (restores migrate sessions back onto shorter paths); experiment 5 always sweeps both")
 		reoptStretch = flag.Float64("reopt-stretch", 0, "re-optimization stretch hysteresis for experiments 4 and 5 (≤ 1 = any strict improvement)")
 		reoptMinGain = flag.Int("reopt-min-gain", 0, "re-optimization minimum hop gain for experiments 4 and 5 (≤ 1 = any strict improvement)")
@@ -100,12 +86,6 @@ func main() {
 	}
 	if *workers == 0 {
 		*workers = 1 // align with the config semantics: 0 and 1 are serial
-	}
-	if *shards < 0 {
-		*shards = sim.AutoShards()
-		if *windowBatch <= 0 {
-			*windowBatch = sim.AutoWindowBatch()
-		}
 	}
 
 	if *csvDir != "" {
@@ -150,9 +130,6 @@ func main() {
 			cfg.Validate = *validate
 			cfg.Progress = progress
 			cfg.Workers = *workers
-			cfg.Shards = *shards
-			cfg.WindowBatch = *windowBatch
-			cfg.Speculate = *speculate
 			if *big {
 				cfg.Sizes = append(cfg.Sizes, topology.Big)
 			}
@@ -197,9 +174,6 @@ func main() {
 			cfg := exp.DefaultExp2()
 			cfg.Seed = *seed
 			cfg.Validate = *validate
-			cfg.Shards = *shards
-			cfg.WindowBatch = *windowBatch
-			cfg.Speculate = *speculate
 			cfg.Base = int(float64(cfg.Base) * *scale)
 			cfg.Dyn = int(float64(cfg.Dyn) * *scale)
 			cfg.Progress = progress
@@ -229,9 +203,6 @@ func main() {
 		jobs = append(jobs, func(out io.Writer) error {
 			cfg := exp.DefaultExp3()
 			cfg.Seed = *seed
-			cfg.Shards = *shards
-			cfg.WindowBatch = *windowBatch
-			cfg.Speculate = *speculate
 			cfg.Sessions = int(float64(cfg.Sessions) * *scale)
 			cfg.Leavers = int(float64(cfg.Leavers) * *scale)
 			cfg.Protocols = strings.Split(*protocols, ",")
@@ -265,9 +236,6 @@ func main() {
 			cfg.Churn = int(float64(cfg.Churn) * *scale)
 			cfg.Progress = progress
 			cfg.Workers = *workers
-			cfg.Shards = *shards
-			cfg.WindowBatch = *windowBatch
-			cfg.Speculate = *speculate
 			cfg.Policy = polCfg
 			cfg.IncrementalOracle = *incOracle || *oracleCheck
 			start := time.Now()
@@ -305,9 +273,6 @@ func main() {
 			cfg.MinGain = *reoptMinGain
 			cfg.Progress = progress
 			cfg.Workers = *workers
-			cfg.Shards = *shards
-			cfg.WindowBatch = *windowBatch
-			cfg.Speculate = *speculate
 			cfg.IncrementalOracle = *incOracle || *oracleCheck
 			start := time.Now()
 			rows, err := exp.RunExperiment5(cfg)
@@ -352,10 +317,6 @@ func main() {
 				Params:            params,
 				Sessions:          count,
 				Seed:              *seed,
-				Shards:            *shards,
-				WindowBatch:       *windowBatch,
-				Speculate:         *speculate,
-				Flat:              *flatPart,
 				Validate:          *validate,
 				IncrementalOracle: *incOracle || *oracleCheck,
 				OracleCrossCheck:  *oracleCheck,
@@ -365,24 +326,11 @@ func main() {
 			if err != nil {
 				return fmt.Errorf("experiment internet: %v", err)
 			}
-			part := "hierarchical"
-			if *flatPart {
-				part = "flat"
-			}
-			fmt.Fprintf(out, "Internet-scale join burst — %s (%d routers, %d directed links), %s partition\n",
-				params.Name, res.Routers, res.Links, part)
+			fmt.Fprintf(out, "Internet-scale join burst — %s (%d routers, %d directed links)\n",
+				params.Name, res.Routers, res.Links)
 			fmt.Fprintf(out, "  sessions   : %d joined within 1ms\n", res.Sessions)
-			engineDesc := "classic serial"
-			if res.Shards > 0 {
-				engineDesc = fmt.Sprintf("sharded ×%d, lookahead %v", res.Shards, res.Lookahead)
-			}
-			fmt.Fprintf(out, "  engine     : %s\n", engineDesc)
 			fmt.Fprintf(out, "  quiescence : %v after %d packets, %d events\n",
 				time.Duration(res.Quiescence), res.Packets, res.Events)
-			if res.Spec.Attempts > 0 {
-				fmt.Fprintf(out, "  speculation: %d attempts, %d commits, %d replays, %d events\n",
-					res.Spec.Attempts, res.Spec.Commits, res.Spec.Replays, res.Spec.Events)
-			}
 			if *validate {
 				fmt.Fprintln(out, "  validation : rates equal the centralized max-min fair rates ✓")
 			}

@@ -1,12 +1,10 @@
-// Package analysis is bnecklint's analyzer suite: seven repo-specific static
+// Package analysis is bnecklint's analyzer suite: five repo-specific static
 // checks that machine-enforce the determinism and lock-discipline invariants
 // the simulator's correctness claims rest on (DESIGN.md §12). The paper's
 // quiescence/validation methodology only means something if every run is
-// reproducible: byte-identical creator-keyed event order at every shard
-// count, no wall-clock or unseeded randomness in deterministic packages,
-// the live runtime's documented lock order, per-shard domains touched only
-// by their owners, speculative journals externalized only at their commit
-// point, and exact 128-bit rate arithmetic. Each analyzer makes one of
+// reproducible: creator-keyed event order, no wall-clock or unseeded
+// randomness in deterministic packages, the live runtime's documented lock
+// order, and exact 128-bit rate arithmetic. Each analyzer makes one of
 // those invariant classes unwritable instead of merely documented.
 //
 // The framework mirrors golang.org/x/tools/go/analysis — Analyzer, Pass,
@@ -20,13 +18,8 @@
 //	//bneck:orderfree        this map loop is commutative; order cannot leak
 //	//bneck:wallclock        this wall-clock/env read is sanctioned
 //	//bneck:float            float arithmetic for reporting only
-//	//bneck:global           blessed funnel for engine global (barrier) events
-//	//bneck:keyed            pushes pre-keyed events into an event heap
-//	//bneck:sharded          struct whose fields are per-shard owned state
-//	//bneck:owner            returns the executing shard's own domain
-//	//bneck:merge            serial-context merge-on-demand reader/writer
-//	//bneck:journal          field withholding speculative cross-shard sends
-//	//bneck:commit           sanctioned externalization point of journals
+//	//bneck:global           blessed funnel for un-keyed (external) events
+//	//bneck:keyed            assigns event keys / pushes into an event heap
 //	//bneck:lock <tier>      lock field; tier is mu, stripe or mailbox
 //	//bneck:locks <tier...>  calling this function acquires these tiers
 //
@@ -197,10 +190,10 @@ func inPackages(paths ...string) func(string) bool {
 }
 
 // DeterministicPackages are the packages whose execution must be a pure
-// function of their inputs: the simulator engines, the simulated transport,
+// function of their inputs: the simulator engine, the simulated transport,
 // the experiment harness, the scenario runner, the waterfill oracle, the
 // path policy and the topology generators (byte-identical graphs per seed
-// is what makes the sharded determinism tests meaningful). detrange and
+// is what makes the determinism tests meaningful). detrange and
 // walltime enforce it; the examples that promise reproducible output opt
 // into walltime too.
 var DeterministicPackages = []string{

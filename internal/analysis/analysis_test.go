@@ -23,14 +23,6 @@ func TestEventkey(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.Eventkey, "eventkey")
 }
 
-func TestShardowner(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.Shardowner, "shardowner")
-}
-
-func TestSpecjournal(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.Specjournal, "specjournal")
-}
-
 func TestFloatrate(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.Floatrate, "floatrate")
 }
@@ -46,8 +38,8 @@ func TestSuiteNamesUnique(t *testing.T) {
 		}
 		seen[az.Name] = true
 	}
-	if len(seen) != 7 {
-		t.Errorf("suite has %d analyzers, want 7", len(seen))
+	if len(seen) != 5 {
+		t.Errorf("suite has %d analyzers, want 5", len(seen))
 	}
 }
 

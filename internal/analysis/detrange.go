@@ -10,7 +10,7 @@ import (
 // visit order — appending to a slice, emitting output, accumulating
 // floating-point sums, scheduling events — silently breaks the repo's
 // byte-identical-runs contract (CSVs, golden scenario assertions, the
-// shard-count determinism suite).
+// worker-count determinism suite).
 //
 // Two shapes are permitted without annotation:
 //

@@ -6,23 +6,21 @@ import (
 )
 
 // Eventkey enforces the creator-keyed scheduling discipline that makes runs
-// byte-identical at every shard count (DESIGN.md §9–§10): every event both
-// engines execute is ordered by (time, creator node, creator sequence), and
-// that key is only assigned by the blessed constructors — sim.Engine.SendFrom
-// and sim.ShardedEngine.SendAt (reached in the transport through
-// its per-node port). Two bypass shapes are flagged:
+// deterministic (DESIGN.md §10): every event the engine executes is ordered
+// by (time, creator node, creator sequence), and that key is only assigned
+// by the blessed constructors — sim.Engine.SendFrom/SendFromTo, reached in
+// the transport through its per-node port. Two bypass shapes are flagged:
 //
-//   - in the transport (internal/network): a direct call to the engines'
+//   - in the transport (internal/network): a direct call to the engine's
 //     ExtCreator entry points At/After/DaemonAt. Those schedule un-keyed
-//     global events; the PR 4 stale-incarnation rejoin slipped through
-//     exactly this kind of side door. All global (barrier) scheduling must
-//     flow through the one funnel annotated //bneck:global, so churn,
-//     dynamics and sampling share a single, partition-independent order;
+//     external events; the stale-incarnation rejoin bug slipped through
+//     exactly this kind of side door. All external scheduling must flow
+//     through the one funnel annotated //bneck:global, so churn, dynamics
+//     and sampling share a single order;
 //
 //   - in the engine package itself: a push into an eventQueue heap from any
-//     function not annotated //bneck:keyed. Only the keyed constructors
-//     (and the re-homing/ingest paths that move already-keyed events)
-//     may touch the heaps, so no event can exist without a total-order key.
+//     function not annotated //bneck:keyed. Only the keyed constructors may
+//     touch the heap, so no event can exist without a total-order key.
 var Eventkey = &Analyzer{
 	Name:  "eventkey",
 	Doc:   "require creator-keyed scheduling; flag un-keyed engine bypasses",
@@ -55,9 +53,9 @@ func runEventkey(pass *Pass) {
 
 			// Rule 1 (transport side): ExtCreator scheduling outside the
 			// annotated global-event funnel.
-			if extCreatorEntryPoints[name] && isEngineType(pass, s.Recv()) {
+			if extCreatorEntryPoints[name] && isEngineType(s.Recv()) {
 				if !global && !pass.lineAnnotated(call.Pos(), "global") {
-					pass.Reportf(call.Pos(), "direct %s call schedules an un-keyed (ExtCreator) event: cross-node traffic must use the creator-keyed SendFrom/SendAt constructors, and global barrier events must flow through the //bneck:global funnel", name)
+					pass.Reportf(call.Pos(), "direct %s call schedules an un-keyed (ExtCreator) event: cross-node traffic must use the creator-keyed SendFrom/SendFromTo constructors, and external events must flow through the //bneck:global funnel", name)
 				}
 				return true
 			}
@@ -65,7 +63,7 @@ func runEventkey(pass *Pass) {
 			// Rule 2 (engine side): heap pushes outside keyed constructors.
 			if name == "push" && isEventQueue(pass, s.Recv()) {
 				if !keyed && !pass.lineAnnotated(call.Pos(), "keyed") {
-					pass.Reportf(call.Pos(), "direct event-heap push bypasses the (time, creator, creator-seq) keying: only //bneck:keyed constructors may push, so every event carries a partition-independent total-order key")
+					pass.Reportf(call.Pos(), "direct event-heap push bypasses the (time, creator, creator-seq) keying: only //bneck:keyed constructors may push, so every event carries a total-order key")
 				}
 				return true
 			}
@@ -74,20 +72,11 @@ func runEventkey(pass *Pass) {
 	})
 }
 
-// isEngineType reports whether t is (a pointer to) one of the simulator
-// engines. The check is by type identity against the engine package when it
-// is imported, and by name when the engine package itself (or a fixture
-// modeling it) is under analysis.
-func isEngineType(pass *Pass, t types.Type) bool {
+// isEngineType reports whether t is (a pointer to) the simulator engine, by
+// name, so the engine package itself and a fixture modeling it both match.
+func isEngineType(t types.Type) bool {
 	n, ok := namedType(t)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	if obj.Name() != "Engine" && obj.Name() != "ShardedEngine" {
-		return false
-	}
-	return obj.Pkg() != nil
+	return ok && n.Obj().Name() == "Engine" && n.Obj().Pkg() != nil
 }
 
 // isEventQueue reports whether t is an event-queue heap of the package under

@@ -9,8 +9,6 @@ func All() []*Analyzer {
 		Walltime,
 		Lockorder,
 		Eventkey,
-		Shardowner,
-		Specjournal,
 		Floatrate,
 	}
 }

@@ -1,8 +1,8 @@
 // Package eventkey models the engine's creator-keyed event heap and the
 // transport's scheduling surface. The flagged shapes reproduce the PR 4
 // stale-incarnation rejoin bug: a rejoin scheduled through the engine's
-// un-keyed At side door instead of the transport's global funnel, which made
-// the rejoin's position in the event order depend on the partition.
+// un-keyed At side door instead of the transport's global funnel, outside the
+// one order all churn shares.
 package eventkey
 
 type event struct {
@@ -64,8 +64,8 @@ func (n *transport) rejoinStale(t int64, fn func()) {
 	n.eng.At(t, fn) // want "un-keyed \\(ExtCreator\\) event"
 }
 
-// rejoinFixed routes the rejoin through the funnel, sharing the global
-// partition-independent order.
+// rejoinFixed routes the rejoin through the funnel, sharing the one order
+// all churn shares.
 func (n *transport) rejoinFixed(t int64, fn func()) {
 	n.globalAt(t, fn)
 }

@@ -54,7 +54,7 @@ func generator(seed int64, emit func(int)) {
 }
 
 // leakyGenerator drifts off the seed funnel: a global-source draw or a
-// wall-clock reseed makes generation differ run to run, which the sharded
+// wall-clock reseed makes generation differ run to run, which the
 // determinism tests would misattribute to the engine.
 func leakyGenerator(emit func(int)) {
 	rng := rand.New(rand.NewSource(time.Now().UnixNano())) // want "wall-clock read"

@@ -15,6 +15,7 @@ import (
 	"bneck/internal/graph"
 	"bneck/internal/metrics"
 	"bneck/internal/network"
+	"bneck/internal/sim"
 	"bneck/internal/topology"
 	"bneck/internal/trace"
 )
@@ -38,21 +39,6 @@ type Exp1Config struct {
 	// are byte-identical to a serial run. 0 or 1 runs serially; negative
 	// selects GOMAXPROCS.
 	Workers int
-	// Shards selects the engine for each run: ≤ 0 the classic serial engine,
-	// ≥ 1 the sharded engine with that many shards (1 = sharded-serial
-	// reference). Sharded results are byte-identical at every shard count;
-	// shard counts above one parallelize a single run across cores,
-	// composing with Workers' across-run parallelism.
-	Shards int
-	// WindowBatch tunes how many conservative windows the sharded engine
-	// runs per coordinator fork/join (0 = engine default, 1 = no batching).
-	// Purely a performance knob: results are identical at every setting.
-	WindowBatch int
-	// Speculate enables optimistic window execution on the sharded engine
-	// (no effect with Shards <= 0): idle-cut barriers fork speculative
-	// windows several lookaheads long, journaled and committed rollback-free.
-	// Results are byte-identical with it on or off; only wall-clock changes.
-	Speculate bool
 }
 
 // DefaultExp1 is a laptop-scale default: the paper sweeps 10…300,000
@@ -156,9 +142,8 @@ func runExp1Cell(cfg Exp1Config, size topology.Params, scen topology.Scenario, c
 	if err != nil {
 		return Exp1Row{}, err
 	}
-	netCfg := network.DefaultConfig()
-	netCfg.Speculate = cfg.Speculate
-	eng, net := newNet(topo.Graph, netCfg, cfg.Shards, cfg.WindowBatch)
+	eng := sim.New()
+	net := network.New(topo.Graph, eng, network.DefaultConfig())
 
 	sessions, err := PlaceSessions(topo, net, count)
 	if err != nil {

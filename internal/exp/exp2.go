@@ -8,6 +8,7 @@ import (
 
 	"bneck/internal/metrics"
 	"bneck/internal/network"
+	"bneck/internal/sim"
 	"bneck/internal/topology"
 	"bneck/internal/trace"
 )
@@ -32,18 +33,6 @@ type Exp2Config struct {
 	Seed     int64
 	Validate bool
 	Progress io.Writer
-	// Shards selects the engine: ≤ 0 the classic serial engine, ≥ 1 the
-	// sharded engine with that many shards (byte-identical at every count).
-	Shards int
-	// WindowBatch tunes how many conservative windows the sharded engine
-	// runs per coordinator fork/join (0 = engine default, 1 = no batching).
-	// Purely a performance knob: results are identical at every setting.
-	WindowBatch int
-	// Speculate enables optimistic window execution on the sharded engine
-	// (no effect with Shards <= 0): idle-cut barriers fork speculative
-	// windows several lookaheads long, journaled and committed rollback-free.
-	// Results are byte-identical with it on or off; only wall-clock changes.
-	Speculate bool
 }
 
 // DefaultExp2 is the laptop-scale default (paper: 100,000/20,000).
@@ -99,8 +88,8 @@ func RunExperiment2(cfg Exp2Config) (*Exp2Result, error) {
 	}
 	netCfg := network.DefaultConfig()
 	netCfg.BinSize = cfg.BinSize
-	netCfg.Speculate = cfg.Speculate
-	eng, net := newNet(topo.Graph, netCfg, cfg.Shards, cfg.WindowBatch)
+	eng := sim.New()
+	net := network.New(topo.Graph, eng, netCfg)
 
 	// Sessions: base (phase 1) + dyn (phase 4) + dyn (phase 5) joiners.
 	total := cfg.Base + 2*cfg.Dyn

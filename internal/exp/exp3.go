@@ -46,19 +46,6 @@ type Exp3Config struct {
 	// are byte-identical to a serial run. 0 or 1 runs serially; negative
 	// selects GOMAXPROCS.
 	Workers int
-	// Shards selects the engine for the B-Neck run: ≤ 0 the classic serial
-	// engine, ≥ 1 the sharded engine with that many shards (byte-identical
-	// at every count). Baseline protocols always run serially.
-	Shards int
-	// WindowBatch tunes how many conservative windows the sharded engine
-	// runs per coordinator fork/join (0 = engine default, 1 = no batching).
-	// Purely a performance knob: results are identical at every setting.
-	WindowBatch int
-	// Speculate enables optimistic window execution on the sharded engine
-	// (no effect with Shards <= 0): idle-cut barriers fork speculative
-	// windows several lookaheads long, journaled and committed rollback-free.
-	// Results are byte-identical with it on or off; only wall-clock changes.
-	Speculate bool
 }
 
 // DefaultExp3 is the laptop-scale default (paper: 100,000/10,000).
@@ -422,8 +409,8 @@ func (w *exp3Workload) sampleErrors(t time.Duration, assigned func(idx int) (flo
 func runExp3BNeck(cfg Exp3Config, w *exp3Workload) (*Exp3Series, error) {
 	netCfg := network.DefaultConfig()
 	netCfg.BinSize = cfg.SampleEvery
-	netCfg.Speculate = cfg.Speculate
-	eng, net := newNet(w.topo.Graph, netCfg, cfg.Shards, cfg.WindowBatch)
+	eng := sim.New()
+	net := network.New(w.topo.Graph, eng, netCfg)
 	sessions := make([]*network.Session, len(w.paths))
 	for i, p := range w.paths {
 		s, err := net.NewSession(w.topo.Graph.Link(p[0]).From, w.topo.Graph.Link(p[len(p)-1]).To, p)
@@ -524,9 +511,8 @@ func runExp3Baseline(cfg Exp3Config, w *exp3Workload, proto baseline.Protocol) (
 }
 
 // scheduleSampling installs daemon sampling events every SampleEvery up to
-// the horizon. On the sharded engine daemons are global (barrier) events, so
-// the sample callback may read any session's state.
-func scheduleSampling(eng engine, cfg Exp3Config, sample func(at sim.Time)) {
+// the horizon.
+func scheduleSampling(eng *sim.Engine, cfg Exp3Config, sample func(at sim.Time)) {
 	for t := cfg.SampleEvery; t <= cfg.Horizon; t += cfg.SampleEvery {
 		at := t
 		eng.DaemonAt(at, func() { sample(at) })

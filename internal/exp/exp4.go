@@ -11,6 +11,7 @@ import (
 	"bneck/internal/network"
 	"bneck/internal/policy"
 	"bneck/internal/rate"
+	"bneck/internal/sim"
 	"bneck/internal/topology"
 	"bneck/internal/trace"
 )
@@ -45,21 +46,6 @@ type Exp4Config struct {
 	// are byte-identical to a serial run. 0 or 1 runs serially; negative
 	// selects GOMAXPROCS.
 	Workers int
-	// Shards selects the engine for each cell: ≤ 0 the classic serial
-	// engine, ≥ 1 the sharded engine with that many shards. Sharded results
-	// are byte-identical at every shard count; counts above one spread a
-	// single run — the lever that makes the paper-sized Medium/Big
-	// topologies affordable.
-	Shards int
-	// WindowBatch tunes how many conservative windows the sharded engine
-	// runs per coordinator fork/join (0 = engine default, 1 = no batching).
-	// Purely a performance knob: results are identical at every setting.
-	WindowBatch int
-	// Speculate enables optimistic window execution on the sharded engine
-	// (no effect with Shards <= 0): idle-cut barriers fork speculative
-	// windows several lookaheads long, journaled and committed rollback-free.
-	// Results are byte-identical with it on or off; only wall-clock changes.
-	Speculate bool
 	// Policy is the path re-optimization policy for the churn sweep (zero
 	// value: pinned, the historical behavior). With ReoptimizeOnRestore the
 	// restore epochs also migrate sessions back onto shorter paths.
@@ -72,9 +58,7 @@ type Exp4Config struct {
 }
 
 // DefaultExp4 is a laptop-scale default. It sweeps both propagation models:
-// the WAN cells are the paper-style wide-area failure sweep, and their
-// millisecond-scale link delays give the sharded engine its largest
-// conservative windows.
+// the WAN cells are the paper-style wide-area failure sweep.
 func DefaultExp4() Exp4Config {
 	return Exp4Config{
 		Sizes:     []topology.Params{topology.Small},
@@ -90,8 +74,8 @@ func DefaultExp4() Exp4Config {
 }
 
 // PaperExp4 is the paper-sized configuration: the Medium and Big
-// transit-stub topologies under the WAN failure sweep. Affordable wall-clock
-// time needs Shards (single-run parallelism) and Workers (across cells).
+// transit-stub topologies under the WAN failure sweep; Workers spreads its
+// cells across cores.
 func PaperExp4() Exp4Config {
 	cfg := DefaultExp4()
 	cfg.Sizes = []topology.Params{topology.Medium, topology.Big}
@@ -212,9 +196,9 @@ func runExp4Cell(cfg Exp4Config, size topology.Params, scen topology.Scenario, s
 	g := topo.Graph
 	netCfg := network.DefaultConfig()
 	netCfg.PathPolicy = cfg.Policy
-	netCfg.Speculate = cfg.Speculate
 	netCfg.IncrementalOracle = cfg.IncrementalOracle
-	eng, net := newNet(g, netCfg, cfg.Shards, cfg.WindowBatch)
+	eng := sim.New()
+	net := network.New(g, eng, netCfg)
 
 	// All sessions — the base population and every epoch's joiners — are
 	// placed up front (the exp2 pattern). Joiners whose resolved path breaks

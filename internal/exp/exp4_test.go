@@ -2,6 +2,8 @@ package exp
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -83,6 +85,33 @@ func TestExp4ParallelMatchesSerial(t *testing.T) {
 	}
 	if !bytes.Equal(serialProgress, parallelProgress) {
 		t.Fatalf("parallel progress differs from serial:\n%s\n%s", serialProgress, parallelProgress)
+	}
+}
+
+// TestExp4ShardedCSVByteIdentical pins the Experiment 4 CSV bytes, LAN and
+// WAN, to the digest the classic engine emitted when every shard count and
+// window-batch setting of the retired sharded engine was held to it: the one
+// engine left must reproduce that reference exactly.
+func TestExp4ShardedCSVByteIdentical(t *testing.T) {
+	cfg := DefaultExp4()
+	cfg.Sizes = []topology.Params{topology.Small}
+	cfg.Scenarios = []topology.Scenario{topology.LAN, topology.WAN}
+	cfg.Seeds = []int64{1, 2}
+	cfg.Sessions = 60
+	cfg.Epochs = 3
+	cfg.Churn = 8
+	cfg.Window = time.Millisecond
+	rows, err := RunExperiment4(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteExp4CSV(&buf, rows); err != nil {
+		t.Fatal(err)
+	}
+	const want = "3a3f521fa1e5742b0094e6d1df8effc5b016febf4d18210f0e982ed742c4eeb5"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Fatalf("exp4 CSV digest %s, want %s:\n%s", got, want, buf.Bytes())
 	}
 }
 

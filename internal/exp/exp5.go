@@ -10,6 +10,7 @@ import (
 	"bneck/internal/network"
 	"bneck/internal/policy"
 	"bneck/internal/rate"
+	"bneck/internal/sim"
 	"bneck/internal/topology"
 	"bneck/internal/trace"
 )
@@ -46,18 +47,6 @@ type Exp5Config struct {
 	// Workers bounds how many sweep cells run concurrently; results are
 	// byte-identical to a serial run (each cell owns its engines and RNGs).
 	Workers int
-	// Shards selects the engine per run: ≤ 0 the classic serial engine, ≥ 1
-	// the sharded engine with that many shards. Results are byte-identical
-	// at every setting — the policy sweep executes at barriers.
-	Shards int
-	// WindowBatch tunes the sharded engine's windows per fork/join (0 =
-	// engine default). Purely a performance knob.
-	WindowBatch int
-	// Speculate enables optimistic window execution on the sharded engine
-	// (no effect with Shards <= 0): idle-cut barriers fork speculative
-	// windows several lookaheads long, journaled and committed rollback-free.
-	// Results are byte-identical with it on or off; only wall-clock changes.
-	Speculate bool
 	// IncrementalOracle validates phases with the delta-driven oracle
 	// (network.Config.IncrementalOracle) instead of a full re-solve each.
 	IncrementalOracle bool
@@ -199,9 +188,9 @@ func runExp5Cell(cfg Exp5Config, size topology.Params, scen topology.Scenario, s
 	g := topo.Graph
 	netCfg := network.DefaultConfig()
 	netCfg.PathPolicy = policy.Config{Kind: kind, Stretch: cfg.Stretch, MinGain: cfg.MinGain}
-	netCfg.Speculate = cfg.Speculate
 	netCfg.IncrementalOracle = cfg.IncrementalOracle
-	eng, net := newNet(g, netCfg, cfg.Shards, cfg.WindowBatch)
+	eng := sim.New()
+	net := network.New(g, eng, netCfg)
 
 	sessions, err := PlaceSessions(topo, net, cfg.Sessions)
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 	"bneck/internal/trace"
 )
 
-// Internet-scale runs: the benchmark ladder's rungs and the CI smoke both
+// Internet-scale runs: the topology ladder's rungs and the CI smoke both
 // drive a join burst on a generated internet topology (core/metro/edge
 // tiers, power-law fringe — topology.GenerateInternet) through this one
 // config, so the measured path and the smoke-tested path are identical.
@@ -30,15 +30,6 @@ type InternetConfig struct {
 	DemandCap float64
 	// Seed makes generation, placement and demands deterministic.
 	Seed int64
-	// Shards ≤ 0 runs the classic serial engine; ≥ 1 the sharded engine.
-	Shards int
-	// WindowBatch tunes conservative windows per fork/join (0 = default).
-	WindowBatch int
-	// Speculate enables optimistic window execution (sharded only).
-	Speculate bool
-	// Flat forces the flat contract-and-grow partitioner instead of the
-	// hierarchical cut the generator's labels enable — the ablation knob.
-	Flat bool
 	// Validate cross-checks the final rates against the oracle.
 	Validate bool
 	// IncrementalOracle feeds churn to the delta-driven validation oracle
@@ -54,12 +45,9 @@ type InternetResult struct {
 	Routers    int
 	Links      int
 	Sessions   int
-	Shards     int           // shards actually used (0 = classic engine)
-	Lookahead  time.Duration // conservative window bound (0 = unbounded)
 	Quiescence sim.Time
 	Packets    uint64
 	Events     uint64
-	Spec       sim.SpeculationStats
 }
 
 // RunInternet generates the topology, places the sessions, fires the join
@@ -79,13 +67,10 @@ func RunInternet(cfg InternetConfig) (InternetResult, error) {
 		return InternetResult{}, err
 	}
 	netCfg := network.DefaultConfig()
-	netCfg.Speculate = cfg.Speculate
 	netCfg.IncrementalOracle = cfg.IncrementalOracle
 	netCfg.OracleCrossCheck = cfg.OracleCrossCheck
-	if !cfg.Flat {
-		netCfg.Hierarchy = topo.Hierarchy
-	}
-	eng, net := newNet(topo.Graph, netCfg, cfg.Shards, cfg.WindowBatch)
+	eng := sim.New()
+	net := network.New(topo.Graph, eng, netCfg)
 	ss, err := PlaceSessions(topo, net, cfg.Sessions)
 	if err != nil {
 		return InternetResult{}, err
@@ -103,11 +88,6 @@ func RunInternet(cfg InternetConfig) (InternetResult, error) {
 	res.Links = topo.Graph.NumLinks()
 	res.Packets = net.Stats().Total()
 	res.Events = eng.Events()
-	if she := net.Sharded(); she != nil {
-		res.Shards = she.Shards()
-		res.Lookahead = time.Duration(she.Lookahead())
-		res.Spec = she.SpecStats()
-	}
 	if cfg.Validate {
 		if err := net.Validate(); err != nil {
 			return res, fmt.Errorf("exp: internet validation failed: %w", err)

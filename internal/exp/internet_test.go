@@ -13,10 +13,9 @@ import (
 func hashTopology(n *topology.Internet) uint64 {
 	h := fnv.New64a()
 	g := n.Graph
-	levels := n.Hierarchy()
 	for i := 0; i < g.NumNodes(); i++ {
 		nd := g.Node(graph.NodeID(i))
-		fmt.Fprintf(h, "n%d|%d|%s|%d|%d\n", nd.ID, nd.Kind, nd.Name, levels[0][i], levels[1][i])
+		fmt.Fprintf(h, "n%d|%d|%s\n", nd.ID, nd.Kind, nd.Name)
 	}
 	for i := 0; i < g.NumLinks(); i++ {
 		l := g.Link(graph.LinkID(i))
@@ -26,96 +25,73 @@ func hashTopology(n *topology.Internet) uint64 {
 }
 
 // TestInternetPaperValidated pins the smallest rung end to end: generated
-// topology, hierarchical partition, join burst, oracle validation.
+// topology, join burst, oracle validation.
 func TestInternetPaperValidated(t *testing.T) {
 	res, err := RunInternet(InternetConfig{
 		Params:   topology.InternetPaper,
 		Sessions: 80,
 		Seed:     1,
-		Shards:   2,
 		Validate: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Shards < 2 {
-		t.Fatalf("hierarchical partition used %d shards, want 2", res.Shards)
+	if res.Packets == 0 || res.Quiescence <= 0 {
+		t.Fatalf("the join burst sent %d packets, quiesced at %v", res.Packets, res.Quiescence)
 	}
-	if res.Lookahead <= 0 {
-		t.Fatalf("lookahead = %v, want > 0", res.Lookahead)
-	}
-	t.Logf("paper rung: %d routers, %d sessions, q=%v, %d packets, lookahead %v",
-		res.Routers, res.Sessions, res.Quiescence, res.Packets, res.Lookahead)
+	t.Logf("paper rung: %d routers, %d sessions, q=%v, %d packets",
+		res.Routers, res.Sessions, res.Quiescence, res.Packets)
 }
 
-// TestInternetDeterministicAcrossEngineKnobs is the PR 8 determinism
-// satellite: topology generation must be byte-identical for a fixed seed no
-// matter which shards/batch/speculate setting the surrounding run uses, and
-// the runs themselves must produce identical results at every setting.
-func TestInternetDeterministicAcrossEngineKnobs(t *testing.T) {
+// TestInternetDeterministic: topology generation is byte-identical for a
+// fixed seed, a run does not perturb the generator's seed-funneled RNG
+// stream, and two runs — with the full and the incremental oracle — produce
+// identical results.
+func TestInternetDeterministic(t *testing.T) {
 	base, err := topology.GenerateInternet(topology.InternetPaper, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := hashTopology(base)
-	type knob struct {
-		shards, batch int
-		spec          bool
-	}
-	knobs := []knob{
-		{0, 0, false}, // classic serial engine
-		{1, 0, false},
-		{2, 1, false},
-		{2, 4, false},
-		{2, 0, true},
-		{4, 0, false},
-		{4, 8, true},
-	}
 	var refQ time.Duration
 	var refPkts uint64
-	for i, k := range knobs {
+	for i, inc := range []bool{false, true} {
 		res, err := RunInternet(InternetConfig{
-			Params:      topology.InternetPaper,
-			Sessions:    60,
-			Seed:        9,
-			Shards:      k.shards,
-			WindowBatch: k.batch,
-			Speculate:   k.spec,
-			Validate:    true,
+			Params:            topology.InternetPaper,
+			Sessions:          60,
+			Seed:              9,
+			Validate:          true,
+			IncrementalOracle: inc,
 		})
 		if err != nil {
-			t.Fatalf("knobs %+v: %v", k, err)
+			t.Fatalf("incremental oracle %v: %v", inc, err)
 		}
 		if i == 0 {
 			refQ, refPkts = time.Duration(res.Quiescence), res.Packets
 		} else if time.Duration(res.Quiescence) != refQ || res.Packets != refPkts {
-			t.Fatalf("knobs %+v diverged: q=%v pkts=%d, want q=%v pkts=%d",
-				k, time.Duration(res.Quiescence), res.Packets, refQ, refPkts)
+			t.Fatalf("incremental oracle %v diverged: q=%v pkts=%d, want q=%v pkts=%d",
+				inc, time.Duration(res.Quiescence), res.Packets, refQ, refPkts)
 		}
-		// Regenerate with the same seed after the run: engine knobs must not
-		// perturb the generator's seed-funneled RNG stream.
 		again, err := topology.GenerateInternet(topology.InternetPaper, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := hashTopology(again); got != want {
-			t.Fatalf("knobs %+v: topology hash %x, want %x", k, got, want)
+			t.Fatalf("topology hash %x after a run, want %x", got, want)
 		}
 	}
 }
 
 // TestInternetGlobalSmoke is the CI -short internet smoke: the full
-// 10k-router global topology with a scaled-down session count, 4 shards,
-// speculation on. It runs in short mode by design — the point is that the
-// internet rung stays exercised in every CI matrix cell.
+// 10k-router global topology with a scaled-down session count. It runs in
+// short mode by design — the point is that the internet rung stays exercised
+// in every CI matrix cell.
 func TestInternetGlobalSmoke(t *testing.T) {
 	res, err := RunInternet(InternetConfig{
-		Params:    topology.InternetGlobal,
-		Sessions:  200,
-		Seed:      2,
-		Shards:    4,
-		Speculate: true,
-		Validate:  true,
+		Params:   topology.InternetGlobal,
+		Sessions: 200,
+		Seed:     2,
+		Validate: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,46 +99,6 @@ func TestInternetGlobalSmoke(t *testing.T) {
 	if res.Routers < 10000 {
 		t.Fatalf("global rung has %d routers, want ≥ 10000", res.Routers)
 	}
-	if res.Shards != 4 {
-		t.Fatalf("partition used %d shards, want 4", res.Shards)
-	}
-	t.Logf("global rung: %d routers, %d links, q=%v, %d packets, %d events, lookahead %v, spec %+v",
-		res.Routers, res.Links, res.Quiescence, res.Packets, res.Events, res.Lookahead, res.Spec)
-}
-
-// TestInternetHierarchicalVsFlat pins the partitioner ablation: the
-// label-driven cut must hold at least the shard count the flat
-// contract-and-grow sweep finds on the metro rung, keep a positive
-// lookahead, and — partitioning being pure scheduling — produce exactly
-// the same results.
-func TestInternetHierarchicalVsFlat(t *testing.T) {
-	if testing.Short() {
-		t.Skip("metro-rung comparison is not part of the short smoke")
-	}
-	run := func(flat bool) InternetResult {
-		res, err := RunInternet(InternetConfig{
-			Params:   topology.InternetMetro,
-			Sessions: 300,
-			Seed:     4,
-			Shards:   8,
-			Flat:     flat,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	hier, flat := run(false), run(true)
-	if hier.Quiescence != flat.Quiescence || hier.Packets != flat.Packets {
-		t.Fatalf("partitioner changed results: hier q=%v/%d, flat q=%v/%d",
-			hier.Quiescence, hier.Packets, flat.Quiescence, flat.Packets)
-	}
-	if hier.Shards < flat.Shards {
-		t.Fatalf("hierarchical cut uses %d shards, flat %d", hier.Shards, flat.Shards)
-	}
-	if hier.Lookahead <= 0 {
-		t.Fatalf("hierarchical lookahead %v", hier.Lookahead)
-	}
-	t.Logf("8-way metro rung: hierarchical %d shards lookahead %v; flat %d shards lookahead %v",
-		hier.Shards, hier.Lookahead, flat.Shards, flat.Lookahead)
+	t.Logf("global rung: %d routers, %d links, q=%v, %d packets, %d events",
+		res.Routers, res.Links, res.Quiescence, res.Packets, res.Events)
 }

@@ -33,13 +33,13 @@ func diamondTopo(t *testing.T) (g *Graph, ha, hb NodeID, topLinks, botLinks [2]L
 
 func TestSetCapacity(t *testing.T) {
 	g, _, _, top, _ := diamondTopo(t)
-	gen := g.Generation()
+	gen := g.routeGen
 	g.SetCapacity(top[0], rate.Mbps(7))
 	if got := g.Link(top[0]).Capacity; !got.Equal(rate.Mbps(7)) {
 		t.Fatalf("capacity = %v, want 7 Mbps", got)
 	}
-	if g.Generation() == gen {
-		t.Fatal("SetCapacity did not bump the generation")
+	if g.routeGen != gen {
+		t.Fatal("SetCapacity bumped the route generation (capacity cannot move a min-hop route)")
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatalf("Validate after SetCapacity: %v", err)
@@ -65,11 +65,11 @@ func TestFailRestoreReroutes(t *testing.T) {
 		t.Fatalf("initial path = %v, want top route", p1)
 	}
 
-	gen := g.Generation()
+	gen := g.routeGen
 	g.FailLink(top[0])
 	g.FailLink(g.Link(top[0]).Reverse)
-	if g.Generation() == gen {
-		t.Fatal("FailLink did not bump the generation")
+	if g.routeGen == gen {
+		t.Fatal("FailLink did not bump the route generation")
 	}
 	if g.LinkUp(top[0]) {
 		t.Fatal("failed link reported up")
@@ -125,16 +125,16 @@ func TestFailAccessLink(t *testing.T) {
 func TestFailRestoreIdempotent(t *testing.T) {
 	g, _, _, top, _ := diamondTopo(t)
 	g.FailLink(top[0])
-	gen := g.Generation()
+	gen := g.routeGen
 	g.FailLink(top[0]) // already down: no-op
-	if g.Generation() != gen {
-		t.Fatal("re-failing a failed link bumped the generation")
+	if g.routeGen != gen {
+		t.Fatal("re-failing a failed link bumped the route generation")
 	}
 	g.RestoreLink(top[0])
-	gen = g.Generation()
+	gen = g.routeGen
 	g.RestoreLink(top[0]) // already up: no-op
-	if g.Generation() != gen {
-		t.Fatal("re-restoring an up link bumped the generation")
+	if g.routeGen != gen {
+		t.Fatal("re-restoring an up link bumped the route generation")
 	}
 }
 

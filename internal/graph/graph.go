@@ -73,16 +73,14 @@ type Link struct {
 
 // Graph is a network. Build it with AddRouter/AddHost/Connect. Node and link
 // structure is append-only, but links support controlled mutation —
-// SetCapacity, FailLink, RestoreLink — each of which bumps the graph's
-// generation so cached derived state (see Partition) can invalidate itself.
-// Cached routes (see Resolver) depend on less: on which links are up, which
-// routeGen stamps, and on growth, which the node and link counts show.
+// SetCapacity, FailLink, RestoreLink. Cached routes (see Resolver) depend on
+// which links are up, which routeGen stamps, and on growth, which the node
+// and link counts show; no capacity can change a min-hop route.
 type Graph struct {
 	nodes    []Node
 	links    []Link
 	out      [][]LinkID // outgoing link IDs per node, in insertion order
-	gen      uint64     // bumped by every topology-affecting mutation
-	routeGen uint64     // bumped by FailLink and RestoreLink only
+	routeGen uint64     // bumped by FailLink and RestoreLink
 	failed   int        // links currently failed
 }
 
@@ -172,7 +170,7 @@ func (g *Graph) Link(id LinkID) Link {
 // for asymmetric links). Unlike Link it reads only the immutable Reverse
 // field — no struct copy on the per-packet path — and is safe to call
 // concurrently with capacity or failure mutations; the live runtime's
-// sharded Emit path depends on that.
+// lock-striped Emit path depends on that.
 func (g *Graph) LinkReverse(id LinkID) LinkID {
 	g.checkLink(id)
 	return g.links[id].Reverse
@@ -196,13 +194,6 @@ func (g *Graph) LinkFrom(id LinkID) NodeID {
 // modified.
 func (g *Graph) Out(id NodeID) []LinkID { g.checkNode(id); return g.out[id] }
 
-// Generation returns a counter bumped by every topology-affecting mutation
-// (capacity change, link failure, link restoration). Consumers caching
-// state derived from capacities as well as structure — shard partitions —
-// compare generations to detect staleness; the Resolver, whose min-hop
-// routes no capacity can change, does not.
-func (g *Graph) Generation() uint64 { return g.gen }
-
 func (g *Graph) checkLink(id LinkID) {
 	if id < 0 || int(id) >= len(g.links) {
 		panic(fmt.Sprintf("graph: unknown link %d", id))
@@ -218,7 +209,6 @@ func (g *Graph) SetCapacity(id LinkID, capacity rate.Rate) {
 		panic(fmt.Sprintf("graph: non-positive capacity %v for link %d", capacity, id))
 	}
 	g.links[id].Capacity = capacity
-	g.gen++
 }
 
 // FailLink marks one directed link as down. Failing an already-failed link is
@@ -231,7 +221,6 @@ func (g *Graph) FailLink(id LinkID) {
 	}
 	g.links[id].Failed = true
 	g.failed++
-	g.gen++
 	g.routeGen++
 }
 
@@ -244,7 +233,6 @@ func (g *Graph) RestoreLink(id LinkID) {
 	}
 	g.links[id].Failed = false
 	g.failed--
-	g.gen++
 	g.routeGen++
 }
 

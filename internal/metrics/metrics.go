@@ -47,26 +47,6 @@ func (ps *PacketStats) Record(t core.PacketType, at time.Duration) {
 	ps.bins[idx].ByType[t-1]++
 }
 
-// Merge folds another collector into ps: totals, per-type counts and
-// aligned bins are summed. The sharded simulator keeps one collector per
-// shard and merges them on demand; sums commute, so the merged view is
-// independent of the shard count.
-func (ps *PacketStats) Merge(other *PacketStats) {
-	ps.total += other.total
-	for i := range ps.byType {
-		ps.byType[i] += other.byType[i]
-	}
-	for len(ps.bins) < len(other.bins) {
-		ps.bins = append(ps.bins, Bin{Start: time.Duration(len(ps.bins)) * ps.binSize})
-	}
-	for i := range other.bins {
-		ps.bins[i].Total += other.bins[i].Total
-		for t := range ps.bins[i].ByType {
-			ps.bins[i].ByType[t] += other.bins[i].ByType[t]
-		}
-	}
-}
-
 // LinkCount is one directed link's packet total. Both transports — the
 // simulator and the live actor runtime — report per-link counters with
 // these field names, so reports can be compared side by side.
@@ -77,8 +57,8 @@ type LinkCount struct {
 
 // SessionCount is one session incarnation's packet total (packets sent
 // across physical links on its behalf). Both transports report per-session
-// counters with these field names; the counters are kept per shard (or per
-// actor stripe) and merged on demand, like the link counters. They are the
+// counters with these field names (the live runtime keeps them per actor
+// stripe and merges them on demand, like its link counters). They are the
 // raw material for profiling migration cost: a reconfiguration's price is
 // the Leave-cascade packets of the retired incarnation plus the Join-cascade
 // packets of its successor.

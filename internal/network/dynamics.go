@@ -31,9 +31,7 @@ import (
 
 // ScheduleSetCapacity changes the capacity of the given directed links to c
 // at virtual time at. Pass a link and its reverse to reconfigure a duplex
-// pair, matching the paper's symmetric link model. Topology events are
-// serial events: on a sharded engine they execute at a barrier, where
-// mutating the graph and rerouting sessions across shards is safe.
+// pair, matching the paper's symmetric link model.
 func (n *Network) ScheduleSetCapacity(at sim.Time, c rate.Rate, links ...graph.LinkID) {
 	ls := append([]graph.LinkID(nil), links...)
 	n.globalAt(at, func() { n.applySetCapacity(c, ls) })
@@ -90,7 +88,6 @@ func (n *Network) applySetCapacity(c rate.Rate, links []graph.LinkID) {
 	if upgraded != nil {
 		n.reoptimizeSessions(upgraded)
 	}
-	n.maybeRepartition()
 }
 
 func (n *Network) applyFail(links []graph.LinkID) {
@@ -120,7 +117,6 @@ func (n *Network) applyFail(links []graph.LinkID) {
 		}
 		n.migrate(s)
 	}
-	n.maybeRepartition()
 }
 
 func (n *Network) applyRestore(links []graph.LinkID) {
@@ -137,8 +133,7 @@ func (n *Network) applyRestore(links []graph.LinkID) {
 	}
 	// Readmit stranded sessions in strand order; those still unroutable stay
 	// parked for the next restore.
-	hadStranded := len(n.stranded) > 0
-	if hadStranded {
+	if len(n.stranded) > 0 {
 		waiting := n.stranded
 		n.stranded = nil
 		for _, s := range waiting {
@@ -155,11 +150,7 @@ func (n *Network) applyRestore(links []graph.LinkID) {
 	// re-enabled shorter paths, so the policy sweeps the active population
 	// (a no-op under policy.Pinned). Readmitted sessions just resolved a
 	// fresh shortest path and pass the sweep untouched.
-	reopt := n.reoptimizeSessions(nil)
-	if !hadStranded && reopt == 0 {
-		return
-	}
-	n.maybeRepartition()
+	n.reoptimizeSessions(nil)
 }
 
 // reoptimizeSessions re-runs shortest-path over the active sessions in
@@ -167,14 +158,11 @@ func (n *Network) applyRestore(links []graph.LinkID) {
 // the exact machinery failures use — every session the policy says is too
 // far off its best path. upgraded, when non-nil, marks the capacity-trigger
 // sweep: sessions whose best path crosses an upgraded link bypass the
-// hysteresis. Runs in serial context (a barrier event when sharded), so the
-// sweep is deterministic at every shard count. Returns how many sessions
-// moved.
-func (n *Network) reoptimizeSessions(upgraded map[graph.LinkID]bool) int {
+// hysteresis.
+func (n *Network) reoptimizeSessions(upgraded map[graph.LinkID]bool) {
 	if !n.cfg.PathPolicy.Enabled() {
-		return 0
+		return
 	}
-	moved := 0
 	// Snapshot the order: migration appends successor sessions, whose fresh
 	// shortest paths need no second look.
 	ids := append([]core.SessionID(nil), n.order...)
@@ -192,9 +180,7 @@ func (n *Network) reoptimizeSessions(upgraded map[graph.LinkID]bool) int {
 			continue
 		}
 		n.reroute(s, best)
-		moved++
 	}
-	return moved
 }
 
 // reroute retires an active session through Leave and joins a successor on
@@ -295,7 +281,7 @@ func (n *Network) joinOnPath(s *Session, path graph.Path, demand rate.Rate) *Ses
 func (n *Network) join(s *Session, demand rate.Rate) {
 	s.active = true
 	s.everJoined = true
-	s.joinedAt = n.globalNow()
+	s.joinedAt = n.eng.Now()
 	// The one place a path becomes live: resolve its hop table (and the
 	// records of links nobody used before) now, in serial context, before the
 	// Join below emits the session's first packet.

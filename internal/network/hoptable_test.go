@@ -44,65 +44,58 @@ func checkHops(t *testing.T, n *Network, s *Session) {
 // in flight when the successor joins — still reaches and clears the old
 // path's tasks.
 func TestHopTableFollowsMigration(t *testing.T) {
-	for _, shards := range []int{0, 1, 2} {
-		g, ha, hb, top, bot := buildDiamond()
-		var n *Network
-		if shards == 0 {
-			n = New(g, sim.New(), DefaultConfig())
-		} else {
-			n = NewSharded(g, sim.NewSharded(shards), DefaultConfig())
-		}
-		path, err := n.HostPath(ha, hb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, _ := n.NewSession(ha, hb, path)
-		if s.hops != nil {
-			t.Fatalf("hop table built before the join (set-up must not pay for it)")
-		}
-		n.ScheduleJoin(s, 0, rate.Inf)
-		n.Run()
-		checkHops(t, n, s)
-		old := append([]hopRef(nil), s.hops...)
-		oldTask := n.links[top[0][0]]
-		if oldTask == nil || oldTask.Sessions() != 1 {
-			t.Fatalf("shards %d: the session is not on the top route", shards)
-		}
+	g, ha, hb, top, bot := buildDiamond()
+	n := New(g, sim.New(), DefaultConfig())
+	path, err := n.HostPath(ha, hb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := n.NewSession(ha, hb, path)
+	if s.hops != nil {
+		t.Fatalf("hop table built before the join (set-up must not pay for it)")
+	}
+	n.ScheduleJoin(s, 0, rate.Inf)
+	n.Run()
+	checkHops(t, n, s)
+	old := append([]hopRef(nil), s.hops...)
+	oldTask := n.links[top[0][0]]
+	if oldTask == nil || oldTask.Sessions() != 1 {
+		t.Fatalf("the session is not on the top route")
+	}
 
-		n.ScheduleLinkFail(n.globalNow()+time.Millisecond, top[0][0], top[0][1])
-		n.Run()
-		if err := n.Validate(); err != nil {
-			t.Fatal(err)
+	n.ScheduleLinkFail(n.eng.Now()+time.Millisecond, top[0][0], top[0][1])
+	n.Run()
+	if err := n.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	succ := s.Current()
+	if succ == s {
+		t.Fatalf("no successor")
+	}
+	checkHops(t, n, succ)
+	if succ.hops[1].task != n.links[bot[0][0]] || succ.hops[2].task != n.links[bot[1][0]] {
+		t.Fatalf("the successor's table does not name the bottom route")
+	}
+	// The departed incarnation's table is what it was, and its Leave got
+	// through it: the old route's tasks are empty, the shared access
+	// links carry only the successor.
+	for i, h := range s.hops {
+		if h != old[i] {
+			t.Fatalf("migration rewrote the departed incarnation's hop %d", i)
 		}
-		succ := s.Current()
-		if succ == s {
-			t.Fatalf("shards %d: no successor", shards)
+	}
+	for _, l := range []graph.LinkID{top[0][0], top[1][0]} {
+		if k := n.links[l].Sessions(); k != 0 {
+			t.Fatalf("old route link %d still knows %d sessions", l, k)
 		}
-		checkHops(t, n, succ)
-		if succ.hops[1].task != n.links[bot[0][0]] || succ.hops[2].task != n.links[bot[1][0]] {
-			t.Fatalf("shards %d: the successor's table does not name the bottom route", shards)
+	}
+	for _, l := range []graph.LinkID{path[0], path[len(path)-1]} {
+		if k := n.links[l].Sessions(); k != 1 {
+			t.Fatalf("access link %d knows %d sessions, want the successor only", l, k)
 		}
-		// The departed incarnation's table is what it was, and its Leave got
-		// through it: the old route's tasks are empty, the shared access
-		// links carry only the successor.
-		for i, h := range s.hops {
-			if h != old[i] {
-				t.Fatalf("shards %d: migration rewrote the departed incarnation's hop %d", shards, i)
-			}
-		}
-		for _, l := range []graph.LinkID{top[0][0], top[1][0]} {
-			if k := n.links[l].Sessions(); k != 0 {
-				t.Fatalf("shards %d: old route link %d still knows %d sessions", shards, l, k)
-			}
-		}
-		for _, l := range []graph.LinkID{path[0], path[len(path)-1]} {
-			if k := n.links[l].Sessions(); k != 1 {
-				t.Fatalf("shards %d: access link %d knows %d sessions, want the successor only", shards, l, k)
-			}
-		}
-		if got, _ := s.Rate(); !got.Equal(rate.Mbps(25)) {
-			t.Fatalf("shards %d: post-failure rate %v, want 25 Mbps", shards, got)
-		}
+	}
+	if got, _ := s.Rate(); !got.Equal(rate.Mbps(25)) {
+		t.Fatalf("post-failure rate %v, want 25 Mbps", got)
 	}
 }
 
@@ -129,7 +122,7 @@ func TestHopTableSurvivesGrowth(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			n.ScheduleJoin(s, n.globalNow()+time.Duration(rng.Int63n(int64(time.Millisecond))), rate.Inf)
+			n.ScheduleJoin(s, n.eng.Now()+time.Duration(rng.Int63n(int64(time.Millisecond))), rate.Inf)
 			out = append(out, s)
 		}
 		return out
@@ -168,7 +161,7 @@ func TestHopTableSurvivesGrowth(t *testing.T) {
 	// The old sessions still run over their tables: a demand change on each
 	// re-converges the whole network.
 	for _, s := range first {
-		n.ScheduleChange(s, n.globalNow()+time.Millisecond, rate.Mbps(int64(1+rng.Intn(20))))
+		n.ScheduleChange(s, n.eng.Now()+time.Millisecond, rate.Mbps(int64(1+rng.Intn(20))))
 	}
 	n.Run()
 	if err := n.Validate(); err != nil {

@@ -5,19 +5,12 @@
 // quiescence, and validates converged rates against the centralized oracle —
 // exactly the methodology of the paper's Section IV.
 //
-// A Network runs on one of two engines. The classic serial engine
-// (network.New) executes every event on one goroutine in (time, scheduling
-// order). The sharded engine (network.NewSharded) partitions the topology's
-// nodes into shards (graph.PartitionNodes), gives every protocol task an
-// execution home — a RouterLink lives on the From side of its link, session
-// endpoints on their hosts — and runs shards in parallel under the engine's
-// conservative lookahead windows. Session churn and topology dynamics
-// execute as global barrier events, so they can touch cross-shard state
-// (session maps, the graph, the resolver) without locks. Packet statistics
-// and delivery pools are per shard and merge on demand. The sharded event
-// order is keyed by (time, creator node, creator sequence), which is
-// independent of the partition: runs are byte-identical for every shard
-// count, including one.
+// A Network runs on the serial engine of internal/sim. Every protocol task
+// has a home node — a RouterLink lives on the From side of its link, session
+// endpoints on their hosts — and every packet delivery is keyed by the node
+// that sends it, so the event order is (time, creator node, creator
+// sequence). Session churn, topology dynamics and sampling are external
+// events, scheduled through one funnel (globalAt).
 package network
 
 import (
@@ -52,27 +45,11 @@ type Config struct {
 	// Zero disables binning.
 	BinSize time.Duration
 	// OnRate, if set, observes every API.Rate upcall with its virtual time.
-	// On a sharded network it is called from shard goroutines: callbacks for
-	// different sessions may run concurrently (per-session slots are safe).
 	OnRate func(s core.SessionID, lambda rate.Rate, at sim.Time)
 	// OnPacket, if set, observes every packet as it is sent across a
 	// physical link (intra-host hand-offs are not reported). Useful for
-	// protocol tracing and debugging. Sharded runs call it concurrently.
+	// protocol tracing and debugging.
 	OnPacket func(link graph.LinkID, pkt core.Packet, at sim.Time)
-	// Speculate enables optimistic window execution on a sharded engine
-	// (ignored in classic mode): at barriers where every cut-link wire is
-	// idle, shards speculatively run windows several lookaheads long,
-	// withholding cross-shard sends in journals that are externalized only
-	// at commit. Results are byte-identical with the flag on or off at every
-	// shard count; only wall-clock changes (see DESIGN.md §13).
-	Speculate bool
-	// Hierarchy, if set, supplies per-node hierarchy labels (coarse to fine,
-	// densely indexed by NodeID — see graph.PartitionHierarchy) and switches
-	// sharded repartitioning from the flat latency sweep to the hierarchical
-	// cut. Called at every repartition, so topologies that grow (AddHosts)
-	// return fresh label slices covering the new nodes. Generated internet
-	// topologies (topology.Internet) provide it; nil keeps PartitionNodes.
-	Hierarchy func() [][]int32
 	// PathPolicy selects the path re-optimization policy. The zero value is
 	// policy.Pinned — paths never move unless a failure forces them to —
 	// which reproduces the historical behavior exactly. With
@@ -185,14 +162,13 @@ func (s *Session) Converged() bool { return s.Current().src.Converged() }
 type Network struct {
 	cfg      Config
 	g        *graph.Graph
-	eng      *sim.Engine        // classic serial engine; nil in sharded mode
-	she      *sim.ShardedEngine // sharded engine; nil in classic mode
+	eng      *sim.Engine
 	resolver *graph.Resolver
 	// links and wires index the per-link records by LinkID (nil until a path
 	// uses the link). They are the creation index — join resolves hop tables
-	// through them; SetCapacity, Validate, LinkPackets and the speculation
-	// gate sweep them — and no packet reads them. Growing them (AddHosts
-	// between runs) moves the pointers, never the records.
+	// through them; SetCapacity, Validate and LinkPackets sweep them — and no
+	// packet reads them. Growing them (AddHosts between runs) moves the
+	// pointers, never the records.
 	links []*core.RouterLink
 	wires []*wireRec
 	// sessByID is the session table, densely indexed by ID (IDs are assigned
@@ -202,7 +178,6 @@ type Network struct {
 	sessByID []*Session
 	order    []core.SessionID // insertion order, for deterministic iteration
 	stranded []*Session       // parked without a path, in strand order
-	domains  []*domain        // one per shard (one total in classic mode)
 	nextID   core.SessionID
 	migrated uint64 // sessions link failures force-rerouted onto new paths
 
@@ -217,16 +192,15 @@ type Network struct {
 	reconfJoin   []*Session
 	reconfigPkts uint64
 
-	// partGen/partNodes stamp the partition installed on the sharded engine;
-	// topology churn or host additions make it stale and trigger a
-	// generation-aware repartition at the next barrier.
-	partGen   uint64
-	partNodes int
-	// cutLinks lists the links the current partition cuts — the only
-	// conduits of cross-shard influence. The speculation gate probes their
-	// wires' idleness at a barrier before admitting an optimistic window;
-	// repartition rebuilds the list whenever the partition moves.
-	cutLinks []graph.LinkID
+	// stats counts the packets sent across physical links (by type, and in
+	// bins of Config.BinSize).
+	stats *metrics.PacketStats
+	// sessPkts counts, densely by session ID, the packets sent across
+	// physical links on each session's behalf (SessionPackets, the
+	// reconfiguration-cost accounting). NewSession grows it.
+	sessPkts []uint64
+	// free recycles packet deliveries (see deliverEvent).
+	free []*deliverEvent
 
 	// oracle assembles and solves the waterfill instance of Oracle/Validate
 	// in scratch that survives between calls, so per-epoch validation of a
@@ -237,24 +211,6 @@ type Network struct {
 	incOracle *incOracle
 }
 
-// domain is the per-shard execution state: the shard's packet statistics,
-// its per-session packet counters, and its free list of recycled packet
-// deliveries. Each domain is touched only by its shard's goroutine (or by
-// the coordinator at a barrier), so the hot path stays lock-free. The
-// shardowner analyzer enforces that ownership: fields may only be reached
-// through a //bneck:owner accessor or inside a //bneck:merge function.
-//
-//bneck:sharded
-type domain struct {
-	stats *metrics.PacketStats
-	free  []*deliverEvent
-	// sessPkts counts, densely by session ID, the packets this domain's
-	// tasks sent across physical links on each session's behalf. Grown in
-	// serial context by NewSession; summed across domains on demand
-	// (SessionPackets, the reconfiguration-cost accounting).
-	sessPkts []uint64
-}
-
 // reconfSpan is one pending teardown debit: the packets a force-departed
 // incarnation sends from its Leave (base) until the next quiescence are
 // reconfiguration traffic.
@@ -263,110 +219,52 @@ type reconfSpan struct {
 	base uint64
 }
 
-// maxFreeDeliver caps a domain's free list: cross-shard deliveries recycle
-// into the receiving shard's pool, so sustained one-directional traffic
-// could otherwise grow a pool without bound.
-const maxFreeDeliver = 1 << 15
-
 // deliverEvent carries one in-flight packet delivery. Emit runs once per
 // packet per hop — the hottest call site in the whole simulator — and a
 // naive closure there costs two heap allocations per packet (the closure and
-// its captured variables). Instead each domain keeps a free list of
+// its captured variables). Instead the network keeps a free list of
 // deliverEvents, each with a closure built exactly once over the event
-// itself; Emit pops one from the executing shard's pool, fills in the
-// pending delivery, and the closure recycles its event into the pool of the
-// shard executing the delivery, so steady-state packet traffic allocates
-// nothing.
+// itself; Emit pops one, fills in the pending delivery, and the closure
+// recycles its event before delivering, so steady-state packet traffic
+// allocates nothing.
 type deliverEvent struct {
-	sess   *Session
-	hop    int
-	pkt    core.Packet
-	target graph.NodeID
-	fn     func()
+	sess *Session
+	hop  int
+	pkt  core.Packet
+	fn   func()
 }
 
 // takeDeliver returns a ready-to-schedule callback delivering pkt to hop on
-// sess, drawing from the executing domain's free list when possible. target
-// is the node the delivery executes on, which decides the recycling pool.
-func (n *Network) takeDeliver(dom *domain, sess *Session, hop int, pkt core.Packet, target graph.NodeID) func() {
+// sess, drawing from the free list when possible.
+func (n *Network) takeDeliver(sess *Session, hop int, pkt core.Packet) func() {
 	var d *deliverEvent
-	if k := len(dom.free); k > 0 {
-		d = dom.free[k-1]
-		dom.free = dom.free[:k-1]
+	if k := len(n.free); k > 0 {
+		d = n.free[k-1]
+		n.free = n.free[:k-1]
 	} else {
 		d = &deliverEvent{}
 		d.fn = func() {
 			sess, hop, pkt := d.sess, d.hop, d.pkt
 			d.sess = nil
-			home := n.domainFor(d.target)
-			if len(home.free) < maxFreeDeliver {
-				home.free = append(home.free, d)
-			}
+			n.free = append(n.free, d)
 			n.deliver(sess, hop, pkt)
 		}
 	}
-	d.sess, d.hop, d.pkt, d.target = sess, hop, pkt, target
+	d.sess, d.hop, d.pkt = sess, hop, pkt
 	return d.fn
 }
 
-// New returns a network over g driven by the classic serial engine.
+// New returns a network over g driven by eng.
 func New(g *graph.Graph, eng *sim.Engine, cfg Config) *Network {
-	n := newNetwork(g, cfg)
-	n.eng = eng
-	n.domains = []*domain{{stats: metrics.NewPacketStats(cfg.BinSize)}}
-	return n
-}
-
-// NewSharded returns a network over g driven by a sharded engine. The
-// partition is computed (and, after topology churn, recomputed) from the
-// graph and the registered sessions' paths at every Run.
-func NewSharded(g *graph.Graph, she *sim.ShardedEngine, cfg Config) *Network {
-	n := newNetwork(g, cfg)
-	n.she = she
-	for i := 0; i < she.Shards(); i++ {
-		n.domains = append(n.domains, &domain{stats: metrics.NewPacketStats(cfg.BinSize)})
-	}
-	if cfg.Speculate {
-		she.SetSpeculation(true)
-		she.SetSpecGate(n.specGate)
-	}
-	return n
-}
-
-// specGate is the transport's admission check for optimistic windows,
-// called by the engine at a barrier immediately before a speculative fork:
-// admit only when every cut-link wire is idle — a busy cut transmitter
-// means cross-shard traffic is in flight, and the withheld delivery would
-// park the attempt almost immediately. Wires are created lazily; a link no
-// path has used yet has no wire and is trivially idle.
-func (n *Network) specGate() bool {
-	for _, id := range n.cutLinks {
-		if int(id) < len(n.wires) {
-			if w := n.wires[id]; w != nil && !w.Idle() {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// SpeculationStats returns the sharded engine's optimistic-execution
-// counters — zero in classic mode or with speculation off. Outcome counts
-// are timing-dependent in parallel mode (results never are).
-func (n *Network) SpeculationStats() sim.SpeculationStats {
-	if n.she == nil {
-		return sim.SpeculationStats{}
-	}
-	return n.she.SpecStats()
-}
-
-func newNetwork(g *graph.Graph, cfg Config) *Network {
 	n := &Network{
 		cfg:       cfg,
 		g:         g,
+		eng:       eng,
 		resolver:  graph.NewResolver(g, 256),
 		sessByID:  make([]*Session, 1), // IDs start at 1; slot 0 stays nil
+		sessPkts:  make([]uint64, 1),
 		nextID:    1,
+		stats:     metrics.NewPacketStats(cfg.BinSize),
 		incOracle: newIncOracle(cfg),
 	}
 	n.oracle.Capacity = func(l graph.LinkID) rate.Rate { return g.Link(l).Capacity }
@@ -381,75 +279,22 @@ func (n *Network) HostPath(src, dst graph.NodeID) (graph.Path, error) {
 	return n.resolver.HostPath(src, dst)
 }
 
-// Engine returns the driving serial simulator (nil when the network runs on
-// a sharded engine).
+// Engine returns the driving simulator.
 func (n *Network) Engine() *sim.Engine { return n.eng }
 
-// Sharded returns the driving sharded engine (nil in classic mode).
-func (n *Network) Sharded() *sim.ShardedEngine { return n.she }
-
-// domainFor returns the execution domain of a node: the single classic
-// domain, or the node's shard. A sharded engine in inline mode executes
-// everything on the coordinating goroutine, so one shared domain is safe —
-// and keeps the delivery free list at the classic engine's hit rate instead
-// of leaking events across cut-traffic pools (stats merge by summation, so
-// the collapse is invisible in results).
+// globalAt schedules fn as an external event. All session churn and
+// topology dynamics go through here — it is the transport's single
+// sanctioned funnel for un-keyed (ExtCreator) scheduling, so churn, dynamics
+// and sampling share one order (the eventkey analyzer flags any other
+// At/After/DaemonAt call).
 //
-//bneck:owner returns the executing shard's own domain (ShardOf of the executing node).
-func (n *Network) domainFor(node graph.NodeID) *domain {
-	if n.she == nil || !n.she.Parallel() {
-		return n.domains[0]
-	}
-	return n.domains[n.she.ShardOf(int32(node))]
-}
-
-// nowFor returns the local clock of a node's execution context.
-func (n *Network) nowFor(node graph.NodeID) sim.Time {
-	if n.she == nil {
-		return n.eng.Now()
-	}
-	return n.she.NowAt(int32(node))
-}
-
-// globalNow returns the engine-wide clock (the barrier clock when sharded).
-func (n *Network) globalNow() sim.Time {
-	if n.she == nil {
-		return n.eng.Now()
-	}
-	return n.she.Now()
-}
-
-// globalAt schedules fn as a serial event: a plain event on the classic
-// engine, a barrier (global) event on the sharded one. All session churn and
-// topology dynamics go through here, because they touch cross-shard state —
-// it is the transport's single sanctioned funnel for un-keyed (ExtCreator)
-// scheduling, so churn, dynamics and sampling share one partition-independent
-// order (the eventkey analyzer flags any other At/After/DaemonAt call).
-//
-//bneck:global the one blessed ExtCreator funnel; everything serial flows through here.
+//bneck:global the one blessed ExtCreator funnel; all churn and dynamics flow through here.
 func (n *Network) globalAt(at sim.Time, fn func()) {
-	if n.she == nil {
-		n.eng.At(at, fn) //bneck:global see funnel comment above.
-		return
-	}
-	n.she.At(at, fn) //bneck:global see funnel comment above.
+	n.eng.At(at, fn) //bneck:global see funnel comment above.
 }
 
-// Stats returns the packet statistics. In sharded mode the per-shard
-// collectors are merged into a fresh snapshot; totals and bins are sums, so
-// the result is identical for every shard count.
-//
-//bneck:merge called between runs or at a barrier; sweeps all domains by design.
-func (n *Network) Stats() *metrics.PacketStats {
-	if len(n.domains) == 1 {
-		return n.domains[0].stats
-	}
-	merged := metrics.NewPacketStats(n.cfg.BinSize)
-	for _, d := range n.domains {
-		merged.Merge(d.stats)
-	}
-	return merged
-}
+// Stats returns the packet statistics.
+func (n *Network) Stats() *metrics.PacketStats { return n.stats }
 
 // LinkPackets returns per-directed-link packet totals for every link that
 // carried traffic, ordered by link ID — the simulator-side counterpart of
@@ -466,30 +311,16 @@ func (n *Network) LinkPackets() []metrics.LinkCount {
 
 // SessionPackets returns per-session packet totals (packets sent across
 // physical links on the session's behalf) for every session incarnation
-// that carried traffic, in creation order. The per-domain counters are
-// merged on demand, like Stats — the live runtime reports the same shape.
+// that carried traffic, in creation order — the live runtime reports the
+// same shape.
 func (n *Network) SessionPackets() []metrics.SessionCount {
 	var out []metrics.SessionCount
 	for _, id := range n.order {
-		if pk := n.sessionPacketCount(id); pk > 0 {
+		if pk := n.sessPkts[id]; pk > 0 {
 			out = append(out, metrics.SessionCount{Session: id, Packets: pk})
 		}
 	}
 	return out
-}
-
-// sessionPacketCount sums one session's packet counters across domains.
-// Call from serial context (setup, a barrier event, or between runs).
-//
-//bneck:merge serial-context sweep; see the call contract above.
-func (n *Network) sessionPacketCount(id core.SessionID) uint64 {
-	var pk uint64
-	for _, d := range n.domains {
-		if int(id) < len(d.sessPkts) {
-			pk += d.sessPkts[id]
-		}
-	}
-	return pk
 }
 
 // ReconfigPackets returns the cumulative control-packet cost of topology
@@ -514,7 +345,7 @@ func (n *Network) beginTeardown(s *Session) {
 		return // its remaining packets are already attributed
 	}
 	s.reconfAccounted = true
-	n.reconfTear = append(n.reconfTear, reconfSpan{s: s, base: n.sessionPacketCount(s.ID)})
+	n.reconfTear = append(n.reconfTear, reconfSpan{s: s, base: n.sessPkts[s.ID]})
 }
 
 // markReconfigJoin attributes a freshly (re)joined session's packets —
@@ -530,12 +361,12 @@ func (n *Network) markReconfigJoin(s *Session) {
 // finalizeReconfig closes the pending reconfiguration spans at quiescence.
 func (n *Network) finalizeReconfig() {
 	for _, t := range n.reconfTear {
-		n.reconfigPkts += n.sessionPacketCount(t.s.ID) - t.base
+		n.reconfigPkts += n.sessPkts[t.s.ID] - t.base
 		t.s.reconfAccounted = false
 	}
 	n.reconfTear = n.reconfTear[:0]
 	for _, s := range n.reconfJoin {
-		n.reconfigPkts += n.sessionPacketCount(s.ID)
+		n.reconfigPkts += n.sessPkts[s.ID]
 		s.reconfAccounted = false
 	}
 	n.reconfJoin = n.reconfJoin[:0]
@@ -553,8 +384,6 @@ func (n *Network) Sessions() []*Session {
 // NewSession creates a session between two hosts along path, without joining
 // it (schedule the join separately). The path must come from the graph
 // (e.g., graph.Resolver.HostPath).
-//
-//bneck:merge sessions are created at setup or inside barrier events; sizing every domain's counter table here is the serial-context contract.
 func (n *Network) NewSession(srcHost, dstHost graph.NodeID, path graph.Path) (*Session, error) {
 	if err := graph.ValidatePath(n.g, path); err != nil {
 		return nil, fmt.Errorf("network: %w", err)
@@ -566,7 +395,7 @@ func (n *Network) NewSession(srcHost, dstHost graph.NodeID, path graph.Path) (*S
 		srcPort: port{n: n, node: srcHost}, dstPort: port{n: n, node: dstHost},
 	}
 	s.src = core.NewSourceNode(id, &s.srcPort, func(sid core.SessionID, lambda rate.Rate) {
-		at := n.nowFor(srcHost)
+		at := n.eng.Now()
 		s.rateAt = at
 		if n.cfg.OnRate != nil {
 			n.cfg.OnRate(sid, lambda, at)
@@ -577,13 +406,10 @@ func (n *Network) NewSession(srcHost, dstHost graph.NodeID, path graph.Path) (*S
 		n.sessByID = append(n.sessByID, nil)
 	}
 	n.sessByID[id] = s
-	// Size every domain's per-session counter table now, in serial context
-	// (sessions are created at setup or inside barrier events), so Emit can
-	// index it without bounds games.
-	for _, d := range n.domains {
-		for int(id) >= len(d.sessPkts) {
-			d.sessPkts = append(d.sessPkts, 0)
-		}
+	// Size the per-session counter table now, so Emit can index it without
+	// bounds games.
+	for int(id) >= len(n.sessPkts) {
+		n.sessPkts = append(n.sessPkts, 0)
 	}
 	n.order = append(n.order, id)
 	return s, nil
@@ -635,136 +461,39 @@ func (n *Network) ScheduleChange(s *Session, at sim.Time, demand rate.Rate) {
 }
 
 // Run drives the simulation to quiescence and returns the quiescence time
-// (the timestamp of the last protocol event). On a sharded network it first
-// (re)computes the partition if the topology changed since the last run.
-// Quiescence is also where pending reconfiguration-packet spans close (see
-// ReconfigPackets).
+// (the timestamp of the last protocol event). Quiescence is also where
+// pending reconfiguration-packet spans close (see ReconfigPackets).
 func (n *Network) Run() sim.Time {
-	var q sim.Time
-	if n.she != nil {
-		n.ensurePartition()
-		q = n.she.Run()
-	} else {
-		q = n.eng.Run()
-	}
+	q := n.eng.Run()
 	n.finalizeReconfig()
 	return q
 }
 
 // RunUntil executes all events scheduled at or before t, then sets the
-// clock to t — for observing transients. Like Run, it installs a fresh
-// partition first when the network is sharded, so it is safe as the very
-// first advance after setup or AddHosts.
-func (n *Network) RunUntil(t sim.Time) {
-	if n.she != nil {
-		n.ensurePartition()
-		n.she.RunUntil(t)
-		return
-	}
-	n.eng.RunUntil(t)
-}
-
-// ensurePartition installs a fresh node partition on the sharded engine when
-// none exists yet or the graph changed (hosts added between runs). Called
-// from the coordinator, outside any window.
-func (n *Network) ensurePartition() {
-	if n.partNodes == n.g.NumNodes() && n.partGen == n.g.Generation() && n.partNodes > 0 {
-		return
-	}
-	n.repartition()
-}
-
-// maybeRepartition re-balances the shards after topology churn: dynamics
-// events bump the graph generation, and the session population they migrate
-// shifts the load. Runs inside a global (barrier) event, where re-homing
-// queued events is safe.
-func (n *Network) maybeRepartition() {
-	if n.she == nil || n.she.Shards() <= 1 {
-		return
-	}
-	if n.partGen == n.g.Generation() && n.partNodes == n.g.NumNodes() {
-		return
-	}
-	n.repartition()
-}
-
-func (n *Network) repartition() {
-	paths := make([]graph.Path, 0, len(n.order))
-	for _, id := range n.order {
-		s := n.sessByID[id]
-		if s.departed && s.succ != nil {
-			continue // the successor carries the live path
-		}
-		paths = append(paths, s.Path)
-	}
-	weights := graph.SessionWeights(n.g, paths)
-	floors := n.linkFloors()
-	var p graph.Partition
-	if n.cfg.Hierarchy != nil {
-		p = graph.PartitionHierarchy(n.g, n.she.Shards(), weights, floors, n.cfg.Hierarchy())
-	} else {
-		p = graph.PartitionNodes(n.g, n.she.Shards(), weights, floors)
-	}
-	look := sim.Time(p.Lookahead)
-	if p.K <= 1 {
-		look = 0 // single shard: the engine treats 0 as unbounded windows
-	}
-	n.she.SetTopology(n.g.NumNodes(), p.Parts, look)
-	n.partGen = n.g.Generation()
-	n.partNodes = n.g.NumNodes()
-	if n.cfg.Speculate {
-		n.cutLinks = graph.CutLinks(n.g, p.Parts)
-	}
-}
-
-// linkFloors returns each link's per-packet transmission floor — the
-// earliest a packet emitted now can arrive is now + tx + propagation, so the
-// floor widens the conservative lookahead beyond raw propagation. On LAN
-// topologies (uniform 1 µs propagation) serialization dominates, and the
-// wider window is what makes sharding profitable there. Floors move with
-// capacity, so ScheduleSetCapacity-driven repartitions (the partition is
-// generation-stamped) keep the bound sound: a capacity change only takes
-// effect at a barrier, and the fresh partition's lookahead reflects it
-// before the next window forms.
-func (n *Network) linkFloors() []time.Duration {
-	if n.cfg.ControlPacketBits <= 0 {
-		return nil
-	}
-	floors := make([]time.Duration, n.g.NumLinks())
-	for i := range floors {
-		floors[i] = n.txFor(n.g.Link(graph.LinkID(i)).Capacity)
-	}
-	return floors
-}
+// clock to t — for observing transients.
+func (n *Network) RunUntil(t sim.Time) { n.eng.RunUntil(t) }
 
 // port is a foothold on one node: what a protocol task emits through and
 // what a wire schedules through. Session endpoints live on their hosts, a
 // RouterLink — and the sending end of its link's wire — on the From side of
-// the directed link. The node decides the shard whose clock, statistics and
-// delivery pool an emission uses. Tasks and wires hold a pointer to a port
-// stored next to them (in the Session, in the link's record), so binding one
-// allocates nothing.
+// the directed link. The node keys the deliveries an emission schedules.
+// Tasks and wires hold a pointer to a port stored next to them (in the
+// Session, in the link's record), so binding one allocates nothing.
 type port struct {
 	n    *Network
 	node graph.NodeID
 	// peer is the receiving end when the port serves a wire (unused by a
 	// session endpoint): deliveries are keyed by node — the creator whose
 	// execution sends the packet — and owned by peer, which feeds the
-	// schedule explorer's independence relation and picks the receiving
-	// shard. The same key on both engines is what makes classic and sharded
-	// runs byte-identical.
+	// schedule explorer's independence relation.
 	peer graph.NodeID
 }
 
 // Now and At make a port the sim.Sched of its wire.
-func (p *port) Now() sim.Time { return p.n.nowFor(p.node) }
+func (p *port) Now() sim.Time { return p.n.eng.Now() }
 
 func (p *port) At(t sim.Time, f func()) {
-	if p.n.she == nil {
-		p.n.eng.SendFromTo(int32(p.node), int32(p.peer), t, f)
-		return
-	}
-	p.n.she.SendAt(int32(p.node), int32(p.peer), t, f)
+	p.n.eng.SendFromTo(int32(p.node), int32(p.peer), t, f)
 }
 
 // hopRef is what a packet needs to know about one link of its session's
@@ -820,27 +549,18 @@ func (em *port) Emit(s core.SessionID, from int, dir core.Direction, pkt core.Pa
 			w = sess.hops[from-2].rev
 		}
 	}
-	dom := n.domainFor(em.node)
+	deliver := n.takeDeliver(sess, to, pkt)
 	if w == nil {
 		// Intra-host hand-off (source ↔ its access-link task): no wire. Both
-		// endpoints live on the source host, so the delivery stays local.
-		// Both engines key the event by the emitting node, so the classic
-		// order matches the sharded one.
-		deliver := n.takeDeliver(dom, sess, to, pkt, em.node)
-		nd := int32(em.node)
-		if n.she == nil {
-			n.eng.SendFrom(nd, n.eng.Now(), deliver)
-		} else {
-			n.she.SendAt(nd, nd, n.she.NowAt(nd), deliver)
-		}
+		// endpoints live on the source host; the event is keyed by it.
+		n.eng.SendFrom(int32(em.node), n.eng.Now(), deliver)
 		return
 	}
 	// The packet crosses a physical link: account it (the paper counts
 	// every packet sent across a link) and serialize it on the wire.
-	deliver := n.takeDeliver(dom, sess, to, pkt, w.peer)
-	now := n.nowFor(em.node)
-	dom.stats.Record(pkt.Type, now)
-	dom.sessPkts[sess.ID]++
+	now := n.eng.Now()
+	n.stats.Record(pkt.Type, now)
+	n.sessPkts[sess.ID]++
 	if n.cfg.OnPacket != nil {
 		// The wire's link: the sender's own going down, the reverse of the
 		// one below it going up.
@@ -865,9 +585,8 @@ func (n *Network) deliver(sess *Session, hop int, pkt core.Packet) {
 }
 
 // resolveHops returns the hop table of a path, materializing the records of
-// the links it is the first to use. join calls it from serial context (a
-// barrier event when sharded), so window execution never mutates the link
-// tables. Every link of a validated path has a reverse (graph.ValidatePath
+// the links it is the first to use. join calls it before the session's first
+// packet exists. Every link of a validated path has a reverse (graph.ValidatePath
 // says so to whoever passes a path in); a path the resolver hands a
 // first-time joiner directly is checked here, so a link without one stops
 // the join that would use it instead of the first Response to come back.
@@ -1036,8 +755,7 @@ func (n *Network) Validate() error {
 // the session's current granted rate (zero if none yet). It is the
 // allocation-free transient-sampling primitive: SnapshotRates materializes
 // its result through it, and samplers at internet scale (10⁵ sessions per
-// tick) iterate directly instead of building a map per sample. On a sharded
-// network call it only from a global (barrier) event or between runs.
+// tick) iterate directly instead of building a map per sample.
 func (n *Network) EachActiveRate(fn func(id core.SessionID, r rate.Rate)) {
 	for _, id := range n.order {
 		s := n.sessByID[id]
@@ -1053,9 +771,8 @@ func (n *Network) EachActiveRate(fn func(id core.SessionID, r rate.Rate)) {
 }
 
 // SnapshotRates returns every active session's current granted rate (zero
-// if none yet), for transient measurements (Figure 7). On a sharded network
-// call it only from a global (barrier) event or between runs. Hot samplers
-// should prefer EachActiveRate, which allocates nothing.
+// if none yet), for transient measurements (Figure 7). Hot samplers should
+// prefer EachActiveRate, which allocates nothing.
 func (n *Network) SnapshotRates() map[core.SessionID]rate.Rate {
 	out := make(map[core.SessionID]rate.Rate)
 	n.EachActiveRate(func(id core.SessionID, r rate.Rate) { out[id] = r })

@@ -1,8 +1,8 @@
 // The incremental validation oracle: a waterfill.Incremental mirror of the
 // active session population. Every churn and topology funnel — join, leave,
 // demand change, capacity change, link fail/restore — feeds the mirror a
-// delta as it executes (always in serial/barrier context, so the delta
-// stream is deterministic at every shard count), and Oracle re-levels only
+// delta as it executes (always inside one simulator event, so the delta
+// stream is deterministic), and Oracle re-levels only
 // the affected bottleneck component instead of re-solving the whole
 // instance per validation epoch. Rates are byte-identical to the full
 // solver's — max-min rates are unique and rate.Rate is canonical — so

@@ -29,15 +29,10 @@ func diamond(direct, detour rate.Rate) (*graph.Graph, graph.LinkID, graph.NodeID
 	return g, ab, ha, hb
 }
 
-func diamondNet(t *testing.T, cfg Config, shards int) (*Network, *Session, graph.LinkID) {
+func diamondNet(t *testing.T, cfg Config) (*Network, *Session, graph.LinkID) {
 	t.Helper()
 	g, ab, ha, hb := diamond(rate.Mbps(80), rate.Mbps(40))
-	var net *Network
-	if shards >= 1 {
-		net = NewSharded(g, sim.NewSharded(shards), cfg)
-	} else {
-		net = New(g, sim.New(), cfg)
-	}
+	net := New(g, sim.New(), cfg)
 	path, err := graph.NewResolver(g, 16).HostPath(ha, hb)
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +58,7 @@ func failRestoreCycle(t *testing.T, net *Network, s *Session, ab graph.LinkID) i
 	if got := len(s.Current().Path); got != 3 {
 		t.Fatalf("joined on %d hops, want 3", got)
 	}
-	net.ScheduleLinkFail(net.globalNow()+time.Millisecond, ab, rev)
+	net.ScheduleLinkFail(net.eng.Now()+time.Millisecond, ab, rev)
 	net.Run()
 	if err := net.Validate(); err != nil {
 		t.Fatalf("after fail: %v", err)
@@ -74,7 +69,7 @@ func failRestoreCycle(t *testing.T, net *Network, s *Session, ab graph.LinkID) i
 	if net.Migrations() != 1 {
 		t.Fatalf("migrations = %d, want 1", net.Migrations())
 	}
-	net.ScheduleLinkRestore(net.globalNow()+time.Millisecond, ab, rev)
+	net.ScheduleLinkRestore(net.eng.Now()+time.Millisecond, ab, rev)
 	net.Run()
 	if err := net.Validate(); err != nil {
 		t.Fatalf("after restore: %v", err)
@@ -83,7 +78,7 @@ func failRestoreCycle(t *testing.T, net *Network, s *Session, ab graph.LinkID) i
 }
 
 func TestPinnedKeepsDetourAfterRestore(t *testing.T) {
-	net, s, ab := diamondNet(t, DefaultConfig(), 0)
+	net, s, ab := diamondNet(t, DefaultConfig())
 	if got := failRestoreCycle(t, net, s, ab); got != 4 {
 		t.Fatalf("pinned session moved to %d hops; must stay on the detour", got)
 	}
@@ -96,25 +91,23 @@ func TestPinnedKeepsDetourAfterRestore(t *testing.T) {
 }
 
 func TestReoptimizeOnRestoreReturnsToShortestPath(t *testing.T) {
-	for _, shards := range []int{0, 1, 2} {
-		cfg := DefaultConfig()
-		cfg.PathPolicy = policy.Config{Kind: policy.ReoptimizeOnRestore}
-		net, s, ab := diamondNet(t, cfg, shards)
-		if got := failRestoreCycle(t, net, s, ab); got != 3 {
-			t.Fatalf("shards=%d: session on %d hops after restore, want 3", shards, got)
-		}
-		if net.Reoptimizations() != 1 {
-			t.Fatalf("shards=%d: reoptimizations = %d, want 1", shards, net.Reoptimizations())
-		}
-		if net.Migrations() != 1 {
-			t.Fatalf("shards=%d: migrations = %d, want 1 (reoptimizations are separate)", shards, net.Migrations())
-		}
-		if r, _ := s.Rate(); !r.Equal(rate.Mbps(80)) {
-			t.Fatalf("shards=%d: rate = %v, want the 80 Mbps direct bottleneck", shards, r)
-		}
-		if net.ReconfigPackets() == 0 {
-			t.Fatalf("shards=%d: reconfiguration cost no packets", shards)
-		}
+	cfg := DefaultConfig()
+	cfg.PathPolicy = policy.Config{Kind: policy.ReoptimizeOnRestore}
+	net, s, ab := diamondNet(t, cfg)
+	if got := failRestoreCycle(t, net, s, ab); got != 3 {
+		t.Fatalf("session on %d hops after restore, want 3", got)
+	}
+	if net.Reoptimizations() != 1 {
+		t.Fatalf("reoptimizations = %d, want 1", net.Reoptimizations())
+	}
+	if net.Migrations() != 1 {
+		t.Fatalf("migrations = %d, want 1 (reoptimizations are separate)", net.Migrations())
+	}
+	if r, _ := s.Rate(); !r.Equal(rate.Mbps(80)) {
+		t.Fatalf("rate = %v, want the 80 Mbps direct bottleneck", r)
+	}
+	if net.ReconfigPackets() == 0 {
+		t.Fatal("reconfiguration cost no packets")
 	}
 }
 
@@ -123,7 +116,7 @@ func TestStretchHysteresisKeepsShortDetour(t *testing.T) {
 	// the policy must leave it alone.
 	cfg := DefaultConfig()
 	cfg.PathPolicy = policy.Config{Kind: policy.ReoptimizeOnRestore, Stretch: 1.5}
-	net, s, ab := diamondNet(t, cfg, 0)
+	net, s, ab := diamondNet(t, cfg)
 	if got := failRestoreCycle(t, net, s, ab); got != 4 {
 		t.Fatalf("session on %d hops; 4/3 is within stretch 1.5, must stay", got)
 	}
@@ -138,12 +131,12 @@ func TestCapacityUpgradeBypassesHysteresis(t *testing.T) {
 	// session migrates back.
 	cfg := DefaultConfig()
 	cfg.PathPolicy = policy.Config{Kind: policy.ReoptimizeOnRestore, Stretch: 1.5}
-	net, s, ab := diamondNet(t, cfg, 0)
+	net, s, ab := diamondNet(t, cfg)
 	if got := failRestoreCycle(t, net, s, ab); got != 4 {
 		t.Fatalf("pre-upgrade: session on %d hops, want the kept detour", got)
 	}
 	rev := net.g.Link(ab).Reverse
-	net.ScheduleSetCapacity(net.globalNow()+time.Millisecond, rate.Mbps(160), ab, rev)
+	net.ScheduleSetCapacity(net.eng.Now()+time.Millisecond, rate.Mbps(160), ab, rev)
 	net.Run()
 	if err := net.Validate(); err != nil {
 		t.Fatalf("after upgrade: %v", err)
@@ -163,11 +156,11 @@ func TestCapacityUpgradeBypassesHysteresis(t *testing.T) {
 func TestCapacityIncreaseBelowThresholdDoesNotSweep(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PathPolicy = policy.Config{Kind: policy.ReoptimizeOnRestore, Stretch: 1.5}
-	net, s, ab := diamondNet(t, cfg, 0)
+	net, s, ab := diamondNet(t, cfg)
 	failRestoreCycle(t, net, s, ab)
 	rev := net.g.Link(ab).Reverse
 	// +25% is below the default 2× threshold: no sweep, the detour stays.
-	net.ScheduleSetCapacity(net.globalNow()+time.Millisecond, rate.Mbps(100), ab, rev)
+	net.ScheduleSetCapacity(net.eng.Now()+time.Millisecond, rate.Mbps(100), ab, rev)
 	net.Run()
 	if err := net.Validate(); err != nil {
 		t.Fatal(err)
@@ -182,30 +175,28 @@ func TestCapacityIncreaseBelowThresholdDoesNotSweep(t *testing.T) {
 
 // TestReconfigPacketAccounting pins the migration-cost metric: the
 // fail+restore cycle's reconfiguration packets are bounded by the total, the
-// per-session counters merge across domains consistently, and a pure
+// per-session counters add up to the packet statistics, and a pure
 // user-churn run costs zero reconfiguration packets.
 func TestReconfigPacketAccounting(t *testing.T) {
-	for _, shards := range []int{0, 2} {
-		cfg := DefaultConfig()
-		cfg.PathPolicy = policy.Config{Kind: policy.ReoptimizeOnRestore}
-		net, s, ab := diamondNet(t, cfg, shards)
-		failRestoreCycle(t, net, s, ab)
-		total := net.Stats().Total()
-		reconf := net.ReconfigPackets()
-		if reconf == 0 || reconf >= total {
-			t.Fatalf("shards=%d: reconfig packets %d out of bounds (total %d)", shards, reconf, total)
-		}
-		var perSession uint64
-		for _, sc := range net.SessionPackets() {
-			perSession += sc.Packets
-		}
-		if perSession != total {
-			t.Fatalf("shards=%d: per-session packets sum to %d, stats total %d", shards, perSession, total)
-		}
+	cfg := DefaultConfig()
+	cfg.PathPolicy = policy.Config{Kind: policy.ReoptimizeOnRestore}
+	net, s, ab := diamondNet(t, cfg)
+	failRestoreCycle(t, net, s, ab)
+	total := net.Stats().Total()
+	reconf := net.ReconfigPackets()
+	if reconf == 0 || reconf >= total {
+		t.Fatalf("reconfig packets %d out of bounds (total %d)", reconf, total)
+	}
+	var perSession uint64
+	for _, sc := range net.SessionPackets() {
+		perSession += sc.Packets
+	}
+	if perSession != total {
+		t.Fatalf("per-session packets sum to %d, stats total %d", perSession, total)
 	}
 
 	// User churn alone must not register as reconfiguration cost.
-	net, s, _ := diamondNet(t, DefaultConfig(), 0)
+	net, s, _ = diamondNet(t, DefaultConfig())
 	net.ScheduleJoin(s, 0, rate.Inf)
 	net.ScheduleChange(s, 2*time.Millisecond, rate.Mbps(10))
 	net.ScheduleLeave(s, 4*time.Millisecond)
@@ -216,20 +207,18 @@ func TestReconfigPacketAccounting(t *testing.T) {
 }
 
 // TestReconfigPacketsDeterministicAcrossEngines: the accounting itself is a
-// determinism surface — classic and sharded runs must agree on the exact
-// reconfiguration cost.
+// determinism surface. Every run of the fail+restore cycle costs exactly the
+// 37 reconfiguration packets the classic engine and every shard count of the
+// retired sharded engine agreed on.
 func TestReconfigPacketsDeterministicAcrossEngines(t *testing.T) {
-	counts := make(map[int]uint64)
-	for _, shards := range []int{0, 1, 2, 4} {
+	const want = 37
+	for run := 0; run < 2; run++ {
 		cfg := DefaultConfig()
 		cfg.PathPolicy = policy.Config{Kind: policy.ReoptimizeOnRestore}
-		net, s, ab := diamondNet(t, cfg, shards)
+		net, s, ab := diamondNet(t, cfg)
 		failRestoreCycle(t, net, s, ab)
-		counts[shards] = net.ReconfigPackets()
-	}
-	for shards, got := range counts {
-		if got != counts[0] {
-			t.Fatalf("reconfig packets differ: classic %d, %d shards %d", counts[0], shards, got)
+		if got := net.ReconfigPackets(); got != want {
+			t.Fatalf("run %d: reconfig packets %d, want %d", run, got, want)
 		}
 	}
 }

@@ -19,12 +19,11 @@
 // migrates every session whose current path is longer than its best path by
 // the configured stretch/hysteresis margin.
 //
-// Triggers are deliberately coarse — whole-population sweeps at restore
-// barriers — because that is what keeps the policy deterministic: the sweep
-// runs in serial context (a barrier event on the sharded engine, under the
-// runtime mutex on the live transport), iterates sessions in creation order,
-// and resolves paths with the deterministic BFS resolver, so policy-on runs
-// are byte-identical at every shard count and window-batch setting.
+// Triggers are deliberately coarse — whole-population sweeps at restores —
+// because that is what keeps the policy deterministic: the sweep runs in
+// serial context (one simulator event, or under the runtime mutex on the
+// live transport), iterates sessions in creation order, and resolves paths
+// with the deterministic BFS resolver, so policy-on runs are reproducible.
 package policy
 
 import "bneck/internal/rate"

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -128,18 +129,23 @@ at 0ms join s demand=5mbps
 	}
 }
 
-// TestChooserRequiresClassicEngine pins the engine restriction.
-func TestChooserRequiresClassicEngine(t *testing.T) {
-	sc, err := Parse("router r1\nrouter r2\nlink r1 r2 10mbps 1us\nhost h1 r1\nhost h2 r2\nsession s h1 h2\nat 0ms join s\n")
+// TestChooserPickZeroMatchesRunSim: a chooser that always takes the default
+// candidate reproduces the unexplored run exactly.
+func TestChooserPickZeroMatchesRunSim(t *testing.T) {
+	sc, err := Parse("router r1\nrouter r2\nlink r1 r2 10mbps 1us\nhost h1 r1\nhost h2 r2\nsession s h1 h2\nsession u h2 h1\nat 0ms join s\nat 0ms join u\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = RunSimOpts(sc, SimOptions{Shards: 2, Chooser: alwaysZero{}})
-	if err == nil || !strings.Contains(err.Error(), "classic engine") {
-		t.Fatalf("sharded run with a Chooser: error %v, want classic-engine restriction", err)
+	want, err := RunSim(sc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := RunSimOpts(sc, SimOptions{Chooser: alwaysZero{}}); err != nil {
-		t.Fatalf("classic run with pick-0 chooser failed: %v", err)
+	got, err := RunSimOpts(sc, SimOptions{Chooser: alwaysZero{}})
+	if err != nil {
+		t.Fatalf("run with a pick-0 chooser failed: %v", err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("pick-0 chooser changed the run:\n%+v\n%+v", want, got)
 	}
 }
 

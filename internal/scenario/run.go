@@ -52,37 +52,22 @@ type Result struct {
 	// reconfigurations: Leave cascades of force-departed incarnations plus
 	// Join cascades of topology-driven rejoins.
 	ReconfigPackets uint64
-	// Speculation holds the sharded engine's optimistic-execution counters
-	// (zero unless the run used SimOptions.Speculate).
-	Speculation sim.SpeculationStats
 }
 
-// SimOptions selects the engine RunSimOpts drives a script on. The zero
-// value reproduces RunSim: the classic serial engine. Every combination
-// yields byte-identical epoch tables — the options change only scheduling.
+// SimOptions are the model checker's hooks into a simulator run. The zero
+// value reproduces RunSim.
 type SimOptions struct {
-	// Shards selects the engine: 0 is the classic serial engine, n ≥ 1 the
-	// sharded engine with n shards, and n < 0 the sharded engine auto-tuned
-	// from GOMAXPROCS (sim.AutoShards / sim.AutoWindowBatch).
-	Shards int
-	// WindowBatch bounds consecutive conservative windows per sharded
-	// fork/join; 0 keeps the engine default. No effect with Shards == 0.
-	WindowBatch int
-	// Speculate enables optimistic window execution on the sharded engine.
-	// No effect with Shards == 0.
-	Speculate bool
 	// Chooser installs a schedule controller on the engine's same-time
-	// tie-breaking — the model-checking hook (internal/mc). Requires the
-	// classic engine: RunSimOpts errors if combined with Shards != 0.
+	// tie-breaking — the model-checking hook (internal/mc).
 	Chooser sim.Chooser
 	// OracleCrossCheck makes the incremental oracle mirror every commit with
 	// an independent full solve (waterfill.ErrCrossCheck on divergence) —
 	// the explorer's oracle-exactness invariant.
 	OracleCrossCheck bool
-	// EpochDeadline bounds each epoch's re-quiescence on the classic engine:
-	// a daemon watchdog stops the run once the clock passes applied+deadline
-	// with regular events still pending, and RunSimOpts returns an
-	// EpochError wrapping ErrQuiescenceOverrun. Zero disables the bound.
+	// EpochDeadline bounds each epoch's re-quiescence: a daemon watchdog
+	// stops the run once the clock passes applied+deadline with regular
+	// events still pending, and RunSimOpts returns an EpochError wrapping
+	// ErrQuiescenceOverrun. Zero disables the bound.
 	EpochDeadline time.Duration
 }
 
@@ -105,19 +90,14 @@ type EpochError struct {
 func (e *EpochError) Error() string { return fmt.Sprintf("scenario: epoch %v: %v", e.At, e.Err) }
 func (e *EpochError) Unwrap() error { return e.Err }
 
-// RunSim executes the script on the deterministic discrete-event simulator
-// (classic serial engine), validating against the water-filling oracle at
-// every quiescent epoch.
+// RunSim executes the script on the deterministic discrete-event simulator,
+// validating against the water-filling oracle at every quiescent epoch.
 func RunSim(sc *Script) (*Result, error) {
 	return RunSimOpts(sc, SimOptions{})
 }
 
-// RunSimOpts is RunSim with an engine choice: classic serial, sharded, or
-// sharded with optimistic window execution. Scenario scripts are the
-// misspeculation torture tests — every epoch's churn lands as global barrier
-// events between speculative attempts, and cross-shard control cascades
-// inside an epoch force parks — so the epoch tables double as a determinism
-// check across all engine settings.
+// RunSimOpts is RunSim with the model checker's hooks: a schedule chooser,
+// the oracle cross-check and a per-epoch quiescence deadline.
 func RunSimOpts(sc *Script, opt SimOptions) (*Result, error) {
 	w, err := build(sc)
 	if err != nil {
@@ -125,7 +105,6 @@ func RunSimOpts(sc *Script, opt SimOptions) (*Result, error) {
 	}
 	cfg := network.DefaultConfig()
 	cfg.PathPolicy = sc.Policy
-	cfg.Speculate = opt.Speculate
 	// Epoch validation (every `expect rate` table) reads the delta-driven
 	// oracle: script events feed the mirror as they execute, so each epoch
 	// re-levels what the epoch churned instead of full-solving. Rates are
@@ -135,33 +114,9 @@ func RunSimOpts(sc *Script, opt SimOptions) (*Result, error) {
 	cfg.IncrementalOracle = true
 	cfg.OracleFallbackPercent = 400
 	cfg.OracleCrossCheck = opt.OracleCrossCheck
-	shards := opt.Shards
-	windowBatch := opt.WindowBatch
-	if shards < 0 {
-		shards = sim.AutoShards()
-		if windowBatch <= 0 {
-			windowBatch = sim.AutoWindowBatch()
-		}
-	}
-	var net *network.Network
-	var eng *sim.Engine
-	var now func() sim.Time
-	if shards >= 1 {
-		if opt.Chooser != nil {
-			return nil, errors.New("scenario: SimOptions.Chooser requires the classic engine (Shards == 0)")
-		}
-		she := sim.NewSharded(shards)
-		if windowBatch > 0 {
-			she.SetWindowBatch(windowBatch)
-		}
-		net = network.NewSharded(w.g, she, cfg)
-		now = she.Now
-	} else {
-		eng = sim.New()
-		eng.SetChooser(opt.Chooser)
-		net = network.New(w.g, eng, cfg)
-		now = eng.Now
-	}
+	eng := sim.New()
+	eng.SetChooser(opt.Chooser)
+	net := network.New(w.g, eng, cfg)
 	res := graph.NewResolver(w.g, 256)
 	sessions := make([]*network.Session, len(sc.Sessions))
 	for i, d := range sc.Sessions {
@@ -184,7 +139,7 @@ func RunSimOpts(sc *Script, opt SimOptions) (*Result, error) {
 	overrun := false
 	for _, ep := range w.epochs {
 		at := ep.at
-		if t := now(); at < t {
+		if t := eng.Now(); at < t {
 			at = t // the previous epoch's convergence overran this timestamp
 		}
 		before := net.Stats().Total()
@@ -204,7 +159,7 @@ func RunSimOpts(sc *Script, opt SimOptions) (*Result, error) {
 				net.ScheduleSetCapacity(at, ev.Capacity, ev.ab, ev.ba)
 			}
 		}
-		if opt.EpochDeadline > 0 && eng != nil {
+		if opt.EpochDeadline > 0 {
 			epochGen++
 			gen := epochGen
 			deadline := at + opt.EpochDeadline
@@ -245,7 +200,6 @@ func RunSimOpts(sc *Script, opt SimOptions) (*Result, error) {
 	out.Migrations = net.Migrations()
 	out.Reoptimizations = net.Reoptimizations()
 	out.ReconfigPackets = net.ReconfigPackets()
-	out.Speculation = net.SpeculationStats()
 	return out, nil
 }
 
@@ -450,8 +404,4 @@ func Format(w io.Writer, res *Result) {
 	}
 	fmt.Fprintf(w, "total packets: %d, migrations: %d, reoptimizations: %d, reconfig packets: %d (every epoch validated against the oracle)\n",
 		res.TotalPackets, res.Migrations, res.Reoptimizations, res.ReconfigPackets)
-	if s := res.Speculation; s.Attempts > 0 {
-		fmt.Fprintf(w, "speculation: %d attempts, %d commits, %d replays, %d speculative events\n",
-			s.Attempts, s.Commits, s.Replays, s.Events)
-	}
 }

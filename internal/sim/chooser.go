@@ -40,27 +40,6 @@ type Chooser interface {
 // benchmark paths never install one.
 func (e *Engine) SetChooser(c Chooser) { e.chooser = c }
 
-// SendFromTo schedules fn at absolute time t with an explicit creator and an
-// explicit owner: the node whose execution performs the scheduling and the
-// node the callback executes on. The event key — and therefore the default
-// total order — depends only on (t, creator, creator-seq), exactly as
-// SendFrom; the owner rides along for the schedule explorer's independence
-// relation (events whose owners are disjoint commute) and for sharded
-// re-homing. SendFrom is SendFromTo with owner == creator.
-//
-//bneck:keyed assigns the (time, creator, creator-seq) key.
-func (e *Engine) SendFromTo(creator, owner int32, t Time, fn func()) {
-	if t < e.now {
-		panic("sim: scheduling into the past")
-	}
-	if n := int(creator) + 1; n > len(e.ctr) {
-		e.ctr = append(e.ctr, make([]uint64, n-len(e.ctr))...)
-	}
-	e.ctr[creator]++
-	e.events.push(event{at: t, src: creator, seq: e.ctr[creator], fn: fn, owner: owner})
-	e.regular++
-}
-
 // popChosen is the chooser-path replacement for eventQueue.pop: it collects
 // the enabled set at the frontier time, asks the chooser to pick, and removes
 // the picked event from an arbitrary heap position. It allocates only to grow
@@ -122,55 +101,4 @@ func (s *candSorter) Less(a, b int) bool { return s.c[a].Src < s.c[b].Src }
 func (s *candSorter) Swap(a, b int) {
 	s.c[a], s.c[b] = s.c[b], s.c[a]
 	s.i[a], s.i[b] = s.i[b], s.i[a]
-}
-
-// removeAt deletes and returns the event at heap slot i, restoring the heap
-// by moving the tail element into the hole and sifting it in whichever
-// direction it violates the ordering. Removing a non-minimum element is what
-// lets the chooser run an enabled event that is not the global key minimum.
-func (q *eventQueue) removeAt(i int) event {
-	out := q.ev[i]
-	n := len(q.ev) - 1
-	last := q.ev[n]
-	q.ev[n] = event{} // release the closure reference
-	q.ev = q.ev[:n]
-	if i == n {
-		return out
-	}
-	// Sift down from i.
-	j := i
-	for {
-		first := 4*j + 1
-		if first >= n {
-			break
-		}
-		min := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if q.ev[c].before(q.ev[min]) {
-				min = c
-			}
-		}
-		if !q.ev[min].before(last) {
-			break
-		}
-		q.ev[j] = q.ev[min]
-		j = min
-	}
-	if j == i {
-		// Did not move down; sift up instead.
-		for j > 0 {
-			p := (j - 1) / 4
-			if !last.before(q.ev[p]) {
-				break
-			}
-			q.ev[j] = q.ev[p]
-			j = p
-		}
-	}
-	q.ev[j] = last
-	return out
 }

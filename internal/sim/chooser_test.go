@@ -34,8 +34,8 @@ func (s *scriptChooser) Choose(now Time, cands []Choice) int {
 
 // TestTieBreakSeqOrder pins the contract the Chooser hook must preserve:
 // same-(time,creator) events run in scheduling (sequence) order on the
-// classic engine, the sharded(1) engine, and the classic engine with a
-// chooser installed — the chooser only ever permutes across creators.
+// engine with and without a chooser installed — the chooser only ever
+// permutes across creators.
 func TestTieBreakSeqOrder(t *testing.T) {
 	const at = 50 * time.Microsecond
 	cases := []struct {
@@ -65,18 +65,20 @@ func TestTieBreakSeqOrder(t *testing.T) {
 		},
 	}
 
-	type eng interface {
-		At(Time, func())
-		Run() Time
-	}
-	type sender interface {
-		send(creator int32, t Time, fn func())
-	}
-
-	run := func(t *testing.T, schedule func(log *[]string) eng, want []string) {
+	run := func(t *testing.T, creators []int32, chooser Chooser, want []string) {
 		t.Helper()
 		var log []string
-		e := schedule(&log)
+		e := New()
+		e.SetChooser(chooser)
+		for i, c := range creators {
+			i, c := i, c
+			rec := func() { log = append(log, fmt.Sprintf("%d/%d", c, i)) }
+			if c == ExtCreator {
+				e.At(at, rec)
+			} else {
+				e.SendFrom(c, at, rec)
+			}
+		}
 		e.Run()
 		if len(log) != len(want) {
 			t.Fatalf("executed %d events, want %d: %v", len(log), len(want), log)
@@ -89,56 +91,9 @@ func TestTieBreakSeqOrder(t *testing.T) {
 	}
 
 	for _, tc := range cases {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			t.Run("classic", func(t *testing.T) {
-				run(t, func(log *[]string) eng {
-					e := New()
-					for i, c := range tc.creators {
-						i, c := i, c
-						rec := func() { *log = append(*log, fmt.Sprintf("%d/%d", c, i)) }
-						if c == ExtCreator {
-							e.At(at, rec)
-						} else {
-							e.SendFrom(c, at, rec)
-						}
-					}
-					return e
-				}, tc.want)
-			})
-			t.Run("classic+chooser0", func(t *testing.T) {
-				run(t, func(log *[]string) eng {
-					e := New()
-					e.SetChooser(&pickChooser{k: 0})
-					for i, c := range tc.creators {
-						i, c := i, c
-						rec := func() { *log = append(*log, fmt.Sprintf("%d/%d", c, i)) }
-						if c == ExtCreator {
-							e.At(at, rec)
-						} else {
-							e.SendFrom(c, at, rec)
-						}
-					}
-					return e
-				}, tc.want)
-			})
-			t.Run("sharded1", func(t *testing.T) {
-				run(t, func(log *[]string) eng {
-					se := NewSharded(1)
-					se.SetParallel(false)
-					se.SetTopology(4, []int32{0, 0, 0, 0}, time.Microsecond)
-					for i, c := range tc.creators {
-						i, c := i, c
-						rec := func() { *log = append(*log, fmt.Sprintf("%d/%d", c, i)) }
-						if c == ExtCreator {
-							se.At(at, rec)
-						} else {
-							se.SendAt(c, c, at, rec)
-						}
-					}
-					return se
-				}, tc.want)
-			})
+			t.Run("classic", func(t *testing.T) { run(t, tc.creators, nil, tc.want) })
+			t.Run("classic+chooser0", func(t *testing.T) { run(t, tc.creators, &pickChooser{k: 0}, tc.want) })
 		})
 	}
 }

@@ -21,13 +21,17 @@ import (
 // Time is virtual simulation time measured from the start of the run.
 type Time = time.Duration
 
+// ExtCreator is the creator ID of events scheduled from outside any node
+// context (At/After/DaemonAt: setup code, churn, dynamics, sampling). It
+// sorts before every node, so an external event at time t always precedes
+// node events at t.
+const ExtCreator int32 = -1
+
 // Engine is a single-threaded discrete event scheduler. Events scheduled for
-// the same instant run in key order — (time, creator, creator sequence), the
-// same total order the sharded engine uses — which makes runs deterministic
-// and byte-identical to a 1-shard sharded run of the same workload. Events
-// scheduled without a creator (At/After/DaemonAt) share the ExtCreator
-// bucket and fire in scheduling order among themselves, the engine's
-// historical contract.
+// the same instant run in key order — (time, creator, creator sequence) —
+// which makes runs deterministic. Events scheduled without a creator
+// (At/After/DaemonAt) share the ExtCreator bucket and fire in scheduling
+// order among themselves, the engine's historical contract.
 //
 // Events come in two flavors: regular events keep Run alive, daemon events
 // (periodic measurement ticks and the like) do not — Run returns when only
@@ -86,7 +90,7 @@ func (e *Engine) DaemonAt(t Time, fn func()) {
 }
 
 // schedule assigns the ExtCreator key: external events order by a single
-// engine-wide sequence, matching the sharded engine's global bucket.
+// engine-wide sequence.
 //
 //bneck:keyed
 func (e *Engine) schedule(t Time, fn func(), daemon bool) {
@@ -101,15 +105,22 @@ func (e *Engine) schedule(t Time, fn func(), daemon bool) {
 }
 
 // SendFrom schedules fn at absolute time t with an explicit creator: the
-// node whose execution performs the scheduling. Events share the exact
-// (time, creator, creator sequence) key order of the sharded engine, so a
-// workload scheduled through SendFrom (plus At for external events) executes
-// in the same total order on this engine and on a sharded engine at any
-// shard count — the bridge that makes classic runs byte-identical to
-// sharded ones.
+// node whose execution performs the scheduling. Same-time events of
+// different creators run in creator order, and one creator's events in the
+// order it scheduled them, so the total order of a run depends only on what
+// each node did — never on how the heap happened to be laid out.
+// SendFrom is SendFromTo with the creator as the owner.
+func (e *Engine) SendFrom(creator int32, t Time, fn func()) { e.SendFromTo(creator, creator, t, fn) }
+
+// SendFromTo schedules fn at absolute time t with an explicit creator and an
+// explicit owner: the node whose execution performs the scheduling and the
+// node the callback executes on. The event key — and therefore the default
+// total order — depends only on (t, creator, creator-seq); the owner rides
+// along for the schedule explorer's independence relation (events whose
+// owners are disjoint commute).
 //
 //bneck:keyed assigns the (time, creator, creator-seq) key.
-func (e *Engine) SendFrom(creator int32, t Time, fn func()) {
+func (e *Engine) SendFromTo(creator, owner int32, t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling into the past (%v < %v)", t, e.now))
 	}
@@ -117,7 +128,7 @@ func (e *Engine) SendFrom(creator int32, t Time, fn func()) {
 		e.ctr = append(e.ctr, make([]uint64, n-len(e.ctr))...)
 	}
 	e.ctr[creator]++
-	e.events.push(event{at: t, src: creator, seq: e.ctr[creator], fn: fn, owner: creator})
+	e.events.push(event{at: t, src: creator, seq: e.ctr[creator], fn: fn, owner: owner})
 	e.regular++
 }
 
@@ -179,17 +190,13 @@ func (e *Engine) Pending() int { return e.regular }
 // event is one scheduled callback. Events are stored by value inside the
 // queue's backing slice; nothing outside the queue holds a reference.
 //
-// Both engines key events by (time, creator, per-creator sequence): src is
-// the node whose execution scheduled the event — ExtCreator for At/After/
-// DaemonAt, which therefore sort before all node creators at the same
-// instant and keep their historical scheduling order among themselves — and
-// seq counts that creator's schedulings. The serial Engine stamps creators
-// through SendFrom; the sharded engine through SendAt. The shared keying
-// makes the total order independent of how nodes are partitioned into
-// shards, and makes serial runs byte-identical to sharded ones. owner is
-// the node the event executes on, so a repartition can re-home queued
-// events and the schedule explorer can decide which events commute (the
-// serial engine stamps it via SendFromTo, defaulting to the creator).
+// Events are keyed by (time, creator, per-creator sequence): src is the node
+// whose execution scheduled the event — ExtCreator for At/After/DaemonAt,
+// which therefore sort before all node creators at the same instant and keep
+// their historical scheduling order among themselves — and seq counts that
+// creator's schedulings (SendFrom/SendFromTo). owner is the node the event
+// executes on, so the schedule explorer can decide which events commute
+// (SendFromTo stamps it; SendFrom defaults it to the creator).
 type event struct {
 	at     Time
 	seq    uint64
@@ -224,14 +231,6 @@ func (q *eventQueue) len() int { return len(q.ev) }
 // non-empty.
 func (q *eventQueue) minTime() Time { return q.ev[0].at }
 
-func (q *eventQueue) grow(n int) {
-	if cap(q.ev) < n {
-		next := make([]event, len(q.ev), n)
-		copy(next, q.ev)
-		q.ev = next
-	}
-}
-
 func (q *eventQueue) push(ev event) {
 	q.ev = append(q.ev, ev)
 	// Sift up: move the hole from the tail toward the root until the parent
@@ -248,20 +247,26 @@ func (q *eventQueue) push(ev event) {
 	q.ev[i] = ev
 }
 
-func (q *eventQueue) pop() event {
-	top := q.ev[0]
+// pop removes and returns the minimum event.
+func (q *eventQueue) pop() event { return q.removeAt(0) }
+
+// removeAt deletes and returns the event at heap slot i, restoring the heap
+// by moving the tail element into the hole and sifting it in whichever
+// direction it violates the ordering. Removing a non-minimum element is what
+// lets the chooser run an enabled event that is not the global key minimum.
+func (q *eventQueue) removeAt(i int) event {
+	out := q.ev[i]
 	n := len(q.ev) - 1
 	last := q.ev[n]
 	q.ev[n] = event{} // release the closure reference
 	q.ev = q.ev[:n]
-	if n == 0 {
-		return top
+	if i == n {
+		return out
 	}
-	// Sift down: move the hole from the root toward the leaves, pulling up
-	// the smallest child, until `last` fits.
-	i := 0
+	// Sift down from i.
+	j := i
 	for {
-		first := 4*i + 1
+		first := 4*j + 1
 		if first >= n {
 			break
 		}
@@ -278,9 +283,20 @@ func (q *eventQueue) pop() event {
 		if !q.ev[min].before(last) {
 			break
 		}
-		q.ev[i] = q.ev[min]
-		i = min
+		q.ev[j] = q.ev[min]
+		j = min
 	}
-	q.ev[i] = last
-	return top
+	if j == i {
+		// Did not move down; sift up instead.
+		for j > 0 {
+			p := (j - 1) / 4
+			if !last.before(q.ev[p]) {
+				break
+			}
+			q.ev[j] = q.ev[p]
+			j = p
+		}
+	}
+	q.ev[j] = last
+	return out
 }

@@ -134,8 +134,7 @@ func TestStopThenRun(t *testing.T) {
 
 func BenchmarkEventQueue(b *testing.B) {
 	b.Run("PushPop/1024", func(b *testing.B) {
-		var q eventQueue
-		q.grow(1024)
+		q := eventQueue{ev: make([]event, 0, 1024)}
 		for i := 0; i < 1024; i++ {
 			q.push(event{at: Time(i % 37), seq: uint64(i)})
 		}
@@ -145,6 +144,30 @@ func BenchmarkEventQueue(b *testing.B) {
 			ev.seq = uint64(i + 1024)
 			ev.at += 37
 			q.push(ev)
+		}
+	})
+}
+
+// BenchmarkSimEngine is the engine's hot path as a transport drives it: one
+// event scheduled and executed, directly and through a wire.
+func BenchmarkSimEngine(b *testing.B) {
+	b.Run("ScheduleExecute", func(b *testing.B) {
+		eng := New()
+		fn := func() {}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			eng.After(time.Microsecond, fn)
+			eng.Step()
+		}
+	})
+	b.Run("WireSend", func(b *testing.B) {
+		eng := New()
+		w := NewWire(eng, time.Microsecond, 100*time.Nanosecond)
+		fn := func() {}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			w.Send(fn)
+			eng.Step()
 		}
 	})
 }

@@ -23,8 +23,8 @@ type Wire struct {
 
 // Sched is the scheduling surface a wire needs: the clock of the sending
 // side and absolute-time scheduling of the arrival. *Engine satisfies it
-// directly; the sharded engine hands out per-link adapters whose Now is the
-// sender shard's clock and whose At crosses into the receiver's shard.
+// directly; a transport passes a per-link adapter whose At keys the arrival
+// by the sending node (Engine.SendFromTo).
 type Sched interface {
 	Now() Time
 	At(t Time, fn func())
@@ -68,12 +68,6 @@ func (w *Wire) Sent() uint64 { return w.sent }
 // their departure times (w.free is untouched); only future sends use the new
 // rate.
 func (w *Wire) SetTx(txPerPacket time.Duration) { w.tx = txPerPacket }
-
-// Idle reports whether the transmitter is neither sending nor backlogged at
-// its scheduler's current clock. The transport's speculation gate checks it
-// on every cut-link wire at a barrier: a busy cut wire means cross-shard
-// traffic is in flight and an optimistic window would almost surely park.
-func (w *Wire) Idle() bool { return w.free <= w.eng.Now() }
 
 // Backlog returns how long a packet enqueued now would wait before starting
 // transmission (a congestion signal for tests and metrics).

@@ -11,15 +11,13 @@ import (
 
 // Internet-scale topologies.
 //
-// The paper's transit-stub generator (topology.go) tops out at shapes whose
-// structure is invisible to the partitioner: two tiers, uniform delays per
-// scenario, stub domains scattered round-robin. Real internet graphs are
+// The paper's transit-stub generator (topology.go) tops out at flat shapes:
+// two tiers, uniform delays per scenario, stub domains scattered
+// round-robin. Real internet graphs are
 // sparser and far more hierarchical — a handful of continental regions, each
 // with a dense core, metro aggregation rings under the core, and a broad
 // fringe of access/edge routers whose attachment follows a rich-get-richer
-// (power-law) rule. That hierarchy is exactly what hierarchical partitioning
-// (graph.PartitionHierarchy) cuts along, so the generator labels every node
-// with its region and metro as it emits it.
+// (power-law) rule.
 //
 // Generation streams: StreamInternet pushes routers and links into an
 // InternetSink one at a time, in a fixed hierarchical order, keeping only
@@ -69,8 +67,8 @@ func (p InternetParams) Routers() int {
 	return p.Regions * (p.CorePerRegion + p.MetrosPerRegion*(p.RoutersPerMetro+p.EdgePerMetro))
 }
 
-// The benchmark ladder's three rungs (BENCH_PR8.json): paper-sized, metro
-// scale, and the 10k-router internet rung of the north star.
+// The topology ladder's three rungs: paper-sized, metro scale, and the
+// 10k-router internet rung.
 var (
 	// InternetPaper matches the paper's Small scale: 40 routers.
 	InternetPaper = InternetParams{Name: "InternetPaper", Regions: 2, CorePerRegion: 4, MetrosPerRegion: 2, RoutersPerMetro: 4, EdgePerMetro: 4}
@@ -90,11 +88,10 @@ var (
 
 // InternetSink receives a streamed topology element by element. AddRouter
 // must return the dense node ID the sink assigned; Connect refers back to
-// those IDs. region and metro are the hierarchy labels partitioning cuts
-// along: region is dense in [0, Regions), metro is globally unique across
-// the topology (core routers share a per-region pseudo-metro).
+// those IDs. region is the router's continental region, dense in
+// [0, Regions).
 type InternetSink interface {
-	AddRouter(name string, tier Tier, region, metro int32) graph.NodeID
+	AddRouter(name string, tier Tier, region int32) graph.NodeID
 	Connect(a, b graph.NodeID, capacity rate.Rate, propagation time.Duration)
 }
 
@@ -146,8 +143,6 @@ func StreamInternet(p InternetParams, seed int64, sink InternetSink) error {
 		}
 	}
 
-	metroSeq := int32(0) // globally-unique metro label allocator
-
 	// gateways[r] holds region r's core routers — the only cross-region
 	// state kept, O(Regions·CorePerRegion). corePA mirrors it weighted by
 	// degree so inter-region links and metro uplinks both land on the
@@ -159,11 +154,9 @@ func StreamInternet(p InternetParams, seed int64, sink InternetSink) error {
 		// Core ring plus one preferential chord per router.
 		m := p.CorePerRegion
 		region := int32(r)
-		coreMetro := metroSeq // per-region pseudo-metro for the core tier
-		metroSeq++
 		core := make([]graph.NodeID, m)
 		for i := range core {
-			core[i] = sink.AddRouter(fmt.Sprintf("c%d.%d", r, i), TierCore, region, coreMetro)
+			core[i] = sink.AddRouter(fmt.Sprintf("c%d.%d", r, i), TierCore, region)
 		}
 		pa := make([]graph.NodeID, 0, 4*m)
 		linked := make(map[[2]graph.NodeID]bool, 2*m)
@@ -200,11 +193,9 @@ func StreamInternet(p InternetParams, seed int64, sink InternetSink) error {
 		// Metros: ring of RoutersPerMetro routers, two core uplinks, then the
 		// power-law edge fringe. All working state dies with the metro.
 		for mi := 0; mi < p.MetrosPerRegion; mi++ {
-			metro := metroSeq
-			metroSeq++
 			ring := make([]graph.NodeID, p.RoutersPerMetro)
 			for i := range ring {
-				ring[i] = sink.AddRouter(fmt.Sprintf("m%d.%d.%d", r, mi, i), TierMetro, region, metro)
+				ring[i] = sink.AddRouter(fmt.Sprintf("m%d.%d.%d", r, mi, i), TierMetro, region)
 			}
 			mpa := make([]graph.NodeID, 0, 2*p.RoutersPerMetro+2*p.EdgePerMetro)
 			mpa = append(mpa, ring...)
@@ -234,7 +225,7 @@ func StreamInternet(p InternetParams, seed int64, sink InternetSink) error {
 			// routers keep gaining edges, the power-law degree tail), with a
 			// 25% chance of a second uplink to a different metro router.
 			for e := 0; e < p.EdgePerMetro; e++ {
-				id := sink.AddRouter(fmt.Sprintf("e%d.%d.%d", r, mi, e), TierEdge, region, metro)
+				id := sink.AddRouter(fmt.Sprintf("e%d.%d.%d", r, mi, e), TierEdge, region)
 				a := mpa[rng.Intn(len(mpa))]
 				sink.Connect(id, a, EdgeLinkCapacity, band(20*time.Microsecond, 100*time.Microsecond))
 				mpa = append(mpa, a)
@@ -280,8 +271,7 @@ func StreamInternet(p InternetParams, seed int64, sink InternetSink) error {
 	return nil
 }
 
-// Internet is a generated internet-scale topology plus the host bookkeeping
-// and per-node hierarchy labels the hierarchical partitioner consumes.
+// Internet is a generated internet-scale topology plus its host bookkeeping.
 type Internet struct {
 	Graph  *graph.Graph
 	Params InternetParams
@@ -290,18 +280,16 @@ type Internet struct {
 	Edge   []graph.NodeID
 	Hosts  []graph.NodeID
 
-	region []int32 // per node, dense by NodeID
-	metro  []int32 // per node, dense by NodeID
-	rng    *rand.Rand
+	rng *rand.Rand
 }
 
 // internetBuild adapts a *graph.Graph as a StreamInternet sink, recording
-// tier membership and hierarchy labels as elements arrive.
+// tier membership as elements arrive.
 type internetBuild struct {
 	n *Internet
 }
 
-func (b internetBuild) AddRouter(name string, tier Tier, region, metro int32) graph.NodeID {
+func (b internetBuild) AddRouter(name string, tier Tier, region int32) graph.NodeID {
 	id := b.n.Graph.AddRouter(name)
 	switch tier {
 	case TierCore:
@@ -311,8 +299,6 @@ func (b internetBuild) AddRouter(name string, tier Tier, region, metro int32) gr
 	default:
 		b.n.Edge = append(b.n.Edge, id)
 	}
-	b.n.region = append(b.n.region, region)
-	b.n.metro = append(b.n.metro, metro)
 	return id
 }
 
@@ -341,8 +327,7 @@ func GenerateInternet(p InternetParams, seed int64) (*Internet, error) {
 func (n *Internet) Topology() *graph.Graph { return n.Graph }
 
 // AddHosts attaches count hosts to edge routers chosen uniformly at random
-// and returns their IDs. A host inherits its router's hierarchy labels, so
-// host links are never cut by the hierarchical partitioner.
+// and returns their IDs.
 func (n *Internet) AddHosts(count int) []graph.NodeID {
 	delay := time.Microsecond
 	out := make([]graph.NodeID, count)
@@ -350,8 +335,6 @@ func (n *Internet) AddHosts(count int) []graph.NodeID {
 		r := n.Edge[n.rng.Intn(len(n.Edge))]
 		h := n.Graph.AddHost(fmt.Sprintf("h%d", len(n.Hosts)))
 		n.Graph.Connect(h, r, HostLinkCapacity, delay)
-		n.region = append(n.region, n.region[r])
-		n.metro = append(n.metro, n.metro[r])
 		n.Hosts = append(n.Hosts, h)
 		out[i] = h
 	}
@@ -376,12 +359,3 @@ func (n *Internet) RandomHostPair() (src, dst graph.NodeID) {
 // Rand exposes the topology's deterministic RNG so callers stay on a single
 // seed stream.
 func (n *Internet) Rand() *rand.Rand { return n.rng }
-
-// Hierarchy returns the per-node label levels, coarse to fine — level 0 is
-// the region, level 1 the metro — densely indexed by NodeID and covering
-// every host added so far. The slices are live views: AddHosts extends them,
-// so consumers should call Hierarchy again after topology growth rather
-// than retaining old slices.
-func (n *Internet) Hierarchy() [][]int32 {
-	return [][]int32{n.region, n.metro}
-}

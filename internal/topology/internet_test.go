@@ -11,14 +11,14 @@ import (
 )
 
 // hashInternet folds every structural byte of a generated topology — nodes,
-// names, links, capacities, propagation delays, hierarchy labels — into one
-// digest, the "byte-identical" witness the determinism tests compare.
+// names, links, capacities, propagation delays — into one digest, the
+// "byte-identical" witness the determinism tests compare.
 func hashInternet(n *Internet) uint64 {
 	h := fnv.New64a()
 	g := n.Graph
 	for i := 0; i < g.NumNodes(); i++ {
 		nd := g.Node(graph.NodeID(i))
-		fmt.Fprintf(h, "n%d|%d|%s|r%d|m%d\n", nd.ID, nd.Kind, nd.Name, n.region[i], n.metro[i])
+		fmt.Fprintf(h, "n%d|%d|%s\n", nd.ID, nd.Kind, nd.Name)
 	}
 	for i := 0; i < g.NumLinks(); i++ {
 		l := g.Link(graph.LinkID(i))
@@ -84,7 +84,7 @@ type countSink struct {
 	perTier        [3]int
 }
 
-func (c *countSink) AddRouter(name string, tier Tier, region, metro int32) graph.NodeID {
+func (c *countSink) AddRouter(name string, tier Tier, region int32) graph.NodeID {
 	id := graph.NodeID(c.routers)
 	c.routers++
 	c.perTier[tier]++
@@ -115,49 +115,25 @@ func TestInternetStreamingMatchesGraph(t *testing.T) {
 	}
 }
 
-func TestInternetHierarchyLabels(t *testing.T) {
-	n, err := GenerateInternet(InternetPaper, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.AddHosts(20)
-	levels := n.Hierarchy()
-	if len(levels) != 2 {
-		t.Fatalf("Hierarchy() returned %d levels, want 2", len(levels))
-	}
-	g := n.Graph
-	if len(levels[0]) != g.NumNodes() || len(levels[1]) != g.NumNodes() {
-		t.Fatalf("labels not dense: %d/%d labels for %d nodes", len(levels[0]), len(levels[1]), g.NumNodes())
-	}
-	region, metro := levels[0], levels[1]
-	// Regions are dense in [0, Regions); a finer label never spans regions.
-	metroRegion := map[int32]int32{}
-	for i := 0; i < g.NumNodes(); i++ {
-		if region[i] < 0 || int(region[i]) >= InternetPaper.Regions {
-			t.Fatalf("node %d region %d out of range", i, region[i])
-		}
-		if r, ok := metroRegion[metro[i]]; ok && r != region[i] {
-			t.Fatalf("metro %d spans regions %d and %d", metro[i], r, region[i])
-		}
-		metroRegion[metro[i]] = region[i]
-	}
-	// A host inherits its router's labels, so host links are never cut.
-	for _, h := range n.Hosts {
-		r := g.HostRouter(h)
-		if region[h] != region[r] || metro[h] != metro[r] {
-			t.Fatalf("host %d labels (%d,%d) differ from router %d (%d,%d)",
-				h, region[h], metro[h], r, region[r], metro[r])
-		}
-	}
+// regionSink builds the graph like GenerateInternet and records each
+// router's region, which the generated topology itself does not keep.
+type regionSink struct {
+	internetBuild
+	region []int32
+}
+
+func (s *regionSink) AddRouter(name string, tier Tier, region int32) graph.NodeID {
+	s.region = append(s.region, region)
+	return s.internetBuild.AddRouter(name, tier, region)
 }
 
 func TestInternetLatencyAndCapacityBands(t *testing.T) {
-	n, err := GenerateInternet(InternetMetro, 11)
-	if err != nil {
+	n := &Internet{Graph: graph.New()}
+	sink := &regionSink{internetBuild: internetBuild{n}}
+	if err := StreamInternet(InternetMetro, 11, sink); err != nil {
 		t.Fatal(err)
 	}
-	g := n.Graph
-	region := n.Hierarchy()[0]
+	g, region := n.Graph, sink.region
 	tier := make(map[graph.NodeID]Tier, g.NumNodes())
 	for _, id := range n.Core {
 		tier[id] = TierCore
@@ -201,8 +177,7 @@ func TestInternetLatencyAndCapacityBands(t *testing.T) {
 		}
 	}
 	// Inter-region links land only between core routers: every cross-region
-	// link must have core endpoints on both sides (the hierarchy the
-	// partitioner cuts along).
+	// link must have core endpoints on both sides.
 	for i := 0; i < g.NumLinks(); i++ {
 		l := g.Link(graph.LinkID(i))
 		if region[l.From] != region[l.To] && (tier[l.From] != TierCore || tier[l.To] != TierCore) {

@@ -239,10 +239,3 @@ type Hosted interface {
 	RandomHostPair() (src, dst graph.NodeID)
 	Rand() *rand.Rand
 }
-
-// Hierarchical is implemented by topologies that expose per-node hierarchy
-// labels (coarse to fine) for graph.PartitionHierarchy. Generated internet
-// topologies implement it; transit-stub ones do not.
-type Hierarchical interface {
-	Hierarchy() [][]int32
-}

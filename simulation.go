@@ -17,9 +17,8 @@ import (
 // oracle for validation. It is not safe for concurrent use.
 type Simulation struct {
 	g        *graph.Graph
-	topo     topology.Hosted    // nil for hand-built networks
-	eng      *sim.Engine        // classic serial engine (nil when sharded)
-	she      *sim.ShardedEngine // sharded engine (nil when serial)
+	topo     topology.Hosted // nil for hand-built networks
+	eng      *sim.Engine
 	net      *network.Network
 	sessions map[SessionID]*Session
 }
@@ -33,12 +32,6 @@ func newSimulation(g *graph.Graph, topo topology.Hosted, opts ...Option) (*Simul
 		ControlPacketBits: o.controlPacketBits,
 		BinSize:           o.binSize,
 		PathPolicy:        o.pathPolicy,
-		Speculate:         o.speculate,
-	}
-	// Topologies that know their own hierarchy (internet-scale generation)
-	// switch sharded repartitioning to the label-driven hierarchical cut.
-	if h, ok := topo.(topology.Hierarchical); ok {
-		cfg.Hierarchy = h.Hierarchy
 	}
 	if o.onRate != nil {
 		cb := o.onRate
@@ -46,41 +39,14 @@ func newSimulation(g *graph.Graph, topo topology.Hosted, opts ...Option) (*Simul
 			cb(SessionID(s), r, at)
 		}
 	}
-	out := &Simulation{
+	eng := sim.New()
+	return &Simulation{
 		g:        g,
 		topo:     topo,
+		eng:      eng,
+		net:      network.New(g, eng, cfg),
 		sessions: make(map[SessionID]*Session),
-	}
-	shards, windowBatch := o.shards, o.windowBatch
-	if o.shardsSet && shards == 0 {
-		// Auto-tune from the process's usable parallelism (WithShards(0)).
-		shards = sim.AutoShards()
-		if windowBatch <= 0 {
-			windowBatch = sim.AutoWindowBatch()
-		}
-	}
-	if o.shardsSet && shards >= 1 {
-		out.she = sim.NewSharded(shards)
-		if windowBatch > 0 {
-			out.she.SetWindowBatch(windowBatch)
-		}
-		out.net = network.NewSharded(g, out.she, cfg)
-	} else {
-		out.eng = sim.New()
-		out.net = network.New(g, out.eng, cfg)
-	}
-	return out, nil
-}
-
-// Shards returns how many shards the simulation's engine runs: 1 for the
-// classic serial engine, the WithShards value otherwise. Sharded runs are
-// byte-identical at every shard count; counts above one advance a single
-// run across that many cores.
-func (s *Simulation) Shards() int {
-	if s.she == nil {
-		return 1
-	}
-	return s.she.Shards()
+	}, nil
 }
 
 // AddHosts attaches n hosts to random access routers of a generated topology
@@ -126,12 +92,7 @@ func (s *Simulation) Session(src, dst Node) (*Session, error) {
 }
 
 // Now returns the current virtual time.
-func (s *Simulation) Now() time.Duration {
-	if s.she != nil {
-		return s.she.Now()
-	}
-	return s.eng.Now()
-}
+func (s *Simulation) Now() time.Duration { return s.eng.Now() }
 
 // RunToQuiescence advances virtual time until the protocol goes silent and
 // returns the state of the world. It may be called repeatedly as dynamics
@@ -155,9 +116,7 @@ func (s *Simulation) RunToQuiescence() Report {
 }
 
 // StepUntil advances virtual time to t, processing due events (for
-// observing transients). It goes through the network so a sharded
-// simulation installs its partition even when StepUntil is the first
-// advance.
+// observing transients).
 func (s *Simulation) StepUntil(t time.Duration) { s.net.RunUntil(t) }
 
 // Validate cross-checks every active session's granted rate against the
@@ -292,26 +251,6 @@ func (s *Simulation) Migrations() uint64 { return s.net.Migrations() }
 // (WithPathPolicy) migrated back onto shorter paths. Always zero under the
 // default Pinned policy.
 func (s *Simulation) Reoptimizations() uint64 { return s.net.Reoptimizations() }
-
-// SpeculationStats counts optimistic window execution outcomes on a sharded
-// simulation (WithSpeculation): forked attempts, committed attempts,
-// replayed attempts (some shard parked and its suffix re-ran under the
-// conservative bound), and the events executed inside speculative windows.
-type SpeculationStats struct {
-	Attempts uint64
-	Commits  uint64
-	Replays  uint64
-	Events   uint64
-}
-
-// SpeculationStats returns the cumulative optimistic-execution counters.
-// All zero on the classic engine or with speculation off. The outcome
-// counts depend on goroutine timing when windows run in parallel —
-// simulation results never do.
-func (s *Simulation) SpeculationStats() SpeculationStats {
-	st := s.net.SpeculationStats()
-	return SpeculationStats{Attempts: st.Attempts, Commits: st.Commits, Replays: st.Replays, Events: st.Events}
-}
 
 // ReconfigPackets returns the cumulative control-packet cost of topology
 // reconfigurations: the Leave-cascade packets of every force-departed
