@@ -330,115 +330,6 @@ func benchInternet(b *testing.B, params topology.InternetParams, sessions int) {
 	}
 }
 
-// BenchmarkOracleChurn times only the max-min oracle re-solve that validates
-// each churn epoch — full water-filling from scratch vs the delta-driven
-// incremental mirror (DESIGN.md §15) — on the internet ladder's three rungs.
-// Setup (topology, join burst, convergence, and the first, necessarily full,
-// solve) is untimed; each timed sample is one Oracle() call after a batch of
-// leaves, demand changes and rejoins has churned the session set. ns/solve is
-// the per-epoch validation cost, so the full/inc ratio per rung is the
-// speedup the incremental solver buys exp4/exp5-style epoch validation.
-// Rates are byte-identical between the two modes (max-min rates are unique);
-// the equivalence tests in internal/waterfill and internal/network enforce
-// that, so this benchmark measures cost only.
-func BenchmarkOracleChurn(b *testing.B) {
-	cells := []struct {
-		rung     string
-		params   topology.InternetParams
-		sessions int
-	}{
-		{"Paper", topology.InternetPaper, 400},
-		{"Metro", topology.InternetMetro, 2000},
-		{"Internet", topology.InternetGlobal, 2500},
-	}
-	for _, c := range cells {
-		for _, inc := range []bool{false, true} {
-			mode := "full"
-			if inc {
-				mode = "inc"
-			}
-			c, inc := c, inc
-			name := c.rung + "/" + itoa(c.params.Routers()) + "r/sessions=" +
-				itoa(c.sessions) + "/oracle=" + mode
-			b.Run(name, func(b *testing.B) {
-				benchOracleChurn(b, c.params, c.sessions, inc)
-			})
-		}
-	}
-}
-
-func benchOracleChurn(b *testing.B, params topology.InternetParams, sessions int, inc bool) {
-	const epochs = 8
-	var solves, deltaSolves uint64
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		topo, err := topology.GenerateInternet(params, int64(i+1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg := network.DefaultConfig()
-		cfg.IncrementalOracle = inc
-		eng := sim.New()
-		net := network.New(topo.Graph, eng, cfg)
-		ss, err := exp.PlaceSessions(topo, net, sessions)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(int64(i + 8)))
-		demand := trace.MixedDemands(0.25, 1, 100)
-		active := make([]bool, sessions)
-		for _, ev := range trace.Joins(0, sessions, 0, time.Millisecond, demand, rng) {
-			net.ScheduleJoin(ss[ev.Session], ev.At, ev.Demand)
-			active[ev.Session] = true
-		}
-		net.Run()
-		if _, err := net.Oracle(); err != nil {
-			b.Fatal(err)
-		}
-		churn := sessions / 50
-		if churn < 4 {
-			churn = 4
-		}
-		for e := 0; e < epochs; e++ {
-			start := eng.Now() + time.Millisecond
-			seen := make(map[int]bool, churn)
-			for k := 0; k < churn; k++ {
-				j := rng.Intn(sessions)
-				for seen[j] {
-					j = rng.Intn(sessions)
-				}
-				seen[j] = true
-				at := start + time.Duration(rng.Int63n(int64(time.Millisecond)))
-				switch {
-				case !active[j]:
-					net.ScheduleJoin(ss[j], at, demand(rng))
-					active[j] = true
-				case k%4 == 0:
-					net.ScheduleLeave(ss[j], at)
-					active[j] = false
-				default:
-					net.ScheduleChange(ss[j], at, demand(rng))
-				}
-			}
-			net.Run()
-			b.StartTimer()
-			if _, err := net.Oracle(); err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			solves++
-		}
-		if st, ok := net.OracleStats(); ok {
-			deltaSolves += st.DeltaSolves
-		}
-		b.StartTimer()
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(solves), "ns/solve")
-	if inc {
-		b.ReportMetric(float64(deltaSolves)/float64(b.N), "delta_solves/run")
-	}
-}
-
 // BenchmarkProtocolThroughput measures end-to-end packets processed per
 // second of wall time for a standard Experiment 1 cell.
 func BenchmarkProtocolThroughput(b *testing.B) {

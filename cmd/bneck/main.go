@@ -66,7 +66,6 @@ func main() {
 		demandCap    = flag.Float64("demand-cap", 0.25, "fraction of sessions with a finite demand")
 		seed         = flag.Int64("seed", 1, "deterministic seed")
 		validate     = flag.Bool("validate", true, "cross-check against the centralized oracle")
-		incOracle    = flag.Bool("incremental-oracle", true, "validate with the delta-driven incremental oracle (simulator runs): churn feeds the solver as deltas; rates are byte-identical to the full solver either way")
 		verbose      = flag.Bool("v", false, "print every session's rate")
 		liveMode     = flag.Bool("live", false, "run on the concurrent actor runtime instead of the simulator")
 		scenFile     = flag.String("run-scenario", "", "execute a declarative scenario script (full DSL reference: docs/SCENARIOS.md)")
@@ -142,7 +141,6 @@ func main() {
 		return
 	}
 	cfg.PathPolicy = overlayPolicy(cfg.PathPolicy)
-	cfg.IncrementalOracle = *incOracle
 	net := network.New(topo.Topology(), sim.New(), cfg)
 	ss, err := exp.PlaceSessions(topo, net, *sessions)
 	if err != nil {

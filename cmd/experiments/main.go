@@ -67,8 +67,6 @@ func main() {
 		pathPolicy   = flag.String("path-policy", "pinned", "path re-optimization policy for experiment 4: pinned (historical behavior) or reoptimize (restores migrate sessions back onto shorter paths); experiment 5 always sweeps both")
 		reoptStretch = flag.Float64("reopt-stretch", 0, "re-optimization stretch hysteresis for experiments 4 and 5 (≤ 1 = any strict improvement)")
 		reoptMinGain = flag.Int("reopt-min-gain", 0, "re-optimization minimum hop gain for experiments 4 and 5 (≤ 1 = any strict improvement)")
-		incOracle    = flag.Bool("incremental-oracle", true, "validate with the delta-driven incremental oracle (experiments 4, 5 and internet): churn feeds the solver as deltas and each epoch re-levels only what changed; rates are byte-identical to the full solver either way")
-		oracleCheck  = flag.Bool("oracle-crosscheck", false, "debug: full-solve alongside every incremental oracle flush and fail on any divergence (implies -incremental-oracle)")
 		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile   = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
@@ -237,7 +235,6 @@ func main() {
 			cfg.Progress = progress
 			cfg.Workers = *workers
 			cfg.Policy = polCfg
-			cfg.IncrementalOracle = *incOracle || *oracleCheck
 			start := time.Now()
 			rows, err := exp.RunExperiment4(cfg)
 			if err != nil {
@@ -273,7 +270,6 @@ func main() {
 			cfg.MinGain = *reoptMinGain
 			cfg.Progress = progress
 			cfg.Workers = *workers
-			cfg.IncrementalOracle = *incOracle || *oracleCheck
 			start := time.Now()
 			rows, err := exp.RunExperiment5(cfg)
 			if err != nil {
@@ -314,12 +310,10 @@ func main() {
 				count = 2 * params.Routers()
 			}
 			cfg := exp.InternetConfig{
-				Params:            params,
-				Sessions:          count,
-				Seed:              *seed,
-				Validate:          *validate,
-				IncrementalOracle: *incOracle || *oracleCheck,
-				OracleCrossCheck:  *oracleCheck,
+				Params:   params,
+				Sessions: count,
+				Seed:     *seed,
+				Validate: *validate,
 			}
 			start := time.Now()
 			res, err := exp.RunInternet(cfg)

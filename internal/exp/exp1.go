@@ -183,9 +183,10 @@ func runExp1Cell(cfg Exp1Config, size topology.Params, scen topology.Scenario, c
 // PlaceSessions attaches 2·count hosts to the topology, dedicates one source
 // host per session (the paper's one-session-per-source-host rule), draws
 // destinations uniformly at random, and registers the sessions with the
-// network. Path resolution groups sessions by source router so the BFS
-// cache is effective. Any generated topology works: transit-stub and
-// internet-scale topologies both satisfy topology.Hosted.
+// network. Paths come from the network's own resolver (Network.HostPath),
+// grouped by source router so its BFS cache is effective. Any generated
+// topology works: transit-stub and internet-scale topologies both satisfy
+// topology.Hosted.
 func PlaceSessions(topo topology.Hosted, net *network.Network, count int) ([]*network.Session, error) {
 	hosts := topo.AddHosts(2 * count)
 	rng := topo.Rand()
@@ -208,10 +209,9 @@ func PlaceSessions(topo topology.Hosted, net *network.Network, count int) ([]*ne
 	sort.SliceStable(sorted, func(a, b int) bool {
 		return g.HostRouter(sorted[a].src) < g.HostRouter(sorted[b].src)
 	})
-	res := graph.NewResolver(g, 256)
 	sessions := make([]*network.Session, count)
 	for _, p := range sorted {
-		path, err := res.HostPath(p.src, p.dst)
+		path, err := net.HostPath(p.src, p.dst)
 		if err != nil {
 			return nil, err
 		}

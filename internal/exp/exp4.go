@@ -50,11 +50,6 @@ type Exp4Config struct {
 	// value: pinned, the historical behavior). With ReoptimizeOnRestore the
 	// restore epochs also migrate sessions back onto shorter paths.
 	Policy policy.Config
-	// IncrementalOracle validates epochs with the delta-driven oracle
-	// (network.Config.IncrementalOracle): epoch churn feeds the mirror as
-	// deltas and each validation re-levels only what changed, instead of a
-	// full O(sessions × links × rounds) re-solve per epoch.
-	IncrementalOracle bool
 }
 
 // DefaultExp4 is a laptop-scale default. It sweeps both propagation models:
@@ -196,7 +191,6 @@ func runExp4Cell(cfg Exp4Config, size topology.Params, scen topology.Scenario, s
 	g := topo.Graph
 	netCfg := network.DefaultConfig()
 	netCfg.PathPolicy = cfg.Policy
-	netCfg.IncrementalOracle = cfg.IncrementalOracle
 	eng := sim.New()
 	net := network.New(g, eng, netCfg)
 

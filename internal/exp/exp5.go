@@ -47,9 +47,6 @@ type Exp5Config struct {
 	// Workers bounds how many sweep cells run concurrently; results are
 	// byte-identical to a serial run (each cell owns its engines and RNGs).
 	Workers int
-	// IncrementalOracle validates phases with the delta-driven oracle
-	// (network.Config.IncrementalOracle) instead of a full re-solve each.
-	IncrementalOracle bool
 }
 
 // DefaultExp5 is a laptop-scale default covering both propagation models.
@@ -188,7 +185,6 @@ func runExp5Cell(cfg Exp5Config, size topology.Params, scen topology.Scenario, s
 	g := topo.Graph
 	netCfg := network.DefaultConfig()
 	netCfg.PathPolicy = policy.Config{Kind: kind, Stretch: cfg.Stretch, MinGain: cfg.MinGain}
-	netCfg.IncrementalOracle = cfg.IncrementalOracle
 	eng := sim.New()
 	net := network.New(g, eng, netCfg)
 
@@ -196,7 +192,6 @@ func runExp5Cell(cfg Exp5Config, size topology.Params, scen topology.Scenario, s
 	if err != nil {
 		return nil, err
 	}
-	resolver := graph.NewResolver(g, 256)
 
 	var rows []Exp5Row
 	var lastPackets, lastReconfig uint64
@@ -224,7 +219,7 @@ func runExp5Cell(cfg Exp5Config, size topology.Params, scen topology.Scenario, s
 			row.Active++
 			cur := s.Current()
 			row.HopsActive += len(cur.Path)
-			if best, err := resolver.HostPath(cur.SrcHost, cur.DstHost); err == nil {
+			if best, err := net.HostPath(cur.SrcHost, cur.DstHost); err == nil {
 				row.HopsBest += len(best)
 			}
 			if r, ok := s.Rate(); ok {

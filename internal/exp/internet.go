@@ -32,12 +32,6 @@ type InternetConfig struct {
 	Seed int64
 	// Validate cross-checks the final rates against the oracle.
 	Validate bool
-	// IncrementalOracle feeds churn to the delta-driven validation oracle
-	// (network.Config.IncrementalOracle) instead of full-solving per epoch.
-	IncrementalOracle bool
-	// OracleCrossCheck additionally full-solves on every oracle flush and
-	// errors on divergence (debug; implies IncrementalOracle).
-	OracleCrossCheck bool
 }
 
 // InternetResult summarizes one internet-scale run.
@@ -66,11 +60,8 @@ func RunInternet(cfg InternetConfig) (InternetResult, error) {
 	if err != nil {
 		return InternetResult{}, err
 	}
-	netCfg := network.DefaultConfig()
-	netCfg.IncrementalOracle = cfg.IncrementalOracle
-	netCfg.OracleCrossCheck = cfg.OracleCrossCheck
 	eng := sim.New()
-	net := network.New(topo.Graph, eng, netCfg)
+	net := network.New(topo.Graph, eng, network.DefaultConfig())
 	ss, err := PlaceSessions(topo, net, cfg.Sessions)
 	if err != nil {
 		return InternetResult{}, err

@@ -45,8 +45,7 @@ func TestInternetPaperValidated(t *testing.T) {
 
 // TestInternetDeterministic: topology generation is byte-identical for a
 // fixed seed, a run does not perturb the generator's seed-funneled RNG
-// stream, and two runs — with the full and the incremental oracle — produce
-// identical results.
+// stream, and two runs of the same config produce identical results.
 func TestInternetDeterministic(t *testing.T) {
 	base, err := topology.GenerateInternet(topology.InternetPaper, 9)
 	if err != nil {
@@ -55,22 +54,21 @@ func TestInternetDeterministic(t *testing.T) {
 	want := hashTopology(base)
 	var refQ time.Duration
 	var refPkts uint64
-	for i, inc := range []bool{false, true} {
+	for run := 0; run < 2; run++ {
 		res, err := RunInternet(InternetConfig{
-			Params:            topology.InternetPaper,
-			Sessions:          60,
-			Seed:              9,
-			Validate:          true,
-			IncrementalOracle: inc,
+			Params:   topology.InternetPaper,
+			Sessions: 60,
+			Seed:     9,
+			Validate: true,
 		})
 		if err != nil {
-			t.Fatalf("incremental oracle %v: %v", inc, err)
+			t.Fatalf("run %d: %v", run, err)
 		}
-		if i == 0 {
+		if run == 0 {
 			refQ, refPkts = time.Duration(res.Quiescence), res.Packets
 		} else if time.Duration(res.Quiescence) != refQ || res.Packets != refPkts {
-			t.Fatalf("incremental oracle %v diverged: q=%v pkts=%d, want q=%v pkts=%d",
-				inc, time.Duration(res.Quiescence), res.Packets, refQ, refPkts)
+			t.Fatalf("run %d diverged: q=%v pkts=%d, want q=%v pkts=%d",
+				run, time.Duration(res.Quiescence), res.Packets, refQ, refPkts)
 		}
 		again, err := topology.GenerateInternet(topology.InternetPaper, 9)
 		if err != nil {

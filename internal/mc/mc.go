@@ -18,11 +18,11 @@
 //     fuzzer that perturbs the scenario timeline, for larger rungs.
 //
 // Every explored run is checked against four invariants: quiescence within
-// a structural bound (scenario.ErrQuiescenceOverrun), final rates byte-equal
-// to the waterfill oracle with the incremental oracle's CrossCheck mirror
-// (waterfill.ErrCrossCheck), no-stale-incarnation
-// (network.ErrStaleIncarnation), and — on a sampled basis — the live
-// runtime's Validate. A violating schedule serializes to a compact
+// a structural bound (scenario.ErrQuiescenceOverrun); final rates byte-equal
+// to the oracle's (waterfill.Solver), themselves checked against
+// WaterFilling and Verify on the same instance (waterfill.ErrCrossCheck);
+// no-stale-incarnation (network.ErrStaleIncarnation); and — sampled — the
+// live runtime's Validate. A violating schedule serializes to a compact
 // choice-trace file that cmd/mc replays deterministically and shrinks by
 // delta-debugging.
 package mc
@@ -47,8 +47,8 @@ const (
 	KindNone InvariantKind = iota
 	// KindQuiescence: an epoch was still busy past its structural bound.
 	KindQuiescence
-	// KindOracle: committed rates diverged from the waterfill oracle —
-	// either a session/oracle mismatch or an incremental CrossCheck failure.
+	// KindOracle: a session's rate differs from the oracle's, or the oracle
+	// failed its cross-check against WaterFilling and Verify.
 	KindOracle
 	// KindStaleIncarnation: a departed session lifetime was observed active
 	// (the PR 4 bug shape), on either transport.

@@ -1,9 +1,15 @@
 package mc
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
+
+	"bneck/internal/rate"
+	"bneck/internal/scenario"
+	"bneck/internal/waterfill"
 )
 
 // tinyScript is small enough for unpruned DFS to exhaust in well under a
@@ -60,6 +66,28 @@ func TestQuiescenceBound(t *testing.T) {
 	inet := mustModel(t, "topology internet paper seed=1 hosts=4\nsession s1 h0 h1\nat 0ms join s1\n")
 	if inet.Deadline <= m.Deadline {
 		t.Fatalf("internet bound %v not above hand-built %v", inet.Deadline, m.Deadline)
+	}
+}
+
+// TestClassifyCrossCheck: a Validate failure of the oracle's cross-check,
+// wrapped the way network.Validate and the scenario runner wrap it, is an
+// oracle-exactness violation — even when its message happens to contain the
+// word the expectation heuristic looks for.
+func TestClassifyCrossCheck(t *testing.T) {
+	a := waterfill.Assembler[int]{Capacity: func(int) rate.Rate { return rate.Mbps(10) }}
+	a.Add(rate.Inf, []int{0})
+	a.Add(rate.Inf, []int{0})
+	err := a.CrossCheck([]rate.Rate{rate.Mbps(4), rate.Mbps(6)})
+	if !errors.Is(err, waterfill.ErrCrossCheck) {
+		t.Fatalf("CrossCheck of an unfair split: %v", err)
+	}
+	for _, wrapped := range []error{
+		&scenario.EpochError{At: 10 * time.Millisecond, Err: fmt.Errorf("network: %w", err)},
+		&scenario.EpochError{Err: fmt.Errorf("unexpected rates: %w", err)},
+	} {
+		if k := classify(wrapped); k != KindOracle {
+			t.Fatalf("classify(%v) = %v, want %v", wrapped, k, KindOracle)
+		}
 	}
 }
 

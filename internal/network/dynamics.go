@@ -71,7 +71,6 @@ func (n *Network) applySetCapacity(c rate.Rate, links []graph.LinkID) {
 	for _, l := range links {
 		old := n.g.Link(l).Capacity
 		n.g.SetCapacity(l, c)
-		n.oracleSetCapacity(l, c)
 		if int(l) < len(n.links) && n.links[l] != nil {
 			n.links[l].SetCapacity(c)
 		}
@@ -95,11 +94,6 @@ func (n *Network) applyFail(links []graph.LinkID) {
 	for _, l := range links {
 		if n.g.LinkUp(l) {
 			n.g.FailLink(l)
-			// The mirror's fail contract — no live session may still cross the
-			// link at the next flush — holds because the crossing sessions
-			// migrate (oracleLeave + fresh-path oracleJoin) below, within this
-			// same event.
-			n.oracleFail(l)
 			failed[l] = true
 		}
 	}
@@ -124,7 +118,6 @@ func (n *Network) applyRestore(links []graph.LinkID) {
 	for _, l := range links {
 		if !n.g.LinkUp(l) {
 			n.g.RestoreLink(l)
-			n.oracleRestore(l)
 			restored = true
 		}
 	}
@@ -201,7 +194,6 @@ func (n *Network) forceDepart(s *Session) rate.Rate {
 	s.active = false
 	s.departed = true
 	s.src.Leave()
-	n.oracleLeave(s)
 	return demand
 }
 
@@ -287,7 +279,6 @@ func (n *Network) join(s *Session, demand rate.Rate) {
 	// Join below emits the session's first packet.
 	s.hops = n.resolveHops(s.Path)
 	s.src.Join(demand)
-	n.oracleJoin(s, demand)
 }
 
 // unstrand removes a parked session (a Leave arrived before any restore).

@@ -58,20 +58,11 @@ type Config struct {
 	// session whose path exceeds the policy's stretch/hysteresis margin,
 	// through the same Leave → reroute → Join machinery failures use.
 	PathPolicy policy.Config
-	// IncrementalOracle makes Oracle/Validate consume churn and topology
-	// events as deltas into a waterfill.Incremental mirror, re-leveling only
-	// the affected bottleneck component per validation epoch instead of
-	// re-solving the whole instance. Rates are byte-identical either way
-	// (max-min rates are unique); only validation cost changes.
-	IncrementalOracle bool
-	// OracleCrossCheck (debug) runs a full solve alongside every incremental
-	// flush and errors on any divergence. Implies IncrementalOracle.
+	// OracleCrossCheck makes Validate also check the oracle's rates against
+	// waterfill.WaterFilling and waterfill.Verify on the same instance
+	// (Assembler.CrossCheck), failing with an error wrapping
+	// waterfill.ErrCrossCheck on any disagreement.
 	OracleCrossCheck bool
-	// OracleFallbackPercent overrides the incremental oracle's cascade
-	// threshold: when a flush's sub-instance exceeds this percentage of the
-	// solver's member links, it falls back to a full solve. Zero keeps
-	// waterfill.DefaultFallbackPercent.
-	OracleFallbackPercent int
 }
 
 // DefaultConfig mirrors the paper's setup.
@@ -206,9 +197,6 @@ type Network struct {
 	// in scratch that survives between calls, so per-epoch validation of a
 	// churning run stops reallocating.
 	oracle waterfill.Assembler[graph.LinkID]
-	// incOracle is the delta-driven validation mirror (nil unless
-	// Config.IncrementalOracle / OracleCrossCheck is set).
-	incOracle *incOracle
 }
 
 // reconfSpan is one pending teardown debit: the packets a force-departed
@@ -257,15 +245,14 @@ func (n *Network) takeDeliver(sess *Session, hop int, pkt core.Packet) func() {
 // New returns a network over g driven by eng.
 func New(g *graph.Graph, eng *sim.Engine, cfg Config) *Network {
 	n := &Network{
-		cfg:       cfg,
-		g:         g,
-		eng:       eng,
-		resolver:  graph.NewResolver(g, 256),
-		sessByID:  make([]*Session, 1), // IDs start at 1; slot 0 stays nil
-		sessPkts:  make([]uint64, 1),
-		nextID:    1,
-		stats:     metrics.NewPacketStats(cfg.BinSize),
-		incOracle: newIncOracle(cfg),
+		cfg:      cfg,
+		g:        g,
+		eng:      eng,
+		resolver: graph.NewResolver(g, 256),
+		sessByID: make([]*Session, 1), // IDs start at 1; slot 0 stays nil
+		sessPkts: make([]uint64, 1),
+		nextID:   1,
+		stats:    metrics.NewPacketStats(cfg.BinSize),
 	}
 	n.oracle.Capacity = func(l graph.LinkID) rate.Rate { return g.Link(l).Capacity }
 	return n
@@ -438,7 +425,6 @@ func (n *Network) ScheduleLeave(s *Session, at sim.Time) {
 		cur.active = false
 		cur.departed = true
 		cur.src.Leave()
-		n.oracleLeave(cur)
 	})
 }
 
@@ -456,7 +442,6 @@ func (n *Network) ScheduleChange(s *Session, at sim.Time, demand rate.Rate) {
 			return
 		}
 		cur.src.Change(demand)
-		n.oracleChange(cur, demand)
 	})
 }
 
@@ -664,12 +649,10 @@ func (n *Network) txFor(capacity rate.Rate) time.Duration {
 }
 
 // Oracle computes the max-min fair rates of the currently active sessions
-// with Centralized B-Neck. The result maps session IDs to rates. With
-// Config.IncrementalOracle the rates come from the delta-driven mirror
-// (byte-identical, re-leveling only what churn touched since the last
-// epoch); otherwise the instance is assembled in (and solved with) reusable
-// scratch buffers, so per-epoch oracle validation of a long churning run
-// allocates only its result.
+// with Centralized B-Neck. The result maps session IDs to rates. The
+// instance is assembled in (and solved with) reusable scratch buffers, so
+// per-epoch oracle validation of a long churning run allocates only its
+// result.
 func (n *Network) Oracle() (map[core.SessionID]rate.Rate, error) {
 	rates, err := n.oracleRates()
 	if err != nil {
@@ -689,9 +672,6 @@ func (n *Network) Oracle() (map[core.SessionID]rate.Rate, error) {
 // oracleRates is Oracle without the map: one rate per active session, in
 // n.order order — what Validate walks.
 func (n *Network) oracleRates() ([]rate.Rate, error) {
-	if n.incOracle != nil {
-		return n.incrementalRates()
-	}
 	n.oracle.Reset()
 	for _, id := range n.order {
 		if s := n.sessByID[id]; s.active {
@@ -704,10 +684,16 @@ func (n *Network) oracleRates() ([]rate.Rate, error) {
 // Validate checks, after quiescence, that every active session holds exactly
 // its max-min fair rate (the paper validates every run this way), and that
 // every link task is stable per Definition 2 with consistent internal state.
+// With Config.OracleCrossCheck the oracle's own rates are checked first.
 func (n *Network) Validate() error {
 	oracle, err := n.oracleRates()
 	if err != nil {
 		return fmt.Errorf("network: oracle failed: %w", err)
+	}
+	if n.cfg.OracleCrossCheck {
+		if err := n.oracle.CrossCheck(oracle); err != nil {
+			return fmt.Errorf("network: %w", err)
+		}
 	}
 	k := 0
 	for _, id := range n.order {

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"bneck/internal/graph"
 	"bneck/internal/live"
 	"bneck/internal/network"
 	"bneck/internal/rate"
@@ -60,9 +59,11 @@ type SimOptions struct {
 	// Chooser installs a schedule controller on the engine's same-time
 	// tie-breaking — the model-checking hook (internal/mc).
 	Chooser sim.Chooser
-	// OracleCrossCheck makes the incremental oracle mirror every commit with
-	// an independent full solve (waterfill.ErrCrossCheck on divergence) —
-	// the explorer's oracle-exactness invariant.
+	// OracleCrossCheck makes every epoch's validation also check the
+	// oracle's rates (Centralized B-Neck, waterfill.Solver) against the
+	// classic WaterFilling and Verify's Definition-1 test on the same
+	// instance — two independent algorithms, waterfill.ErrCrossCheck on any
+	// disagreement. It is the explorer's oracle-exactness invariant.
 	OracleCrossCheck bool
 	// EpochDeadline bounds each epoch's re-quiescence: a daemon watchdog
 	// stops the run once the clock passes applied+deadline with regular
@@ -105,22 +106,13 @@ func RunSimOpts(sc *Script, opt SimOptions) (*Result, error) {
 	}
 	cfg := network.DefaultConfig()
 	cfg.PathPolicy = sc.Policy
-	// Epoch validation (every `expect rate` table) reads the delta-driven
-	// oracle: script events feed the mirror as they execute, so each epoch
-	// re-levels what the epoch churned instead of full-solving. Rates are
-	// byte-identical either way; scenario scripts are small, so the threshold
-	// is raised to keep them on the delta path rather than the cascade
-	// fall-back.
-	cfg.IncrementalOracle = true
-	cfg.OracleFallbackPercent = 400
 	cfg.OracleCrossCheck = opt.OracleCrossCheck
 	eng := sim.New()
 	eng.SetChooser(opt.Chooser)
 	net := network.New(w.g, eng, cfg)
-	res := graph.NewResolver(w.g, 256)
 	sessions := make([]*network.Session, len(sc.Sessions))
 	for i, d := range sc.Sessions {
-		path, err := res.HostPath(w.nodes[d.Src], w.nodes[d.Dst])
+		path, err := net.HostPath(w.nodes[d.Src], w.nodes[d.Dst])
 		if err != nil {
 			return nil, fmt.Errorf("scenario: session %q: %w", d.Name, err)
 		}

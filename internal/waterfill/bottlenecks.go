@@ -22,27 +22,3 @@ func Bottlenecks(in Instance, rates []rate.Rate) [][]int {
 	}
 	return out
 }
-
-// SystemBottlenecks returns the links that are bottlenecks of the system:
-// bottlenecks for every session crossing them (R*_e = S_e in the paper's
-// terms), given max-min rates.
-func SystemBottlenecks(in Instance, rates []rate.Rate) []int {
-	perSession := Bottlenecks(in, rates)
-	crossing := make([]int, len(in.Capacity))   // sessions crossing each link
-	restricted := make([]int, len(in.Capacity)) // sessions restricted there
-	for i, s := range in.Sessions {
-		for _, e := range s.Path {
-			crossing[e]++
-		}
-		for _, e := range perSession[i] {
-			restricted[e]++
-		}
-	}
-	var out []int
-	for e := range in.Capacity {
-		if crossing[e] > 0 && crossing[e] == restricted[e] {
-			out = append(out, e)
-		}
-	}
-	return out
-}

@@ -31,13 +31,6 @@ func TestBottlenecksClassicChain(t *testing.T) {
 	if len(bn[2]) != 1 || bn[2][0] != 1 {
 		t.Fatalf("s2 bottlenecks = %v", bn[2])
 	}
-	sys := SystemBottlenecks(in, rates)
-	// Link 0 restricts all its sessions (s0 at 8 = max, s1 at 2 < 8 — so s1
-	// is NOT restricted at 0): link 0 is not a system bottleneck; link 1
-	// restricts both of its sessions.
-	if len(sys) != 1 || sys[0] != 1 {
-		t.Fatalf("system bottlenecks = %v", sys)
-	}
 }
 
 func TestBottlenecksDemandLimited(t *testing.T) {

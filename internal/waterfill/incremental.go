@@ -1,764 +1,76 @@
 package waterfill
 
-// Incremental max-min: the oracle-side analogue of the paper's observation
-// that a membership change should not force a global recomputation. The
-// solver keeps the solved state of a live instance — per-link residual
-// capacity (capacity minus the exact load of current rates), per-session
-// bottleneck level (the rate itself), and per-link membership — and, on a
-// delta, re-levels only the affected bottleneck component instead of
-// restarting the fill.
+import "bneck/internal/rate"
+
+// Incremental keeps a live instance under a stream of deltas and re-solves
+// it in full on Flush. It is what remains of the delta-driven solver, which
+// cost more than a full solve once Solver became a lazy heap; a layer probe
+// outside this module still drives it through these seven identifiers.
 //
-// The re-leveling rule. After a solve, every session s is restricted at some
-// tight link e: Σ load(e) = C(e) and λ(s) = max over members of e (demand
-// restriction is the same statement on the session's private virtual demand
-// link, the D_s = min(C_e, r_s) trick). Call the members of e at that
-// maximum e's *top group*. A delta seeds an affected set A:
-//
-//   - every link whose capacity, membership or load changed seeds its top
-//     group (the sessions whose restriction evidence the delta disturbed);
-//   - every session that joined since the last solve seeds itself.
-//
-// A is then closed: whenever a session enters A, every *tight* link it
-// crosses contributes its top group too. Sessions below a tight link's
-// level are restricted elsewhere and stay frozen — their own restriction
-// link is either untouched (so their evidence stands) or dirty/crossed by
-// A, in which case the closure has already pulled them in as that link's
-// top group. The sub-instance over A's links, with each link's capacity
-// reduced by the exact load of the frozen sessions crossing it, is then
-// solved by the ordinary Solver.
-//
-// One case escapes the closure: a riser capped at a previously-slack link
-// that saturates *below* the rate of a frozen crosser — max-min would pull
-// that crosser down, so freezing it was wrong. The commit therefore
-// verifies Definition 1 for every re-leveled session against the combined
-// loads (frozen plus new); any session left without a bottleneck grows A
-// by the larger frozen crossers of its tight links and re-levels. The
-// fixpoint terminates because A only grows, and both a configurable
-// fraction-of-links threshold and a round cap fall back to a full solve
-// long before that.
-//
-// Determinism: the affected set, its closure and the sub-instance are built
-// from slices in discovery order — no map iteration — and all arithmetic is
-// exact rational (rate.Rate). Max-min rates are unique, and rate.Rate
-// normalizes equal values to identical representations, so the rates a
-// delta solve commits are byte-identical to a fresh full solve of the same
-// instance; FuzzIncrementalEquivalence pins exactly that.
-
-import (
-	"errors"
-	"fmt"
-
-	"bneck/internal/rate"
-)
-
-// ErrCrossCheck marks an incremental-vs-full divergence detected by the
-// CrossCheck path: the mirrored incremental solve committed a rate that a
-// fresh full solve of the same instance contradicts. Callers that classify
-// validation failures (the schedule explorer's oracle-exactness invariant)
-// test for it with errors.Is.
-var ErrCrossCheck = errors.New("waterfill: cross-check mismatch")
-
-// DefaultFallbackPercent is the delta-cascade threshold: when the affected
-// component spans more than this percentage of the member-carrying links,
-// re-leveling stops paying for itself and the flush falls back to the full
-// Solver. With lazy top-group growth the affected component of a churn
-// batch on internet-scale topologies stays small (single-digit percent on
-// the Metro/Internet rungs of BenchmarkOracleChurn), while on paper-sized
-// topologies dense sharing makes the cascade engulf most of the network —
-// and verify-and-grow then re-solves that near-full sub-instance several
-// times, costing more than the one full solve it replaces. 25 separates
-// the two regimes with a wide margin on both sides, and catches the dense
-// case on the initial closure — before any sub-solve is paid for.
-const DefaultFallbackPercent = 25
-
-// defaultGrowRounds caps verify-and-grow iterations per flush; beyond it the
-// flush falls back to a full solve.
-const defaultGrowRounds = 16
-
-// incMember is one entry of a link's membership list: a session handle and
-// the generation it was issued under. Departed sessions leave stale entries
-// behind; scans recognize them by generation and compact lazily.
-type incMember struct {
-	sess int32
-	gen  uint32
-}
-
-type incSession struct {
-	demand  rate.Rate
-	lambda  rate.Rate
-	path    []int32 // link handles, including the private demand link
-	gen     uint32
-	mark    uint32 // == Incremental.stamp when in the affected set
-	alive   bool
-	pending bool // joined since the last flush; lambda is meaningless
-}
-
-type incLink struct {
-	cap      rate.Rate
-	load     rate.Rate // exact sum of live non-pending member rates
-	members  []incMember
-	subStamp uint32 // == Incremental.stamp when in the sub-instance
-	subPos   int32  // index into subLinks, valid when subStamp matches
-	nLive    int32  // live member count (pending included)
-	down     bool
-	dirty    bool
-	virtual  bool // private demand link owned by one session
-	free     bool
-}
-
-// IncrementalStats counts how flushes were resolved.
-type IncrementalStats struct {
-	FullSolves   uint64 // full re-solves: first flush and fall-backs
-	DeltaSolves  uint64 // flushes resolved by affected-component re-leveling
-	NoopFlushes  uint64 // flushes with no pending deltas
-	Fallbacks    uint64 // delta solves abandoned past the cascade threshold
-	GrowRounds   uint64 // verify-and-grow iterations beyond the first
-	Releveled    uint64 // sessions re-assigned by delta solves
-	LinksVisited uint64 // sub-instance links scanned by delta solves
-}
-
-// Incremental maintains the max-min fair rates of a live instance under a
-// stream of deltas. Deltas are cheap bookkeeping; the re-level runs lazily
-// on the first Rate/Flush after a batch of deltas, so an epoch's worth of
-// churn costs one affected-component solve. The zero value is not ready:
-// use NewIncremental. Not safe for concurrent use.
+// Deprecated: build the instance with an Assembler and call Solve.
 type Incremental struct {
-	// FallbackPercent is the cascade threshold in percent of member-carrying
-	// links (DefaultFallbackPercent when NewIncremental built the solver).
-	FallbackPercent int
-	// CrossCheck re-solves the full instance after every flush and verifies
-	// the committed rates are identical — the debug knob; it removes the
-	// speedup but not the laziness.
-	CrossCheck bool
-
-	links     []incLink
-	freeLinks []int32
-	sessions  []incSession
-	freeSess  []int32
-
-	memberLinks int // links currently carrying at least one live member
-	liveSess    int
-
-	dirty   []int32 // links whose capacity/membership/load changed
-	pending []int32 // sessions joined since the last flush
-	solved  bool    // full state valid; false forces a full solve
-
-	stamp    uint32
-	subLinks []int32 // sub-instance links, discovery order
-	subA     []int32 // affected sessions, discovery order
-	queue    []int32 // closure worklist (prefix-scanned)
-
-	frozenLoad []rate.Rate // per subLinks slot: load of frozen crossers
-	frozenMax  []rate.Rate // per subLinks slot: max frozen crosser rate
-	oldMax     []rate.Rate // per subLinks slot: max pre-solve member rate
-	newLoad    []rate.Rate // per subLinks slot: combined post-solve load
-	newMax     []rate.Rate // per subLinks slot: combined post-solve max
-	inst       Instance
-	pathArena  []int
-	seenStamp  []uint32 // path dedup scratch, stamped by pathStamp
-	pathStamp  uint32
-
-	solver Solver
-	check  Solver
-	stats  IncrementalStats
+	caps     []rate.Rate
+	sessions []Session   // by handle; a nil Path once the session has left
+	rates    []rate.Rate // by handle, as of the last Flush
+	stale    bool
+	asm      Assembler[int]
 }
 
 // NewIncremental returns an empty live instance.
 func NewIncremental() *Incremental {
-	return &Incremental{FallbackPercent: DefaultFallbackPercent}
+	inc := &Incremental{}
+	inc.asm.Capacity = func(l int) rate.Rate { return inc.caps[l] }
+	return inc
 }
-
-// Stats returns the flush counters.
-func (inc *Incremental) Stats() IncrementalStats { return inc.stats }
-
-// LiveSessions returns the number of joined, not-yet-departed sessions.
-func (inc *Incremental) LiveSessions() int { return inc.liveSess }
 
 // AddLink adds a link with the given capacity and returns its handle.
 func (inc *Incremental) AddLink(c rate.Rate) int {
-	return int(inc.allocLink(c, false))
+	inc.caps = append(inc.caps, c)
+	return len(inc.caps) - 1
 }
 
-func (inc *Incremental) allocLink(c rate.Rate, virtual bool) int32 {
-	var l int32
-	if n := len(inc.freeLinks); n > 0 {
-		l = inc.freeLinks[n-1]
-		inc.freeLinks = inc.freeLinks[:n-1]
-	} else {
-		inc.links = append(inc.links, incLink{})
-		l = int32(len(inc.links) - 1)
-	}
-	lk := &inc.links[l]
-	// A recycled handle may still sit on the dirty list; keep the flag so it
-	// is not enqueued twice.
-	lk.cap, lk.load, lk.virtual = c, rate.Zero, virtual
-	lk.members, lk.nLive = lk.members[:0], 0
-	lk.down, lk.free = false, false
-	return l
-}
+// SetCapacity changes a link's capacity from the next Flush on.
+func (inc *Incremental) SetCapacity(link int, c rate.Rate) { inc.caps[link], inc.stale = c, true }
 
-// SetCapacity changes a link's capacity. The change takes effect at the
-// next flush.
-func (inc *Incremental) SetCapacity(link int, c rate.Rate) {
-	lk := &inc.links[link]
-	lk.cap = c
-	inc.markDirty(int32(link))
-}
-
-// FailLink takes a link out of service. Sessions crossing it must leave
-// (or rejoin on another path) before the next flush; Flush reports an error
-// otherwise.
-func (inc *Incremental) FailLink(link int) {
-	inc.links[link].down = true
-	inc.markDirty(int32(link))
-}
-
-// RestoreLink returns a failed link to service at its current capacity.
-func (inc *Incremental) RestoreLink(link int) {
-	inc.links[link].down = false
-	inc.markDirty(int32(link))
-}
-
-func (inc *Incremental) markDirty(l int32) {
-	lk := &inc.links[l]
-	if !lk.dirty {
-		lk.dirty = true
-		inc.dirty = append(inc.dirty, l)
-	}
-}
-
-// SessionJoin adds a session with the given demand (possibly rate.Inf) over
-// the given links and returns its handle. The rate is assigned at the next
-// flush.
+// SessionJoin adds a session over the given links and returns its handle.
 func (inc *Incremental) SessionJoin(demand rate.Rate, path []int) int {
-	if len(path) == 0 {
-		panic("waterfill: session join with an empty path")
-	}
-	if demand.Sign() <= 0 && !demand.IsInf() {
-		panic(fmt.Sprintf("waterfill: session join with non-positive demand %v", demand))
-	}
-	var h int32
-	if n := len(inc.freeSess); n > 0 {
-		h = inc.freeSess[n-1]
-		inc.freeSess = inc.freeSess[:n-1]
-	} else {
-		inc.sessions = append(inc.sessions, incSession{})
-		h = int32(len(inc.sessions) - 1)
-	}
-	s := &inc.sessions[h]
-	s.demand, s.lambda = demand, rate.Zero
-	s.alive, s.pending, s.mark = true, true, 0
-	s.path = s.path[:0]
-	// Paths are sets: a route crossing the same link twice counts once, the
-	// same contract as Solver's membership lists.
-	inc.pathStamp++
-	if inc.pathStamp == 0 { // wrapped: stale stamps would alias
-		for i := range inc.seenStamp {
-			inc.seenStamp[i] = 0
-		}
-		inc.pathStamp = 1
-	}
-	inc.seenStamp = growClear(inc.seenStamp, len(inc.links))
-	for _, e := range path {
-		if inc.seenStamp[e] == inc.pathStamp {
-			continue
-		}
-		inc.seenStamp[e] = inc.pathStamp
-		if inc.links[e].down {
-			panic(fmt.Sprintf("waterfill: session join crosses failed link %d", e))
-		}
-		s.path = append(s.path, int32(e))
-	}
-	if !demand.IsInf() {
-		s.path = append(s.path, inc.allocLink(demand, true))
-	}
-	for _, l := range s.path {
-		lk := &inc.links[l]
-		lk.members = append(lk.members, incMember{sess: h, gen: s.gen})
-		lk.nLive++
-		if lk.nLive == 1 {
-			inc.memberLinks++
-		}
-	}
-	inc.pending = append(inc.pending, h)
-	inc.liveSess++
-	return int(h)
+	inc.sessions = append(inc.sessions, Session{demand, append([]int(nil), path...)})
+	inc.stale = true
+	return len(inc.sessions) - 1
 }
 
-// SessionLeave removes a session. Frees its capacity at the next flush.
-func (inc *Incremental) SessionLeave(h int) {
-	s := &inc.sessions[h]
-	if !s.alive {
-		panic(fmt.Sprintf("waterfill: leave of dead session %d", h))
+// SessionLeave removes a session.
+func (inc *Incremental) SessionLeave(h int) { inc.sessions[h].Path, inc.stale = nil, true }
+
+// Flush solves the live sessions if anything changed since the last Flush.
+func (inc *Incremental) Flush() error {
+	if !inc.stale {
+		return nil
 	}
-	s.alive = false
-	s.gen++ // membership entries referencing the old generation go stale
-	for _, l := range s.path {
-		lk := &inc.links[l]
-		lk.nLive--
-		if lk.nLive == 0 {
-			inc.memberLinks--
-		}
-		// Only links that were tight need re-leveling: a slack link binds
-		// nobody, and removing a member only raises its bottleneck estimate
-		// further, so it cannot become the argmin of the new instance either.
-		// Freed capacity on a tight link, by contrast, raises the water level
-		// its top group sits at. A pending leaver (join and leave between
-		// flushes) never contributed load, so it frees nothing anywhere.
-		wasTight := !s.pending && lk.load.Equal(lk.cap)
-		if !s.pending {
-			lk.load = lk.load.Sub(s.lambda)
-		}
-		if lk.virtual {
-			lk.free = true
-			inc.freeLinks = append(inc.freeLinks, l)
-		} else if wasTight {
-			inc.markDirty(l)
+	inc.asm.Reset()
+	for _, s := range inc.sessions {
+		if s.Path != nil {
+			inc.asm.Add(s.Demand, s.Path)
 		}
 	}
-	inc.freeSess = append(inc.freeSess, int32(h))
-	inc.liveSess--
+	rates, err := inc.asm.Solve()
+	if err != nil {
+		return err
+	}
+	inc.rates, inc.stale = grow(inc.rates, len(inc.sessions)), false
+	for h, s := range inc.sessions {
+		if s.Path != nil {
+			inc.rates[h], rates = rates[0], rates[1:]
+		}
+	}
+	return nil
 }
 
-// Rate returns the current max-min fair rate of a live session, flushing
-// pending deltas first. It panics if the flush fails (use Flush to observe
-// the error).
+// Rate flushes and returns a live session's max-min fair rate; it panics if
+// the flush fails.
 func (inc *Incremental) Rate(h int) rate.Rate {
 	if err := inc.Flush(); err != nil {
 		panic(err)
 	}
-	s := &inc.sessions[h]
-	if !s.alive || s.pending {
-		panic(fmt.Sprintf("waterfill: rate of dead or unflushed session %d", h))
-	}
-	return s.lambda
-}
-
-// Flush applies all pending deltas, re-leveling the affected bottleneck
-// component (or falling back to a full solve past the cascade threshold).
-// It is idempotent between deltas.
-func (inc *Incremental) Flush() error {
-	if !inc.solved {
-		return inc.fullSolve()
-	}
-	if len(inc.dirty) == 0 && len(inc.pending) == 0 {
-		inc.stats.NoopFlushes++
-		return nil
-	}
-	if err := inc.relevel(); err != nil {
-		return err
-	}
-	if inc.CrossCheck {
-		return inc.crossCheck()
-	}
-	return nil
-}
-
-// addA puts a session into the affected set (once) and on the closure
-// worklist.
-func (inc *Incremental) addA(h int32) {
-	s := &inc.sessions[h]
-	if s.mark == inc.stamp {
-		return
-	}
-	s.mark = inc.stamp
-	inc.subA = append(inc.subA, h)
-	inc.queue = append(inc.queue, h)
-}
-
-// addSub puts a link into the sub-instance (once) and returns its slot.
-func (inc *Incremental) addSub(l int32) int32 {
-	lk := &inc.links[l]
-	if lk.subStamp == inc.stamp {
-		return lk.subPos
-	}
-	lk.subStamp = inc.stamp
-	lk.subPos = int32(len(inc.subLinks))
-	inc.subLinks = append(inc.subLinks, l)
-	return lk.subPos
-}
-
-// seedTopGroup adds a link's top group — its live, already-rated members at
-// the maximum member rate — to the affected set, compacting stale
-// membership entries on the way.
-func (inc *Incremental) seedTopGroup(l int32) {
-	lk := &inc.links[l]
-	kept := lk.members[:0]
-	var mx rate.Rate
-	has := false
-	for _, m := range lk.members {
-		s := &inc.sessions[m.sess]
-		if !s.alive || s.gen != m.gen {
-			continue
-		}
-		kept = append(kept, m)
-		if s.pending {
-			continue
-		}
-		if !has || s.lambda.Greater(mx) {
-			mx, has = s.lambda, true
-		}
-	}
-	lk.members = kept
-	if !has {
-		return
-	}
-	for _, m := range kept {
-		s := &inc.sessions[m.sess]
-		if !s.pending && s.lambda.Equal(mx) {
-			inc.addA(m.sess)
-		}
-	}
-}
-
-// isTight reports whether a link's current load exactly meets its capacity.
-func (inc *Incremental) isTight(l int32) bool {
-	lk := &inc.links[l]
-	return lk.load.Equal(lk.cap)
-}
-
-// closure drains the worklist: every link an affected session crosses joins
-// the sub-instance. Top groups of tight links are NOT pulled in eagerly —
-// re-leveling only touches a frozen session when its bottleneck actually
-// moves, and subSolve's Definition-1 verify detects exactly that (a sub-link
-// left slack, or a sub-session overtaking the frozen top at a tight link)
-// and grows the affected set on demand. Eager seeding is sound but drags in
-// entire equal-rate top groups transitively — on internet-scale fringes
-// that engulfs half the sessions per flush for churn that ends up moving
-// only a handful of levels.
-func (inc *Incremental) closure() {
-	for qi := 0; qi < len(inc.queue); qi++ {
-		u := inc.queue[qi]
-		for _, l := range inc.sessions[u].path {
-			inc.addSub(l)
-		}
-	}
-}
-
-// bumpStamp advances the affected-set generation, resetting every stored
-// mark when the counter wraps so stale stamps cannot alias the new one.
-func (inc *Incremental) bumpStamp() {
-	inc.stamp++
-	if inc.stamp != 0 {
-		return
-	}
-	for i := range inc.sessions {
-		inc.sessions[i].mark = 0
-	}
-	for i := range inc.links {
-		inc.links[i].subStamp = 0
-	}
-	inc.stamp = 1
-}
-
-// relevel is the delta path of Flush: seed, close, sub-solve, verify, grow.
-func (inc *Incremental) relevel() error {
-	inc.bumpStamp()
-	inc.subLinks, inc.subA, inc.queue = inc.subLinks[:0], inc.subA[:0], inc.queue[:0]
-	for _, l := range inc.dirty {
-		lk := &inc.links[l]
-		lk.dirty = false
-		if lk.down && lk.nLive > 0 {
-			return fmt.Errorf("waterfill: failed link %d still crossed by %d sessions at flush", l, lk.nLive)
-		}
-		if lk.down || lk.free || lk.nLive == 0 {
-			continue
-		}
-		inc.seedTopGroup(l)
-	}
-	for _, h := range inc.pending {
-		if inc.sessions[h].alive {
-			inc.addA(h)
-		}
-	}
-	inc.dirty, inc.pending = inc.dirty[:0], inc.pending[:0]
-	inc.closure()
-
-	for round := 0; ; round++ {
-		if round >= defaultGrowRounds ||
-			100*len(inc.subLinks) > inc.FallbackPercent*inc.memberLinks {
-			inc.stats.Fallbacks++
-			return inc.fullSolve()
-		}
-		if round > 0 {
-			inc.stats.GrowRounds++
-		}
-		grew, err := inc.subSolve()
-		if err != nil {
-			// The sub-instance should always be solvable; be safe, not stuck.
-			inc.stats.Fallbacks++
-			return inc.fullSolve()
-		}
-		if !grew {
-			break
-		}
-	}
-	inc.stats.DeltaSolves++
-	inc.stats.Releveled += uint64(len(inc.subA))
-	inc.stats.LinksVisited += uint64(len(inc.subLinks))
-	return nil
-}
-
-// subSolve builds the residual sub-instance over the current affected set,
-// solves it, and either commits (false) or grows the set (true) when a
-// re-leveled session is left without a Definition-1 bottleneck against the
-// combined loads.
-func (inc *Incremental) subSolve() (grew bool, err error) {
-	nSub := len(inc.subLinks)
-	inc.frozenLoad = grow(inc.frozenLoad, nSub)
-	inc.frozenMax = grow(inc.frozenMax, nSub)
-	inc.oldMax = grow(inc.oldMax, nSub)
-	for i, l := range inc.subLinks {
-		lk := &inc.links[l]
-		fl, fm, om := rate.Zero, rate.Zero, rate.Zero
-		kept := lk.members[:0]
-		for _, m := range lk.members {
-			s := &inc.sessions[m.sess]
-			if !s.alive || s.gen != m.gen {
-				continue
-			}
-			kept = append(kept, m)
-			if s.pending {
-				continue
-			}
-			om = rate.Max(om, s.lambda)
-			if s.mark == inc.stamp {
-				continue
-			}
-			fl = fl.Add(s.lambda)
-			fm = rate.Max(fm, s.lambda)
-		}
-		lk.members = kept
-		inc.frozenLoad[i], inc.frozenMax[i], inc.oldMax[i] = fl, fm, om
-	}
-
-	// Residual capacities and the affected sessions, paths remapped to
-	// sub-instance slots. Demands are already materialized as private
-	// virtual links in the session paths, so every sub-session is unbounded.
-	inc.inst.Capacity = grow(inc.inst.Capacity, nSub)
-	for i, l := range inc.subLinks {
-		inc.inst.Capacity[i] = inc.links[l].cap.Sub(inc.frozenLoad[i])
-	}
-	inc.inst.Sessions = grow(inc.inst.Sessions, len(inc.subA))
-	need := 0
-	for _, u := range inc.subA {
-		need += len(inc.sessions[u].path)
-	}
-	if cap(inc.pathArena) < need {
-		inc.pathArena = make([]int, need)
-	}
-	arena := inc.pathArena[:0]
-	for ui, u := range inc.subA {
-		s := &inc.sessions[u]
-		p := arena[len(arena) : len(arena) : len(arena)+len(s.path)]
-		for _, l := range s.path {
-			p = append(p, int(inc.links[l].subPos))
-		}
-		arena = arena[:len(arena)+len(p)]
-		inc.inst.Sessions[ui] = Session{Demand: rate.Inf, Path: p}
-	}
-	rates, err := inc.solver.Solve(inc.inst)
-	if err != nil {
-		return false, err
-	}
-
-	// Combined loads: frozen crossers plus the fresh rates.
-	inc.newLoad = grow(inc.newLoad, nSub)
-	inc.newMax = grow(inc.newMax, nSub)
-	copy(inc.newLoad, inc.frozenLoad[:nSub])
-	copy(inc.newMax, inc.frozenMax[:nSub])
-	for ui, u := range inc.subA {
-		r := rates[ui]
-		for _, l := range inc.sessions[u].path {
-			i := inc.links[l].subPos
-			inc.newLoad[i] = inc.newLoad[i].Add(r)
-			inc.newMax[i] = rate.Max(inc.newMax[i], r)
-		}
-	}
-
-	// Definition-1 verify against the combined instance. A session without a
-	// bottleneck was capped below a frozen crosser at a link that saturated:
-	// true max-min pulls that crosser down too, so it joins the affected set
-	// and the component re-levels.
-	unrestricted := false
-	for ui, u := range inc.subA {
-		r := rates[ui]
-		restricted := false
-		for _, l := range inc.sessions[u].path {
-			lk := &inc.links[l]
-			i := lk.subPos
-			if inc.newLoad[i].Equal(lk.cap) && r.Equal(inc.newMax[i]) {
-				restricted = true
-				break
-			}
-		}
-		if restricted {
-			continue
-		}
-		unrestricted = true
-		for _, l := range inc.sessions[u].path {
-			lk := &inc.links[l]
-			i := lk.subPos
-			if !inc.newLoad[i].Equal(lk.cap) || !inc.frozenMax[i].Greater(r) {
-				continue
-			}
-			for _, m := range lk.members {
-				s := &inc.sessions[m.sess]
-				if !s.alive || s.gen != m.gen || s.pending || s.mark == inc.stamp {
-					continue
-				}
-				if s.lambda.Greater(r) {
-					inc.addA(m.sess)
-					grew = true
-				}
-			}
-		}
-	}
-	// The lazy-closure grow direction: a frozen session bottlenecked at a
-	// sub-link (the link was tight and the frozen members were its top
-	// group) must stay at a valid bottleneck. If the re-level left that
-	// link slack, or handed a sub-session more than the frozen top rate
-	// while it stayed tight, the frozen top group's water level rises —
-	// pull it into the affected set and re-level. Frozen members below the
-	// old top are bottlenecked elsewhere and never need to move.
-	for i, l := range inc.subLinks {
-		lk := &inc.links[l]
-		if !inc.isTight(l) { // pre-solve load: nobody frozen was bottlenecked at a slack link
-			continue
-		}
-		fm := inc.frozenMax[i]
-		if !fm.Equal(inc.oldMax[i]) { // the old top members are all affected: solver re-levels them itself
-			continue
-		}
-		if inc.newLoad[i].Equal(lk.cap) && !inc.newMax[i].Greater(fm) {
-			continue
-		}
-		for _, m := range lk.members {
-			s := &inc.sessions[m.sess]
-			if !s.alive || s.gen != m.gen || s.pending || s.mark == inc.stamp {
-				continue
-			}
-			if s.lambda.Equal(fm) {
-				inc.addA(m.sess)
-				grew = true
-			}
-		}
-	}
-	if grew {
-		inc.closure()
-		return true, nil
-	}
-	if unrestricted {
-		// Cannot happen for a consistent state (the solver's assigning link
-		// is tight with a larger frozen crosser); route to the full solve
-		// rather than commit a non-max-min allocation.
-		return false, fmt.Errorf("waterfill: re-level left a session unrestricted with no frozen crosser to pull in")
-	}
-
-	// Commit: rates and exact per-link loads for the affected component.
-	for i, l := range inc.subLinks {
-		inc.links[l].load = inc.newLoad[i]
-	}
-	for ui, u := range inc.subA {
-		s := &inc.sessions[u]
-		s.lambda = rates[ui]
-		s.pending = false
-	}
-	return false, nil
-}
-
-// fullSolve rebuilds the whole instance from the live sessions and solves it
-// from scratch — the first flush, the cascade fall-back, and the safety net.
-func (inc *Incremental) fullSolve() error {
-	rates, order, err := inc.solveAll(&inc.solver)
-	if err != nil {
-		return err
-	}
-	for l := range inc.links {
-		lk := &inc.links[l]
-		lk.load = rate.Zero
-		lk.dirty = false
-	}
-	for ui, u := range order {
-		s := &inc.sessions[u]
-		s.lambda = rates[ui]
-		s.pending = false
-		for _, l := range s.path {
-			lk := &inc.links[l]
-			lk.load = lk.load.Add(rates[ui])
-		}
-	}
-	inc.dirty, inc.pending = inc.dirty[:0], inc.pending[:0]
-	inc.solved = true
-	inc.stats.FullSolves++
-	return nil
-}
-
-// solveAll builds the full live instance (sessions in handle order, links in
-// first-encounter order) and solves it with the given solver. It returns
-// the rates and the session handles in instance order.
-func (inc *Incremental) solveAll(sv *Solver) ([]rate.Rate, []int32, error) {
-	inc.bumpStamp()
-	inc.subLinks, inc.subA = inc.subLinks[:0], inc.subA[:0]
-	need := 0
-	for h := range inc.sessions {
-		s := &inc.sessions[h]
-		if !s.alive {
-			continue
-		}
-		inc.subA = append(inc.subA, int32(h))
-		need += len(s.path)
-	}
-	if cap(inc.pathArena) < need {
-		inc.pathArena = make([]int, need)
-	}
-	arena := inc.pathArena[:0]
-	inc.inst.Sessions = grow(inc.inst.Sessions, len(inc.subA))
-	for ui, u := range inc.subA {
-		s := &inc.sessions[u]
-		p := arena[len(arena) : len(arena) : len(arena)+len(s.path)]
-		for _, l := range s.path {
-			p = append(p, int(inc.addSub(l)))
-		}
-		arena = arena[:len(arena)+len(p)]
-		inc.inst.Sessions[ui] = Session{Demand: rate.Inf, Path: p}
-	}
-	inc.inst.Capacity = grow(inc.inst.Capacity, len(inc.subLinks))
-	for i, l := range inc.subLinks {
-		inc.inst.Capacity[i] = inc.links[l].cap
-	}
-	rates, err := sv.Solve(inc.inst)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rates, inc.subA, nil
-}
-
-// crossCheck full-solves the live instance with a separate solver and
-// verifies the committed rates match value for value.
-func (inc *Incremental) crossCheck() error {
-	rates, order, err := inc.solveAll(&inc.check)
-	if err != nil {
-		return fmt.Errorf("waterfill: cross-check solve failed: %w", err)
-	}
-	for ui, u := range order {
-		s := &inc.sessions[u]
-		if !s.lambda.Equal(rates[ui]) {
-			return fmt.Errorf("%w for session %d: incremental %v, full %v",
-				ErrCrossCheck, u, s.lambda, rates[ui])
-		}
-	}
-	return nil
-}
-
-// growClear returns s resized to n with any newly exposed tail zeroed; the
-// existing prefix is preserved (unlike grow, which leaves contents
-// unspecified).
-func growClear(s []uint32, n int) []uint32 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	next := make([]uint32, n)
-	copy(next, s)
-	return next
+	return inc.rates[h]
 }

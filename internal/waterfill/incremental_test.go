@@ -1,12 +1,12 @@
 package waterfill_test
 
-// Equivalence tests for the incremental solver: after every delta the
-// committed rates must be byte-identical (rate.Key equality — rates are
-// canonical rationals) to a fresh full Solve of the same live instance.
-// The churn harness drives join/leave/fail/restore/setcap sequences over
-// the generated internet topologies (Paper and Metro rungs), mirroring the
-// contract the network layer honors: sessions crossing a failing link leave
-// before the fail and rejoin on a fresh path after it.
+// Equivalence tests for the deprecated Incremental: after every batch of
+// deltas its rates must be byte-identical (rate.Key equality — rates are
+// canonical rationals) to a fresh Solve of the same live instance. The churn
+// harness drives it the way its one remaining caller does: links are added
+// the first time a path crosses them, capacity changes reach only links it
+// knows, and a failure is seen only as the crossing sessions leaving and
+// rejoining on a fresh path.
 
 import (
 	"math/rand"
@@ -18,9 +18,9 @@ import (
 	"bneck/internal/waterfill"
 )
 
-// harnessSession is one live session of the churn harness: its incremental
-// handle plus everything needed to rebuild the shadow instance and to
-// re-route after failures.
+// harnessSession is one live session of the churn harness: its handle plus
+// everything needed to rebuild the shadow instance and to re-route after
+// failures.
 type harnessSession struct {
 	h        int
 	src, dst graph.NodeID
@@ -33,7 +33,7 @@ type churnHarness struct {
 	g      *graph.Graph
 	res    *graph.Resolver
 	inc    *waterfill.Incremental
-	linkOf []int // graph LinkID -> incremental link handle
+	linkOf map[graph.LinkID]int // graph link -> handle, added on first use
 	live   []harnessSession
 	rng    *rand.Rand
 	hosts  []graph.NodeID
@@ -45,45 +45,33 @@ func newChurnHarness(t testing.TB, params topology.InternetParams, hosts int, se
 		t.Fatalf("generate: %v", err)
 	}
 	h := &churnHarness{
-		t:   t,
-		g:   net.Graph,
-		res: graph.NewResolver(net.Graph, 128),
-		inc: waterfill.NewIncremental(),
-		rng: rand.New(rand.NewSource(seed + 1)),
+		t:      t,
+		g:      net.Graph,
+		res:    graph.NewResolver(net.Graph, 128),
+		inc:    waterfill.NewIncremental(),
+		linkOf: make(map[graph.LinkID]int),
+		rng:    rand.New(rand.NewSource(seed + 1)),
 	}
 	h.hosts = net.AddHosts(hosts)
-	h.linkOf = make([]int, h.g.NumLinks())
-	for l := 0; l < h.g.NumLinks(); l++ {
-		h.linkOf[l] = h.inc.AddLink(h.g.Link(graph.LinkID(l)).Capacity)
-	}
 	return h
 }
 
-func (h *churnHarness) pathUp(p graph.Path) bool {
-	for _, l := range p {
-		if !h.g.LinkUp(l) {
-			return false
-		}
-	}
-	return true
-}
-
-func (h *churnHarness) incPath(p graph.Path) []int {
-	out := make([]int, len(p))
-	for i, l := range p {
-		out[i] = h.linkOf[l]
-	}
-	return out
-}
-
-func (h *churnHarness) join(src, dst graph.NodeID, demand rate.Rate) bool {
+func (h *churnHarness) join(src, dst graph.NodeID, demand rate.Rate) {
 	p, err := h.res.HostPath(src, dst)
-	if err != nil || !h.pathUp(p) {
-		return false
+	if err != nil {
+		return
 	}
-	hd := h.inc.SessionJoin(demand, h.incPath(p))
+	handles := make([]int, len(p))
+	for i, l := range p {
+		k, ok := h.linkOf[l]
+		if !ok {
+			k = h.inc.AddLink(h.g.Link(l).Capacity)
+			h.linkOf[l] = k
+		}
+		handles[i] = k
+	}
+	hd := h.inc.SessionJoin(demand, handles)
 	h.live = append(h.live, harnessSession{h: hd, src: src, dst: dst, demand: demand, path: p})
-	return true
 }
 
 func (h *churnHarness) joinRandom() {
@@ -116,12 +104,14 @@ func (h *churnHarness) setCapRandom() {
 	l := graph.LinkID(h.rng.Intn(h.g.NumLinks()))
 	c := rate.FromFrac(int64(1+h.rng.Intn(2000)), int64(1+h.rng.Intn(3)))
 	h.g.SetCapacity(l, c)
-	h.inc.SetCapacity(h.linkOf[l], c)
+	if k, ok := h.linkOf[l]; ok {
+		h.inc.SetCapacity(k, c)
+	}
 }
 
 // failRandom fails one link the way the network layer does: crossing
-// sessions depart first, then the link goes down, then each departed
-// session rejoins on a fresh shortest path (or stays out if none exists).
+// sessions depart, the link goes down, then each departed session rejoins on
+// a fresh shortest path (or stays out if none exists).
 func (h *churnHarness) failRandom() {
 	l := graph.LinkID(h.rng.Intn(h.g.NumLinks()))
 	if !h.g.LinkUp(l) {
@@ -138,7 +128,6 @@ func (h *churnHarness) failRandom() {
 		}
 	}
 	h.g.FailLink(l)
-	h.inc.FailLink(h.linkOf[l])
 	for _, s := range crossing {
 		h.join(s.src, s.dst, s.demand)
 	}
@@ -148,13 +137,10 @@ func (h *churnHarness) restoreRandom() {
 	// Scan a few random links for a failed one; restores are rarer than
 	// fails anyway.
 	for try := 0; try < 8; try++ {
-		l := graph.LinkID(h.rng.Intn(h.g.NumLinks()))
-		if h.g.LinkUp(l) {
-			continue
+		if l := graph.LinkID(h.rng.Intn(h.g.NumLinks())); !h.g.LinkUp(l) {
+			h.g.RestoreLink(l)
+			return
 		}
-		h.g.RestoreLink(l)
-		h.inc.RestoreLink(h.linkOf[l])
-		return
 	}
 }
 
@@ -198,27 +184,23 @@ func (h *churnHarness) shadowSolve() []rate.Rate {
 	return rates
 }
 
-// checkEquivalence asserts every live session's incremental rate is
-// byte-identical to the shadow full solve.
+// checkEquivalence asserts every live session's rate is byte-identical to
+// the shadow solve.
 func (h *churnHarness) checkEquivalence(step int) {
 	if err := h.inc.Flush(); err != nil {
 		h.t.Fatalf("step %d: flush: %v", step, err)
 	}
 	want := h.shadowSolve()
 	for i, s := range h.live {
-		got := h.inc.Rate(s.h)
-		if got.Key() != want[i].Key() {
+		if got := h.inc.Rate(s.h); got.Key() != want[i].Key() {
 			h.t.Fatalf("step %d: session %d (%d->%d): incremental %s, full %s",
 				step, s.h, s.src, s.dst, got.Key(), want[i].Key())
 		}
 	}
 }
 
-func runChurn(t testing.TB, params topology.InternetParams, hosts, warm, steps int, seed int64, tune func(*waterfill.Incremental)) waterfill.IncrementalStats {
+func runChurn(t testing.TB, params topology.InternetParams, hosts, warm, steps int, seed int64) {
 	h := newChurnHarness(t, params, hosts, seed)
-	if tune != nil {
-		tune(h.inc)
-	}
 	for i := 0; i < warm; i++ {
 		h.joinRandom()
 	}
@@ -231,38 +213,10 @@ func runChurn(t testing.TB, params topology.InternetParams, hosts, warm, steps i
 		}
 		h.checkEquivalence(i)
 	}
-	return h.inc.Stats()
 }
 
 func TestIncrementalChurnEquivalencePaper(t *testing.T) {
-	stats := runChurn(t, topology.InternetPaper, 48, 40, 160, 1,
-		func(inc *waterfill.Incremental) { inc.FallbackPercent = 1000 })
-	if stats.DeltaSolves == 0 {
-		t.Fatalf("no delta solves exercised: %+v", stats)
-	}
-}
-
-// The default fall-back threshold and the cross-check knob get their own
-// pass: small topologies cascade past 25%% of the links all the time, so
-// this exercises the full-solve fall-back path, and CrossCheck exercises
-// the internal comparison solver.
-func TestIncrementalChurnFallbackAndCrossCheck(t *testing.T) {
-	stats := runChurn(t, topology.InternetPaper, 32, 24, 80, 2,
-		func(inc *waterfill.Incremental) { inc.CrossCheck = true })
-	if stats.FullSolves == 0 {
-		t.Fatalf("expected at least one full solve: %+v", stats)
-	}
-}
-
-func TestIncrementalChurnEquivalenceMetro(t *testing.T) {
-	if testing.Short() {
-		t.Skip("metro-rung churn equivalence is minutes of full solves; run without -short")
-	}
-	stats := runChurn(t, topology.InternetMetro, 256, 200, 120, 3,
-		func(inc *waterfill.Incremental) { inc.FallbackPercent = 200 })
-	if stats.DeltaSolves == 0 {
-		t.Fatalf("no delta solves exercised: %+v", stats)
-	}
+	runChurn(t, topology.InternetPaper, 48, 40, 160, 1)
 }
 
 // FuzzIncrementalEquivalence drives the same churn harness from a fuzzed
@@ -272,26 +226,23 @@ func FuzzIncrementalEquivalence(f *testing.F) {
 	f.Add(int64(7), uint8(3), uint8(90))
 	f.Add(int64(42), uint8(80), uint8(20))
 	f.Fuzz(func(t *testing.T, seed int64, warm, steps uint8) {
-		runChurn(t, topology.InternetPaper, 32, int(warm)%64, int(steps)%64, seed,
-			func(inc *waterfill.Incremental) { inc.FallbackPercent = 1000 })
+		runChurn(t, topology.InternetPaper, 32, int(warm)%64, int(steps)%64, seed)
 	})
 }
 
-// TestIncrementalFrozenCascade pins the one case that escapes the closure:
-// a leave frees capacity at e, its top group rises into a previously slack
-// link f, f saturates below the rate of a frozen crosser of f, and true
-// max-min pulls that crosser down — which in turn raises its neighbor at a
-// third link h. The verify-and-grow fixpoint must find all of it.
+// TestIncrementalFrozenCascade is a known-answer case in which one leave
+// moves every other rate: freed capacity at e raises its remaining sessions
+// until a second link f saturates, which pulls f's other crosser down and
+// lets that crosser's neighbour at a third link h rise.
 func TestIncrementalFrozenCascade(t *testing.T) {
 	inc := waterfill.NewIncremental()
-	inc.FallbackPercent = 1000
 	e := inc.AddLink(rate.FromInt64(2))
 	f := inc.AddLink(rate.FromFrac(9, 2)) // 4.5
 	h := inc.AddLink(rate.FromInt64(6))
 	sA := inc.SessionJoin(rate.Inf, []int{e})    // leaves later
 	sU := inc.SessionJoin(rate.Inf, []int{e, f}) // rises, then capped at f
 	sX := inc.SessionJoin(rate.Inf, []int{e, f}) // rises with it
-	sV := inc.SessionJoin(rate.Inf, []int{f, h}) // frozen crosser pulled down
+	sV := inc.SessionJoin(rate.Inf, []int{f, h}) // pulled down at f
 	sW := inc.SessionJoin(rate.Inf, []int{h})    // rises when v drops
 	if err := inc.Flush(); err != nil {
 		t.Fatal(err)
@@ -318,27 +269,5 @@ func TestIncrementalFrozenCascade(t *testing.T) {
 		if got := inc.Rate(want.h).Key(); got != want.r {
 			t.Fatalf("post-leave rate of %d: got %s, want %s", want.h, got, want.r)
 		}
-	}
-	stats := inc.Stats()
-	if stats.FullSolves != 1 || stats.DeltaSolves != 1 || stats.Fallbacks != 0 {
-		t.Fatalf("expected one full (initial) and one delta solve, got %+v", stats)
-	}
-	if stats.GrowRounds == 0 {
-		t.Fatalf("expected the verify-and-grow fixpoint to fire, got %+v", stats)
-	}
-}
-
-// TestIncrementalFailRequiresDeparture pins the FailLink contract: flushing
-// while a session still crosses a failed link reports an error.
-func TestIncrementalFailRequiresDeparture(t *testing.T) {
-	inc := waterfill.NewIncremental()
-	l := inc.AddLink(rate.FromInt64(10))
-	inc.SessionJoin(rate.Inf, []int{l})
-	if err := inc.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	inc.FailLink(l)
-	if err := inc.Flush(); err == nil {
-		t.Fatal("flush with a crossed failed link should error")
 	}
 }

@@ -6,6 +6,7 @@
 package waterfill
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -354,6 +355,33 @@ func WaterFilling(in Instance) ([]rate.Rate, error) {
 		active[bestLink] = make(map[int]struct{})
 	}
 	return lambda, nil
+}
+
+// ErrCrossCheck marks rates that WaterFilling or Verify contradicts (see
+// Assembler.CrossCheck); test for it with errors.Is.
+var ErrCrossCheck = errors.New("waterfill: cross-check mismatch")
+
+// CrossCheck checks rates, in Add order, with the package's two other
+// algorithms: WaterFilling must compute the same rates for the current
+// instance, and Verify must accept them. Max-min rates are unique, so
+// Solve's answer passes; any failure wraps ErrCrossCheck.
+func (a *Assembler[L]) CrossCheck(rates []rate.Rate) error {
+	want, err := WaterFilling(a.inst)
+	if err == nil && len(want) != len(rates) {
+		err = fmt.Errorf("%d rates for %d sessions", len(rates), len(want))
+	}
+	for i := 0; err == nil && i < len(want); i++ {
+		if !rates[i].Equal(want[i]) {
+			err = fmt.Errorf("session %d of the instance: rate %v, water-filling %v", i, rates[i], want[i])
+		}
+	}
+	if err == nil {
+		err = Verify(a.inst, rates)
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrCrossCheck, err)
+	}
+	return nil
 }
 
 // Verify checks that rates is the max-min fair allocation for in:

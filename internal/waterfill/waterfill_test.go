@@ -1,6 +1,7 @@
 package waterfill
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -310,16 +311,24 @@ func FuzzSolve(f *testing.F) {
 	})
 }
 
-// TestPropMaxMinUniqueUnderPerturbation: lowering any session below its
-// max-min rate and raising another must break Verify — i.e. Verify pins the
-// exact allocation.
+// TestPropVerifyRejectsPerturbations: lowering any session below its
+// max-min rate must break Verify — i.e. Verify pins the exact allocation —
+// and Assembler.CrossCheck, the oracle-exactness check, must accept the
+// solver's own rates and report ErrCrossCheck for a session moved either way.
 func TestPropVerifyRejectsPerturbations(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	for i := 0; i < 200; i++ {
 		in := randomInstance(r)
+		a := Assembler[int]{Capacity: func(l int) rate.Rate { return in.Capacity[l] }}
+		for _, s := range in.Sessions {
+			a.Add(s.Demand, s.Path)
+		}
 		rates, err := Solve(in)
 		if err != nil {
 			t.Fatalf("Solve: %v", err)
+		}
+		if err := a.CrossCheck(rates); err != nil {
+			t.Fatalf("iter %d: CrossCheck rejected the solver's rates: %v", i, err)
 		}
 		if len(rates) < 2 {
 			continue
@@ -336,6 +345,13 @@ func TestPropVerifyRejectsPerturbations(t *testing.T) {
 		perturbed[j] = rates[j].Sub(delta)
 		if err := Verify(in, perturbed); err == nil {
 			t.Fatalf("iter %d: Verify accepted a lowered session %d", i, j)
+		}
+		if err := a.CrossCheck(perturbed); !errors.Is(err, ErrCrossCheck) {
+			t.Fatalf("iter %d: CrossCheck of a lowered session %d: %v", i, j, err)
+		}
+		perturbed[j] = rates[j].Add(delta)
+		if err := a.CrossCheck(perturbed); !errors.Is(err, ErrCrossCheck) {
+			t.Fatalf("iter %d: CrossCheck of a raised session %d: %v", i, j, err)
 		}
 	}
 }
