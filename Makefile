@@ -83,7 +83,7 @@ fmt:
 	gofmt -w .
 
 # The documentation gate: formatting, vet, a godoc smoke pass over the
-# public API and the scenario/policy packages, and a dead-link check over
+# public API and the scenario/policy/control packages, and a dead-link check over
 # README.md, DESIGN.md and docs/ (cmd/doccheck). CI runs it on every push.
 docs-check:
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
@@ -92,5 +92,6 @@ docs-check:
 	@$(GO) doc . > /dev/null
 	@$(GO) doc ./internal/scenario > /dev/null
 	@$(GO) doc ./internal/policy > /dev/null
+	@$(GO) doc ./internal/control > /dev/null
 	@$(GO) doc bneck.Simulation > /dev/null
 	$(GO) run ./cmd/doccheck

@@ -190,14 +190,15 @@ func inPackages(paths ...string) func(string) bool {
 }
 
 // DeterministicPackages are the packages whose execution must be a pure
-// function of their inputs: the simulator engine, the simulated transport,
-// the experiment harness, the scenario runner, the waterfill oracle, the
-// path policy and the topology generators (byte-identical graphs per seed
-// is what makes the determinism tests meaningful). detrange and
-// walltime enforce it; the examples that promise reproducible output opt
-// into walltime too.
+// function of their inputs: the simulator engine, the control plane, the
+// simulated transport, the experiment harness, the scenario runner, the
+// waterfill oracle, the path policy and the topology generators
+// (byte-identical graphs per seed is what makes the determinism tests
+// meaningful). detrange and walltime enforce it; the examples that promise
+// reproducible output opt into walltime too.
 var DeterministicPackages = []string{
 	"bneck/internal/sim",
+	"bneck/internal/control",
 	"bneck/internal/network",
 	"bneck/internal/exp",
 	"bneck/internal/scenario",

@@ -44,9 +44,9 @@ func TestSuiteNamesUnique(t *testing.T) {
 }
 
 // TestDeterminismScope pins the boundary the schedule explorer depends on:
-// the engine package must stay under the determinism lints (the explorer's
-// replay guarantee is built on the engine being a pure function of its
-// inputs and the recorded picks), while internal/mc itself must stay out —
+// the engine and the control plane must stay under the determinism lints
+// (the explorer's replay guarantee is built on both being pure functions of
+// their inputs and the recorded picks), while internal/mc itself must stay out —
 // its swarm strategy and churn fuzzer draw from seeded math/rand by design,
 // and adding it to DeterministicPackages would flag every chooser.
 func TestDeterminismScope(t *testing.T) {
@@ -56,6 +56,9 @@ func TestDeterminismScope(t *testing.T) {
 	}
 	if !in["bneck/internal/sim"] {
 		t.Error("bneck/internal/sim left DeterministicPackages: the chooser hook must not cost the engine its determinism lint")
+	}
+	if !in["bneck/internal/control"] {
+		t.Error("bneck/internal/control left DeterministicPackages: its sweeps and readmissions decide the simulator's event order")
 	}
 	if in["bneck/internal/mc"] {
 		t.Error("bneck/internal/mc joined DeterministicPackages: the explorer's seeded randomness is intentional")

@@ -1,9 +1,6 @@
 //go:build mc_stalebug && !mc_strandbug
 
-package network
+package control
 
 // Test double: resurrect the PR 4 stale-rejoin bug (see bugdouble_off.go).
-const (
-	buggyRejoinReuse        = true
-	buggyLeaveSkipsUnstrand = false
-)
+const buggyRejoinReuse, buggyLeaveSkipsUnstrand = true, false

@@ -1,9 +1,6 @@
 //go:build mc_strandbug && !mc_stalebug
 
-package network
+package control
 
 // Test double: resurrect the PR 2 stranding edge (see bugdouble_off.go).
-const (
-	buggyRejoinReuse        = false
-	buggyLeaveSkipsUnstrand = true
-)
+const buggyRejoinReuse, buggyLeaveSkipsUnstrand = false, true

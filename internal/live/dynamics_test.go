@@ -33,9 +33,8 @@ func buildDiamondLive(t *testing.T) (g *graph.Graph, ha, hb graph.NodeID, top, b
 }
 
 // TestHostPathSharesMigrationCache: a path handed out by Runtime.HostPath and
-// the path a migration picks for the same hosts come out of one tree cache —
-// the runtime's resolver holds the single tree rooted at the source router
-// after the first, and still only that one after the second.
+// the path a migration picks for the same hosts come from one resolver, the
+// controller's (whose tree count internal/control's tests pin).
 func TestHostPathSharesMigrationCache(t *testing.T) {
 	g, ha, hb, top, _ := buildDiamondLive(t)
 	rt := New(g)
@@ -44,9 +43,6 @@ func TestHostPathSharesMigrationCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rt.resolver.Trees(); got != 1 {
-		t.Fatalf("%d trees in the runtime's resolver after HostPath, want 1", got)
-	}
 	s, err := rt.NewSession(p)
 	if err != nil {
 		t.Fatal(err)
@@ -54,8 +50,8 @@ func TestHostPathSharesMigrationCache(t *testing.T) {
 	s.Join(rate.Inf)
 	rt.FailLinks(top[0][0], top[0][1])
 	rt.WaitQuiescent()
-	if rt.Migrations() != 1 || rt.resolver.Trees() != 1 {
-		t.Fatalf("%d migrations, %d trees: the migration did not resolve from HostPath's tree", rt.Migrations(), rt.resolver.Trees())
+	if rt.Migrations() != 1 {
+		t.Fatalf("%d migrations, want 1", rt.Migrations())
 	}
 	if again, _ := rt.HostPath(ha, hb); !slices.Equal(again, s.Path()) {
 		t.Fatalf("HostPath = %v, the migration picked %v", again, s.Path())
@@ -261,5 +257,43 @@ func TestLiveTopologyChurn(t *testing.T) {
 	}
 	if routed == 0 {
 		t.Fatal("no routed sessions survived the churn")
+	}
+}
+
+// TestDoubleJoinIsChange: a Join of a session that is already joined changes
+// its demand (internal/control). The runtime used to record the new demand
+// while the protocol kept the old one, so Validate failed.
+func TestDoubleJoinIsChange(t *testing.T) {
+	g, ha, hb, _, _ := buildDiamondLive(t)
+	rt := New(g)
+	defer rt.Close()
+	p, err := rt.HostPath(ha, hb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := rt.NewSession(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Join(rate.Mbps(10))
+	rt.WaitQuiescent()
+	s.Join(rate.Mbps(20))
+	rt.WaitQuiescent()
+	if err := rt.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if n, rates := rt.Incarnations(), len(rt.Rates()); n != 1 || rates != 1 {
+		t.Fatalf("%d incarnations, %d rates after the second Join, want 1 each", n, rates)
+	}
+	if r, ok := s.Rate(); !ok || !r.Equal(rate.Mbps(20)) {
+		t.Fatalf("rate %v (%t) after the second Join, want its 20 Mbps demand", r, ok)
+	}
+	s.Leave()
+	rt.WaitQuiescent()
+	if err := rt.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if n, rates := rt.Incarnations(), len(rt.Rates()); n != 0 || rates != 0 {
+		t.Fatalf("%d incarnations, %d rates after the Leave, want none", n, rates)
 	}
 }

@@ -23,7 +23,10 @@
 // Sessions with no surviving path are stranded and rejoin on restore. An
 // optional path re-optimization policy (SetPathPolicy, see internal/policy)
 // migrates sessions back onto shorter paths when restores re-enable them.
-// See DESIGN.md §6 and §11.
+// Every one of those decisions, and every session lifecycle transition, is
+// made by the control plane the simulator transport shares
+// (internal/control), called under the runtime mutex; the runtime only
+// executes them on its actors. See DESIGN.md §6 and §11.
 //
 // Mailboxes are unbounded by design: B-Neck generates bounded traffic per
 // reconfiguration, and bounded mailboxes could deadlock the bidirectional
@@ -41,6 +44,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"bneck/internal/control"
 	"bneck/internal/core"
 	"bneck/internal/graph"
 	"bneck/internal/metrics"
@@ -66,15 +70,16 @@ import (
 // Merge-on-demand readers (LinkPackets, Rates, Validate) gather the stripes.
 //
 // No handler ever takes mu or a link stripe, and no caller holding mu runs
-// a handler (a claim made under mu starts a worker). Hop tables are
-// resolved, and the link actors and packet counters they point to created,
-// under mu by the call that enqueues an incarnation's Join (joinLocked),
-// before any of its packets exists: lazily, from inside a handler, the
-// first packet on a link would wait behind a running FailLinks. Resolving
-// at Join and not at NewSession keeps session set-up cheap and creates
-// exactly the actors a Join cascade would have reached. Because every
-// creation holds mu, SetLinkCapacity (which holds mu too) either lands in
-// the capacity a new task is built with or finds the installed actor.
+// a handler (a claim made under mu starts a worker). An incarnation's
+// actors and hop table are created, with the link actors and packet
+// counters it points to, under mu by the call that enqueues its Join
+// (transport.Start), before any of its packets exists: lazily, from inside
+// a handler, the first packet on a link would wait behind a running
+// FailLinks. Creating them at Join and not at NewSession keeps session
+// set-up cheap and creates exactly the actors a Join cascade would have
+// reached. Because every creation holds mu, SetLinkCapacity (which holds mu
+// too) either lands in the capacity a new task is built with or finds the
+// installed actor.
 //
 // Lock order: mu → domain stripe → actor mailbox. Emit never holds two
 // locks at once, and nothing acquires mu while holding a stripe. The order
@@ -84,25 +89,11 @@ import (
 type Runtime struct {
 	g *graph.Graph
 
-	mu       sync.Mutex //bneck:lock mu
-	resolver *graph.Resolver
-	order    []*Session // logical sessions, in creation order
-	nextID   core.SessionID
-	closed   bool
-	migrated uint64
-
-	// policy is the path re-optimization policy (Pinned by default);
-	// reoptimized counts the sessions it moved back onto shorter paths.
-	// Guarded by mu, like the rest of the lifecycle state.
-	policy      policy.Config
-	reoptimized uint64
-	// Reconfiguration-packet accounting, the live twin of the simulator
-	// transport's: spans opened by topology-driven Leaves and joins close at
-	// the next WaitQuiescent. Guarded by mu; the per-incarnation counters
-	// they read are atomics bumped by Emit.
-	reconfTear   []reconfIncSpan
-	reconfJoin   []*incarnation
-	reconfigPkts uint64
+	mu sync.Mutex //bneck:lock mu
+	// ctl owns the session registry, the resolver, the topology reactions
+	// and their counters; it executes through transport. Guarded by mu.
+	ctl    *control.Controller
+	closed bool
 
 	activity *activityCounter
 
@@ -163,57 +154,34 @@ type hopRef struct {
 func incStripe(id core.SessionID) int { return int(uint64(id) & (emitDomains - 1)) }
 func linkStripe(id graph.LinkID) int  { return int(uint32(id) & (emitDomains - 1)) }
 
-// reconfIncSpan is one pending teardown debit: the packets a force-departed
-// incarnation sends from its Leave (base) until the next quiescence are its
-// Leave cascade — reconfiguration traffic.
-type reconfIncSpan struct {
-	inc  *incarnation
-	base uint64
-}
-
-// incarnation is one protocol-level lifetime of a logical session: a session
-// ID, a path, and the actors hosting its source and destination tasks. A
-// topology-event reroute retires the old incarnation (through Leave) and
-// creates a new one.
+// incarnation is one started protocol lifetime of a session: a session ID
+// and the actors hosting its source and destination tasks. The controller
+// decides when one starts and departs, and holds its path; a departed one
+// is reclaimed at the next quiescence.
 type incarnation struct {
-	id    core.SessionID
-	path  graph.Path
-	src   *actor
-	dst   *actor
-	owner *Session
-	// hops[i] serves path[i]. Written once, under mu, by joinLocked before
-	// the incarnation's Join is enqueued; every Emit for the incarnation is
-	// a consequence of that message, so handlers read it without a lock.
+	id  core.SessionID
+	src *actor
+	dst *actor
+	// hops[i] serves path[i]. Written once, under mu, before the
+	// incarnation's Join is enqueued; every Emit for the incarnation is a
+	// consequence of that message, so handlers read it without a lock.
 	hops []hopRef
 	// pkts counts the packets sent across physical links on this
 	// incarnation's behalf. Bumped by Emit from any worker goroutine, hence
 	// atomic; everything else reads it under mu.
 	pkts atomic.Uint64
-	// reconfAccounted marks an incarnation whose packets-until-quiescence
-	// are already attributed to reconfiguration traffic (guarded by mu).
-	reconfAccounted bool
 	// reclaimed marks an incarnation whose actors were stopped after its
-	// Leave cascade drained; a later Join mints a fresh incarnation. Set
-	// under mu; atomic because Emit checks it on a worker goroutine.
+	// Leave cascade drained. Set under mu; atomic because Emit checks it on
+	// a worker goroutine.
 	reclaimed atomic.Bool
-	// departed marks an incarnation a Leave was issued to. A later Join
-	// mints a fresh incarnation instead of rejoining this ID: responses of
-	// the departed lifetime can still be in flight, and a link receiving
-	// one for a re-created entry would corrupt its state machine (the
-	// fresh-ID rule migrations and restores already follow).
-	departed bool
 }
 
 // New returns a runtime over g. The runtime owns g's mutable state: apply
 // topology changes only through SetLinkCapacity/FailLinks/RestoreLinks (the
 // node/link structure itself must be complete before traffic flows).
 func New(g *graph.Graph) *Runtime {
-	rt := &Runtime{
-		g:        g,
-		resolver: graph.NewResolver(g, 256),
-		nextID:   1,
-		activity: newActivityCounter(),
-	}
+	rt := &Runtime{g: g, activity: newActivityCounter()}
+	rt.ctl = control.New(g, (*transport)(rt))
 	rt.oracle.Capacity = func(l graph.LinkID) rate.Rate { return g.Link(l).Capacity }
 	for i := range rt.incs {
 		rt.incs[i].m = make(map[core.SessionID]*incarnation)
@@ -233,7 +201,7 @@ func New(g *graph.Graph) *Runtime {
 func (rt *Runtime) SetPathPolicy(cfg policy.Config) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	rt.policy = cfg
+	rt.ctl.Policy = cfg
 }
 
 // incarnationFor returns the live incarnation registered under a session ID
@@ -286,14 +254,8 @@ func (rt *Runtime) rateFor(id core.SessionID) (rate.Rate, bool) {
 // Session is a logical session between two hosts. Reroutes change its
 // incarnation (ID and path) but not its identity.
 type Session struct {
-	rt               *Runtime
-	srcHost, dstHost graph.NodeID
-
-	// Guarded by rt.mu.
-	cur      *incarnation
-	demand   rate.Rate
-	active   bool // user intent: joined and not left
-	stranded bool // no path between the hosts right now
+	rt *Runtime
+	id core.SessionID // the controller's key: the first incarnation's ID
 }
 
 // HostPath returns a shortest path from host src to host dst, resolved by
@@ -303,10 +265,11 @@ type Session struct {
 func (rt *Runtime) HostPath(src, dst graph.NodeID) (graph.Path, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return rt.resolver.HostPath(src, dst)
+	return rt.ctl.HostPath(src, dst)
 }
 
-// NewSession creates a session along path (see HostPath).
+// NewSession creates a session along path (see HostPath). Its actors come to
+// exist at its first Join.
 func (rt *Runtime) NewSession(path graph.Path) (*Session, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -316,148 +279,60 @@ func (rt *Runtime) NewSession(path graph.Path) (*Session, error) {
 	if err := graph.ValidatePath(rt.g, path); err != nil {
 		return nil, fmt.Errorf("live: %w", err)
 	}
-	s := &Session{
-		rt:      rt,
-		srcHost: rt.g.Link(path[0]).From,
-		dstHost: rt.g.Link(path[len(path)-1]).To,
-	}
-	rt.newIncarnationLocked(s, append(graph.Path(nil), path...))
-	rt.order = append(rt.order, s)
-	return s, nil
+	src, dst := rt.g.Link(path[0]).From, rt.g.Link(path[len(path)-1]).To
+	return &Session{rt: rt, id: rt.ctl.Register(src, dst, append(graph.Path(nil), path...))}, nil
 }
 
-// newIncarnationLocked mints a fresh protocol identity for s on path and
-// starts its actors. Callers hold rt.mu.
-func (rt *Runtime) newIncarnationLocked(s *Session, path graph.Path) {
-	id := rt.nextID
-	rt.nextID++
-	inc := &incarnation{id: id, path: path, owner: s}
-	// An endpoint task only ever emits for its session: its emitter is fixed.
-	srcEm, dstEm := &emitter{rt: rt, cur: inc}, &emitter{rt: rt, cur: inc}
-	srcT := core.NewSourceNode(id, srcEm, rt.setRate)
-	dstT := core.NewDestinationNode(id, dstEm)
-	inc.src = newActor(rt.activity, func(m *message) {
-		// Guards make session events idempotent: a user Leave racing a
-		// migration Leave (or a scripted double event) dissolves instead of
-		// tripping the task's state machine.
-		switch m.kind {
-		case msgPacket:
-			srcT.Receive(m.pkt)
-		case msgJoin:
-			if !srcT.Active() {
-				srcT.Join(m.demand)
-			}
-		case msgLeave:
-			if srcT.Active() {
-				srcT.Leave()
-			}
-		case msgChange:
-			if srcT.Active() {
-				srcT.Change(m.demand)
-			}
-		}
-	})
-	hop := len(path) + 1
-	inc.dst = newActor(rt.activity, func(m *message) { dstT.Receive(m.pkt, hop) })
-	srcEm.self, dstEm.self = inc.src, inc.dst
-	d := &rt.incs[incStripe(id)]
-	d.mu.Lock()
-	d.m[id] = inc
-	d.mu.Unlock()
-	s.cur = inc
+// current returns the session's current incarnation ID and its state.
+func (s *Session) current() (core.SessionID, control.State) {
+	s.rt.mu.Lock()
+	defer s.rt.mu.Unlock()
+	return s.rt.ctl.Current(s.id), s.rt.ctl.State(s.id)
 }
 
 // ID returns the session's current protocol identifier (reroutes change it).
 func (s *Session) ID() core.SessionID {
-	s.rt.mu.Lock()
-	defer s.rt.mu.Unlock()
-	return s.cur.id
+	id, _ := s.current()
+	return id
 }
 
 // Path returns the session's current path. The caller must not modify it.
 func (s *Session) Path() graph.Path {
 	s.rt.mu.Lock()
 	defer s.rt.mu.Unlock()
-	return s.cur.path
+	return s.rt.ctl.Path(s.rt.ctl.Current(s.id))
+}
+
+// State returns the session's lifecycle state.
+func (s *Session) State() control.State {
+	_, st := s.current()
+	return st
 }
 
 // Stranded reports whether the session is parked without a path after a link
 // failure.
-func (s *Session) Stranded() bool {
-	s.rt.mu.Lock()
-	defer s.rt.mu.Unlock()
-	return s.stranded
-}
+func (s *Session) Stranded() bool { return s.State() == control.Stranded }
 
-// Join asynchronously invokes API.Join(s, demand).
+// Active reports whether the session has joined, not left, and is not
+// stranded by a link failure.
+func (s *Session) Active() bool { return s.State() == control.Active }
+
+// Join asynchronously invokes API.Join(s, demand); on a joined session it
+// is a Change (internal/control).
 //
-// Join, Leave and Change enqueue while holding rt.mu so a concurrent
-// topology event (FailLinks, which also holds rt.mu while it migrates)
-// cannot slip between reading the current incarnation and the enqueue —
-// otherwise a Join could land in a retired incarnation's mailbox after its
-// migration Leave and resurrect it on a failed path. The established lock
-// order rt.mu → actor.mu makes the nested enqueue safe.
+// Join, Leave and Change call the controller while holding rt.mu, so a
+// concurrent topology event (FailLinks, which also holds rt.mu while it
+// migrates) cannot slip between reading the current incarnation and the
+// enqueue — otherwise a Join could land in a retired incarnation's mailbox
+// after its migration Leave and resurrect it on a failed path. The
+// established lock order rt.mu → actor.mu makes the nested enqueue safe. On
+// a closed runtime all three are no-ops.
 func (s *Session) Join(demand rate.Rate) {
 	s.rt.mu.Lock()
 	defer s.rt.mu.Unlock()
-	s.demand = demand
-	s.active = true
-	if s.stranded {
-		return // joins when a restore reconnects the hosts
+	if !s.rt.closed {
+		s.rt.ctl.Join(s.id, demand)
 	}
-	if s.rt.closed {
-		return // a closed runtime starts no actors; the Join would be dropped
-	}
-	if !s.rt.pathUpLocked(s.cur.path) {
-		// Failures migrate only joined sessions, so a link of this path can
-		// have failed while the session was not joined (or was stranded and
-		// then left). Route around it, or park until a restore — what the
-		// simulator transport's joinOrStrand does.
-		path, err := s.rt.resolver.HostPath(s.srcHost, s.dstHost)
-		if err != nil {
-			s.stranded = true
-			return
-		}
-		s.rt.newIncarnationLocked(s, path)
-	} else if s.cur.reclaimed.Load() || s.cur.departed {
-		// The previous incarnation left (its actors may or may not have
-		// been reclaimed yet); rejoin as a fresh incarnation on the same
-		// path so its in-flight teardown traffic cannot touch the new
-		// lifetime's state.
-		s.rt.newIncarnationLocked(s, s.cur.path)
-	}
-	s.rt.joinLocked(s.cur, demand)
-}
-
-func (rt *Runtime) pathUpLocked(p graph.Path) bool {
-	for _, l := range p {
-		if !rt.g.LinkUp(l) {
-			return false
-		}
-	}
-	return true
-}
-
-// joinLocked enqueues inc's Join — the only place one is enqueued — after
-// resolving its hop table: the link actor and the packet counters of every
-// link on the path, created here if this is the first incarnation to cross
-// them. It is the twin of the simulator transport's resolveHops: tasks
-// materialize in the caller, under mu, before the first packet exists, so
-// Emit only ever indexes a finished table. Callers hold rt.mu.
-//
-//bneck:locks stripe mailbox
-func (rt *Runtime) joinLocked(inc *incarnation, demand rate.Rate) {
-	if inc.hops == nil {
-		hops := make([]hopRef, len(inc.path))
-		for i, l := range inc.path {
-			hops[i] = hopRef{task: rt.linkActorLocked(l), fwd: rt.linkCounterLocked(l)}
-			if rev := rt.g.LinkReverse(l); rev != graph.NoLink {
-				hops[i].rev = rt.linkCounterLocked(rev)
-			}
-		}
-		inc.hops = hops
-	}
-	inc.src.enqueue(message{kind: msgJoin, demand: demand}, nil)
 }
 
 // Leave asynchronously invokes API.Leave(s). See Join for the locking
@@ -465,23 +340,9 @@ func (rt *Runtime) joinLocked(inc *incarnation, demand rate.Rate) {
 func (s *Session) Leave() {
 	s.rt.mu.Lock()
 	defer s.rt.mu.Unlock()
-	s.active = false
-	stranded := s.stranded
-	s.stranded = false
-	s.rt.dropRate(s.cur.id)
-	if stranded {
-		return
+	if !s.rt.closed {
+		s.rt.ctl.Leave(s.id)
 	}
-	s.cur.departed = true
-	s.cur.src.enqueue(message{kind: msgLeave}, nil)
-}
-
-// Active reports whether the session has joined, not left, and is not
-// stranded by a link failure.
-func (s *Session) Active() bool {
-	s.rt.mu.Lock()
-	defer s.rt.mu.Unlock()
-	return s.active && !s.stranded
 }
 
 // Change asynchronously invokes API.Change(s, demand). See Join for the
@@ -489,20 +350,16 @@ func (s *Session) Active() bool {
 func (s *Session) Change(demand rate.Rate) {
 	s.rt.mu.Lock()
 	defer s.rt.mu.Unlock()
-	s.demand = demand
-	if s.stranded {
-		return // the recorded demand applies on rejoin
+	if !s.rt.closed {
+		s.rt.ctl.Change(s.id, demand)
 	}
-	s.cur.src.enqueue(message{kind: msgChange, demand: demand}, nil)
 }
 
 // Rate returns the session's last granted rate. Safe to call from any
 // goroutine; stable once WaitQuiescent has returned.
 func (s *Session) Rate() (rate.Rate, bool) {
-	s.rt.mu.Lock()
-	id, gone := s.cur.id, s.stranded || !s.active
-	s.rt.mu.Unlock()
-	if gone {
+	id, st := s.current()
+	if st != control.Active {
 		return rate.Zero, false
 	}
 	return s.rt.rateFor(id)
@@ -517,29 +374,8 @@ func (s *Session) Rate() (rate.Rate, bool) {
 func (rt *Runtime) SetLinkCapacity(c rate.Rate, links ...graph.LinkID) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if rt.closed {
-		return
-	}
-	var upgraded map[graph.LinkID]bool
-	for _, l := range links {
-		old := rt.g.Link(l).Capacity
-		rt.g.SetCapacity(l, c)
-		d := &rt.lnks[linkStripe(l)]
-		d.mu.Lock()
-		la, ok := d.actors[l]
-		d.mu.Unlock()
-		if ok {
-			la.a.enqueue(message{kind: msgSetCapacity, demand: c}, nil)
-		}
-		if rt.policy.CapacityTriggers(old, c) {
-			if upgraded == nil {
-				upgraded = make(map[graph.LinkID]bool, len(links))
-			}
-			upgraded[l] = true
-		}
-	}
-	if upgraded != nil {
-		rt.reoptimizeLocked(upgraded)
+	if !rt.closed {
+		rt.ctl.SetCapacity(c, links)
 	}
 }
 
@@ -549,26 +385,8 @@ func (rt *Runtime) SetLinkCapacity(c rate.Rate, links ...graph.LinkID) {
 func (rt *Runtime) FailLinks(links ...graph.LinkID) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if rt.closed {
-		return
-	}
-	failed := make(map[graph.LinkID]bool, len(links))
-	for _, l := range links {
-		if rt.g.LinkUp(l) {
-			rt.g.FailLink(l)
-			failed[l] = true
-		}
-	}
-	if len(failed) == 0 {
-		return
-	}
-	// Only joined sessions migrate, as on the simulator transport; a session
-	// that is not joined keeps its path and Join routes around what failed.
-	for _, s := range rt.order {
-		if !s.active || s.stranded || !crossesAny(s.cur.path, failed) {
-			continue
-		}
-		rt.migrateLocked(s)
+	if !rt.closed {
+		rt.ctl.Fail(links)
 	}
 }
 
@@ -580,31 +398,9 @@ func (rt *Runtime) FailLinks(links ...graph.LinkID) {
 func (rt *Runtime) RestoreLinks(links ...graph.LinkID) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if rt.closed {
-		return
+	if !rt.closed {
+		rt.ctl.Restore(links)
 	}
-	restored := false
-	for _, l := range links {
-		if !rt.g.LinkUp(l) {
-			rt.g.RestoreLink(l)
-			restored = true
-		}
-	}
-	if !restored {
-		return
-	}
-	for _, s := range rt.order {
-		if !s.stranded {
-			continue
-		}
-		path, err := rt.resolver.HostPath(s.srcHost, s.dstHost)
-		if err != nil {
-			continue
-		}
-		s.stranded = false
-		rt.rejoinLocked(s, path)
-	}
-	rt.reoptimizeLocked(nil)
 }
 
 // Migrations returns how many session reroutes link failures have forced.
@@ -612,7 +408,7 @@ func (rt *Runtime) RestoreLinks(links ...graph.LinkID) {
 func (rt *Runtime) Migrations() uint64 {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return rt.migrated
+	return rt.ctl.Migrations()
 }
 
 // Reoptimizations returns how many sessions the path policy migrated back
@@ -620,107 +416,7 @@ func (rt *Runtime) Migrations() uint64 {
 func (rt *Runtime) Reoptimizations() uint64 {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return rt.reoptimized
-}
-
-// retireLocked force-departs s's current incarnation — Leave, granted-rate
-// cleanup, teardown accounting — the shared first half of every
-// topology-driven reroute. Only meaningful for active sessions. Callers
-// hold rt.mu.
-func (rt *Runtime) retireLocked(s *Session) {
-	rt.beginTeardownLocked(s.cur)
-	s.cur.departed = true
-	s.cur.src.enqueue(message{kind: msgLeave}, nil)
-	rt.dropRate(s.cur.id)
-}
-
-// rejoinLocked mints a fresh incarnation for s — a joined session — on path
-// and enqueues its Join with reconfiguration accounting: the shared second
-// half of every topology-driven reroute. Callers hold rt.mu.
-func (rt *Runtime) rejoinLocked(s *Session, path graph.Path) {
-	rt.newIncarnationLocked(s, path)
-	rt.markReconfigJoinLocked(s.cur)
-	rt.joinLocked(s.cur, s.demand)
-}
-
-// migrateLocked retires a joined session's current incarnation through Leave
-// and rejoins a fresh one on a surviving path, or strands the session.
-func (rt *Runtime) migrateLocked(s *Session) {
-	rt.retireLocked(s)
-	path, err := rt.resolver.HostPath(s.srcHost, s.dstHost)
-	if err != nil {
-		s.stranded = true
-		return
-	}
-	rt.migrated++
-	rt.rejoinLocked(s, path)
-}
-
-// reoptimizeLocked re-runs shortest-path over the routed active sessions in
-// creation order and migrates — Leave, fresh incarnation, Join, exactly the
-// failure machinery — every session the policy says is too far off its best
-// path. upgraded, when non-nil, marks the capacity-trigger sweep: sessions
-// whose best path crosses an upgraded link bypass the hysteresis. Callers
-// hold rt.mu.
-func (rt *Runtime) reoptimizeLocked(upgraded map[graph.LinkID]bool) {
-	if !rt.policy.Enabled() {
-		return
-	}
-	for _, s := range rt.order {
-		if !s.active || s.stranded {
-			continue
-		}
-		best, err := rt.resolver.HostPath(s.srcHost, s.dstHost)
-		if err != nil {
-			continue // routed active sessions always have a path
-		}
-		bypass := upgraded != nil && crossesAny(best, upgraded)
-		if !rt.policy.ShouldMigrate(len(s.cur.path), len(best), bypass) {
-			continue
-		}
-		rt.retireLocked(s)
-		rt.reoptimized++
-		rt.rejoinLocked(s, best)
-	}
-}
-
-// beginTeardownLocked opens a reconfiguration teardown span: everything the
-// force-departed incarnation sends from here to the next quiescence is its
-// Leave cascade. Callers hold rt.mu.
-func (rt *Runtime) beginTeardownLocked(inc *incarnation) {
-	if inc.reconfAccounted {
-		return
-	}
-	inc.reconfAccounted = true
-	rt.reconfTear = append(rt.reconfTear, reconfIncSpan{inc: inc, base: inc.pkts.Load()})
-}
-
-// markReconfigJoinLocked attributes a freshly (re)joined incarnation's
-// packets — from birth to the next quiescence — to reconfiguration traffic.
-// Callers hold rt.mu.
-func (rt *Runtime) markReconfigJoinLocked(inc *incarnation) {
-	if inc.reconfAccounted {
-		return
-	}
-	inc.reconfAccounted = true
-	rt.reconfJoin = append(rt.reconfJoin, inc)
-}
-
-// finalizeReconfig closes the pending reconfiguration spans. Call only when
-// the network is quiescent (WaitQuiescent does).
-func (rt *Runtime) finalizeReconfig() {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	for _, t := range rt.reconfTear {
-		rt.reconfigPkts += t.inc.pkts.Load() - t.base
-		t.inc.reconfAccounted = false
-	}
-	rt.reconfTear = rt.reconfTear[:0]
-	for _, inc := range rt.reconfJoin {
-		rt.reconfigPkts += inc.pkts.Load()
-		inc.reconfAccounted = false
-	}
-	rt.reconfJoin = rt.reconfJoin[:0]
+	return rt.ctl.Reoptimizations()
 }
 
 // ReconfigPackets returns the cumulative control-packet cost of topology
@@ -732,16 +428,7 @@ func (rt *Runtime) finalizeReconfig() {
 func (rt *Runtime) ReconfigPackets() uint64 {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return rt.reconfigPkts
-}
-
-func crossesAny(p graph.Path, links map[graph.LinkID]bool) bool {
-	for _, l := range p {
-		if links[l] {
-			return true
-		}
-	}
-	return false
+	return rt.ctl.ReconfigPackets()
 }
 
 // WaitQuiescent blocks until no message is queued or being processed
@@ -759,29 +446,28 @@ func crossesAny(p graph.Path, links map[graph.LinkID]bool) bool {
 // all API calls have returned (they enqueue synchronously) before waiting.
 func (rt *Runtime) WaitQuiescent() {
 	rt.activity.wait()
-	rt.finalizeReconfig()
-	rt.reclaimRetired()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	rt.ctl.Quiesced()
+	if !rt.closed {
+		rt.reclaimRetired()
+	}
 }
 
 // reclaimRetired stops and drops the actors of every incarnation that can
-// never process protocol traffic again: superseded by a migration, departed
-// through Leave, or stranded by a failure. Call only when the network is
-// quiescent (no message in flight can target a retired incarnation). The
-// retirement decision reads session state under mu; the stripe locks only
-// order the deletes against concurrent Emit lookups.
+// never process protocol traffic again: every departed one — superseded by
+// a migration, left through Leave, or stranded by a failure. Callers hold
+// mu and have seen the network quiescent (no message in flight can target
+// a retired incarnation); the stripe locks only order the deletes against
+// concurrent Emit lookups.
+//
+//bneck:locks stripe mailbox
 func (rt *Runtime) reclaimRetired() {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.closed {
-		return
-	}
 	for i := range rt.incs {
 		d := &rt.incs[i]
 		d.mu.Lock()
 		for id, inc := range d.m {
-			s := inc.owner
-			retired := s.cur != inc || !s.active || s.stranded
-			if !retired {
+			if !rt.ctl.Departed(id) {
 				continue
 			}
 			inc.reclaimed.Store(true)
@@ -895,29 +581,28 @@ func (rt *Runtime) Validate() error {
 	rt.mu.Lock()
 	active := rt.oracleIDs[:0]
 	rt.oracle.Reset()
-	for _, s := range rt.order {
-		if !s.active || s.stranded {
+	for id := core.SessionID(1); int(id) <= rt.ctl.Len(); id++ {
+		if !rt.ctl.Active(id) {
 			continue
 		}
 		// No-stale-incarnation: an active session must be living on a fresh
-		// incarnation — Join/rejoin mint a new one whenever the current has
-		// departed, so observing departed here means a stale rejoin.
-		if s.cur.departed {
-			id := s.cur.id
+		// incarnation — a rejoin mints a new one whenever the current has
+		// carried a Join, so observing departed here means a stale rejoin.
+		if rt.ctl.Departed(id) {
 			rt.mu.Unlock()
 			return fmt.Errorf("live: session %d: %w", id, ErrStaleIncarnation)
 		}
-		for _, l := range s.cur.path {
+		path := rt.ctl.Path(id)
+		for _, l := range path {
 			// Failures migrate every joined session off the link and Join
 			// routes around failed links, so this is a runtime bug.
 			if !rt.g.LinkUp(l) {
-				id := s.cur.id
 				rt.mu.Unlock()
 				return fmt.Errorf("live: session %d is routed over failed link %d", id, l)
 			}
 		}
-		rt.oracle.Add(s.demand, s.cur.path)
-		active = append(active, s.cur.id)
+		rt.oracle.Add(rt.ctl.Demand(id), path)
+		active = append(active, id)
 	}
 	rt.oracleIDs = active
 	tasks := make(map[graph.LinkID]*core.RouterLink)
@@ -980,6 +665,86 @@ func (rt *Runtime) Close() {
 		}
 		d.mu.Unlock()
 	}
+}
+
+// transport is the Runtime as the controller's executor
+// (control.Transport); the controller calls it under rt.mu only.
+type transport Runtime
+
+// Start creates incarnation id — its two actors and its hop table, with the
+// link actor and packet counters of every link on the path that no
+// incarnation crossed before — and enqueues its Join, the only place one
+// is enqueued. It is the twin of the simulator transport's resolveHops:
+// tasks materialize in the caller, under mu, before the first packet
+// exists, so Emit only ever indexes a finished table.
+//
+//bneck:locks stripe mailbox
+func (t *transport) Start(id core.SessionID, path graph.Path, demand rate.Rate) {
+	rt := (*Runtime)(t)
+	inc := &incarnation{id: id, hops: make([]hopRef, len(path))}
+	for i, l := range path {
+		inc.hops[i] = hopRef{task: rt.linkActorLocked(l), fwd: rt.linkCounterLocked(l)}
+		if rev := rt.g.LinkReverse(l); rev != graph.NoLink {
+			inc.hops[i].rev = rt.linkCounterLocked(rev)
+		}
+	}
+	// An endpoint task only ever emits for its session: its emitter is fixed.
+	srcEm, dstEm := &emitter{rt: rt, cur: inc}, &emitter{rt: rt, cur: inc}
+	srcT := core.NewSourceNode(id, srcEm, rt.setRate)
+	dstT := core.NewDestinationNode(id, dstEm)
+	// The controller issues Join, Change and Leave only in an order the
+	// task's state machine accepts; anything else panics in the task.
+	inc.src = newActor(rt.activity, func(m *message) {
+		switch m.kind {
+		case msgPacket:
+			srcT.Receive(m.pkt)
+		case msgJoin:
+			srcT.Join(m.demand)
+		case msgLeave:
+			srcT.Leave()
+		case msgChange:
+			srcT.Change(m.demand)
+		}
+	})
+	hop := len(path) + 1
+	inc.dst = newActor(rt.activity, func(m *message) { dstT.Receive(m.pkt, hop) })
+	srcEm.self, dstEm.self = inc.src, inc.dst
+	d := &rt.incs[incStripe(id)]
+	d.mu.Lock()
+	d.m[id] = inc
+	d.mu.Unlock()
+	inc.src.enqueue(message{kind: msgJoin, demand: demand}, nil)
+}
+
+//bneck:locks stripe mailbox
+func (t *transport) Leave(id core.SessionID) {
+	rt := (*Runtime)(t)
+	rt.dropRate(id)
+	rt.incarnationFor(id).src.enqueue(message{kind: msgLeave}, nil)
+}
+
+//bneck:locks stripe mailbox
+func (t *transport) Change(id core.SessionID, demand rate.Rate) {
+	(*Runtime)(t).incarnationFor(id).src.enqueue(message{kind: msgChange, demand: demand}, nil)
+}
+
+//bneck:locks stripe mailbox
+func (t *transport) SetCapacity(l graph.LinkID, c rate.Rate) {
+	d := &t.lnks[linkStripe(l)]
+	d.mu.Lock()
+	la, ok := d.actors[l]
+	d.mu.Unlock()
+	if ok {
+		la.a.enqueue(message{kind: msgSetCapacity, demand: c}, nil)
+	}
+}
+
+// Packets reads a started incarnation's counter; the controller asks only
+// between its start and the reclamation after the next quiescence.
+//
+//bneck:locks stripe
+func (t *transport) Packets(id core.SessionID) uint64 {
+	return (*Runtime)(t).incarnationFor(id).pkts.Load()
 }
 
 // linkActorLocked returns (creating if needed) the actor hosting the

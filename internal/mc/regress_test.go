@@ -5,7 +5,7 @@ import (
 )
 
 // The committed traces reproduce historical bugs only when the corresponding
-// build-tag test double re-opens the hole (see internal/network/bugdouble_*).
+// build-tag test double re-opens the hole (see internal/control/bugdouble_*).
 // On the fixed code they must replay clean — these are the regression corpus
 // entries the ISSUE calls for, run on every `go test`.
 func TestRegressionCorpusReplaysClean(t *testing.T) {

@@ -34,7 +34,7 @@ func TestScheduledCapacityChange(t *testing.T) {
 	g, ha, hb := buildLine(rate.Mbps(40))
 	eng := sim.New()
 	n := New(g, eng, DefaultConfig())
-	path, err := n.resolver.HostPath(ha, hb)
+	path, err := n.HostPath(ha, hb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestLinkFailMigratesSession(t *testing.T) {
 	g, ha, hb, top, _ := buildDiamond()
 	eng := sim.New()
 	n := New(g, eng, DefaultConfig())
-	path, err := n.resolver.HostPath(ha, hb)
+	path, err := n.HostPath(ha, hb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestLinkFailStrandsAndRestoreReadmits(t *testing.T) {
 	g, ha, hb := buildLine(rate.Mbps(40))
 	eng := sim.New()
 	n := New(g, eng, DefaultConfig())
-	path, err := n.resolver.HostPath(ha, hb)
+	path, err := n.HostPath(ha, hb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestJoinAfterFailReroutes(t *testing.T) {
 	g, ha, hb, top, _ := buildDiamond()
 	eng := sim.New()
 	n := New(g, eng, DefaultConfig())
-	path, err := n.resolver.HostPath(ha, hb)
+	path, err := n.HostPath(ha, hb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestLeaveOfStrandedSessionDissolves(t *testing.T) {
 	g, ha, hb := buildLine(rate.Mbps(40))
 	eng := sim.New()
 	n := New(g, eng, DefaultConfig())
-	path, _ := n.resolver.HostPath(ha, hb)
+	path, _ := n.HostPath(ha, hb)
 	s, _ := n.NewSession(ha, hb, path)
 	n.ScheduleJoin(s, 0, rate.Inf)
 	mid := path[1]
@@ -227,7 +227,7 @@ func TestTransitStubReconfigurationEpochs(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		src := hosts[i]
 		dst := hosts[30+rng.Intn(30)]
-		path, err := n.resolver.HostPath(src, dst)
+		path, err := n.HostPath(src, dst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +260,7 @@ func TestTransitStubReconfigurationEpochs(t *testing.T) {
 	routerLinkInUse := func() graph.LinkID {
 		for _, s := range sessions {
 			cur := s.Current()
-			if !cur.active {
+			if !cur.Active() {
 				continue
 			}
 			for _, l := range cur.Path[1 : len(cur.Path)-1] {
@@ -320,7 +320,7 @@ func TestDynamicsDeterministic(t *testing.T) {
 		var sessions []*Session
 		for i := 0; i < 20; i++ {
 			src, dst := hosts[i], hosts[20+rng.Intn(20)]
-			path, err := n.resolver.HostPath(src, dst)
+			path, err := n.HostPath(src, dst)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -333,7 +333,7 @@ func TestDynamicsDeterministic(t *testing.T) {
 			var l graph.LinkID
 			for _, s := range sessions {
 				cur := s.Current()
-				if cur.active && len(cur.Path) > 2 {
+				if cur.Active() && len(cur.Path) > 2 {
 					l = cur.Path[1]
 					break
 				}
@@ -408,5 +408,41 @@ func TestRejoinMintsFreshIncarnation(t *testing.T) {
 	r, ok := cur.Rate()
 	if !ok || !r.Equal(rate.Mbps(10)) {
 		t.Fatalf("rejoined rate = %v (ok=%v), want 10mbps", r, ok)
+	}
+}
+
+// TestDoubleJoinIsChange: a Join of a session that is already joined changes
+// its demand (internal/control). It used to mint a successor and leave the
+// first incarnation active, so after the user's Leave an orphan incarnation
+// still held bandwidth.
+func TestDoubleJoinIsChange(t *testing.T) {
+	g, ha, hb := buildLine(rate.Mbps(40))
+	eng := sim.New()
+	n := New(g, eng, DefaultConfig())
+	path, err := n.HostPath(ha, hb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := n.NewSession(ha, hb, path)
+	n.ScheduleJoin(s, 0, rate.Mbps(10))
+	n.Run()
+	n.ScheduleJoin(s, eng.Now()+time.Millisecond, rate.Mbps(20))
+	n.Run()
+	if err := n.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if active, _ := n.Oracle(); len(active) != 1 {
+		t.Fatalf("%d active incarnations after the second Join, want 1", len(active))
+	}
+	if r, ok := s.Rate(); !ok || !r.Equal(rate.Mbps(20)) {
+		t.Fatalf("rate %v (%t) after the second Join, want its 20 Mbps demand", r, ok)
+	}
+	n.ScheduleLeave(s, eng.Now()+time.Millisecond)
+	n.Run()
+	if err := n.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if active, _ := n.Oracle(); len(active) != 0 {
+		t.Fatalf("%d incarnations still active after the Leave", len(active))
 	}
 }

@@ -276,7 +276,7 @@ func TestJoinAllocations(t *testing.T) {
 		sessions = append(sessions, s)
 	}
 	// The first join sizes the link index; measure from the second.
-	n.join(sessions[0], rate.Inf)
+	n.ctl.Join(sessions[0].ID, rate.Inf)
 	i := 1
 	perJoin := testing.AllocsPerRun(runs, func() {
 		n.resolveHops(sessions[i].Path)

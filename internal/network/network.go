@@ -10,7 +10,8 @@
 // endpoints on their hosts — and every packet delivery is keyed by the node
 // that sends it, so the event order is (time, creator node, creator
 // sequence). Session churn, topology dynamics and sampling are external
-// events, scheduled through one funnel (globalAt).
+// events, scheduled through one funnel (globalAt); each calls the
+// control plane (internal/control), which the Network executes.
 package network
 
 import (
@@ -18,6 +19,7 @@ import (
 	"fmt"
 	"time"
 
+	"bneck/internal/control"
 	"bneck/internal/core"
 	"bneck/internal/graph"
 	"bneck/internal/metrics"
@@ -70,11 +72,12 @@ func DefaultConfig() Config {
 	return Config{ControlPacketBits: 512, BinSize: 5 * time.Millisecond}
 }
 
-// Session is one session living in a simulated network. A topology event can
-// migrate a session onto a new path: the old incarnation departs through the
-// protocol's own Leave and a successor (fresh ID, new path) joins in its
-// place, so in-flight packets of the two incarnations can never interfere.
-// Current follows the successor chain; the read accessors do so implicitly.
+// Session is one incarnation of a session living in a simulated network. A
+// topology event or a rejoin can move a session onto a successor (fresh ID,
+// possibly a new path) while the old incarnation departs through the
+// protocol's own Leave, so in-flight packets of the two can never interfere.
+// Current returns the session's latest incarnation; the read accessors
+// follow it implicitly.
 type Session struct {
 	ID      core.SessionID
 	SrcHost graph.NodeID
@@ -82,7 +85,7 @@ type Session struct {
 	Path    graph.Path
 	src     *core.SourceNode
 	dst     *core.DestinationNode
-	// hops is the session's hop table: hops[i] serves Path[i]. join resolves
+	// hops is the session's hop table: hops[i] serves Path[i]. Start resolves
 	// it — in serial context, before the session's first packet exists — and
 	// every Emit and delivery for the session indexes it instead of walking
 	// Path → graph → links[]/wires[].
@@ -92,35 +95,21 @@ type Session struct {
 	srcPort, dstPort port
 	joinedAt         sim.Time
 	rateAt           sim.Time
-	active           bool
-	departed         bool
-
-	everJoined bool
-	// succ is the migrated continuation of this session, if any.
-	succ *Session
-	// reconfAccounted marks a session whose packets-until-next-quiescence
-	// are already attributed to reconfiguration traffic (as a forced-Leave
-	// teardown or a topology-driven rejoin), so overlapping reconfiguration
-	// events never double-count it.
-	reconfAccounted bool
-	// stranded marks a session parked because no path exists between its
-	// hosts; it rejoins with strandedDemand when a restore reconnects them.
-	stranded       bool
-	strandedDemand rate.Rate
 }
 
 // Current returns the live incarnation of the session: itself, or the last
-// successor created by topology-event migration.
+// successor a migration or a rejoin created.
 func (s *Session) Current() *Session {
-	for s.succ != nil {
-		s = s.succ
-	}
-	return s
+	n := s.srcPort.n
+	return n.sessByID[n.ctl.Current(s.ID)]
 }
+
+// State returns the session's lifecycle state.
+func (s *Session) State() control.State { return s.srcPort.n.ctl.State(s.ID) }
 
 // Stranded reports whether the session is parked without a path after a link
 // failure (it rejoins automatically on restore).
-func (s *Session) Stranded() bool { return s.Current().stranded }
+func (s *Session) Stranded() bool { return s.State() == control.Stranded }
 
 // JoinedAt returns the virtual time of the session's (last) join, following
 // topology-event migrations.
@@ -140,8 +129,9 @@ func (s *Session) Rate() (rate.Rate, bool) { return s.Current().src.Rate() }
 // RateTime returns the virtual time of the last API.Rate upcall.
 func (s *Session) RateTime() sim.Time { return s.Current().rateAt }
 
-// Active reports whether the session has joined and not left.
-func (s *Session) Active() bool { return s.Current().active }
+// Active reports whether the session has joined, not left, and is not
+// stranded.
+func (s *Session) Active() bool { return s.State() == control.Active }
 
 // Demand returns the session's current requested maximum rate.
 func (s *Session) Demand() rate.Rate { return s.Current().src.Demand() }
@@ -151,12 +141,14 @@ func (s *Session) Converged() bool { return s.Current().src.Converged() }
 
 // Network is a simulated B-Neck deployment.
 type Network struct {
-	cfg      Config
-	g        *graph.Graph
-	eng      *sim.Engine
-	resolver *graph.Resolver
+	cfg Config
+	g   *graph.Graph
+	eng *sim.Engine
+	// ctl decides every session lifecycle and topology reaction; the Network
+	// executes them (dynamics.go).
+	ctl *control.Controller
 	// links and wires index the per-link records by LinkID (nil until a path
-	// uses the link). They are the creation index — join resolves hop tables
+	// uses the link). They are the creation index — Start resolves hop tables
 	// through them; SetCapacity, Validate and LinkPackets sweep them — and no
 	// packet reads them. Growing them (AddHosts between runs) moves the
 	// pointers, never the records.
@@ -166,22 +158,8 @@ type Network struct {
 	// 1, 2, …): Emit resolves its session once per packet per hop, and at
 	// internet scale (~10⁵ sessions) a map here would cost a hash plus a
 	// cache miss per lookup on every path, so the slice is the only table.
+	// Slot 0 stays nil; walking the rest is walking creation order.
 	sessByID []*Session
-	order    []core.SessionID // insertion order, for deterministic iteration
-	stranded []*Session       // parked without a path, in strand order
-	nextID   core.SessionID
-	migrated uint64 // sessions link failures force-rerouted onto new paths
-
-	// reoptimized counts sessions the path policy migrated back onto
-	// shorter paths (disjoint from migrated: forced reroutes and policy
-	// reroutes are separate metrics).
-	reoptimized uint64
-	// Reconfiguration-packet accounting: spans opened by topology-driven
-	// Leaves (teardowns) and joins accumulate into reconfigPkts when Run
-	// reaches quiescence — see finalizeReconfig.
-	reconfTear   []reconfSpan
-	reconfJoin   []*Session
-	reconfigPkts uint64
 
 	// stats counts the packets sent across physical links (by type, and in
 	// bins of Config.BinSize).
@@ -197,14 +175,6 @@ type Network struct {
 	// in scratch that survives between calls, so per-epoch validation of a
 	// churning run stops reallocating.
 	oracle waterfill.Assembler[graph.LinkID]
-}
-
-// reconfSpan is one pending teardown debit: the packets a force-departed
-// incarnation sends from its Leave (base) until the next quiescence are
-// reconfiguration traffic.
-type reconfSpan struct {
-	s    *Session
-	base uint64
 }
 
 // deliverEvent carries one in-flight packet delivery. Emit runs once per
@@ -248,12 +218,12 @@ func New(g *graph.Graph, eng *sim.Engine, cfg Config) *Network {
 		cfg:      cfg,
 		g:        g,
 		eng:      eng,
-		resolver: graph.NewResolver(g, 256),
 		sessByID: make([]*Session, 1), // IDs start at 1; slot 0 stays nil
 		sessPkts: make([]uint64, 1),
-		nextID:   1,
 		stats:    metrics.NewPacketStats(cfg.BinSize),
 	}
+	n.ctl = control.New(g, (*transport)(n))
+	n.ctl.Policy = cfg.PathPolicy
 	n.oracle.Capacity = func(l graph.LinkID) rate.Rate { return g.Link(l).Capacity }
 	return n
 }
@@ -263,7 +233,7 @@ func New(g *graph.Graph, eng *sim.Engine, cfg Config) *Network {
 // re-optimization) use. Callers that place sessions through it share one
 // tree cache with those dynamics instead of keeping a second.
 func (n *Network) HostPath(src, dst graph.NodeID) (graph.Path, error) {
-	return n.resolver.HostPath(src, dst)
+	return n.ctl.HostPath(src, dst)
 }
 
 // Engine returns the driving simulator.
@@ -302,9 +272,9 @@ func (n *Network) LinkPackets() []metrics.LinkCount {
 // same shape.
 func (n *Network) SessionPackets() []metrics.SessionCount {
 	var out []metrics.SessionCount
-	for _, id := range n.order {
-		if pk := n.sessPkts[id]; pk > 0 {
-			out = append(out, metrics.SessionCount{Session: id, Packets: pk})
+	for _, s := range n.sessByID[1:] {
+		if pk := n.sessPkts[s.ID]; pk > 0 {
+			out = append(out, metrics.SessionCount{Session: s.ID, Packets: pk})
 		}
 	}
 	return out
@@ -317,55 +287,16 @@ func (n *Network) SessionPackets() []metrics.SessionCount {
 // measured until the quiescence that follows it. The counter is updated
 // when Run reaches quiescence; user churn (scheduled joins, leaves,
 // demand changes) is never counted.
-func (n *Network) ReconfigPackets() uint64 { return n.reconfigPkts }
+func (n *Network) ReconfigPackets() uint64 { return n.ctl.ReconfigPackets() }
 
 // Reoptimizations returns how many sessions the path policy migrated back
 // onto shorter paths (zero under policy.Pinned). Disjoint from Migrations,
 // which counts only failure-forced reroutes.
-func (n *Network) Reoptimizations() uint64 { return n.reoptimized }
-
-// beginTeardown opens a reconfiguration teardown span for a session being
-// force-departed: everything it sends from here to the next quiescence is
-// its Leave cascade.
-func (n *Network) beginTeardown(s *Session) {
-	if s.reconfAccounted {
-		return // its remaining packets are already attributed
-	}
-	s.reconfAccounted = true
-	n.reconfTear = append(n.reconfTear, reconfSpan{s: s, base: n.sessPkts[s.ID]})
-}
-
-// markReconfigJoin attributes a freshly (re)joined session's packets —
-// from birth to the next quiescence — to reconfiguration traffic.
-func (n *Network) markReconfigJoin(s *Session) {
-	if s.reconfAccounted {
-		return
-	}
-	s.reconfAccounted = true
-	n.reconfJoin = append(n.reconfJoin, s)
-}
-
-// finalizeReconfig closes the pending reconfiguration spans at quiescence.
-func (n *Network) finalizeReconfig() {
-	for _, t := range n.reconfTear {
-		n.reconfigPkts += n.sessPkts[t.s.ID] - t.base
-		t.s.reconfAccounted = false
-	}
-	n.reconfTear = n.reconfTear[:0]
-	for _, s := range n.reconfJoin {
-		n.reconfigPkts += n.sessPkts[s.ID]
-		s.reconfAccounted = false
-	}
-	n.reconfJoin = n.reconfJoin[:0]
-}
+func (n *Network) Reoptimizations() uint64 { return n.ctl.Reoptimizations() }
 
 // Sessions returns all sessions ever created, in creation order.
 func (n *Network) Sessions() []*Session {
-	out := make([]*Session, 0, len(n.order))
-	for _, id := range n.order {
-		out = append(out, n.sessByID[id])
-	}
-	return out
+	return append([]*Session(nil), n.sessByID[1:]...)
 }
 
 // NewSession creates a session between two hosts along path, without joining
@@ -375,10 +306,16 @@ func (n *Network) NewSession(srcHost, dstHost graph.NodeID, path graph.Path) (*S
 	if err := graph.ValidatePath(n.g, path); err != nil {
 		return nil, fmt.Errorf("network: %w", err)
 	}
-	id := n.nextID
-	n.nextID++
+	s := n.newSession(n.ctl.Register(srcHost, dstHost, path), srcHost, dstHost)
+	s.Path = path
+	return s, nil
+}
+
+// newSession creates the tasks of incarnation id, the next one the
+// controller minted: a user session, or a successor about to start.
+func (n *Network) newSession(id core.SessionID, srcHost, dstHost graph.NodeID) *Session {
 	s := &Session{
-		ID: id, SrcHost: srcHost, DstHost: dstHost, Path: path,
+		ID: id, SrcHost: srcHost, DstHost: dstHost,
 		srcPort: port{n: n, node: srcHost}, dstPort: port{n: n, node: dstHost},
 	}
 	s.src = core.NewSourceNode(id, &s.srcPort, func(sid core.SessionID, lambda rate.Rate) {
@@ -389,60 +326,33 @@ func (n *Network) NewSession(srcHost, dstHost graph.NodeID, path graph.Path) (*S
 		}
 	})
 	s.dst = core.NewDestinationNode(id, &s.dstPort)
-	for int(id) >= len(n.sessByID) {
-		n.sessByID = append(n.sessByID, nil)
-	}
-	n.sessByID[id] = s
+	n.sessByID = append(n.sessByID, s)
 	// Size the per-session counter table now, so Emit can index it without
 	// bounds games.
-	for int(id) >= len(n.sessPkts) {
-		n.sessPkts = append(n.sessPkts, 0)
-	}
-	n.order = append(n.order, id)
-	return s, nil
+	n.sessPkts = append(n.sessPkts, 0)
+	return s
 }
 
 // ScheduleJoin joins the session at virtual time at with the given demand.
 // If a topology event broke the session's path before the join fires, the
-// join reroutes (or strands the session until a restore reconnects it).
+// join reroutes (or strands the session until a restore reconnects it). A
+// Join of a joined session changes its demand.
 func (n *Network) ScheduleJoin(s *Session, at sim.Time, demand rate.Rate) {
-	n.globalAt(at, func() { n.joinOrStrand(s.Current(), demand) })
+	n.globalAt(at, func() { n.ctl.Join(s.ID, demand) })
 }
 
-// ScheduleLeave departs the session at virtual time at. Leaves for sessions
-// that a topology event already stranded or departed dissolve silently, so
-// churn schedules compose with failure schedules.
+// ScheduleLeave departs the session at virtual time at. A stranded session
+// leaves the strand list; a Leave of a session that is not joined
+// dissolves, so churn schedules compose with failure schedules.
 func (n *Network) ScheduleLeave(s *Session, at sim.Time) {
-	n.globalAt(at, func() {
-		cur := s.Current()
-		if cur.stranded && !buggyLeaveSkipsUnstrand {
-			n.unstrand(cur)
-			return
-		}
-		if !cur.active {
-			return
-		}
-		cur.active = false
-		cur.departed = true
-		cur.src.Leave()
-	})
+	n.globalAt(at, func() { n.ctl.Leave(s.ID) })
 }
 
 // ScheduleChange changes the session's demand at virtual time at. Changes
 // for stranded sessions update the demand they will rejoin with; changes for
-// departed sessions dissolve.
+// sessions that are not joined dissolve.
 func (n *Network) ScheduleChange(s *Session, at sim.Time, demand rate.Rate) {
-	n.globalAt(at, func() {
-		cur := s.Current()
-		if cur.stranded {
-			cur.strandedDemand = demand
-			return
-		}
-		if !cur.active {
-			return
-		}
-		cur.src.Change(demand)
-	})
+	n.globalAt(at, func() { n.ctl.Change(s.ID, demand) })
 }
 
 // Run drives the simulation to quiescence and returns the quiescence time
@@ -450,7 +360,7 @@ func (n *Network) ScheduleChange(s *Session, at sim.Time, demand rate.Rate) {
 // pending reconfiguration-packet spans close (see ReconfigPackets).
 func (n *Network) Run() sim.Time {
 	q := n.eng.Run()
-	n.finalizeReconfig()
+	n.ctl.Quiesced()
 	return q
 }
 
@@ -570,7 +480,7 @@ func (n *Network) deliver(sess *Session, hop int, pkt core.Packet) {
 }
 
 // resolveHops returns the hop table of a path, materializing the records of
-// the links it is the first to use. join calls it before the session's first
+// the links it is the first to use. Start calls it before the session's first
 // packet exists. Every link of a validated path has a reverse (graph.ValidatePath
 // says so to whoever passes a path in); a path the resolver hands a
 // first-time joiner directly is checked here, so a link without one stops
@@ -660,9 +570,9 @@ func (n *Network) Oracle() (map[core.SessionID]rate.Rate, error) {
 	}
 	out := make(map[core.SessionID]rate.Rate, len(rates))
 	k := 0
-	for _, id := range n.order {
-		if n.sessByID[id].active {
-			out[id] = rates[k]
+	for _, s := range n.sessByID[1:] {
+		if n.ctl.Active(s.ID) {
+			out[s.ID] = rates[k]
 			k++
 		}
 	}
@@ -670,11 +580,11 @@ func (n *Network) Oracle() (map[core.SessionID]rate.Rate, error) {
 }
 
 // oracleRates is Oracle without the map: one rate per active session, in
-// n.order order — what Validate walks.
+// creation order — what Validate walks.
 func (n *Network) oracleRates() ([]rate.Rate, error) {
 	n.oracle.Reset()
-	for _, id := range n.order {
-		if s := n.sessByID[id]; s.active {
+	for _, s := range n.sessByID[1:] {
+		if n.ctl.Active(s.ID) {
 			n.oracle.Add(s.src.Demand(), s.Path)
 		}
 	}
@@ -696,19 +606,16 @@ func (n *Network) Validate() error {
 		}
 	}
 	k := 0
-	for _, id := range n.order {
-		s := n.sessByID[id]
+	for _, s := range n.sessByID[1:] {
+		id := s.ID
+		if !n.ctl.Active(id) {
+			continue
+		}
 		// No-stale-incarnation: once a lifetime departs it must never come
 		// back as active — a rejoin mints a successor incarnation instead
-		// (PR 4's stale-rejoin bug is exactly this state). Walk the whole
-		// incarnation chain, not just the current one.
-		for inc := s; inc != nil; inc = inc.succ {
-			if inc.departed && inc.active {
-				return fmt.Errorf("network: session %d: %w", id, ErrStaleIncarnation)
-			}
-		}
-		if !s.active {
-			continue
+		// (PR 4's stale-rejoin bug is exactly this state).
+		if n.ctl.Departed(id) {
+			return fmt.Errorf("network: session %d: %w", id, ErrStaleIncarnation)
 		}
 		got, ok := s.src.Rate()
 		if !ok {
@@ -743,16 +650,15 @@ func (n *Network) Validate() error {
 // its result through it, and samplers at internet scale (10⁵ sessions per
 // tick) iterate directly instead of building a map per sample.
 func (n *Network) EachActiveRate(fn func(id core.SessionID, r rate.Rate)) {
-	for _, id := range n.order {
-		s := n.sessByID[id]
-		if !s.active {
+	for _, s := range n.sessByID[1:] {
+		if !n.ctl.Active(s.ID) {
 			continue
 		}
 		r, ok := s.src.Rate()
 		if !ok {
 			r = rate.Zero
 		}
-		fn(id, r)
+		fn(s.ID, r)
 	}
 }
 
@@ -777,9 +683,8 @@ func (n *Network) AppendLinkLoad(dst []rate.Rate) []rate.Rate {
 	for i := range dst {
 		dst[i] = rate.Rate{}
 	}
-	for _, id := range n.order {
-		s := n.sessByID[id]
-		if !s.active {
+	for _, s := range n.sessByID[1:] {
+		if !n.ctl.Active(s.ID) {
 			continue
 		}
 		r, ok := s.src.Rate()

@@ -1,6 +1,6 @@
-// Package policy defines the session path re-optimization policy shared by
-// both transports (internal/network and internal/live), the scenario runner
-// and the public API.
+// Package policy defines the session path re-optimization policy that the
+// control plane (internal/control) applies for both transports, and that the
+// scenario runner and the public API configure.
 //
 // B-Neck pins a session's path at join time: the protocol has no notion of
 // "a better path appeared", only of paths that stopped existing. After a
@@ -22,7 +22,7 @@
 // Triggers are deliberately coarse — whole-population sweeps at restores —
 // because that is what keeps the policy deterministic: the sweep runs in
 // serial context (one simulator event, or under the runtime mutex on the
-// live transport), iterates sessions in creation order, and resolves paths
+// live transport), walks the incarnations in creation order, and resolves paths
 // with the deterministic BFS resolver, so policy-on runs are reproducible.
 package policy
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -124,8 +125,9 @@ func genDifferentialScript(seed int64) (string, error) {
 // TestSimLiveDifferential runs seeded random scripts through both
 // transports. Each run validates every epoch against the oracle by itself;
 // on top of that the transports must agree on everything that does not
-// depend on timing: the active and stranded counts after every epoch and the
-// cumulative migration and re-optimization counts.
+// depend on timing: after every epoch each session's state, its current
+// path link for link and its quiescent rate, and the cumulative migration
+// and re-optimization counts.
 func TestSimLiveDifferential(t *testing.T) {
 	const scripts = 48
 	for seed := int64(1); seed <= scripts; seed++ {
@@ -152,11 +154,15 @@ func TestSimLiveDifferential(t *testing.T) {
 		if len(simRes.Epochs) != len(liveRes.Epochs) {
 			t.Fatalf("seed %d: %d sim epochs, %d live epochs", seed, len(simRes.Epochs), len(liveRes.Epochs))
 		}
+	epochs:
 		for i, se := range simRes.Epochs {
-			le := liveRes.Epochs[i]
-			if se.Active != le.Active || se.Stranded != le.Stranded {
-				t.Errorf("seed %d: epoch %v: active/stranded sim %d/%d, live %d/%d\n%s", seed,
-					se.At, se.Active, se.Stranded, le.Active, le.Stranded, src)
+			for k, ss := range se.sessions {
+				ls := liveRes.Epochs[i].sessions[k]
+				if ss.state != ls.state || !slices.Equal(ss.path, ls.path) || !ss.rate.Equal(ls.rate) {
+					t.Errorf("seed %d: epoch %v: session %s: sim %v on %v at %v, live %v on %v at %v\n%s", seed,
+						se.At, sc.Sessions[k].Name, ss.state, ss.path, ss.rate, ls.state, ls.path, ls.rate, src)
+					break epochs
+				}
 			}
 		}
 		if liveRes.TotalPackets == 0 {

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"time"
 
+	"bneck/internal/control"
+	"bneck/internal/graph"
 	"bneck/internal/live"
 	"bneck/internal/network"
 	"bneck/internal/rate"
@@ -36,6 +38,8 @@ type EpochResult struct {
 	// Active and Stranded count sessions after the epoch.
 	Active   int
 	Stranded int
+	// sessions is every scripted session after the epoch, in script order.
+	sessions []sessionState
 }
 
 // Result is a full scenario run. Every epoch passed oracle validation.
@@ -110,7 +114,7 @@ func RunSimOpts(sc *Script, opt SimOptions) (*Result, error) {
 	eng := sim.New()
 	eng.SetChooser(opt.Chooser)
 	net := network.New(w.g, eng, cfg)
-	sessions := make([]*network.Session, len(sc.Sessions))
+	sessions := make([]simSession, len(sc.Sessions))
 	for i, d := range sc.Sessions {
 		path, err := net.HostPath(w.nodes[d.Src], w.nodes[d.Dst])
 		if err != nil {
@@ -120,7 +124,7 @@ func RunSimOpts(sc *Script, opt SimOptions) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("scenario: session %q: %w", d.Name, err)
 		}
-		sessions[i] = s
+		sessions[i] = simSession{s}
 	}
 
 	out := &Result{Transport: "sim"}
@@ -138,11 +142,11 @@ func RunSimOpts(sc *Script, opt SimOptions) (*Result, error) {
 		for _, ev := range ep.events {
 			switch ev.Op {
 			case OpJoin:
-				net.ScheduleJoin(sessions[ev.sessionIdx], at, ev.Demand)
+				net.ScheduleJoin(sessions[ev.sessionIdx].Session, at, ev.Demand)
 			case OpLeave:
-				net.ScheduleLeave(sessions[ev.sessionIdx], at)
+				net.ScheduleLeave(sessions[ev.sessionIdx].Session, at)
 			case OpChange:
-				net.ScheduleChange(sessions[ev.sessionIdx], at, ev.Demand)
+				net.ScheduleChange(sessions[ev.sessionIdx].Session, at, ev.Demand)
 			case OpFail:
 				net.ScheduleLinkFail(at, ev.ab, ev.ba)
 			case OpRestore:
@@ -170,14 +174,15 @@ func RunSimOpts(sc *Script, opt SimOptions) (*Result, error) {
 		if err := net.Validate(); err != nil {
 			return nil, &EpochError{At: ep.at, Err: err}
 		}
-		if err := checkExpectations(w, sc, sessions, ep, counters{net.Migrations(), net.Reoptimizations(), countStranded(sessions)}); err != nil {
-			return nil, &EpochError{At: ep.at, Err: err}
-		}
 		er := EpochResult{
 			At:      ep.at,
 			Applied: at,
 			Events:  describe(ep.events),
 			Packets: net.Stats().Total() - before,
+		}
+		er.sessions, er.Active, er.Stranded = snapshot(sessions)
+		if err := checkExpectations(w, sc, sessions, ep, counters{net.Migrations(), net.Reoptimizations(), er.Stranded}); err != nil {
+			return nil, &EpochError{At: ep.at, Err: err}
 		}
 		if q > at {
 			er.Quiescence = q
@@ -185,7 +190,6 @@ func RunSimOpts(sc *Script, opt SimOptions) (*Result, error) {
 		} else {
 			er.Quiescence = at // the epoch generated no traffic
 		}
-		er.Active, er.Stranded = countSim(sessions)
 		out.Epochs = append(out.Epochs, er)
 	}
 	out.TotalPackets = net.Stats().Total()
@@ -242,11 +246,11 @@ func RunLive(sc *Script) (*Result, error) {
 		if err := rt.Validate(); err != nil {
 			return nil, &EpochError{At: ep.at, Err: err}
 		}
-		if err := checkExpectations(w, sc, sessions, ep, counters{rt.Migrations(), rt.Reoptimizations(), countStranded(sessions)}); err != nil {
+		er := EpochResult{At: ep.at, Applied: ep.at, Events: describe(ep.events)}
+		er.sessions, er.Active, er.Stranded = snapshot(sessions)
+		if err := checkExpectations(w, sc, sessions, ep, counters{rt.Migrations(), rt.Reoptimizations(), er.Stranded}); err != nil {
 			return nil, &EpochError{At: ep.at, Err: err}
 		}
-		er := EpochResult{At: ep.at, Applied: ep.at, Events: describe(ep.events)}
-		er.Active, er.Stranded = countLive(sessions)
 		out.Epochs = append(out.Epochs, er)
 	}
 	for _, lc := range rt.LinkPackets() {
@@ -260,9 +264,40 @@ func RunLive(sc *Script) (*Result, error) {
 
 // ratedSession is the assertion surface both transports' sessions share.
 type ratedSession interface {
-	Active() bool
-	Stranded() bool
+	State() control.State
+	Path() graph.Path // the current incarnation's
 	Rate() (rate.Rate, bool)
+}
+
+// simSession gives a simulated session the current-path accessor of a live
+// one.
+type simSession struct{ *network.Session }
+
+func (s simSession) Path() graph.Path { return s.Current().Path }
+
+// sessionState is one session after an epoch quiesced and validated:
+// its state, its current path and, while active, its granted rate.
+type sessionState struct {
+	state control.State
+	path  graph.Path
+	rate  rate.Rate
+}
+
+// snapshot records every session's state, and counts the active and the
+// stranded ones.
+func snapshot[S ratedSession](sessions []S) (out []sessionState, active, stranded int) {
+	out = make([]sessionState, len(sessions))
+	for i, s := range sessions {
+		out[i] = sessionState{state: s.State(), path: s.Path()}
+		switch out[i].state {
+		case control.Active:
+			active++
+			out[i].rate, _ = s.Rate()
+		case control.Stranded:
+			stranded++
+		}
+	}
+	return out, active, stranded
 }
 
 // counters are the runtime counters expect assertions read, sampled after
@@ -306,16 +341,6 @@ func checkExpectations[S ratedSession](w *world, sc *Script, sessions []S, ep ep
 	return nil
 }
 
-func countStranded[S ratedSession](sessions []S) int {
-	n := 0
-	for _, s := range sessions {
-		if s.Stranded() {
-			n++
-		}
-	}
-	return n
-}
-
 // assertedRate evaluates one expect-rate assertion: a session's granted
 // rate, or the sum of a host's active sessions' granted rates (zero when
 // departed, stranded, or rate-less).
@@ -328,7 +353,7 @@ func assertedRate[S ratedSession](w *world, sc *Script, sessions []S, ev resolve
 		if ev.sessionIdx < 0 && w.nodes[sc.Sessions[i].Src] != ev.host {
 			continue
 		}
-		if !s.Active() || s.Stranded() {
+		if s.State() != control.Active {
 			continue
 		}
 		if r, ok := s.Rate(); ok {
@@ -336,30 +361,6 @@ func assertedRate[S ratedSession](w *world, sc *Script, sessions []S, ev resolve
 		}
 	}
 	return sum
-}
-
-func countSim(sessions []*network.Session) (active, stranded int) {
-	for _, s := range sessions {
-		switch {
-		case s.Stranded():
-			stranded++
-		case s.Active():
-			active++
-		}
-	}
-	return
-}
-
-func countLive(sessions []*live.Session) (active, stranded int) {
-	for _, s := range sessions {
-		switch {
-		case s.Stranded():
-			stranded++
-		case s.Active():
-			active++
-		}
-	}
-	return
 }
 
 func describe(events []resolvedEvent) []string {
