@@ -74,7 +74,7 @@ func New(g *graph.Graph, t Transport) *Controller {
 	return &Controller{g: g, res: graph.NewResolver(g, 256), t: t}
 }
 
-// HostPath resolves a path with the resolver (and tree cache) reroutes use.
+// HostPath resolves a path with the resolver reroutes use.
 func (c *Controller) HostPath(src, dst graph.NodeID) (graph.Path, error) {
 	return c.res.HostPath(src, dst)
 }

@@ -303,21 +303,6 @@ func TestReconfigurationSpans(t *testing.T) {
 	}
 }
 
-// TestHostPathSharesResolverTree: a path handed out by HostPath and the path
-// a migration picks for the same hosts come out of one tree cache.
-func TestHostPathSharesResolverTree(t *testing.T) {
-	r := newRig(t)
-	a := r.session("ha", "hb")
-	if got := r.c.res.Trees(); got != 1 {
-		t.Fatalf("%d trees after HostPath, want 1", got)
-	}
-	r.c.Join(a, rate.Inf)
-	r.c.Fail(r.duplex("r1-r2"))
-	if r.c.Migrations() != 1 || r.c.res.Trees() != 1 {
-		t.Fatalf("%d migrations, %d trees", r.c.Migrations(), r.c.res.Trees())
-	}
-}
-
 // TestImpossibleTransitionsPanic: what no call sequence can reach panics
 // instead of corrupting the registry.
 func TestImpossibleTransitionsPanic(t *testing.T) {

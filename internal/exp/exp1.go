@@ -183,10 +183,9 @@ func runExp1Cell(cfg Exp1Config, size topology.Params, scen topology.Scenario, c
 // PlaceSessions attaches 2·count hosts to the topology, dedicates one source
 // host per session (the paper's one-session-per-source-host rule), draws
 // destinations uniformly at random, and registers the sessions with the
-// network. Paths come from the network's own resolver (Network.HostPath),
-// grouped by source router so its BFS cache is effective. Any generated
-// topology works: transit-stub and internet-scale topologies both satisfy
-// topology.Hosted.
+// network. Paths come from the network's own resolver (Network.HostPath).
+// Any generated topology works: transit-stub and internet-scale topologies
+// both satisfy topology.Hosted.
 func PlaceSessions(topo topology.Hosted, net *network.Network, count int) ([]*network.Session, error) {
 	hosts := topo.AddHosts(2 * count)
 	rng := topo.Rand()
@@ -203,7 +202,8 @@ func PlaceSessions(topo topology.Hosted, net *network.Network, count int) ([]*ne
 		}
 		pairs[i] = pair{idx: i, src: src, dst: dst}
 	}
-	// Group by source router for BFS-cache locality.
+	// Sessions are registered grouped by source router (stably), so their
+	// IDs follow this order, and so does every CSV an experiment writes.
 	g := topo.Topology()
 	sorted := append([]pair(nil), pairs...)
 	sort.SliceStable(sorted, func(a, b int) bool {

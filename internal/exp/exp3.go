@@ -232,16 +232,8 @@ func buildExp3Workload(cfg Exp3Config) (*exp3Workload, error) {
 		}
 		pairs[i] = pair{src, dst}
 	}
-	// Resolve grouped by source router for cache locality, preserving index.
-	order := make([]int, cfg.Sessions)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return g.HostRouter(pairs[order[a]].src) < g.HostRouter(pairs[order[b]].src)
-	})
 	w.paths = make([]graph.Path, cfg.Sessions)
-	for _, i := range order {
+	for i := range pairs {
 		p, err := res.HostPath(pairs[i].src, pairs[i].dst)
 		if err != nil {
 			return nil, err

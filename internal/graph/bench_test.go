@@ -8,13 +8,16 @@ import (
 	"bneck/internal/topology"
 )
 
-// BenchmarkHostPath times path resolution on the 10k-router internet
-// topology in the three orders that matter: sessions as the paper's
-// methodology places them (one source host each, in host order — nearly
-// every query starts a tree), the same pairs grouped by source router (the
-// order the tree cache exists for), and the first query after a FailLink
-// has made the cached tree stale (what a migration pays). Run with
-// -benchmem: a warm hit allocates the returned path and nothing else.
+// BenchmarkHostPath times path resolution. On the 10k-router internet
+// topology: sessions as the paper's methodology places them (one source host
+// each, in host order), the same pairs grouped by source router, one pair
+// asked over and over, and the first query after a FailLink (what a
+// migration pays). On the Medium transit-stub network of churn_wan (WAN
+// delays, 3000 hosts): host order again. The resolver is memoryless, so the
+// orders differ only in which pairs they ask; a new resolver for every pass
+// over the pairs charges its scratch allocation to that pass. Run with
+// -benchmem: a query on a sized resolver allocates the returned path and
+// nothing else.
 //
 //	go test ./internal/graph -run '^$' -bench HostPath -benchmem
 func BenchmarkHostPath(b *testing.B) {
@@ -33,7 +36,7 @@ func BenchmarkHostPath(b *testing.B) {
 		return g.HostRouter(grouped[i][0]) < g.HostRouter(grouped[j][0])
 	})
 
-	resolveAll := func(b *testing.B, pairs [][2]graph.NodeID) {
+	resolveAll := func(b *testing.B, g *graph.Graph, pairs [][2]graph.NodeID) {
 		for i := 0; i < b.N; i += len(pairs) {
 			res := graph.NewResolver(g, 256)
 			for _, p := range pairs[:min(len(pairs), b.N-i)] {
@@ -45,11 +48,11 @@ func BenchmarkHostPath(b *testing.B) {
 	}
 	b.Run("host-order", func(b *testing.B) {
 		b.ReportAllocs()
-		resolveAll(b, pairs)
+		resolveAll(b, g, pairs)
 	})
 	b.Run("grouped-by-source", func(b *testing.B) {
 		b.ReportAllocs()
-		resolveAll(b, grouped)
+		resolveAll(b, g, grouped)
 	})
 	b.Run("warm", func(b *testing.B) {
 		b.ReportAllocs()
@@ -62,6 +65,20 @@ func BenchmarkHostPath(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+	b.Run("medium-host-order", func(b *testing.B) {
+		b.ReportAllocs()
+		ts, err := topology.Generate(topology.Medium, topology.WAN, 2011)
+		if err != nil {
+			b.Fatal(err)
+		}
+		hosts := ts.AddHosts(3000)
+		pairs := make([][2]graph.NodeID, 1500)
+		for i := range pairs {
+			pairs[i] = [2]graph.NodeID{hosts[i], hosts[1500+(i*7919)%1500]}
+		}
+		b.ResetTimer()
+		resolveAll(b, ts.Graph, pairs)
 	})
 	b.Run("first-after-FailLink", func(b *testing.B) {
 		b.ReportAllocs()

@@ -33,13 +33,12 @@ func diamondTopo(t *testing.T) (g *Graph, ha, hb NodeID, topLinks, botLinks [2]L
 
 func TestSetCapacity(t *testing.T) {
 	g, _, _, top, _ := diamondTopo(t)
-	gen := g.routeGen
 	g.SetCapacity(top[0], rate.Mbps(7))
 	if got := g.Link(top[0]).Capacity; !got.Equal(rate.Mbps(7)) {
 		t.Fatalf("capacity = %v, want 7 Mbps", got)
 	}
-	if g.routeGen != gen {
-		t.Fatal("SetCapacity bumped the route generation (capacity cannot move a min-hop route)")
+	if g.failed != 0 || !g.LinkUp(top[0]) {
+		t.Fatal("SetCapacity took a link down")
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatalf("Validate after SetCapacity: %v", err)
@@ -65,11 +64,10 @@ func TestFailRestoreReroutes(t *testing.T) {
 		t.Fatalf("initial path = %v, want top route", p1)
 	}
 
-	gen := g.routeGen
 	g.FailLink(top[0])
 	g.FailLink(g.Link(top[0]).Reverse)
-	if g.routeGen == gen {
-		t.Fatal("FailLink did not bump the route generation")
+	if g.failed != 2 {
+		t.Fatalf("%d links counted failed, want 2", g.failed)
 	}
 	if g.LinkUp(top[0]) {
 		t.Fatal("failed link reported up")
@@ -125,24 +123,22 @@ func TestFailAccessLink(t *testing.T) {
 func TestFailRestoreIdempotent(t *testing.T) {
 	g, _, _, top, _ := diamondTopo(t)
 	g.FailLink(top[0])
-	gen := g.routeGen
 	g.FailLink(top[0]) // already down: no-op
-	if g.routeGen != gen {
-		t.Fatal("re-failing a failed link bumped the route generation")
+	if g.failed != 1 {
+		t.Fatalf("re-failing a failed link: %d links counted failed, want 1", g.failed)
 	}
 	g.RestoreLink(top[0])
-	gen = g.routeGen
 	g.RestoreLink(top[0]) // already up: no-op
-	if g.routeGen != gen {
-		t.Fatal("re-restoring an up link bumped the route generation")
+	if g.failed != 0 {
+		t.Fatalf("re-restoring an up link: %d links counted failed, want 0", g.failed)
 	}
 }
 
-// TestResolverStaleTreeRecomputed pins the lazy invalidation: a cached tree
-// from before a mutation must not be served afterwards.
+// TestResolverStaleTreeRecomputed: a route resolved before a failure is not
+// served after it.
 func TestResolverStaleTreeRecomputed(t *testing.T) {
 	g, ha, hb, top, bot := diamondTopo(t)
-	r := NewResolver(g, 1) // capacity 1: every tree fights for the one slot
+	r := NewResolver(g, 1)
 	if _, err := r.HostPath(ha, hb); err != nil {
 		t.Fatal(err)
 	}
@@ -152,6 +148,6 @@ func TestResolverStaleTreeRecomputed(t *testing.T) {
 		t.Fatal(err)
 	}
 	if p[1] != bot[0] {
-		t.Fatalf("stale cached tree served after mutation: path %v", p)
+		t.Fatalf("route from before the failure served after it: path %v", p)
 	}
 }

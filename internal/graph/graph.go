@@ -73,15 +73,14 @@ type Link struct {
 
 // Graph is a network. Build it with AddRouter/AddHost/Connect. Node and link
 // structure is append-only, but links support controlled mutation —
-// SetCapacity, FailLink, RestoreLink. Cached routes (see Resolver) depend on
-// which links are up, which routeGen stamps, and on growth, which the node
-// and link counts show; no capacity can change a min-hop route.
+// SetCapacity, FailLink, RestoreLink. Min-hop routes (see Resolver) depend
+// on which links are up and on growth, which the node and link counts show;
+// no capacity can change one.
 type Graph struct {
-	nodes    []Node
-	links    []Link
-	out      [][]LinkID // outgoing link IDs per node, in insertion order
-	routeGen uint64     // bumped by FailLink and RestoreLink
-	failed   int        // links currently failed
+	nodes  []Node
+	links  []Link
+	out    [][]LinkID // outgoing link IDs per node, in insertion order
+	failed int        // links currently failed
 }
 
 // New returns an empty graph.
@@ -221,7 +220,6 @@ func (g *Graph) FailLink(id LinkID) {
 	}
 	g.links[id].Failed = true
 	g.failed++
-	g.routeGen++
 }
 
 // RestoreLink brings a failed directed link back up. Restoring an up link is
@@ -233,7 +231,6 @@ func (g *Graph) RestoreLink(id LinkID) {
 	}
 	g.links[id].Failed = false
 	g.failed--
-	g.routeGen++
 }
 
 // LinkUp reports whether a directed link is currently up.

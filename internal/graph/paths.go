@@ -1,8 +1,6 @@
 package graph
 
-import (
-	"fmt"
-)
+import "fmt"
 
 // Path is an ordered list of directed link IDs from a source host to a
 // destination host (the paper's π(s)).
@@ -13,82 +11,51 @@ type Path []LinkID
 // expands through a host. Ties are broken by link insertion order, so
 // results are deterministic.
 //
-// A query costs what it needs. The search walks a packed router-to-router
-// adjacency, rebuilt only when the graph has grown. One breadth-first tree
-// per source router is cached, and a tree is partial: its frontier advances
-// only until the queried destination is labelled, and a later query on the
-// same tree resumes from the saved frontier. That is exact — a BFS label is
-// final once set, and nothing about an unexamined link is read before its
-// tail is expanded. FailLink and RestoreLink make a tree stale (it restarts
-// on its next use); SetCapacity does not, because capacity cannot change a
-// min-hop path. Resolving many sessions is cheapest when they are grouped
-// by source router (the experiment harness sorts its workloads
-// accordingly). A Resolver is not safe for concurrent use.
+// The path is the one a breadth-first search from the source router records:
+// the lexicographically smallest shortest path, by adjacency positions, which
+// a walk from the source that always takes the first link staying on a
+// shortest path returns. A two-ended search finds those links, so a query
+// explores two balls of radius about D/2 instead of one of radius D, whatever
+// was asked before it. Routes depend only on growth (the node and link
+// counts) and on which links are failed; SetCapacity cannot change one. A
+// Resolver is not safe for concurrent use.
 type Resolver struct {
-	g     *Graph
-	count int // most trees ever cached (NewResolver's cacheSize)
+	g *Graph
 
-	// Router-to-router adjacency over the first adjNodes nodes and adjLinks
-	// links of g: node n's router neighbours are hops[off[n]:off[n+1]], in
-	// link insertion order. Hosts have none.
+	// Router-to-router links over the first adjNodes nodes and adjLinks
+	// links of g, by tail (out) and by head (in). Hosts have none.
 	adjNodes, adjLinks int
-	off                []int32
-	hops               []hop
+	out, in            adjacency
 
-	// limit is how many trees are kept on a graph of this size: count,
-	// capped so that their arrays stay within treeCacheBytes.
-	limit int
-	cache map[NodeID]*bfsTree
-	lru   bfsTree // sentinel of the recency ring: next is most recent, prev least
+	// Per-query scratch. df[n] and db[n] are router n's hops from the source
+	// and to the destination, -1 while unknown; fwd and bwd list the routers
+	// each side reached, in BFS order. Between queries every entry is -1.
+	df, db   []int32
+	fwd, bwd []NodeID
 }
 
-// hop is one packed adjacency entry: the neighbouring router and the link
-// that reaches it.
+// adjacency is a packed adjacency list: node n's entries are
+// hops[off[n]:off[n+1]], in link insertion order.
+type adjacency struct {
+	off  []int32
+	hops []hop
+}
+
+// hop is one packed adjacency entry: the router at the link's other end and
+// the link.
 type hop struct {
 	to   NodeID
 	link LinkID
 }
 
-// treeCacheBytes bounds the memory of one resolver's cached trees. A tree
-// holds up to two 4-byte entries per node (parentLink and the frontier), so
-// graphs of up to 2048 nodes keep every one of 256 trees while the
-// 10k-router internet topology keeps about 40 — without the bound a cache
-// of large trees that are never hit again dominates the process's memory.
-const treeCacheBytes = 4 << 20
+func (a *adjacency) of(n NodeID) []hop { return a.hops[a.off[n]:a.off[n+1]] }
 
-// treeRoot labels a tree's own source in parentLink: reached, by no link.
-const treeRoot LinkID = -2
+// down reports whether link l is failed, reading Failed only while any is.
+func (r *Resolver) down(l LinkID) bool { return r.g.failed > 0 && r.g.links[l].Failed }
 
-type bfsTree struct {
-	src NodeID
-	// gen is the graph's route generation the tree was started at; a later
-	// FailLink or RestoreLink makes the tree stale.
-	gen uint64
-	// parentLink[n] is the link used to reach router n from its BFS parent,
-	// NoLink while n is unlabelled, treeRoot for the source.
-	parentLink []LinkID
-	// queue lists the labelled routers in label order; queue[head:] is the
-	// frontier still to be expanded.
-	queue []NodeID
-	head  int
-
-	prev, next *bfsTree // recency ring
-}
-
-// NewResolver returns a Resolver over g caching up to cacheSize BFS trees
-// (minimum 1; the repository's callers pass 256). On large graphs fewer are
-// kept: see treeCacheBytes.
-func NewResolver(g *Graph, cacheSize int) *Resolver {
-	if cacheSize < 1 {
-		cacheSize = 1
-	}
-	r := &Resolver{g: g, count: cacheSize}
-	r.lru.src = NoNode // no query's source: an empty ring never looks like a hit
-	return r
-}
-
-// Trees reports how many BFS trees the resolver holds cached.
-func (r *Resolver) Trees() int { return len(r.cache) }
+// NewResolver returns a Resolver over g. cacheSize is ignored: a query keeps
+// nothing for the next one but scratch space.
+func NewResolver(g *Graph, cacheSize int) *Resolver { return &Resolver{g: g} }
 
 // HostPath returns a shortest path from host src to host dst:
 // [src→router, router hops..., router→dst]. It returns an error if the hosts
@@ -144,133 +111,147 @@ func (r *Resolver) route(src, dst NodeID, pad int) (Path, error) {
 	if src == dst {
 		return Path{}, nil
 	}
-	t := r.tree(src)
-	r.advance(t, dst)
-	parent := t.parentLink
-	if parent[dst] == NoLink {
+	r.syncAdjacency()
+	defer r.reset()
+	d := r.meet(src, dst)
+	if d < 0 {
 		return nil, fmt.Errorf("graph: no path from router %d to router %d", src, dst)
 	}
-	// Walk back from dst to src: once to size the path, once to fill it.
-	hops := 0
-	for n := dst; n != src; n = g.links[parent[n]].From {
-		hops++
-	}
-	path := make(Path, hops+2*pad)
-	i := pad + hops
-	for n := dst; n != src; n = g.links[parent[n]].From {
-		i--
-		path[i] = parent[n]
-	}
-	return path, nil
+	r.mark(d)
+	return r.walk(src, d, pad), nil
 }
 
-// tree returns the cached tree rooted at router src — complete, partial or
-// freshly rooted — and marks it most recently used. A tree started before a
-// link failed or came back restarts here, lazily: only sources actually
-// re-resolved after a reconfiguration pay for it.
-func (r *Resolver) tree(src NodeID) *bfsTree {
-	r.syncAdjacency()
-	t := r.lru.next
-	if t.src != src {
-		var cached bool
-		if t, cached = r.cache[src]; cached {
-			t.unlink()
-		} else {
-			if len(r.cache) < r.limit {
-				t = &bfsTree{parentLink: make([]LinkID, r.adjNodes)}
-				for i := range t.parentLink {
-					t.parentLink[i] = NoLink
-				}
-			} else {
-				// Recycle the least recently used tree and its arrays.
-				t = r.lru.prev
-				t.unlink()
-				delete(r.cache, t.src)
-				t.clear()
-			}
-			t.root(src, r.g.routeGen)
-			r.cache[src] = t
+// meet grows the search from src and the one towards dst a whole level at a
+// time, always on the side with the smaller frontier, until a level reaches a
+// router the other side holds, and returns their distance D (-1 if a frontier
+// runs out first). Both sides then hold complete levels 0..a and 0..b, and
+// met only at the last one, so D = a + b.
+func (r *Resolver) meet(src, dst NodeID) int32 {
+	r.df[src], r.db[dst] = 0, 0
+	r.fwd, r.bwd = append(r.fwd, src), append(r.bwd, dst)
+	fHead, bHead, met := 0, 0, false
+	for !met {
+		fn, bn := len(r.fwd)-fHead, len(r.bwd)-bHead
+		switch {
+		case fn == 0 || bn == 0:
+			return -1
+		case fn <= bn:
+			r.fwd, fHead, met = r.grow(r.fwd, fHead, r.df, r.db, &r.out)
+		default:
+			r.bwd, bHead, met = r.grow(r.bwd, bHead, r.db, r.df, &r.in)
 		}
-		t.prev, t.next = &r.lru, r.lru.next
-		t.prev.next, t.next.prev = t, t
 	}
-	if t.gen != r.g.routeGen {
-		t.clear()
-		t.root(src, r.g.routeGen)
-	}
-	return t
+	return r.df[r.fwd[len(r.fwd)-1]] + r.db[r.bwd[len(r.bwd)-1]]
 }
 
-func (t *bfsTree) unlink() {
-	t.prev.next, t.next.prev = t.next, t.prev
-}
-
-// clear unlabels every router the tree reached, at the cost of what its
-// search labelled rather than of the graph's size.
-func (t *bfsTree) clear() {
-	for _, n := range t.queue {
-		t.parentLink[n] = NoLink
-	}
-	t.queue, t.head = t.queue[:0], 0
-}
-
-// root starts a cleared tree at src: the source is labelled and is the
-// whole frontier.
-func (t *bfsTree) root(src NodeID, gen uint64) {
-	t.src, t.gen = src, gen
-	t.parentLink[src] = treeRoot
-	t.queue = append(t.queue, src)
-}
-
-// advance expands t's frontier, in BFS order, until dst is labelled or the
-// frontier is exhausted. Failed links are looked at only while the graph
-// has any.
-func (r *Resolver) advance(t *bfsTree, dst NodeID) {
-	links, anyFailed := r.g.links, r.g.failed > 0
-	parent, queue, head := t.parentLink, t.queue, t.head
-	for head < len(queue) && parent[dst] == NoLink {
-		n := queue[head]
-		head++
-		for _, h := range r.hops[r.off[n]:r.off[n+1]] {
-			if parent[h.to] != NoLink || (anyFailed && links[h.link].Failed) {
+// grow labels, in dist, the level after list[head:] through adj's up links,
+// appends it to list, and reports whether it holds a router other has.
+func (r *Resolver) grow(list []NodeID, head int, dist, other []int32, adj *adjacency) ([]NodeID, int, bool) {
+	links, anyFailed := r.g.links, r.g.failed > 0 // hoisted: the hot loop
+	end, met := len(list), false
+	for _, n := range list[head:end] {
+		for _, h := range adj.of(n) {
+			if dist[h.to] >= 0 || (anyFailed && links[h.link].Failed) {
 				continue
 			}
-			parent[h.to] = h.link
-			queue = append(queue, h.to)
+			dist[h.to] = dist[n] + 1
+			list = append(list, h.to)
+			met = met || other[h.to] >= 0
 		}
 	}
-	t.queue, t.head = queue, head
+	return list, end, met
 }
 
-// syncAdjacency rebuilds the packed adjacency if the graph has grown since
-// it was built. Node and link structure is append-only, so the two counts
-// say so exactly (and a new resolver's are zero, which no graph with a node
-// to query has). Growth can shorten any route and changes the length of
-// every tree's parentLink, so the cached trees are dropped with it.
-func (r *Resolver) syncAdjacency() {
-	g := r.g
-	if len(g.nodes) == r.adjNodes && len(g.links) == r.adjLinks {
-		return
-	}
-	r.adjNodes, r.adjLinks = len(g.nodes), len(g.links)
-	r.off = make([]int32, r.adjNodes+1)
-	r.hops = make([]hop, 0, r.adjLinks)
-	for n := range g.nodes {
-		r.off[n] = int32(len(r.hops))
-		if g.nodes[n].Kind != Router {
+// mark records db = d − df for every router only the forward side reached
+// that lies on a shortest path, deepest first: one does iff an up link leads
+// to such a router one level deeper. A forward-frontier router the backward
+// side missed is farther than d − df from dst, so it is skipped.
+func (r *Resolver) mark(d int32) {
+	frontier := r.df[r.fwd[len(r.fwd)-1]]
+	for i := len(r.fwd) - 1; i >= 0; i-- {
+		n := r.fwd[i]
+		if r.db[n] >= 0 || r.df[n] == frontier {
 			continue
 		}
-		for _, l := range g.out[n] {
-			if to := g.links[l].To; g.nodes[to].Kind == Router {
-				r.hops = append(r.hops, hop{to: to, link: l})
+		next := d - r.df[n] - 1
+		for _, h := range r.out.of(n) {
+			if r.db[h.to] == next && !r.down(h.link) {
+				r.db[n] = next + 1
+				break
 			}
 		}
 	}
-	r.off[r.adjNodes] = int32(len(r.hops))
+}
 
-	r.limit = min(r.count, max(1, treeCacheBytes/(8*max(1, r.adjNodes))))
-	r.cache = make(map[NodeID]*bfsTree, r.limit)
-	r.lru.prev, r.lru.next = &r.lru, &r.lru
+// walk returns the d-hop path from src, padded by pad unset slots at each
+// end, that takes at every router the first up link to one a hop closer.
+func (r *Resolver) walk(src NodeID, d int32, pad int) Path {
+	path := make(Path, int(d)+2*pad)
+	for i, n := int32(0), src; i < d; i++ {
+		for _, h := range r.out.of(n) {
+			if r.db[h.to] == d-i-1 && !r.down(h.link) {
+				path[pad+int(i)], n = h.link, h.to
+				break
+			}
+		}
+	}
+	return path
+}
+
+// reset unlabels what the query labelled, at the cost of what it reached
+// rather than of the graph's size.
+func (r *Resolver) reset() {
+	for _, list := range [][]NodeID{r.fwd, r.bwd} {
+		for _, n := range list {
+			r.df[n], r.db[n] = -1, -1
+		}
+	}
+	r.fwd, r.bwd = r.fwd[:0], r.bwd[:0]
+}
+
+// syncAdjacency rebuilds the adjacency and the scratch if the graph has
+// grown since they were built. Node and link structure is append-only, so
+// the two counts say so exactly (and a new resolver's are zero, which no
+// graph with a node to query has).
+func (r *Resolver) syncAdjacency() {
+	n := len(r.g.nodes)
+	if n == r.adjNodes && len(r.g.links) == r.adjLinks {
+		return
+	}
+	r.adjNodes, r.adjLinks = n, len(r.g.links)
+	r.out = r.pack(func(l *Link) (NodeID, NodeID) { return l.From, l.To })
+	r.in = r.pack(func(l *Link) (NodeID, NodeID) { return l.To, l.From })
+	r.df, r.db = make([]int32, n), make([]int32, n)
+	for i := range r.df {
+		r.df[i], r.db[i] = -1, -1
+	}
+	r.fwd, r.bwd = make([]NodeID, 0, n), make([]NodeID, 0, n)
+}
+
+// pack lists every router-to-router link under the end key returns first,
+// in link insertion order, as a hop to the other end.
+func (r *Resolver) pack(key func(*Link) (at, to NodeID)) adjacency {
+	g := r.g
+	a := adjacency{off: make([]int32, len(g.nodes)+1)}
+	var links []*Link
+	for i := range g.links {
+		if l := &g.links[i]; g.nodes[l.From].Kind == Router && g.nodes[l.To].Kind == Router {
+			links = append(links, l)
+			at, _ := key(l)
+			a.off[at+1]++
+		}
+	}
+	for i := range g.nodes {
+		a.off[i+1] += a.off[i]
+	}
+	a.hops = make([]hop, len(links))
+	fill := append([]int32(nil), a.off...)
+	for _, l := range links {
+		at, to := key(l)
+		a.hops[fill[at]] = hop{to: to, link: l.ID}
+		fill[at]++
+	}
+	return a
 }
 
 // PathNodes expands a path into its node sequence (source of the first link

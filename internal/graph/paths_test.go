@@ -9,11 +9,30 @@ import (
 	"bneck/internal/rate"
 )
 
-// refResolver is the resolver as it stood before trees became partial and
-// the search moved to a packed adjacency: one full breadth-first search per
-// query over Out/Link/Node, no cache. It is the specification the Resolver
-// is held to, link for link and error for error.
+// refResolver is one full breadth-first search from the source router per
+// query, over Out/Link/Node, recording the link that first reaches each
+// router. It is the specification the Resolver is held to, link for link and
+// error for error.
 type refResolver struct{ g *Graph }
+
+// RefHostPath and RefRouterPath answer with the reference, and ScratchClean
+// reports whether a resolver's per-query scratch is back to unreached: the
+// hooks the external tests, which need the topology generators, hold the
+// Resolver to the specification with.
+func RefHostPath(g *Graph, src, dst NodeID) (Path, error) { return refResolver{g}.HostPath(src, dst) }
+
+func RefRouterPath(g *Graph, src, dst NodeID) (Path, error) {
+	return refResolver{g}.RouterPath(src, dst)
+}
+
+func ScratchClean(r *Resolver) bool {
+	for i := range r.df {
+		if r.df[i] != -1 || r.db[i] != -1 {
+			return false
+		}
+	}
+	return len(r.fwd) == 0 && len(r.bwd) == 0
+}
 
 func (r refResolver) HostPath(src, dst NodeID) (Path, error) {
 	if src == dst {
@@ -107,9 +126,9 @@ type pathFinder interface {
 }
 
 // differential interprets prog as a graph followed by a sequence of queries
-// and mutations, and holds three resolvers — cache sizes 1, 2 and 8, so
-// eviction, recycling and resumed partial trees all occur — to the
-// reference after every query.
+// and mutations, and holds one resolver, kept across the whole program, to
+// the reference after every query. Every query must also leave the scratch
+// as it found it: every df and db entry -1.
 func differential(t *testing.T, prog []byte) {
 	next := func() int {
 		if len(prog) == 0 {
@@ -143,20 +162,16 @@ func differential(t *testing.T, prog []byte) {
 		addHost()
 	}
 
-	ref := refResolver{g}
-	resolvers := []*Resolver{NewResolver(g, 1), NewResolver(g, 2), NewResolver(g, 8)}
+	ref, res := refResolver{g}, NewResolver(g, 256)
 	check := func(what string, src, dst NodeID, query func(pathFinder) (Path, error)) {
 		t.Helper()
 		want, wantErr := query(ref)
-		for _, r := range resolvers {
-			got, err := query(r)
-			if fmt.Sprint(err) != fmt.Sprint(wantErr) || !slices.Equal(got, want) {
-				t.Fatalf("%s(%d, %d) with %d trees = %v, %v; reference %v, %v",
-					what, src, dst, r.count, got, err, want, wantErr)
-			}
-			if len(r.cache) > r.count {
-				t.Fatalf("%d trees cached, limit %d", len(r.cache), r.count)
-			}
+		got, err := query(res)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || !slices.Equal(got, want) {
+			t.Fatalf("%s(%d, %d) = %v, %v; reference %v, %v", what, src, dst, got, err, want, wantErr)
+		}
+		if !ScratchClean(res) {
+			t.Fatalf("%s(%d, %d) left df %v, db %v", what, src, dst, res.df, res.db)
 		}
 	}
 	hostPath := func(src, dst NodeID) {
@@ -172,12 +187,12 @@ func differential(t *testing.T, prog []byte) {
 		case 0, 1, 2: // one query
 			lastSrc, lastDst = hosts[next()%len(hosts)], hosts[next()%len(hosts)]
 			hostPath(lastSrc, lastDst)
-		case 3: // every host in host order, the order that defeats a tree cache
+		case 3: // every host in host order, one source each
 			dst := hosts[next()%len(hosts)]
 			for _, src := range hosts {
 				hostPath(src, dst)
 			}
-		case 4: // grouped by source, the order the tree cache exists for
+		case 4: // several from one source
 			src := hosts[next()%len(hosts)]
 			for k := 1 + next()%6; k > 0; k-- {
 				hostPath(src, hosts[next()%len(hosts)])
@@ -267,66 +282,7 @@ func mustRouterPath(t *testing.T, res *Resolver, src, dst NodeID) Path {
 	return got
 }
 
-// A partial tree stopped before it had looked at a link; the link then
-// fails; the next query goes beyond it and must route around.
-func TestResolverResumeAfterUnexaminedLinkFailed(t *testing.T) {
-	g, r, _, line := detourTopo()
-	res := NewResolver(g, 4)
-	mustRouterPath(t, res, r[0], r[1])
-	if tree := res.cache[r[0]]; tree.parentLink[r[3]] != NoLink {
-		t.Fatalf("the search for r1 ran on to r3: queue %v", tree.queue)
-	}
-	g.FailLink(line[2]) // r2→r3
-	if p := mustRouterPath(t, res, r[0], r[4]); len(p) != 5 {
-		t.Fatalf("path %v does not take the detour", PathNodes(g, p))
-	}
-}
-
-// A link the partial tree already used fails: the tree is stale and must be
-// restarted, not resumed with its old labels.
-func TestResolverStaleTreeNeverResumed(t *testing.T) {
-	g, r, _, line := detourTopo()
-	res := NewResolver(g, 4)
-	mustRouterPath(t, res, r[0], r[2])
-	tree := res.cache[r[0]]
-	g.FailLink(line[1]) // r1→r2, the labelled r2's parent link
-	p := mustRouterPath(t, res, r[0], r[4])
-	if slices.Contains(p, line[1]) || len(p) != 5 {
-		t.Fatalf("path %v resumes a tree labelled before the failure", PathNodes(g, p))
-	}
-	if res.cache[r[0]] != tree {
-		t.Fatal("the stale tree was replaced instead of restarted in place")
-	}
-	// Restoring it is a change too.
-	g.RestoreLink(line[1])
-	if p := mustRouterPath(t, res, r[0], r[4]); len(p) != 4 {
-		t.Fatalf("path %v after the restore", PathNodes(g, p))
-	}
-}
-
-// Capacity cannot change a min-hop path: SetCapacity between two queries
-// neither restarts the tree nor advances it.
-func TestResolverSetCapacityStartsNoSearch(t *testing.T) {
-	g, r, _, line := detourTopo()
-	res := NewResolver(g, 4)
-	mustRouterPath(t, res, r[0], r[2])
-	tree := res.cache[r[0]]
-	head, labelled := tree.head, len(tree.queue)
-
-	g.SetCapacity(line[0], rate.Mbps(3))
-	mustRouterPath(t, res, r[0], r[2])
-	if res.cache[r[0]] != tree || tree.head != head || len(tree.queue) != labelled {
-		t.Fatalf("SetCapacity started a search: head %d→%d, labelled %d→%d",
-			head, tree.head, labelled, len(tree.queue))
-	}
-	// A farther destination resumes the same tree from where it stopped.
-	mustRouterPath(t, res, r[0], r[4])
-	if res.cache[r[0]] != tree || tree.head <= head {
-		t.Fatalf("the farther query did not resume the tree: head %d→%d", head, tree.head)
-	}
-}
-
-// Links and nodes added after a tree was cached are seen by the next query.
+// Links and nodes added after a query are seen by the next one.
 func TestResolverSeesGrowth(t *testing.T) {
 	g, r, h, _ := detourTopo()
 	res := NewResolver(g, 4)
@@ -346,45 +302,43 @@ func TestResolverSeesGrowth(t *testing.T) {
 	}
 }
 
-// The tree cache is bounded in bytes as well as in trees: on a graph whose
-// trees are large, fewer than cacheSize are kept.
-func TestResolverCacheBoundedInBytes(t *testing.T) {
-	g := New()
-	const pairs = 40000
-	for i := 0; i < pairs; i++ {
-		g.Connect(g.AddRouter("a"), g.AddRouter("b"), rate.Mbps(10), 0)
-	}
-	res := NewResolver(g, 256)
-	for i := 0; i < 64; i++ {
-		mustRouterPath(t, res, NodeID(2*i), NodeID(2*i+1))
-	}
-	held := 0
-	for _, tree := range res.cache {
-		held += 4 * (len(tree.parentLink) + cap(tree.queue))
-	}
-	if len(res.cache) >= 64 || held > treeCacheBytes {
-		t.Fatalf("%d trees holding %d bytes cached, bound %d", len(res.cache), held, treeCacheBytes)
-	}
-	// Small graphs keep the full count.
-	small, _, _, _ := detourTopo()
-	res = NewResolver(small, 256)
-	res.syncAdjacency()
-	if res.limit != 256 {
-		t.Fatalf("limit %d on a 14-node graph, want 256", res.limit)
-	}
-}
-
-// A warm hit allocates the returned path and nothing else.
+// Once the scratch is sized, a query allocates the returned path and
+// nothing else: a cold one (a pair not asked before), a repeated one, and
+// the first after a FailLink.
 func TestResolverWarmHitAllocatesOnlyThePath(t *testing.T) {
-	g, _, h, _ := detourTopo()
+	g, _, h, line := detourTopo()
 	res := NewResolver(g, 4)
-	// Across the graph and to the neighbouring router.
-	for _, dst := range []NodeID{h[4], h[1]} {
-		if _, err := res.HostPath(h[0], dst); err != nil {
+	query := func(src, dst NodeID) {
+		if _, err := res.HostPath(src, dst); err != nil {
 			t.Fatal(err)
 		}
-		if allocs := testing.AllocsPerRun(100, func() { res.HostPath(h[0], dst) }); allocs != 1 {
-			t.Fatalf("HostPath(%d, %d) warm: %v allocs, want 1", h[0], dst, allocs)
+	}
+	query(h[6], h[0])
+	allocs := func(what string, runs int, f func()) {
+		t.Helper()
+		if n := testing.AllocsPerRun(runs, f); n != 1 {
+			t.Fatalf("%s: %v allocs, want 1", what, n)
 		}
 	}
+	var pairs [][2]NodeID
+	for _, src := range h[:6] {
+		for _, dst := range h {
+			if src != dst {
+				pairs = append(pairs, [2]NodeID{src, dst})
+			}
+		}
+	}
+	allocs("cold", len(pairs)-1, func() { // AllocsPerRun adds one warm-up run
+		query(pairs[0][0], pairs[0][1])
+		pairs = pairs[1:]
+	})
+	// Across the graph and to the neighbouring router.
+	for _, dst := range []NodeID{h[4], h[1]} {
+		allocs(fmt.Sprintf("HostPath(%d, %d) repeated", h[0], dst), 100, func() { query(h[0], dst) })
+	}
+	allocs("first after FailLink", 100, func() {
+		g.FailLink(line[2])
+		query(h[0], h[4])
+		g.RestoreLink(line[2])
+	})
 }

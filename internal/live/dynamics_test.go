@@ -34,7 +34,7 @@ func buildDiamondLive(t *testing.T) (g *graph.Graph, ha, hb graph.NodeID, top, b
 
 // TestHostPathSharesMigrationCache: a path handed out by Runtime.HostPath and
 // the path a migration picks for the same hosts come from one resolver, the
-// controller's (whose tree count internal/control's tests pin).
+// controller's.
 func TestHostPathSharesMigrationCache(t *testing.T) {
 	g, ha, hb, top, _ := buildDiamondLive(t)
 	rt := New(g)

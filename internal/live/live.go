@@ -260,8 +260,8 @@ type Session struct {
 
 // HostPath returns a shortest path from host src to host dst, resolved by
 // the resolver the runtime's own dynamics (migration, readmission,
-// re-optimization) use. Callers that place sessions through it share one
-// tree cache with those dynamics instead of keeping a second.
+// re-optimization) use. Callers that place sessions through it get the
+// paths those dynamics would pick without keeping a resolver of their own.
 func (rt *Runtime) HostPath(src, dst graph.NodeID) (graph.Path, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()

@@ -230,8 +230,8 @@ func New(g *graph.Graph, eng *sim.Engine, cfg Config) *Network {
 
 // HostPath returns a shortest path from host src to host dst, resolved by
 // the resolver the network's own dynamics (migration, readmission,
-// re-optimization) use. Callers that place sessions through it share one
-// tree cache with those dynamics instead of keeping a second.
+// re-optimization) use. Callers that place sessions through it get the
+// paths those dynamics would pick without keeping a resolver of their own.
 func (n *Network) HostPath(src, dst graph.NodeID) (graph.Path, error) {
 	return n.ctl.HostPath(src, dst)
 }
