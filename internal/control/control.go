@@ -4,18 +4,26 @@
 // successor incarnation with a fresh ID Joins on the new path). A transport
 // (internal/network, internal/live) executes a Controller's decisions from
 // its serial context: a simulator event, or under the live runtime's
-// mutex. DESIGN.md §6 has the transition table and the ordering rules.
+// mutex. DESIGN.md §6 has the transition table and the ordering rules; §8
+// the quiescent-state check (Check) both transports validate with.
 package control
 
 import (
+	"errors"
 	"fmt"
+	"iter"
 	"slices"
 
 	"bneck/internal/core"
 	"bneck/internal/graph"
 	"bneck/internal/policy"
 	"bneck/internal/rate"
+	"bneck/internal/waterfill"
 )
+
+// ErrStaleIncarnation reports a departed incarnation observed Active again, a
+// broken fresh-ID rule. Check wraps it; classify with errors.Is.
+var ErrStaleIncarnation = errors.New("control: departed-but-active incarnation (stale rejoin)")
 
 // State is a session's lifecycle state.
 type State uint8
@@ -48,7 +56,8 @@ type Controller struct {
 	migrated, reoptimized, reconfig uint64
 	// spans are the open reconfiguration spans, from a forced Leave or a
 	// topology-driven Start to the next quiescence (Quiesced).
-	spans []*incarnation
+	spans  []*incarnation
+	oracle waterfill.Assembler[graph.LinkID] // Oracle's scratch, kept between calls
 }
 
 type session struct {
@@ -71,7 +80,9 @@ type incarnation struct {
 
 // New returns a controller over g that acts through t.
 func New(g *graph.Graph, t Transport) *Controller {
-	return &Controller{g: g, res: graph.NewResolver(g, 256), t: t}
+	capacity := func(l graph.LinkID) rate.Rate { return g.Link(l).Capacity }
+	oracle := waterfill.Assembler[graph.LinkID]{Capacity: capacity}
+	return &Controller{g: g, res: graph.NewResolver(g, 256), t: t, oracle: oracle}
 }
 
 // HostPath resolves a path with the resolver reroutes use.
@@ -91,12 +102,11 @@ func (c *Controller) mint(s *session, path graph.Path) *incarnation {
 }
 
 // Reads by incarnation ID: how many exist (IDs run 1 to Len), the current
-// incarnation of id's session, its state and demand, whether id carries it
-// while Active, whether a Leave was issued to id, and id's path.
+// incarnation of id's session, its state, whether id carries it while
+// Active, whether a Leave was issued to id, and id's path.
 func (c *Controller) Len() int                                 { return len(c.incs) }
 func (c *Controller) Current(id core.SessionID) core.SessionID { return c.incs[id-1].s.cur.id }
 func (c *Controller) State(id core.SessionID) State            { return c.incs[id-1].s.state }
-func (c *Controller) Demand(id core.SessionID) rate.Rate       { return c.incs[id-1].s.demand }
 func (c *Controller) Active(id core.SessionID) bool            { return c.active(c.incs[id-1]) }
 func (c *Controller) Departed(id core.SessionID) bool          { return c.incs[id-1].departed }
 func (c *Controller) Path(id core.SessionID) graph.Path        { return c.incs[id-1].path }
@@ -230,6 +240,66 @@ func (c *Controller) Quiesced() {
 		inc.counted = false
 	}
 	c.spans = c.spans[:0]
+}
+
+// Oracle returns every Active incarnation's max-min fair rate, in creation order.
+func (c *Controller) Oracle() ([]rate.Rate, error) {
+	c.oracle.Reset()
+	for _, inc := range c.incs {
+		if c.active(inc) {
+			c.oracle.Add(inc.s.demand, inc.path)
+		}
+	}
+	return c.oracle.Solve()
+}
+
+// Task is what Check reads of a link task (a core.RouterLink).
+type Task interface {
+	CheckInvariants() error
+	Stable() bool
+}
+
+// Check validates a quiescent transport as the paper validates every run:
+// each Active incarnation is not departed (ErrStaleIncarnation), is routed
+// over up links and holds a confirmed rate (rateOf) equal to the oracle's,
+// and each link task is consistent and stable (Definition 2). crossCheck
+// first checks the oracle against waterfill.WaterFilling and Verify.
+func (c *Controller) Check(rateOf func(core.SessionID) (r rate.Rate, ok, converged bool), tasks iter.Seq2[graph.LinkID, Task], crossCheck bool) error {
+	want, err := c.Oracle()
+	if err == nil && crossCheck {
+		err = c.oracle.CrossCheck(want)
+	}
+	if err != nil {
+		return fmt.Errorf("oracle: %w", err)
+	}
+	k := 0
+	for _, inc := range c.incs {
+		if !c.active(inc) {
+			continue
+		}
+		got, ok, converged := rateOf(inc.id)
+		switch {
+		case inc.departed:
+			return fmt.Errorf("session %d: %w", inc.id, ErrStaleIncarnation)
+		case !c.up(inc.path):
+			return fmt.Errorf("session %d is routed over a failed link", inc.id)
+		case !ok:
+			return fmt.Errorf("session %d has no rate after quiescence", inc.id)
+		case !got.Equal(want[k]):
+			return fmt.Errorf("session %d rate %v, oracle %v", inc.id, got, want[k])
+		case !converged:
+			return fmt.Errorf("session %d rate not confirmed (no bottleneck received)", inc.id)
+		}
+		k++
+	}
+	for l, t := range tasks {
+		if err := t.CheckInvariants(); err != nil {
+			return fmt.Errorf("link %d: %w", l, err)
+		} else if !t.Stable() {
+			return fmt.Errorf("link %d unstable after quiescence", l)
+		}
+	}
+	return nil
 }
 
 // start joins s on path: on its current incarnation if that never carried a

@@ -123,8 +123,8 @@ func TestSessionTransitions(t *testing.T) {
 	r.c.Change(a, rate.Mbps(15))
 	r.c.Join(a, rate.Mbps(20))
 	r.expect("change 1 15", "change 1 20")
-	if !r.c.Active(a) || !r.c.Demand(a).Equal(rate.Mbps(20)) {
-		t.Fatalf("active %t, demand %v after the second Join", r.c.Active(a), r.c.Demand(a))
+	if !r.c.Active(a) || !r.c.incs[a-1].s.demand.Equal(rate.Mbps(20)) {
+		t.Fatalf("active %t, demand %v after the second Join", r.c.Active(a), r.c.incs[a-1].s.demand)
 	}
 
 	// Active → Idle; a double Leave and a Change after Leave dissolve.
@@ -152,8 +152,8 @@ func TestSessionTransitions(t *testing.T) {
 	r.c.Join(a, rate.Mbps(40))
 	r.c.Change(a, rate.Mbps(45))
 	r.expect()
-	if !r.c.Demand(a).Equal(rate.Mbps(45)) || r.c.Stranded() != 1 {
-		t.Fatalf("demand %v, %d stranded", r.c.Demand(a), r.c.Stranded())
+	if !r.c.incs[a-1].s.demand.Equal(rate.Mbps(45)) || r.c.Stranded() != 1 {
+		t.Fatalf("demand %v, %d stranded", r.c.incs[a-1].s.demand, r.c.Stranded())
 	}
 	r.c.Leave(a)
 	r.state(a, Idle)

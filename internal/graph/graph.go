@@ -234,7 +234,7 @@ func (g *Graph) RestoreLink(id LinkID) {
 }
 
 // LinkUp reports whether a directed link is currently up.
-func (g *Graph) LinkUp(id LinkID) bool { g.checkLink(id); return !g.links[id].Failed }
+func (g *Graph) LinkUp(id LinkID) bool { g.checkLink(id); return g.failed == 0 || !g.links[id].Failed }
 
 // Routers returns the IDs of all router nodes, in insertion order.
 func (g *Graph) Routers() []NodeID {

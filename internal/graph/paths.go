@@ -279,7 +279,9 @@ func ValidatePath(g *Graph, p Path) error {
 		return fmt.Errorf("graph: path too short (%d links)", len(p))
 	}
 	for _, l := range p {
-		g.checkLink(l)
+		if l < 0 || int(l) >= len(g.links) {
+			return fmt.Errorf("graph: path names unknown link %d", l)
+		}
 		if g.links[l].Failed {
 			return fmt.Errorf("graph: path crosses failed link %d", l)
 		}

@@ -26,7 +26,8 @@
 // Every one of those decisions, and every session lifecycle transition, is
 // made by the control plane the simulator transport shares
 // (internal/control), called under the runtime mutex; the runtime only
-// executes them on its actors. See DESIGN.md §6 and §11.
+// executes them on its actors. Validate is the same control plane's Check
+// over the runtime's rate ledger and link tasks. See DESIGN.md §6 and §11.
 //
 // Mailboxes are unbounded by design: B-Neck generates bounded traffic per
 // reconfiguration, and bounded mailboxes could deadlock the bidirectional
@@ -38,7 +39,6 @@
 package live
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -50,7 +50,6 @@ import (
 	"bneck/internal/metrics"
 	"bneck/internal/policy"
 	"bneck/internal/rate"
-	"bneck/internal/waterfill"
 )
 
 // Runtime hosts a concurrent B-Neck deployment over a mutable graph.
@@ -67,7 +66,7 @@ import (
 // Update to the sessions a bottleneck change affects) looks that
 // incarnation up in one stripe of the incarnation table; the rate upcall
 // every source task fires per λ-change writes the same stripe.
-// Merge-on-demand readers (LinkPackets, Rates, Validate) gather the stripes.
+// Merge-on-demand readers (LinkPackets, Rates) gather the stripes.
 //
 // No handler ever takes mu or a link stripe, and no caller holding mu runs
 // a handler (a claim made under mu starts a worker). An incarnation's
@@ -104,14 +103,6 @@ type Runtime struct {
 	// readers that do not hold mu) and never removed.
 	incs [emitDomains]incDomain
 	lnks [emitDomains]linkDomain
-
-	// oracle assembles and solves Validate's waterfill instance in scratch
-	// kept between calls; oracleIDs lists the instance's sessions by their
-	// current incarnation. oracleMu guards both and is taken before mu, so
-	// concurrent Validates queue up instead of sharing the scratch.
-	oracleMu  sync.Mutex
-	oracle    waterfill.Assembler[graph.LinkID]
-	oracleIDs []core.SessionID
 }
 
 // emitDomains is the stripe count of the striped tables. A power of two so
@@ -159,9 +150,10 @@ func linkStripe(id graph.LinkID) int  { return int(uint32(id) & (emitDomains - 1
 // decides when one starts and departs, and holds its path; a departed one
 // is reclaimed at the next quiescence.
 type incarnation struct {
-	id  core.SessionID
-	src *actor
-	dst *actor
+	id   core.SessionID
+	src  *actor
+	dst  *actor
+	srcT *core.SourceNode // src's task, for Validate's converged read
 	// hops[i] serves path[i]. Written once, under mu, before the
 	// incarnation's Join is enqueued; every Emit for the incarnation is a
 	// consequence of that message, so handlers read it without a lock.
@@ -182,7 +174,6 @@ type incarnation struct {
 func New(g *graph.Graph) *Runtime {
 	rt := &Runtime{g: g, activity: newActivityCounter()}
 	rt.ctl = control.New(g, (*transport)(rt))
-	rt.oracle.Capacity = func(l graph.LinkID) rate.Rate { return g.Link(l).Capacity }
 	for i := range rt.incs {
 		rt.incs[i].m = make(map[core.SessionID]*incarnation)
 		rt.incs[i].rates = make(map[core.SessionID]rate.Rate)
@@ -514,28 +505,6 @@ func (rt *Runtime) LinkPackets() []metrics.LinkCount {
 	return out
 }
 
-// SessionPackets returns per-incarnation packet totals for every
-// incarnation that currently holds live actors and carried traffic, ordered
-// by incarnation ID — the live counterpart of the simulator transport's
-// Network.SessionPackets (same field names). Incarnations reclaimed at a
-// past quiescence are gone; their reconfiguration cost is preserved in
-// ReconfigPackets.
-func (rt *Runtime) SessionPackets() []metrics.SessionCount {
-	var out []metrics.SessionCount
-	for i := range rt.incs {
-		d := &rt.incs[i]
-		d.mu.Lock()
-		for id, inc := range d.m {
-			if pk := inc.pkts.Load(); pk > 0 {
-				out = append(out, metrics.SessionCount{Session: id, Packets: pk})
-			}
-		}
-		d.mu.Unlock()
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Session < out[b].Session })
-	return out
-}
-
 // Rates returns a snapshot of all granted rates, keyed by current
 // incarnation IDs. The per-stripe tables merge on demand, like LinkPackets.
 func (rt *Runtime) Rates() map[core.SessionID]rate.Rate {
@@ -558,86 +527,48 @@ func (rt *Runtime) Rates() map[core.SessionID]rate.Rate {
 	return out
 }
 
-// ErrStaleIncarnation reports an active session living on a departed
-// incarnation — the live transport's counterpart of
-// network.ErrStaleIncarnation. Classify with errors.Is.
-var ErrStaleIncarnation = errors.New("live: departed-but-active incarnation (stale rejoin)")
+// Validate checks, after WaitQuiescent, every active session's granted rate
+// against the centralized oracle and every link task's stability — the
+// simulator's validation (control.Check), over the live deployment. It
+// holds mu throughout, so concurrent Validates queue up on it.
+func (rt *Runtime) Validate() error {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if err := rt.ctl.Check(rt.rateOf, rt.tasks, false); err != nil {
+		return fmt.Errorf("live: %w", err)
+	}
+	return nil
+}
 
-// Validate cross-checks, after WaitQuiescent, every routed active session's
-// granted rate against the centralized water-filling oracle and every link
-// task's stability — the same validation the simulator applies, over the
-// live deployment.
+// rateOf reads incarnation id's granted rate from the ledger and whether its
+// source task holds it confirmed.
 //
-// The task state is read without a lock, and safely: every handler's writes
+// The source task's state, like the link tasks' state Check reads through
+// tasks, is read without a lock, and safely: every handler's writes
 // precede its actor's decrement of the activity counter, every change of
 // the counter is a read-modify-write of one atomic — so each is ordered
 // after all before it, a release sequence in C11 terms — and WaitQuiescent
 // returned because it read the zero the last of them wrote. That load
-// therefore happens after every handler that has run, and this read after
+// therefore happens after every handler that has run, and these reads after
 // it.
-func (rt *Runtime) Validate() error {
-	rt.oracleMu.Lock()
-	defer rt.oracleMu.Unlock()
-	rt.mu.Lock()
-	active := rt.oracleIDs[:0]
-	rt.oracle.Reset()
-	for id := core.SessionID(1); int(id) <= rt.ctl.Len(); id++ {
-		if !rt.ctl.Active(id) {
-			continue
-		}
-		// No-stale-incarnation: an active session must be living on a fresh
-		// incarnation — a rejoin mints a new one whenever the current has
-		// carried a Join, so observing departed here means a stale rejoin.
-		if rt.ctl.Departed(id) {
-			rt.mu.Unlock()
-			return fmt.Errorf("live: session %d: %w", id, ErrStaleIncarnation)
-		}
-		path := rt.ctl.Path(id)
-		for _, l := range path {
-			// Failures migrate every joined session off the link and Join
-			// routes around failed links, so this is a runtime bug.
-			if !rt.g.LinkUp(l) {
-				rt.mu.Unlock()
-				return fmt.Errorf("live: session %d is routed over failed link %d", id, l)
+//
+//bneck:locks stripe
+func (rt *Runtime) rateOf(id core.SessionID) (rate.Rate, bool, bool) {
+	r, ok := rt.rateFor(id)
+	// nil for a stale incarnation reclaimed as departed; Check reports it as such.
+	inc := rt.incarnationFor(id)
+	return r, ok, inc != nil && inc.srcT.Converged()
+}
+
+// tasks walks the link tasks. Callers hold mu, which every insertion holds.
+func (rt *Runtime) tasks(yield func(graph.LinkID, control.Task) bool) {
+	for i := range rt.lnks {
+		for l, la := range rt.lnks[i].actors {
+			if !yield(l, la.task) {
+				return
 			}
 		}
-		rt.oracle.Add(rt.ctl.Demand(id), path)
-		active = append(active, id)
 	}
-	rt.oracleIDs = active
-	tasks := make(map[graph.LinkID]*core.RouterLink)
-	for i := range rt.lnks {
-		d := &rt.lnks[i]
-		d.mu.Lock()
-		for l, la := range d.actors {
-			tasks[l] = la.task
-		}
-		d.mu.Unlock()
-	}
-	rt.mu.Unlock()
-
-	want, err := rt.oracle.Solve()
-	if err != nil {
-		return fmt.Errorf("live: oracle failed: %w", err)
-	}
-	for i, id := range active {
-		got, ok := rt.rateFor(id)
-		if !ok {
-			return fmt.Errorf("live: session %d has no rate after quiescence", id)
-		}
-		if !got.Equal(want[i]) {
-			return fmt.Errorf("live: session %d rate %v, oracle %v", id, got, want[i])
-		}
-	}
-	for l, task := range tasks {
-		if err := task.CheckInvariants(); err != nil {
-			return fmt.Errorf("live: link %d: %w", l, err)
-		}
-		if !task.Stable() {
-			return fmt.Errorf("live: link %d unstable after quiescence", l)
-		}
-	}
-	return nil
 }
 
 // Close stops all actors. The runtime must be quiescent (WaitQuiescent).
@@ -692,6 +623,7 @@ func (t *transport) Start(id core.SessionID, path graph.Path, demand rate.Rate) 
 	srcEm, dstEm := &emitter{rt: rt, cur: inc}, &emitter{rt: rt, cur: inc}
 	srcT := core.NewSourceNode(id, srcEm, rt.setRate)
 	dstT := core.NewDestinationNode(id, dstEm)
+	inc.srcT = srcT
 	// The controller issues Join, Change and Leave only in an order the
 	// task's state machine accepts; anything else panics in the task.
 	inc.src = newActor(rt.activity, func(m *message) {

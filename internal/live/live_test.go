@@ -306,3 +306,66 @@ func TestSessionUnknownDrops(t *testing.T) {
 	rt.WaitQuiescent()
 	_ = paths
 }
+
+// TestNewSessionRejectsUnknownLink: a path naming a link the graph does not
+// have is an error, not a panic, and registers nothing with the controller.
+func TestNewSessionRejectsUnknownLink(t *testing.T) {
+	g, paths := buildDumbbell(t)
+	rt := New(g)
+	defer rt.Close()
+	for _, p := range []graph.Path{
+		append(append(graph.Path(nil), paths[0][:2]...), graph.LinkID(g.NumLinks())),
+		{paths[0][0], -1},
+	} {
+		if _, err := rt.NewSession(p); err == nil {
+			t.Errorf("NewSession(%v) succeeded, want an error", p)
+		}
+	}
+	if rt.ctl.Len() != 0 {
+		t.Fatalf("the controller holds %d incarnations after rejected NewSessions", rt.ctl.Len())
+	}
+}
+
+// TestCallsAfterCloseAreNoOps: on a closed runtime each session and topology
+// call returns without acting — the session keeps its incarnation and state,
+// the controller mints nothing, no link goes down and no message is queued —
+// and NewSession is an error. (TestCloseMidCascade closes mid-cascade.)
+func TestCallsAfterCloseAreNoOps(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		call func(rt *Runtime, s *Session, l graph.LinkID)
+	}{
+		{"join", func(_ *Runtime, s *Session, _ graph.LinkID) { s.Join(rate.Mbps(3)) }},
+		{"leave", func(_ *Runtime, s *Session, _ graph.LinkID) { s.Leave() }},
+		{"change", func(_ *Runtime, s *Session, _ graph.LinkID) { s.Change(rate.Mbps(5)) }},
+		{"fail", func(rt *Runtime, _ *Session, l graph.LinkID) { rt.FailLinks(l, rt.g.LinkReverse(l)) }},
+		{"set capacity", func(rt *Runtime, _ *Session, l graph.LinkID) { rt.SetLinkCapacity(rate.Mbps(1), l) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, paths := buildDumbbell(t)
+			rt := New(g)
+			s, err := rt.NewSession(paths[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Join(rate.Inf)
+			rt.WaitQuiescent()
+			rt.Close()
+			l, id, n := s.Path()[1], s.ID(), rt.ctl.Len()
+			tc.call(rt, s, l)
+			if s.ID() != id || !s.Active() || rt.ctl.Len() != n || !g.LinkUp(l) || rt.Migrations() != 0 {
+				t.Fatalf("closed runtime acted: incarnation %d→%d, active %t, %d→%d incarnations, link up %t, %d migrations",
+					id, s.ID(), s.Active(), n, rt.ctl.Len(), g.LinkUp(l), rt.Migrations())
+			}
+			if got := rt.activity.n.Load(); got != 0 {
+				t.Fatalf("%d messages queued on a closed runtime", got)
+			}
+			if !g.Link(l).Capacity.Equal(rate.Mbps(60)) {
+				t.Fatalf("closed runtime reconfigured link %d to %v", l, g.Link(l).Capacity)
+			}
+			if _, err := rt.NewSession(paths[1]); err == nil {
+				t.Fatal("NewSession on a closed runtime succeeded")
+			}
+		})
+	}
+}

@@ -144,8 +144,8 @@ func TestLiveReconfigPacketsUserChurnFree(t *testing.T) {
 	}
 	s.Join(rate.Inf)
 	rt.WaitQuiescent()
-	if len(rt.SessionPackets()) == 0 {
-		t.Fatal("join cascade left no per-session packet counts")
+	if rt.incarnationFor(s.ID()).pkts.Load() == 0 {
+		t.Fatal("join cascade left no per-incarnation packet count")
 	}
 	s.Leave()
 	rt.WaitQuiescent()

@@ -21,7 +21,7 @@
 // a structural bound (scenario.ErrQuiescenceOverrun); final rates byte-equal
 // to the oracle's (waterfill.Solver), themselves checked against
 // WaterFilling and Verify on the same instance (waterfill.ErrCrossCheck);
-// no-stale-incarnation (network.ErrStaleIncarnation); and — sampled — the
+// no-stale-incarnation (control.ErrStaleIncarnation); and — sampled — the
 // live runtime's Validate. A violating schedule serializes to a compact
 // choice-trace file that cmd/mc replays deterministically and shrinks by
 // delta-debugging.
@@ -33,8 +33,7 @@ import (
 	"strings"
 	"time"
 
-	"bneck/internal/live"
-	"bneck/internal/network"
+	"bneck/internal/control"
 	"bneck/internal/scenario"
 	"bneck/internal/waterfill"
 )
@@ -156,7 +155,7 @@ func classify(err error) InvariantKind {
 	switch {
 	case errors.Is(err, scenario.ErrQuiescenceOverrun):
 		return KindQuiescence
-	case errors.Is(err, network.ErrStaleIncarnation), errors.Is(err, live.ErrStaleIncarnation):
+	case errors.Is(err, control.ErrStaleIncarnation):
 		return KindStaleIncarnation
 	case errors.Is(err, waterfill.ErrCrossCheck):
 		return KindOracle

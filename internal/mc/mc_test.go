@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"bneck/internal/control"
 	"bneck/internal/rate"
 	"bneck/internal/scenario"
 	"bneck/internal/waterfill"
@@ -70,9 +71,10 @@ func TestQuiescenceBound(t *testing.T) {
 }
 
 // TestClassifyCrossCheck: a Validate failure of the oracle's cross-check,
-// wrapped the way network.Validate and the scenario runner wrap it, is an
-// oracle-exactness violation — even when its message happens to contain the
-// word the expectation heuristic looks for.
+// wrapped the way control.Check, network.Validate and the scenario runner
+// wrap it, is an oracle-exactness violation — even when its message happens
+// to contain the word the expectation heuristic looks for — and the one
+// stale-incarnation sentinel classifies as such from either transport.
 func TestClassifyCrossCheck(t *testing.T) {
 	a := waterfill.Assembler[int]{Capacity: func(int) rate.Rate { return rate.Mbps(10) }}
 	a.Add(rate.Inf, []int{0})
@@ -82,11 +84,17 @@ func TestClassifyCrossCheck(t *testing.T) {
 		t.Fatalf("CrossCheck of an unfair split: %v", err)
 	}
 	for _, wrapped := range []error{
-		&scenario.EpochError{At: 10 * time.Millisecond, Err: fmt.Errorf("network: %w", err)},
+		&scenario.EpochError{At: 10 * time.Millisecond, Err: fmt.Errorf("network: oracle: %w", err)},
 		&scenario.EpochError{Err: fmt.Errorf("unexpected rates: %w", err)},
 	} {
 		if k := classify(wrapped); k != KindOracle {
 			t.Fatalf("classify(%v) = %v, want %v", wrapped, k, KindOracle)
+		}
+	}
+	for _, prefix := range []string{"network", "live"} {
+		stale := &scenario.EpochError{Err: fmt.Errorf("%s: session 3: %w", prefix, control.ErrStaleIncarnation)}
+		if k := classify(stale); k != KindStaleIncarnation {
+			t.Fatalf("classify(%v) = %v, want %v", stale, k, KindStaleIncarnation)
 		}
 	}
 }

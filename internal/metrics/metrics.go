@@ -47,23 +47,10 @@ func (ps *PacketStats) Record(t core.PacketType, at time.Duration) {
 	ps.bins[idx].ByType[t-1]++
 }
 
-// LinkCount is one directed link's packet total. Both transports — the
-// simulator and the live actor runtime — report per-link counters with
-// these field names, so reports can be compared side by side.
+// LinkCount is one directed link's packet total, as the live actor runtime
+// reports it (Runtime.LinkPackets).
 type LinkCount struct {
 	Link    graph.LinkID
-	Packets uint64
-}
-
-// SessionCount is one session incarnation's packet total (packets sent
-// across physical links on its behalf). Both transports report per-session
-// counters with these field names (the live runtime keeps them per actor
-// stripe and merges them on demand, like its link counters). They are the
-// raw material for profiling migration cost: a reconfiguration's price is
-// the Leave-cascade packets of the retired incarnation plus the Join-cascade
-// packets of its successor.
-type SessionCount struct {
-	Session core.SessionID
 	Packets uint64
 }
 

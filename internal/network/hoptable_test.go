@@ -308,7 +308,7 @@ func TestSteadyStateEmitAllocatesNothing(t *testing.T) {
 	var packets uint64
 	cascade := func() {
 		before := n.Stats().Total()
-		s.src.Change(demands[round%len(demands)])
+		n.ctl.Change(s.ID, demands[round%len(demands)])
 		round++
 		eng.Run()
 		packets += n.Stats().Total() - before

@@ -1,9 +1,10 @@
 // Package network wires everything together for simulation runs: it places
 // the B-Neck tasks (source, destination, one RouterLink per directed link in
 // use) over a topology graph, transports their packets across the discrete
-// event simulator's FIFO wires, schedules session dynamics, detects
-// quiescence, and validates converged rates against the centralized oracle —
-// exactly the methodology of the paper's Section IV.
+// event simulator's FIFO wires, schedules session dynamics and detects
+// quiescence. Validation against the centralized oracle — the methodology of
+// the paper's Section IV — is the control plane's Check, which Validate runs
+// over this transport's rates and link tasks.
 //
 // A Network runs on the serial engine of internal/sim. Every protocol task
 // has a home node — a RouterLink lives on the From side of its link, session
@@ -15,7 +16,6 @@
 package network
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -26,14 +26,7 @@ import (
 	"bneck/internal/policy"
 	"bneck/internal/rate"
 	"bneck/internal/sim"
-	"bneck/internal/waterfill"
 )
-
-// ErrStaleIncarnation reports a departed session lifetime observed active
-// again — the fresh-ID rule was violated and stale in-flight responses of
-// the departed lifetime could be delivered to the new one (the PR 4 bug
-// shape). Validate returns it wrapped; classify with errors.Is.
-var ErrStaleIncarnation = errors.New("network: departed-but-active incarnation (stale rejoin)")
 
 // Config tunes a simulation run.
 type Config struct {
@@ -126,9 +119,6 @@ func (s *Session) SettlingTime() sim.Time {
 // Rate returns the session's last granted rate (valid once ok).
 func (s *Session) Rate() (rate.Rate, bool) { return s.Current().src.Rate() }
 
-// RateTime returns the virtual time of the last API.Rate upcall.
-func (s *Session) RateTime() sim.Time { return s.Current().rateAt }
-
 // Active reports whether the session has joined, not left, and is not
 // stranded.
 func (s *Session) Active() bool { return s.State() == control.Active }
@@ -149,9 +139,9 @@ type Network struct {
 	ctl *control.Controller
 	// links and wires index the per-link records by LinkID (nil until a path
 	// uses the link). They are the creation index — Start resolves hop tables
-	// through them; SetCapacity, Validate and LinkPackets sweep them — and no
-	// packet reads them. Growing them (AddHosts between runs) moves the
-	// pointers, never the records.
+	// through them; SetCapacity and Validate sweep them — and no packet reads
+	// them. Growing them (AddHosts between runs) moves the pointers, never
+	// the records.
 	links []*core.RouterLink
 	wires []*wireRec
 	// sessByID is the session table, densely indexed by ID (IDs are assigned
@@ -165,16 +155,11 @@ type Network struct {
 	// bins of Config.BinSize).
 	stats *metrics.PacketStats
 	// sessPkts counts, densely by session ID, the packets sent across
-	// physical links on each session's behalf (SessionPackets, the
-	// reconfiguration-cost accounting). NewSession grows it.
+	// physical links on each session's behalf (the reconfiguration-cost
+	// accounting). NewSession grows it.
 	sessPkts []uint64
 	// free recycles packet deliveries (see deliverEvent).
 	free []*deliverEvent
-
-	// oracle assembles and solves the waterfill instance of Oracle/Validate
-	// in scratch that survives between calls, so per-epoch validation of a
-	// churning run stops reallocating.
-	oracle waterfill.Assembler[graph.LinkID]
 }
 
 // deliverEvent carries one in-flight packet delivery. Emit runs once per
@@ -224,7 +209,6 @@ func New(g *graph.Graph, eng *sim.Engine, cfg Config) *Network {
 	}
 	n.ctl = control.New(g, (*transport)(n))
 	n.ctl.Policy = cfg.PathPolicy
-	n.oracle.Capacity = func(l graph.LinkID) rate.Rate { return g.Link(l).Capacity }
 	return n
 }
 
@@ -235,9 +219,6 @@ func New(g *graph.Graph, eng *sim.Engine, cfg Config) *Network {
 func (n *Network) HostPath(src, dst graph.NodeID) (graph.Path, error) {
 	return n.ctl.HostPath(src, dst)
 }
-
-// Engine returns the driving simulator.
-func (n *Network) Engine() *sim.Engine { return n.eng }
 
 // globalAt schedules fn as an external event. All session churn and
 // topology dynamics go through here — it is the transport's single
@@ -252,33 +233,6 @@ func (n *Network) globalAt(at sim.Time, fn func()) {
 
 // Stats returns the packet statistics.
 func (n *Network) Stats() *metrics.PacketStats { return n.stats }
-
-// LinkPackets returns per-directed-link packet totals for every link that
-// carried traffic, ordered by link ID — the simulator-side counterpart of
-// the live runtime's report (same field names).
-func (n *Network) LinkPackets() []metrics.LinkCount {
-	var out []metrics.LinkCount
-	for id, w := range n.wires {
-		if w != nil && w.Sent() > 0 {
-			out = append(out, metrics.LinkCount{Link: graph.LinkID(id), Packets: w.Sent()})
-		}
-	}
-	return out
-}
-
-// SessionPackets returns per-session packet totals (packets sent across
-// physical links on the session's behalf) for every session incarnation
-// that carried traffic, in creation order — the live runtime reports the
-// same shape.
-func (n *Network) SessionPackets() []metrics.SessionCount {
-	var out []metrics.SessionCount
-	for _, s := range n.sessByID[1:] {
-		if pk := n.sessPkts[s.ID]; pk > 0 {
-			out = append(out, metrics.SessionCount{Session: s.ID, Packets: pk})
-		}
-	}
-	return out
-}
 
 // ReconfigPackets returns the cumulative control-packet cost of topology
 // reconfigurations: the Leave-cascade packets of every force-departed
@@ -301,10 +255,13 @@ func (n *Network) Sessions() []*Session {
 
 // NewSession creates a session between two hosts along path, without joining
 // it (schedule the join separately). The path must come from the graph
-// (e.g., graph.Resolver.HostPath).
+// (e.g., graph.Resolver.HostPath) and join srcHost to dstHost.
 func (n *Network) NewSession(srcHost, dstHost graph.NodeID, path graph.Path) (*Session, error) {
 	if err := graph.ValidatePath(n.g, path); err != nil {
 		return nil, fmt.Errorf("network: %w", err)
+	}
+	if n.g.Link(path[0]).From != srcHost || n.g.Link(path[len(path)-1]).To != dstHost {
+		return nil, fmt.Errorf("network: path does not join hosts %d and %d", srcHost, dstHost)
 	}
 	s := n.newSession(n.ctl.Register(srcHost, dstHost, path), srcHost, dstHost)
 	s.Path = path
@@ -559,154 +516,45 @@ func (n *Network) txFor(capacity rate.Rate) time.Duration {
 }
 
 // Oracle computes the max-min fair rates of the currently active sessions
-// with Centralized B-Neck. The result maps session IDs to rates. The
-// instance is assembled in (and solved with) reusable scratch buffers, so
-// per-epoch oracle validation of a long churning run allocates only its
-// result.
+// with Centralized B-Neck (the controller's oracle). The result maps session
+// IDs to rates.
 func (n *Network) Oracle() (map[core.SessionID]rate.Rate, error) {
-	rates, err := n.oracleRates()
+	rates, err := n.ctl.Oracle()
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[core.SessionID]rate.Rate, len(rates))
-	k := 0
 	for _, s := range n.sessByID[1:] {
 		if n.ctl.Active(s.ID) {
-			out[s.ID] = rates[k]
-			k++
+			out[s.ID], rates = rates[0], rates[1:]
 		}
 	}
 	return out, nil
 }
 
-// oracleRates is Oracle without the map: one rate per active session, in
-// creation order — what Validate walks.
-func (n *Network) oracleRates() ([]rate.Rate, error) {
-	n.oracle.Reset()
-	for _, s := range n.sessByID[1:] {
-		if n.ctl.Active(s.ID) {
-			n.oracle.Add(s.src.Demand(), s.Path)
-		}
-	}
-	return n.oracle.Solve()
-}
-
-// Validate checks, after quiescence, that every active session holds exactly
-// its max-min fair rate (the paper validates every run this way), and that
-// every link task is stable per Definition 2 with consistent internal state.
-// With Config.OracleCrossCheck the oracle's own rates are checked first.
+// Validate checks, after quiescence, every active session's rate against the
+// oracle and every link task's stability (control.Check). With
+// Config.OracleCrossCheck the oracle's own rates are checked first.
 func (n *Network) Validate() error {
-	oracle, err := n.oracleRates()
+	err := n.ctl.Check(n.rateOf, n.tasks, n.cfg.OracleCrossCheck)
 	if err != nil {
-		return fmt.Errorf("network: oracle failed: %w", err)
-	}
-	if n.cfg.OracleCrossCheck {
-		if err := n.oracle.CrossCheck(oracle); err != nil {
-			return fmt.Errorf("network: %w", err)
-		}
-	}
-	k := 0
-	for _, s := range n.sessByID[1:] {
-		id := s.ID
-		if !n.ctl.Active(id) {
-			continue
-		}
-		// No-stale-incarnation: once a lifetime departs it must never come
-		// back as active — a rejoin mints a successor incarnation instead
-		// (PR 4's stale-rejoin bug is exactly this state).
-		if n.ctl.Departed(id) {
-			return fmt.Errorf("network: session %d: %w", id, ErrStaleIncarnation)
-		}
-		got, ok := s.src.Rate()
-		if !ok {
-			return fmt.Errorf("network: session %d has no rate after quiescence", id)
-		}
-		want := oracle[k]
-		k++
-		if !got.Equal(want) {
-			return fmt.Errorf("network: session %d rate %v, oracle %v", id, got, want)
-		}
-		if !s.src.Converged() {
-			return fmt.Errorf("network: session %d rate not confirmed (no bottleneck received)", id)
-		}
-	}
-	for lid, rl := range n.links {
-		if rl == nil {
-			continue
-		}
-		if err := rl.CheckInvariants(); err != nil {
-			return fmt.Errorf("network: link %d: %w", lid, err)
-		}
-		if !rl.Stable() {
-			return fmt.Errorf("network: link %d unstable after quiescence", lid)
-		}
+		return fmt.Errorf("network: %w", err)
 	}
 	return nil
 }
 
-// EachActiveRate calls fn once per active session, in creation order, with
-// the session's current granted rate (zero if none yet). It is the
-// allocation-free transient-sampling primitive: SnapshotRates materializes
-// its result through it, and samplers at internet scale (10⁵ sessions per
-// tick) iterate directly instead of building a map per sample.
-func (n *Network) EachActiveRate(fn func(id core.SessionID, r rate.Rate)) {
-	for _, s := range n.sessByID[1:] {
-		if !n.ctl.Active(s.ID) {
-			continue
-		}
-		r, ok := s.src.Rate()
-		if !ok {
-			r = rate.Zero
-		}
-		fn(s.ID, r)
-	}
+// rateOf reads incarnation id's granted rate and whether it is confirmed.
+func (n *Network) rateOf(id core.SessionID) (rate.Rate, bool, bool) {
+	src := n.sessByID[id].src
+	r, ok := src.Rate()
+	return r, ok, src.Converged()
 }
 
-// SnapshotRates returns every active session's current granted rate (zero
-// if none yet), for transient measurements (Figure 7). Hot samplers should
-// prefer EachActiveRate, which allocates nothing.
-func (n *Network) SnapshotRates() map[core.SessionID]rate.Rate {
-	out := make(map[core.SessionID]rate.Rate)
-	n.EachActiveRate(func(id core.SessionID, r rate.Rate) { out[id] = r })
-	return out
-}
-
-// AppendLinkLoad sums the granted rates of active sessions over every link,
-// densely indexed by LinkID, into dst (grown as needed, entries reset) and
-// returns it — the allocation-free form of LinkLoad: callers reuse one
-// slice across samples instead of materializing a map per tick.
-func (n *Network) AppendLinkLoad(dst []rate.Rate) []rate.Rate {
-	for len(dst) < n.g.NumLinks() {
-		dst = append(dst, rate.Rate{})
-	}
-	dst = dst[:n.g.NumLinks()]
-	for i := range dst {
-		dst[i] = rate.Rate{}
-	}
-	for _, s := range n.sessByID[1:] {
-		if !n.ctl.Active(s.ID) {
-			continue
-		}
-		r, ok := s.src.Rate()
-		if !ok {
-			continue
-		}
-		for _, l := range s.Path {
-			dst[l] = dst[l].Add(r)
+// tasks walks the link tasks in link order.
+func (n *Network) tasks(yield func(graph.LinkID, control.Task) bool) {
+	for l, rl := range n.links {
+		if rl != nil && !yield(graph.LinkID(l), rl) {
+			return
 		}
 	}
-	return dst
-}
-
-// LinkLoad sums the granted rates of active sessions over every link in
-// use; keys are directed link IDs (Figure 7 right's link-level view).
-func (n *Network) LinkLoad() map[graph.LinkID]rate.Rate {
-	dense := n.AppendLinkLoad(nil)
-	out := make(map[graph.LinkID]rate.Rate)
-	for l, r := range dense {
-		if !r.IsZero() {
-			out[graph.LinkID(l)] = r
-		}
-	}
-	return out
 }

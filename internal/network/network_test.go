@@ -215,26 +215,6 @@ func TestValidateDetectsMissingRate(t *testing.T) {
 	}
 }
 
-func TestSnapshotAndLinkLoad(t *testing.T) {
-	g, ha, hb := buildLine(rate.Mbps(40))
-	eng := sim.New()
-	n := New(g, eng, DefaultConfig())
-	res := graph.NewResolver(g, 8)
-	path, _ := res.HostPath(ha, hb)
-	s, _ := n.NewSession(ha, hb, path)
-	n.ScheduleJoin(s, 0, rate.Inf)
-	n.Run()
-	snap := n.SnapshotRates()
-	if len(snap) != 1 || !snap[s.ID].Equal(rate.Mbps(40)) {
-		t.Fatalf("snapshot = %v", snap)
-	}
-	load := n.LinkLoad()
-	mid := path[1]
-	if !load[mid].Equal(rate.Mbps(40)) {
-		t.Fatalf("link load = %v", load[mid])
-	}
-}
-
 func TestDeterministicRuns(t *testing.T) {
 	run := func() (sim.Time, uint64, map[core.SessionID]rate.Rate) {
 		topo, err := topology.Generate(topology.Small, topology.LAN, 5)
@@ -274,6 +254,39 @@ func TestDeterministicRuns(t *testing.T) {
 	for id, r := range r1 {
 		if !r.Equal(r2[id]) {
 			t.Fatalf("nondeterministic rate for session %d", id)
+		}
+	}
+}
+
+// TestNewSessionRejectsBadInput: a path naming a link the graph does not
+// have, or one that does not join the two hosts given, is an error — not a
+// panic, and not a session whose reroutes would use the wrong hosts — and
+// registers nothing with the controller.
+func TestNewSessionRejectsBadInput(t *testing.T) {
+	g, ha, hb := buildLine(rate.Mbps(40))
+	hc := g.AddHost("hc")
+	g.Connect(hc, 0, rate.Mbps(100), time.Microsecond)
+	n := New(g, sim.New(), DefaultConfig())
+	path, err := n.HostPath(ha, hb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unknown := append(append(graph.Path(nil), path[:2]...), graph.LinkID(g.NumLinks()+7))
+	for _, tc := range []struct {
+		name     string
+		src, dst graph.NodeID
+		path     graph.Path
+	}{
+		{"unknown link", ha, hb, unknown},
+		{"negative link", ha, hb, graph.Path{path[0], -3}},
+		{"wrong source host", hc, hb, path},
+		{"wrong destination host", ha, hc, path},
+	} {
+		if s, err := n.NewSession(tc.src, tc.dst, tc.path); err == nil {
+			t.Errorf("%s: NewSession returned session %d, want an error", tc.name, s.ID)
+		}
+		if n.ctl.Len() != 0 {
+			t.Fatalf("%s: the controller holds %d incarnations after a rejected NewSession", tc.name, n.ctl.Len())
 		}
 	}
 }

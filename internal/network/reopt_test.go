@@ -188,8 +188,8 @@ func TestReconfigPacketAccounting(t *testing.T) {
 		t.Fatalf("reconfig packets %d out of bounds (total %d)", reconf, total)
 	}
 	var perSession uint64
-	for _, sc := range net.SessionPackets() {
-		perSession += sc.Packets
+	for _, pk := range net.sessPkts {
+		perSession += pk
 	}
 	if perSession != total {
 		t.Fatalf("per-session packets sum to %d, stats total %d", perSession, total)

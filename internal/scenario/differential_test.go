@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 
@@ -125,9 +124,7 @@ func genDifferentialScript(seed int64) (string, error) {
 // TestSimLiveDifferential runs seeded random scripts through both
 // transports. Each run validates every epoch against the oracle by itself;
 // on top of that the transports must agree on everything that does not
-// depend on timing: after every epoch each session's state, its current
-// path link for link and its quiescent rate, and the cumulative migration
-// and re-optimization counts.
+// depend on timing (agree).
 func TestSimLiveDifferential(t *testing.T) {
 	const scripts = 48
 	for seed := int64(1); seed <= scripts; seed++ {
@@ -147,23 +144,8 @@ func TestSimLiveDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: live: %v\n%s", seed, err, src)
 		}
-		if simRes.Migrations != liveRes.Migrations || simRes.Reoptimizations != liveRes.Reoptimizations {
-			t.Errorf("seed %d: migrations/reoptimizations sim %d/%d, live %d/%d\n%s", seed,
-				simRes.Migrations, simRes.Reoptimizations, liveRes.Migrations, liveRes.Reoptimizations, src)
-		}
-		if len(simRes.Epochs) != len(liveRes.Epochs) {
-			t.Fatalf("seed %d: %d sim epochs, %d live epochs", seed, len(simRes.Epochs), len(liveRes.Epochs))
-		}
-	epochs:
-		for i, se := range simRes.Epochs {
-			for k, ss := range se.sessions {
-				ls := liveRes.Epochs[i].sessions[k]
-				if ss.state != ls.state || !slices.Equal(ss.path, ls.path) || !ss.rate.Equal(ls.rate) {
-					t.Errorf("seed %d: epoch %v: session %s: sim %v on %v at %v, live %v on %v at %v\n%s", seed,
-						se.At, sc.Sessions[k].Name, ss.state, ss.path, ss.rate, ls.state, ls.path, ls.rate, src)
-					break epochs
-				}
-			}
+		if err := agree(sc, simRes, liveRes); err != nil {
+			t.Errorf("seed %d: %v\n%s", seed, err, src)
 		}
 		if liveRes.TotalPackets == 0 {
 			t.Errorf("seed %d: live run counted no packets", seed)

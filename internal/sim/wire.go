@@ -18,7 +18,6 @@ type Wire struct {
 	prop time.Duration
 	tx   time.Duration // per-packet transmission (serialization) time
 	free Time          // when the transmitter next becomes idle
-	sent uint64
 }
 
 // Sched is the scheduling surface a wire needs: the clock of the sending
@@ -55,13 +54,9 @@ func (w *Wire) Send(deliver func()) Time {
 	}
 	w.free = start + w.tx
 	arrival := w.free + w.prop
-	w.sent++
 	w.eng.At(arrival, deliver)
 	return arrival
 }
-
-// Sent returns the number of packets sent on this wire.
-func (w *Wire) Sent() uint64 { return w.sent }
 
 // SetTx changes the per-packet transmission time — a capacity
 // reconfiguration of the underlying link. Packets already serialized keep
