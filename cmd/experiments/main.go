@@ -19,11 +19,11 @@
 // sessions, the paper's exact setting).
 //
 // -workers N fans the sweeps across goroutines at each level: the selected
-// experiments run concurrently, and within them experiment 1's
-// (topology, scenario, session count) cells and experiment 3's protocols
-// fan out again, so nested levels can briefly run more than N simulations
-// at once. Every replication runs on its own engine with its own seeded
-// RNG, so tables and CSVs are byte-identical to -workers 1.
+// experiments run concurrently, and within them the cells of experiments 1,
+// 4 and 5 — (topology, scenario, session count or seed) — and experiment 3's
+// protocols fan out again, so nested levels can briefly run more than N
+// simulations at once. Every replication runs on its own engine with its own
+// seeded RNG, so tables and CSVs are byte-identical to -workers 1.
 package main
 
 import (
@@ -44,7 +44,26 @@ import (
 	"bneck/internal/exp"
 	"bneck/internal/policy"
 	"bneck/internal/topology"
+	"bneck/internal/trace"
 )
+
+// opener creates one CSV file by name.
+type opener = func(name string) (io.WriteCloser, error)
+
+// An experiment is one row of the command's table: run renders its table
+// and returns its CSV writes (nil when it writes none); main times it,
+// prints the table and the wall time rounded to round, and with -csv runs
+// the writes.
+type experiment struct {
+	name  string
+	round time.Duration
+	run   func() (table string, csv func(open opener) error, err error)
+}
+
+// csvFile is the CSV write of an experiment with a single file.
+func csvFile(name string, write func(io.Writer) error) func(opener) error {
+	return func(open opener) error { return exp.WriteFile(open, name, write) }
+}
 
 func main() {
 	log.SetFlags(0)
@@ -56,14 +75,13 @@ func main() {
 		sessions     = flag.Int("sessions", 0, "-exp internet session count (0 = two per router)")
 		scale        = flag.Float64("scale", 1.0, "session-count multiplier toward paper scale")
 		seed         = flag.Int64("seed", 1, "deterministic seed")
-		big          = flag.Bool("big", false, "include the Big (11,000 router) topology in experiment 1")
+		big          = flag.Bool("big", false, "include the Big (11,000 router) topology in experiments 1, 4 and 5")
 		counts       = flag.String("counts", "", "comma-separated session counts for experiment 1 (overrides defaults)")
 		protocols    = flag.String("protocols", "bneck,bfyz", "comma-separated protocols for experiment 3 (bneck,bfyz,cg,rcp)")
 		validate     = flag.Bool("validate", true, "cross-check B-Neck runs against the centralized oracle")
 		quiet        = flag.Bool("q", false, "suppress progress lines")
 		csvDir       = flag.String("csv", "", "also write figure data as CSV files into this directory")
 		workers      = flag.Int("workers", 1, "parallel sweep workers per fan-out level (1 = serial, negative = GOMAXPROCS); output is identical at any setting")
-		exp4Paper    = flag.Bool("exp4-paper", false, "run experiment 4 at paper size (Medium+Big topologies, WAN failure sweep); combine with -workers")
 		pathPolicy   = flag.String("path-policy", "pinned", "path re-optimization policy for experiment 4: pinned (historical behavior) or reoptimize (restores migrate sessions back onto shorter paths); experiment 5 always sweeps both")
 		reoptStretch = flag.Float64("reopt-stretch", 0, "re-optimization stretch hysteresis for experiments 4 and 5 (≤ 1 = any strict improvement)")
 		reoptMinGain = flag.Int("reopt-min-gain", 0, "re-optimization minimum hop gain for experiments 4 and 5 (≤ 1 = any strict improvement)")
@@ -106,23 +124,23 @@ func main() {
 	}
 	polCfg := policy.Config{Kind: polKind, Stretch: *reoptStretch, MinGain: *reoptMinGain}
 
-	runs := map[string]bool{}
-	switch *which {
-	case "all":
-		runs["1"], runs["2"], runs["3"], runs["4"], runs["5"] = true, true, true, true, true
-	case "1", "2", "3", "4", "5", "internet":
-		runs[*which] = true
-	default:
-		log.Fatalf("unknown -exp %q", *which)
+	var exp1Counts []int
+	if *counts != "" {
+		for _, c := range strings.Split(*counts, ",") {
+			n, err := strconv.Atoi(strings.TrimSpace(c))
+			if err != nil {
+				log.Fatalf("bad -counts: %v", err)
+			}
+			exp1Counts = append(exp1Counts, n)
+		}
 	}
+	internet := map[string]topology.InternetParams{
+		"paper": topology.InternetPaper, "metro": topology.InternetMetro, "global": topology.InternetGlobal,
+	}
+	scaled := func(n int) int { return int(float64(n) * *scale) }
 
-	// Each experiment is one job writing its tables to its own buffer; jobs
-	// run under the shared worker budget and the buffers print in experiment
-	// order, so stdout is the same bytes regardless of -workers.
-	var jobs []func(out io.Writer) error
-
-	if runs["1"] {
-		jobs = append(jobs, func(out io.Writer) error {
+	table := []experiment{
+		{"1", time.Second, func() (string, func(opener) error, error) {
 			cfg := exp.DefaultExp1()
 			cfg.Seed = *seed
 			cfg.Validate = *validate
@@ -131,211 +149,138 @@ func main() {
 			if *big {
 				cfg.Sizes = append(cfg.Sizes, topology.Big)
 			}
-			if *counts != "" {
-				cfg.SessionCounts = nil
-				for _, c := range strings.Split(*counts, ",") {
-					n, err := strconv.Atoi(strings.TrimSpace(c))
-					if err != nil {
-						return fmt.Errorf("bad -counts: %v", err)
-					}
-					cfg.SessionCounts = append(cfg.SessionCounts, n)
-				}
-			} else if *scale != 1.0 {
+			if exp1Counts != nil {
+				cfg.SessionCounts = exp1Counts
+			} else {
 				for i := range cfg.SessionCounts {
-					cfg.SessionCounts[i] = int(float64(cfg.SessionCounts[i]) * *scale)
+					cfg.SessionCounts[i] = scaled(cfg.SessionCounts[i])
 				}
 			}
-			start := time.Now()
 			rows, err := exp.RunExperiment1(cfg)
-			if err != nil {
-				return fmt.Errorf("experiment 1: %v", err)
-			}
-			fmt.Fprintln(out, exp.FormatExp1(rows))
-			fmt.Fprintf(out, "(experiment 1 wall time: %v)\n\n", time.Since(start).Round(time.Second))
-			if *csvDir == "" {
-				return nil
-			}
-			f, err := openCSV("fig5.csv")
-			if err != nil {
-				return err
-			}
-			if err := exp.WriteExp1CSV(f, rows); err != nil {
-				f.Close()
-				return err
-			}
-			return f.Close()
-		})
-	}
-
-	if runs["2"] {
-		jobs = append(jobs, func(out io.Writer) error {
+			return exp.FormatExp1(rows) + "\n", csvFile("fig5.csv", func(w io.Writer) error {
+				return exp.WriteExp1CSV(w, rows)
+			}), err
+		}},
+		{"2", time.Second, func() (string, func(opener) error, error) {
 			cfg := exp.DefaultExp2()
 			cfg.Seed = *seed
 			cfg.Validate = *validate
-			cfg.Base = int(float64(cfg.Base) * *scale)
-			cfg.Dyn = int(float64(cfg.Dyn) * *scale)
+			cfg.Base = scaled(cfg.Base)
+			cfg.Dyn = scaled(cfg.Dyn)
 			cfg.Progress = progress
-			start := time.Now()
 			res, err := exp.RunExperiment2(cfg)
 			if err != nil {
-				return fmt.Errorf("experiment 2: %v", err)
+				return "", nil, err
 			}
-			fmt.Fprintln(out, exp.FormatExp2(res))
-			fmt.Fprintf(out, "(experiment 2 wall time: %v)\n\n", time.Since(start).Round(time.Second))
-			if *csvDir == "" {
-				return nil
-			}
-			f, err := openCSV("fig6.csv")
-			if err != nil {
-				return err
-			}
-			if err := exp.WriteExp2CSV(f, res); err != nil {
-				f.Close()
-				return err
-			}
-			return f.Close()
-		})
-	}
-
-	if runs["3"] {
-		jobs = append(jobs, func(out io.Writer) error {
+			return exp.FormatExp2(res) + "\n", csvFile("fig6.csv", func(w io.Writer) error {
+				return exp.WriteExp2CSV(w, res)
+			}), nil
+		}},
+		{"3", time.Second, func() (string, func(opener) error, error) {
 			cfg := exp.DefaultExp3()
 			cfg.Seed = *seed
-			cfg.Sessions = int(float64(cfg.Sessions) * *scale)
-			cfg.Leavers = int(float64(cfg.Leavers) * *scale)
+			cfg.Sessions = scaled(cfg.Sessions)
+			cfg.Leavers = scaled(cfg.Leavers)
 			cfg.Protocols = strings.Split(*protocols, ",")
 			cfg.Progress = progress
 			cfg.Workers = *workers
-			start := time.Now()
 			res, err := exp.RunExperiment3(cfg)
 			if err != nil {
-				return fmt.Errorf("experiment 3: %v", err)
+				return "", nil, err
 			}
-			fmt.Fprintln(out, exp.FormatExp3(res))
-			fmt.Fprintf(out, "(experiment 3 wall time: %v)\n", time.Since(start).Round(time.Second))
-			if *csvDir == "" {
-				return nil
-			}
-			return exp.WriteAllCSV(res, openCSV)
-		})
-	}
-
-	if runs["4"] {
-		jobs = append(jobs, func(out io.Writer) error {
+			return exp.FormatExp3(res) + "\n", func(open opener) error { return exp.WriteAllCSV(res, open) }, nil
+		}},
+		{"4", time.Second, func() (string, func(opener) error, error) {
 			cfg := exp.DefaultExp4()
-			if *exp4Paper {
-				cfg = exp.PaperExp4()
-			} else if *big {
+			if *big {
 				cfg.Sizes = append(cfg.Sizes, topology.Big)
 			}
 			cfg.Seeds = []int64{*seed, *seed + 1, *seed + 2}
 			cfg.Validate = *validate
-			cfg.Sessions = int(float64(cfg.Sessions) * *scale)
-			cfg.Churn = int(float64(cfg.Churn) * *scale)
+			cfg.Sessions = scaled(cfg.Sessions)
+			cfg.Churn = scaled(cfg.Churn)
 			cfg.Progress = progress
 			cfg.Workers = *workers
 			cfg.Policy = polCfg
-			start := time.Now()
 			rows, err := exp.RunExperiment4(cfg)
-			if err != nil {
-				return fmt.Errorf("experiment 4: %v", err)
-			}
-			fmt.Fprintln(out, exp.FormatExp4(rows))
-			fmt.Fprintf(out, "(experiment 4 wall time: %v)\n\n", time.Since(start).Round(time.Second))
-			if *csvDir == "" {
-				return nil
-			}
-			f, err := openCSV("exp4_reconfig.csv")
-			if err != nil {
-				return err
-			}
-			if err := exp.WriteExp4CSV(f, rows); err != nil {
-				f.Close()
-				return err
-			}
-			return f.Close()
-		})
-	}
-
-	if runs["5"] {
-		jobs = append(jobs, func(out io.Writer) error {
+			return exp.FormatExp4(rows) + "\n", csvFile("exp4_reconfig.csv", func(w io.Writer) error {
+				return exp.WriteExp4CSV(w, rows)
+			}), err
+		}},
+		{"5", time.Second, func() (string, func(opener) error, error) {
 			cfg := exp.DefaultExp5()
 			if *big {
 				cfg.Sizes = append(cfg.Sizes, topology.Big)
 			}
 			cfg.Seeds = []int64{*seed, *seed + 1}
 			cfg.Validate = *validate
-			cfg.Sessions = int(float64(cfg.Sessions) * *scale)
+			cfg.Sessions = scaled(cfg.Sessions)
 			cfg.Stretch = *reoptStretch
 			cfg.MinGain = *reoptMinGain
 			cfg.Progress = progress
 			cfg.Workers = *workers
-			start := time.Now()
 			rows, err := exp.RunExperiment5(cfg)
-			if err != nil {
-				return fmt.Errorf("experiment 5: %v", err)
-			}
-			fmt.Fprintln(out, exp.FormatExp5(rows))
-			fmt.Fprintf(out, "(experiment 5 wall time: %v)\n\n", time.Since(start).Round(time.Second))
-			if *csvDir == "" {
-				return nil
-			}
-			f, err := openCSV("exp5_reopt.csv")
-			if err != nil {
-				return err
-			}
-			if err := exp.WriteExp5CSV(f, rows); err != nil {
-				f.Close()
-				return err
-			}
-			return f.Close()
-		})
-	}
-
-	if runs["internet"] {
-		jobs = append(jobs, func(out io.Writer) error {
-			var params topology.InternetParams
-			switch *internetSize {
-			case "paper":
-				params = topology.InternetPaper
-			case "metro":
-				params = topology.InternetMetro
-			case "global":
-				params = topology.InternetGlobal
-			default:
-				return fmt.Errorf("unknown -internet-size %q (paper, metro, global)", *internetSize)
+			return exp.FormatExp5(rows) + "\n", csvFile("exp5_reopt.csv", func(w io.Writer) error {
+				return exp.WriteExp5CSV(w, rows)
+			}), err
+		}},
+		{"internet", time.Millisecond, func() (string, func(opener) error, error) {
+			params, ok := internet[*internetSize]
+			if !ok {
+				return "", nil, fmt.Errorf("unknown -internet-size %q (paper, metro, global)", *internetSize)
 			}
 			count := *sessions
 			if count <= 0 {
 				count = 2 * params.Routers()
 			}
-			cfg := exp.InternetConfig{
-				Params:   params,
-				Sessions: count,
-				Seed:     *seed,
-				Validate: *validate,
-			}
-			start := time.Now()
-			res, err := exp.RunInternet(cfg)
+			topo, err := topology.GenerateInternet(params, *seed)
 			if err != nil {
-				return fmt.Errorf("experiment internet: %v", err)
+				return "", nil, err
 			}
-			fmt.Fprintf(out, "Internet-scale join burst — %s (%d routers, %d directed links)\n",
-				params.Name, res.Routers, res.Links)
-			fmt.Fprintf(out, "  sessions   : %d joined within 1ms\n", res.Sessions)
-			fmt.Fprintf(out, "  quiescence : %v after %d packets, %d events\n",
-				time.Duration(res.Quiescence), res.Packets, res.Events)
+			row, err := exp.JoinBurst(topo, count, *seed, time.Millisecond, trace.MixedDemands(0.25, 1, 100), *validate)
+			if err != nil {
+				return "", nil, err
+			}
+			var b strings.Builder
+			fmt.Fprintf(&b, "Internet-scale join burst — %s (%d routers, %d directed links)\n",
+				params.Name, params.Routers(), topo.Graph.NumLinks())
+			fmt.Fprintf(&b, "  sessions   : %d joined within 1ms\n", count)
+			fmt.Fprintf(&b, "  quiescence : %v after %d packets, %d events\n", row.Quiescence, row.Packets, row.Events)
 			if *validate {
-				fmt.Fprintln(out, "  validation : rates equal the centralized max-min fair rates ✓")
+				b.WriteString("  validation : rates equal the centralized max-min fair rates ✓\n")
 			}
-			fmt.Fprintf(out, "(experiment internet wall time: %v)\n\n", time.Since(start).Round(time.Millisecond))
-			return nil
-		})
+			return b.String(), nil, nil
+		}},
+	}
+	var runs []experiment
+	for _, e := range table {
+		if e.name == *which || (*which == "all" && e.name != "internet") {
+			runs = append(runs, e)
+		}
+	}
+	if len(runs) == 0 {
+		log.Fatalf("unknown -exp %q", *which)
 	}
 
-	outs := make([]bytes.Buffer, len(jobs))
-	err := exp.RunParallel(len(jobs), *workers, func(i int) error {
-		return jobs[i](&outs[i])
+	// Each experiment is one job writing its table to its own buffer; jobs
+	// run under the shared worker budget and the buffers print in table
+	// order, so stdout is the same bytes regardless of -workers.
+	outs := make([]bytes.Buffer, len(runs))
+	err := exp.RunParallel(len(runs), *workers, func(i int) error {
+		e := runs[i]
+		start := time.Now()
+		text, writeCSV, err := e.run()
+		if err != nil {
+			return fmt.Errorf("experiment %s: %v", e.name, err)
+		}
+		fmt.Fprintf(&outs[i], "%s(experiment %s wall time: %v)\n", text, e.name, time.Since(start).Round(e.round))
+		if e.name != "3" { // experiment 3 has always ended without a blank line
+			outs[i].WriteString("\n")
+		}
+		if *csvDir == "" || writeCSV == nil {
+			return nil
+		}
+		return writeCSV(openCSV)
 	})
 	for i := range outs {
 		os.Stdout.Write(outs[i].Bytes())

@@ -5,29 +5,19 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"time"
 
 	"bneck/internal/core"
 	"bneck/internal/metrics"
 )
 
-// WriteExp1CSV emits Experiment 1 rows as CSV (one row per Figure 5 point).
-func WriteExp1CSV(w io.Writer, rows []Exp1Row) error {
+// writeCSV writes the header and then record(0), …, record(n-1) as CSV.
+func writeCSV(w io.Writer, header []string, n int, record func(i int) []string) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"network", "scenario", "sessions", "quiescence_us", "packets", "packets_per_session",
-	}); err != nil {
+	if err := cw.Write(header); err != nil {
 		return err
 	}
-	for _, r := range rows {
-		rec := []string{
-			r.Network, r.Scenario,
-			strconv.Itoa(r.Sessions),
-			strconv.FormatInt(r.Quiescence.Microseconds(), 10),
-			strconv.FormatUint(r.Packets, 10),
-			strconv.FormatFloat(r.PacketsPerSession, 'f', 2, 64),
-		}
-		if err := cw.Write(rec); err != nil {
+	for i := 0; i < n; i++ {
+		if err := cw.Write(record(i)); err != nil {
 			return err
 		}
 	}
@@ -35,17 +25,45 @@ func WriteExp1CSV(w io.Writer, rows []Exp1Row) error {
 	return cw.Error()
 }
 
+// WriteFile creates name through open (typically a file in an output
+// directory), fills it with write and closes it, closing it on a failed
+// write too.
+func WriteFile(open func(name string) (io.WriteCloser, error), name string, write func(io.Writer) error) error {
+	f, err := open(name)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// WriteExp1CSV emits Experiment 1 rows as CSV (one row per Figure 5 point).
+func WriteExp1CSV(w io.Writer, rows []Exp1Row) error {
+	return writeCSV(w, []string{
+		"network", "scenario", "sessions", "quiescence_us", "packets", "packets_per_session",
+	}, len(rows), func(i int) []string {
+		r := rows[i]
+		return []string{
+			r.Network, r.Scenario,
+			strconv.Itoa(r.Sessions),
+			strconv.FormatInt(r.Quiescence.Microseconds(), 10),
+			strconv.FormatUint(r.Packets, 10),
+			strconv.FormatFloat(r.PacketsPerSession, 'f', 2, 64),
+		}
+	})
+}
+
 // WriteExp2CSV emits Experiment 2's per-bin packet-type counts (Figure 6).
 func WriteExp2CSV(w io.Writer, res *Exp2Result) error {
-	cw := csv.NewWriter(w)
 	header := []string{"t_us", "total"}
 	for t := core.PktJoin; t <= core.PktLeave; t++ {
 		header = append(header, t.String())
 	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for _, bin := range res.Bins {
+	return writeCSV(w, header, len(res.Bins), func(i int) []string {
+		bin := res.Bins[i]
 		rec := []string{
 			strconv.FormatInt(bin.Start.Microseconds(), 10),
 			strconv.FormatUint(bin.Total, 10),
@@ -53,26 +71,19 @@ func WriteExp2CSV(w io.Writer, res *Exp2Result) error {
 		for t := core.PktJoin; t <= core.PktLeave; t++ {
 			rec = append(rec, strconv.FormatUint(bin.ByType[t-1], 10))
 		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+		return rec
+	})
 }
 
 // WriteExp4CSV emits Experiment 4 rows: one line per reconfiguration epoch
 // per sweep cell.
 func WriteExp4CSV(w io.Writer, rows []Exp4Row) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
+	return writeCSV(w, []string{
 		"network", "scenario", "seed", "epoch", "events", "joins", "leaves", "changes",
 		"active", "stranded", "migrated", "requiescence_us", "packets",
-	}); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		rec := []string{
+	}, len(rows), func(i int) []string {
+		r := rows[i]
+		return []string{
 			r.Network, r.Scenario,
 			strconv.FormatInt(r.Seed, 10),
 			strconv.Itoa(r.Epoch),
@@ -86,28 +97,20 @@ func WriteExp4CSV(w io.Writer, rows []Exp4Row) error {
 			strconv.FormatInt(r.Requiescence.Microseconds(), 10),
 			strconv.FormatUint(r.Packets, 10),
 		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	})
 }
 
 // WriteExp5CSV emits Experiment 5 rows: one line per phase per policy per
 // sweep cell — the regained-hops/regained-rate vs reconfiguration-packet
 // trade of the path re-optimization policy.
 func WriteExp5CSV(w io.Writer, rows []Exp5Row) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
+	return writeCSV(w, []string{
 		"network", "scenario", "seed", "policy", "phase", "active", "stranded",
 		"migrated", "reoptimized", "hops_active", "hops_best", "excess_hops",
 		"sum_rate_mbps", "requiescence_us", "packets", "reconfig_packets",
-	}); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		rec := []string{
+	}, len(rows), func(i int) []string {
+		r := rows[i]
+		return []string{
 			r.Network, r.Scenario,
 			strconv.FormatInt(r.Seed, 10),
 			r.Policy, r.Phase,
@@ -123,25 +126,17 @@ func WriteExp5CSV(w io.Writer, rows []Exp5Row) error {
 			strconv.FormatUint(r.Packets, 10),
 			strconv.FormatUint(r.ReconfigPackets, 10),
 		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	})
 }
 
 // WriteExp3ErrorCSV emits one protocol's Figure 7 error series (sources or
 // links).
 func WriteExp3ErrorCSV(w io.Writer, s metrics.Series, protocol string) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
+	return writeCSV(w, []string{
 		"protocol", "t_us", "n", "mean_pct", "median_pct", "p10_pct", "p90_pct",
-	}); err != nil {
-		return err
-	}
-	for _, p := range s.Points {
-		rec := []string{
+	}, len(s.Points), func(i int) []string {
+		p := s.Points[i]
+		return []string{
 			protocol,
 			strconv.FormatInt(p.At.Microseconds(), 10),
 			strconv.Itoa(p.Summary.N),
@@ -150,86 +145,42 @@ func WriteExp3ErrorCSV(w io.Writer, s metrics.Series, protocol string) error {
 			strconv.FormatFloat(p.Summary.P10, 'f', 4, 64),
 			strconv.FormatFloat(p.Summary.P90, 'f', 4, 64),
 		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	})
 }
 
 // WriteExp3PacketsCSV emits the Figure 8 packets-per-interval series for all
 // protocols in res, aligned on bin start times.
 func WriteExp3PacketsCSV(w io.Writer, res *Exp3Result) error {
-	cw := csv.NewWriter(w)
 	header := []string{"t_us"}
-	maxBins := 0
 	for _, s := range res.Series {
 		header = append(header, s.Protocol)
-		if len(s.Bins) > maxBins {
-			maxBins = len(s.Bins)
-		}
 	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for i := 0; i < maxBins; i++ {
-		var start time.Duration
-		rec := make([]string, 0, len(res.Series)+1)
-		counts := make([]uint64, len(res.Series))
-		for j, s := range res.Series {
-			if i < len(s.Bins) {
-				start = s.Bins[i].Start
-				counts[j] = s.Bins[i].Total
-			}
-		}
-		rec = append(rec, strconv.FormatInt(start.Microseconds(), 10))
-		for _, c := range counts {
+	starts, counts := fig8Table(res)
+	return writeCSV(w, header, len(starts), func(i int) []string {
+		rec := []string{strconv.FormatInt(starts[i].Microseconds(), 10)}
+		for _, c := range counts[i] {
 			rec = append(rec, strconv.FormatUint(c, 10))
 		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+		return rec
+	})
 }
 
 // WriteAllCSV writes every series of an experiment 3 result into per-figure
-// files under open, a callback creating a writer per name (typically a file
-// in an output directory).
+// files through open (see WriteFile).
 func WriteAllCSV(res *Exp3Result, open func(name string) (io.WriteCloser, error)) error {
 	for _, s := range res.Series {
-		src, err := open(fmt.Sprintf("fig7_sources_%s.csv", s.Protocol))
-		if err != nil {
+		if err := WriteFile(open, fmt.Sprintf("fig7_sources_%s.csv", s.Protocol), func(w io.Writer) error {
+			return WriteExp3ErrorCSV(w, s.SourceErr, s.Protocol)
+		}); err != nil {
 			return err
 		}
-		if err := WriteExp3ErrorCSV(src, s.SourceErr, s.Protocol); err != nil {
-			src.Close()
-			return err
-		}
-		if err := src.Close(); err != nil {
-			return err
-		}
-		lnk, err := open(fmt.Sprintf("fig7_links_%s.csv", s.Protocol))
-		if err != nil {
-			return err
-		}
-		if err := WriteExp3ErrorCSV(lnk, s.LinkErr, s.Protocol); err != nil {
-			lnk.Close()
-			return err
-		}
-		if err := lnk.Close(); err != nil {
+		if err := WriteFile(open, fmt.Sprintf("fig7_links_%s.csv", s.Protocol), func(w io.Writer) error {
+			return WriteExp3ErrorCSV(w, s.LinkErr, s.Protocol)
+		}); err != nil {
 			return err
 		}
 	}
-	pk, err := open("fig8_packets.csv")
-	if err != nil {
-		return err
-	}
-	if err := WriteExp3PacketsCSV(pk, res); err != nil {
-		pk.Close()
-		return err
-	}
-	return pk.Close()
+	return WriteFile(open, "fig8_packets.csv", func(w io.Writer) error {
+		return WriteExp3PacketsCSV(w, res)
+	})
 }

@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -24,9 +25,6 @@ func TestExp1Deterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range rows {
-			rows[i].Wall = 0 // wall time legitimately differs
-		}
 		return rows
 	}
 	a, b := run(), run()
@@ -35,7 +33,7 @@ func TestExp1Deterministic(t *testing.T) {
 	}
 }
 
-// TestExp1ParallelMatchesSerial locks in RunParallel's contract: a parallel
+// TestExp1ParallelMatchesSerial locks in the sweep's contract: a parallel
 // sweep must produce the same rows, the same CSV bytes, and the same
 // progress lines as a serial one.
 func TestExp1ParallelMatchesSerial(t *testing.T) {
@@ -51,9 +49,6 @@ func TestExp1ParallelMatchesSerial(t *testing.T) {
 		rows, err := RunExperiment1(cfg)
 		if err != nil {
 			t.Fatal(err)
-		}
-		for i := range rows {
-			rows[i].Wall = 0
 		}
 		var csv bytes.Buffer
 		if err := WriteExp1CSV(&csv, rows); err != nil {
@@ -137,6 +132,37 @@ func TestRunParallel(t *testing.T) {
 	}
 	if err := RunParallel(0, 4, func(int) error { return errA }); err != nil {
 		t.Fatalf("n=0: %v", err)
+	}
+}
+
+// TestSweepFailure: with a failing middle cell that finishes before the
+// cells ahead of it, a parallel sweep returns the rows of the cells before
+// it, its error under its name, and the progress lines up to it in cell
+// order.
+func TestSweepFailure(t *testing.T) {
+	boom := errors.New("boom")
+	failed := make(chan struct{})
+	var progress bytes.Buffer
+	rows, err := sweep([]int{0, 1, 2, 3, 4, 5, 6, 7}, 4, &progress,
+		func(c int) string { return fmt.Sprintf("cell %d", c) },
+		func(c int) ([]int, string, error) {
+			switch {
+			case c == 2:
+				close(failed)
+				return nil, "", boom
+			case c < 2:
+				<-failed // finish after the failing cell
+			}
+			return []int{c, 10 * c}, fmt.Sprintf("line %d\n", c), nil
+		})
+	if !reflect.DeepEqual(rows, []int{0, 0, 1, 10}) {
+		t.Errorf("rows = %v, want the rows of cells 0 and 1", rows)
+	}
+	if !errors.Is(err, boom) || err.Error() != "cell 2: boom" {
+		t.Errorf("err = %v, want cell 2: boom", err)
+	}
+	if got := progress.String(); got != "line 0\nline 1\n" {
+		t.Errorf("progress = %q, want the lines of cells 0 and 1", got)
 	}
 }
 

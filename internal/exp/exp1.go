@@ -66,7 +66,6 @@ type Exp1Row struct {
 	Packets           uint64
 	PacketsPerSession float64
 	Events            uint64
-	Wall              time.Duration
 	// Settle* are percentiles of the per-session settling time: from a
 	// session's join to its final rate notification. The network-wide
 	// quiescence time is driven by the slowest dependency chain; these show
@@ -83,79 +82,45 @@ func RunExperiment1(cfg Exp1Config) ([]Exp1Row, error) {
 	if cfg.JoinWindow <= 0 {
 		cfg.JoinWindow = time.Millisecond
 	}
-	type cell struct {
-		size  topology.Params
-		scen  topology.Scenario
-		count int
-	}
-	var cells []cell
-	for _, size := range cfg.Sizes {
-		for _, scen := range cfg.Scenarios {
-			for _, count := range cfg.SessionCounts {
-				cells = append(cells, cell{size, scen, count})
-			}
+	for _, count := range cfg.SessionCounts {
+		if count < 0 {
+			return nil, fmt.Errorf("exp1: negative session count %d", count)
 		}
 	}
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = 1
-	}
-	rows := make([]Exp1Row, len(cells))
-	errs := make([]error, len(cells))
-	var progress *progressTracker
-	if cfg.Progress != nil {
-		progress = newProgressTracker(len(cells), func(line string) {
-			fmt.Fprint(cfg.Progress, line)
-		})
-	}
-	_ = RunParallel(len(cells), workers, func(i int) error {
-		c := cells[i]
-		row, err := runExp1Cell(cfg, c.size, c.scen, c.count)
-		if err != nil {
-			errs[i] = fmt.Errorf("exp1 %s/%s/%d: %w", c.size.Name, c.scen, c.count, err)
-			if progress != nil {
-				progress.report(i, "")
+	return sweep(grid(cfg.Sizes, cfg.Scenarios, cfg.SessionCounts), cfg.Workers, cfg.Progress,
+		func(c gridCell[int]) string { return fmt.Sprintf("exp1 %s/%s/%d", c.size.Name, c.scen, c.n) },
+		func(c gridCell[int]) ([]Exp1Row, string, error) {
+			topo, err := topology.Generate(c.size, c.scen, cfg.Seed)
+			if err != nil {
+				return nil, "", err
 			}
-			return errs[i]
-		}
-		rows[i] = row
-		if progress != nil {
-			progress.report(i, fmt.Sprintf(
+			row, err := JoinBurst(topo, c.n, cfg.Seed, cfg.JoinWindow, trace.Unbounded, cfg.Validate)
+			if err != nil {
+				return nil, "", err
+			}
+			row.Network, row.Scenario = c.size.Name, c.scen.String()
+			return []Exp1Row{row}, fmt.Sprintf(
 				"exp1 %-6s %-3s sessions=%-7d quiescence=%-12v packets=%d\n",
-				row.Network, row.Scenario, row.Sessions, row.Quiescence, row.Packets))
-		}
-		return nil
-	})
-	// Match the serial contract: on failure return the rows of the cells
-	// before the first failing one, plus that cell's error.
-	for i, err := range errs {
-		if err != nil {
-			return rows[:i], err
-		}
-	}
-	return rows, nil
+				row.Network, row.Scenario, row.Sessions, row.Quiescence, row.Packets), nil
+		})
 }
 
-func runExp1Cell(cfg Exp1Config, size topology.Params, scen topology.Scenario, count int) (Exp1Row, error) {
-	start := time.Now() //bneck:wallclock Wall is operator-facing throughput info; never written to CSVs, zeroed by the determinism test.
-	topo, err := topology.Generate(size, scen, cfg.Seed)
-	if err != nil {
-		return Exp1Row{}, err
-	}
+// JoinBurst is one join-burst run, Experiment 1's cell and the internet-scale
+// run alike: it places count sessions on topo (PlaceSessions), lands their
+// joins uniformly in [0, window) with demands drawn from demand, runs to
+// quiescence and, if validate, checks the rates against the oracle. The
+// joins draw from their own stream seeded with seed+7. The returned row
+// leaves Network and Scenario to the caller.
+func JoinBurst(topo topology.Hosted, count int, seed int64, window time.Duration, demand trace.DemandFn, validate bool) (Exp1Row, error) {
 	eng := sim.New()
-	net := network.New(topo.Graph, eng, network.DefaultConfig())
-
+	net := network.New(topo.Topology(), eng, network.DefaultConfig())
 	sessions, err := PlaceSessions(topo, net, count)
 	if err != nil {
 		return Exp1Row{}, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 7))
-	for i, ev := range trace.Joins(0, count, 0, cfg.JoinWindow, trace.Unbounded, rng) {
-		_ = i
-		net.ScheduleJoin(sessions[ev.Session], ev.At, ev.Demand)
-	}
+	schedule(net, sessions, trace.Joins(0, count, 0, window, demand, rand.New(rand.NewSource(seed+7))))
 	q := net.Run()
-	if cfg.Validate {
+	if validate {
 		if err := net.Validate(); err != nil {
 			return Exp1Row{}, err
 		}
@@ -166,60 +131,86 @@ func runExp1Cell(cfg Exp1Config, size topology.Params, scen topology.Scenario, c
 	}
 	sum := metrics.Summarize(settle)
 	return Exp1Row{
-		Network:           size.Name,
-		Scenario:          scen.String(),
 		Sessions:          count,
 		Quiescence:        q,
 		Packets:           net.Stats().Total(),
 		PacketsPerSession: float64(net.Stats().Total()) / float64(count),
 		Events:            eng.Events(),
-		Wall:              time.Since(start), //bneck:wallclock see start above: reporting only, excluded from deterministic outputs.
 		SettleP50:         time.Duration(sum.Median),
 		SettleP90:         time.Duration(sum.P90),
 		SettleMax:         time.Duration(sum.Max),
 	}, nil
 }
 
-// PlaceSessions attaches 2·count hosts to the topology, dedicates one source
-// host per session (the paper's one-session-per-source-host rule), draws
-// destinations uniformly at random, and registers the sessions with the
-// network. Paths come from the network's own resolver (Network.HostPath).
-// Any generated topology works: transit-stub and internet-scale topologies
-// both satisfy topology.Hosted.
-func PlaceSessions(topo topology.Hosted, net *network.Network, count int) ([]*network.Session, error) {
+// schedule hands the events to the network list by list, in order.
+func schedule(net *network.Network, sessions []*network.Session, events ...[]trace.Event) {
+	for _, evs := range events {
+		for _, ev := range evs {
+			s := sessions[ev.Session]
+			switch ev.Kind {
+			case trace.Join:
+				net.ScheduleJoin(s, ev.At, ev.Demand)
+			case trace.Leave:
+				net.ScheduleLeave(s, ev.At)
+			case trace.Change:
+				net.ScheduleChange(s, ev.At, ev.Demand)
+			}
+		}
+	}
+}
+
+// drawPairs attaches 2·count hosts to the topology and draws one (source,
+// destination) host pair per session: session i's source is the i-th new
+// host (the paper's one-session-per-source-host rule), its destination a
+// uniformly drawn other host.
+func drawPairs(topo topology.Hosted, count int) ([][2]graph.NodeID, error) {
+	if count < 0 {
+		return nil, fmt.Errorf("exp: negative session count %d", count)
+	}
 	hosts := topo.AddHosts(2 * count)
 	rng := topo.Rand()
-	type pair struct {
-		idx      int
-		src, dst graph.NodeID
-	}
-	pairs := make([]pair, count)
-	for i := 0; i < count; i++ {
+	pairs := make([][2]graph.NodeID, count)
+	for i := range pairs {
 		src := hosts[i]
 		dst := hosts[rng.Intn(len(hosts))]
 		for dst == src {
 			dst = hosts[rng.Intn(len(hosts))]
 		}
-		pairs[i] = pair{idx: i, src: src, dst: dst}
+		pairs[i] = [2]graph.NodeID{src, dst}
+	}
+	return pairs, nil
+}
+
+// PlaceSessions draws the sessions' host pairs (drawPairs) and registers the
+// sessions with the network. Paths come from the network's own resolver
+// (Network.HostPath). Any generated topology works: transit-stub and
+// internet-scale topologies both satisfy topology.Hosted.
+func PlaceSessions(topo topology.Hosted, net *network.Network, count int) ([]*network.Session, error) {
+	pairs, err := drawPairs(topo, count)
+	if err != nil {
+		return nil, err
 	}
 	// Sessions are registered grouped by source router (stably), so their
 	// IDs follow this order, and so does every CSV an experiment writes.
 	g := topo.Topology()
-	sorted := append([]pair(nil), pairs...)
-	sort.SliceStable(sorted, func(a, b int) bool {
-		return g.HostRouter(sorted[a].src) < g.HostRouter(sorted[b].src)
+	order := make([]int, count)
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return g.HostRouter(pairs[order[a]][0]) < g.HostRouter(pairs[order[b]][0])
 	})
 	sessions := make([]*network.Session, count)
-	for _, p := range sorted {
-		path, err := net.HostPath(p.src, p.dst)
+	for _, i := range order {
+		path, err := net.HostPath(pairs[i][0], pairs[i][1])
 		if err != nil {
 			return nil, err
 		}
-		s, err := net.NewSession(p.src, p.dst, path)
+		s, err := net.NewSession(pairs[i][0], pairs[i][1], path)
 		if err != nil {
 			return nil, err
 		}
-		sessions[p.idx] = s
+		sessions[i] = s
 	}
 	return sessions, nil
 }

@@ -105,17 +105,7 @@ func RunExperiment2(cfg Exp2Config) (*Exp2Result, error) {
 	lastPackets := uint64(0)
 
 	runPhase := func(name string, start time.Duration, events []trace.Event) error {
-		for _, ev := range events {
-			s := sessions[ev.Session]
-			switch ev.Kind {
-			case trace.Join:
-				net.ScheduleJoin(s, ev.At, ev.Demand)
-			case trace.Leave:
-				net.ScheduleLeave(s, ev.At)
-			case trace.Change:
-				net.ScheduleChange(s, ev.At, ev.Demand)
-			}
-		}
+		schedule(net, sessions, events)
 		q := net.Run()
 		if cfg.Validate {
 			if err := net.Validate(); err != nil {

@@ -119,29 +119,32 @@ type exp3Oracle struct {
 	crossers map[graph.LinkID][]int
 }
 
+// exp3Baselines are the non-quiescent protocols Experiment 3 compares
+// B-Neck ("bneck") against.
+var exp3Baselines = map[string]baseline.Protocol{
+	"bfyz": baseline.BFYZ{}, "cg": baseline.CG{}, "rcp": baseline.RCP{},
+}
+
 // RunExperiment3 runs every requested protocol on the shared workload.
 // Protocols run across cfg.Workers goroutines; the series order and content
 // are identical to a serial run.
 func RunExperiment3(cfg Exp3Config) (*Exp3Result, error) {
 	// Reject typos before simulating anything: at paper scale a single
-	// protocol run costs minutes, and RunParallel runs every job to
-	// completion regardless of other jobs' failures.
+	// protocol run costs minutes, and a sweep runs every cell to completion
+	// regardless of other cells' failures.
 	for _, p := range cfg.Protocols {
-		switch p {
-		case "bneck", "bfyz", "cg", "rcp":
-		default:
+		if _, ok := exp3Baselines[p]; !ok && p != "bneck" {
 			return nil, fmt.Errorf("exp3: unknown protocol %q", p)
 		}
+	}
+	if cfg.Sessions < 1 {
+		return nil, fmt.Errorf("exp3: need at least one session")
 	}
 	w, err := buildExp3Workload(cfg)
 	if err != nil {
 		return nil, err
 	}
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = 1
-	}
-	if workers != 1 {
+	if cfg.Workers != 0 && cfg.Workers != 1 {
 		// Warm the burst-phase oracle cache up front so concurrent protocol
 		// runs only read the workload (the mutex in oracleAt is a backstop).
 		for t := cfg.SampleEvery; t <= cfg.Horizon && t < w.window; t += cfg.SampleEvery {
@@ -150,59 +153,27 @@ func RunExperiment3(cfg Exp3Config) (*Exp3Result, error) {
 			}
 		}
 	}
-	series := make([]*Exp3Series, len(cfg.Protocols))
-	errs := make([]error, len(cfg.Protocols))
-	var progress *progressTracker
-	if cfg.Progress != nil {
-		progress = newProgressTracker(len(cfg.Protocols), func(line string) {
-			fmt.Fprint(cfg.Progress, line)
-		})
-	}
-	_ = RunParallel(len(cfg.Protocols), workers, func(i int) error {
-		p := cfg.Protocols[i]
-		var s *Exp3Series
-		var err error
-		switch p {
-		case "bneck":
-			s, err = runExp3BNeck(cfg, w)
-		case "bfyz":
-			s, err = runExp3Baseline(cfg, w, baseline.BFYZ{})
-		case "cg":
-			s, err = runExp3Baseline(cfg, w, baseline.CG{})
-		case "rcp":
-			s, err = runExp3Baseline(cfg, w, baseline.RCP{})
-		default:
-			errs[i] = fmt.Errorf("exp3: unknown protocol %q", p)
-			if progress != nil {
-				progress.report(i, "")
+	series, err := sweep(cfg.Protocols, cfg.Workers, cfg.Progress,
+		func(p string) string { return "exp3 " + p },
+		func(p string) ([]Exp3Series, string, error) {
+			var s *Exp3Series
+			var err error
+			if p == "bneck" {
+				s, err = runExp3BNeck(cfg, w)
+			} else {
+				s, err = runExp3Baseline(cfg, w, exp3Baselines[p])
 			}
-			return errs[i]
-		}
-		if err != nil {
-			errs[i] = fmt.Errorf("exp3 %s: %w", p, err)
-			if progress != nil {
-				progress.report(i, "")
+			if err != nil {
+				return nil, "", err
 			}
-			return errs[i]
-		}
-		series[i] = s
-		if progress != nil {
-			progress.report(i, fmt.Sprintf(
+			return []Exp3Series{*s}, fmt.Sprintf(
 				"exp3 %-6s packets=%-10d converged=%-10v quiescent=%t\n",
-				s.Protocol, s.Packets, s.ConvergedAt, s.Quiescent))
-		}
-		return nil
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+				s.Protocol, s.Packets, s.ConvergedAt, s.Quiescent), nil
+		})
+	if err != nil {
+		return nil, err
 	}
-	res := &Exp3Result{}
-	for _, s := range series {
-		res.Series = append(res.Series, *s)
-	}
-	return res, nil
+	return &Exp3Result{Series: series}, nil
 }
 
 // buildExp3Workload creates the topology, sessions and schedules, and
@@ -216,25 +187,16 @@ func buildExp3Workload(cfg Exp3Config) (*exp3Workload, error) {
 	w := &exp3Workload{topo: topo}
 	w.asm.Capacity = func(l graph.LinkID) rate.Rate { return topo.Graph.Link(l).Capacity }
 
-	// Place sessions directly (not via PlaceSessions: we need raw paths to
-	// reuse across protocols).
-	hosts := topo.AddHosts(2 * cfg.Sessions)
-	rng := topo.Rand()
-	g := topo.Graph
-	res := graph.NewResolver(g, 256)
-	type pair struct{ src, dst graph.NodeID }
-	pairs := make([]pair, cfg.Sessions)
-	for i := range pairs {
-		src := hosts[i]
-		dst := hosts[rng.Intn(len(hosts))]
-		for dst == src {
-			dst = hosts[rng.Intn(len(hosts))]
-		}
-		pairs[i] = pair{src, dst}
+	// Draw the pairs but resolve raw paths (not PlaceSessions: there is no
+	// network here, and every protocol reuses the paths).
+	pairs, err := drawPairs(topo, cfg.Sessions)
+	if err != nil {
+		return nil, err
 	}
+	res := graph.NewResolver(topo.Graph, 256)
 	w.paths = make([]graph.Path, cfg.Sessions)
 	for i := range pairs {
-		p, err := res.HostPath(pairs[i].src, pairs[i].dst)
+		p, err := res.HostPath(pairs[i][0], pairs[i][1])
 		if err != nil {
 			return nil, err
 		}
@@ -243,9 +205,9 @@ func buildExp3Workload(cfg Exp3Config) (*exp3Workload, error) {
 
 	schedRng := rand.New(rand.NewSource(cfg.Seed + 17))
 	w.joins = trace.Joins(0, cfg.Sessions, 0, cfg.Window, trace.Unbounded, schedRng)
-	joinAt := make(map[int]time.Duration, cfg.Sessions)
+	w.joinAt = make([]time.Duration, cfg.Sessions)
 	for _, ev := range w.joins {
-		joinAt[ev.Session] = ev.At
+		w.joinAt[ev.Session] = ev.At
 	}
 	all := make([]int, cfg.Sessions)
 	for i := range all {
@@ -253,35 +215,26 @@ func buildExp3Workload(cfg Exp3Config) (*exp3Workload, error) {
 	}
 	leavers := trace.Sample(all, cfg.Leavers, schedRng)
 	// A leaver departs inside the window but strictly after its own join
-	// (the paper's sessions leave during the same first 5 ms they joined in).
+	// (the paper's sessions leave during the same first 5 ms they joined in),
+	// so its leaveAt is positive.
+	w.leaveAt = make([]time.Duration, cfg.Sessions)
 	w.leaves = make([]trace.Event, 0, len(leavers))
 	for _, l := range leavers {
-		after := joinAt[l] + time.Microsecond
+		after := w.joinAt[l] + time.Microsecond
 		span := cfg.Window - after
 		at := after
 		if span > 0 {
 			at += time.Duration(schedRng.Int63n(int64(span)))
 		}
+		w.leaveAt[l] = at
 		w.leaves = append(w.leaves, trace.Event{At: at, Kind: trace.Leave, Session: l})
 	}
-	isLeaver := make(map[int]bool, len(leavers))
-	for _, l := range leavers {
-		isLeaver[l] = true
-	}
-	for i := 0; i < cfg.Sessions; i++ {
-		if !isLeaver[i] {
+	for i, at := range w.leaveAt {
+		if at == 0 {
 			w.stays = append(w.stays, i)
 		}
 	}
 	w.window = cfg.Window
-	w.joinAt = make([]time.Duration, cfg.Sessions)
-	w.leaveAt = make([]time.Duration, cfg.Sessions)
-	for _, ev := range w.joins {
-		w.joinAt[ev.Session] = ev.At
-	}
-	for _, ev := range w.leaves {
-		w.leaveAt[ev.Session] = ev.At
-	}
 
 	w.oracles = make(map[time.Duration]*exp3Oracle)
 	final, err := w.solveOracle(w.stays)
@@ -411,33 +364,18 @@ func runExp3BNeck(cfg Exp3Config, w *exp3Workload) (*Exp3Series, error) {
 		}
 		sessions[i] = s
 	}
-	for _, ev := range w.joins {
-		net.ScheduleJoin(sessions[ev.Session], ev.At, ev.Demand)
-	}
-	for _, ev := range w.leaves {
-		net.ScheduleLeave(sessions[ev.Session], ev.At)
-	}
+	schedule(net, sessions, w.joins, w.leaves)
 
 	series := &Exp3Series{Protocol: "B-Neck"}
-	var sampleErr error
-	scheduleSampling(eng, cfg, func(at sim.Time) {
-		src, link, err := w.sampleErrors(at, func(idx int) (float64, bool) {
-			if r, ok := sessions[idx].Rate(); ok && sessions[idx].Active() {
-				return r.Float64(), true
-			}
-			return 0, false
-		})
-		if err != nil {
-			sampleErr = err
-			return
+	sampleErr := w.sampleInto(series, eng, cfg, func(idx int) (float64, bool) {
+		if r, ok := sessions[idx].Rate(); ok && sessions[idx].Active() {
+			return r.Float64(), true
 		}
-		series.SourceErr.Add(at, src)
-		series.LinkErr.Add(at, link)
+		return 0, false
 	})
-
 	q := net.Run()
-	if sampleErr != nil {
-		return nil, sampleErr
+	if *sampleErr != nil {
+		return nil, *sampleErr
 	}
 	if err := net.Validate(); err != nil {
 		return nil, err
@@ -476,25 +414,15 @@ func runExp3Baseline(cfg Exp3Config, w *exp3Workload, proto baseline.Protocol) (
 	h.StopProbing(cfg.Horizon)
 
 	series := &Exp3Series{Protocol: proto.Name()}
-	var sampleErr error
-	scheduleSampling(eng, cfg, func(at sim.Time) {
-		src, link, err := w.sampleErrors(at, func(idx int) (float64, bool) {
-			if sessions[idx].Active() && sessions[idx].Rate() > 0 {
-				return sessions[idx].Rate(), true
-			}
-			return 0, false
-		})
-		if err != nil {
-			sampleErr = err
-			return
+	sampleErr := w.sampleInto(series, eng, cfg, func(idx int) (float64, bool) {
+		if sessions[idx].Active() && sessions[idx].Rate() > 0 {
+			return sessions[idx].Rate(), true
 		}
-		series.SourceErr.Add(at, src)
-		series.LinkErr.Add(at, link)
+		return 0, false
 	})
-
 	eng.RunUntil(cfg.Horizon)
-	if sampleErr != nil {
-		return nil, sampleErr
+	if *sampleErr != nil {
+		return nil, *sampleErr
 	}
 	series.Bins = h.Stats().Bins()
 	series.Packets = h.Stats().Total()
@@ -502,13 +430,25 @@ func runExp3Baseline(cfg Exp3Config, w *exp3Workload, proto baseline.Protocol) (
 	return series, nil
 }
 
-// scheduleSampling installs daemon sampling events every SampleEvery up to
-// the horizon.
-func scheduleSampling(eng *sim.Engine, cfg Exp3Config, sample func(at sim.Time)) {
+// sampleInto installs daemon sampling events every SampleEvery up to the
+// horizon, each adding the Figure 7 error distributions of the rates
+// assigned reports to series. The returned error is the last sample's
+// failure, if any.
+func (w *exp3Workload) sampleInto(series *Exp3Series, eng *sim.Engine, cfg Exp3Config, assigned func(idx int) (float64, bool)) *error {
+	var sampleErr error
 	for t := cfg.SampleEvery; t <= cfg.Horizon; t += cfg.SampleEvery {
 		at := t
-		eng.DaemonAt(at, func() { sample(at) })
+		eng.DaemonAt(at, func() {
+			src, link, err := w.sampleErrors(at, assigned)
+			if err != nil {
+				sampleErr = err
+				return
+			}
+			series.SourceErr.Add(at, src)
+			series.LinkErr.Add(at, link)
+		})
 	}
+	return &sampleErr
 }
 
 // convergedAt finds the first sample after which the mean absolute source

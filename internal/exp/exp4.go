@@ -68,18 +68,6 @@ func DefaultExp4() Exp4Config {
 	}
 }
 
-// PaperExp4 is the paper-sized configuration: the Medium and Big
-// transit-stub topologies under the WAN failure sweep; Workers spreads its
-// cells across cores.
-func PaperExp4() Exp4Config {
-	cfg := DefaultExp4()
-	cfg.Sizes = []topology.Params{topology.Medium, topology.Big}
-	cfg.Scenarios = []topology.Scenario{topology.WAN}
-	cfg.Sessions = 2000
-	cfg.Churn = 100
-	return cfg
-}
-
 // Exp4Row is one reconfiguration epoch of one sweep cell. Epoch 0 is the
 // base join burst; later epochs carry the topology events.
 type Exp4Row struct {
@@ -121,66 +109,20 @@ func RunExperiment4(cfg Exp4Config) ([]Exp4Row, error) {
 	if cfg.Sessions < 2*cfg.Churn {
 		return nil, fmt.Errorf("exp4: base sessions %d < 2×churn %d", cfg.Sessions, cfg.Churn)
 	}
-	type cell struct {
-		size topology.Params
-		scen topology.Scenario
-		seed int64
-	}
-	var cells []cell
-	for _, size := range cfg.Sizes {
-		for _, scen := range cfg.Scenarios {
-			for _, seed := range cfg.Seeds {
-				cells = append(cells, cell{size, scen, seed})
+	return sweep(grid(cfg.Sizes, cfg.Scenarios, cfg.Seeds), cfg.Workers, cfg.Progress,
+		func(c gridCell[int64]) string { return fmt.Sprintf("exp4 %s/%s/seed%d", c.size.Name, c.scen, c.n) },
+		func(c gridCell[int64]) ([]Exp4Row, string, error) {
+			rows, err := runExp4Cell(cfg, c.size, c.scen, c.n)
+			if err != nil {
+				return nil, "", err
 			}
-		}
-	}
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = 1
-	}
-	perCell := make([][]Exp4Row, len(cells))
-	errs := make([]error, len(cells))
-	var progress *progressTracker
-	if cfg.Progress != nil {
-		progress = newProgressTracker(len(cells), func(line string) {
-			fmt.Fprint(cfg.Progress, line)
-		})
-	}
-	_ = RunParallel(len(cells), workers, func(i int) error {
-		c := cells[i]
-		rows, err := runExp4Cell(cfg, c.size, c.scen, c.seed)
-		if err != nil {
-			errs[i] = fmt.Errorf("exp4 %s/%s/seed%d: %w", c.size.Name, c.scen, c.seed, err)
-			if progress != nil {
-				progress.report(i, "")
-			}
-			return errs[i]
-		}
-		perCell[i] = rows
-		if progress != nil {
 			var pk uint64
 			for _, r := range rows {
 				pk += r.Packets
 			}
-			progress.report(i, fmt.Sprintf(
-				"exp4 %-6s %-3s seed=%-3d epochs=%-3d packets=%d\n",
-				c.size.Name, c.scen, c.seed, len(rows)-1, pk))
-		}
-		return nil
-	})
-	var rows []Exp4Row
-	for i, err := range errs {
-		if err != nil {
-			for _, rs := range perCell[:i] {
-				rows = append(rows, rs...)
-			}
-			return rows, err
-		}
-	}
-	for _, rs := range perCell {
-		rows = append(rows, rs...)
-	}
-	return rows, nil
+			return rows, fmt.Sprintf("exp4 %-6s %-3s seed=%-3d epochs=%-3d packets=%d\n",
+				c.size.Name, c.scen, c.n, len(rows)-1, pk), nil
+		})
 }
 
 func runExp4Cell(cfg Exp4Config, size topology.Params, scen topology.Scenario, seed int64) ([]Exp4Row, error) {
@@ -246,9 +188,7 @@ func runExp4Cell(cfg Exp4Config, size topology.Params, scen topology.Scenario, s
 	}
 
 	// Epoch 0: base join burst.
-	for _, ev := range trace.Joins(0, cfg.Sessions, 0, cfg.Window, trace.Unbounded, rng) {
-		net.ScheduleJoin(sessions[ev.Session], ev.At, ev.Demand)
-	}
+	schedule(net, sessions, trace.Joins(0, cfg.Sessions, 0, cfg.Window, trace.Unbounded, rng))
 	active := make([]int, 0, total)
 	for i := 0; i < cfg.Sessions; i++ {
 		active = append(active, i)
@@ -321,18 +261,12 @@ func runExp4Cell(cfg Exp4Config, size topology.Params, scen topology.Scenario, s
 		// Session churn: joiners from the pre-placed pool, leavers and
 		// changers sampled from the active set.
 		firstJoin := cfg.Sessions + (epoch-1)*cfg.Churn
-		for _, ev := range trace.Joins(firstJoin, cfg.Churn, start, cfg.Window, demands, rng) {
-			net.ScheduleJoin(sessions[ev.Session], ev.At, ev.Demand)
-		}
+		joins := trace.Joins(firstJoin, cfg.Churn, start, cfg.Window, demands, rng)
 		leavers := trace.Sample(active, cfg.Churn, rng)
 		active = removeAll(active, leavers)
-		for _, ev := range trace.Leaves(leavers, start, cfg.Window, rng) {
-			net.ScheduleLeave(sessions[ev.Session], ev.At)
-		}
+		leaves := trace.Leaves(leavers, start, cfg.Window, rng)
 		changers := trace.Sample(active, cfg.Churn, rng)
-		for _, ev := range trace.Changes(changers, start, cfg.Window, demands, rng) {
-			net.ScheduleChange(sessions[ev.Session], ev.At, ev.Demand)
-		}
+		schedule(net, sessions, joins, leaves, trace.Changes(changers, start, cfg.Window, demands, rng))
 		for i := firstJoin; i < firstJoin+cfg.Churn; i++ {
 			active = append(active, i)
 		}

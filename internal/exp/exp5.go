@@ -114,67 +114,21 @@ func RunExperiment5(cfg Exp5Config) ([]Exp5Row, error) {
 	if cfg.Fails < 1 {
 		return nil, fmt.Errorf("exp5: need at least one failure")
 	}
-	type cell struct {
-		size topology.Params
-		scen topology.Scenario
-		seed int64
-	}
-	var cells []cell
-	for _, size := range cfg.Sizes {
-		for _, scen := range cfg.Scenarios {
-			for _, seed := range cfg.Seeds {
-				cells = append(cells, cell{size, scen, seed})
-			}
-		}
-	}
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = 1
-	}
-	perCell := make([][]Exp5Row, len(cells))
-	errs := make([]error, len(cells))
-	var progress *progressTracker
-	if cfg.Progress != nil {
-		progress = newProgressTracker(len(cells), func(line string) {
-			fmt.Fprint(cfg.Progress, line)
-		})
-	}
-	_ = RunParallel(len(cells), workers, func(i int) error {
-		c := cells[i]
-		var rows []Exp5Row
-		for _, kind := range []policy.Kind{policy.Pinned, policy.ReoptimizeOnRestore} {
-			rs, err := runExp5Cell(cfg, c.size, c.scen, c.seed, kind)
-			if err != nil {
-				errs[i] = fmt.Errorf("exp5 %s/%s/seed%d/%s: %w", c.size.Name, c.scen, c.seed, kind, err)
-				if progress != nil {
-					progress.report(i, "")
+	return sweep(grid(cfg.Sizes, cfg.Scenarios, cfg.Seeds), cfg.Workers, cfg.Progress,
+		func(c gridCell[int64]) string { return fmt.Sprintf("exp5 %s/%s/seed%d", c.size.Name, c.scen, c.n) },
+		func(c gridCell[int64]) ([]Exp5Row, string, error) {
+			var rows []Exp5Row
+			for _, kind := range []policy.Kind{policy.Pinned, policy.ReoptimizeOnRestore} {
+				rs, err := runExp5Cell(cfg, c.size, c.scen, c.n, kind)
+				if err != nil {
+					return nil, "", fmt.Errorf("%s: %w", kind, err)
 				}
-				return errs[i]
-			}
-			rows = append(rows, rs...)
-		}
-		perCell[i] = rows
-		if progress != nil {
-			last := rows[len(rows)-1]
-			progress.report(i, fmt.Sprintf(
-				"exp5 %-6s %-3s seed=%-3d reoptimized=%-3d reconfig_pkts=%d\n",
-				c.size.Name, c.scen, c.seed, last.Reoptimized, last.ReconfigPackets))
-		}
-		return nil
-	})
-	var rows []Exp5Row
-	for i, err := range errs {
-		if err != nil {
-			for _, rs := range perCell[:i] {
 				rows = append(rows, rs...)
 			}
-			return rows, err
-		}
-	}
-	for _, rs := range perCell {
-		rows = append(rows, rs...)
-	}
-	return rows, nil
+			last := rows[len(rows)-1]
+			return rows, fmt.Sprintf("exp5 %-6s %-3s seed=%-3d reoptimized=%-3d reconfig_pkts=%d\n",
+				c.size.Name, c.scen, c.n, last.Reoptimized, last.ReconfigPackets), nil
+		})
 }
 
 func runExp5Cell(cfg Exp5Config, size topology.Params, scen topology.Scenario, seed int64, kind policy.Kind) ([]Exp5Row, error) {
@@ -239,10 +193,7 @@ func runExp5Cell(cfg Exp5Config, size topology.Params, scen topology.Scenario, s
 	}
 
 	// Base phase: the join burst.
-	rng := rand.New(rand.NewSource(seed + 41))
-	for _, ev := range trace.Joins(0, cfg.Sessions, 0, cfg.Window, trace.Unbounded, rng) {
-		net.ScheduleJoin(sessions[ev.Session], ev.At, ev.Demand)
-	}
+	schedule(net, sessions, trace.Joins(0, cfg.Sessions, 0, cfg.Window, trace.Unbounded, rand.New(rand.NewSource(seed+41))))
 	if err := runPhase("base", 0); err != nil {
 		return nil, err
 	}

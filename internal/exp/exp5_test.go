@@ -70,11 +70,10 @@ func TestExp5MeasuresTheTrade(t *testing.T) {
 	}
 }
 
-// TestExp5ShardedCSVByteIdentical is the policy-on determinism criterion:
-// exp5 CSVs, LAN and WAN with the re-optimization sweep on, match the digest
-// the classic engine emitted when every shard count and window-batch setting
-// of the retired sharded engine was held to it.
-func TestExp5ShardedCSVByteIdentical(t *testing.T) {
+// TestExp5CSVDigest is the policy-on determinism criterion: the exp5 CSV,
+// LAN and WAN with the re-optimization sweep on, matches a pinned SHA-256
+// digest.
+func TestExp5CSVDigest(t *testing.T) {
 	cfg := smallExp5()
 	cfg.Scenarios = []topology.Scenario{topology.LAN, topology.WAN}
 	rows, err := RunExperiment5(cfg)

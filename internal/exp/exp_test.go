@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"bneck/internal/network"
+	"bneck/internal/sim"
 	"bneck/internal/topology"
 )
 
@@ -130,18 +132,25 @@ func TestExperiment3SmallScale(t *testing.T) {
 	if lastBf.Start < cfg.Horizon-2*cfg.SampleEvery {
 		t.Fatalf("BFYZ went quiet at %v (must keep probing to %v)", lastBf.Start, cfg.Horizon)
 	}
-	bfTail := uint64(0)
-	for _, b := range bf.Bins[len(bf.Bins)*3/4:] {
-		bfTail += b.Total
+	tail := cfg.Horizon * 3 / 4
+	if n := packetsFrom(bn, tail); n != 0 {
+		t.Fatalf("B-Neck sent %d packets in the last quarter of the horizon", n)
 	}
-	if bfTail == 0 {
+	if packetsFrom(bf, tail) == 0 {
 		t.Fatalf("BFYZ went quiet (must keep probing)")
 	}
-	// Figure 7 shape: B-Neck's transient errors are conservative (median
-	// never positive), BFYZ overshoots at some point.
+	// Figure 7 shape: B-Neck's transient errors are conservative — the
+	// median source error and the 90th-percentile bottleneck-link error are
+	// never positive (a single source may still sit above its final rate) —
+	// while BFYZ overshoots at some point.
 	for _, p := range bn.SourceErr.Points {
 		if p.Summary.Median > 0.01 {
 			t.Fatalf("B-Neck median error positive at %v: %+v", p.At, p.Summary)
+		}
+	}
+	for _, p := range bn.LinkErr.Points {
+		if p.Summary.P90 > 1e-9 { // float64 sums of exact rates round by ~1e-14
+			t.Fatalf("B-Neck link error p90 positive at %v: %+v", p.At, p.Summary)
 		}
 	}
 	sawOver := false
@@ -180,7 +189,22 @@ func TestExperiment3BaselinesCGRCP(t *testing.T) {
 		if len(s.SourceErr.Points) == 0 {
 			t.Fatalf("%s has no samples", s.Protocol)
 		}
+		// Figure 8: a non-quiescent protocol keeps sending to the horizon.
+		if packetsFrom(s, cfg.Horizon*3/4) == 0 {
+			t.Fatalf("%s sent nothing in the last quarter of the horizon", s.Protocol)
+		}
 	}
+}
+
+// packetsFrom sums the packets of s's Figure 8 bins that start at or after t.
+func packetsFrom(s Exp3Series, t time.Duration) uint64 {
+	var n uint64
+	for _, b := range s.Bins {
+		if b.Start >= t {
+			n += b.Total
+		}
+	}
+	return n
 }
 
 func TestExperiment3UnknownProtocol(t *testing.T) {
@@ -191,6 +215,48 @@ func TestExperiment3UnknownProtocol(t *testing.T) {
 	cfg.Protocols = []string{"nope"}
 	if _, err := RunExperiment3(cfg); err == nil {
 		t.Fatalf("expected error")
+	}
+}
+
+// TestBadSessionCounts: a session count below what an entry point accepts is
+// an error before anything runs, never a panic in host placement.
+func TestBadSessionCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"exp1 negative", func() error {
+			cfg := smallExp1()
+			cfg.SessionCounts = []int{10, -5}
+			_, err := RunExperiment1(cfg)
+			return err
+		}},
+		{"exp3 negative", func() error {
+			cfg := DefaultExp3()
+			cfg.Topology = topology.Small
+			cfg.Sessions, cfg.Leavers = -10, -1
+			_, err := RunExperiment3(cfg)
+			return err
+		}},
+		{"exp3 zero", func() error {
+			cfg := DefaultExp3()
+			cfg.Topology = topology.Small
+			cfg.Sessions, cfg.Leavers = 0, 0
+			_, err := RunExperiment3(cfg)
+			return err
+		}},
+		{"PlaceSessions negative", func() error {
+			topo, err := topology.Generate(topology.Small, topology.LAN, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = PlaceSessions(topo, network.New(topo.Graph, sim.New(), network.DefaultConfig()), -1)
+			return err
+		}},
+	} {
+		if err := tc.run(); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }
 

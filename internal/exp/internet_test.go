@@ -8,6 +8,7 @@ import (
 
 	"bneck/internal/graph"
 	"bneck/internal/topology"
+	"bneck/internal/trace"
 )
 
 func hashTopology(n *topology.Internet) uint64 {
@@ -24,23 +25,34 @@ func hashTopology(n *topology.Internet) uint64 {
 	return h.Sum64()
 }
 
-// TestInternetPaperValidated pins the smallest rung end to end: generated
-// topology, join burst, oracle validation.
-func TestInternetPaperValidated(t *testing.T) {
-	res, err := RunInternet(InternetConfig{
-		Params:   topology.InternetPaper,
-		Sessions: 80,
-		Seed:     1,
-		Validate: true,
-	})
+// internetBurst is `experiments -exp internet`: a validated 1 ms join burst
+// with a quarter of the demands capped, on a generated internet topology.
+func internetBurst(t *testing.T, params topology.InternetParams, sessions int, seed int64) (Exp1Row, *topology.Internet) {
+	t.Helper()
+	topo, err := topology.GenerateInternet(params, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Packets == 0 || res.Quiescence <= 0 {
-		t.Fatalf("the join burst sent %d packets, quiesced at %v", res.Packets, res.Quiescence)
+	row, err := JoinBurst(topo, sessions, seed, time.Millisecond, trace.MixedDemands(0.25, 1, 100), true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("paper rung: %d routers, %d sessions, q=%v, %d packets",
-		res.Routers, res.Sessions, res.Quiescence, res.Packets)
+	return row, topo
+}
+
+// TestInternetPaperValidated pins the smallest rung end to end: generated
+// topology, join burst, oracle validation — the numbers
+// `experiments -exp internet -internet-size paper` prints.
+func TestInternetPaperValidated(t *testing.T) {
+	row, topo := internetBurst(t, topology.InternetPaper, 80, 1)
+	if row.Quiescence != 446648609*time.Nanosecond || row.Packets != 2266 || row.Events != 2684 {
+		t.Fatalf("paper rung: q=%v after %d packets, %d events; want 446.648609ms, 2266, 2684",
+			row.Quiescence, row.Packets, row.Events)
+	}
+	// Links are counted after host placement.
+	if n := topo.Graph.NumLinks(); n != 440 {
+		t.Fatalf("paper rung has %d directed links, want 440", n)
+	}
 }
 
 // TestInternetDeterministic: topology generation is byte-identical for a
@@ -52,23 +64,13 @@ func TestInternetDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := hashTopology(base)
-	var refQ time.Duration
-	var refPkts uint64
+	var ref Exp1Row
 	for run := 0; run < 2; run++ {
-		res, err := RunInternet(InternetConfig{
-			Params:   topology.InternetPaper,
-			Sessions: 60,
-			Seed:     9,
-			Validate: true,
-		})
-		if err != nil {
-			t.Fatalf("run %d: %v", run, err)
-		}
+		row, _ := internetBurst(t, topology.InternetPaper, 60, 9)
 		if run == 0 {
-			refQ, refPkts = time.Duration(res.Quiescence), res.Packets
-		} else if time.Duration(res.Quiescence) != refQ || res.Packets != refPkts {
-			t.Fatalf("run %d diverged: q=%v pkts=%d, want q=%v pkts=%d",
-				run, time.Duration(res.Quiescence), res.Packets, refQ, refPkts)
+			ref = row
+		} else if row != ref {
+			t.Fatalf("run %d diverged: %+v, want %+v", run, row, ref)
 		}
 		again, err := topology.GenerateInternet(topology.InternetPaper, 9)
 		if err != nil {
@@ -85,18 +87,13 @@ func TestInternetDeterministic(t *testing.T) {
 // short mode by design — the point is that the internet rung stays exercised
 // in every CI matrix cell.
 func TestInternetGlobalSmoke(t *testing.T) {
-	res, err := RunInternet(InternetConfig{
-		Params:   topology.InternetGlobal,
-		Sessions: 200,
-		Seed:     2,
-		Validate: true,
-	})
-	if err != nil {
-		t.Fatal(err)
+	if r := topology.InternetGlobal.Routers(); r < 10000 {
+		t.Fatalf("global rung has %d routers, want ≥ 10000", r)
 	}
-	if res.Routers < 10000 {
-		t.Fatalf("global rung has %d routers, want ≥ 10000", res.Routers)
+	row, topo := internetBurst(t, topology.InternetGlobal, 200, 2)
+	if row.Packets == 0 || row.Quiescence <= 0 {
+		t.Fatalf("the join burst sent %d packets, quiesced at %v", row.Packets, row.Quiescence)
 	}
-	t.Logf("global rung: %d routers, %d links, q=%v, %d packets, %d events",
-		res.Routers, res.Links, res.Quiescence, res.Packets, res.Events)
+	t.Logf("global rung: %d links, q=%v, %d packets, %d events",
+		topo.Graph.NumLinks(), row.Quiescence, row.Packets, row.Events)
 }

@@ -1,8 +1,12 @@
 package exp
 
 import (
+	"fmt"
+	"io"
 	"runtime"
 	"sync"
+
+	"bneck/internal/topology"
 )
 
 // RunParallel invokes job(0), …, job(n-1) on up to `workers` goroutines and
@@ -57,41 +61,66 @@ func RunParallel(n, workers int, job func(i int) error) error {
 	return nil
 }
 
-// progressTracker serializes per-job progress reporting for a parallel
-// sweep so lines appear in job-index order (exactly the serial output):
-// each completed job hands in its line, and the tracker flushes the
-// contiguous prefix of completed jobs.
-type progressTracker struct {
-	mu      sync.Mutex
-	lines   []string
-	done    []bool
-	next    int
-	emit    func(string)
-	enabled bool
+// sweep runs every cell of an experiment on up to workers goroutines (0 or
+// 1: serially; negative: GOMAXPROCS) and returns the cells' rows in cell
+// order. A cell returns its rows and its progress line; the lines reach
+// progress (if non-nil) in cell order, exactly as a serial run prints them.
+// On failure sweep returns the rows of the cells before the first failing
+// one and that cell's error prefixed with name(cell); the lines stop at the
+// same cell.
+func sweep[C, R any](cells []C, workers int, progress io.Writer, name func(C) string, run func(C) ([]R, string, error)) ([]R, error) {
+	if workers == 0 {
+		workers = 1
+	}
+	type result struct {
+		rows []R
+		line string
+		err  error
+		done bool
+	}
+	res := make([]result, len(cells))
+	var mu sync.Mutex
+	printed := 0
+	_ = RunParallel(len(cells), workers, func(i int) error {
+		rows, line, err := run(cells[i])
+		// Print under the lock: that is what keeps the lines in cell order.
+		mu.Lock()
+		defer mu.Unlock()
+		res[i] = result{rows, line, err, true}
+		for ; printed < len(res) && res[printed].done && res[printed].err == nil; printed++ {
+			if progress != nil {
+				fmt.Fprint(progress, res[printed].line)
+			}
+		}
+		return err
+	})
+	var rows []R
+	for i, r := range res {
+		if r.err != nil {
+			return rows, fmt.Errorf("%s: %w", name(cells[i]), r.err)
+		}
+		rows = append(rows, r.rows...)
+	}
+	return rows, nil
 }
 
-func newProgressTracker(n int, emit func(string)) *progressTracker {
-	return &progressTracker{
-		lines:   make([]string, n),
-		done:    make([]bool, n),
-		emit:    emit,
-		enabled: emit != nil,
-	}
+// gridCell is one (topology, scenario, n) point of a sweep: n is the session
+// count in Experiment 1 and the seed in Experiments 4 and 5.
+type gridCell[N any] struct {
+	size topology.Params
+	scen topology.Scenario
+	n    N
 }
 
-// report records job i's progress line and flushes every line whose
-// predecessors have all reported.
-func (p *progressTracker) report(i int, line string) {
-	if !p.enabled {
-		return
+// grid lists every (size, scenario, n) combination, sizes outermost.
+func grid[N any](sizes []topology.Params, scens []topology.Scenario, ns []N) []gridCell[N] {
+	var cells []gridCell[N]
+	for _, size := range sizes {
+		for _, scen := range scens {
+			for _, n := range ns {
+				cells = append(cells, gridCell[N]{size, scen, n})
+			}
+		}
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.lines[i] = line
-	p.done[i] = true
-	for p.next < len(p.done) && p.done[p.next] {
-		p.emit(p.lines[p.next])
-		p.lines[p.next] = ""
-		p.next++
-	}
+	return cells
 }

@@ -103,23 +103,10 @@ func FormatExp3(res *Exp3Result) string {
 		b.WriteString(fmt.Sprintf(" %12s", s.Protocol))
 	}
 	b.WriteString("\n")
-	maxBins := 0
-	for _, s := range res.Series {
-		if len(s.Bins) > maxBins {
-			maxBins = len(s.Bins)
-		}
-	}
-	for i := 0; i < maxBins; i++ {
-		var start time.Duration
-		counts := make([]uint64, len(res.Series))
-		for j, s := range res.Series {
-			if i < len(s.Bins) {
-				start = s.Bins[i].Start
-				counts[j] = s.Bins[i].Total
-			}
-		}
+	starts, counts := fig8Table(res)
+	for i, start := range starts {
 		b.WriteString(fmt.Sprintf("%-10v", start))
-		for _, c := range counts {
+		for _, c := range counts[i] {
 			b.WriteString(fmt.Sprintf(" %12d", c))
 		}
 		b.WriteString("\n")
@@ -134,6 +121,22 @@ func FormatExp3(res *Exp3Result) string {
 		b.WriteString("\n")
 	}
 	return b.String()
+}
+
+// fig8Table aligns the protocols' Figure 8 bins on bin index, out to the
+// longest series: row i is bin i's start and each protocol's packet count
+// (0 past the end of its series).
+func fig8Table(res *Exp3Result) (starts []time.Duration, counts [][]uint64) {
+	for j, s := range res.Series {
+		for i, bin := range s.Bins {
+			if i == len(starts) {
+				starts = append(starts, bin.Start)
+				counts = append(counts, make([]uint64, len(res.Series)))
+			}
+			starts[i], counts[i][j] = bin.Start, bin.Total
+		}
+	}
+	return starts, counts
 }
 
 func writeSeries(b *strings.Builder, s metrics.Series) {
