@@ -68,22 +68,27 @@ benchmark-check:
 # The model-checking gate (DESIGN.md §16): bounded exhaustive DFS over the
 # paper-sized topology (the ≥10k-schedule acceptance test lives in
 # internal/mc), a 200-seed fuzzing swarm on the metro rung under the race
-# detector, and the regression corpus replayed against the build-tag bug
-# doubles — each tagged build reopens one historical hole, and the committed
-# choice trace must catch it. A violation writes mc-violation.trace (CI
-# uploads it as an artifact).
+# detector, the controller explorer (every sequence of up to five operations
+# on two small graphs, DESIGN.md §6; it prints its state and transition
+# counts), and the regression corpus and the explorer against the build-tag
+# bug doubles — each tagged build reopens one historical hole, and both the
+# committed choice trace and the explorer must catch it. A violation writes
+# mc-violation.trace (CI uploads it as an artifact).
 mc-smoke:
 	$(GO) test -run 'TestPaperExhaustive|TestRegressionCorpus' -count=1 -v ./internal/mc/
 	$(GO) run -race ./cmd/mc -synth metro -sessions 6 -churn 4 -strategy swarm \
 		-seeds 200 -fuzz -live-every 100 -out mc-violation.trace
+	$(GO) test -run TestExploreController -count=1 -v ./internal/control/
 	$(GO) test -race -tags mc_stalebug -run StaleBug -count=1 ./internal/mc/
 	$(GO) test -race -tags mc_strandbug -run StrandBug -count=1 ./internal/mc/
+	$(GO) test -tags mc_stalebug -run TestExploreController -count=1 -v ./internal/control/
+	$(GO) test -tags mc_strandbug -run TestExploreController -count=1 -v ./internal/control/
 
 fmt:
 	gofmt -w .
 
 # The documentation gate: formatting, vet, a godoc smoke pass over the
-# public API and the scenario/policy/control packages, and a dead-link check over
+# public API and the scenario/control packages, and a dead-link check over
 # README.md, DESIGN.md and docs/ (cmd/doccheck). CI runs it on every push.
 docs-check:
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
@@ -91,7 +96,6 @@ docs-check:
 	$(GO) vet ./...
 	@$(GO) doc . > /dev/null
 	@$(GO) doc ./internal/scenario > /dev/null
-	@$(GO) doc ./internal/policy > /dev/null
 	@$(GO) doc ./internal/control > /dev/null
 	@$(GO) doc bneck.Simulation > /dev/null
 	$(GO) run ./cmd/doccheck

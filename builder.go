@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"time"
 
+	"bneck/internal/control"
 	"bneck/internal/graph"
-	"bneck/internal/policy"
 	"bneck/internal/topology"
 )
 
@@ -163,7 +163,7 @@ type options struct {
 	controlPacketBits int64
 	binSize           time.Duration
 	onRate            func(SessionID, Rate, time.Duration)
-	pathPolicy        policy.Config
+	pathPolicy        control.Policy
 }
 
 func defaultOptions() options {
@@ -181,29 +181,24 @@ const (
 	// detour paths.
 	Pinned PathPolicy = iota
 	// ReoptimizeOnRestore re-runs shortest-path over the active sessions
-	// whenever a link restore (or a capacity increase beyond the
-	// WithReoptimizeCapacityGain threshold) signals that shorter paths may
-	// exist, and migrates any session whose current path exceeds the
-	// configured stretch/hysteresis margin — through the protocol's own
-	// Leave → reroute → Join, a fresh session ID per move, exactly like a
-	// failure-driven migration.
+	// whenever a link restore signals that shorter paths may exist, and
+	// migrates any session whose current path exceeds the configured
+	// stretch/hysteresis margin — through the protocol's own Leave →
+	// reroute → Join, a fresh session ID per move, exactly like a
+	// failure-driven migration. Doubling a link's capacity sweeps too, and
+	// a session whose best path crosses it moves on any strict improvement.
 	ReoptimizeOnRestore
 )
 
 // WithPathPolicy selects the path re-optimization policy. The default,
 // Pinned, reproduces the paper's pin-at-join behavior exactly. With
 // ReoptimizeOnRestore the simulation migrates sessions back onto shorter
-// paths after restores; tune the hysteresis with WithReoptimizeStretch,
-// WithReoptimizeMinGain and WithReoptimizeCapacityGain. Policy sweeps run
-// in session-creation order, so results stay deterministic.
+// paths after restores; tune the hysteresis with WithReoptimizeStretch and
+// WithReoptimizeMinGain. Policy sweeps run in session-creation order, so
+// results stay deterministic.
 func WithPathPolicy(p PathPolicy) Option {
-	return func(o *options) {
-		if p == ReoptimizeOnRestore {
-			o.pathPolicy.Kind = policy.ReoptimizeOnRestore
-		} else {
-			o.pathPolicy.Kind = policy.Pinned
-		}
-	}
+	// The two enumerations share their values; any other p never sweeps.
+	return func(o *options) { o.pathPolicy.Kind = control.PolicyKind(p) }
 }
 
 // WithReoptimizeStretch sets the multiplicative hysteresis of
@@ -219,16 +214,6 @@ func WithReoptimizeStretch(stretch float64) Option {
 // hops links. Values ≤ 1 (the default) migrate on any strict improvement.
 func WithReoptimizeMinGain(hops int) Option {
 	return func(o *options) { o.pathPolicy.MinGain = hops }
-}
-
-// WithReoptimizeCapacityGain sets the capacity-increase trigger of
-// ReoptimizeOnRestore: raising a link's capacity to at least gain × its old
-// value runs a re-optimization sweep in which sessions whose best path
-// crosses the upgraded link migrate on any strict improvement, hysteresis
-// bypassed (the upgrade is an operator signal that traffic belongs back).
-// Values ≤ 0 keep the default of 2 (a doubling).
-func WithReoptimizeCapacityGain(gain float64) Option {
-	return func(o *options) { o.pathPolicy.CapacityGain = gain }
 }
 
 // WithControlPacketBits sets the control packet size used for per-link

@@ -43,10 +43,10 @@ import (
 	"sync"
 	"time"
 
+	"bneck/internal/control"
 	"bneck/internal/exp"
 	"bneck/internal/live"
 	"bneck/internal/network"
-	"bneck/internal/policy"
 	"bneck/internal/rate"
 	"bneck/internal/scenario"
 	"bneck/internal/sim"
@@ -75,19 +75,18 @@ func main() {
 	)
 	flag.Parse()
 
-	if *pathPolicy != "" {
-		if _, ok := policy.Parse(*pathPolicy); !ok {
-			log.Fatalf("unknown -path-policy %q (pinned, reoptimize)", *pathPolicy)
-		}
+	polKind, ok := control.ParsePolicy(*pathPolicy)
+	if *pathPolicy != "" && !ok {
+		log.Fatalf("unknown -path-policy %q (pinned, reoptimize)", *pathPolicy)
 	}
 	// overlayPolicy applies each policy flag that was actually set on top of
 	// base (a scenario script's `policy` directive, or the default pinned
 	// policy) — so `-reopt-stretch 5` alone tightens a script's hysteresis
 	// without touching its kind, and `-path-policy reoptimize` alone keeps
 	// the script's knobs.
-	overlayPolicy := func(base policy.Config) policy.Config {
+	overlayPolicy := func(base control.Policy) control.Policy {
 		if *pathPolicy != "" {
-			base.Kind, _ = policy.Parse(*pathPolicy)
+			base.Kind = polKind
 		}
 		if *reoptStretch > 0 {
 			base.Stretch = *reoptStretch
@@ -137,7 +136,7 @@ func main() {
 	}
 
 	if *liveMode {
-		runLive(topo, topoDesc, *sessions, *demandCap, *seed, *validate, overlayPolicy(policy.Config{}))
+		runLive(topo, topoDesc, *sessions, *demandCap, *seed, *validate, overlayPolicy(control.Policy{}))
 		return
 	}
 	cfg.PathPolicy = overlayPolicy(cfg.PathPolicy)
@@ -191,7 +190,7 @@ func main() {
 // re-quiescence table. Every epoch is validated against the oracle.
 // overlay applies the command-line policy flags on top of the script's
 // `policy` directive.
-func runScenario(path string, liveMode bool, overlay func(policy.Config) policy.Config) {
+func runScenario(path string, liveMode bool, overlay func(control.Policy) control.Policy) {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		log.Fatal(err)
@@ -219,7 +218,7 @@ func runScenario(path string, liveMode bool, overlay func(policy.Config) policy.
 
 // runLive executes the scenario on the goroutine/actor runtime: joins fire
 // from concurrent goroutines and quiescence is detected by termination.
-func runLive(topo topology.Hosted, desc string, sessions int, demandCap float64, seed int64, validate bool, pol policy.Config) {
+func runLive(topo topology.Hosted, desc string, sessions int, demandCap float64, seed int64, validate bool, pol control.Policy) {
 	hosts := topo.AddHosts(2 * sessions)
 	g := topo.Topology()
 	rt := live.New(g)

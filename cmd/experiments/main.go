@@ -41,8 +41,8 @@ import (
 	"runtime"
 	"runtime/pprof"
 
+	"bneck/internal/control"
 	"bneck/internal/exp"
-	"bneck/internal/policy"
 	"bneck/internal/topology"
 	"bneck/internal/trace"
 )
@@ -118,11 +118,11 @@ func main() {
 		progress = nil
 	}
 
-	polKind, ok := policy.Parse(*pathPolicy)
+	polKind, ok := control.ParsePolicy(*pathPolicy)
 	if !ok {
 		log.Fatalf("unknown -path-policy %q (pinned, reoptimize)", *pathPolicy)
 	}
-	polCfg := policy.Config{Kind: polKind, Stretch: *reoptStretch, MinGain: *reoptMinGain}
+	polCfg := control.Policy{Kind: polKind, Stretch: *reoptStretch, MinGain: *reoptMinGain}
 
 	var exp1Counts []int
 	if *counts != "" {
@@ -215,8 +215,7 @@ func main() {
 			cfg.Seeds = []int64{*seed, *seed + 1}
 			cfg.Validate = *validate
 			cfg.Sessions = scaled(cfg.Sessions)
-			cfg.Stretch = *reoptStretch
-			cfg.MinGain = *reoptMinGain
+			cfg.Policy = polCfg
 			cfg.Progress = progress
 			cfg.Workers = *workers
 			rows, err := exp.RunExperiment5(cfg)

@@ -190,9 +190,9 @@ func inPackages(paths ...string) func(string) bool {
 }
 
 // DeterministicPackages are the packages whose execution must be a pure
-// function of their inputs: the simulator engine, the control plane, the
-// simulated transport, the experiment harness, the scenario runner, the
-// waterfill oracle, the path policy and the topology generators
+// function of their inputs: the simulator engine, the control plane (with
+// the path policy), the simulated transport, the experiment harness, the
+// scenario runner, the waterfill oracle and the topology generators
 // (byte-identical graphs per seed is what makes the determinism tests
 // meaningful). detrange and walltime enforce it; the examples that promise
 // reproducible output opt into walltime too.
@@ -203,7 +203,6 @@ var DeterministicPackages = []string{
 	"bneck/internal/exp",
 	"bneck/internal/scenario",
 	"bneck/internal/waterfill",
-	"bneck/internal/policy",
 	"bneck/internal/topology",
 }
 

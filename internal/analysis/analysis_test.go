@@ -1,6 +1,9 @@
 package analysis_test
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"bneck/internal/analysis"
@@ -62,6 +65,11 @@ func TestDeterminismScope(t *testing.T) {
 	}
 	if in["bneck/internal/mc"] {
 		t.Error("bneck/internal/mc joined DeterministicPackages: the explorer's seeded randomness is intentional")
+	}
+	for p := range in { // a stale entry (a deleted package) lints nothing
+		if _, err := os.Stat(filepath.Join("..", "..", strings.TrimPrefix(p, "bneck/"))); err != nil {
+			t.Errorf("%s is in DeterministicPackages but not in the module", p)
+		}
 	}
 }
 

@@ -2,11 +2,10 @@
 
 package control
 
-// Bug doubles for the schedule explorer's regression corpus
-// (internal/mc/testdata), off in production builds so their branches fold
-// away. mc_stalebug makes start reuse a departed incarnation instead of
-// minting a fresh ID — the PR 4 stale-rejoin bug; mc_strandbug makes Leave
-// skip a stranded session, which a later restore then rejoins — the PR 2
-// stranding edge. Each tag breaks the determinism and dynamics suites by
-// design; `make mc-smoke` runs only the targeted replays under them.
+// Bug doubles, off in production builds so their branches fold away:
+// mc_stalebug makes start reuse a departed incarnation instead of minting a
+// fresh ID (a stale rejoin), mc_strandbug makes Leave skip a stranded
+// session, which a later restore then rejoins. The controller explorer and
+// the schedule explorer's corpus (internal/mc/testdata) must catch each;
+// `make mc-smoke` runs only those under the tags, which break other suites.
 const buggyRejoinReuse, buggyLeaveSkipsUnstrand = false, false

@@ -1,11 +1,10 @@
 // Package control is the control plane both transports share: session
-// lifecycle and the reactions to topology events, carried out through
-// B-Neck's Join, Leave and Change (a rerouted session Leaves, and a
-// successor incarnation with a fresh ID Joins on the new path). A transport
-// (internal/network, internal/live) executes a Controller's decisions from
-// its serial context: a simulator event, or under the live runtime's
-// mutex. DESIGN.md §6 has the transition table and the ordering rules; §8
-// the quiescent-state check (Check) both transports validate with.
+// lifecycle, topology reactions and the path policy, as a state machine over
+// the graph whose operations return B-Neck Join, Leave and Change actions (a
+// rerouted session Leaves, and a successor with a fresh ID Joins on the new
+// path). A transport (internal/network, internal/live) applies them from its
+// serial context. DESIGN.md §6 has the transition table, §8 the
+// quiescent-state check (Check), §11 the path policy.
 package control
 
 import (
@@ -16,7 +15,6 @@ import (
 
 	"bneck/internal/core"
 	"bneck/internal/graph"
-	"bneck/internal/policy"
 	"bneck/internal/rate"
 	"bneck/internal/waterfill"
 )
@@ -34,30 +32,38 @@ const (
 	Stranded              // joined, but no path joins its hosts: parked with its demand
 )
 
-// Transport executes the controller's decisions on one transport.
-type Transport interface {
-	// Start joins incarnation id (new, or its session's first) on path.
-	Start(id core.SessionID, path graph.Path, demand rate.Rate)
-	Leave(id core.SessionID)                    // active incarnation id leaves
-	Change(id core.SessionID, demand rate.Rate) // active incarnation id's new demand
-	SetCapacity(l graph.LinkID, c rate.Rate)    // reconfigure link l's task, if any
-	Packets(id core.SessionID) uint64           // packets id sent across links
+// ActionKind is the protocol call an Action asks of the transport.
+type ActionKind uint8
+
+const (
+	Start  ActionKind = iota + 1 // join incarnation ID (new, or its session's first) on Path with Demand
+	Leave                        // active incarnation ID leaves
+	Change                       // active incarnation ID's demand becomes Demand
+)
+
+// Action is one protocol call a transport makes for the controller. Each
+// operation returns its actions in the order the transport must take them,
+// in a buffer the controller reuses: valid until the next call.
+type Action struct {
+	Kind   ActionKind
+	ID     core.SessionID
+	Path   graph.Path // Start only
+	Demand rate.Rate  // Start and Change
 }
 
-// Controller is the control plane over one graph and one transport.
+// Controller is the control plane over one graph.
 type Controller struct {
-	Policy   policy.Config // path re-optimization (policy.Pinned by default)
+	Policy   Policy // path re-optimization (Pinned by default)
 	g        *graph.Graph
 	res      *graph.Resolver
-	t        Transport
-	incs     []*incarnation // incs[id-1]: IDs are minted 1, 2, … in creation order
-	stranded []*session     // in strand order
+	packets  func(core.SessionID) uint64       // packets a started incarnation sent across links
+	acts     []Action                          // the last operation's actions, reused
+	incs     []*incarnation                    // incs[id-1]: IDs are minted 1, 2, … in creation order
+	stranded []*session                        // in strand order
+	spans    []*incarnation                    // open reconfiguration spans (ReconfigPackets)
+	oracle   waterfill.Assembler[graph.LinkID] // Oracle's scratch, kept between calls
 
 	migrated, reoptimized, reconfig uint64
-	// spans are the open reconfiguration spans, from a forced Leave or a
-	// topology-driven Start to the next quiescence (Quiesced).
-	spans  []*incarnation
-	oracle waterfill.Assembler[graph.LinkID] // Oracle's scratch, kept between calls
 }
 
 type session struct {
@@ -78,11 +84,12 @@ type incarnation struct {
 	base     uint64 // its packet count when the span opened
 }
 
-// New returns a controller over g that acts through t.
-func New(g *graph.Graph, t Transport) *Controller {
+// New returns a controller over g. packets reads a started incarnation's
+// packet count, asked only until the quiescence that follows its Leave.
+func New(g *graph.Graph, packets func(core.SessionID) uint64) *Controller {
 	capacity := func(l graph.LinkID) rate.Rate { return g.Link(l).Capacity }
 	oracle := waterfill.Assembler[graph.LinkID]{Capacity: capacity}
-	return &Controller{g: g, res: graph.NewResolver(g, 256), t: t, oracle: oracle}
+	return &Controller{g: g, res: graph.NewResolver(g, 256), packets: packets, oracle: oracle}
 }
 
 // HostPath resolves a path with the resolver reroutes use.
@@ -101,9 +108,8 @@ func (c *Controller) mint(s *session, path graph.Path) *incarnation {
 	return s.cur
 }
 
-// Reads by incarnation ID: how many exist (IDs run 1 to Len), the current
-// incarnation of id's session, its state, whether id carries it while
-// Active, whether a Leave was issued to id, and id's path.
+// Reads by incarnation ID (IDs run 1 to Len): its session's current one and
+// state, whether id is Active, whether a Leave was issued to it, its path.
 func (c *Controller) Len() int                                 { return len(c.incs) }
 func (c *Controller) Current(id core.SessionID) core.SessionID { return c.incs[id-1].s.cur.id }
 func (c *Controller) State(id core.SessionID) State            { return c.incs[id-1].s.state }
@@ -113,7 +119,10 @@ func (c *Controller) Path(id core.SessionID) graph.Path        { return c.incs[i
 
 func (c *Controller) active(inc *incarnation) bool { return inc.s.state == Active && inc.s.cur == inc }
 
-// Counters: parked sessions, forced reroutes, policy moves, span packets.
+// Counters: parked sessions, forced reroutes, policy moves, and the packets
+// of the reconfiguration spans: each force-departed incarnation's from its
+// Leave, each topology-driven (re)join's from its Start, up to the
+// quiescence that follows (Quiesced). User churn is never counted.
 func (c *Controller) Stranded() int           { return len(c.stranded) }
 func (c *Controller) Migrations() uint64      { return c.migrated }
 func (c *Controller) Reoptimizations() uint64 { return c.reoptimized }
@@ -121,12 +130,12 @@ func (c *Controller) ReconfigPackets() uint64 { return c.reconfig }
 
 // Join asks for demand on id's session. An idle session joins on its path,
 // rerouted around failed links, or strands; a joined one takes a Change.
-func (c *Controller) Join(id core.SessionID, demand rate.Rate) {
+func (c *Controller) Join(id core.SessionID, demand rate.Rate) []Action {
 	s := c.incs[id-1].s
 	if s.state != Idle {
-		c.Change(id, demand)
-		return
+		return c.Change(id, demand)
 	}
+	c.acts = c.acts[:0]
 	s.demand = demand
 	path, err := s.cur.path, error(nil)
 	if !c.up(path) {
@@ -134,14 +143,16 @@ func (c *Controller) Join(id core.SessionID, demand rate.Rate) {
 	}
 	if err != nil {
 		c.strand(s)
-		return
+	} else {
+		c.start(s, path, false)
 	}
-	c.start(s, path, false)
+	return c.acts
 }
 
 // Leave takes id's session out: an active one through the protocol's Leave,
 // a stranded one off the strand list. It dissolves on an idle session.
-func (c *Controller) Leave(id core.SessionID) {
+func (c *Controller) Leave(id core.SessionID) []Action {
+	c.acts = c.acts[:0]
 	switch s := c.incs[id-1].s; {
 	case s.state == Stranded && !buggyLeaveSkipsUnstrand:
 		i := slices.Index(c.stranded, s)
@@ -151,22 +162,41 @@ func (c *Controller) Leave(id core.SessionID) {
 	case s.state == Active:
 		c.depart(s.cur)
 	}
+	return c.acts
 }
 
 // Change sets the demand of id's session, through the protocol when it is
 // active, for its readmission when stranded; it dissolves when idle.
-func (c *Controller) Change(id core.SessionID, demand rate.Rate) {
+func (c *Controller) Change(id core.SessionID, demand rate.Rate) []Action {
+	c.acts = c.acts[:0]
 	if s := c.incs[id-1].s; s.state != Idle {
 		s.demand = demand
 		if s.state == Active {
-			c.t.Change(s.cur.id, demand)
+			c.acts = append(c.acts, Action{Kind: Change, ID: s.cur.id, Demand: demand})
 		}
 	}
+	return c.acts
+}
+
+// CheckLinks reports a link the graph lacks, or a capacity cp that is
+// neither positive nor rate.Inf: what Fail, Restore and SetCapacity reject
+// before they change anything.
+func (c *Controller) CheckLinks(cp rate.Rate, links []graph.LinkID) error {
+	if i := slices.IndexFunc(links, func(l graph.LinkID) bool { return l < 0 || int(l) >= c.g.NumLinks() }); i >= 0 {
+		return fmt.Errorf("control: unknown link %d", links[i])
+	} else if cp.Sign() <= 0 && !cp.IsInf() {
+		return fmt.Errorf("control: non-positive capacity %v", cp)
+	}
+	return nil
 }
 
 // Fail takes links down, then moves every active session crossing one onto
 // a surviving path or strands it (every Start picks an up path).
-func (c *Controller) Fail(links []graph.LinkID) {
+func (c *Controller) Fail(links []graph.LinkID) ([]Action, error) {
+	if err := c.CheckLinks(rate.Inf, links); err != nil {
+		return nil, err
+	}
+	c.acts = c.acts[:0]
 	for _, l := range links {
 		c.g.FailLink(l)
 	}
@@ -176,18 +206,23 @@ func (c *Controller) Fail(links []graph.LinkID) {
 			c.move(inc, path, err, &c.migrated)
 		}
 	}
+	return c.acts, nil
 }
 
 // Restore brings links back up, readmits the stranded sessions a path now
 // reaches, and lets the path policy sweep the active ones.
-func (c *Controller) Restore(links []graph.LinkID) {
+func (c *Controller) Restore(links []graph.LinkID) ([]Action, error) {
+	if err := c.CheckLinks(rate.Inf, links); err != nil {
+		return nil, err
+	}
+	c.acts = c.acts[:0]
 	restored := false
 	for _, l := range links {
 		restored = !c.g.LinkUp(l) || restored
 		c.g.RestoreLink(l)
 	}
 	if !restored {
-		return
+		return c.acts, nil
 	}
 	waiting := c.stranded
 	c.stranded = nil
@@ -199,21 +234,28 @@ func (c *Controller) Restore(links []graph.LinkID) {
 		}
 	}
 	c.reoptimize(nil)
+	return c.acts, nil
 }
 
 // SetCapacity sets links' capacity; a policy upgrade sweeps the sessions.
-func (c *Controller) SetCapacity(cp rate.Rate, links []graph.LinkID) {
+// The transport reconfigures the links' tasks first, so the sweep reads the
+// packet counts their re-probes leave.
+func (c *Controller) SetCapacity(cp rate.Rate, links []graph.LinkID) ([]Action, error) {
+	if err := c.CheckLinks(cp, links); err != nil {
+		return nil, err
+	}
+	c.acts = c.acts[:0]
 	upgraded := map[graph.LinkID]bool{}
 	for _, l := range links {
-		if c.Policy.CapacityTriggers(c.g.Link(l).Capacity, cp) {
+		if c.Policy.capacityTriggers(c.g.Link(l).Capacity, cp) {
 			upgraded[l] = true
 		}
 		c.g.SetCapacity(l, cp)
-		c.t.SetCapacity(l, cp)
 	}
 	if len(upgraded) > 0 {
 		c.reoptimize(upgraded)
 	}
+	return c.acts, nil
 }
 
 // reoptimize moves active sessions the policy finds too far off their best
@@ -227,7 +269,7 @@ func (c *Controller) reoptimize(upgraded map[graph.LinkID]bool) {
 			continue
 		}
 		best, err := c.res.HostPath(inc.s.src, inc.s.dst)
-		if err == nil && c.Policy.ShouldMigrate(len(inc.path), len(best), crosses(best, upgraded)) {
+		if err == nil && c.Policy.shouldMigrate(len(inc.path), len(best), crosses(best, upgraded)) {
 			c.move(inc, best, nil, &c.reoptimized)
 		}
 	}
@@ -236,7 +278,7 @@ func (c *Controller) reoptimize(upgraded map[graph.LinkID]bool) {
 // Quiesced closes the open reconfiguration spans. Call it at quiescence.
 func (c *Controller) Quiesced() {
 	for _, inc := range c.spans {
-		c.reconfig += c.t.Packets(inc.id) - inc.base
+		c.reconfig += c.packets(inc.id) - inc.base
 		inc.counted = false
 	}
 	c.spans = c.spans[:0]
@@ -314,13 +356,13 @@ func (c *Controller) start(s *session, path graph.Path, reconf bool) {
 	if reconf {
 		c.span(inc, 0)
 	}
-	c.t.Start(inc.id, path, s.demand)
+	c.acts = append(c.acts, Action{Kind: Start, ID: inc.id, Path: path, Demand: s.demand})
 }
 
 // move force-departs an active incarnation and starts its session on path,
 // counting the move in *n, or strands it if err says there is no path.
 func (c *Controller) move(inc *incarnation, path graph.Path, err error, n *uint64) {
-	c.span(inc, c.t.Packets(inc.id))
+	c.span(inc, c.packets(inc.id))
 	c.depart(inc)
 	if err != nil {
 		c.strand(inc.s)
@@ -342,7 +384,7 @@ func (c *Controller) span(inc *incarnation, base uint64) {
 func (c *Controller) depart(inc *incarnation) {
 	must(c.active(inc), "Leave of an inactive incarnation", inc.id)
 	inc.departed, inc.s.state = true, Idle
-	c.t.Leave(inc.id)
+	c.acts = append(c.acts, Action{Kind: Leave, ID: inc.id})
 }
 
 func (c *Controller) strand(s *session) {

@@ -7,9 +7,9 @@ import (
 	"strings"
 	"time"
 
+	"bneck/internal/control"
 	"bneck/internal/graph"
 	"bneck/internal/network"
-	"bneck/internal/policy"
 	"bneck/internal/rate"
 	"bneck/internal/sim"
 	"bneck/internal/topology"
@@ -46,10 +46,9 @@ type Exp4Config struct {
 	// are byte-identical to a serial run. 0 or 1 runs serially; negative
 	// selects GOMAXPROCS.
 	Workers int
-	// Policy is the path re-optimization policy for the churn sweep (zero
-	// value: pinned, the historical behavior). With ReoptimizeOnRestore the
-	// restore epochs also migrate sessions back onto shorter paths.
-	Policy policy.Config
+	// Policy is the churn sweep's path re-optimization policy (zero value:
+	// pinned); with ReoptimizeOnRestore restores also move sessions back.
+	Policy control.Policy
 }
 
 // DefaultExp4 is a laptop-scale default. It sweeps both propagation models:

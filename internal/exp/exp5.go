@@ -6,9 +6,9 @@ import (
 	"math/rand"
 	"time"
 
+	"bneck/internal/control"
 	"bneck/internal/graph"
 	"bneck/internal/network"
-	"bneck/internal/policy"
 	"bneck/internal/rate"
 	"bneck/internal/sim"
 	"bneck/internal/topology"
@@ -33,10 +33,9 @@ type Exp5Config struct {
 	// Fails is how many distinct in-use duplex router links fail in the
 	// failure phase (all restored together in the restore phase).
 	Fails int
-	// Stretch and MinGain are the re-optimization hysteresis knobs (see
-	// internal/policy); zero keeps the defaults (any strict improvement).
-	Stretch float64
-	MinGain int
+	// Policy's Stretch and MinGain are the re-optimization hysteresis; each
+	// cell runs under both kinds, so its Kind is ignored.
+	Policy control.Policy
 	// Window is the burst width of the base join phase.
 	Window time.Duration
 	// Gap separates a phase's quiescence from the next phase's events.
@@ -118,7 +117,7 @@ func RunExperiment5(cfg Exp5Config) ([]Exp5Row, error) {
 		func(c gridCell[int64]) string { return fmt.Sprintf("exp5 %s/%s/seed%d", c.size.Name, c.scen, c.n) },
 		func(c gridCell[int64]) ([]Exp5Row, string, error) {
 			var rows []Exp5Row
-			for _, kind := range []policy.Kind{policy.Pinned, policy.ReoptimizeOnRestore} {
+			for _, kind := range []control.PolicyKind{control.Pinned, control.ReoptimizeOnRestore} {
 				rs, err := runExp5Cell(cfg, c.size, c.scen, c.n, kind)
 				if err != nil {
 					return nil, "", fmt.Errorf("%s: %w", kind, err)
@@ -131,14 +130,14 @@ func RunExperiment5(cfg Exp5Config) ([]Exp5Row, error) {
 		})
 }
 
-func runExp5Cell(cfg Exp5Config, size topology.Params, scen topology.Scenario, seed int64, kind policy.Kind) ([]Exp5Row, error) {
+func runExp5Cell(cfg Exp5Config, size topology.Params, scen topology.Scenario, seed int64, kind control.PolicyKind) ([]Exp5Row, error) {
 	topo, err := topology.Generate(size, scen, seed)
 	if err != nil {
 		return nil, err
 	}
 	g := topo.Graph
 	netCfg := network.DefaultConfig()
-	netCfg.PathPolicy = policy.Config{Kind: kind, Stretch: cfg.Stretch, MinGain: cfg.MinGain}
+	netCfg.PathPolicy = control.Policy{Kind: kind, Stretch: cfg.Policy.Stretch, MinGain: cfg.Policy.MinGain}
 	eng := sim.New()
 	net := network.New(g, eng, netCfg)
 

@@ -297,3 +297,39 @@ func TestDoubleJoinIsChange(t *testing.T) {
 		t.Fatalf("%d incarnations, %d rates after the Leave, want none", n, rates)
 	}
 }
+
+// TestBadLinkInputChangesNothing: a topology call naming a link the graph
+// lacks, or a non-positive capacity, returns an error and changes nothing —
+// no link fails before the bad one is reached, no session moves, and the
+// runtime still validates.
+func TestBadLinkInputChangesNothing(t *testing.T) {
+	g, ha, hb, top, _ := buildDiamondLive(t)
+	rt := New(g)
+	defer rt.Close()
+	p, _ := rt.HostPath(ha, hb)
+	s, _ := rt.NewSession(p)
+	s.Join(rate.Inf)
+	rt.WaitQuiescent()
+	good, id, bad := top[0][0], s.ID(), graph.LinkID(g.NumLinks()+9999)
+	for name, call := range map[string]func() error{
+		"fail":                func() error { return rt.FailLinks(good, bad) },
+		"restore":             func() error { return rt.RestoreLinks(good, -1) },
+		"set capacity":        func() error { return rt.SetLinkCapacity(rate.Mbps(80), good, bad) },
+		"zero capacity":       func() error { return rt.SetLinkCapacity(rate.Zero, good) },
+		"negative capacity":   func() error { return rt.SetLinkCapacity(rate.Mbps(-1), good) },
+		"fail, bad link only": func() error { return rt.FailLinks(-1) },
+	} {
+		if err := call(); err == nil {
+			t.Errorf("%s: no error", name)
+		}
+		rt.WaitQuiescent()
+		if !g.LinkUp(good) || !g.Link(good).Capacity.Equal(rate.Mbps(40)) || s.ID() != id || !s.Active() ||
+			!slices.Equal(s.Path(), p) || rt.Migrations() != 0 {
+			t.Fatalf("%s changed the runtime: link up %t at %v, session %d→%d active %t, %d migrations",
+				name, g.LinkUp(good), g.Link(good).Capacity, id, s.ID(), s.Active(), rt.Migrations())
+		}
+		if err := rt.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}

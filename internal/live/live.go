@@ -21,13 +21,13 @@
 // Leave → reroute → Join, a fresh incarnation (new session ID, new path) per
 // reroute so the two incarnations' in-flight packets can never interfere.
 // Sessions with no surviving path are stranded and rejoin on restore. An
-// optional path re-optimization policy (SetPathPolicy, see internal/policy)
+// optional path re-optimization policy (SetPathPolicy, see control.Policy)
 // migrates sessions back onto shorter paths when restores re-enable them.
 // Every one of those decisions, and every session lifecycle transition, is
 // made by the control plane the simulator transport shares
-// (internal/control), called under the runtime mutex; the runtime only
-// executes them on its actors. Validate is the same control plane's Check
-// over the runtime's rate ledger and link tasks. See DESIGN.md §6 and §11.
+// (internal/control), called under the runtime mutex; the runtime applies
+// the actions it returns on its actors. Validate is the same control plane's
+// Check over the runtime's rate ledger and link tasks. See DESIGN.md §6, §11.
 //
 // Mailboxes are unbounded by design: B-Neck generates bounded traffic per
 // reconfiguration, and bounded mailboxes could deadlock the bidirectional
@@ -48,7 +48,6 @@ import (
 	"bneck/internal/core"
 	"bneck/internal/graph"
 	"bneck/internal/metrics"
-	"bneck/internal/policy"
 	"bneck/internal/rate"
 )
 
@@ -72,7 +71,7 @@ import (
 // a handler (a claim made under mu starts a worker). An incarnation's
 // actors and hop table are created, with the link actors and packet
 // counters it points to, under mu by the call that enqueues its Join
-// (transport.Start), before any of its packets exists: lazily, from inside
+// (start), before any of its packets exists: lazily, from inside
 // a handler, the first packet on a link would wait behind a running
 // FailLinks. Creating them at Join and not at NewSession keeps session
 // set-up cheap and creates exactly the actors a Join cascade would have
@@ -90,7 +89,7 @@ type Runtime struct {
 
 	mu sync.Mutex //bneck:lock mu
 	// ctl owns the session registry, the resolver, the topology reactions
-	// and their counters; it executes through transport. Guarded by mu.
+	// and their counters; apply executes its actions. Guarded by mu.
 	ctl    *control.Controller
 	closed bool
 
@@ -173,7 +172,7 @@ type incarnation struct {
 // node/link structure itself must be complete before traffic flows).
 func New(g *graph.Graph) *Runtime {
 	rt := &Runtime{g: g, activity: newActivityCounter()}
-	rt.ctl = control.New(g, (*transport)(rt))
+	rt.ctl = control.New(g, func(id core.SessionID) uint64 { return rt.incarnationFor(id).pkts.Load() })
 	for i := range rt.incs {
 		rt.incs[i].m = make(map[core.SessionID]*incarnation)
 		rt.incs[i].rates = make(map[core.SessionID]rate.Rate)
@@ -185,11 +184,10 @@ func New(g *graph.Graph) *Runtime {
 	return rt
 }
 
-// SetPathPolicy installs the path re-optimization policy (see
-// internal/policy). The default is Pinned. Install it before topology
-// events fire; the policy itself is applied under the runtime mutex, so the
-// call is safe at any time.
-func (rt *Runtime) SetPathPolicy(cfg policy.Config) {
+// SetPathPolicy installs the path re-optimization policy. The default is
+// control.Pinned. Install it before topology events fire; the policy itself
+// is applied under the runtime mutex, so the call is safe at any time.
+func (rt *Runtime) SetPathPolicy(cfg control.Policy) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	rt.ctl.Policy = cfg
@@ -322,7 +320,7 @@ func (s *Session) Join(demand rate.Rate) {
 	s.rt.mu.Lock()
 	defer s.rt.mu.Unlock()
 	if !s.rt.closed {
-		s.rt.ctl.Join(s.id, demand)
+		s.rt.apply(s.rt.ctl.Join(s.id, demand), nil)
 	}
 }
 
@@ -332,7 +330,7 @@ func (s *Session) Leave() {
 	s.rt.mu.Lock()
 	defer s.rt.mu.Unlock()
 	if !s.rt.closed {
-		s.rt.ctl.Leave(s.id)
+		s.rt.apply(s.rt.ctl.Leave(s.id), nil)
 	}
 }
 
@@ -342,7 +340,7 @@ func (s *Session) Change(demand rate.Rate) {
 	s.rt.mu.Lock()
 	defer s.rt.mu.Unlock()
 	if !s.rt.closed {
-		s.rt.ctl.Change(s.id, demand)
+		s.rt.apply(s.rt.ctl.Change(s.id, demand), nil)
 	}
 }
 
@@ -356,42 +354,57 @@ func (s *Session) Rate() (rate.Rate, bool) {
 	return s.rt.rateFor(id)
 }
 
-// SetLinkCapacity changes the capacity of the given directed links. Pass a
-// link and its reverse for a duplex reconfiguration. Crossing sessions
-// re-probe and the network re-quiesces by itself. Reconfigure only links
-// that are up: on a failed link the re-probe races the migration teardown
-// of its departing sessions (the scenario checker rejects such scripts
-// statically, and the simulator transport assumes the same contract).
-func (rt *Runtime) SetLinkCapacity(c rate.Rate, links ...graph.LinkID) {
+// SetLinkCapacity changes the capacity of the given directed links (pass a
+// link and its reverse for a duplex reconfiguration); crossing sessions
+// re-probe. Reconfigure only links that are up: on a failed one the re-probe
+// races its departing sessions' teardown (scenario scripts cannot, and the
+// simulator assumes the same). An unknown link or a non-positive capacity
+// is an error, and nothing changes.
+//
+//bneck:locks stripe mailbox
+func (rt *Runtime) SetLinkCapacity(c rate.Rate, links ...graph.LinkID) error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if !rt.closed {
-		rt.ctl.SetCapacity(c, links)
+	// The links' tasks re-probe first, then the controller acts.
+	if err := rt.ctl.CheckLinks(c, links); rt.closed || err != nil {
+		return rt.apply(nil, err)
 	}
+	for _, l := range links {
+		d := &rt.lnks[linkStripe(l)]
+		d.mu.Lock()
+		la, ok := d.actors[l]
+		d.mu.Unlock()
+		if ok {
+			la.a.enqueue(message{kind: msgSetCapacity, demand: c}, nil)
+		}
+	}
+	return rt.apply(rt.ctl.SetCapacity(c, links))
 }
 
 // FailLinks takes the given directed links down and migrates crossing
 // sessions onto surviving paths (or strands them). All listed links fail
-// before any session reroutes.
-func (rt *Runtime) FailLinks(links ...graph.LinkID) {
+// before any session reroutes. An unknown link is an error, and a no-op.
+func (rt *Runtime) FailLinks(links ...graph.LinkID) error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if !rt.closed {
-		rt.ctl.Fail(links)
+	if rt.closed {
+		return nil
 	}
+	return rt.apply(rt.ctl.Fail(links))
 }
 
 // RestoreLinks brings the given directed links back up and readmits stranded
 // sessions whose hosts are reconnected. Routed sessions keep their pinned
 // paths under the default Pinned policy; under ReoptimizeOnRestore
 // (SetPathPolicy) the restore also sweeps the active population and
-// migrates sessions back onto shorter paths.
-func (rt *Runtime) RestoreLinks(links ...graph.LinkID) {
+// migrates sessions back onto shorter paths. An unknown link is an error.
+func (rt *Runtime) RestoreLinks(links ...graph.LinkID) error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if !rt.closed {
-		rt.ctl.Restore(links)
+	if rt.closed {
+		return nil
 	}
+	return rt.apply(rt.ctl.Restore(links))
 }
 
 // Migrations returns how many session reroutes link failures have forced.
@@ -411,11 +424,8 @@ func (rt *Runtime) Reoptimizations() uint64 {
 }
 
 // ReconfigPackets returns the cumulative control-packet cost of topology
-// reconfigurations — the Leave-cascade packets of force-departed
-// incarnations plus the Join-cascade packets of topology-driven (re)joins,
-// each measured until the quiescence that follows — the same report as the
-// simulator transport's Network.ReconfigPackets. Updated by WaitQuiescent;
-// user churn is never counted.
+// reconfigurations (control.Controller.ReconfigPackets), updated by
+// WaitQuiescent; user churn is never counted.
 func (rt *Runtime) ReconfigPackets() uint64 {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -598,11 +608,29 @@ func (rt *Runtime) Close() {
 	}
 }
 
-// transport is the Runtime as the controller's executor
-// (control.Transport); the controller calls it under rt.mu only.
-type transport Runtime
+// apply executes the controller's actions in order, or reports the bad
+// input that stopped a topology operation. Callers hold mu.
+//
+//bneck:locks stripe mailbox
+func (rt *Runtime) apply(acts []control.Action, err error) error {
+	if err != nil {
+		return fmt.Errorf("live: %w", err)
+	}
+	for _, a := range acts {
+		switch a.Kind {
+		case control.Start:
+			rt.start(a.ID, a.Path, a.Demand)
+		case control.Leave:
+			rt.dropRate(a.ID)
+			rt.incarnationFor(a.ID).src.enqueue(message{kind: msgLeave}, nil)
+		case control.Change:
+			rt.incarnationFor(a.ID).src.enqueue(message{kind: msgChange, demand: a.Demand}, nil)
+		}
+	}
+	return nil
+}
 
-// Start creates incarnation id — its two actors and its hop table, with the
+// start creates incarnation id — its two actors and its hop table, with the
 // link actor and packet counters of every link on the path that no
 // incarnation crossed before — and enqueues its Join, the only place one
 // is enqueued. It is the twin of the simulator transport's resolveHops:
@@ -610,8 +638,7 @@ type transport Runtime
 // exists, so Emit only ever indexes a finished table.
 //
 //bneck:locks stripe mailbox
-func (t *transport) Start(id core.SessionID, path graph.Path, demand rate.Rate) {
-	rt := (*Runtime)(t)
+func (rt *Runtime) start(id core.SessionID, path graph.Path, demand rate.Rate) {
 	inc := &incarnation{id: id, hops: make([]hopRef, len(path))}
 	for i, l := range path {
 		inc.hops[i] = hopRef{task: rt.linkActorLocked(l), fwd: rt.linkCounterLocked(l)}
@@ -646,37 +673,6 @@ func (t *transport) Start(id core.SessionID, path graph.Path, demand rate.Rate) 
 	d.m[id] = inc
 	d.mu.Unlock()
 	inc.src.enqueue(message{kind: msgJoin, demand: demand}, nil)
-}
-
-//bneck:locks stripe mailbox
-func (t *transport) Leave(id core.SessionID) {
-	rt := (*Runtime)(t)
-	rt.dropRate(id)
-	rt.incarnationFor(id).src.enqueue(message{kind: msgLeave}, nil)
-}
-
-//bneck:locks stripe mailbox
-func (t *transport) Change(id core.SessionID, demand rate.Rate) {
-	(*Runtime)(t).incarnationFor(id).src.enqueue(message{kind: msgChange, demand: demand}, nil)
-}
-
-//bneck:locks stripe mailbox
-func (t *transport) SetCapacity(l graph.LinkID, c rate.Rate) {
-	d := &t.lnks[linkStripe(l)]
-	d.mu.Lock()
-	la, ok := d.actors[l]
-	d.mu.Unlock()
-	if ok {
-		la.a.enqueue(message{kind: msgSetCapacity, demand: c}, nil)
-	}
-}
-
-// Packets reads a started incarnation's counter; the controller asks only
-// between its start and the reclamation after the next quiescence.
-//
-//bneck:locks stripe
-func (t *transport) Packets(id core.SessionID) uint64 {
-	return (*Runtime)(t).incarnationFor(id).pkts.Load()
 }
 
 // linkActorLocked returns (creating if needed) the actor hosting the

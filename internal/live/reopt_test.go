@@ -4,8 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"bneck/internal/control"
 	"bneck/internal/graph"
-	"bneck/internal/policy"
 	"bneck/internal/rate"
 )
 
@@ -78,7 +78,7 @@ func TestLiveReoptimizeOnRestore(t *testing.T) {
 	g, ab, p := buildDiamond(t)
 	rt := New(g)
 	defer rt.Close()
-	rt.SetPathPolicy(policy.Config{Kind: policy.ReoptimizeOnRestore})
+	rt.SetPathPolicy(control.Policy{Kind: control.ReoptimizeOnRestore})
 	s, err := rt.NewSession(p)
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestLiveStretchHysteresisAndCapacityBypass(t *testing.T) {
 	g, ab, p := buildDiamond(t)
 	rt := New(g)
 	defer rt.Close()
-	rt.SetPathPolicy(policy.Config{Kind: policy.ReoptimizeOnRestore, Stretch: 1.5})
+	rt.SetPathPolicy(control.Policy{Kind: control.ReoptimizeOnRestore, Stretch: 1.5})
 	s, err := rt.NewSession(p)
 	if err != nil {
 		t.Fatal(err)

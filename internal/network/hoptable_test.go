@@ -276,7 +276,7 @@ func TestJoinAllocations(t *testing.T) {
 		sessions = append(sessions, s)
 	}
 	// The first join sizes the link index; measure from the second.
-	n.ctl.Join(sessions[0].ID, rate.Inf)
+	n.apply(n.ctl.Join(sessions[0].ID, rate.Inf), nil)
 	i := 1
 	perJoin := testing.AllocsPerRun(runs, func() {
 		n.resolveHops(sessions[i].Path)
@@ -308,7 +308,7 @@ func TestSteadyStateEmitAllocatesNothing(t *testing.T) {
 	var packets uint64
 	cascade := func() {
 		before := n.Stats().Total()
-		n.ctl.Change(s.ID, demands[round%len(demands)])
+		n.apply(n.ctl.Change(s.ID, demands[round%len(demands)]), nil)
 		round++
 		eng.Run()
 		packets += n.Stats().Total() - before

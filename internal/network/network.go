@@ -11,8 +11,10 @@
 // endpoints on their hosts — and every packet delivery is keyed by the node
 // that sends it, so the event order is (time, creator node, creator
 // sequence). Session churn, topology dynamics and sampling are external
-// events, scheduled through one funnel (globalAt); each calls the
-// control plane (internal/control), which the Network executes.
+// events, scheduled through one funnel (globalAt); each calls the control
+// plane (internal/control, DESIGN.md §6) and applies the actions it
+// returns. A capacity change reconfigures the links' tasks and wires, whose
+// re-probes the controller's upgrade sweep must count, before the call.
 package network
 
 import (
@@ -23,7 +25,6 @@ import (
 	"bneck/internal/core"
 	"bneck/internal/graph"
 	"bneck/internal/metrics"
-	"bneck/internal/policy"
 	"bneck/internal/rate"
 	"bneck/internal/sim"
 )
@@ -45,14 +46,9 @@ type Config struct {
 	// physical link (intra-host hand-offs are not reported). Useful for
 	// protocol tracing and debugging.
 	OnPacket func(link graph.LinkID, pkt core.Packet, at sim.Time)
-	// PathPolicy selects the path re-optimization policy. The zero value is
-	// policy.Pinned — paths never move unless a failure forces them to —
-	// which reproduces the historical behavior exactly. With
-	// policy.ReoptimizeOnRestore, link restores (and capacity increases past
-	// the policy's threshold) sweep the active sessions and migrate any
-	// session whose path exceeds the policy's stretch/hysteresis margin,
-	// through the same Leave → reroute → Join machinery failures use.
-	PathPolicy policy.Config
+	// PathPolicy is the path re-optimization policy (control.Policy). The
+	// zero value, control.Pinned, moves a path only when a failure forces it.
+	PathPolicy control.Policy
 	// OracleCrossCheck makes Validate also check the oracle's rates against
 	// waterfill.WaterFilling and waterfill.Verify on the same instance
 	// (Assembler.CrossCheck), failing with an error wrapping
@@ -135,7 +131,7 @@ type Network struct {
 	g   *graph.Graph
 	eng *sim.Engine
 	// ctl decides every session lifecycle and topology reaction; the Network
-	// executes them (dynamics.go).
+	// applies the actions it returns (apply).
 	ctl *control.Controller
 	// links and wires index the per-link records by LinkID (nil until a path
 	// uses the link). They are the creation index — Start resolves hop tables
@@ -207,7 +203,7 @@ func New(g *graph.Graph, eng *sim.Engine, cfg Config) *Network {
 		sessPkts: make([]uint64, 1),
 		stats:    metrics.NewPacketStats(cfg.BinSize),
 	}
-	n.ctl = control.New(g, (*transport)(n))
+	n.ctl = control.New(g, func(id core.SessionID) uint64 { return n.sessPkts[id] })
 	n.ctl.Policy = cfg.PathPolicy
 	return n
 }
@@ -235,16 +231,12 @@ func (n *Network) globalAt(at sim.Time, fn func()) {
 func (n *Network) Stats() *metrics.PacketStats { return n.stats }
 
 // ReconfigPackets returns the cumulative control-packet cost of topology
-// reconfigurations: the Leave-cascade packets of every force-departed
-// incarnation plus the Join-cascade packets of every topology-driven
-// (re)join — migrations, policy re-optimizations and strand rejoins — each
-// measured until the quiescence that follows it. The counter is updated
-// when Run reaches quiescence; user churn (scheduled joins, leaves,
-// demand changes) is never counted.
+// reconfigurations (control.Controller.ReconfigPackets), updated when Run
+// reaches quiescence; user churn is never counted.
 func (n *Network) ReconfigPackets() uint64 { return n.ctl.ReconfigPackets() }
 
 // Reoptimizations returns how many sessions the path policy migrated back
-// onto shorter paths (zero under policy.Pinned). Disjoint from Migrations,
+// onto shorter paths (zero under control.Pinned). Disjoint from Migrations,
 // which counts only failure-forced reroutes.
 func (n *Network) Reoptimizations() uint64 { return n.ctl.Reoptimizations() }
 
@@ -295,21 +287,90 @@ func (n *Network) newSession(id core.SessionID, srcHost, dstHost graph.NodeID) *
 // join reroutes (or strands the session until a restore reconnects it). A
 // Join of a joined session changes its demand.
 func (n *Network) ScheduleJoin(s *Session, at sim.Time, demand rate.Rate) {
-	n.globalAt(at, func() { n.ctl.Join(s.ID, demand) })
+	n.globalAt(at, func() { n.apply(n.ctl.Join(s.ID, demand), nil) })
 }
 
 // ScheduleLeave departs the session at virtual time at. A stranded session
 // leaves the strand list; a Leave of a session that is not joined
 // dissolves, so churn schedules compose with failure schedules.
 func (n *Network) ScheduleLeave(s *Session, at sim.Time) {
-	n.globalAt(at, func() { n.ctl.Leave(s.ID) })
+	n.globalAt(at, func() { n.apply(n.ctl.Leave(s.ID), nil) })
 }
 
 // ScheduleChange changes the session's demand at virtual time at. Changes
 // for stranded sessions update the demand they will rejoin with; changes for
 // sessions that are not joined dissolve.
 func (n *Network) ScheduleChange(s *Session, at sim.Time, demand rate.Rate) {
-	n.globalAt(at, func() { n.ctl.Change(s.ID, demand) })
+	n.globalAt(at, func() { n.apply(n.ctl.Change(s.ID, demand), nil) })
+}
+
+// ScheduleSetCapacity changes the capacity of the given directed links to c
+// at virtual time at. Pass a link and its reverse to reconfigure a duplex
+// pair, matching the paper's symmetric link model.
+func (n *Network) ScheduleSetCapacity(at sim.Time, c rate.Rate, links ...graph.LinkID) {
+	ls := append([]graph.LinkID(nil), links...)
+	n.globalAt(at, func() {
+		for _, l := range ls {
+			if int(l) < len(n.links) && n.links[l] != nil {
+				n.links[l].SetCapacity(c)
+			}
+			if int(l) < len(n.wires) && n.wires[l] != nil {
+				n.wires[l].SetTx(n.txFor(c))
+			}
+		}
+		n.apply(n.ctl.SetCapacity(c, ls))
+	})
+}
+
+// ScheduleLinkFail takes the given directed links down at virtual time at and
+// migrates the sessions crossing them. All listed links fail atomically
+// before any session reroutes, so a duplex pair cannot leak a reroute onto
+// its own reverse direction.
+func (n *Network) ScheduleLinkFail(at sim.Time, links ...graph.LinkID) {
+	ls := append([]graph.LinkID(nil), links...)
+	n.globalAt(at, func() { n.apply(n.ctl.Fail(ls)) })
+}
+
+// ScheduleLinkRestore brings the given directed links back up at virtual time
+// at and readmits any stranded sessions whose hosts are reconnected.
+func (n *Network) ScheduleLinkRestore(at sim.Time, links ...graph.LinkID) {
+	ls := append([]graph.LinkID(nil), links...)
+	n.globalAt(at, func() { n.apply(n.ctl.Restore(ls)) })
+}
+
+// StrandedSessions returns how many sessions are currently parked without a
+// path.
+func (n *Network) StrandedSessions() int { return n.ctl.Stranded() }
+
+// Migrations returns how many session reroutes link failures have forced.
+// Policy-driven reroutes are counted separately by Reoptimizations.
+func (n *Network) Migrations() uint64 { return n.ctl.Migrations() }
+
+// apply executes the controller's actions in order, inside the event that
+// called it. Bad link input to a scheduled event is a programming error.
+func (n *Network) apply(acts []control.Action, err error) {
+	if err != nil {
+		panic(err)
+	}
+	for _, a := range acts {
+		switch a.Kind {
+		case control.Start:
+			if int(a.ID) == len(n.sessByID) { // a successor the controller just minted
+				n.newSession(a.ID, n.g.Link(a.Path[0]).From, n.g.Link(a.Path[len(a.Path)-1]).To)
+			}
+			s := n.sessByID[a.ID]
+			s.Path, s.joinedAt = a.Path, n.eng.Now()
+			// The one place a path becomes live: resolve its hop table (and
+			// the records of links nobody used before) now, in serial
+			// context, before the Join below emits the session's first packet.
+			s.hops = n.resolveHops(a.Path)
+			s.src.Join(a.Demand)
+		case control.Leave:
+			n.sessByID[a.ID].src.Leave()
+		case control.Change:
+			n.sessByID[a.ID].src.Change(a.Demand)
+		}
+	}
 }
 
 // Run drives the simulation to quiescence and returns the quiescence time

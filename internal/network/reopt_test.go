@@ -4,8 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"bneck/internal/control"
 	"bneck/internal/graph"
-	"bneck/internal/policy"
 	"bneck/internal/rate"
 	"bneck/internal/sim"
 )
@@ -92,7 +92,7 @@ func TestPinnedKeepsDetourAfterRestore(t *testing.T) {
 
 func TestReoptimizeOnRestoreReturnsToShortestPath(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.PathPolicy = policy.Config{Kind: policy.ReoptimizeOnRestore}
+	cfg.PathPolicy = control.Policy{Kind: control.ReoptimizeOnRestore}
 	net, s, ab := diamondNet(t, cfg)
 	if got := failRestoreCycle(t, net, s, ab); got != 3 {
 		t.Fatalf("session on %d hops after restore, want 3", got)
@@ -115,7 +115,7 @@ func TestStretchHysteresisKeepsShortDetour(t *testing.T) {
 	// The detour is 4 hops vs a 3-hop best path: within a 1.5× stretch, so
 	// the policy must leave it alone.
 	cfg := DefaultConfig()
-	cfg.PathPolicy = policy.Config{Kind: policy.ReoptimizeOnRestore, Stretch: 1.5}
+	cfg.PathPolicy = control.Policy{Kind: control.ReoptimizeOnRestore, Stretch: 1.5}
 	net, s, ab := diamondNet(t, cfg)
 	if got := failRestoreCycle(t, net, s, ab); got != 4 {
 		t.Fatalf("session on %d hops; 4/3 is within stretch 1.5, must stay", got)
@@ -130,7 +130,7 @@ func TestCapacityUpgradeBypassesHysteresis(t *testing.T) {
 	// capacity doubles: the upgrade signal waives the stretch and the
 	// session migrates back.
 	cfg := DefaultConfig()
-	cfg.PathPolicy = policy.Config{Kind: policy.ReoptimizeOnRestore, Stretch: 1.5}
+	cfg.PathPolicy = control.Policy{Kind: control.ReoptimizeOnRestore, Stretch: 1.5}
 	net, s, ab := diamondNet(t, cfg)
 	if got := failRestoreCycle(t, net, s, ab); got != 4 {
 		t.Fatalf("pre-upgrade: session on %d hops, want the kept detour", got)
@@ -155,7 +155,7 @@ func TestCapacityUpgradeBypassesHysteresis(t *testing.T) {
 
 func TestCapacityIncreaseBelowThresholdDoesNotSweep(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.PathPolicy = policy.Config{Kind: policy.ReoptimizeOnRestore, Stretch: 1.5}
+	cfg.PathPolicy = control.Policy{Kind: control.ReoptimizeOnRestore, Stretch: 1.5}
 	net, s, ab := diamondNet(t, cfg)
 	failRestoreCycle(t, net, s, ab)
 	rev := net.g.Link(ab).Reverse
@@ -179,7 +179,7 @@ func TestCapacityIncreaseBelowThresholdDoesNotSweep(t *testing.T) {
 // user-churn run costs zero reconfiguration packets.
 func TestReconfigPacketAccounting(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.PathPolicy = policy.Config{Kind: policy.ReoptimizeOnRestore}
+	cfg.PathPolicy = control.Policy{Kind: control.ReoptimizeOnRestore}
 	net, s, ab := diamondNet(t, cfg)
 	failRestoreCycle(t, net, s, ab)
 	total := net.Stats().Total()
@@ -214,7 +214,7 @@ func TestReconfigPacketsDeterministicAcrossEngines(t *testing.T) {
 	const want = 37
 	for run := 0; run < 2; run++ {
 		cfg := DefaultConfig()
-		cfg.PathPolicy = policy.Config{Kind: policy.ReoptimizeOnRestore}
+		cfg.PathPolicy = control.Policy{Kind: control.ReoptimizeOnRestore}
 		net, s, ab := diamondNet(t, cfg)
 		failRestoreCycle(t, net, s, ab)
 		if got := net.ReconfigPackets(); got != want {

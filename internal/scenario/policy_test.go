@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"bneck/internal/policy"
+	"bneck/internal/control"
 )
 
 // reoptScript is the canonical diamond: a direct 80 Mbps route and a slower
@@ -41,15 +41,15 @@ func TestParsePolicyDirective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Policy.Kind != policy.ReoptimizeOnRestore {
+	if sc.Policy.Kind != control.ReoptimizeOnRestore {
 		t.Fatalf("policy kind = %v", sc.Policy.Kind)
 	}
 
-	sc, err = Parse("policy reoptimize stretch=1.5 min-gain=2 capacity-gain=3\nrouter r1\nrouter r2\nlink r1 r2 10mbps 1us\nhost ha r1\nhost hb r2\nsession s ha hb\nat 0ms join s\n")
+	sc, err = Parse("policy reoptimize stretch=1.5 min-gain=2\nrouter r1\nrouter r2\nlink r1 r2 10mbps 1us\nhost ha r1\nhost hb r2\nsession s ha hb\nat 0ms join s\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := policy.Config{Kind: policy.ReoptimizeOnRestore, Stretch: 1.5, MinGain: 2, CapacityGain: 3}
+	want := control.Policy{Kind: control.ReoptimizeOnRestore, Stretch: 1.5, MinGain: 2}
 	if sc.Policy != want {
 		t.Fatalf("policy = %+v, want %+v", sc.Policy, want)
 	}
@@ -62,6 +62,7 @@ func TestParsePolicyErrors(t *testing.T) {
 		"policy reoptimize min-gain=0":         "positive integer",
 		"policy reoptimize stretch":            "key=value",
 		"policy reoptimize wat=1":              "unknown option",
+		"policy reoptimize capacity-gain=2":    "unknown option",
 		"policy pinned stretch=2":              "takes no options",
 		"policy reoptimize\npolicy reoptimize": "duplicate policy",
 		"at 0ms expect reoptimized -1":         "non-negative",

@@ -227,6 +227,7 @@ func RunLive(sc *Script) (*Result, error) {
 	out := &Result{Transport: "live"}
 	for _, ep := range w.epochs {
 		for _, ev := range ep.events {
+			var err error
 			switch ev.Op {
 			case OpJoin:
 				sessions[ev.sessionIdx].Join(ev.Demand)
@@ -235,11 +236,14 @@ func RunLive(sc *Script) (*Result, error) {
 			case OpChange:
 				sessions[ev.sessionIdx].Change(ev.Demand)
 			case OpFail:
-				rt.FailLinks(ev.ab, ev.ba)
+				err = rt.FailLinks(ev.ab, ev.ba)
 			case OpRestore:
-				rt.RestoreLinks(ev.ab, ev.ba)
+				err = rt.RestoreLinks(ev.ab, ev.ba)
 			case OpSetCapacity:
-				rt.SetLinkCapacity(ev.Capacity, ev.ab, ev.ba)
+				err = rt.SetLinkCapacity(ev.Capacity, ev.ab, ev.ba)
+			}
+			if err != nil {
+				return nil, &EpochError{At: ep.at, Err: err}
 			}
 		}
 		rt.WaitQuiescent()

@@ -8,8 +8,8 @@
 // Script grammar (line-oriented, '#' starts a comment):
 //
 //	# optional path policy (default pinned); reoptimize migrates sessions
-//	# back onto shorter paths after restores — see internal/policy
-//	policy reoptimize stretch=1.5 min-gain=2 capacity-gain=2
+//	# back onto shorter paths after restores — see control.Policy
+//	policy reoptimize stretch=1.5 min-gain=2
 //
 //	# topology: either one generated...
 //	topology transit-stub small lan seed=42 hosts=24
@@ -71,7 +71,7 @@ import (
 	"strings"
 	"time"
 
-	"bneck/internal/policy"
+	"bneck/internal/control"
 	"bneck/internal/rate"
 	"bneck/internal/topology"
 )
@@ -193,7 +193,7 @@ type Script struct {
 	Sessions []SessionDecl
 	// Policy is the path re-optimization policy the runners install on the
 	// transport (the `policy` directive; zero value = pinned).
-	Policy policy.Config
+	Policy control.Policy
 	// Events are sorted by time; ties keep script order.
 	Events []Event
 }
@@ -655,33 +655,29 @@ func parseTopology(sc *Script, f []string) error {
 	}
 }
 
-// parsePolicy reads a `policy <pinned|reoptimize> [stretch=F] [min-gain=N]
-// [capacity-gain=F]` directive.
+// parsePolicy reads a `policy <pinned|reoptimize> [stretch=F] [min-gain=N]`
+// directive.
 func parsePolicy(sc *Script, f []string) error {
 	if len(f) < 1 {
-		return fmt.Errorf("usage: policy <pinned|reoptimize> [stretch=F] [min-gain=N] [capacity-gain=F]")
+		return fmt.Errorf("usage: policy <pinned|reoptimize> [stretch=F] [min-gain=N]")
 	}
-	kind, ok := policy.Parse(f[0])
+	kind, ok := control.ParsePolicy(f[0])
 	if !ok {
 		return fmt.Errorf("unknown policy %q (pinned, reoptimize)", f[0])
 	}
-	cfg := policy.Config{Kind: kind}
+	cfg := control.Policy{Kind: kind}
 	for _, opt := range f[1:] {
 		k, v, ok := strings.Cut(opt, "=")
 		if !ok {
 			return fmt.Errorf("malformed option %q (want key=value)", opt)
 		}
 		switch k {
-		case "stretch", "capacity-gain":
+		case "stretch":
 			x, err := strconv.ParseFloat(v, 64)
 			if err != nil || x < 1 {
 				return fmt.Errorf("option %s=%q must be a number ≥ 1", k, v)
 			}
-			if k == "stretch" {
-				cfg.Stretch = x
-			} else {
-				cfg.CapacityGain = x
-			}
+			cfg.Stretch = x
 		case "min-gain":
 			n, err := strconv.Atoi(v)
 			if err != nil || n < 1 {
@@ -692,7 +688,7 @@ func parsePolicy(sc *Script, f []string) error {
 			return fmt.Errorf("unknown option %q", k)
 		}
 	}
-	if kind == policy.Pinned && (cfg.Stretch != 0 || cfg.MinGain != 0 || cfg.CapacityGain != 0) {
+	if kind == control.Pinned && (cfg.Stretch != 0 || cfg.MinGain != 0) {
 		return fmt.Errorf("policy pinned takes no options")
 	}
 	sc.Policy = cfg
