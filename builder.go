@@ -78,7 +78,8 @@ func (b *NetworkBuilder) Build(opts ...Option) (*Simulation, error) {
 	return sim, nil
 }
 
-// Size selects one of the paper's topology scales for NewTransitStub.
+// Size selects one of the three evaluation scales: the paper's transit-stub
+// size for NewTransitStub, the internet rung of that scale for NewInternet.
 type Size int
 
 const (
@@ -103,27 +104,14 @@ const (
 // NewTransitStub generates one of the paper's transit-stub topologies. Add
 // hosts with Simulation.AddHosts before creating sessions.
 func NewTransitStub(size Size, scen Scenario, seed int64, opts ...Option) (*Simulation, error) {
-	var params topology.Params
-	switch size {
-	case Small:
-		params = topology.Small
-	case Medium:
-		params = topology.Medium
-	case Big:
-		params = topology.Big
-	default:
-		return nil, fmt.Errorf("bneck: unknown size %d", size)
+	scale, err := size.scale()
+	if err != nil {
+		return nil, err
 	}
-	var tScen topology.Scenario
-	switch scen {
-	case LAN:
-		tScen = topology.LAN
-	case WAN:
-		tScen = topology.WAN
-	default:
+	if scen < LAN || scen > WAN {
 		return nil, fmt.Errorf("bneck: unknown scenario %d", scen)
 	}
-	topo, err := topology.Generate(params, tScen, seed)
+	topo, err := topology.Generate(scale.Stub, topology.Scenarios[scen-1], seed)
 	if err != nil {
 		return nil, err
 	}
@@ -138,36 +126,31 @@ func NewTransitStub(size Size, scen Scenario, seed int64, opts ...Option) (*Simu
 // internet rung). Add hosts with Simulation.AddHosts before creating
 // sessions.
 func NewInternet(size Size, seed int64, opts ...Option) (*Simulation, error) {
-	var params topology.InternetParams
-	switch size {
-	case Small:
-		params = topology.InternetPaper
-	case Medium:
-		params = topology.InternetMetro
-	case Big:
-		params = topology.InternetGlobal
-	default:
-		return nil, fmt.Errorf("bneck: unknown size %d", size)
+	scale, err := size.scale()
+	if err != nil {
+		return nil, err
 	}
-	topo, err := topology.GenerateInternet(params, seed)
+	topo, err := topology.GenerateInternet(scale.Internet, seed)
 	if err != nil {
 		return nil, err
 	}
 	return newSimulation(topo.Graph, topo, opts...)
 }
 
+// scale returns the size's row of the topology name table.
+func (s Size) scale() (topology.Scale, error) {
+	if s < Small || s > Big {
+		return topology.Scale{}, fmt.Errorf("bneck: unknown size %d", s)
+	}
+	return topology.Scales[s-1], nil
+}
+
 // Option customizes a Simulation.
 type Option func(*options)
 
 type options struct {
-	controlPacketBits int64
-	binSize           time.Duration
-	onRate            func(SessionID, Rate, time.Duration)
-	pathPolicy        control.Policy
-}
-
-func defaultOptions() options {
-	return options{controlPacketBits: 512, binSize: 5 * time.Millisecond}
+	onRate     func(SessionID, Rate, time.Duration)
+	pathPolicy control.Policy
 }
 
 // PathPolicy selects how a Simulation treats session paths after topology
@@ -214,18 +197,6 @@ func WithReoptimizeStretch(stretch float64) Option {
 // hops links. Values ≤ 1 (the default) migrate on any strict improvement.
 func WithReoptimizeMinGain(hops int) Option {
 	return func(o *options) { o.pathPolicy.MinGain = hops }
-}
-
-// WithControlPacketBits sets the control packet size used for per-link
-// transmission (serialization) delay; 0 models ideal links.
-func WithControlPacketBits(bits int64) Option {
-	return func(o *options) { o.controlPacketBits = bits }
-}
-
-// WithTrafficBinSize sets the packet-count aggregation interval of
-// Simulation.TrafficBins.
-func WithTrafficBinSize(d time.Duration) Option {
-	return func(o *options) { o.binSize = d }
 }
 
 // WithRateCallback observes every API.Rate upcall: the session, the granted

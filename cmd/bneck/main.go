@@ -6,11 +6,13 @@
 // Usage:
 //
 //	bneck [-size small|medium|big] [-scenario lan|wan] [-internet] [-sessions N]
-//	      [-demand-cap P] [-seed S] [-path-policy pinned|reoptimize]
-//	      [-validate] [-v] [-live]
+//	      [-demand-cap P] [-seed S] [-validate] [-v] [-live]
 //	bneck -run-scenario <script> [-live] [-path-policy pinned|reoptimize]
+//	      [-reopt-stretch F] [-reopt-min-gain N]
 //
-// Without -live every run executes on the serial discrete-event simulator.
+// Without -live every run executes on the serial discrete-event simulator:
+// the join burst is Experiment 1's cell (exp.JoinBurst) with a quarter of
+// the demands capped, and its wall time covers placement and validation.
 // With -live the protocol runs on the concurrent actor runtime instead (one
 // mailbox per task, no simulator): quiescence becomes wall-clock
 // termination and the scenario exercises real parallelism.
@@ -23,14 +25,13 @@
 //
 // -internet swaps the transit-stub generator for the hierarchical
 // internet-scale one (core/metro/edge tiers, power-law fringe,
-// geography-derived latency bands): -size maps to ~40/~1k/~10k routers and
-// -scenario is ignored.
+// geography-derived latency bands): -size maps to the paper, metro and
+// global rungs (~40/~1k/~10k routers) and -scenario is ignored.
 //
-// -path-policy selects the path re-optimization policy (pinned, the
-// default, or reoptimize — migrate sessions back onto shorter paths after
-// restores). With -run-scenario, each of -path-policy, -reopt-stretch and
-// -reopt-min-gain overrides just its own field of the script's `policy`
-// directive; unset flags keep the script's settings.
+// -path-policy, -reopt-stretch and -reopt-min-gain apply to -run-scenario
+// only (a join burst has no restore or capacity event to sweep on): each
+// overrides just its own field of the script's `policy` directive, and
+// unset flags keep the script's settings.
 package main
 
 import (
@@ -46,10 +47,8 @@ import (
 	"bneck/internal/control"
 	"bneck/internal/exp"
 	"bneck/internal/live"
-	"bneck/internal/network"
 	"bneck/internal/rate"
 	"bneck/internal/scenario"
-	"bneck/internal/sim"
 	"bneck/internal/topology"
 	"bneck/internal/trace"
 )
@@ -69,9 +68,9 @@ func main() {
 		verbose      = flag.Bool("v", false, "print every session's rate")
 		liveMode     = flag.Bool("live", false, "run on the concurrent actor runtime instead of the simulator")
 		scenFile     = flag.String("run-scenario", "", "execute a declarative scenario script (full DSL reference: docs/SCENARIOS.md)")
-		pathPolicy   = flag.String("path-policy", "", "path re-optimization policy: pinned or reoptimize (migrate sessions back onto shorter paths after restores); overrides a scenario script's `policy` directive, keeping the script's hysteresis knobs")
-		reoptStretch = flag.Float64("reopt-stretch", 0, "reoptimize hysteresis: migrate only when the current path exceeds stretch × the best path (0 keeps the script/default setting)")
-		reoptMinGain = flag.Int("reopt-min-gain", 0, "reoptimize hysteresis: migrate only when at least this many hops are saved (0 keeps the script/default setting)")
+		pathPolicy   = flag.String("path-policy", "", "with -run-scenario, the path re-optimization policy: pinned or reoptimize (migrate sessions back onto shorter paths after restores); overrides the script's `policy` directive, keeping its hysteresis knobs")
+		reoptStretch = flag.Float64("reopt-stretch", 0, "with -run-scenario, the reoptimize hysteresis: migrate only when the current path exceeds stretch × the best path (0 keeps the script's setting)")
+		reoptMinGain = flag.Int("reopt-min-gain", 0, "with -run-scenario, the reoptimize hysteresis: migrate only when at least this many hops are saved (0 keeps the script's setting)")
 	)
 	flag.Parse()
 
@@ -80,10 +79,9 @@ func main() {
 		log.Fatalf("unknown -path-policy %q (pinned, reoptimize)", *pathPolicy)
 	}
 	// overlayPolicy applies each policy flag that was actually set on top of
-	// base (a scenario script's `policy` directive, or the default pinned
-	// policy) — so `-reopt-stretch 5` alone tightens a script's hysteresis
-	// without touching its kind, and `-path-policy reoptimize` alone keeps
-	// the script's knobs.
+	// a scenario script's `policy` directive — so `-reopt-stretch 5` alone
+	// tightens the script's hysteresis without touching its kind, and
+	// `-path-policy reoptimize` alone keeps the script's knobs.
 	overlayPolicy := func(base control.Policy) control.Policy {
 		if *pathPolicy != "" {
 			base.Kind = polKind
@@ -102,70 +100,36 @@ func main() {
 		return
 	}
 
-	var (
-		topo     topology.Hosted
-		topoDesc string
-	)
-	cfg := network.DefaultConfig()
-	if *internet {
-		params, err := internetBySize(*sizeName)
-		if err != nil {
-			log.Fatal(err)
-		}
-		it, err := topology.GenerateInternet(params, *seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		topo = it
-		topoDesc = fmt.Sprintf("%s (%d routers), internet hierarchy", params.Name, params.Routers())
-	} else {
-		size, err := sizeByName(*sizeName)
-		if err != nil {
-			log.Fatal(err)
-		}
-		scen, err := scenarioByName(*scenName)
-		if err != nil {
-			log.Fatal(err)
-		}
-		ts, err := topology.Generate(size, scen, *seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		topo = ts
-		topoDesc = fmt.Sprintf("%s (%d routers), %s scenario", size.Name, size.Routers(), scen)
+	if *sessions < 0 {
+		log.Fatalf("negative -sessions %d", *sessions)
 	}
-
-	if *liveMode {
-		runLive(topo, topoDesc, *sessions, *demandCap, *seed, *validate, overlayPolicy(control.Policy{}))
-		return
-	}
-	cfg.PathPolicy = overlayPolicy(cfg.PathPolicy)
-	net := network.New(topo.Topology(), sim.New(), cfg)
-	ss, err := exp.PlaceSessions(topo, net, *sessions)
+	topo, err := topology.GenerateByName(*sizeName, *scenName, *internet, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(*seed + 7))
-	demand := trace.MixedDemands(*demandCap, 1, 100)
-	for _, ev := range trace.Joins(0, *sessions, 0, time.Millisecond, demand, rng) {
-		net.ScheduleJoin(ss[ev.Session], ev.At, ev.Demand)
+	var topoDesc string
+	switch t := topo.(type) {
+	case *topology.Network:
+		topoDesc = fmt.Sprintf("%s (%d routers), %s scenario", t.Params.Name, t.Params.Routers(), t.Scenario)
+	case *topology.Internet:
+		topoDesc = fmt.Sprintf("%s (%d routers), internet hierarchy", t.Params.Name, t.Params.Routers())
 	}
 
+	if *liveMode {
+		runLive(topo, topoDesc, *sessions, *demandCap, *seed, *validate)
+		return
+	}
 	wall := time.Now()
-	q := net.Run()
-	wallDur := time.Since(wall)
-
-	if *validate {
-		if err := net.Validate(); err != nil {
-			log.Fatalf("validation FAILED: %v", err)
-		}
+	row, net, err := exp.JoinBurst(topo, *sessions, *seed, time.Millisecond, trace.MixedDemands(*demandCap, 1, 100), *validate)
+	if err != nil {
+		log.Fatal(err)
 	}
+	wallDur := time.Since(wall)
 
 	fmt.Printf("topology   : %s\n", topoDesc)
 	fmt.Printf("sessions   : %d joined within 1ms (demand-capped fraction %.2f)\n", *sessions, *demandCap)
-	fmt.Printf("quiescence : %v (virtual), %v (wall)\n", q, wallDur.Round(time.Millisecond))
-	fmt.Printf("packets    : %d total, %.1f per session\n",
-		net.Stats().Total(), float64(net.Stats().Total())/float64(*sessions))
+	fmt.Printf("quiescence : %v (virtual), %v (wall)\n", row.Quiescence, wallDur.Round(time.Millisecond))
+	fmt.Printf("packets    : %d total, %.1f per session\n", row.Packets, row.PacketsPerSession)
 	if *validate {
 		fmt.Println("validation : all rates equal the centralized max-min fair rates ✓")
 	}
@@ -183,7 +147,6 @@ func main() {
 			fmt.Printf("%-8d %-12.2f %-10d %s\n", s.ID, r.Float64()/1e6, len(s.Path), d)
 		}
 	}
-	os.Exit(0)
 }
 
 // runScenario parses and executes a scenario script, printing the per-epoch
@@ -218,12 +181,10 @@ func runScenario(path string, liveMode bool, overlay func(control.Policy) contro
 
 // runLive executes the scenario on the goroutine/actor runtime: joins fire
 // from concurrent goroutines and quiescence is detected by termination.
-func runLive(topo topology.Hosted, desc string, sessions int, demandCap float64, seed int64, validate bool, pol control.Policy) {
+func runLive(topo topology.Hosted, desc string, sessions int, demandCap float64, seed int64, validate bool) {
 	hosts := topo.AddHosts(2 * sessions)
-	g := topo.Topology()
-	rt := live.New(g)
+	rt := live.New(topo.Topology())
 	defer rt.Close()
-	rt.SetPathPolicy(pol)
 
 	rng := rand.New(rand.NewSource(seed + 7))
 	demandFn := trace.MixedDemands(demandCap, 1, 100)
@@ -273,42 +234,5 @@ func runLive(topo topology.Hosted, desc string, sessions int, demandCap float64,
 			log.Fatalf("validation FAILED: %v", err)
 		}
 		fmt.Println("validation : all rates equal the centralized max-min fair rates ✓")
-	}
-}
-
-func sizeByName(name string) (topology.Params, error) {
-	switch name {
-	case "small":
-		return topology.Small, nil
-	case "medium":
-		return topology.Medium, nil
-	case "big":
-		return topology.Big, nil
-	default:
-		return topology.Params{}, fmt.Errorf("unknown size %q (small, medium, big)", name)
-	}
-}
-
-func internetBySize(name string) (topology.InternetParams, error) {
-	switch name {
-	case "small":
-		return topology.InternetPaper, nil
-	case "medium":
-		return topology.InternetMetro, nil
-	case "big":
-		return topology.InternetGlobal, nil
-	default:
-		return topology.InternetParams{}, fmt.Errorf("unknown size %q (small, medium, big)", name)
-	}
-}
-
-func scenarioByName(name string) (topology.Scenario, error) {
-	switch name {
-	case "lan":
-		return topology.LAN, nil
-	case "wan":
-		return topology.WAN, nil
-	default:
-		return 0, fmt.Errorf("unknown scenario %q (lan, wan)", name)
 	}
 }

@@ -9,10 +9,10 @@
 //	-exp 5  → path re-optimization (pinned vs reoptimize after a
 //	          fail → restore cycle: hops and rate regained vs the extra
 //	          reconfiguration packets)
-//	-exp internet → internet-scale join burst on a generated hierarchical
-//	          topology (core/metro/edge tiers, power-law fringe); size it
-//	          with -internet-size paper|metro|global and -sessions
-//	-exp all → everything (except internet, which is opt-in)
+//	-exp all → everything
+//
+// The internet-scale join burst is cmd/bneck's: bneck -internet -size
+// small|medium|big -sessions N.
 //
 // Defaults are laptop-scale; use -scale to multiply session counts toward
 // the paper's numbers (e.g. -scale 10 runs Experiment 2 with 100,000 base
@@ -44,20 +44,17 @@ import (
 	"bneck/internal/control"
 	"bneck/internal/exp"
 	"bneck/internal/topology"
-	"bneck/internal/trace"
 )
 
 // opener creates one CSV file by name.
 type opener = func(name string) (io.WriteCloser, error)
 
 // An experiment is one row of the command's table: run renders its table
-// and returns its CSV writes (nil when it writes none); main times it,
-// prints the table and the wall time rounded to round, and with -csv runs
-// the writes.
+// and returns its CSV writes; main times it, prints the table and the wall
+// time, and with -csv runs the writes.
 type experiment struct {
-	name  string
-	round time.Duration
-	run   func() (table string, csv func(open opener) error, err error)
+	name string
+	run  func() (table string, csv func(open opener) error, err error)
 }
 
 // csvFile is the CSV write of an experiment with a single file.
@@ -70,9 +67,7 @@ func main() {
 	log.SetPrefix("experiments: ")
 
 	var (
-		which        = flag.String("exp", "all", "experiment to run: 1, 2, 3, 4, 5, internet, all")
-		internetSize = flag.String("internet-size", "metro", "-exp internet topology: paper (~40 routers), metro (~1k), global (~10k)")
-		sessions     = flag.Int("sessions", 0, "-exp internet session count (0 = two per router)")
+		which        = flag.String("exp", "all", "experiment to run: 1, 2, 3, 4, 5, all")
 		scale        = flag.Float64("scale", 1.0, "session-count multiplier toward paper scale")
 		seed         = flag.Int64("seed", 1, "deterministic seed")
 		big          = flag.Bool("big", false, "include the Big (11,000 router) topology in experiments 1, 4 and 5")
@@ -134,13 +129,10 @@ func main() {
 			exp1Counts = append(exp1Counts, n)
 		}
 	}
-	internet := map[string]topology.InternetParams{
-		"paper": topology.InternetPaper, "metro": topology.InternetMetro, "global": topology.InternetGlobal,
-	}
 	scaled := func(n int) int { return int(float64(n) * *scale) }
 
 	table := []experiment{
-		{"1", time.Second, func() (string, func(opener) error, error) {
+		{"1", func() (string, func(opener) error, error) {
 			cfg := exp.DefaultExp1()
 			cfg.Seed = *seed
 			cfg.Validate = *validate
@@ -161,7 +153,7 @@ func main() {
 				return exp.WriteExp1CSV(w, rows)
 			}), err
 		}},
-		{"2", time.Second, func() (string, func(opener) error, error) {
+		{"2", func() (string, func(opener) error, error) {
 			cfg := exp.DefaultExp2()
 			cfg.Seed = *seed
 			cfg.Validate = *validate
@@ -176,7 +168,7 @@ func main() {
 				return exp.WriteExp2CSV(w, res)
 			}), nil
 		}},
-		{"3", time.Second, func() (string, func(opener) error, error) {
+		{"3", func() (string, func(opener) error, error) {
 			cfg := exp.DefaultExp3()
 			cfg.Seed = *seed
 			cfg.Sessions = scaled(cfg.Sessions)
@@ -190,7 +182,7 @@ func main() {
 			}
 			return exp.FormatExp3(res) + "\n", func(open opener) error { return exp.WriteAllCSV(res, open) }, nil
 		}},
-		{"4", time.Second, func() (string, func(opener) error, error) {
+		{"4", func() (string, func(opener) error, error) {
 			cfg := exp.DefaultExp4()
 			if *big {
 				cfg.Sizes = append(cfg.Sizes, topology.Big)
@@ -207,7 +199,7 @@ func main() {
 				return exp.WriteExp4CSV(w, rows)
 			}), err
 		}},
-		{"5", time.Second, func() (string, func(opener) error, error) {
+		{"5", func() (string, func(opener) error, error) {
 			cfg := exp.DefaultExp5()
 			if *big {
 				cfg.Sizes = append(cfg.Sizes, topology.Big)
@@ -223,37 +215,10 @@ func main() {
 				return exp.WriteExp5CSV(w, rows)
 			}), err
 		}},
-		{"internet", time.Millisecond, func() (string, func(opener) error, error) {
-			params, ok := internet[*internetSize]
-			if !ok {
-				return "", nil, fmt.Errorf("unknown -internet-size %q (paper, metro, global)", *internetSize)
-			}
-			count := *sessions
-			if count <= 0 {
-				count = 2 * params.Routers()
-			}
-			topo, err := topology.GenerateInternet(params, *seed)
-			if err != nil {
-				return "", nil, err
-			}
-			row, err := exp.JoinBurst(topo, count, *seed, time.Millisecond, trace.MixedDemands(0.25, 1, 100), *validate)
-			if err != nil {
-				return "", nil, err
-			}
-			var b strings.Builder
-			fmt.Fprintf(&b, "Internet-scale join burst — %s (%d routers, %d directed links)\n",
-				params.Name, params.Routers(), topo.Graph.NumLinks())
-			fmt.Fprintf(&b, "  sessions   : %d joined within 1ms\n", count)
-			fmt.Fprintf(&b, "  quiescence : %v after %d packets, %d events\n", row.Quiescence, row.Packets, row.Events)
-			if *validate {
-				b.WriteString("  validation : rates equal the centralized max-min fair rates ✓\n")
-			}
-			return b.String(), nil, nil
-		}},
 	}
 	var runs []experiment
 	for _, e := range table {
-		if e.name == *which || (*which == "all" && e.name != "internet") {
+		if e.name == *which || *which == "all" {
 			runs = append(runs, e)
 		}
 	}
@@ -272,11 +237,11 @@ func main() {
 		if err != nil {
 			return fmt.Errorf("experiment %s: %v", e.name, err)
 		}
-		fmt.Fprintf(&outs[i], "%s(experiment %s wall time: %v)\n", text, e.name, time.Since(start).Round(e.round))
+		fmt.Fprintf(&outs[i], "%s(experiment %s wall time: %v)\n", text, e.name, time.Since(start).Round(time.Second))
 		if e.name != "3" { // experiment 3 has always ended without a blank line
 			outs[i].WriteString("\n")
 		}
-		if *csvDir == "" || writeCSV == nil {
+		if *csvDir == "" {
 			return nil
 		}
 		return writeCSV(openCSV)

@@ -5,8 +5,12 @@
 //
 // Usage:
 //
-//	topogen [-size small|medium|big] [-scenario lan|wan] [-hosts N] [-seed S]
-//	topogen -internet [-size small|medium|big] [-hosts N] [-seed S]
+//	topogen [-size small|medium|big] [-scenario lan|wan] [-hosts N] [-pairs N] [-seed S]
+//	topogen -internet [-size small|medium|big] [-hosts N] [-pairs N] [-seed S]
+//
+// -size names the same three scales as cmd/bneck; with -internet they are
+// the paper, metro and global rungs. The path statistics draw -pairs host
+// pairs, which needs at least two hosts; -pairs 0 skips them.
 //
 // With -internet the command generates the hierarchical internet-scale
 // topology instead (core/metro/edge tiers, power-law fringe, geography-
@@ -40,66 +44,29 @@ func main() {
 	)
 	flag.Parse()
 
-	var (
-		topo   topology.Hosted
-		header string
-	)
-	if *internet {
-		var params topology.InternetParams
-		switch *sizeName {
-		case "small":
-			params = topology.InternetPaper
-		case "medium":
-			params = topology.InternetMetro
-		case "big":
-			params = topology.InternetGlobal
-		default:
-			log.Fatalf("unknown size %q", *sizeName)
-		}
-		it, err := topology.GenerateInternet(params, *seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		topo = it
-		header = fmt.Sprintf("topology %s / internet (seed %d)\n", params.Name, *seed)
-	} else {
-		var size topology.Params
-		switch *sizeName {
-		case "small":
-			size = topology.Small
-		case "medium":
-			size = topology.Medium
-		case "big":
-			size = topology.Big
-		default:
-			log.Fatalf("unknown size %q", *sizeName)
-		}
-		var scen topology.Scenario
-		switch *scenName {
-		case "lan":
-			scen = topology.LAN
-		case "wan":
-			scen = topology.WAN
-		default:
-			log.Fatalf("unknown scenario %q", *scenName)
-		}
-		ts, err := topology.Generate(size, scen, *seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		topo = ts
-		header = fmt.Sprintf("topology %s / %s (seed %d)\n", size.Name, scen, *seed)
+	switch {
+	case *hosts < 0:
+		log.Fatalf("negative -hosts %d", *hosts)
+	case *pairs < 0:
+		log.Fatalf("negative -pairs %d", *pairs)
+	case *hosts < 2 && *pairs > 0:
+		log.Fatalf("-pairs %d needs at least two hosts, have -hosts %d", *pairs, *hosts)
+	}
+	topo, err := topology.GenerateByName(*sizeName, *scenName, *internet, *seed)
+	if err != nil {
+		log.Fatal(err)
 	}
 	topo.AddHosts(*hosts)
 	g := topo.Topology()
 
-	fmt.Print(header)
 	switch t := topo.(type) {
 	case *topology.Network:
+		fmt.Printf("topology %s / %s (seed %d)\n", t.Params.Name, t.Scenario, *seed)
 		fmt.Printf("  transit routers : %d\n", len(t.TransitRouters))
 		fmt.Printf("  stub routers    : %d\n", len(t.StubRouters))
 		fmt.Printf("  hosts           : %d\n", len(t.Hosts))
 	case *topology.Internet:
+		fmt.Printf("topology %s / internet (seed %d)\n", t.Params.Name, *seed)
 		fmt.Printf("  core routers    : %d (%d regions)\n", len(t.Core), t.Params.Regions)
 		fmt.Printf("  metro routers   : %d (%d metros)\n", len(t.Metro), t.Params.Regions*t.Params.MetrosPerRegion)
 		fmt.Printf("  edge routers    : %d\n", len(t.Edge))
@@ -137,6 +104,9 @@ func main() {
 		printDegrees(g)
 	}
 
+	if *pairs == 0 {
+		return
+	}
 	// Path statistics over random pairs.
 	res := graph.NewResolver(g, 256)
 	var lengths []int

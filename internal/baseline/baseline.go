@@ -276,15 +276,3 @@ func (h *Harness) wire(id graph.LinkID) *sim.Wire {
 	h.wires[id] = w
 	return w
 }
-
-// SnapshotRates returns the current rate estimate of every active session.
-func (h *Harness) SnapshotRates() map[core.SessionID]float64 {
-	out := make(map[core.SessionID]float64)
-	for _, id := range h.order {
-		s := h.sessions[id]
-		if s.active {
-			out[id] = s.rate
-		}
-	}
-	return out
-}

@@ -94,7 +94,7 @@ func RunExperiment1(cfg Exp1Config) ([]Exp1Row, error) {
 			if err != nil {
 				return nil, "", err
 			}
-			row, err := JoinBurst(topo, c.n, cfg.Seed, cfg.JoinWindow, trace.Unbounded, cfg.Validate)
+			row, _, err := JoinBurst(topo, c.n, cfg.Seed, cfg.JoinWindow, trace.Unbounded, cfg.Validate)
 			if err != nil {
 				return nil, "", err
 			}
@@ -105,24 +105,25 @@ func RunExperiment1(cfg Exp1Config) ([]Exp1Row, error) {
 		})
 }
 
-// JoinBurst is one join-burst run, Experiment 1's cell and the internet-scale
-// run alike: it places count sessions on topo (PlaceSessions), lands their
-// joins uniformly in [0, window) with demands drawn from demand, runs to
-// quiescence and, if validate, checks the rates against the oracle. The
-// joins draw from their own stream seeded with seed+7. The returned row
-// leaves Network and Scenario to the caller.
-func JoinBurst(topo topology.Hosted, count int, seed int64, window time.Duration, demand trace.DemandFn, validate bool) (Exp1Row, error) {
+// JoinBurst is one join-burst run, Experiment 1's cell and cmd/bneck's
+// simulated run alike: it places count sessions on topo (PlaceSessions),
+// lands their joins uniformly in [0, window) with demands drawn from demand,
+// runs to quiescence and, if validate, checks the rates against the oracle.
+// The joins draw from their own stream seeded with seed+7. The returned row
+// leaves Network and Scenario to the caller; its packets per session are 0
+// when no session joined. The network it ran is returned for inspection.
+func JoinBurst(topo topology.Hosted, count int, seed int64, window time.Duration, demand trace.DemandFn, validate bool) (Exp1Row, *network.Network, error) {
 	eng := sim.New()
 	net := network.New(topo.Topology(), eng, network.DefaultConfig())
 	sessions, err := PlaceSessions(topo, net, count)
 	if err != nil {
-		return Exp1Row{}, err
+		return Exp1Row{}, nil, err
 	}
 	schedule(net, sessions, trace.Joins(0, count, 0, window, demand, rand.New(rand.NewSource(seed+7))))
 	q := net.Run()
 	if validate {
 		if err := net.Validate(); err != nil {
-			return Exp1Row{}, err
+			return Exp1Row{}, nil, err
 		}
 	}
 	settle := make([]float64, 0, len(sessions))
@@ -130,16 +131,19 @@ func JoinBurst(topo topology.Hosted, count int, seed int64, window time.Duration
 		settle = append(settle, float64(s.SettlingTime()))
 	}
 	sum := metrics.Summarize(settle)
-	return Exp1Row{
-		Sessions:          count,
-		Quiescence:        q,
-		Packets:           net.Stats().Total(),
-		PacketsPerSession: float64(net.Stats().Total()) / float64(count),
-		Events:            eng.Events(),
-		SettleP50:         time.Duration(sum.Median),
-		SettleP90:         time.Duration(sum.P90),
-		SettleMax:         time.Duration(sum.Max),
-	}, nil
+	row := Exp1Row{
+		Sessions:   count,
+		Quiescence: q,
+		Packets:    net.Stats().Total(),
+		Events:     eng.Events(),
+		SettleP50:  time.Duration(sum.Median),
+		SettleP90:  time.Duration(sum.P90),
+		SettleMax:  time.Duration(sum.Max),
+	}
+	if count > 0 {
+		row.PacketsPerSession = float64(row.Packets) / float64(count)
+	}
+	return row, net, nil
 }
 
 // schedule hands the events to the network list by list, in order.

@@ -218,6 +218,29 @@ func TestExperiment3UnknownProtocol(t *testing.T) {
 	}
 }
 
+// TestZeroSessionBurst: a cell with no session (what -scale 0.05 makes of
+// Experiment 1's 10-session cells) reports 0 packets per session, not NaN,
+// in its row, its table line and its CSV.
+func TestZeroSessionBurst(t *testing.T) {
+	cfg := smallExp1()
+	cfg.Scenarios = []topology.Scenario{topology.LAN}
+	cfg.SessionCounts = []int{0}
+	rows, err := RunExperiment1(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1 || rows[0].Packets != 0 || rows[0].PacketsPerSession != 0 {
+		t.Fatalf("rows = %+v, want one row with 0 packets and 0 per session", rows)
+	}
+	var csv strings.Builder
+	if err := WriteExp1CSV(&csv, rows); err != nil {
+		t.Fatal(err)
+	}
+	if out := FormatExp1(rows) + csv.String(); strings.Contains(out, "NaN") {
+		t.Fatalf("a 0-session cell prints NaN:\n%s", out)
+	}
+}
+
 // TestBadSessionCounts: a session count below what an entry point accepts is
 // an error before anything runs, never a panic in host placement.
 func TestBadSessionCounts(t *testing.T) {

@@ -25,15 +25,15 @@ func hashTopology(n *topology.Internet) uint64 {
 	return h.Sum64()
 }
 
-// internetBurst is `experiments -exp internet`: a validated 1 ms join burst
-// with a quarter of the demands capped, on a generated internet topology.
+// internetBurst is `bneck -internet`: a validated 1 ms join burst with a
+// quarter of the demands capped, on a generated internet topology.
 func internetBurst(t *testing.T, params topology.InternetParams, sessions int, seed int64) (Exp1Row, *topology.Internet) {
 	t.Helper()
 	topo, err := topology.GenerateInternet(params, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, err := JoinBurst(topo, sessions, seed, time.Millisecond, trace.MixedDemands(0.25, 1, 100), true)
+	row, _, err := JoinBurst(topo, sessions, seed, time.Millisecond, trace.MixedDemands(0.25, 1, 100), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func internetBurst(t *testing.T, params topology.InternetParams, sessions int, s
 
 // TestInternetPaperValidated pins the smallest rung end to end: generated
 // topology, join burst, oracle validation — the numbers
-// `experiments -exp internet -internet-size paper` prints.
+// `bneck -internet -size small -sessions 80` prints.
 func TestInternetPaperValidated(t *testing.T) {
 	row, topo := internetBurst(t, topology.InternetPaper, 80, 1)
 	if row.Quiescence != 446648609*time.Nanosecond || row.Packets != 2266 || row.Events != 2684 {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"bneck/internal/scenario"
+	"bneck/internal/topology"
 )
 
 // DefaultBoundFactor is the slack multiplier on the structural quiescence
@@ -122,10 +123,8 @@ func quiescenceBound(sc *scenario.Script, factor float64) time.Duration {
 // hand-written script, so traces, hashing and replay work identically.
 // Deterministic in (rung, sessions, churn, seed).
 func Synthesize(rung string, sessions, churn int, seed int64, factor float64) (*Model, error) {
-	switch rung {
-	case "paper", "metro", "global":
-	default:
-		return nil, fmt.Errorf("mc: unknown rung %q (paper, metro, global)", rung)
+	if _, err := topology.RungByName(rung); err != nil {
+		return nil, fmt.Errorf("mc: %w", err)
 	}
 	if sessions < 2 {
 		sessions = 2

@@ -14,7 +14,6 @@ import (
 type world struct {
 	sc     *Script
 	g      *graph.Graph
-	topo   *topology.Network // nil for hand-built
 	nodes  map[string]graph.NodeID
 	epochs []epoch
 }
@@ -56,25 +55,21 @@ func build(sc *Script) (*world, error) {
 			return nil, fmt.Errorf("scenario: invalid topology: %w", err)
 		}
 		w.g = g
-	case TopoTransitStub:
-		topo, err := topology.Generate(sc.Topo.Size, sc.Topo.Scen, sc.Topo.Seed)
+	case TopoTransitStub, TopoInternet:
+		var (
+			topo topology.Hosted
+			err  error
+		)
+		if sc.Topo.Kind == TopoTransitStub {
+			topo, err = topology.Generate(sc.Topo.Size, sc.Topo.Scen, sc.Topo.Seed)
+		} else {
+			topo, err = topology.GenerateInternet(sc.Topo.Inet, sc.Topo.Seed)
+		}
 		if err != nil {
 			return nil, err
 		}
 		topo.AddHosts(sc.Topo.Hosts)
-		w.topo = topo
-		w.g = topo.Graph
-		for i := 0; i < w.g.NumNodes(); i++ {
-			n := w.g.Node(graph.NodeID(i))
-			w.nodes[n.Name] = n.ID
-		}
-	case TopoInternet:
-		inet, err := topology.GenerateInternet(sc.Topo.Inet, sc.Topo.Seed)
-		if err != nil {
-			return nil, err
-		}
-		inet.AddHosts(sc.Topo.Hosts)
-		w.g = inet.Graph
+		w.g = topo.Topology()
 		for i := 0; i < w.g.NumNodes(); i++ {
 			n := w.g.Node(graph.NodeID(i))
 			w.nodes[n.Name] = n.ID

@@ -565,94 +565,56 @@ func parseTopology(sc *Script, f []string) error {
 	if len(f) < 1 {
 		return fmt.Errorf("usage: topology transit-stub <size> <scenario> [seed=N] [hosts=N]")
 	}
+	spec := TopoSpec{Seed: 1}
+	var opts []string
 	switch f[0] {
 	case "transit-stub":
 		if len(f) < 3 {
 			return fmt.Errorf("usage: topology transit-stub <small|medium|big> <lan|wan> [seed=N] [hosts=N]")
 		}
-		spec := TopoSpec{Kind: TopoTransitStub, Seed: 1}
-		switch f[1] {
-		case "small":
-			spec.Size = topology.Small
-		case "medium":
-			spec.Size = topology.Medium
-		case "big":
-			spec.Size = topology.Big
-		default:
-			return fmt.Errorf("unknown size %q (small, medium, big)", f[1])
+		scale, err := topology.ScaleByName(f[1])
+		if err != nil {
+			return err
 		}
-		switch f[2] {
-		case "lan":
-			spec.Scen = topology.LAN
-		case "wan":
-			spec.Scen = topology.WAN
-		default:
-			return fmt.Errorf("unknown scenario %q (lan, wan)", f[2])
+		if spec.Scen, err = topology.ScenarioByName(f[2]); err != nil {
+			return err
 		}
-		for _, opt := range f[3:] {
-			k, v, ok := strings.Cut(opt, "=")
-			if !ok {
-				return fmt.Errorf("malformed option %q (want key=value)", opt)
-			}
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				return fmt.Errorf("option %s: %v", k, err)
-			}
-			switch k {
-			case "seed":
-				spec.Seed = n
-			case "hosts":
-				if n < 0 || n > maxScriptHosts {
-					return fmt.Errorf("hosts=%d out of range [0, %d]", n, maxScriptHosts)
-				}
-				spec.Hosts = int(n)
-			default:
-				return fmt.Errorf("unknown option %q", k)
-			}
-		}
-		sc.Topo = spec
-		return nil
+		spec.Kind, spec.Size, opts = TopoTransitStub, scale.Stub, f[3:]
 	case "internet":
 		if len(f) < 2 {
 			return fmt.Errorf("usage: topology internet <paper|metro|global> [seed=N] [hosts=N]")
 		}
-		spec := TopoSpec{Kind: TopoInternet, Seed: 1}
-		switch f[1] {
-		case "paper":
-			spec.Inet = topology.InternetPaper
-		case "metro":
-			spec.Inet = topology.InternetMetro
-		case "global":
-			spec.Inet = topology.InternetGlobal
-		default:
-			return fmt.Errorf("unknown internet rung %q (paper, metro, global)", f[1])
+		var err error
+		if spec.Inet, err = topology.RungByName(f[1]); err != nil {
+			return err
 		}
-		for _, opt := range f[2:] {
-			k, v, ok := strings.Cut(opt, "=")
-			if !ok {
-				return fmt.Errorf("malformed option %q (want key=value)", opt)
-			}
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				return fmt.Errorf("option %s: %v", k, err)
-			}
-			switch k {
-			case "seed":
-				spec.Seed = n
-			case "hosts":
-				if n < 0 || n > maxScriptHosts {
-					return fmt.Errorf("hosts=%d out of range [0, %d]", n, maxScriptHosts)
-				}
-				spec.Hosts = int(n)
-			default:
-				return fmt.Errorf("unknown option %q", k)
-			}
-		}
-		sc.Topo = spec
-		return nil
+		spec.Kind, opts = TopoInternet, f[2:]
 	default:
 		return fmt.Errorf("unknown topology kind %q (transit-stub, internet, or hand-built declarations)", f[0])
 	}
+	for _, opt := range opts {
+		k, v, ok := strings.Cut(opt, "=")
+		if !ok {
+			return fmt.Errorf("malformed option %q (want key=value)", opt)
+		}
+		n, err := strconv.ParseInt(v, 10, 64)
+		if err != nil {
+			return fmt.Errorf("option %s: %v", k, err)
+		}
+		switch k {
+		case "seed":
+			spec.Seed = n
+		case "hosts":
+			if n < 0 || n > maxScriptHosts {
+				return fmt.Errorf("hosts=%d out of range [0, %d]", n, maxScriptHosts)
+			}
+			spec.Hosts = int(n)
+		default:
+			return fmt.Errorf("unknown option %q", k)
+		}
+	}
+	sc.Topo = spec
+	return nil
 }
 
 // parsePolicy reads a `policy <pinned|reoptimize> [stretch=F] [min-gain=N]`

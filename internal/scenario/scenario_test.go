@@ -83,6 +83,13 @@ func TestParseErrors(t *testing.T) {
 		{"duplicate node", "router r1\nrouter r1", "duplicate node"},
 		{"mixed topology", "topology transit-stub small lan\nrouter r1", "cannot mix"},
 		{"huge hosts", "topology transit-stub small lan hosts=99999999", "out of range"},
+		{"unknown size", "topology transit-stub huge lan", `unknown size "huge" (small, medium, big)`},
+		{"unknown scenario", "topology transit-stub small man", `unknown scenario "man" (lan, wan)`},
+		{"unknown rung", "topology internet small", `unknown internet rung "small" (paper, metro, global)`},
+		{"internet bad seed", "topology internet paper seed=x", "option seed"},
+		{"internet huge hosts", "topology internet metro hosts=99999999", "out of range"},
+		{"internet malformed option", "topology internet paper hosts", "malformed option"},
+		{"internet unknown option", "topology internet paper size=3", `unknown option "size"`},
 		{"infinite capacity", "router r1\nrouter r2\nlink r1 r2 10mbps 1us\nat 0s set-capacity r1 r2 unlimited", "finite rate"},
 	}
 	for _, c := range cases {

@@ -62,10 +62,6 @@ func New() *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// LastBusy returns the execution time of the most recent regular
-// (non-daemon) event — once Run returns, this is the quiescence instant.
-func (e *Engine) LastBusy() Time { return e.lastBusy }
-
 // Events returns the total number of events executed.
 func (e *Engine) Events() uint64 { return e.nEvents }
 

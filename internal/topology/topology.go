@@ -3,7 +3,8 @@
 // (Small 110, Medium 1,100, Big 11,000 routers), with the paper's capacity
 // tiers (100 Mbps host links, 200 Mbps stub links, 500 Mbps transit-router
 // links) and LAN (1 µs everywhere) or WAN (1–10 ms router links) propagation
-// models. Generation is fully deterministic given a seed.
+// models. Generation is fully deterministic given a seed. The names of the
+// sizes, internet rungs and scenarios are parsed here and nowhere else.
 package topology
 
 import (
@@ -75,8 +76,7 @@ type Network struct {
 	StubRouters    []graph.NodeID
 	Hosts          []graph.NodeID
 
-	scenario Scenario
-	rng      *rand.Rand
+	rng *rand.Rand
 }
 
 // Generate builds a transit-stub topology deterministically from the seed.
@@ -89,7 +89,6 @@ func Generate(p Params, scen Scenario, seed int64) (*Network, error) {
 		Graph:    graph.New(),
 		Params:   p,
 		Scenario: scen,
-		scenario: scen,
 		rng:      rng,
 	}
 	g := n.Graph

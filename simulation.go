@@ -24,15 +24,12 @@ type Simulation struct {
 }
 
 func newSimulation(g *graph.Graph, topo topology.Hosted, opts ...Option) (*Simulation, error) {
-	o := defaultOptions()
+	var o options
 	for _, opt := range opts {
 		opt(&o)
 	}
-	cfg := network.Config{
-		ControlPacketBits: o.controlPacketBits,
-		BinSize:           o.binSize,
-		PathPolicy:        o.pathPolicy,
-	}
+	cfg := network.DefaultConfig()
+	cfg.PathPolicy = o.pathPolicy
 	if o.onRate != nil {
 		cb := o.onRate
 		cfg.OnRate = func(s core.SessionID, r Rate, at sim.Time) {
@@ -143,8 +140,8 @@ func (s *Simulation) Oracle() (map[SessionID]Rate, error) {
 // links.
 func (s *Simulation) Packets() uint64 { return s.net.Stats().Total() }
 
-// TrafficBins returns per-interval packet counts by type (Figure 6's view
-// of the control traffic).
+// TrafficBins returns packet counts by type per 5 ms interval (Figure 6's
+// view of the control traffic).
 func (s *Simulation) TrafficBins() []metrics.Bin { return s.net.Stats().Bins() }
 
 // Link is a handle to one duplex link, used to schedule topology events.
