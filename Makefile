@@ -40,7 +40,9 @@ test-full:
 # a cascade runs on the worker that claimed it however many CPUs are idle.
 # Between them the simulated transport's hop (internal/network): disjoint
 # chains with one session per link, in cache and out of it — ns/pkt is the
-# hop, allocs/pkt must stay at one record per link (≈ 0.17), whole runs again.
+# hop, allocs/pkt must stay at one record per link (≈ 0.17), whole runs again —
+# and one quiescent-state check (Validate) of the out-of-cache shape, in ms/op
+# and ns per link task.
 # Last the validation oracle (internal/waterfill): one full solve on a reused
 # Solver and one instance assembly, on the three instance shapes the
 # repository's benchmark validates — one allocation per solve (the result),
@@ -48,7 +50,7 @@ test-full:
 bench:
 	$(GO) test -bench=SimEngine -benchmem -run='^$$' ./internal/sim
 	$(GO) test -bench='TableGet|RateSetChurn|ProbeCycle|Add|DivInt' -benchmem -run='^$$' ./internal/core ./internal/rate
-	$(GO) test -bench=ChainHop -benchtime=3x -benchmem -run='^$$' ./internal/network
+	$(GO) test -bench='ChainHop|Validate' -benchtime=3x -benchmem -run='^$$' ./internal/network
 	$(GO) test -bench='LiveHop|LiveFanout|LiveEmit' -benchtime=3x -cpu 1,2 -benchmem -run='^$$' ./internal/live
 	$(GO) test -bench='Solve|Assemble' -benchmem -run='^$$' ./internal/waterfill
 

@@ -1,6 +1,8 @@
 package bneck_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -48,6 +50,30 @@ func TestLinkSetCapacityAt(t *testing.T) {
 	}
 	if !top.Capacity().Equal(bneck.Mbps(12)) {
 		t.Fatalf("handle capacity = %v", top.Capacity())
+	}
+}
+
+// TestLinkSetCapacityAtRejectsNonPositive: a zero capacity panics at the
+// call, before anything is scheduled, so the network still quiesces and
+// validates at the old capacity.
+func TestLinkSetCapacityAtRejectsNonPositive(t *testing.T) {
+	sim, s, top, _ := buildDiamondAPI(t)
+	s.JoinAt(0, bneck.Unlimited)
+	sim.RunToQuiescence()
+	func() {
+		defer func() {
+			if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), "non-positive capacity 0") {
+				t.Fatalf("SetCapacityAt(0) recovered %v, want the controller's non-positive capacity error", p)
+			}
+		}()
+		top.SetCapacityAt(sim.Now()+time.Millisecond, bneck.Mbps(0))
+	}()
+	rep := sim.RunToQuiescence()
+	if err := sim.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if !top.Capacity().Equal(bneck.Mbps(40)) || !rep.Rates[s.ID()].Equal(bneck.Mbps(40)) {
+		t.Fatalf("capacity %v, rate %v; want both unchanged at 40 Mbps", top.Capacity(), rep.Rates[s.ID()])
 	}
 }
 

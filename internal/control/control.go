@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"runtime"
 	"slices"
 
 	"bneck/internal/core"
@@ -301,12 +302,53 @@ type Task interface {
 	Stable() bool
 }
 
+// sweepAsideLinks is the graph size from which Check sweeps the link tasks
+// beside the oracle; below it the helper costs more than it overlaps.
+const sweepAsideLinks = 512
+
 // Check validates a quiescent transport as the paper validates every run:
 // each Active incarnation is not departed (ErrStaleIncarnation), is routed
 // over up links and holds a confirmed rate (rateOf) equal to the oracle's,
 // and each link task is consistent and stable (Definition 2). crossCheck
-// first checks the oracle against waterfill.WaterFilling and Verify.
-func (c *Controller) Check(rateOf func(core.SessionID) (r rate.Rate, ok, converged bool), tasks iter.Seq2[graph.LinkID, Task], crossCheck bool) error {
+// first checks the oracle against waterfill.WaterFilling and Verify. On a
+// large graph a helper goroutine sweeps the tasks while the caller solves
+// the oracle, so rateOf must not touch a link task; the error is the serial
+// order's (DESIGN.md §8) and a panic in the helper reaches the caller.
+func (c *Controller) Check(rateOf func(core.SessionID) (r rate.Rate, ok, converged bool), tasks iter.Seq2[graph.LinkID, Task], crossCheck bool) (err error) {
+	sweep := func() error {
+		for l, t := range tasks {
+			if err := t.CheckInvariants(); err != nil {
+				return fmt.Errorf("link %d: %w", l, err)
+			} else if !t.Stable() {
+				return fmt.Errorf("link %d unstable after quiescence", l)
+			}
+		}
+		return nil
+	}
+	last := sweep
+	if c.g.NumLinks() >= sweepAsideLinks {
+		// Woken by the helper's exit, the caller would resume on the helper's
+		// thread, on the other core, and the transport's next run would start
+		// on cold caches; locked to its thread, it resumes where it ran.
+		runtime.LockOSThread()
+		defer runtime.UnlockOSThread()
+		var serr error
+		var panicked any
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			defer func() { panicked = recover() }()
+			serr = sweep()
+		}()
+		defer func() {
+			if <-done; panicked != nil {
+				panic(panicked)
+			} else if err == nil {
+				err = serr
+			}
+		}()
+		last = func() error { return nil } // the deferred join reports the sweep
+	}
 	want, err := c.Oracle()
 	if err == nil && crossCheck {
 		err = c.oracle.CrossCheck(want)
@@ -334,14 +376,7 @@ func (c *Controller) Check(rateOf func(core.SessionID) (r rate.Rate, ok, converg
 		}
 		k++
 	}
-	for l, t := range tasks {
-		if err := t.CheckInvariants(); err != nil {
-			return fmt.Errorf("link %d: %w", l, err)
-		} else if !t.Stable() {
-			return fmt.Errorf("link %d unstable after quiescence", l)
-		}
-	}
-	return nil
+	return last()
 }
 
 // start joins s on path: on its current incarnation if that never carried a

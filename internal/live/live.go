@@ -538,9 +538,9 @@ func (rt *Runtime) Rates() map[core.SessionID]rate.Rate {
 }
 
 // Validate checks, after WaitQuiescent, every active session's granted rate
-// against the centralized oracle and every link task's stability — the
-// simulator's validation (control.Check), over the live deployment. It
-// holds mu throughout, so concurrent Validates queue up on it.
+// and every link task's stability — control.Check, over the live deployment.
+// It holds mu throughout, so concurrent Validates queue up on it, and Check's
+// link sweep (DESIGN.md §8) sees no insertion: every insertion holds mu.
 func (rt *Runtime) Validate() error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()

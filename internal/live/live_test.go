@@ -97,8 +97,13 @@ func TestLiveMatchesOracleOnTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	topo.AddHosts(80)
+	// 130 hosts take the graph to 520 links, above control.Check's gate, so
+	// the concurrent Validates below run its helper sweep under -race.
+	topo.AddHosts(130)
 	g := topo.Graph
+	if g.NumLinks() < 512 {
+		t.Fatalf("%d links: below control.Check's gate", g.NumLinks())
+	}
 	res := graph.NewResolver(g, 64)
 	rt := New(g)
 	defer rt.Close()

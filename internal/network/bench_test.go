@@ -35,39 +35,8 @@ func BenchmarkChainHop(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				g := graph.New()
-				ends := make([][2]graph.NodeID, chains)
-				for c := range ends {
-					src := g.AddHost("src")
-					prev := src
-					for r := 0; r < routers; r++ {
-						next := g.AddRouter("r")
-						g.Connect(prev, next, rate.Mbps(100), time.Duration(1+(7*c+13*r)%50)*time.Microsecond)
-						prev = next
-					}
-					dst := g.AddHost("dst")
-					g.Connect(prev, dst, rate.Mbps(100), time.Microsecond)
-					ends[c] = [2]graph.NodeID{src, dst}
-				}
-				eng := sim.New()
-				n := New(g, eng, Config{ControlPacketBits: 512})
-				sessions := make([]*Session, chains)
-				for c, e := range ends {
-					path, err := n.HostPath(e[0], e[1])
-					if err != nil {
-						b.Fatal(err)
-					}
-					if sessions[c], err = n.NewSession(e[0], e[1], path); err != nil {
-						b.Fatal(err)
-					}
-				}
-				burst := func(schedule func(s *Session, at sim.Time)) {
-					start := eng.Now() + time.Millisecond
-					for c, s := range sessions {
-						schedule(s, start+time.Duration(c%1000)*time.Microsecond)
-					}
-					n.Run()
-				}
+				n, eng, sessions := newChains(b, chains, routers)
+				burst := func(schedule func(s *Session, at sim.Time)) { chainBurst(n, eng, sessions, schedule) }
 				runtime.ReadMemStats(&ms)
 				before := ms.Mallocs
 				b.StartTimer()
@@ -86,4 +55,68 @@ func BenchmarkChainHop(b *testing.B) {
 			b.ReportMetric(float64(mallocs)/float64(packets), "allocs/pkt")
 		})
 	}
+}
+
+// newChains builds chains disjoint chains host–routers routers–host, each
+// hop's delay spread over 1–50 µs, and a network over them with one
+// unjoined session per chain.
+func newChains(tb testing.TB, chains, routers int) (*Network, *sim.Engine, []*Session) {
+	g := graph.New()
+	ends := make([][2]graph.NodeID, chains)
+	for c := range ends {
+		src := g.AddHost("src")
+		prev := src
+		for r := 0; r < routers; r++ {
+			next := g.AddRouter("r")
+			g.Connect(prev, next, rate.Mbps(100), time.Duration(1+(7*c+13*r)%50)*time.Microsecond)
+			prev = next
+		}
+		dst := g.AddHost("dst")
+		g.Connect(prev, dst, rate.Mbps(100), time.Microsecond)
+		ends[c] = [2]graph.NodeID{src, dst}
+	}
+	eng := sim.New()
+	n := New(g, eng, Config{ControlPacketBits: 512})
+	sessions := make([]*Session, chains)
+	for c, e := range ends {
+		path, err := n.HostPath(e[0], e[1])
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if sessions[c], err = n.NewSession(e[0], e[1], path); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return n, eng, sessions
+}
+
+// chainBurst schedules one operation per session, 1 µs apart (wrapping every
+// 1000) from 1 ms past now, and runs to quiescence.
+func chainBurst(n *Network, eng *sim.Engine, sessions []*Session, schedule func(s *Session, at sim.Time)) {
+	start := eng.Now() + time.Millisecond
+	for c, s := range sessions {
+		schedule(s, start+time.Duration(c%1000)*time.Microsecond)
+	}
+	n.Run()
+}
+
+// BenchmarkValidate is one quiescent-state check (Validate, control.Check)
+// on BenchmarkChainHop's out-of-cache shape after its join burst: 1024
+// chains of 32 routers, one session each, so the oracle solves 1024
+// sessions and the sweep checks 33,792 link tasks of one session each.
+// ms/op is the whole check, ns/task the same time per link task.
+func BenchmarkValidate(b *testing.B) {
+	n, eng, sessions := newChains(b, 1024, 32)
+	chainBurst(n, eng, sessions, func(s *Session, at sim.Time) { n.ScheduleJoin(s, at, rate.Inf) })
+	tasks := 0
+	for range n.tasks {
+		tasks++
+	}
+	for b.Loop() {
+		if err := n.Validate(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tasks), "ns/task")
 }

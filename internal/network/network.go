@@ -306,8 +306,9 @@ func (n *Network) ScheduleChange(s *Session, at sim.Time, demand rate.Rate) {
 
 // ScheduleSetCapacity changes the capacity of the given directed links to c
 // at virtual time at. Pass a link and its reverse to reconfigure a duplex
-// pair, matching the paper's symmetric link model.
+// pair, matching the paper's symmetric link model. Bad input panics here.
 func (n *Network) ScheduleSetCapacity(at sim.Time, c rate.Rate, links ...graph.LinkID) {
+	n.apply(nil, n.ctl.CheckLinks(c, links))
 	ls := append([]graph.LinkID(nil), links...)
 	n.globalAt(at, func() {
 		for _, l := range ls {
@@ -325,15 +326,17 @@ func (n *Network) ScheduleSetCapacity(at sim.Time, c rate.Rate, links ...graph.L
 // ScheduleLinkFail takes the given directed links down at virtual time at and
 // migrates the sessions crossing them. All listed links fail atomically
 // before any session reroutes, so a duplex pair cannot leak a reroute onto
-// its own reverse direction.
+// its own reverse direction. An unknown link panics here.
 func (n *Network) ScheduleLinkFail(at sim.Time, links ...graph.LinkID) {
+	n.apply(nil, n.ctl.CheckLinks(rate.Inf, links))
 	ls := append([]graph.LinkID(nil), links...)
 	n.globalAt(at, func() { n.apply(n.ctl.Fail(ls)) })
 }
 
 // ScheduleLinkRestore brings the given directed links back up at virtual time
-// at and readmits any stranded sessions whose hosts are reconnected.
+// at and readmits stranded sessions it reconnects. Unknown links panic here.
 func (n *Network) ScheduleLinkRestore(at sim.Time, links ...graph.LinkID) {
+	n.apply(nil, n.ctl.CheckLinks(rate.Inf, links))
 	ls := append([]graph.LinkID(nil), links...)
 	n.globalAt(at, func() { n.apply(n.ctl.Restore(ls)) })
 }
@@ -347,7 +350,7 @@ func (n *Network) StrandedSessions() int { return n.ctl.Stranded() }
 func (n *Network) Migrations() uint64 { return n.ctl.Migrations() }
 
 // apply executes the controller's actions in order, inside the event that
-// called it. Bad link input to a scheduled event is a programming error.
+// called it. Bad link input, a programming error, panics at the Schedule call.
 func (n *Network) apply(acts []control.Action, err error) {
 	if err != nil {
 		panic(err)
@@ -594,8 +597,8 @@ func (n *Network) Oracle() (map[core.SessionID]rate.Rate, error) {
 }
 
 // Validate checks, after quiescence, every active session's rate against the
-// oracle and every link task's stability (control.Check). With
-// Config.OracleCrossCheck the oracle's own rates are checked first.
+// oracle and every link task's stability (control.Check; rateOf reads no link
+// task). With Config.OracleCrossCheck the oracle's rates are checked first.
 func (n *Network) Validate() error {
 	err := n.ctl.Check(n.rateOf, n.tasks, n.cfg.OracleCrossCheck)
 	if err != nil {

@@ -1,7 +1,9 @@
 package network
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -212,6 +214,54 @@ func TestValidateDetectsMissingRate(t *testing.T) {
 	eng.RunUntil(0)
 	if err := n.Validate(); err == nil {
 		t.Fatalf("Validate passed before convergence")
+	}
+}
+
+// TestValidateOnLargeChains: on a graph above control.Check's gate, where
+// the link-task sweep runs beside the oracle, a quiescent network
+// validates, and one stopped mid-cascade — sessions unconverged and link
+// tasks unstable at once — fails with the serial order's error: the first
+// session, in creation order, not confirmed at its oracle rate.
+func TestValidateOnLargeChains(t *testing.T) {
+	const chains, routers = 32, 16 // 32 × 17 × 2 = 1088 links
+	n, eng, sessions := newChains(t, chains, routers)
+	if links := n.g.NumLinks(); links < 512 {
+		t.Fatalf("%d links: below the gate", links)
+	}
+	chainBurst(n, eng, sessions, func(s *Session, at sim.Time) { n.ScheduleJoin(s, at, rate.Inf) })
+	if err := n.Validate(); err != nil {
+		t.Fatalf("quiescent: %v", err)
+	}
+
+	n, eng, sessions = newChains(t, chains, routers)
+	start := eng.Now() + time.Millisecond
+	for c, s := range sessions {
+		n.ScheduleJoin(s, start+time.Duration(c)*time.Microsecond, rate.Inf)
+	}
+	n.RunUntil(start + 500*time.Microsecond)
+	want, err := n.Oracle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first core.SessionID
+	for _, s := range n.Sessions() {
+		if r, ok := s.Rate(); s.Active() && (!ok || !r.Equal(want[s.ID]) || !s.Converged()) {
+			first = s.ID
+			break
+		}
+	}
+	unstable := 0
+	for _, l := range n.tasks {
+		if !l.Stable() {
+			unstable++
+		}
+	}
+	if first == 0 || unstable == 0 {
+		t.Fatalf("mid-cascade: first unconverged session %d, %d unstable link tasks; want both", first, unstable)
+	}
+	err = n.Validate()
+	if prefix := fmt.Sprintf("network: session %d ", first); err == nil || !strings.HasPrefix(err.Error(), prefix) {
+		t.Fatalf("mid-cascade Validate = %v, want the error of session %d", err, first)
 	}
 }
 

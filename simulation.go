@@ -117,8 +117,8 @@ func (s *Simulation) RunToQuiescence() Report {
 func (s *Simulation) StepUntil(t time.Duration) { s.net.RunUntil(t) }
 
 // Validate cross-checks every active session's granted rate against the
-// centralized water-filling oracle and every link task's stability
-// (Definition 2 of the paper). Call it after RunToQuiescence.
+// centralized water-filling oracle and, side by side on a large network,
+// every link task's stability (Definition 2). Call after RunToQuiescence.
 func (s *Simulation) Validate() error { return s.net.Validate() }
 
 // Oracle returns the max-min fair rates of the currently active sessions as
@@ -162,7 +162,7 @@ func (l *Link) check() {
 // SetCapacityAt schedules a capacity change of both directions to c at
 // virtual time at. Sessions crossing the link re-probe through the
 // protocol's own dynamics and the network re-quiesces; run
-// RunToQuiescence and Validate afterwards.
+// RunToQuiescence and Validate afterwards. A capacity ≤ 0 panics here.
 func (l *Link) SetCapacityAt(at time.Duration, c Rate) {
 	l.check()
 	l.sim.net.ScheduleSetCapacity(at, c, l.ab, l.ba)
