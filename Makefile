@@ -67,24 +67,26 @@ benchmark-check:
 	$(GO) test -C benchmark ./...
 	$(GO) run -C benchmark . -scale tiny
 
-# The model-checking gate (DESIGN.md §16): bounded exhaustive DFS over the
-# paper-sized topology (the ≥10k-schedule acceptance test lives in
-# internal/mc), a 200-seed fuzzing swarm on the metro rung under the race
-# detector, the controller explorer (every sequence of up to five operations
-# on two small graphs, DESIGN.md §6; it prints its state and transition
-# counts), and the regression corpus and the explorer against the build-tag
-# bug doubles — each tagged build reopens one historical hole, and both the
-# committed choice trace and the explorer must catch it. A violation writes
-# mc-violation.trace (CI uploads it as an artifact).
+# The model-checking gate (DESIGN.md §16): the regression corpus, a
+# 2000-seed swarm over the paper fixture (4 sessions, 3 epochs, its expects,
+# a live run every 500 seeds), a 200-seed fuzzing swarm on the metro rung
+# under the race detector, and the two explorers — the controller explorer
+# (every sequence of up to five operations on two small graphs, DESIGN.md
+# §6) and the protocol explorer (B-Neck's tasks on FIFO channels under every
+# delivery schedule) — which print their state and transition counts. Each
+# build-tag bug double reopens one historical hole: the committed choice
+# trace must reproduce it and both explorers must find it. A swarm violation
+# writes mc-violation.trace (CI uploads it as an artifact).
 mc-smoke:
-	$(GO) test -run 'TestPaperExhaustive|TestRegressionCorpus' -count=1 -v ./internal/mc/
-	$(GO) run -race ./cmd/mc -synth metro -sessions 6 -churn 4 -strategy swarm \
+	$(GO) test -run TestRegressionCorpus -count=1 -v ./internal/mc/
+	$(GO) run ./cmd/mc -scenario internal/mc/testdata/paper.bneck -seeds 2000 -live-every 500
+	$(GO) run -race ./cmd/mc -synth metro -sessions 6 -churn 4 \
 		-seeds 200 -fuzz -live-every 100 -out mc-violation.trace
-	$(GO) test -run TestExploreController -count=1 -v ./internal/control/
+	$(GO) test -run 'TestExplore(Controller|Protocol)' -count=1 -v ./internal/control/
 	$(GO) test -race -tags mc_stalebug -run StaleBug -count=1 ./internal/mc/
 	$(GO) test -race -tags mc_strandbug -run StrandBug -count=1 ./internal/mc/
-	$(GO) test -tags mc_stalebug -run TestExploreController -count=1 -v ./internal/control/
-	$(GO) test -tags mc_strandbug -run TestExploreController -count=1 -v ./internal/control/
+	$(GO) test -tags mc_stalebug -run 'TestExplore(Controller|Protocol)' -count=1 -v ./internal/control/
+	$(GO) test -tags mc_strandbug -run 'TestExplore(Controller|Protocol)' -count=1 -v ./internal/control/
 
 fmt:
 	gofmt -w .

@@ -1,14 +1,15 @@
-// Command mc model-checks the quiescence theorem over event interleavings:
-// it loads (or synthesizes) a scenario, explores the simulator's cross-node
-// tie-breaks with the internal/mc harness, and checks every explored
-// schedule against the quiescence-bound, oracle-exactness,
-// stale-incarnation and (sampled) live-Validate invariants.
+// Command mc samples the quiescence theorem over event interleavings: it
+// loads (or synthesizes) a scenario, draws the simulator's cross-node
+// tie-breaks from a seeded swarm with the internal/mc harness, and checks
+// every explored schedule against the quiescence-bound, oracle-exactness,
+// stale-incarnation and (sampled) live-Validate invariants. The exhaustive
+// check of the protocol in the paper's own model is internal/control's
+// TestExploreProtocol.
 //
 // Usage:
 //
-//	mc -scenario examples/scenarios/failover.bneck           # bounded DFS
-//	mc -scenario s.bneck -strategy dfs -prune -max-depth 12
-//	mc -synth metro -sessions 6 -churn 5 -strategy swarm -seeds 200 -fuzz
+//	mc -scenario examples/scenarios/failover.bneck -seeds 2000
+//	mc -synth metro -sessions 6 -churn 5 -seeds 200 -fuzz
 //	mc -scenario s.bneck -replay violation.trace             # re-run a trace
 //
 // Flags:
@@ -19,16 +20,9 @@
 //	-sessions n          synthesized session count (default 4)
 //	-churn n             synthesized churn rounds (default 4)
 //	-synth-seed n        synthesis seed (default 1)
-//	-strategy s          dfs (exhaustive, default) or swarm (randomized)
-//	-max-runs n          schedule budget (default 1000)
-//	-max-depth n         tie-breaks per run before default order (default 12)
-//	-prune               sleep-set pruning: skip schedules that only commute
-//	                     independent events (dfs)
-//	-delays n            delay bound: total default-order deferrals per run
-//	                     (dfs; 0 = unbounded)
-//	-seeds n             swarm seed count (default 100)
+//	-seeds n             swarm seed count, one schedule each (default 100)
 //	-seed0 n             first swarm seed (default 1)
-//	-fuzz                perturb churn timings per swarm seed (swarm)
+//	-fuzz                perturb churn timings per swarm seed
 //	-live-every n        run the live runtime every n-th schedule (0 = off)
 //	-bound-factor f      slack multiplier on the structural quiescence bound
 //	                     (default 8)
@@ -60,14 +54,9 @@ func main() {
 		sessions     = flag.Int("sessions", 4, "synthesized session count")
 		churn        = flag.Int("churn", 4, "synthesized churn rounds")
 		synthSeed    = flag.Int64("synth-seed", 1, "synthesis seed")
-		strategy     = flag.String("strategy", "dfs", "exploration strategy: dfs or swarm")
-		maxRuns      = flag.Int("max-runs", 1000, "schedule budget")
-		maxDepth     = flag.Int("max-depth", 12, "tie-breaks per run before default order")
-		prune        = flag.Bool("prune", false, "sleep-set pruning (dfs)")
-		delays       = flag.Int("delays", 0, "delay bound per run (dfs, 0 = unbounded)")
-		seeds        = flag.Int("seeds", 100, "swarm seed count")
+		seeds        = flag.Int("seeds", 100, "swarm seed count, one schedule each")
 		seed0        = flag.Int64("seed0", 1, "first swarm seed")
-		fuzz         = flag.Bool("fuzz", false, "perturb churn timings per swarm seed (swarm)")
+		fuzz         = flag.Bool("fuzz", false, "perturb churn timings per swarm seed")
 		liveEvery    = flag.Int("live-every", 0, "run the live runtime every n-th schedule (0 = off)")
 		boundFactor  = flag.Float64("bound-factor", mc.DefaultBoundFactor, "slack multiplier on the quiescence bound")
 		replayPath   = flag.String("replay", "", "replay a recorded choice trace")
@@ -104,17 +93,7 @@ func main() {
 		return
 	}
 
-	cfg := mc.Config{
-		Strategy:   *strategy,
-		MaxRuns:    *maxRuns,
-		MaxDepth:   *maxDepth,
-		Prune:      *prune,
-		DelayBound: *delays,
-		Seeds:      *seeds,
-		Seed0:      *seed0,
-		Fuzz:       *fuzz,
-		LiveEvery:  *liveEvery,
-	}
+	cfg := mc.Config{Seeds: *seeds, Seed0: *seed0, Fuzz: *fuzz, LiveEvery: *liveEvery}
 	if *verbose {
 		cfg.Log = log.Printf
 	}
@@ -123,11 +102,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("explored %d schedules (%d choice points, %d pruned, %d live runs)\n",
-		res.Runs, res.ChoicePoints, res.Pruned, res.LiveRuns)
-	if res.Exhausted {
-		fmt.Println("schedule tree exhausted: every interleaving within bounds checked")
-	}
+	fmt.Printf("explored %d schedules (%d choice points, %d live runs)\n",
+		res.Runs, res.ChoicePoints, res.LiveRuns)
 	if res.Violation == nil {
 		fmt.Println("no invariant violations")
 		return

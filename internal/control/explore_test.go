@@ -19,19 +19,22 @@ import (
 // transport applies, and the invariants below are checked after every
 // operation. Because the controller's next actions depend only on that
 // state, a state reached again needs no second look: the search is
-// exhaustive within its bound. (The transports' own behaviour under every
-// delivery schedule is internal/mc's business.)
+// exhaustive within its bound. The search itself (explore) is shared with
+// the protocol explorer (protocol_test.go), which drives B-Neck's tasks with
+// the same operations under every delivery schedule.
 
 // exConfig is one bounded search: a graph, up to three sessions between
 // distinct host pairs, the duplex links the topology operations act on, a
-// path policy and the bound k.
+// path policy, the operations offered and the bound k.
 type exConfig struct {
 	name     string
 	build    func() (*graph.Graph, map[string]graph.NodeID, map[string][2]graph.LinkID)
 	sessions [][2]string
 	links    []string
 	policy   Policy
+	ops      []exOp // the operations offered; nil: every one of the configuration
 	k        int
+	livelock bool // the protocol explorer finds the known livelock (DESIGN.md §16)
 }
 
 // exConfigs are the committed searches: the rig's five-router graph under
@@ -76,7 +79,9 @@ const (
 	exBad                   // Fail, Restore and SetCapacity with bad input: each must fail and change nothing
 )
 
-var exJoinDemand, exChangeDemand = rate.Mbps(10), rate.Mbps(20)
+// exJoinDemand is unlimited so that links, not demands, restrict a joined
+// session: the protocol explorer needs bottlenecks.
+var exJoinDemand, exChangeDemand = rate.Inf, rate.Mbps(20)
 
 var exStates = [...]string{Idle: "idle", Active: "active", Stranded: "stranded"}
 
@@ -117,6 +122,13 @@ type exRun struct {
 	spans       map[core.SessionID]uint64
 	reconfig    uint64 // the reconfiguration packets the spans add up to
 	err         error
+
+	// retune and run, when set, are the protocol model the operations also
+	// drive (TestExploreProtocol): retune reconfigures the links' tasks before
+	// the controller hears of a capacity change, run takes the actions the
+	// model transport accepted.
+	retune func(cp rate.Rate, links []graph.LinkID)
+	run    func([]Action)
 }
 
 // exWorld is what every replay of a configuration shares: its graph,
@@ -190,6 +202,9 @@ func (r *exRun) packets(id core.SessionID) uint64 {
 
 // ops lists every operation of the configuration, enabled or not.
 func (r *exRun) ops() []exOp {
+	if r.cfg.ops != nil {
+		return r.cfg.ops
+	}
 	var ops []exOp
 	for i := range r.ids {
 		ops = append(ops, exOp{exJoin, i}, exOp{exLeave, i}, exOp{exChange, i})
@@ -247,6 +262,9 @@ func (r *exRun) step(op exOp) (err error) {
 		} else if l < 0 {
 			cp = cp.DivInt(1 << -l)
 		}
+		if r.retune != nil {
+			r.retune(cp, r.duplex[op.i][:])
+		}
 		acts, opErr = r.c.SetCapacity(cp, r.duplex[op.i][:])
 	case exQuiesce:
 		r.quiesce()
@@ -259,6 +277,9 @@ func (r *exRun) step(op exOp) (err error) {
 		r.violate("%v failed: %v", op, opErr)
 	}
 	r.apply(acts, topo, before)
+	if r.run != nil && r.err == nil {
+		r.run(acts)
+	}
 	for _, inc := range r.inc {
 		if !inc.reclaimed {
 			inc.pkts++
@@ -473,56 +494,129 @@ func (r *exRun) key() string {
 	return string(b)
 }
 
-// exResult is what a search found: its counts, and the first violation
-// with the shortest operation sequence that reaches it.
-type exResult struct {
+// exResult is what a search found: its counts, and the first violation with
+// the shortest action sequence that reaches it — or, when the transitions
+// close a cycle, the actions of one cycle and the shortest sequence that
+// reaches it.
+type exResult[A any] struct {
 	states, transitions int
 	violation           error
-	trace               []exOp
+	trace, cycle        []A
 }
 
-// explore searches cfg breadth first up to cfg.k operations, replaying each
-// sequence from a fresh controller.
-func explore(cfg *exConfig, k int) exResult {
+// explore searches breadth first every action sequence replay accepts.
+// replay rebuilds from scratch the state a sequence reaches and returns its
+// canonical key, the actions enabled there (none once the client's bound is
+// reached) and the first violation on the way. A state reached again is not
+// expanded again, so the search is exhaustive; it stops at the first
+// violation. Every transition is recorded, and Kahn's algorithm over them
+// finds any cycle: an infinite schedule.
+func explore[A any](replay func(seq []A) (key string, next []A, err error)) exResult[A] {
+	type node struct {
+		parent int32
+		act    A
+		next   []A
+	}
+	type edge struct {
+		from, to int32
+		act      A
+	}
+	key, next, _ := replay(nil)
+	visited := map[string]int32{key: 0}
+	nodes := []node{{parent: -1, next: next}}
+	var edges []edge
+	seqOf := func(i int32) []A {
+		var seq []A
+		for ; i > 0; i = nodes[i].parent {
+			seq = append(seq, nodes[i].act)
+		}
+		slices.Reverse(seq)
+		return seq
+	}
+	res := exResult[A]{states: 1}
+	for i := int32(0); int(i) < len(nodes); i++ { // nodes are numbered in breadth-first order
+		seq := seqOf(i)
+		for _, a := range nodes[i].next {
+			res.transitions++
+			succ := append(slices.Clip(seq), a)
+			key, next, err := replay(succ)
+			if err != nil {
+				res.violation, res.trace = err, succ
+				return res
+			}
+			j, seen := visited[key]
+			if !seen {
+				j = int32(len(nodes))
+				visited[key] = j
+				nodes = append(nodes, node{parent: i, act: a, next: next})
+				res.states++
+			}
+			edges = append(edges, edge{i, j, a})
+		}
+		nodes[i].next = nil
+	}
+	indeg, out, in := make([]int, len(nodes)), make([][]int32, len(nodes)), make([][]int32, len(nodes))
+	for e, ed := range edges {
+		indeg[ed.to]++
+		out[ed.from], in[ed.to] = append(out[ed.from], ed.to), append(in[ed.to], int32(e))
+	}
+	var free []int32
+	for i, d := range indeg {
+		if d == 0 {
+			free = append(free, int32(i))
+		}
+	}
+	for len(free) > 0 {
+		i := free[len(free)-1]
+		free = free[:len(free)-1]
+		for _, j := range out[i] {
+			if indeg[j]--; indeg[j] == 0 {
+				free = append(free, j)
+			}
+		}
+	}
+	// Every state Kahn leaves has a predecessor it leaves too, so walking
+	// back from one closes a cycle.
+	v := int32(slices.IndexFunc(indeg, func(d int) bool { return d > 0 }))
+	if v < 0 {
+		return res
+	}
+	at, walk := map[int32]int{}, []int32(nil)
+	for ; ; v = edges[walk[len(walk)-1]].from {
+		if _, ok := at[v]; ok {
+			break
+		}
+		at[v] = len(walk)
+		walk = append(walk, in[v][slices.IndexFunc(in[v], func(e int32) bool { return indeg[edges[e].from] > 0 })])
+	}
+	walk = walk[at[v]:]
+	slices.Reverse(walk)
+	res.trace = seqOf(v)
+	for _, e := range walk {
+		res.cycle = append(res.cycle, edges[e].act)
+	}
+	return res
+}
+
+// exploreController searches cfg up to k operations, replaying each
+// sequence on a fresh controller.
+func exploreController(cfg *exConfig, k int) exResult[exOp] {
 	w := newExWorld(cfg)
-	replay := func(seq []exOp) (*exRun, error) {
+	return explore(func(seq []exOp) (string, []exOp, error) {
 		r := newExRun(w)
 		for _, op := range seq {
 			if err := r.step(op); err != nil {
-				return r, err
+				return "", nil, err
 			}
 		}
-		return r, nil
-	}
-	root, _ := replay(nil)
-	visited := map[string]bool{root.key(): true}
-	res := exResult{states: 1}
-	frontier := [][]exOp{nil}
-	for depth := 0; depth < k && len(frontier) > 0; depth++ {
-		var next [][]exOp
-		for _, seq := range frontier {
-			r, _ := replay(seq)
-			for _, op := range r.ops() {
-				if !r.enabled(op) {
-					continue
-				}
-				res.transitions++
-				succ := append(slices.Clip(seq), op)
-				after, err := replay(succ)
-				if err != nil {
-					res.violation, res.trace = err, succ
-					return res
-				}
-				if k := after.key(); !visited[k] {
-					visited[k] = true
-					res.states++
-					next = append(next, succ)
-				}
+		var next []exOp
+		for _, op := range r.ops() {
+			if len(seq) < k && r.enabled(op) {
+				next = append(next, op)
 			}
 		}
-		frontier = next
-	}
-	return res
+		return r.key(), next, nil
+	})
 }
 
 // TestExploreController runs every committed search and reports its counts
@@ -538,7 +632,7 @@ func TestExploreController(t *testing.T) {
 		if testing.Short() {
 			k--
 		}
-		res := explore(cfg, k)
+		res := exploreController(cfg, k)
 		t.Logf("%s: k=%d: %d states, %d transitions", cfg.name, k, res.states, res.transitions)
 		if res.violation != nil {
 			if !bug {

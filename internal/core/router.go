@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"bneck/internal/rate"
 )
 
@@ -322,24 +324,32 @@ func (rl *RouterLink) Stable() bool {
 	return true
 }
 
-// snapshotEntry is a read-only view of per-session link state for tests and
-// validation.
-type snapshotEntry struct {
-	InRe   bool
-	Mu     State
-	Lambda rate.Rate
-	HasLam bool
-}
-
-// snapshot exposes the table state (tests only).
-func (rl *RouterLink) snapshot() map[SessionID]snapshotEntry {
-	out := make(map[SessionID]snapshotEntry, rl.tbl.sessions())
-	for _, slot := range rl.tbl.entries.slots {
-		if e := slot.ent; e != nil {
-			out[slot.id] = snapshotEntry{InRe: e.inRe, Mu: e.mu, Lambda: e.lambda, HasLam: e.hasLambda}
+// AppendState appends the task's canonical state to b and returns it: its
+// link and capacity, then each session's ID, hop, set (R_e or F_e), μ and
+// recorded λ, sorted by session ID. Tasks that append the same bytes handle
+// every future packet alike, which is what a state-space search keys its
+// visited set by. No transport calls it.
+func (rl *RouterLink) AppendState(b []byte) []byte {
+	t := &rl.tbl
+	b = fmt.Appendf(b, "L%d c%s", rl.ref, t.capacity.Key())
+	ents := make([]*tableEntry, 0, t.sessions())
+	for _, slot := range t.entries.slots {
+		if slot.ent != nil {
+			ents = append(ents, slot.ent)
 		}
 	}
-	return out
+	sortByID(ents)
+	for _, e := range ents {
+		set := 'F'
+		if e.inRe {
+			set = 'R'
+		}
+		b = fmt.Appendf(b, " s%d h%d %c%d", e.id, e.hop, set, e.mu)
+		if e.hasLambda {
+			b = append(append(b, '='), e.lambda.Key()...)
+		}
+	}
+	return append(b, ';')
 }
 
 // CheckInvariants exposes table consistency checking for tests.

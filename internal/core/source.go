@@ -50,6 +50,16 @@ func (sn *SourceNode) Rate() (rate.Rate, bool) { return sn.lambda, sn.hasLam }
 // network confirmed as its max-min fair rate (the bneck_rcv flag).
 func (sn *SourceNode) Converged() bool { return sn.bneckRcv && sn.mu == Idle }
 
+// AppendState appends the task's canonical state to b and returns it (see
+// RouterLink.AppendState).
+func (sn *SourceNode) AppendState(b []byte) []byte {
+	b = fmt.Appendf(b, "S%d d%s m%d a%t u%t b%t f%t", sn.id, sn.demand.Key(), sn.mu, sn.active, sn.updRcv, sn.bneckRcv, sn.inFe)
+	if sn.hasLam {
+		b = append(append(b, '='), sn.lambda.Key()...)
+	}
+	return append(b, ';')
+}
+
 // Join implements API.Join(s, r): the session enters the system requesting a
 // maximum rate of demand.
 func (sn *SourceNode) Join(demand rate.Rate) {

@@ -5,17 +5,12 @@
 // The determinism suites elsewhere in the repository pin exactly one
 // (time, creator, creator-seq) total order per workload. The paper's claims
 // — quiescence, max-min exactness, stale-message safety — are theorems over
-// *all* schedules, and bugs like PR 4's stale rejoin hide precisely in the
-// orders no fixed tie-break ever produces. This package installs a
-// sim.Chooser on the classic engine and enumerates the cross-creator
-// tie-breaks three ways:
-//
-//   - exhaustive DFS with depth/run bounds, for paper-sized topologies;
-//   - the same DFS with sleep-set pruning over an independence relation
-//     (events whose owning nodes are disjoint commute) and an optional
-//     delay bound, for deeper timelines;
-//   - seeded swarm randomization, optionally composed with a churn-timing
-//     fuzzer that perturbs the scenario timeline, for larger rungs.
+// *all* schedules. The protocol explorer in internal/control's tests checks
+// them exhaustively in the paper's own model (FIFO channels, arbitrary
+// delays) on small graphs; this package samples the rest on whole scenario
+// scripts, at any rung: it installs a sim.Chooser on the engine and draws
+// the cross-creator tie-breaks from one seeded swarm, optionally composed
+// with a churn-timing fuzzer that perturbs the scenario timeline.
 //
 // Every explored run is checked against four invariants: quiescence within
 // a structural bound (scenario.ErrQuiescenceOverrun); final rates byte-equal
@@ -31,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"time"
 
 	"bneck/internal/control"
 	"bneck/internal/scenario"
@@ -98,27 +92,13 @@ func (v *Violation) Error() string {
 
 // Config tunes one exploration.
 type Config struct {
-	// Strategy is "dfs" or "swarm".
-	Strategy string
-	// MaxRuns bounds how many schedules the exploration executes (DFS may
-	// exhaust the tree earlier). Zero means 1000.
-	MaxRuns int
-	// MaxDepth bounds choice points per run: beyond it the run continues in
-	// default order without branching. Zero means unbounded.
-	MaxDepth int
-	// Prune enables sleep-set pruning (DFS only): schedules that differ only
-	// by commuting independent events are explored once.
-	Prune bool
-	// DelayBound, when positive, bounds the total number of default-order
-	// deferrals per run (DFS only): picking enabled candidate k costs k.
-	DelayBound int
-	// Seeds is the number of swarm seeds (swarm only). Zero means 100.
+	// Seeds is the number of swarm seeds, one schedule each. Zero means 100.
 	Seeds int
 	// Seed0 is the first swarm seed.
 	Seed0 int64
-	// Fuzz perturbs churn timings per swarm seed (swarm only): event
-	// timestamps are redrawn on a coarse grid so fail/restore/join/leave
-	// collide into racing epochs.
+	// Fuzz perturbs churn timings per swarm seed: event timestamps are
+	// redrawn on a coarse grid so fail/restore/join/leave collide into racing
+	// epochs.
 	Fuzz bool
 	// LiveEvery runs the script on the live runtime every n-th explored
 	// schedule (0 disables). The live transport has no virtual clock, so
@@ -131,16 +111,10 @@ type Config struct {
 
 // Result summarizes one exploration.
 type Result struct {
-	// Runs is the number of distinct schedules executed. Under DFS every
-	// run's pick vector differs, so Runs counts distinct schedules.
+	// Runs is the number of schedules executed.
 	Runs int
 	// ChoicePoints is the total number of consulted tie-breaks.
 	ChoicePoints int
-	// Pruned counts DFS siblings skipped by sleep sets or the delay bound.
-	Pruned int
-	// Exhausted reports that DFS ran out of unexplored schedules before
-	// MaxRuns.
-	Exhausted bool
 	// LiveRuns is how many sampled live-transport runs executed.
 	LiveRuns int
 	// Violation is the first invariant failure, nil if none.
@@ -164,32 +138,4 @@ func classify(err error) InvariantKind {
 	default:
 		return KindOracle
 	}
-}
-
-// Explore runs the configured strategy against the model and reports what it
-// found. A nil Result.Violation means every explored schedule satisfied all
-// invariants.
-func Explore(m *Model, cfg Config) (*Result, error) {
-	if cfg.MaxRuns <= 0 {
-		cfg.MaxRuns = 1000
-	}
-	if cfg.Log == nil {
-		cfg.Log = func(string, ...any) {}
-	}
-	switch cfg.Strategy {
-	case "", "dfs", "delay":
-		return exploreDFS(m, cfg)
-	case "swarm":
-		return exploreSwarm(m, cfg)
-	default:
-		return nil, fmt.Errorf("mc: unknown strategy %q (dfs, swarm)", cfg.Strategy)
-	}
-}
-
-// timeBound is a helper for pretty-printing the model's deadline.
-func timeBound(d time.Duration) string {
-	if d <= 0 {
-		return "disabled"
-	}
-	return d.String()
 }

@@ -8,7 +8,8 @@ import (
 
 // With the mc_stalebug test double compiled in (the PR 4 bug shape: rejoin
 // reuses the departed incarnation), the committed trace must reproduce a
-// stale-incarnation violation, and the explorer must find one unaided.
+// stale-incarnation violation, and so must its minimization. The unaided find
+// is internal/control's TestExploreProtocol under the same tag.
 // CI runs this as `go test -tags mc_stalebug -run StaleBug ./internal/mc/`.
 func TestStaleBugTraceReproduces(t *testing.T) {
 	m, err := FromFile("testdata/stale_rejoin.bneck", 0)
@@ -29,30 +30,14 @@ func TestStaleBugTraceReproduces(t *testing.T) {
 	if v.Kind != KindStaleIncarnation {
 		t.Fatalf("violation kind = %v, want %v (err: %v)", v.Kind, KindStaleIncarnation, v.Err)
 	}
-}
-
-func TestStaleBugExplorerFindsIt(t *testing.T) {
-	m, err := FromFile("testdata/stale_rejoin.bneck", 0)
+	min, _, err := Minimize(m, tr, v.Kind)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Explore(m, Config{Strategy: "dfs", MaxRuns: 500, MaxDepth: 6})
-	if err != nil {
-		t.Fatal(err)
+	if min.Deviations() > tr.Deviations() {
+		t.Fatalf("minimization grew the trace: %d > %d deviations", min.Deviations(), tr.Deviations())
 	}
-	if res.Violation == nil {
-		t.Fatalf("explorer missed the stale rejoin in %d runs", res.Runs)
-	}
-	if res.Violation.Kind != KindStaleIncarnation {
-		t.Fatalf("violation kind = %v, want %v (err: %v)",
-			res.Violation.Kind, KindStaleIncarnation, res.Violation.Err)
-	}
-	min, _, err := Minimize(m, res.Violation.Trace, res.Violation.Kind)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if min.Deviations() > res.Violation.Trace.Deviations() {
-		t.Fatalf("minimization grew the trace: %d > %d deviations",
-			min.Deviations(), res.Violation.Trace.Deviations())
+	if v, err := Replay(m, min); err != nil || v == nil || v.Kind != KindStaleIncarnation {
+		t.Fatalf("the minimized trace does not reproduce: %v, %v", v, err)
 	}
 }

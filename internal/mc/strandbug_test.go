@@ -9,7 +9,9 @@ import (
 // With the mc_strandbug test double compiled in (the PR 2 edge: leaving a
 // stranded session skips the unpark, so a later restore resurrects it), the
 // committed trace must reproduce an expectation violation — the script's
-// expects assert the departed session stays gone.
+// expects assert the departed session stays gone — and so must its
+// minimization. The unaided find is internal/control's TestExploreProtocol
+// under the same tag.
 // CI runs this as `go test -tags mc_strandbug -run StrandBug ./internal/mc/`.
 func TestStrandBugTraceReproduces(t *testing.T) {
 	m, err := FromFile("testdata/pr2_stranding.bneck", 0)
@@ -30,22 +32,14 @@ func TestStrandBugTraceReproduces(t *testing.T) {
 	if v.Kind != KindExpectation {
 		t.Fatalf("violation kind = %v, want %v (err: %v)", v.Kind, KindExpectation, v.Err)
 	}
-}
-
-func TestStrandBugExplorerFindsIt(t *testing.T) {
-	m, err := FromFile("testdata/pr2_stranding.bneck", 0)
+	min, _, err := Minimize(m, tr, v.Kind)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Explore(m, Config{Strategy: "dfs", MaxRuns: 500, MaxDepth: 6})
-	if err != nil {
-		t.Fatal(err)
+	if min.Deviations() > tr.Deviations() {
+		t.Fatalf("minimization grew the trace: %d > %d deviations", min.Deviations(), tr.Deviations())
 	}
-	if res.Violation == nil {
-		t.Fatalf("explorer missed the stranding edge in %d runs", res.Runs)
-	}
-	if res.Violation.Kind != KindExpectation {
-		t.Fatalf("violation kind = %v, want %v (err: %v)",
-			res.Violation.Kind, KindExpectation, res.Violation.Err)
+	if v, err := Replay(m, min); err != nil || v == nil || v.Kind != KindExpectation {
+		t.Fatalf("the minimized trace does not reproduce: %v, %v", v, err)
 	}
 }

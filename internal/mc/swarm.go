@@ -16,16 +16,18 @@ func (r *randomPicker) pick(depth int, cands []sim.Choice) int {
 	return r.rng.Intn(len(cands))
 }
 
-// exploreSwarm runs one randomized schedule per seed. With cfg.Fuzz set, each
-// seed also perturbs the script's churn timeline before running, so the swarm
-// searches the product of (event orderings × churn timings).
-func exploreSwarm(m *Model, cfg Config) (*Result, error) {
+// Explore runs one randomized schedule per seed and reports what it found. With
+// cfg.Fuzz set, each seed also perturbs the script's churn timeline before
+// running, so the swarm searches the product of (event orderings × churn
+// timings). A nil Result.Violation means every explored schedule satisfied
+// all invariants.
+func Explore(m *Model, cfg Config) (*Result, error) {
 	seeds := cfg.Seeds
 	if seeds <= 0 {
 		seeds = 100
 	}
-	if seeds > cfg.MaxRuns {
-		seeds = cfg.MaxRuns
+	if cfg.Log == nil {
+		cfg.Log = func(string, ...any) {}
 	}
 	res := &Result{}
 	for i := 0; i < seeds; i++ {

@@ -75,11 +75,12 @@ func (t *Trace) WriteFile(path string) error {
 	return os.WriteFile(path, []byte(t.Format()), 0o644)
 }
 
-// ParseTrace reads the trace format produced by Format.
+// ParseTrace reads the trace format produced by Format: the header is the
+// first line that is neither blank nor a comment.
 func ParseTrace(src string) (*Trace, error) {
 	t := &Trace{}
 	sc := bufio.NewScanner(strings.NewReader(src))
-	lineNo := 0
+	lineNo, header := 0, false
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
@@ -88,10 +89,11 @@ func ParseTrace(src string) (*Trace, error) {
 		}
 		f := strings.Fields(line)
 		switch {
-		case lineNo == 1:
+		case !header:
 			if line != "bneck-mc trace v1" {
 				return nil, fmt.Errorf("mc: not a trace file (bad header %q)", line)
 			}
+			header = true
 		case f[0] == "script" && len(f) == 2:
 			t.ScriptHash = f[1]
 		case f[0] == "fuzz" && len(f) == 2:

@@ -25,11 +25,18 @@ func TestTraceRoundTrip(t *testing.T) {
 	if out.ScriptHash != "feed" || len(out.Picks) != 1 || out.Picks[0] != 3 {
 		t.Fatalf("commented trace misparsed: %+v", out)
 	}
+	// … before the header too.
+	out, err = ParseTrace("\n# c\nbneck-mc trace v1\nscript feed\npicks 3\n")
+	if err != nil || out.ScriptHash != "feed" {
+		t.Fatalf("header after a blank line and a comment: %+v, %v", out, err)
+	}
 }
 
 func TestTraceParseErrors(t *testing.T) {
 	for _, src := range []string{
 		"not a trace\n",
+		"\nscript abc\npicks 1 2\n",                 // no header after a blank line
+		"# c\nscript abc\npicks 1\n",                // no header after a comment
 		"bneck-mc trace v1\npicks 1 2\n",            // missing script hash
 		"bneck-mc trace v1\nscript ab\npicks -1\n",  // negative pick
 		"bneck-mc trace v1\nscript ab\npicks one\n", // non-numeric pick

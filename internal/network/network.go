@@ -400,8 +400,7 @@ type port struct {
 	node graph.NodeID
 	// peer is the receiving end when the port serves a wire (unused by a
 	// session endpoint): deliveries are keyed by node — the creator whose
-	// execution sends the packet — and owned by peer, which feeds the
-	// schedule explorer's independence relation.
+	// execution sends the packet — and owned by peer (sim.Choice.Owner).
 	peer graph.NodeID
 }
 

@@ -9,7 +9,10 @@ import "sort"
 // reordering two events of the same creator would reorder a single node's
 // scheduling stream (and, through the wire model, packet order on a link),
 // which no real execution of the protocol can produce. Cross-creator ties are
-// the genuine nondeterminism the paper's theorems quantify over.
+// the nondeterminism a run at fixed delays has; the paper's theorems quantify
+// over arbitrary delays too, which internal/control's protocol explorer
+// covers. Owner is recorded but no longer read in this module (see
+// SendFromTo).
 type Choice struct {
 	At     Time
 	Seq    uint64
@@ -36,7 +39,8 @@ type Chooser interface {
 // event. With no chooser installed Step takes the historical heap-pop path
 // and performs no extra work — the hook is a single nil-check.
 //
-// SetChooser is exploration machinery (internal/mc); production and
+// SetChooser is the swarm's hook (internal/mc draws every tie-break from a
+// seeded rng and records the picks as a replayable trace); production and
 // benchmark paths never install one.
 func (e *Engine) SetChooser(c Chooser) { e.chooser = c }
 

@@ -112,8 +112,8 @@ func (e *Engine) SendFrom(creator int32, t Time, fn func()) { e.SendFromTo(creat
 // explicit owner: the node whose execution performs the scheduling and the
 // node the callback executes on. The event key — and therefore the default
 // total order — depends only on (t, creator, creator-seq); the owner rides
-// along for the schedule explorer's independence relation (events whose
-// owners are disjoint commute).
+// along in Choice. Nothing in this module reads it; the benchmark's probes
+// call SendFromTo, so it stays while they do.
 //
 //bneck:keyed assigns the (time, creator, creator-seq) key.
 func (e *Engine) SendFromTo(creator, owner int32, t Time, fn func()) {
@@ -191,8 +191,7 @@ func (e *Engine) Pending() int { return e.regular }
 // which therefore sort before all node creators at the same instant and keep
 // their historical scheduling order among themselves — and seq counts that
 // creator's schedulings (SendFrom/SendFromTo). owner is the node the event
-// executes on, so the schedule explorer can decide which events commute
-// (SendFromTo stamps it; SendFrom defaults it to the creator).
+// executes on (SendFromTo stamps it; SendFrom defaults it to the creator).
 type event struct {
 	at     Time
 	seq    uint64
