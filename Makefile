@@ -30,8 +30,8 @@ test:
 test-full:
 	$(GO) test ./...
 
-# The perf gate, allocation counts on: the engine scheduling microbenchmarks,
-# then the protocol layer's — a packet's table lookup, the idle index under a
+# The perf gate, allocation counts on: the engine scheduling microbenchmarks
+# and the event queue alone at the workloads' depths, then the protocol layer's — a packet's table lookup, the idle index under a
 # moving B_e, one probe cycle on dense and on sparse links (internal/core),
 # and the rational arithmetic by operand shape (internal/rate) — and the live
 # transport's: the uncontended per-hop floor, a 64-session re-probe fanned out
@@ -48,7 +48,7 @@ test-full:
 # repository's benchmark validates — one allocation per solve (the result),
 # none per assembly.
 bench:
-	$(GO) test -bench=SimEngine -benchmem -run='^$$' ./internal/sim
+	$(GO) test -bench='SimEngine|EventQueue' -benchmem -run='^$$' ./internal/sim
 	$(GO) test -bench='TableGet|RateSetChurn|ProbeCycle|Add|DivInt' -benchmem -run='^$$' ./internal/core ./internal/rate
 	$(GO) test -bench='ChainHop|Validate' -benchtime=3x -benchmem -run='^$$' ./internal/network
 	$(GO) test -bench='LiveHop|LiveFanout|LiveEmit' -benchtime=3x -cpu 1,2 -benchmem -run='^$$' ./internal/live

@@ -8,7 +8,7 @@ import (
 // Eventkey enforces the creator-keyed scheduling discipline that makes runs
 // deterministic (DESIGN.md §10): every event the engine executes is ordered
 // by (time, creator node, creator sequence), and that key is only assigned
-// by the blessed constructors — sim.Engine.SendFrom/SendFromTo, reached in
+// by the blessed constructors — sim.Engine.SendFrom, reached in
 // the transport through its per-node port. Two bypass shapes are flagged:
 //
 //   - in the transport (internal/network): a direct call to the engine's
@@ -18,9 +18,9 @@ import (
 //     through the one funnel annotated //bneck:global, so churn, dynamics
 //     and sampling share a single order;
 //
-//   - in the engine package itself: a push into an eventQueue heap from any
-//     function not annotated //bneck:keyed. Only the keyed constructors may
-//     touch the heap, so no event can exist without a total-order key.
+//   - in the engine package itself: a push into an eventQueue from any
+//     function not annotated //bneck:keyed, so no event exists without a
+//     total-order key; the queue's own refill moves events without push.
 var Eventkey = &Analyzer{
 	Name:  "eventkey",
 	Doc:   "require creator-keyed scheduling; flag un-keyed engine bypasses",
@@ -55,7 +55,7 @@ func runEventkey(pass *Pass) {
 			// annotated global-event funnel.
 			if extCreatorEntryPoints[name] && isEngineType(s.Recv()) {
 				if !global && !pass.lineAnnotated(call.Pos(), "global") {
-					pass.Reportf(call.Pos(), "direct %s call schedules an un-keyed (ExtCreator) event: cross-node traffic must use the creator-keyed SendFrom/SendFromTo constructors, and external events must flow through the //bneck:global funnel", name)
+					pass.Reportf(call.Pos(), "direct %s call schedules an un-keyed (ExtCreator) event: cross-node traffic must use the creator-keyed SendFrom constructor, and external events must flow through the //bneck:global funnel", name)
 				}
 				return true
 			}

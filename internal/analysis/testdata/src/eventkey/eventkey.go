@@ -75,15 +75,32 @@ func (n *transport) sendKeyed(creator int32, t int64, fn func()) {
 	n.eng.SendFrom(creator, t, fn)
 }
 
-// popChosen models the schedule explorer's chooser pop (PR 10): it scans the
-// heap for the chosen same-time event and removes it in place. Removal never
-// pushes — events leave the heap with the key they entered with — so the pop
-// path needs no annotation and stays clean.
+// popChosen models the schedule explorer's chooser pop: it scans the
+// frontier for the chosen same-time event and removes it in place. Removal
+// never pushes — events leave the heap with the key they entered with — so
+// the pop path needs no annotation and stays clean.
 func (e *Engine) popChosen(k int) event {
 	ev := e.events.ev[k]
 	e.events.ev[k] = e.events.ev[len(e.events.ev)-1]
 	e.events.ev = e.events.ev[:len(e.events.ev)-1]
 	return ev
+}
+
+// refill models the radix queue's refill: it moves queued events from one
+// bucket into another by append, never by push — they keep the keys they
+// entered with — so it needs no annotation and stays clean.
+func (q *eventQueue) refill(from, to *[]event) {
+	*to = append(*to, *from...)
+	*from = (*from)[:0]
+}
+
+// refillViaPush re-files a bucket through push: the analyzer cannot tell a
+// moved event from a forged one, so it is flagged like any bypass.
+func (q *eventQueue) refillViaPush(from *[]event) {
+	for _, ev := range *from {
+		q.push(ev) // want "direct event-heap push"
+	}
+	*from = (*from)[:0]
 }
 
 // removeViaRepush is the tempting-but-wrong removal: popping the slot and

@@ -398,17 +398,13 @@ func (n *Network) RunUntil(t sim.Time) { n.eng.RunUntil(t) }
 type port struct {
 	n    *Network
 	node graph.NodeID
-	// peer is the receiving end when the port serves a wire (unused by a
-	// session endpoint): deliveries are keyed by node — the creator whose
-	// execution sends the packet — and owned by peer (sim.Choice.Owner).
-	peer graph.NodeID
 }
 
 // Now and At make a port the sim.Sched of its wire.
 func (p *port) Now() sim.Time { return p.n.eng.Now() }
 
 func (p *port) At(t sim.Time, f func()) {
-	p.n.eng.SendFromTo(int32(p.node), int32(p.peer), t, f)
+	p.n.eng.SendFrom(int32(p.node), t, f)
 }
 
 // hopRef is what a packet needs to know about one link of its session's
@@ -560,7 +556,7 @@ func (n *Network) routerLink(id graph.LinkID) *core.RouterLink {
 }
 
 func (n *Network) initWire(w *wireRec, l graph.Link) *wireRec {
-	w.port = port{n: n, node: l.From, peer: l.To}
+	w.port = port{n: n, node: l.From}
 	w.Init(&w.port, l.Propagation, n.txFor(l.Capacity))
 	return w
 }

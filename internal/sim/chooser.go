@@ -11,13 +11,11 @@ import "sort"
 // which no real execution of the protocol can produce. Cross-creator ties are
 // the nondeterminism a run at fixed delays has; the paper's theorems quantify
 // over arbitrary delays too, which internal/control's protocol explorer
-// covers. Owner is recorded but no longer read in this module (see
-// SendFromTo).
+// covers.
 type Choice struct {
 	At     Time
 	Seq    uint64
 	Src    int32 // creator key (ExtCreator for At/After/DaemonAt)
-	Owner  int32 // executing node (ExtCreator for global events)
 	Daemon bool
 }
 
@@ -36,7 +34,7 @@ type Chooser interface {
 
 // SetChooser installs (or, with nil, removes) a schedule controller. The
 // engine consults it on every Step whose frontier has more than one enabled
-// event. With no chooser installed Step takes the historical heap-pop path
+// event. With no chooser installed Step takes the plain pop path
 // and performs no extra work — the hook is a single nil-check.
 //
 // SetChooser is the swarm's hook (internal/mc draws every tie-break from a
@@ -45,54 +43,47 @@ type Chooser interface {
 func (e *Engine) SetChooser(c Chooser) { e.chooser = c }
 
 // popChosen is the chooser-path replacement for eventQueue.pop: it collects
-// the enabled set at the frontier time, asks the chooser to pick, and removes
-// the picked event from an arbitrary heap position. It allocates only to grow
-// the engine's reusable candidate buffers.
+// the enabled set from the frontier bucket — the events at the earliest
+// time — asks the chooser to pick, and takes the picked event out of the
+// bucket. It allocates only to grow the engine's reusable candidate buffers.
 func (e *Engine) popChosen() event {
-	t := e.events.minTime()
+	front := e.events.front()
 	cands := e.candBuf[:0]
 	idx := e.candIdx[:0]
-	// Events at the frontier time form a root-containing subtree of the heap
-	// (every ancestor of a frontier event is itself at the frontier), but the
-	// chooser path is exploration-only and frontiers are small, so a plain
-	// scan keeps this obviously correct. Keep the minimum-sequence event per
-	// creator: later same-creator events are not enabled (FIFO).
-	for i := range e.events.ev {
-		ev := &e.events.ev[i]
-		if ev.at != t {
-			continue
-		}
+	// Keep the minimum-sequence event per creator: later same-creator events
+	// are not enabled (FIFO).
+	for i, ev := range front {
+		c := Choice{At: ev.at, Seq: keySeq(ev.key), Src: keySrc(ev.key), Daemon: ev.key&1 != 0}
 		found := false
 		for j := range cands {
-			if cands[j].Src == ev.src {
+			if cands[j].Src == c.Src {
 				found = true
-				if ev.seq < cands[j].Seq {
-					cands[j] = Choice{At: ev.at, Seq: ev.seq, Src: ev.src, Owner: ev.owner, Daemon: ev.daemon}
-					idx[j] = i
+				if c.Seq < cands[j].Seq {
+					cands[j], idx[j] = c, i
 				}
 				break
 			}
 		}
 		if !found {
-			cands = append(cands, Choice{At: ev.at, Seq: ev.seq, Src: ev.src, Owner: ev.owner, Daemon: ev.daemon})
+			cands = append(cands, c)
 			idx = append(idx, i)
 		}
 	}
 	e.candBuf, e.candIdx = cands, idx
 	if len(cands) == 1 {
-		return e.events.pop()
+		return e.events.take(0)
 	}
-	// Sort by creator so index 0 is the default heap order; a pick of 0 at
+	// Sort by creator so index 0 is the default key order; a pick of 0 at
 	// every step is byte-identical to running without a chooser.
 	sort.Sort(&candSorter{cands, idx})
-	k := e.chooser.Choose(t, cands)
+	k := e.chooser.Choose(front[0].at, cands)
 	if k < 0 || k >= len(cands) {
 		k = 0
 	}
-	return e.events.removeAt(idx[k])
+	return e.events.take(idx[k])
 }
 
-// candSorter sorts the candidate slice and its parallel heap-index slice by
+// candSorter sorts the candidate slice and its parallel bucket-index slice by
 // creator. Keys at one instant are unique per creator, so creator order is a
 // total order on the enabled set.
 type candSorter struct {

@@ -239,25 +239,3 @@ func TestChooserDefaultEquivalence(t *testing.T) {
 		}
 	}
 }
-
-// TestRemoveAtHeapIntegrity removes from every slot of a populated heap and
-// checks the remaining events still pop in key order.
-func TestRemoveAtHeapIntegrity(t *testing.T) {
-	const n = 64
-	for slot := 0; slot < n; slot++ {
-		var q eventQueue
-		for i := 0; i < n; i++ {
-			// Scatter keys so heap shape is nontrivial.
-			q.push(event{at: Time((i * 37) % n), src: int32(i % 5), seq: uint64(i)})
-		}
-		removed := q.removeAt(slot)
-		var prev event
-		for i := 0; q.len() > 0; i++ {
-			ev := q.pop()
-			if i > 0 && ev.before(prev) {
-				t.Fatalf("slot %d: pop order violated after removeAt (removed %v)", slot, removed)
-			}
-			prev = ev
-		}
-	}
-}

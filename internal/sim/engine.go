@@ -3,14 +3,11 @@
 // virtual clock, an event queue with stable FIFO tie-breaking, and a FIFO
 // link (wire) model with transmission serialization and propagation delay.
 //
-// The event queue is an inlined value-typed 4-ary min-heap ordered by
-// (time, sequence number): events are stored as struct values in one
-// contiguous slice, so scheduling performs no per-event heap allocation and
-// no interface boxing (unlike container/heap). A 4-ary layout halves the
-// tree depth of a binary heap, trading a few extra comparisons per level
-// for better cache locality on the sift path; push and pop are O(log₄ n).
-// Equal-time events fire in scheduling order, which makes runs
-// deterministic.
+// The event queue is a radix heap over virtual time whose buckets hold
+// 24-byte event values, the time and one packed (creator, sequence) key, so
+// scheduling performs no per-event allocation and one unsigned compare
+// orders two events of the same instant. Equal-time events fire in key
+// order, which makes runs deterministic.
 package sim
 
 import (
@@ -30,7 +27,7 @@ const ExtCreator int32 = -1
 // Engine is a single-threaded discrete event scheduler. Events scheduled for
 // the same instant run in key order — (time, creator, creator sequence) —
 // which makes runs deterministic. Events scheduled without a creator
-// (At/After/DaemonAt) share the ExtCreator bucket and fire in scheduling
+// (At/After/DaemonAt) are all keyed under ExtCreator and fire in scheduling
 // order among themselves, the engine's historical contract.
 //
 // Events come in two flavors: regular events keep Run alive, daemon events
@@ -42,7 +39,7 @@ type Engine struct {
 	events   eventQueue
 	seq      uint64
 	ctr      []uint64 // per-creator sequence counters for SendFrom
-	regular  int      // number of non-daemon events in the heap
+	regular  int      // number of non-daemon events in the queue
 	stopped  bool     // Stop was called; Run unwinds
 	nEvents  uint64
 	lastBusy Time // time of the most recently executed regular event
@@ -90,11 +87,9 @@ func (e *Engine) DaemonAt(t Time, fn func()) {
 //
 //bneck:keyed
 func (e *Engine) schedule(t Time, fn func(), daemon bool) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling into the past (%v < %v)", t, e.now))
-	}
+	e.checkTime(t)
 	e.seq++
-	e.events.push(event{at: t, src: ExtCreator, seq: e.seq, fn: fn, owner: ExtCreator, daemon: daemon})
+	e.events.push(event{at: t, key: eventKey(ExtCreator, e.seq, daemon), fn: fn})
 	if !daemon {
 		e.regular++
 	}
@@ -104,28 +99,33 @@ func (e *Engine) schedule(t Time, fn func(), daemon bool) {
 // node whose execution performs the scheduling. Same-time events of
 // different creators run in creator order, and one creator's events in the
 // order it scheduled them, so the total order of a run depends only on what
-// each node did — never on how the heap happened to be laid out.
-// SendFrom is SendFromTo with the creator as the owner.
-func (e *Engine) SendFrom(creator int32, t Time, fn func()) { e.SendFromTo(creator, creator, t, fn) }
-
-// SendFromTo schedules fn at absolute time t with an explicit creator and an
-// explicit owner: the node whose execution performs the scheduling and the
-// node the callback executes on. The event key — and therefore the default
-// total order — depends only on (t, creator, creator-seq); the owner rides
-// along in Choice. Nothing in this module reads it; the benchmark's probes
-// call SendFromTo, so it stays while they do.
+// each node did — never on how the queue happened to be laid out. A creator
+// is a node ID in [0, 2²⁴−1); anything else panics, as does a creator's
+// 2³⁹th scheduling.
 //
 //bneck:keyed assigns the (time, creator, creator-seq) key.
-func (e *Engine) SendFromTo(creator, owner int32, t Time, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling into the past (%v < %v)", t, e.now))
+func (e *Engine) SendFrom(creator int32, t Time, fn func()) {
+	e.checkTime(t)
+	if creator < 0 || creator >= maxCreator {
+		panic(fmt.Sprintf("sim: creator %d out of range [0, %d)", creator, maxCreator))
 	}
 	if n := int(creator) + 1; n > len(e.ctr) {
 		e.ctr = append(e.ctr, make([]uint64, n-len(e.ctr))...)
 	}
 	e.ctr[creator]++
-	e.events.push(event{at: t, src: creator, seq: e.ctr[creator], fn: fn, owner: owner})
+	e.events.push(event{at: t, key: eventKey(creator, e.ctr[creator], false), fn: fn})
 	e.regular++
+}
+
+// SendFromTo is SendFrom: the second argument once stamped the receiving
+// node (the event's owner) on the event, and nothing read it. It stays
+// because the repository's benchmark probes call it.
+func (e *Engine) SendFromTo(creator, _ int32, t Time, fn func()) { e.SendFrom(creator, t, fn) }
+
+func (e *Engine) checkTime(t Time) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling into the past (%v < %v)", t, e.now))
+	}
 }
 
 // Step executes the next event. It returns false when no events remain.
@@ -142,7 +142,7 @@ func (e *Engine) Step() bool {
 		ev = e.popChosen()
 	}
 	e.now = ev.at
-	if !ev.daemon {
+	if ev.key&1 == 0 {
 		e.regular--
 		e.lastBusy = ev.at
 	}
@@ -180,118 +180,5 @@ func (e *Engine) RunUntil(t Time) {
 // Stop makes the innermost Run/RunUntil return after the current event.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Pending returns the number of regular (non-daemon) events in the heap.
+// Pending returns the number of regular (non-daemon) events in the queue.
 func (e *Engine) Pending() int { return e.regular }
-
-// event is one scheduled callback. Events are stored by value inside the
-// queue's backing slice; nothing outside the queue holds a reference.
-//
-// Events are keyed by (time, creator, per-creator sequence): src is the node
-// whose execution scheduled the event — ExtCreator for At/After/DaemonAt,
-// which therefore sort before all node creators at the same instant and keep
-// their historical scheduling order among themselves — and seq counts that
-// creator's schedulings (SendFrom/SendFromTo). owner is the node the event
-// executes on (SendFromTo stamps it; SendFrom defaults it to the creator).
-type event struct {
-	at     Time
-	seq    uint64
-	fn     func()
-	src    int32
-	owner  int32
-	daemon bool
-}
-
-// before is the queue ordering: earlier time first, then creator, then the
-// creator's scheduling order. Keys are unique: a creator never reuses a
-// sequence number.
-func (ev event) before(other event) bool {
-	if ev.at != other.at {
-		return ev.at < other.at
-	}
-	if ev.src != other.src {
-		return ev.src < other.src
-	}
-	return ev.seq < other.seq
-}
-
-// eventQueue is a 4-ary min-heap of event values: children of slot i live at
-// 4i+1..4i+4, the parent of slot i at (i-1)/4. The minimum is at slot 0.
-type eventQueue struct {
-	ev []event
-}
-
-func (q *eventQueue) len() int { return len(q.ev) }
-
-// minTime returns the timestamp of the earliest event. The queue must be
-// non-empty.
-func (q *eventQueue) minTime() Time { return q.ev[0].at }
-
-func (q *eventQueue) push(ev event) {
-	q.ev = append(q.ev, ev)
-	// Sift up: move the hole from the tail toward the root until the parent
-	// is no later than ev.
-	i := len(q.ev) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !ev.before(q.ev[p]) {
-			break
-		}
-		q.ev[i] = q.ev[p]
-		i = p
-	}
-	q.ev[i] = ev
-}
-
-// pop removes and returns the minimum event.
-func (q *eventQueue) pop() event { return q.removeAt(0) }
-
-// removeAt deletes and returns the event at heap slot i, restoring the heap
-// by moving the tail element into the hole and sifting it in whichever
-// direction it violates the ordering. Removing a non-minimum element is what
-// lets the chooser run an enabled event that is not the global key minimum.
-func (q *eventQueue) removeAt(i int) event {
-	out := q.ev[i]
-	n := len(q.ev) - 1
-	last := q.ev[n]
-	q.ev[n] = event{} // release the closure reference
-	q.ev = q.ev[:n]
-	if i == n {
-		return out
-	}
-	// Sift down from i.
-	j := i
-	for {
-		first := 4*j + 1
-		if first >= n {
-			break
-		}
-		min := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if q.ev[c].before(q.ev[min]) {
-				min = c
-			}
-		}
-		if !q.ev[min].before(last) {
-			break
-		}
-		q.ev[j] = q.ev[min]
-		j = min
-	}
-	if j == i {
-		// Did not move down; sift up instead.
-		for j > 0 {
-			p := (j - 1) / 4
-			if !last.before(q.ev[p]) {
-				break
-			}
-			q.ev[j] = q.ev[p]
-			j = p
-		}
-	}
-	q.ev[j] = last
-	return out
-}

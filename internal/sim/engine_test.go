@@ -183,21 +183,6 @@ func TestWireZeroTxStillFIFO(t *testing.T) {
 	}
 }
 
-func TestWireBacklog(t *testing.T) {
-	e := New()
-	w := NewWire(e, 0, 5*time.Microsecond)
-	for i := 0; i < 4; i++ {
-		w.Send(func() {})
-	}
-	if got := w.Backlog(); got != 20*time.Microsecond {
-		t.Fatalf("Backlog = %v", got)
-	}
-	e.Run()
-	if got := w.Backlog(); got != 0 {
-		t.Fatalf("Backlog after drain = %v", got)
-	}
-}
-
 // TestPropRandomEventOrder: events fired in nondecreasing time order no
 // matter the insertion order.
 func TestPropRandomEventOrder(t *testing.T) {

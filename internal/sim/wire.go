@@ -23,7 +23,7 @@ type Wire struct {
 // Sched is the scheduling surface a wire needs: the clock of the sending
 // side and absolute-time scheduling of the arrival. *Engine satisfies it
 // directly; a transport passes a per-link adapter whose At keys the arrival
-// by the sending node (Engine.SendFromTo).
+// by the sending node (Engine.SendFrom).
 type Sched interface {
 	Now() Time
 	At(t Time, fn func())
@@ -63,12 +63,3 @@ func (w *Wire) Send(deliver func()) Time {
 // their departure times (w.free is untouched); only future sends use the new
 // rate.
 func (w *Wire) SetTx(txPerPacket time.Duration) { w.tx = txPerPacket }
-
-// Backlog returns how long a packet enqueued now would wait before starting
-// transmission (a congestion signal for tests and metrics).
-func (w *Wire) Backlog() time.Duration {
-	if b := w.free - w.eng.Now(); b > 0 {
-		return b
-	}
-	return 0
-}
