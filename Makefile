@@ -38,7 +38,10 @@ test-full:
 # from one claim and a join storm over one shared runtime (internal/live),
 # whose iterations are whole runs, hence the fixed count; at -cpu 1,2 because
 # a cascade runs on the worker that claimed it however many CPUs are idle.
-# Between them the simulated transport's hop (internal/network): disjoint
+# Between them set-up (internal/graph): building the chains_bare graph and
+# the 10k-router internet one with its hosts, each with its first path query
+# — allocations once per page of the graph's stores, not per node or link —
+# and the simulated transport's hop (internal/network): disjoint
 # chains with one session per link, in cache and out of it — ns/pkt is the
 # hop, allocs/pkt must stay at one record per link (≈ 0.17), whole runs again —
 # and one quiescent-state check (Validate) of the out-of-cache shape, in ms/op
@@ -50,6 +53,7 @@ test-full:
 bench:
 	$(GO) test -bench='SimEngine|EventQueue' -benchmem -run='^$$' ./internal/sim
 	$(GO) test -bench='TableGet|RateSetChurn|ProbeCycle|Add|DivInt' -benchmem -run='^$$' ./internal/core ./internal/rate
+	$(GO) test -bench='GraphBuild' -benchmem -run='^$$' ./internal/graph
 	$(GO) test -bench='ChainHop|Validate' -benchtime=3x -benchmem -run='^$$' ./internal/network
 	$(GO) test -bench='LiveHop|LiveFanout|LiveEmit' -benchtime=3x -cpu 1,2 -benchmem -run='^$$' ./internal/live
 	$(GO) test -bench='Solve|Assemble' -benchmem -run='^$$' ./internal/waterfill

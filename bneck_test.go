@@ -2,6 +2,7 @@ package bneck_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -310,23 +311,80 @@ func TestPublicAPIRateCallback(t *testing.T) {
 }
 
 func TestBuilderErrors(t *testing.T) {
-	b := bneck.NewNetwork()
-	h := b.Host("h")
-	// Unattached host must fail validation.
-	if _, err := b.Build(); err == nil {
-		t.Fatalf("expected error for unattached host")
+	far := bneck.NewNetwork()
+	for range 50 {
+		far.Router("")
 	}
-	_ = h
-
-	b2 := bneck.NewNetwork()
-	r := b2.Router("r")
-	b2.Link(r, r, bneck.Mbps(1), 0) // self loop recorded as builder error
-	if _, err := b2.Build(); err == nil {
-		t.Fatalf("expected error for self loop")
+	foreign := far.Router("r50") // ID 50: unknown to a smaller builder
+	for _, c := range []struct {
+		name  string
+		build func(b *bneck.NetworkBuilder, r, h bneck.Node)
+		want  string
+	}{
+		{"unattached host", func(b *bneck.NetworkBuilder, r, h bneck.Node) {}, "host 1 (h) has 0 links, want 1"},
+		{"self loop", func(b *bneck.NetworkBuilder, r, h bneck.Node) {
+			b.Link(r, r, bneck.Mbps(1), 0)
+		}, "bneck: graph: self loop on node 0"},
+		{"node from another builder", func(b *bneck.NetworkBuilder, r, h bneck.Node) {
+			b.Link(h, foreign, bneck.Mbps(1), 0)
+			b.Link(h, r, bneck.Mbps(1), 0) // the first error sticks
+		}, "bneck: graph: unknown node 50"},
+		{"negative propagation", func(b *bneck.NetworkBuilder, r, h bneck.Node) {
+			b.Link(h, r, bneck.Mbps(1), -time.Second)
+		}, "link 0 has negative propagation -1s"},
+		{"host wired to a host", func(b *bneck.NetworkBuilder, r, h bneck.Node) {
+			b.Link(h, b.Host("h2"), bneck.Mbps(1), 0)
+		}, "host 1 (h) is linked to host 2, want a router"},
+	} {
+		b := bneck.NewNetwork()
+		r, h := b.Router("r"), b.Host("h")
+		c.build(b, r, h)
+		if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Build error %v, want %q", c.name, err, c.want)
+		}
 	}
 
 	if _, err := bneck.NewTransitStub(bneck.Size(99), bneck.LAN, 1); err == nil {
 		t.Fatalf("expected error for unknown size")
+	}
+}
+
+// TestForeignNode: a Node the Simulation does not have — one from another
+// builder, or one past its last ID — is an error at Session and no link at
+// LinkBetween, in either position.
+func TestForeignNode(t *testing.T) {
+	b := bneck.NewNetwork()
+	r := b.Router("r")
+	h1, h2 := b.Host("h1"), b.Host("h2")
+	b.Link(h1, r, bneck.Mbps(10), 0)
+	b.Link(h2, r, bneck.Mbps(10), 0)
+	sim, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := bneck.NewNetwork()
+	var nodes []bneck.Node
+	for range 51 {
+		nodes = append(nodes, other.Host(""))
+	}
+	for _, c := range []struct {
+		name string
+		n    bneck.Node
+	}{
+		{"node from another builder", nodes[50]},
+		{"one past the last ID", nodes[3]},
+	} {
+		for _, pair := range [][2]bneck.Node{{c.n, h2}, {h1, c.n}} {
+			const want = "graph: HostPath endpoints must be hosts"
+			if s, err := sim.Session(pair[0], pair[1]); s != nil || err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: Session = %v, %v; want an error %q", c.name, s, err, want)
+			}
+		}
+		for _, pair := range [][2]bneck.Node{{c.n, r}, {r, c.n}} {
+			if l, ok := sim.LinkBetween(pair[0], pair[1]); l != nil || ok {
+				t.Errorf("%s: LinkBetween = %v, %v; want nil, false", c.name, l, ok)
+			}
+		}
 	}
 }
 

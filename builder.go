@@ -43,18 +43,20 @@ func (b *NetworkBuilder) Host(name string) Node {
 // the network is built.
 func (b *NetworkBuilder) Link(x, y Node, capacity Rate, propagation time.Duration) *Link {
 	l := &Link{}
-	if b.err != nil {
-		return l
+	unknown := x.id // the node to name if the graph lacks one: x first, as Connect checks
+	if b.g.Has(unknown) {
+		unknown = y.id
 	}
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				b.err = fmt.Errorf("bneck: %v", r)
-			}
-		}()
+	switch {
+	case b.err != nil: // the first error sticks
+	case x == y:
+		b.err = fmt.Errorf("bneck: graph: self loop on node %d", x.id)
+	case !b.g.Has(unknown):
+		b.err = fmt.Errorf("bneck: graph: unknown node %d", unknown)
+	default:
 		l.ab, l.ba = b.g.Connect(x.id, y.id, capacity, propagation)
 		b.links = append(b.links, l)
-	}()
+	}
 	return l
 }
 

@@ -254,7 +254,7 @@ func (h *Harness) link(id graph.LinkID) LinkAlgo {
 	if a, ok := h.links[id]; ok {
 		return a
 	}
-	a := h.proto.NewLink(h.g.Link(id).Capacity.Float64())
+	a := h.proto.NewLink(h.g.Capacity(id).Float64())
 	h.links[id] = a
 	h.linkOrder = append(h.linkOrder, id)
 	return a

@@ -88,8 +88,7 @@ type incarnation struct {
 // New returns a controller over g. packets reads a started incarnation's
 // packet count, asked only until the quiescence that follows its Leave.
 func New(g *graph.Graph, packets func(core.SessionID) uint64) *Controller {
-	capacity := func(l graph.LinkID) rate.Rate { return g.Link(l).Capacity }
-	oracle := waterfill.Assembler[graph.LinkID]{Capacity: capacity}
+	oracle := waterfill.Assembler[graph.LinkID]{Capacity: g.Capacity}
 	return &Controller{g: g, res: graph.NewResolver(g, 256), packets: packets, oracle: oracle}
 }
 
@@ -248,7 +247,7 @@ func (c *Controller) SetCapacity(cp rate.Rate, links []graph.LinkID) ([]Action, 
 	c.acts = c.acts[:0]
 	upgraded := map[graph.LinkID]bool{}
 	for _, l := range links {
-		if c.Policy.capacityTriggers(c.g.Link(l).Capacity, cp) {
+		if c.Policy.capacityTriggers(c.g.Capacity(l), cp) {
 			upgraded[l] = true
 		}
 		c.g.SetCapacity(l, cp)

@@ -278,7 +278,7 @@ func (w *exp3Workload) solveOracle(active []int) (*exp3Oracle, error) {
 	}
 	sort.Slice(links, func(i, j int) bool { return links[i] < links[j] })
 	for _, l := range links {
-		if load[l].Equal(g.Link(l).Capacity) {
+		if load[l].Equal(g.Capacity(l)) {
 			o.bnLinks = append(o.bnLinks, l)
 			o.fairLoad[l] = load[l].Float64()
 		}

@@ -248,7 +248,7 @@ func runExp4Cell(cfg Exp4Config, size topology.Params, scen topology.Scenario, s
 				if rng.Intn(2) == 0 {
 					factor = 3
 				}
-				c := g.Link(l).Capacity.DivInt(factor)
+				c := g.Capacity(l).DivInt(factor)
 				if c.Sign() <= 0 {
 					c = rate.Mbps(10)
 				}

@@ -1,10 +1,13 @@
 package graph_test
 
 import (
+	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"bneck/internal/graph"
+	"bneck/internal/rate"
 	"bneck/internal/topology"
 )
 
@@ -84,7 +87,7 @@ func BenchmarkHostPath(b *testing.B) {
 		b.ReportAllocs()
 		res := graph.NewResolver(g, 256)
 		// A core link: failing it leaves the graph connected.
-		link := g.Out(topo.Core[0])[0]
+		link := slices.Collect(g.Out(topo.Core[0]))[0]
 		for i := 0; i < b.N; i++ {
 			p := pairs[i%len(pairs)]
 			b.StopTimer()
@@ -98,6 +101,51 @@ func BenchmarkHostPath(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+}
+
+// BenchmarkGraphBuild times set-up: building a graph and the first path
+// query, which packs the resolver's adjacency. chains is the chains_bare
+// shape (1500 chains host–32 routers–host, 33 duplex links each); internet
+// is the 10k-router internet topology with 2000 hosts. Run with -benchmem:
+// the graph allocates once per page of its stores, not per node or link.
+//
+//	go test ./internal/graph -run '^$' -bench GraphBuild -benchmem
+func BenchmarkGraphBuild(b *testing.B) {
+	firstPath := func(b *testing.B, g *graph.Graph, src, dst graph.NodeID) {
+		if _, err := graph.NewResolver(g, 256).HostPath(src, dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("chains", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			g := graph.New()
+			var src, dst graph.NodeID
+			for range 1500 {
+				src = g.AddHost("")
+				prev := src
+				for range 32 {
+					next := g.AddRouter("")
+					g.Connect(prev, next, rate.Mbps(100), time.Microsecond)
+					prev = next
+				}
+				dst = g.AddHost("")
+				g.Connect(prev, dst, rate.Mbps(100), time.Microsecond)
+			}
+			firstPath(b, g, src, dst)
+		}
+	})
+	b.Run("internet", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			topo, err := topology.GenerateInternet(topology.InternetGlobal, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			hosts := topo.AddHosts(2000)
+			firstPath(b, topo.Graph, hosts[0], hosts[1])
 		}
 	})
 }

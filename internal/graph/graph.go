@@ -7,6 +7,7 @@ package graph
 
 import (
 	"fmt"
+	"iter"
 	"time"
 
 	"bneck/internal/rate"
@@ -77,11 +78,55 @@ type Link struct {
 // on which links are up and on growth, which the node and link counts show;
 // no capacity can change one.
 type Graph struct {
-	nodes  []Node
-	links  []Link
-	out    [][]LinkID // outgoing link IDs per node, in insertion order
-	failed int        // links currently failed
+	nodes  pages[node]
+	links  pages[link]
+	caps   pages[rate.Rate] // link capacities, by link ID
+	failed int              // links currently failed
 }
+
+// node is a stored Node. Its out-links are threaded through their records:
+// first, then each link's next, in insertion order.
+type node struct {
+	name        string
+	kind        Kind
+	first, last LinkID
+	degree      int32
+}
+
+// link is a stored Link without its capacity, which Graph.caps holds: 32
+// bytes and no pointers, so the collector never scans the link pages.
+type link struct {
+	id, reverse LinkID
+	from, to    NodeID
+	next        LinkID // from's next out-link, NoLink after the last
+	failed      bool
+	propagation time.Duration
+}
+
+const pageBits = 12 // 4096 entries a page
+
+// pages is an append-only store: entry i is at p[i>>pageBits][i&4095]. The
+// first page grows by append, so a small graph costs what a slice does;
+// every later page is allocated once at full size, so growth never copies or
+// re-zeroes what is already stored. Growing the first page moves it, so a
+// pointer into it must not be held across an add to the same store.
+type pages[T any] struct {
+	p [][]T
+	n int
+}
+
+func (s *pages[T]) at(i int) *T { return &s.p[i>>pageBits][i&(1<<pageBits-1)] }
+
+func (s *pages[T]) add(v T) {
+	if s.n == len(s.p)<<pageBits { // a new page: empty if it is the first
+		s.p = append(s.p, make([]T, 0, min(s.n, 1)<<pageBits))
+	}
+	s.p[len(s.p)-1] = append(s.p[len(s.p)-1], v)
+	s.n++
+}
+
+func (g *Graph) node(id NodeID) *node { return g.nodes.at(int(id)) }
+func (g *Graph) link(id LinkID) *link { return g.links.at(int(id)) }
 
 // New returns an empty graph.
 func New() *Graph {
@@ -95,9 +140,8 @@ func (g *Graph) AddRouter(name string) NodeID { return g.addNode(Router, name) }
 func (g *Graph) AddHost(name string) NodeID { return g.addNode(Host, name) }
 
 func (g *Graph) addNode(kind Kind, name string) NodeID {
-	id := NodeID(len(g.nodes))
-	g.nodes = append(g.nodes, Node{ID: id, Kind: kind, Name: name})
-	g.out = append(g.out, nil)
+	id := NodeID(g.nodes.n)
+	g.nodes.add(node{name: name, kind: kind, first: NoLink, last: NoLink})
 	return id
 }
 
@@ -113,8 +157,8 @@ func (g *Graph) Connect(a, b NodeID, capacity rate.Rate, propagation time.Durati
 	g.checkNode(b)
 	ab := g.addLink(a, b, capacity, propagation)
 	ba := g.addLink(b, a, capacity, propagation)
-	g.links[ab].Reverse = ba
-	g.links[ba].Reverse = ab
+	g.link(ab).reverse = ba
+	g.link(ba).reverse = ab
 	return ab, ba
 }
 
@@ -127,42 +171,58 @@ func (g *Graph) ConnectAsym(a, b NodeID, capacity rate.Rate, propagation time.Du
 	}
 	g.checkNode(a)
 	g.checkNode(b)
-	id := g.addLink(a, b, capacity, propagation)
-	g.links[id].Reverse = NoLink
-	return id
+	return g.addLink(a, b, capacity, propagation)
 }
 
 func (g *Graph) addLink(from, to NodeID, capacity rate.Rate, propagation time.Duration) LinkID {
-	id := LinkID(len(g.links))
-	g.links = append(g.links, Link{
-		ID: id, From: from, To: to,
-		Capacity: capacity, Propagation: propagation,
-	})
-	g.out[from] = append(g.out[from], id)
+	id := LinkID(g.links.n)
+	g.links.add(link{id: id, reverse: NoLink, from: from, to: to, next: NoLink, propagation: propagation})
+	g.caps.add(capacity)
+	n := g.node(from)
+	if n.last == NoLink {
+		n.first = id
+	} else {
+		g.link(n.last).next = id
+	}
+	n.last = id
+	n.degree++
 	return id
 }
 
+// Has reports whether id names a node of g.
+func (g *Graph) Has(id NodeID) bool { return id >= 0 && int(id) < g.nodes.n }
+
 func (g *Graph) checkNode(n NodeID) {
-	if n < 0 || int(n) >= len(g.nodes) {
+	if !g.Has(n) {
 		panic(fmt.Sprintf("graph: unknown node %d", n))
 	}
 }
 
 // NumNodes returns the number of nodes.
-func (g *Graph) NumNodes() int { return len(g.nodes) }
+func (g *Graph) NumNodes() int { return g.nodes.n }
 
 // NumLinks returns the number of directed links.
-func (g *Graph) NumLinks() int { return len(g.links) }
+func (g *Graph) NumLinks() int { return g.links.n }
 
 // Node returns the node with the given ID.
-func (g *Graph) Node(id NodeID) Node { g.checkNode(id); return g.nodes[id] }
+func (g *Graph) Node(id NodeID) Node {
+	g.checkNode(id)
+	n := g.node(id)
+	return Node{ID: id, Kind: n.kind, Name: n.name}
+}
 
 // Link returns the link with the given ID.
 func (g *Graph) Link(id LinkID) Link {
-	if id < 0 || int(id) >= len(g.links) {
-		panic(fmt.Sprintf("graph: unknown link %d", id))
-	}
-	return g.links[id]
+	g.checkLink(id)
+	l := g.link(id)
+	return Link{ID: id, From: l.from, To: l.to, Capacity: *g.caps.at(int(id)),
+		Propagation: l.propagation, Reverse: l.reverse, Failed: l.failed}
+}
+
+// Capacity returns a directed link's capacity, without assembling its Link.
+func (g *Graph) Capacity(id LinkID) rate.Rate {
+	g.checkLink(id)
+	return *g.caps.at(int(id))
 }
 
 // LinkReverse returns the ID of the link in the opposite direction (NoLink
@@ -172,7 +232,7 @@ func (g *Graph) Link(id LinkID) Link {
 // lock-striped Emit path depends on that.
 func (g *Graph) LinkReverse(id LinkID) LinkID {
 	g.checkLink(id)
-	return g.links[id].Reverse
+	return g.link(id).reverse
 }
 
 // LinkTo returns a directed link's destination node. Like LinkReverse it
@@ -180,21 +240,28 @@ func (g *Graph) LinkReverse(id LinkID) LinkID {
 // copy the whole Link struct.
 func (g *Graph) LinkTo(id LinkID) NodeID {
 	g.checkLink(id)
-	return g.links[id].To
+	return g.link(id).to
 }
 
 // LinkFrom returns a directed link's source node (immutable field read).
 func (g *Graph) LinkFrom(id LinkID) NodeID {
 	g.checkLink(id)
-	return g.links[id].From
+	return g.link(id).from
 }
 
-// Out returns the outgoing links of a node. The returned slice must not be
-// modified.
-func (g *Graph) Out(id NodeID) []LinkID { g.checkNode(id); return g.out[id] }
+// Out returns a node's outgoing links in insertion order, read from the list
+// threaded through their records: ranging over it allocates nothing, and
+// panics on an unknown node.
+func (g *Graph) Out(id NodeID) iter.Seq[LinkID] {
+	return func(yield func(LinkID) bool) {
+		g.checkNode(id)
+		for l := g.node(id).first; l != NoLink && yield(l); l = g.link(l).next {
+		}
+	}
+}
 
 func (g *Graph) checkLink(id LinkID) {
-	if id < 0 || int(id) >= len(g.links) {
+	if id < 0 || int(id) >= g.links.n {
 		panic(fmt.Sprintf("graph: unknown link %d", id))
 	}
 }
@@ -207,7 +274,7 @@ func (g *Graph) SetCapacity(id LinkID, capacity rate.Rate) {
 	if capacity.Sign() <= 0 && !capacity.IsInf() {
 		panic(fmt.Sprintf("graph: non-positive capacity %v for link %d", capacity, id))
 	}
-	g.links[id].Capacity = capacity
+	*g.caps.at(int(id)) = capacity
 }
 
 // FailLink marks one directed link as down. Failing an already-failed link is
@@ -215,44 +282,31 @@ func (g *Graph) SetCapacity(id LinkID, capacity rate.Rate) {
 // link back with its retained capacity and delay.
 func (g *Graph) FailLink(id LinkID) {
 	g.checkLink(id)
-	if g.links[id].Failed {
-		return
+	if l := g.link(id); !l.failed {
+		l.failed = true
+		g.failed++
 	}
-	g.links[id].Failed = true
-	g.failed++
 }
 
 // RestoreLink brings a failed directed link back up. Restoring an up link is
 // a no-op.
 func (g *Graph) RestoreLink(id LinkID) {
 	g.checkLink(id)
-	if !g.links[id].Failed {
-		return
+	if l := g.link(id); l.failed {
+		l.failed = false
+		g.failed--
 	}
-	g.links[id].Failed = false
-	g.failed--
 }
 
 // LinkUp reports whether a directed link is currently up.
-func (g *Graph) LinkUp(id LinkID) bool { g.checkLink(id); return g.failed == 0 || !g.links[id].Failed }
+func (g *Graph) LinkUp(id LinkID) bool { g.checkLink(id); return g.failed == 0 || !g.link(id).failed }
 
 // Routers returns the IDs of all router nodes, in insertion order.
 func (g *Graph) Routers() []NodeID {
 	var out []NodeID
-	for _, n := range g.nodes {
-		if n.Kind == Router {
-			out = append(out, n.ID)
-		}
-	}
-	return out
-}
-
-// Hosts returns the IDs of all host nodes, in insertion order.
-func (g *Graph) Hosts() []NodeID {
-	var out []NodeID
-	for _, n := range g.nodes {
-		if n.Kind == Host {
-			out = append(out, n.ID)
+	for id := range NodeID(g.nodes.n) {
+		if g.node(id).kind == Router {
+			out = append(out, id)
 		}
 	}
 	return out
@@ -260,47 +314,45 @@ func (g *Graph) Hosts() []NodeID {
 
 // HostRouter returns the router a host is attached to. It panics if id is
 // not a host or the host is unattached.
-func (g *Graph) HostRouter(id NodeID) NodeID {
-	g.checkNode(id)
-	if g.nodes[id].Kind != Host {
-		panic(fmt.Sprintf("graph: node %d is not a host", id))
-	}
-	for _, l := range g.out[id] {
-		return g.links[l].To
-	}
-	panic(fmt.Sprintf("graph: host %d is unattached", id))
-}
+func (g *Graph) HostRouter(id NodeID) NodeID { return g.link(g.AccessLink(id)).to }
 
 // AccessLink returns the host→router link of a host.
 func (g *Graph) AccessLink(id NodeID) LinkID {
 	g.checkNode(id)
-	if g.nodes[id].Kind != Host {
+	n := g.node(id)
+	if n.kind != Host {
 		panic(fmt.Sprintf("graph: node %d is not a host", id))
 	}
-	for _, l := range g.out[id] {
-		return l
+	if n.first == NoLink {
+		panic(fmt.Sprintf("graph: host %d is unattached", id))
 	}
-	panic(fmt.Sprintf("graph: host %d is unattached", id))
+	return n.first
 }
 
-// Validate checks structural invariants: hosts have exactly one neighbor
-// (their router), every link has positive capacity, and duplex symmetry
-// holds. It returns a descriptive error for the first violation found.
+// Validate checks structural invariants: hosts have exactly one neighbor,
+// a router; every link has positive capacity and a non-negative propagation
+// delay; and duplex symmetry holds. It returns a descriptive error for the
+// first violation found.
 func (g *Graph) Validate() error {
-	for _, n := range g.nodes {
-		if n.Kind == Host && len(g.out[n.ID]) != 1 {
-			return fmt.Errorf("host %d (%s) has %d links, want 1", n.ID, n.Name, len(g.out[n.ID]))
+	for id := range NodeID(g.nodes.n) {
+		switch n := g.node(id); {
+		case n.kind != Host:
+		case n.degree != 1:
+			return fmt.Errorf("host %d (%s) has %d links, want 1", id, n.name, n.degree)
+		case g.node(g.link(n.first).to).kind != Router:
+			return fmt.Errorf("host %d (%s) is linked to host %d, want a router", id, n.name, g.link(n.first).to)
 		}
 	}
-	for _, l := range g.links {
-		if l.Capacity.Sign() <= 0 && !l.Capacity.IsInf() {
-			return fmt.Errorf("link %d has non-positive capacity %v", l.ID, l.Capacity)
+	for id := range LinkID(g.links.n) {
+		l := g.link(id)
+		if c := *g.caps.at(int(id)); c.Sign() <= 0 && !c.IsInf() {
+			return fmt.Errorf("link %d has non-positive capacity %v", id, c)
 		}
-		if l.Reverse != NoLink {
-			r := g.links[l.Reverse]
-			if r.From != l.To || r.To != l.From {
-				return fmt.Errorf("link %d reverse mismatch", l.ID)
-			}
+		if l.propagation < 0 {
+			return fmt.Errorf("link %d has negative propagation %v", id, l.propagation)
+		}
+		if r := l.reverse; r != NoLink && (g.link(r).from != l.to || g.link(r).to != l.from) {
+			return fmt.Errorf("link %d reverse mismatch", id)
 		}
 	}
 	return nil

@@ -38,7 +38,7 @@ func TestBuildAndAccessors(t *testing.T) {
 	if got := len(g.Routers()); got != 3 {
 		t.Fatalf("Routers = %d", got)
 	}
-	if got := len(g.Hosts()); got != 2 {
+	if got := g.NumNodes() - len(g.Routers()); got != 2 {
 		t.Fatalf("Hosts = %d", got)
 	}
 	if g.Node(ha).Kind != Host {
@@ -250,13 +250,30 @@ func TestDeterministicPaths(t *testing.T) {
 }
 
 func TestValidateCatchesBadGraphs(t *testing.T) {
-	g := New()
-	r := g.AddRouter("r")
-	h := g.AddHost("h")
-	g.Connect(h, r, rate.Mbps(10), 0)
-	h2 := g.AddHost("h2") // unattached
-	_ = h2
-	if err := g.Validate(); err == nil {
-		t.Fatalf("expected validation error for unattached host")
+	for _, c := range []struct {
+		name  string
+		build func(g *Graph, r, h NodeID)
+		want  string
+	}{
+		{"unattached host", func(g *Graph, r, h NodeID) {
+			g.Connect(h, r, rate.Mbps(10), 0)
+			g.AddHost("h2")
+		}, "host 2 (h2) has 0 links, want 1"},
+		{"negative propagation", func(g *Graph, r, h NodeID) {
+			g.Connect(h, r, rate.Mbps(10), -time.Nanosecond)
+		}, "link 0 has negative propagation -1ns"},
+		{"host wired to a host", func(g *Graph, r, h NodeID) {
+			g.Connect(h, g.AddHost("h2"), rate.Mbps(10), 0)
+		}, "host 1 (h) is linked to host 2, want a router"},
+		{"non-positive capacity", func(g *Graph, r, h NodeID) {
+			g.Connect(h, r, rate.Rate{}, 0)
+		}, "link 0 has non-positive capacity 0"},
+	} {
+		g := New()
+		r, h := g.AddRouter("r"), g.AddHost("h")
+		c.build(g, r, h)
+		if err := g.Validate(); err == nil || err.Error() != c.want {
+			t.Errorf("%s: Validate() = %v, want %q", c.name, err, c.want)
+		}
 	}
 }

@@ -37,7 +37,7 @@ func TestResolverInternetDifferential(t *testing.T) {
 	}
 	var duplex []graph.LinkID // router links, one direction of each pair
 	for _, r := range routers {
-		for _, l := range g.Out(r) {
+		for l := range g.Out(r) {
 			if link := g.Link(l); g.Node(link.To).Kind == graph.Router && l < link.Reverse {
 				duplex = append(duplex, l)
 			}

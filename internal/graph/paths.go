@@ -51,7 +51,7 @@ type hop struct {
 func (a *adjacency) of(n NodeID) []hop { return a.hops[a.off[n]:a.off[n+1]] }
 
 // down reports whether link l is failed, reading Failed only while any is.
-func (r *Resolver) down(l LinkID) bool { return r.g.failed > 0 && r.g.links[l].Failed }
+func (r *Resolver) down(l LinkID) bool { return r.g.failed > 0 && r.g.link(l).failed }
 
 // NewResolver returns a Resolver over g. cacheSize is ignored: a query keeps
 // nothing for the next one but scratch space.
@@ -65,32 +65,30 @@ func (r *Resolver) HostPath(src, dst NodeID) (Path, error) {
 	if src == dst {
 		return nil, fmt.Errorf("graph: source and destination host coincide (%d)", src)
 	}
-	g.checkNode(src)
-	g.checkNode(dst)
-	if g.nodes[src].Kind != Host || g.nodes[dst].Kind != Host {
+	if !g.Has(src) || !g.Has(dst) || g.node(src).kind != Host || g.node(dst).kind != Host {
 		return nil, fmt.Errorf("graph: HostPath endpoints must be hosts (%d, %d)", src, dst)
 	}
-	up, dstUp := g.AccessLink(src), g.AccessLink(dst)
-	srcRouter, dstRouter := g.links[up].To, g.links[dstUp].To
-	if g.links[up].Failed {
+	up, dstUp := g.link(g.AccessLink(src)), g.link(g.AccessLink(dst))
+	srcRouter, dstRouter := up.to, dstUp.to
+	if up.failed {
 		return nil, fmt.Errorf("graph: access link of host %d is down", src)
 	}
-	down := g.links[dstUp].Reverse
+	down := dstUp.reverse
 	if down == NoLink {
 		return nil, fmt.Errorf("graph: host %d has no router→host link", dst)
 	}
-	if g.links[down].Failed {
+	if g.link(down).failed {
 		return nil, fmt.Errorf("graph: access link of host %d is down", dst)
 	}
 
 	if srcRouter == dstRouter {
-		return Path{up, down}, nil
+		return Path{up.id, down}, nil
 	}
 	path, err := r.route(srcRouter, dstRouter, 1)
 	if err != nil {
 		return nil, err
 	}
-	path[0], path[len(path)-1] = up, down
+	path[0], path[len(path)-1] = up.id, down
 	return path, nil
 }
 
@@ -103,9 +101,7 @@ func (r *Resolver) RouterPath(src, dst NodeID) (Path, error) {
 // unset slots before and after it, allocated once at that length.
 func (r *Resolver) route(src, dst NodeID, pad int) (Path, error) {
 	g := r.g
-	g.checkNode(src)
-	g.checkNode(dst)
-	if g.nodes[src].Kind != Router || g.nodes[dst].Kind != Router {
+	if !g.Has(src) || !g.Has(dst) || g.node(src).kind != Router || g.node(dst).kind != Router {
 		return nil, fmt.Errorf("graph: RouterPath endpoints must be routers (%d, %d)", src, dst)
 	}
 	if src == dst {
@@ -147,11 +143,11 @@ func (r *Resolver) meet(src, dst NodeID) int32 {
 // grow labels, in dist, the level after list[head:] through adj's up links,
 // appends it to list, and reports whether it holds a router other has.
 func (r *Resolver) grow(list []NodeID, head int, dist, other []int32, adj *adjacency) ([]NodeID, int, bool) {
-	links, anyFailed := r.g.links, r.g.failed > 0 // hoisted: the hot loop
+	anyFailed := r.g.failed > 0 // hoisted: the hot loop
 	end, met := len(list), false
 	for _, n := range list[head:end] {
 		for _, h := range adj.of(n) {
-			if dist[h.to] >= 0 || (anyFailed && links[h.link].Failed) {
+			if dist[h.to] >= 0 || (anyFailed && r.g.link(h.link).failed) {
 				continue
 			}
 			dist[h.to] = dist[n] + 1
@@ -214,13 +210,12 @@ func (r *Resolver) reset() {
 // the two counts say so exactly (and a new resolver's are zero, which no
 // graph with a node to query has).
 func (r *Resolver) syncAdjacency() {
-	n := len(r.g.nodes)
-	if n == r.adjNodes && len(r.g.links) == r.adjLinks {
+	n := r.g.nodes.n
+	if n == r.adjNodes && r.g.links.n == r.adjLinks {
 		return
 	}
-	r.adjNodes, r.adjLinks = n, len(r.g.links)
-	r.out = r.pack(func(l *Link) (NodeID, NodeID) { return l.From, l.To })
-	r.in = r.pack(func(l *Link) (NodeID, NodeID) { return l.To, l.From })
+	r.adjNodes, r.adjLinks = n, r.g.links.n
+	r.pack()
 	r.df, r.db = make([]int32, n), make([]int32, n)
 	for i := range r.df {
 		r.df[i], r.db[i] = -1, -1
@@ -228,45 +223,42 @@ func (r *Resolver) syncAdjacency() {
 	r.fwd, r.bwd = make([]NodeID, 0, n), make([]NodeID, 0, n)
 }
 
-// pack lists every router-to-router link under the end key returns first,
-// in link insertion order, as a hop to the other end.
-func (r *Resolver) pack(key func(*Link) (at, to NodeID)) adjacency {
+// pack lists every router-to-router link, in link insertion order, as a hop
+// to its head under its tail (out) and to its tail under its head (in). One
+// pass counts each node's hops, the next writes them in place, backwards.
+func (r *Resolver) pack() {
 	g := r.g
-	a := adjacency{off: make([]int32, len(g.nodes)+1)}
-	var links []*Link
-	for i := range g.links {
-		if l := &g.links[i]; g.nodes[l.From].Kind == Router && g.nodes[l.To].Kind == Router {
-			links = append(links, l)
-			at, _ := key(l)
-			a.off[at+1]++
+	r.out = adjacency{off: make([]int32, g.nodes.n+1)}
+	r.in = adjacency{off: make([]int32, g.nodes.n+1)}
+	inner := func(l *link) bool { return g.node(l.from).kind == Router && g.node(l.to).kind == Router }
+	for id := range LinkID(g.links.n) {
+		if l := g.link(id); inner(l) {
+			r.out.off[l.from]++
+			r.in.off[l.to]++
 		}
 	}
-	for i := range g.nodes {
-		a.off[i+1] += a.off[i]
+	r.out.alloc()
+	r.in.alloc()
+	for id := LinkID(g.links.n) - 1; id >= 0; id-- {
+		if l := g.link(id); inner(l) {
+			r.out.put(l.from, hop{to: l.to, link: id})
+			r.in.put(l.to, hop{to: l.from, link: id})
+		}
 	}
-	a.hops = make([]hop, len(links))
-	fill := append([]int32(nil), a.off...)
-	for _, l := range links {
-		at, to := key(l)
-		a.hops[fill[at]] = hop{to: to, link: l.ID}
-		fill[at]++
-	}
-	return a
 }
 
-// PathNodes expands a path into its node sequence (source of the first link
-// followed by the destination of every link). Useful for debugging and
-// tests.
-func PathNodes(g *Graph, p Path) []NodeID {
-	if len(p) == 0 {
-		return nil
+// alloc turns off[n], node n's hop count, into the end of its hops.
+func (a *adjacency) alloc() {
+	for i := 1; i < len(a.off); i++ {
+		a.off[i] += a.off[i-1]
 	}
-	out := make([]NodeID, 0, len(p)+1)
-	out = append(out, g.Link(p[0]).From)
-	for _, l := range p {
-		out = append(out, g.Link(l).To)
-	}
-	return out
+	a.hops = make([]hop, a.off[len(a.off)-1])
+}
+
+// put writes node n's hops last to first, so off[n] ends at their start.
+func (a *adjacency) put(n NodeID, h hop) {
+	a.off[n]--
+	a.hops[a.off[n]] = h
 }
 
 // ValidatePath checks that p is a connected host-to-host path in g whose
@@ -279,31 +271,31 @@ func ValidatePath(g *Graph, p Path) error {
 		return fmt.Errorf("graph: path too short (%d links)", len(p))
 	}
 	for _, l := range p {
-		if l < 0 || int(l) >= len(g.links) {
+		if l < 0 || int(l) >= g.links.n {
 			return fmt.Errorf("graph: path names unknown link %d", l)
 		}
-		if g.links[l].Failed {
+		if g.link(l).failed {
 			return fmt.Errorf("graph: path crosses failed link %d", l)
 		}
-		if g.links[l].Reverse == NoLink {
+		if g.link(l).reverse == NoLink {
 			// A session's upstream packets (Response, Update, Bottleneck)
 			// retrace its path over the reverse links.
 			return fmt.Errorf("graph: path crosses link %d, which has no reverse", l)
 		}
 	}
 	for i := 1; i < len(p); i++ {
-		prev, cur := &g.links[p[i-1]], &g.links[p[i]]
-		if prev.To != cur.From {
-			return fmt.Errorf("graph: path disconnected at hop %d (link %d→ link %d)", i, prev.ID, cur.ID)
+		prev, cur := g.link(p[i-1]), g.link(p[i])
+		if prev.to != cur.from {
+			return fmt.Errorf("graph: path disconnected at hop %d (link %d→ link %d)", i, prev.id, cur.id)
 		}
-		if g.nodes[cur.From].Kind != Router {
-			return fmt.Errorf("graph: interior path node %d is not a router", cur.From)
+		if g.node(cur.from).kind != Router {
+			return fmt.Errorf("graph: interior path node %d is not a router", cur.from)
 		}
 	}
-	if g.nodes[g.links[p[0]].From].Kind != Host {
+	if g.node(g.link(p[0]).from).kind != Host {
 		return fmt.Errorf("graph: path does not start at a host")
 	}
-	if g.nodes[g.links[p[len(p)-1]].To].Kind != Host {
+	if g.node(g.link(p[len(p)-1]).to).kind != Host {
 		return fmt.Errorf("graph: path does not end at a host")
 	}
 	return nil

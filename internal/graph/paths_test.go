@@ -105,7 +105,7 @@ func (r refResolver) bfs(src NodeID) []LinkID {
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]
-		for _, lid := range g.Out(n) {
+		for lid := range g.Out(n) {
 			l := g.Link(lid)
 			to := l.To
 			if l.Failed || visited[to] || g.Node(to).Kind != Router {
@@ -341,4 +341,19 @@ func TestResolverWarmHitAllocatesOnlyThePath(t *testing.T) {
 		query(h[0], h[4])
 		g.RestoreLink(line[2])
 	})
+}
+
+// PathNodes expands a path into its node sequence (source of the first link
+// followed by the destination of every link). Useful for debugging and
+// tests.
+func PathNodes(g *Graph, p Path) []NodeID {
+	if len(p) == 0 {
+		return nil
+	}
+	out := make([]NodeID, 0, len(p)+1)
+	out = append(out, g.LinkFrom(p[0]))
+	for _, l := range p {
+		out = append(out, g.LinkTo(l))
+	}
+	return out
 }

@@ -692,7 +692,7 @@ func (rt *Runtime) linkActorLocked(id graph.LinkID) *actor {
 	// A link task emits for whichever session its current packet belongs to;
 	// the handler points the task's emitter at that incarnation first.
 	em := &emitter{rt: rt}
-	task := core.NewRouterLink(core.LinkRef(id), rt.g.Link(id).Capacity, em)
+	task := core.NewRouterLink(core.LinkRef(id), rt.g.Capacity(id), em)
 	a := newActor(rt.activity, func(m *message) {
 		switch m.kind {
 		case msgPacket:

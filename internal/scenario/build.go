@@ -136,7 +136,7 @@ func (w *world) linkBetween(a, b string) (graph.LinkID, graph.LinkID, error) {
 	if !ok {
 		return graph.NoLink, graph.NoLink, fmt.Errorf("unknown node %q", b)
 	}
-	for _, lid := range w.g.Out(na) {
+	for lid := range w.g.Out(na) {
 		l := w.g.Link(lid)
 		if l.To == nb && l.Reverse != graph.NoLink {
 			return l.ID, l.Reverse, nil

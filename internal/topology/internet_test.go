@@ -3,6 +3,7 @@ package topology
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"testing"
 	"time"
 
@@ -196,7 +197,7 @@ func TestInternetPowerLawFringe(t *testing.T) {
 	// metro router must carry several times the median metro degree.
 	max, sum := 0, 0
 	for _, id := range n.Metro {
-		d := len(g.Out(id))
+		d := len(slices.Collect(g.Out(id)))
 		sum += d
 		if d > max {
 			max = d

@@ -183,7 +183,7 @@ func Generate(p Params, scen Scenario, seed int64) (*Network, error) {
 }
 
 func connected(g *graph.Graph, a, b graph.NodeID) bool {
-	for _, l := range g.Out(a) {
+	for l := range g.Out(a) {
 		if g.Link(l).To == b {
 			return true
 		}

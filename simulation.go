@@ -189,7 +189,7 @@ func (l *Link) RestoreAt(at time.Duration) {
 // symmetric under this API).
 func (l *Link) Capacity() Rate {
 	l.check()
-	return l.sim.g.Link(l.ab).Capacity
+	return l.sim.g.Capacity(l.ab)
 }
 
 // Up reports whether the link is currently up.
@@ -227,7 +227,10 @@ func (s *Simulation) RouterLinks() []*Link {
 // LinkBetween returns the duplex link connecting two adjacent nodes, if one
 // exists.
 func (s *Simulation) LinkBetween(x, y Node) (*Link, bool) {
-	for _, lid := range s.g.Out(x.id) {
+	if !s.g.Has(x.id) {
+		return nil, false
+	}
+	for lid := range s.g.Out(x.id) {
 		l := s.g.Link(lid)
 		if l.To == y.id && l.Reverse != graph.NoLink {
 			return &Link{sim: s, ab: l.ID, ba: l.Reverse}, true
