@@ -166,39 +166,22 @@ const (
 	// detour paths.
 	Pinned PathPolicy = iota
 	// ReoptimizeOnRestore re-runs shortest-path over the active sessions
-	// whenever a link restore signals that shorter paths may exist, and
-	// migrates any session whose current path exceeds the configured
-	// stretch/hysteresis margin — through the protocol's own Leave →
-	// reroute → Join, a fresh session ID per move, exactly like a
-	// failure-driven migration. Doubling a link's capacity sweeps too, and
-	// a session whose best path crosses it moves on any strict improvement.
+	// whenever a link restore or a doubling of a link's capacity signals
+	// that shorter paths may exist, and migrates every session whose best
+	// path is strictly shorter than its current one — through the
+	// protocol's own Leave → reroute → Join, a fresh session ID per move,
+	// exactly like a failure-driven migration. It has no tuning knobs.
 	ReoptimizeOnRestore
 )
 
 // WithPathPolicy selects the path re-optimization policy. The default,
 // Pinned, reproduces the paper's pin-at-join behavior exactly. With
 // ReoptimizeOnRestore the simulation migrates sessions back onto shorter
-// paths after restores; tune the hysteresis with WithReoptimizeStretch and
-// WithReoptimizeMinGain. Policy sweeps run in session-creation order, so
-// results stay deterministic.
+// paths after restores and capacity doublings. Policy sweeps run in
+// session-creation order, so results stay deterministic.
 func WithPathPolicy(p PathPolicy) Option {
 	// The two enumerations share their values; any other p never sweeps.
-	return func(o *options) { o.pathPolicy.Kind = control.PolicyKind(p) }
-}
-
-// WithReoptimizeStretch sets the multiplicative hysteresis of
-// ReoptimizeOnRestore: a session migrates only when its current path is
-// longer than stretch × its best path. Values ≤ 1 (the default) migrate on
-// any strictly shorter path.
-func WithReoptimizeStretch(stretch float64) Option {
-	return func(o *options) { o.pathPolicy.Stretch = stretch }
-}
-
-// WithReoptimizeMinGain sets the additive hysteresis of
-// ReoptimizeOnRestore: a session migrates only when the move saves at least
-// hops links. Values ≤ 1 (the default) migrate on any strict improvement.
-func WithReoptimizeMinGain(hops int) Option {
-	return func(o *options) { o.pathPolicy.MinGain = hops }
+	return func(o *options) { o.pathPolicy = control.Policy(p) }
 }
 
 // WithRateCallback observes every API.Rate upcall: the session, the granted

@@ -8,7 +8,6 @@
 //	bneck [-size small|medium|big] [-scenario lan|wan] [-internet] [-sessions N]
 //	      [-demand-cap P] [-seed S] [-validate] [-v] [-live]
 //	bneck -run-scenario <script> [-live] [-path-policy pinned|reoptimize]
-//	      [-reopt-stretch F] [-reopt-min-gain N]
 //
 // Without -live every run executes on the serial discrete-event simulator:
 // the join burst is Experiment 1's cell (exp.JoinBurst) with a quarter of
@@ -28,10 +27,9 @@
 // geography-derived latency bands): -size maps to the paper, metro and
 // global rungs (~40/~1k/~10k routers) and -scenario is ignored.
 //
-// -path-policy, -reopt-stretch and -reopt-min-gain apply to -run-scenario
-// only (a join burst has no restore or capacity event to sweep on): each
-// overrides just its own field of the script's `policy` directive, and
-// unset flags keep the script's settings.
+// -path-policy applies to -run-scenario only (a join burst has no restore or
+// capacity event to sweep on): it replaces the script's `policy` directive,
+// and unset keeps it.
 package main
 
 import (
@@ -58,45 +56,31 @@ func main() {
 	log.SetPrefix("bneck: ")
 
 	var (
-		sizeName     = flag.String("size", "small", "topology size: small, medium, big")
-		scenName     = flag.String("scenario", "lan", "propagation scenario: lan, wan (ignored with -internet)")
-		internet     = flag.Bool("internet", false, "generate a hierarchical internet-scale topology (core/metro/edge tiers, power-law fringe) instead of transit-stub")
-		sessions     = flag.Int("sessions", 100, "number of sessions to join")
-		demandCap    = flag.Float64("demand-cap", 0.25, "fraction of sessions with a finite demand")
-		seed         = flag.Int64("seed", 1, "deterministic seed")
-		validate     = flag.Bool("validate", true, "cross-check against the centralized oracle")
-		verbose      = flag.Bool("v", false, "print every session's rate")
-		liveMode     = flag.Bool("live", false, "run on the concurrent actor runtime instead of the simulator")
-		scenFile     = flag.String("run-scenario", "", "execute a declarative scenario script (full DSL reference: docs/SCENARIOS.md)")
-		pathPolicy   = flag.String("path-policy", "", "with -run-scenario, the path re-optimization policy: pinned or reoptimize (migrate sessions back onto shorter paths after restores); overrides the script's `policy` directive, keeping its hysteresis knobs")
-		reoptStretch = flag.Float64("reopt-stretch", 0, "with -run-scenario, the reoptimize hysteresis: migrate only when the current path exceeds stretch × the best path (0 keeps the script's setting)")
-		reoptMinGain = flag.Int("reopt-min-gain", 0, "with -run-scenario, the reoptimize hysteresis: migrate only when at least this many hops are saved (0 keeps the script's setting)")
+		sizeName   = flag.String("size", "small", "topology size: small, medium, big")
+		scenName   = flag.String("scenario", "lan", "propagation scenario: lan, wan (ignored with -internet)")
+		internet   = flag.Bool("internet", false, "generate a hierarchical internet-scale topology (core/metro/edge tiers, power-law fringe) instead of transit-stub")
+		sessions   = flag.Int("sessions", 100, "number of sessions to join")
+		demandCap  = flag.Float64("demand-cap", 0.25, "fraction of sessions with a finite demand")
+		seed       = flag.Int64("seed", 1, "deterministic seed")
+		validate   = flag.Bool("validate", true, "cross-check against the centralized oracle")
+		verbose    = flag.Bool("v", false, "print every session's rate")
+		liveMode   = flag.Bool("live", false, "run on the concurrent actor runtime instead of the simulator")
+		scenFile   = flag.String("run-scenario", "", "execute a declarative scenario script (full DSL reference: docs/SCENARIOS.md)")
+		pathPolicy = flag.String("path-policy", "", "with -run-scenario, the path re-optimization policy: pinned or reoptimize (migrate sessions back onto shorter paths after restores); replaces the script's `policy` directive")
 	)
 	flag.Parse()
 
-	polKind, ok := control.ParsePolicy(*pathPolicy)
-	if *pathPolicy != "" && !ok {
-		log.Fatalf("unknown -path-policy %q (pinned, reoptimize)", *pathPolicy)
-	}
-	// overlayPolicy applies each policy flag that was actually set on top of
-	// a scenario script's `policy` directive — so `-reopt-stretch 5` alone
-	// tightens the script's hysteresis without touching its kind, and
-	// `-path-policy reoptimize` alone keeps the script's knobs.
-	overlayPolicy := func(base control.Policy) control.Policy {
-		if *pathPolicy != "" {
-			base.Kind = polKind
+	var policy *control.Policy
+	if *pathPolicy != "" {
+		p, ok := control.ParsePolicy(*pathPolicy)
+		if !ok {
+			log.Fatalf("unknown -path-policy %q (pinned, reoptimize)", *pathPolicy)
 		}
-		if *reoptStretch > 0 {
-			base.Stretch = *reoptStretch
-		}
-		if *reoptMinGain > 0 {
-			base.MinGain = *reoptMinGain
-		}
-		return base
+		policy = &p
 	}
 
 	if *scenFile != "" {
-		runScenario(*scenFile, *liveMode, overlayPolicy)
+		runScenario(*scenFile, *liveMode, policy)
 		return
 	}
 
@@ -150,10 +134,9 @@ func main() {
 }
 
 // runScenario parses and executes a scenario script, printing the per-epoch
-// re-quiescence table. Every epoch is validated against the oracle.
-// overlay applies the command-line policy flags on top of the script's
-// `policy` directive.
-func runScenario(path string, liveMode bool, overlay func(control.Policy) control.Policy) {
+// re-quiescence table. Every epoch is validated against the oracle. A
+// non-nil policy replaces the script's `policy` directive.
+func runScenario(path string, liveMode bool, policy *control.Policy) {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		log.Fatal(err)
@@ -162,7 +145,9 @@ func runScenario(path string, liveMode bool, overlay func(control.Policy) contro
 	if err != nil {
 		log.Fatal(err)
 	}
-	sc.Policy = overlay(sc.Policy)
+	if policy != nil {
+		sc.Policy = *policy
+	}
 	var res *scenario.Result
 	wall := time.Now()
 	if liveMode {

@@ -41,7 +41,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 
-	"bneck/internal/control"
 	"bneck/internal/exp"
 	"bneck/internal/topology"
 )
@@ -67,21 +66,18 @@ func main() {
 	log.SetPrefix("experiments: ")
 
 	var (
-		which        = flag.String("exp", "all", "experiment to run: 1, 2, 3, 4, 5, all")
-		scale        = flag.Float64("scale", 1.0, "session-count multiplier toward paper scale")
-		seed         = flag.Int64("seed", 1, "deterministic seed")
-		big          = flag.Bool("big", false, "include the Big (11,000 router) topology in experiments 1, 4 and 5")
-		counts       = flag.String("counts", "", "comma-separated session counts for experiment 1 (overrides defaults)")
-		protocols    = flag.String("protocols", "bneck,bfyz", "comma-separated protocols for experiment 3 (bneck,bfyz,cg,rcp)")
-		validate     = flag.Bool("validate", true, "cross-check B-Neck runs against the centralized oracle")
-		quiet        = flag.Bool("q", false, "suppress progress lines")
-		csvDir       = flag.String("csv", "", "also write figure data as CSV files into this directory")
-		workers      = flag.Int("workers", 1, "parallel sweep workers per fan-out level (1 = serial, negative = GOMAXPROCS); output is identical at any setting")
-		pathPolicy   = flag.String("path-policy", "pinned", "path re-optimization policy for experiment 4: pinned (historical behavior) or reoptimize (restores migrate sessions back onto shorter paths); experiment 5 always sweeps both")
-		reoptStretch = flag.Float64("reopt-stretch", 0, "re-optimization stretch hysteresis for experiments 4 and 5 (≤ 1 = any strict improvement)")
-		reoptMinGain = flag.Int("reopt-min-gain", 0, "re-optimization minimum hop gain for experiments 4 and 5 (≤ 1 = any strict improvement)")
-		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile   = flag.String("memprofile", "", "write a heap profile to this file at exit")
+		which      = flag.String("exp", "all", "experiment to run: 1, 2, 3, 4, 5, all")
+		scale      = flag.Float64("scale", 1.0, "session-count multiplier toward paper scale")
+		seed       = flag.Int64("seed", 1, "deterministic seed")
+		big        = flag.Bool("big", false, "include the Big (11,000 router) topology in experiments 1, 4 and 5")
+		counts     = flag.String("counts", "", "comma-separated session counts for experiment 1 (overrides defaults)")
+		protocols  = flag.String("protocols", "bneck,bfyz", "comma-separated protocols for experiment 3 (bneck,bfyz,cg,rcp)")
+		validate   = flag.Bool("validate", true, "cross-check B-Neck runs against the centralized oracle")
+		quiet      = flag.Bool("q", false, "suppress progress lines")
+		csvDir     = flag.String("csv", "", "also write figure data as CSV files into this directory")
+		workers    = flag.Int("workers", 1, "parallel sweep workers per fan-out level (1 = serial, negative = GOMAXPROCS); output is identical at any setting")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	flag.Parse()
 	var cpuOut *os.File
@@ -112,12 +108,6 @@ func main() {
 	if *quiet {
 		progress = nil
 	}
-
-	polKind, ok := control.ParsePolicy(*pathPolicy)
-	if !ok {
-		log.Fatalf("unknown -path-policy %q (pinned, reoptimize)", *pathPolicy)
-	}
-	polCfg := control.Policy{Kind: polKind, Stretch: *reoptStretch, MinGain: *reoptMinGain}
 
 	var exp1Counts []int
 	if *counts != "" {
@@ -193,7 +183,6 @@ func main() {
 			cfg.Churn = scaled(cfg.Churn)
 			cfg.Progress = progress
 			cfg.Workers = *workers
-			cfg.Policy = polCfg
 			rows, err := exp.RunExperiment4(cfg)
 			return exp.FormatExp4(rows) + "\n", csvFile("exp4_reconfig.csv", func(w io.Writer) error {
 				return exp.WriteExp4CSV(w, rows)
@@ -207,7 +196,6 @@ func main() {
 			cfg.Seeds = []int64{*seed, *seed + 1}
 			cfg.Validate = *validate
 			cfg.Sessions = scaled(cfg.Sessions)
-			cfg.Policy = polCfg
 			cfg.Progress = progress
 			cfg.Workers = *workers
 			rows, err := exp.RunExperiment5(cfg)

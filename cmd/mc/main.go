@@ -24,8 +24,6 @@
 //	-seed0 n             first swarm seed (default 1)
 //	-fuzz                perturb churn timings per swarm seed
 //	-live-every n        run the live runtime every n-th schedule (0 = off)
-//	-bound-factor f      slack multiplier on the structural quiescence bound
-//	                     (default 8)
 //	-replay path         replay a recorded choice trace instead of exploring
 //	-no-minimize         keep a violating trace as found (skip ddmin)
 //	-out path            violating trace file (default mc-violation.trace)
@@ -58,7 +56,6 @@ func main() {
 		seed0        = flag.Int64("seed0", 1, "first swarm seed")
 		fuzz         = flag.Bool("fuzz", false, "perturb churn timings per swarm seed")
 		liveEvery    = flag.Int("live-every", 0, "run the live runtime every n-th schedule (0 = off)")
-		boundFactor  = flag.Float64("bound-factor", mc.DefaultBoundFactor, "slack multiplier on the quiescence bound")
 		replayPath   = flag.String("replay", "", "replay a recorded choice trace")
 		noMinimize   = flag.Bool("no-minimize", false, "keep a violating trace as found")
 		outPath      = flag.String("out", "mc-violation.trace", "violating trace file")
@@ -66,7 +63,7 @@ func main() {
 	)
 	flag.Parse()
 
-	m, err := loadModel(*scenarioPath, *synth, *sessions, *churn, *synthSeed, *boundFactor)
+	m, err := loadModel(*scenarioPath, *synth, *sessions, *churn, *synthSeed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -129,14 +126,14 @@ func main() {
 	os.Exit(1)
 }
 
-func loadModel(path, synth string, sessions, churn int, seed int64, factor float64) (*mc.Model, error) {
+func loadModel(path, synth string, sessions, churn int, seed int64) (*mc.Model, error) {
 	switch {
 	case path != "" && synth != "":
 		return nil, fmt.Errorf("-scenario and -synth are mutually exclusive")
 	case path != "":
-		return mc.FromFile(path, factor)
+		return mc.FromFile(path)
 	case synth != "":
-		return mc.Synthesize(synth, sessions, churn, seed, factor)
+		return mc.Synthesize(synth, sessions, churn, seed)
 	default:
 		return nil, fmt.Errorf("one of -scenario or -synth is required")
 	}

@@ -28,6 +28,7 @@ import (
 	"bneck/internal/core"
 	"bneck/internal/graph"
 	"bneck/internal/metrics"
+	"bneck/internal/network"
 	"bneck/internal/sim"
 )
 
@@ -52,27 +53,17 @@ type Protocol interface {
 	NewLink(capacity float64) LinkAlgo
 }
 
+// Period is the source re-probe interval and the link control-law tick;
+// BinSize bins packet counts over time (Figure 8's 3 ms).
+const (
+	Period  = 5 * time.Millisecond
+	BinSize = 3 * time.Millisecond
+)
+
 // Config tunes a baseline run.
 type Config struct {
-	// Period is the source re-probe interval and the link control-law tick.
-	Period time.Duration
-	// ControlPacketBits sizes per-packet transmission time, as in the
-	// B-Neck network harness.
-	ControlPacketBits int64
-	// BinSize bins packet counts over time (Figure 8).
-	BinSize time.Duration
 	// Seed randomizes per-session probe phases.
 	Seed int64
-}
-
-// DefaultConfig matches the B-Neck harness where applicable.
-func DefaultConfig() Config {
-	return Config{
-		Period:            5 * time.Millisecond,
-		ControlPacketBits: 512,
-		BinSize:           3 * time.Millisecond,
-		Seed:              1,
-	}
 }
 
 // Session is one session run by a baseline protocol.
@@ -93,7 +84,6 @@ func (s *Session) Active() bool { return s.active }
 // Harness runs a baseline protocol over the simulator: per-session periodic
 // probe cycles (down the path and back), per-link periodic ticks.
 type Harness struct {
-	cfg       Config
 	g         *graph.Graph
 	eng       *sim.Engine
 	proto     Protocol
@@ -110,18 +100,14 @@ type Harness struct {
 
 // NewHarness returns a baseline runner over g driven by eng.
 func NewHarness(g *graph.Graph, eng *sim.Engine, proto Protocol, cfg Config) *Harness {
-	if cfg.Period <= 0 {
-		cfg.Period = DefaultConfig().Period
-	}
 	return &Harness{
-		cfg:      cfg,
 		g:        g,
 		eng:      eng,
 		proto:    proto,
 		links:    make(map[graph.LinkID]LinkAlgo),
 		wires:    make(map[graph.LinkID]*sim.Wire),
 		sessions: make(map[core.SessionID]*Session),
-		stats:    metrics.NewPacketStats(cfg.BinSize),
+		stats:    metrics.NewPacketStats(BinSize),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		nextID:   1,
 		stopAt:   math.MaxInt64,
@@ -186,14 +172,14 @@ func (h *Harness) StartTicks() {
 	var tick func()
 	tick = func() {
 		for _, id := range h.linkOrder {
-			h.links[id].Tick(h.cfg.Period)
+			h.links[id].Tick(Period)
 		}
-		next := h.eng.Now() + h.cfg.Period
+		next := h.eng.Now() + Period
 		if next <= h.stopAt {
 			h.eng.DaemonAt(next, tick)
 		}
 	}
-	h.eng.DaemonAt(h.eng.Now()+h.cfg.Period, tick)
+	h.eng.DaemonAt(h.eng.Now()+Period, tick)
 }
 
 // probe runs one full probe cycle for s as a chain of wire deliveries, then
@@ -246,7 +232,7 @@ func (h *Harness) reverse(s *Session, i int, granted float64) {
 // jittered returns the probe period with ±10% jitter, preventing lockstep
 // probe storms.
 func (h *Harness) jittered() time.Duration {
-	p := int64(h.cfg.Period)
+	p := int64(Period)
 	return time.Duration(p - p/10 + h.rng.Int63n(p/5+1))
 }
 
@@ -265,14 +251,7 @@ func (h *Harness) wire(id graph.LinkID) *sim.Wire {
 		return w
 	}
 	l := h.g.Link(id)
-	var tx time.Duration
-	if h.cfg.ControlPacketBits > 0 {
-		bps := l.Capacity.Float64()
-		if bps > 0 {
-			tx = time.Duration(float64(h.cfg.ControlPacketBits) / bps * float64(time.Second))
-		}
-	}
-	w := sim.NewWire(h.eng, l.Propagation, tx)
+	w := sim.NewWire(h.eng, l.Propagation, network.TxTime(l.Capacity))
 	h.wires[id] = w
 	return w
 }

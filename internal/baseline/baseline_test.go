@@ -40,7 +40,7 @@ func runProtocol(t *testing.T, proto Protocol, nSess int, horizon time.Duration)
 	t.Helper()
 	g, paths := buildShared(t, nSess, rate.Mbps(100))
 	eng := sim.New()
-	h := NewHarness(g, eng, proto, DefaultConfig())
+	h := NewHarness(g, eng, proto, Config{Seed: 1})
 	sessions := make([]*Session, nSess)
 	for i, p := range paths {
 		s, err := h.NewSession(p, math.Inf(1))
@@ -72,7 +72,7 @@ func TestBFYZOverestimatesTransiently(t *testing.T) {
 	// starts above the final fair share — the Figure 7 overshoot.
 	g, paths := buildShared(t, 2, rate.Mbps(100))
 	eng := sim.New()
-	h := NewHarness(g, eng, BFYZ{}, DefaultConfig())
+	h := NewHarness(g, eng, BFYZ{}, Config{Seed: 1})
 	s1, _ := h.NewSession(paths[0], math.Inf(1))
 	s2, _ := h.NewSession(paths[1], math.Inf(1))
 	h.ScheduleJoin(s1, 0)
@@ -112,7 +112,7 @@ func TestBFYZNeverQuiesces(t *testing.T) {
 func TestBFYZLeaveFreesCapacity(t *testing.T) {
 	g, paths := buildShared(t, 2, rate.Mbps(100))
 	eng := sim.New()
-	h := NewHarness(g, eng, BFYZ{}, DefaultConfig())
+	h := NewHarness(g, eng, BFYZ{}, Config{Seed: 1})
 	s1, _ := h.NewSession(paths[0], math.Inf(1))
 	s2, _ := h.NewSession(paths[1], math.Inf(1))
 	h.ScheduleJoin(s1, 0)
@@ -130,7 +130,7 @@ func TestBFYZLeaveFreesCapacity(t *testing.T) {
 func TestBFYZRespectsDemand(t *testing.T) {
 	g, paths := buildShared(t, 2, rate.Mbps(100))
 	eng := sim.New()
-	h := NewHarness(g, eng, BFYZ{}, DefaultConfig())
+	h := NewHarness(g, eng, BFYZ{}, Config{Seed: 1})
 	s1, _ := h.NewSession(paths[0], 10e6)
 	s2, _ := h.NewSession(paths[1], math.Inf(1))
 	h.ScheduleJoin(s1, 0)
@@ -199,7 +199,7 @@ func TestHarnessDeterminism(t *testing.T) {
 	run := func() (uint64, []float64) {
 		g, paths := buildShared(t, 3, rate.Mbps(100))
 		eng := sim.New()
-		h := NewHarness(g, eng, BFYZ{}, DefaultConfig())
+		h := NewHarness(g, eng, BFYZ{}, Config{Seed: 1})
 		var ss []*Session
 		for _, p := range paths {
 			s, _ := h.NewSession(p, math.Inf(1))

@@ -233,7 +233,7 @@ func (c *Controller) Restore(links []graph.LinkID) ([]Action, error) {
 			c.start(s, path, true)
 		}
 	}
-	c.reoptimize(nil)
+	c.reoptimize()
 	return c.acts, nil
 }
 
@@ -245,22 +245,20 @@ func (c *Controller) SetCapacity(cp rate.Rate, links []graph.LinkID) ([]Action, 
 		return nil, err
 	}
 	c.acts = c.acts[:0]
-	upgraded := map[graph.LinkID]bool{}
+	upgraded := false
 	for _, l := range links {
-		if c.Policy.capacityTriggers(c.g.Capacity(l), cp) {
-			upgraded[l] = true
-		}
+		upgraded = c.Policy.capacityTriggers(c.g.Capacity(l), cp) || upgraded
 		c.g.SetCapacity(l, cp)
 	}
-	if len(upgraded) > 0 {
-		c.reoptimize(upgraded)
+	if upgraded {
+		c.reoptimize()
 	}
 	return c.acts, nil
 }
 
-// reoptimize moves active sessions the policy finds too far off their best
-// path onto it, waiving the hysteresis if it crosses an upgraded link.
-func (c *Controller) reoptimize(upgraded map[graph.LinkID]bool) {
+// reoptimize moves each active session with a strictly shorter best path
+// onto it.
+func (c *Controller) reoptimize() {
 	if !c.Policy.Enabled() {
 		return
 	}
@@ -269,7 +267,7 @@ func (c *Controller) reoptimize(upgraded map[graph.LinkID]bool) {
 			continue
 		}
 		best, err := c.res.HostPath(inc.s.src, inc.s.dst)
-		if err == nil && c.Policy.shouldMigrate(len(inc.path), len(best), crosses(best, upgraded)) {
+		if err == nil && c.Policy.shouldMigrate(len(inc.path), len(best)) {
 			c.move(inc, best, nil, &c.reoptimized)
 		}
 	}
@@ -435,8 +433,4 @@ func must(ok bool, what string, id core.SessionID) {
 
 func (c *Controller) up(p graph.Path) bool {
 	return !slices.ContainsFunc(p, func(l graph.LinkID) bool { return !c.g.LinkUp(l) })
-}
-
-func crosses(p graph.Path, links map[graph.LinkID]bool) bool {
-	return slices.ContainsFunc(p, func(l graph.LinkID) bool { return links[l] })
 }

@@ -268,8 +268,8 @@ func TestReadmissionInStrandOrder(t *testing.T) {
 }
 
 // TestCapacityAndReoptimization: a capacity change reconfigures each link;
-// under ReoptimizeOnRestore a restore moves sessions back onto shorter
-// paths past the hysteresis, and an upgrade waives it.
+// under ReoptimizeOnRestore a capacity doubling and a restore each move
+// sessions back onto shorter paths.
 func TestCapacityAndReoptimization(t *testing.T) {
 	r := newRig(t)
 	a := r.session("ha", "hb")
@@ -277,14 +277,13 @@ func TestCapacityAndReoptimization(t *testing.T) {
 	r.setCapacity(rate.Mbps(400), r.duplex("r1-r2"))
 	r.expect("start 1 "+top+" +Inf", "capacity r1-r2 400", "capacity r2-r1 400")
 
-	r.c.Policy = Policy{Kind: ReoptimizeOnRestore, Stretch: 2}
 	r.do(r.c.Fail(r.duplex("r1-r2")))
 	r.do(r.c.Restore(r.duplex("r1-r2")))
-	r.expect("leave 1", "start 2 "+bottom+" +Inf") // 5 hops ≤ 2 × 4: it stays
+	r.expect("leave 1", "start 2 "+bottom+" +Inf") // pinned: it stays
+	r.c.Policy = ReoptimizeOnRestore
 	r.setCapacity(rate.Mbps(800), r.duplex("r2-r4"))
 	r.expect("capacity r2-r4 800", "capacity r4-r2 800", "leave 2", "start 3 "+top+" +Inf")
 
-	r.c.Policy.Stretch = 1
 	r.do(r.c.Fail(r.duplex("r1-r2")))
 	r.do(r.c.Restore(r.duplex("r1-r2")))
 	r.expect("leave 3", "start 4 "+bottom+" +Inf", "leave 4", "start 5 "+top+" +Inf")

@@ -38,9 +38,8 @@ type exConfig struct {
 }
 
 // exConfigs are the committed searches: the rig's five-router graph under
-// the re-optimizing policy (stretch 2, so only an upgrade moves a session
-// off a one-hop-longer detour) and a four-router diamond whose two hosts
-// share an access link, under the pinned one.
+// the re-optimizing policy and a four-router diamond whose two hosts share
+// an access link, under the pinned one.
 //
 //	ha, hc ─ r1 ─ r2 ─ r4 ─ hb           ha, hc ─ r1 ─ r2 ─ r4 ─ hb
 //	          └ r3 ─ r5 ┘                         └ r3 ┘
@@ -50,7 +49,7 @@ var exConfigs = []exConfig{
 		build:    rigGraph,
 		sessions: [][2]string{{"ha", "hb"}, {"hc", "hd"}, {"hc", "hb"}},
 		links:    []string{"ha-r1", "r1-r2", "r3-r5", "r4-hb"},
-		policy:   Policy{Kind: ReoptimizeOnRestore, Stretch: 2},
+		policy:   ReoptimizeOnRestore,
 		k:        5,
 	},
 	{

@@ -26,9 +26,7 @@ type Exp1Config struct {
 	Sizes         []topology.Params
 	Scenarios     []topology.Scenario
 	SessionCounts []int
-	// JoinWindow is the interval the joins land in (paper: 1 ms).
-	JoinWindow time.Duration
-	Seed       int64
+	Seed          int64
 	// Validate cross-checks every run against the centralized oracle
 	// (the paper does; costs extra wall time).
 	Validate bool
@@ -41,6 +39,9 @@ type Exp1Config struct {
 	Workers int
 }
 
+// exp1JoinWindow is the interval the joins land in (paper: 1 ms).
+const exp1JoinWindow = time.Millisecond
+
 // DefaultExp1 is a laptop-scale default: the paper sweeps 10…300,000
 // sessions on Small/Medium/Big; here Small+Medium up to 5,000 (pass bigger
 // counts and topology.Big explicitly for paper scale).
@@ -49,7 +50,6 @@ func DefaultExp1() Exp1Config {
 		Sizes:         []topology.Params{topology.Small, topology.Medium},
 		Scenarios:     []topology.Scenario{topology.LAN, topology.WAN},
 		SessionCounts: []int{10, 100, 1000, 5000},
-		JoinWindow:    time.Millisecond,
 		Seed:          1,
 		Validate:      true,
 	}
@@ -79,9 +79,6 @@ type Exp1Row struct {
 // across cfg.Workers goroutines; the row order, the rows themselves and the
 // progress lines are identical to a serial run.
 func RunExperiment1(cfg Exp1Config) ([]Exp1Row, error) {
-	if cfg.JoinWindow <= 0 {
-		cfg.JoinWindow = time.Millisecond
-	}
 	for _, count := range cfg.SessionCounts {
 		if count < 0 {
 			return nil, fmt.Errorf("exp1: negative session count %d", count)
@@ -94,7 +91,7 @@ func RunExperiment1(cfg Exp1Config) ([]Exp1Row, error) {
 			if err != nil {
 				return nil, "", err
 			}
-			row, _, err := JoinBurst(topo, c.n, cfg.Seed, cfg.JoinWindow, trace.Unbounded, cfg.Validate)
+			row, _, err := JoinBurst(topo, c.n, cfg.Seed, exp1JoinWindow, trace.Unbounded, cfg.Validate)
 			if err != nil {
 				return nil, "", err
 			}

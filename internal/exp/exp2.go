@@ -22,18 +22,21 @@ type Exp2Config struct {
 	// Base sessions join in phase 1.
 	Base int
 	// Dyn sessions leave (phase 2), change rates (phase 3), join (phase 4),
-	// and do all three at once (phase 5).
-	Dyn int
-	// Window is the burst width of each phase's dynamics (paper: 1 ms).
-	Window time.Duration
-	// Gap separates a phase's quiescence from the next phase's burst.
-	Gap time.Duration
-	// BinSize is the traffic aggregation interval (paper: 5 ms).
-	BinSize  time.Duration
+	// and do all three at once (phase 5). Phases 3 and 5 draw Dyn changers
+	// from the Base − Dyn sessions left, so Base must be at least 2 × Dyn.
+	Dyn      int
 	Seed     int64
 	Validate bool
 	Progress io.Writer
 }
+
+// Experiment 2's timings: the burst width of each phase's dynamics (paper:
+// 1 ms) and the gap from a phase's quiescence to the next phase's burst. The
+// traffic bins are network.DefaultConfig's, Figure 6's 5 ms.
+const (
+	exp2Window = time.Millisecond
+	exp2Gap    = 10 * time.Millisecond
+)
 
 // DefaultExp2 is the laptop-scale default (paper: 100,000/20,000).
 func DefaultExp2() Exp2Config {
@@ -42,9 +45,6 @@ func DefaultExp2() Exp2Config {
 		Scenario: topology.LAN,
 		Base:     10_000,
 		Dyn:      2_000,
-		Window:   time.Millisecond,
-		Gap:      10 * time.Millisecond,
-		BinSize:  5 * time.Millisecond,
 		Seed:     1,
 		Validate: true,
 	}
@@ -73,23 +73,17 @@ type Exp2Result struct {
 
 // RunExperiment2 executes the five phases.
 func RunExperiment2(cfg Exp2Config) (*Exp2Result, error) {
-	if cfg.Window <= 0 {
-		cfg.Window = time.Millisecond
-	}
-	if cfg.Gap <= 0 {
-		cfg.Gap = 10 * time.Millisecond
-	}
-	if cfg.Base < cfg.Dyn {
-		return nil, fmt.Errorf("exp2: base %d < dyn %d", cfg.Base, cfg.Dyn)
+	if cfg.Dyn < 0 {
+		return nil, fmt.Errorf("exp2: negative dyn %d", cfg.Dyn)
+	} else if cfg.Base < 2*cfg.Dyn {
+		return nil, fmt.Errorf("exp2: base %d < 2×dyn %d", cfg.Base, cfg.Dyn)
 	}
 	topo, err := topology.Generate(cfg.Topology, cfg.Scenario, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	netCfg := network.DefaultConfig()
-	netCfg.BinSize = cfg.BinSize
 	eng := sim.New()
-	net := network.New(topo.Graph, eng, netCfg)
+	net := network.New(topo.Graph, eng, network.DefaultConfig())
 
 	// Sessions: base (phase 1) + dyn (phase 4) + dyn (phase 5) joiners.
 	total := cfg.Base + 2*cfg.Dyn
@@ -129,7 +123,7 @@ func RunExperiment2(cfg Exp2Config) (*Exp2Result, error) {
 	}
 
 	// Phase 1: Base sessions join.
-	joins := trace.Joins(0, cfg.Base, 0, cfg.Window, trace.Unbounded, rng)
+	joins := trace.Joins(0, cfg.Base, 0, exp2Window, trace.Unbounded, rng)
 	for i := 0; i < cfg.Base; i++ {
 		active = append(active, i)
 	}
@@ -138,25 +132,25 @@ func RunExperiment2(cfg Exp2Config) (*Exp2Result, error) {
 	}
 
 	// Phase 2: Dyn sessions leave.
-	start := eng.Now() + cfg.Gap
+	start := eng.Now() + exp2Gap
 	leavers := trace.Sample(active, cfg.Dyn, rng)
 	active = removeAll(active, leavers)
 	if err := runPhase(fmt.Sprintf("leave %d", cfg.Dyn), start,
-		trace.Leaves(leavers, start, cfg.Window, rng)); err != nil {
+		trace.Leaves(leavers, start, exp2Window, rng)); err != nil {
 		return nil, err
 	}
 
 	// Phase 3: Dyn sessions change their maximum rate.
-	start = eng.Now() + cfg.Gap
+	start = eng.Now() + exp2Gap
 	changers := trace.Sample(active, cfg.Dyn, rng)
 	if err := runPhase(fmt.Sprintf("change %d", cfg.Dyn), start,
-		trace.Changes(changers, start, cfg.Window, demands, rng)); err != nil {
+		trace.Changes(changers, start, exp2Window, demands, rng)); err != nil {
 		return nil, err
 	}
 
 	// Phase 4: Dyn new sessions join.
-	start = eng.Now() + cfg.Gap
-	joins = trace.Joins(cfg.Base, cfg.Dyn, start, cfg.Window, trace.Unbounded, rng)
+	start = eng.Now() + exp2Gap
+	joins = trace.Joins(cfg.Base, cfg.Dyn, start, exp2Window, trace.Unbounded, rng)
 	for i := cfg.Base; i < cfg.Base+cfg.Dyn; i++ {
 		active = append(active, i)
 	}
@@ -165,15 +159,15 @@ func RunExperiment2(cfg Exp2Config) (*Exp2Result, error) {
 	}
 
 	// Phase 5: Dyn join + Dyn leave + Dyn change, all at once.
-	start = eng.Now() + cfg.Gap
-	joins = trace.Joins(cfg.Base+cfg.Dyn, cfg.Dyn, start, cfg.Window, trace.Unbounded, rng)
+	start = eng.Now() + exp2Gap
+	joins = trace.Joins(cfg.Base+cfg.Dyn, cfg.Dyn, start, exp2Window, trace.Unbounded, rng)
 	leavers = trace.Sample(active, cfg.Dyn, rng)
 	active = removeAll(active, leavers)
 	changers = trace.Sample(active, cfg.Dyn, rng)
 	mixed := trace.Merge(
 		joins,
-		trace.Leaves(leavers, start, cfg.Window, rng),
-		trace.Changes(changers, start, cfg.Window, demands, rng),
+		trace.Leaves(leavers, start, exp2Window, rng),
+		trace.Changes(changers, start, exp2Window, demands, rng),
 	)
 	if err := runPhase(fmt.Sprintf("mixed 3x%d", cfg.Dyn), start, mixed); err != nil {
 		return nil, err

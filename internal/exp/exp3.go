@@ -28,19 +28,14 @@ type Exp3Config struct {
 	Topology topology.Params
 	Scenario topology.Scenario
 	Sessions int
-	Leavers  int
-	// Window is the burst width (paper: 5 ms).
-	Window time.Duration
-	// SampleEvery is the error-sampling interval (paper: 3 ms).
-	SampleEvery time.Duration
+	// Leavers, at most Sessions, leave again inside the burst.
+	Leavers int
 	// Horizon is how long each protocol runs (paper figures: 120 ms).
 	Horizon time.Duration
 	// Protocols to run: "bneck", "bfyz", "cg", "rcp".
 	Protocols []string
-	// ProbePeriod is the baselines' source re-probe interval.
-	ProbePeriod time.Duration
-	Seed        int64
-	Progress    io.Writer
+	Seed      int64
+	Progress  io.Writer
 	// Workers bounds how many protocols run concurrently. Every protocol
 	// gets its own engine over the shared (read-only) workload, so results
 	// are byte-identical to a serial run. 0 or 1 runs serially; negative
@@ -48,19 +43,24 @@ type Exp3Config struct {
 	Workers int
 }
 
+// Experiment 3's timings: the burst width (paper: 5 ms) and the
+// error-sampling interval, which also bins Figure 8's packets (paper: 3 ms,
+// the baselines' bins).
+const (
+	exp3Window      = 5 * time.Millisecond
+	exp3SampleEvery = baseline.BinSize
+)
+
 // DefaultExp3 is the laptop-scale default (paper: 100,000/10,000).
 func DefaultExp3() Exp3Config {
 	return Exp3Config{
-		Topology:    topology.Medium,
-		Scenario:    topology.LAN,
-		Sessions:    10_000,
-		Leavers:     1_000,
-		Window:      5 * time.Millisecond,
-		SampleEvery: 3 * time.Millisecond,
-		Horizon:     120 * time.Millisecond,
-		Protocols:   []string{"bneck", "bfyz"},
-		ProbePeriod: 5 * time.Millisecond,
-		Seed:        1,
+		Topology:  topology.Medium,
+		Scenario:  topology.LAN,
+		Sessions:  10_000,
+		Leavers:   1_000,
+		Horizon:   120 * time.Millisecond,
+		Protocols: []string{"bneck", "bfyz"},
+		Seed:      1,
 	}
 }
 
@@ -100,8 +100,7 @@ type exp3Workload struct {
 	leaves  []trace.Event
 	joinAt  []time.Duration // per session
 	leaveAt []time.Duration // per session; 0 = never leaves
-	window  time.Duration
-	stays   []int // session indexes active at the end
+	stays   []int           // session indexes active at the end
 
 	mu      sync.Mutex                    // guards oracles and asm (shared across protocol runs)
 	oracles map[time.Duration]*exp3Oracle // per sample instant (burst phase)
@@ -139,6 +138,8 @@ func RunExperiment3(cfg Exp3Config) (*Exp3Result, error) {
 	}
 	if cfg.Sessions < 1 {
 		return nil, fmt.Errorf("exp3: need at least one session")
+	} else if cfg.Leavers < 0 || cfg.Leavers > cfg.Sessions {
+		return nil, fmt.Errorf("exp3: %d leavers outside [0, %d sessions]", cfg.Leavers, cfg.Sessions)
 	}
 	w, err := buildExp3Workload(cfg)
 	if err != nil {
@@ -147,7 +148,7 @@ func RunExperiment3(cfg Exp3Config) (*Exp3Result, error) {
 	if cfg.Workers != 0 && cfg.Workers != 1 {
 		// Warm the burst-phase oracle cache up front so concurrent protocol
 		// runs only read the workload (the mutex in oracleAt is a backstop).
-		for t := cfg.SampleEvery; t <= cfg.Horizon && t < w.window; t += cfg.SampleEvery {
+		for t := exp3SampleEvery; t <= cfg.Horizon && t < exp3Window; t += exp3SampleEvery {
 			if _, err := w.oracleAt(t); err != nil {
 				return nil, err
 			}
@@ -204,7 +205,7 @@ func buildExp3Workload(cfg Exp3Config) (*exp3Workload, error) {
 	}
 
 	schedRng := rand.New(rand.NewSource(cfg.Seed + 17))
-	w.joins = trace.Joins(0, cfg.Sessions, 0, cfg.Window, trace.Unbounded, schedRng)
+	w.joins = trace.Joins(0, cfg.Sessions, 0, exp3Window, trace.Unbounded, schedRng)
 	w.joinAt = make([]time.Duration, cfg.Sessions)
 	for _, ev := range w.joins {
 		w.joinAt[ev.Session] = ev.At
@@ -221,7 +222,7 @@ func buildExp3Workload(cfg Exp3Config) (*exp3Workload, error) {
 	w.leaves = make([]trace.Event, 0, len(leavers))
 	for _, l := range leavers {
 		after := w.joinAt[l] + time.Microsecond
-		span := cfg.Window - after
+		span := exp3Window - after
 		at := after
 		if span > 0 {
 			at += time.Duration(schedRng.Int63n(int64(span)))
@@ -234,7 +235,6 @@ func buildExp3Workload(cfg Exp3Config) (*exp3Workload, error) {
 			w.stays = append(w.stays, i)
 		}
 	}
-	w.window = cfg.Window
 
 	w.oracles = make(map[time.Duration]*exp3Oracle)
 	final, err := w.solveOracle(w.stays)
@@ -291,7 +291,7 @@ func (w *exp3Workload) solveOracle(active []int) (*exp3Oracle, error) {
 // burst, per-instant oracles are computed once and cached (they are shared
 // by all protocols).
 func (w *exp3Workload) oracleAt(t time.Duration) (*exp3Oracle, error) {
-	if t >= w.window {
+	if t >= exp3Window {
 		return w.final, nil
 	}
 	w.mu.Lock()
@@ -353,7 +353,7 @@ func (w *exp3Workload) sampleErrors(t time.Duration, assigned func(idx int) (flo
 
 func runExp3BNeck(cfg Exp3Config, w *exp3Workload) (*Exp3Series, error) {
 	netCfg := network.DefaultConfig()
-	netCfg.BinSize = cfg.SampleEvery
+	netCfg.BinSize = exp3SampleEvery
 	eng := sim.New()
 	net := network.New(w.topo.Graph, eng, netCfg)
 	sessions := make([]*network.Session, len(w.paths))
@@ -391,11 +391,7 @@ func runExp3BNeck(cfg Exp3Config, w *exp3Workload) (*Exp3Series, error) {
 
 func runExp3Baseline(cfg Exp3Config, w *exp3Workload, proto baseline.Protocol) (*Exp3Series, error) {
 	eng := sim.New()
-	bCfg := baseline.DefaultConfig()
-	bCfg.Period = cfg.ProbePeriod
-	bCfg.BinSize = cfg.SampleEvery
-	bCfg.Seed = cfg.Seed + 23
-	h := baseline.NewHarness(w.topo.Graph, eng, proto, bCfg)
+	h := baseline.NewHarness(w.topo.Graph, eng, proto, baseline.Config{Seed: cfg.Seed + 23})
 	sessions := make([]*baseline.Session, len(w.paths))
 	for i, p := range w.paths {
 		s, err := h.NewSession(p, math.Inf(1))
@@ -436,7 +432,7 @@ func runExp3Baseline(cfg Exp3Config, w *exp3Workload, proto baseline.Protocol) (
 // failure, if any.
 func (w *exp3Workload) sampleInto(series *Exp3Series, eng *sim.Engine, cfg Exp3Config, assigned func(idx int) (float64, bool)) *error {
 	var sampleErr error
-	for t := cfg.SampleEvery; t <= cfg.Horizon; t += cfg.SampleEvery {
+	for t := exp3SampleEvery; t <= cfg.Horizon; t += exp3SampleEvery {
 		at := t
 		eng.DaemonAt(at, func() {
 			src, link, err := w.sampleErrors(at, assigned)

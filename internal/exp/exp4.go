@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"bneck/internal/control"
 	"bneck/internal/graph"
 	"bneck/internal/network"
 	"bneck/internal/rate"
@@ -34,10 +33,6 @@ type Exp4Config struct {
 	// Churn sessions join, Churn leave and Churn change their demand in every
 	// epoch, alongside the topology events.
 	Churn int
-	// Window is the burst width of each epoch's events.
-	Window time.Duration
-	// Gap separates an epoch's quiescence from the next epoch's burst.
-	Gap time.Duration
 	// Validate cross-checks every epoch against the centralized oracle.
 	Validate bool
 	Progress io.Writer
@@ -46,10 +41,14 @@ type Exp4Config struct {
 	// are byte-identical to a serial run. 0 or 1 runs serially; negative
 	// selects GOMAXPROCS.
 	Workers int
-	// Policy is the churn sweep's path re-optimization policy (zero value:
-	// pinned); with ReoptimizeOnRestore restores also move sessions back.
-	Policy control.Policy
 }
+
+// Experiment 4's timings: the burst width of each epoch's events and the gap
+// from an epoch's quiescence to the next epoch's burst.
+const (
+	exp4Window = time.Millisecond
+	exp4Gap    = 5 * time.Millisecond
+)
 
 // DefaultExp4 is a laptop-scale default. It sweeps both propagation models:
 // the WAN cells are the paper-style wide-area failure sweep.
@@ -61,8 +60,6 @@ func DefaultExp4() Exp4Config {
 		Sessions:  500,
 		Epochs:    8,
 		Churn:     25,
-		Window:    time.Millisecond,
-		Gap:       5 * time.Millisecond,
 		Validate:  true,
 	}
 }
@@ -94,14 +91,10 @@ type Exp4Row struct {
 // Cells run across cfg.Workers goroutines; rows and progress lines are
 // byte-identical to a serial run.
 func RunExperiment4(cfg Exp4Config) ([]Exp4Row, error) {
-	if cfg.Window <= 0 {
-		cfg.Window = time.Millisecond
-	}
-	if cfg.Gap <= 0 {
-		cfg.Gap = 5 * time.Millisecond
-	}
 	if cfg.Epochs < 1 {
 		return nil, fmt.Errorf("exp4: need at least one epoch")
+	} else if cfg.Churn < 0 {
+		return nil, fmt.Errorf("exp4: negative churn %d", cfg.Churn)
 	}
 	// Each epoch samples Churn leavers and then Churn changers from the
 	// already-shrunk active set, so the base population must cover both.
@@ -130,10 +123,8 @@ func runExp4Cell(cfg Exp4Config, size topology.Params, scen topology.Scenario, s
 		return nil, err
 	}
 	g := topo.Graph
-	netCfg := network.DefaultConfig()
-	netCfg.PathPolicy = cfg.Policy
 	eng := sim.New()
-	net := network.New(g, eng, netCfg)
+	net := network.New(g, eng, network.DefaultConfig())
 
 	// All sessions — the base population and every epoch's joiners — are
 	// placed up front (the exp2 pattern). Joiners whose resolved path breaks
@@ -187,7 +178,7 @@ func runExp4Cell(cfg Exp4Config, size topology.Params, scen topology.Scenario, s
 	}
 
 	// Epoch 0: base join burst.
-	schedule(net, sessions, trace.Joins(0, cfg.Sessions, 0, cfg.Window, trace.Unbounded, rng))
+	schedule(net, sessions, trace.Joins(0, cfg.Sessions, 0, exp4Window, trace.Unbounded, rng))
 	active := make([]int, 0, total)
 	for i := 0; i < cfg.Sessions; i++ {
 		active = append(active, i)
@@ -222,7 +213,7 @@ func runExp4Cell(cfg Exp4Config, size topology.Params, scen topology.Scenario, s
 
 	var down []graph.LinkID
 	for epoch := 1; epoch <= cfg.Epochs; epoch++ {
-		start := eng.Now() + cfg.Gap
+		start := eng.Now() + exp4Gap
 		var events []string
 		taken := make(map[graph.LinkID]bool)
 
@@ -260,12 +251,12 @@ func runExp4Cell(cfg Exp4Config, size topology.Params, scen topology.Scenario, s
 		// Session churn: joiners from the pre-placed pool, leavers and
 		// changers sampled from the active set.
 		firstJoin := cfg.Sessions + (epoch-1)*cfg.Churn
-		joins := trace.Joins(firstJoin, cfg.Churn, start, cfg.Window, demands, rng)
+		joins := trace.Joins(firstJoin, cfg.Churn, start, exp4Window, demands, rng)
 		leavers := trace.Sample(active, cfg.Churn, rng)
 		active = removeAll(active, leavers)
-		leaves := trace.Leaves(leavers, start, cfg.Window, rng)
+		leaves := trace.Leaves(leavers, start, exp4Window, rng)
 		changers := trace.Sample(active, cfg.Churn, rng)
-		schedule(net, sessions, joins, leaves, trace.Changes(changers, start, cfg.Window, demands, rng))
+		schedule(net, sessions, joins, leaves, trace.Changes(changers, start, exp4Window, demands, rng))
 		for i := firstJoin; i < firstJoin+cfg.Churn; i++ {
 			active = append(active, i)
 		}

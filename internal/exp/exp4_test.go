@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-	"time"
 
 	"bneck/internal/topology"
 )
@@ -99,7 +98,6 @@ func TestExp4CSVDigest(t *testing.T) {
 	cfg.Sessions = 60
 	cfg.Epochs = 3
 	cfg.Churn = 8
-	cfg.Window = time.Millisecond
 	rows, err := RunExperiment4(cfg)
 	if err != nil {
 		t.Fatal(err)

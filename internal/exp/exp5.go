@@ -33,13 +33,6 @@ type Exp5Config struct {
 	// Fails is how many distinct in-use duplex router links fail in the
 	// failure phase (all restored together in the restore phase).
 	Fails int
-	// Policy's Stretch and MinGain are the re-optimization hysteresis; each
-	// cell runs under both kinds, so its Kind is ignored.
-	Policy control.Policy
-	// Window is the burst width of the base join phase.
-	Window time.Duration
-	// Gap separates a phase's quiescence from the next phase's events.
-	Gap time.Duration
 	// Validate cross-checks every phase against the centralized oracle.
 	Validate bool
 	Progress io.Writer
@@ -47,6 +40,13 @@ type Exp5Config struct {
 	// byte-identical to a serial run (each cell owns its engines and RNGs).
 	Workers int
 }
+
+// Experiment 5's timings: the burst width of the base join phase and the gap
+// from a phase's quiescence to the next phase's events.
+const (
+	exp5Window = time.Millisecond
+	exp5Gap    = 5 * time.Millisecond
+)
 
 // DefaultExp5 is a laptop-scale default covering both propagation models.
 func DefaultExp5() Exp5Config {
@@ -56,8 +56,6 @@ func DefaultExp5() Exp5Config {
 		Seeds:     []int64{1, 2},
 		Sessions:  300,
 		Fails:     4,
-		Window:    time.Millisecond,
-		Gap:       5 * time.Millisecond,
 		Validate:  true,
 	}
 }
@@ -101,12 +99,6 @@ type Exp5Row struct {
 // cfg.Workers goroutines; rows and progress lines are byte-identical to a
 // serial run.
 func RunExperiment5(cfg Exp5Config) ([]Exp5Row, error) {
-	if cfg.Window <= 0 {
-		cfg.Window = time.Millisecond
-	}
-	if cfg.Gap <= 0 {
-		cfg.Gap = 5 * time.Millisecond
-	}
 	if cfg.Sessions < 1 {
 		return nil, fmt.Errorf("exp5: need at least one session")
 	}
@@ -117,10 +109,10 @@ func RunExperiment5(cfg Exp5Config) ([]Exp5Row, error) {
 		func(c gridCell[int64]) string { return fmt.Sprintf("exp5 %s/%s/seed%d", c.size.Name, c.scen, c.n) },
 		func(c gridCell[int64]) ([]Exp5Row, string, error) {
 			var rows []Exp5Row
-			for _, kind := range []control.PolicyKind{control.Pinned, control.ReoptimizeOnRestore} {
-				rs, err := runExp5Cell(cfg, c.size, c.scen, c.n, kind)
+			for _, policy := range []control.Policy{control.Pinned, control.ReoptimizeOnRestore} {
+				rs, err := runExp5Cell(cfg, c.size, c.scen, c.n, policy)
 				if err != nil {
-					return nil, "", fmt.Errorf("%s: %w", kind, err)
+					return nil, "", fmt.Errorf("%s: %w", policy, err)
 				}
 				rows = append(rows, rs...)
 			}
@@ -130,14 +122,14 @@ func RunExperiment5(cfg Exp5Config) ([]Exp5Row, error) {
 		})
 }
 
-func runExp5Cell(cfg Exp5Config, size topology.Params, scen topology.Scenario, seed int64, kind control.PolicyKind) ([]Exp5Row, error) {
+func runExp5Cell(cfg Exp5Config, size topology.Params, scen topology.Scenario, seed int64, policy control.Policy) ([]Exp5Row, error) {
 	topo, err := topology.Generate(size, scen, seed)
 	if err != nil {
 		return nil, err
 	}
 	g := topo.Graph
 	netCfg := network.DefaultConfig()
-	netCfg.PathPolicy = control.Policy{Kind: kind, Stretch: cfg.Policy.Stretch, MinGain: cfg.Policy.MinGain}
+	netCfg.PathPolicy = policy
 	eng := sim.New()
 	net := network.New(g, eng, netCfg)
 
@@ -157,7 +149,7 @@ func runExp5Cell(cfg Exp5Config, size topology.Params, scen topology.Scenario, s
 		}
 		row := Exp5Row{
 			Network: size.Name, Scenario: scen.String(), Seed: seed,
-			Policy: kind.String(), Phase: phase,
+			Policy: policy.String(), Phase: phase,
 			Migrated: net.Migrations(), Reoptimized: net.Reoptimizations(),
 		}
 		sumRate := rate.Zero
@@ -192,7 +184,7 @@ func runExp5Cell(cfg Exp5Config, size topology.Params, scen topology.Scenario, s
 	}
 
 	// Base phase: the join burst.
-	schedule(net, sessions, trace.Joins(0, cfg.Sessions, 0, cfg.Window, trace.Unbounded, rand.New(rand.NewSource(seed+41))))
+	schedule(net, sessions, trace.Joins(0, cfg.Sessions, 0, exp5Window, trace.Unbounded, rand.New(rand.NewSource(seed+41))))
 	if err := runPhase("base", 0); err != nil {
 		return nil, err
 	}
@@ -203,7 +195,7 @@ func runExp5Cell(cfg Exp5Config, size topology.Params, scen topology.Scenario, s
 	if len(fails) == 0 {
 		return nil, fmt.Errorf("no in-use router link to fail")
 	}
-	start := eng.Now() + cfg.Gap
+	start := eng.Now() + exp5Gap
 	for _, l := range fails {
 		net.ScheduleLinkFail(start, l, g.Link(l).Reverse)
 	}
@@ -212,7 +204,7 @@ func runExp5Cell(cfg Exp5Config, size topology.Params, scen topology.Scenario, s
 	}
 
 	// Restore phase: everything comes back — where the policies diverge.
-	start = eng.Now() + cfg.Gap
+	start = eng.Now() + exp5Gap
 	for _, l := range fails {
 		net.ScheduleLinkRestore(start, l, g.Link(l).Reverse)
 	}

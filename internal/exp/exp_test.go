@@ -129,7 +129,7 @@ func TestExperiment3SmallScale(t *testing.T) {
 		t.Fatalf("B-Neck quiescence suspiciously late: %v", bn.QuiescenceAt)
 	}
 	lastBf := bf.Bins[len(bf.Bins)-1]
-	if lastBf.Start < cfg.Horizon-2*cfg.SampleEvery {
+	if lastBf.Start < cfg.Horizon-2*exp3SampleEvery {
 		t.Fatalf("BFYZ went quiet at %v (must keep probing to %v)", lastBf.Start, cfg.Horizon)
 	}
 	tail := cfg.Horizon * 3 / 4
@@ -241,8 +241,9 @@ func TestZeroSessionBurst(t *testing.T) {
 	}
 }
 
-// TestBadSessionCounts: a session count below what an entry point accepts is
-// an error before anything runs, never a panic in host placement.
+// TestBadSessionCounts: a session count outside what an entry point accepts
+// is an error before anything runs, never a panic in host placement or in
+// sampling a phase's sessions.
 func TestBadSessionCounts(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -266,6 +267,40 @@ func TestBadSessionCounts(t *testing.T) {
 			cfg.Topology = topology.Small
 			cfg.Sessions, cfg.Leavers = 0, 0
 			_, err := RunExperiment3(cfg)
+			return err
+		}},
+		{"exp3 more leavers than sessions", func() error {
+			cfg := DefaultExp3()
+			cfg.Topology = topology.Small
+			cfg.Sessions, cfg.Leavers = 10, 20
+			_, err := RunExperiment3(cfg)
+			return err
+		}},
+		{"exp3 negative leavers", func() error {
+			cfg := DefaultExp3()
+			cfg.Topology = topology.Small
+			cfg.Sessions, cfg.Leavers = 10, -1
+			_, err := RunExperiment3(cfg)
+			return err
+		}},
+		{"exp2 base < 2×dyn", func() error {
+			cfg := DefaultExp2()
+			cfg.Topology = topology.Small
+			cfg.Base, cfg.Dyn = 15, 10
+			_, err := RunExperiment2(cfg)
+			return err
+		}},
+		{"exp2 negative dyn", func() error {
+			cfg := DefaultExp2()
+			cfg.Topology = topology.Small
+			cfg.Base, cfg.Dyn = 15, -1
+			_, err := RunExperiment2(cfg)
+			return err
+		}},
+		{"exp4 negative churn", func() error {
+			cfg := smallExp4()
+			cfg.Churn = -1
+			_, err := RunExperiment4(cfg)
 			return err
 		}},
 		{"PlaceSessions negative", func() error {

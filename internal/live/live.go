@@ -187,10 +187,10 @@ func New(g *graph.Graph) *Runtime {
 // SetPathPolicy installs the path re-optimization policy. The default is
 // control.Pinned. Install it before topology events fire; the policy itself
 // is applied under the runtime mutex, so the call is safe at any time.
-func (rt *Runtime) SetPathPolicy(cfg control.Policy) {
+func (rt *Runtime) SetPathPolicy(p control.Policy) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	rt.ctl.Policy = cfg
+	rt.ctl.Policy = p
 }
 
 // incarnationFor returns the live incarnation registered under a session ID

@@ -78,7 +78,7 @@ func TestLiveReoptimizeOnRestore(t *testing.T) {
 	g, ab, p := buildDiamond(t)
 	rt := New(g)
 	defer rt.Close()
-	rt.SetPathPolicy(control.Policy{Kind: control.ReoptimizeOnRestore})
+	rt.SetPathPolicy(control.ReoptimizeOnRestore)
 	s, err := rt.NewSession(p)
 	if err != nil {
 		t.Fatal(err)
@@ -101,21 +101,35 @@ func TestLiveReoptimizeOnRestore(t *testing.T) {
 	}
 }
 
-func TestLiveStretchHysteresisAndCapacityBypass(t *testing.T) {
+func TestLiveCapacityUpgradeSweeps(t *testing.T) {
 	g, ab, p := buildDiamond(t)
 	rt := New(g)
 	defer rt.Close()
-	rt.SetPathPolicy(control.Policy{Kind: control.ReoptimizeOnRestore, Stretch: 1.5})
+	rt.SetPathPolicy(control.ReoptimizeOnRestore)
 	s, err := rt.NewSession(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	liveFailRestore(t, rt, s, g, ab)
-	if got := len(s.Path()); got != 4 {
-		t.Fatalf("session on %d hops; 4/3 is within stretch 1.5, must stay", got)
-	}
-	// Doubling the direct link's capacity waives the hysteresis.
+	// Out during the restore, the session is not swept; its rejoin keeps its
+	// last path, the detour.
 	rev := g.Link(ab).Reverse
+	s.Join(rate.Inf)
+	rt.WaitQuiescent()
+	rt.FailLinks(ab, rev)
+	rt.WaitQuiescent()
+	s.Leave()
+	rt.WaitQuiescent()
+	rt.RestoreLinks(ab, rev)
+	rt.WaitQuiescent()
+	s.Join(rate.Inf)
+	rt.WaitQuiescent()
+	if err := rt.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(s.Path()); got != 4 || rt.Reoptimizations() != 0 {
+		t.Fatalf("rejoined on %d hops after %d reoptimizations, want the detour and none", got, rt.Reoptimizations())
+	}
+	// Doubling the direct link's capacity sweeps it back.
 	rt.SetLinkCapacity(rate.Mbps(160), ab, rev)
 	rt.WaitQuiescent()
 	if err := rt.Validate(); err != nil {

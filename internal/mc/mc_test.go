@@ -44,7 +44,7 @@ at 10ms expect rate s1 1mbps
 
 func mustModel(t *testing.T, src string) *Model {
 	t.Helper()
-	m, err := FromScript(src, 0)
+	m, err := FromScript(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,18 +166,18 @@ func TestMinimize(t *testing.T) {
 }
 
 func TestSynthesize(t *testing.T) {
-	a, err := Synthesize("paper", 3, 4, 7, 0)
+	a, err := Synthesize("paper", 3, 4, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Synthesize("paper", 3, 4, 7, 0)
+	b, err := Synthesize("paper", 3, 4, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Source != b.Source || a.Hash != b.Hash {
 		t.Fatal("synthesis is not deterministic")
 	}
-	c, err := Synthesize("paper", 3, 4, 8, 0)
+	c, err := Synthesize("paper", 3, 4, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestSynthesize(t *testing.T) {
 	if !strings.Contains(a.Source, "topology internet paper") {
 		t.Fatalf("synthesized source lacks topology line:\n%s", a.Source)
 	}
-	if _, err := Synthesize("warp", 3, 4, 7, 0); err == nil {
+	if _, err := Synthesize("warp", 3, 4, 7); err == nil {
 		t.Fatal("unknown rung accepted")
 	}
 	// The synthesized workload must actually run clean in default order.
@@ -199,7 +199,7 @@ func TestSynthesize(t *testing.T) {
 // TestPaperQuiescenceBoundTrips pins that the quiescence invariant is armed:
 // an absurdly tight bound must trip on the very first schedule.
 func TestPaperQuiescenceBoundTrips(t *testing.T) {
-	m, err := FromFile("testdata/paper.bneck", 0)
+	m, err := FromFile("testdata/paper.bneck")
 	if err != nil {
 		t.Fatal(err)
 	}

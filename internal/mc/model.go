@@ -13,11 +13,11 @@ import (
 	"bneck/internal/topology"
 )
 
-// DefaultBoundFactor is the slack multiplier on the structural quiescence
-// bound. The paper bounds re-quiescence by O(sessions × hops) round-trips
-// after the last scripted event; the factor absorbs transmission-time and
-// queuing slack on top of pure propagation.
-const DefaultBoundFactor = 8.0
+// boundFactor is the slack multiplier on the structural quiescence bound. The
+// paper bounds re-quiescence by O(sessions × hops) round-trips after the last
+// scripted event; the factor absorbs transmission-time and queuing slack on
+// top of pure propagation.
+const boundFactor = 8.0
 
 // Model is a checkable workload: a parsed scenario plus the structural
 // quiescence bound its epochs are held to.
@@ -34,32 +34,28 @@ type Model struct {
 	FuzzSeed int64
 }
 
-// FromScript parses src and derives the quiescence bound with the given
-// slack factor (≤0 uses DefaultBoundFactor; NaN-free callers only).
-func FromScript(src string, factor float64) (*Model, error) {
+// FromScript parses src and derives its quiescence bound.
+func FromScript(src string) (*Model, error) {
 	sc, err := scenario.Parse(src)
 	if err != nil {
 		return nil, err
-	}
-	if factor <= 0 {
-		factor = DefaultBoundFactor
 	}
 	m := &Model{
 		Script:   sc,
 		Source:   src,
 		Hash:     hashSource(src),
-		Deadline: quiescenceBound(sc, factor),
+		Deadline: quiescenceBound(sc),
 	}
 	return m, nil
 }
 
 // FromFile is FromScript over a file.
-func FromFile(path string, factor float64) (*Model, error) {
+func FromFile(path string) (*Model, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return FromScript(string(data), factor)
+	return FromScript(string(data))
 }
 
 func hashSource(src string) string {
@@ -68,12 +64,12 @@ func hashSource(src string) string {
 }
 
 // quiescenceBound derives a per-epoch deadline from the script's structure:
-// factor × sessions × hops × per-hop round-trip. Hand-built scripts measure
+// boundFactor × sessions × hops × per-hop round-trip. Hand-built scripts measure
 // their own declarations; generated topologies use the generator's hierarchy
 // depth and per-tier delays. The bound is deliberately structural, not
 // empirical: the invariant asserts the paper's O(sessions × hops) shape, and
 // the factor only absorbs constant slack (transmission time, queueing).
-func quiescenceBound(sc *scenario.Script, factor float64) time.Duration {
+func quiescenceBound(sc *scenario.Script) time.Duration {
 	sessions := len(sc.Sessions)
 	if sessions == 0 {
 		return 0
@@ -109,7 +105,7 @@ func quiescenceBound(sc *scenario.Script, factor float64) time.Duration {
 		maxDelay = time.Microsecond
 	}
 	perHop := 2 * maxDelay // request/response round trip per hop
-	bound := time.Duration(factor * float64(sessions) * float64(hops) * float64(perHop))
+	bound := time.Duration(boundFactor * float64(sessions) * float64(hops) * float64(perHop))
 	if floor := time.Millisecond; bound < floor {
 		bound = floor
 	}
@@ -122,7 +118,7 @@ func quiescenceBound(sc *scenario.Script, factor float64) time.Duration {
 // races. The workload is emitted as scenario DSL text and parsed like any
 // hand-written script, so traces, hashing and replay work identically.
 // Deterministic in (rung, sessions, churn, seed).
-func Synthesize(rung string, sessions, churn int, seed int64, factor float64) (*Model, error) {
+func Synthesize(rung string, sessions, churn int, seed int64) (*Model, error) {
 	if _, err := topology.RungByName(rung); err != nil {
 		return nil, fmt.Errorf("mc: %w", err)
 	}
@@ -175,5 +171,5 @@ func Synthesize(rung string, sessions, churn int, seed int64, factor float64) (*
 		}
 		at += time.Duration(20+rng.Intn(40)) * time.Millisecond
 	}
-	return FromScript(b.String(), factor)
+	return FromScript(b.String())
 }

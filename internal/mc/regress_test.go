@@ -13,7 +13,7 @@ func TestRegressionCorpusReplaysClean(t *testing.T) {
 		{"testdata/stale_rejoin.bneck", "testdata/stale_rejoin.trace"},
 		{"testdata/pr2_stranding.bneck", "testdata/pr2_stranding.trace"},
 	} {
-		m, err := FromFile(tc.script, 0)
+		m, err := FromFile(tc.script)
 		if err != nil {
 			t.Fatal(err)
 		}

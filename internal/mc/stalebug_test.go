@@ -12,7 +12,7 @@ import (
 // is internal/control's TestExploreProtocol under the same tag.
 // CI runs this as `go test -tags mc_stalebug -run StaleBug ./internal/mc/`.
 func TestStaleBugTraceReproduces(t *testing.T) {
-	m, err := FromFile("testdata/stale_rejoin.bneck", 0)
+	m, err := FromFile("testdata/stale_rejoin.bneck")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // under the same tag.
 // CI runs this as `go test -tags mc_strandbug -run StrandBug ./internal/mc/`.
 func TestStrandBugTraceReproduces(t *testing.T) {
-	m, err := FromFile("testdata/pr2_stranding.bneck", 0)
+	m, err := FromFile("testdata/pr2_stranding.bneck")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func newChains(tb testing.TB, chains, routers int) (*Network, *sim.Engine, []*Se
 		ends[c] = [2]graph.NodeID{src, dst}
 	}
 	eng := sim.New()
-	n := New(g, eng, Config{ControlPacketBits: 512})
+	n := New(g, eng, Config{})
 	sessions := make([]*Session, chains)
 	for c, e := range ends {
 		path, err := n.HostPath(e[0], e[1])

@@ -189,7 +189,7 @@ func TestSetCapacityReachesResolvedWire(t *testing.T) {
 	// 512 control bits at 40 Mbps, then at 1 Mbps: arrival = now + tx + prop.
 	arrival := func() time.Duration { return w.Send(func() {}) - eng.Now() }
 	prop := g.Link(mid).Propagation
-	if got, want := arrival(), n.txFor(rate.Mbps(40))+prop; got != want {
+	if got, want := arrival(), TxTime(rate.Mbps(40))+prop; got != want {
 		t.Fatalf("before: arrival after %v, want %v", got, want)
 	}
 	eng.Run()
@@ -204,7 +204,7 @@ func TestSetCapacityReachesResolvedWire(t *testing.T) {
 	if s.hops[1].task.Capacity() != rate.Mbps(1) {
 		t.Fatalf("the task the hop table points at kept the old capacity")
 	}
-	if got, want := arrival(), n.txFor(rate.Mbps(1))+prop; got != want {
+	if got, want := arrival(), TxTime(rate.Mbps(1))+prop; got != want {
 		t.Fatalf("after: arrival after %v, want %v (the resolved wire kept the old transmission time)", got, want)
 	}
 	eng.Run()

@@ -31,12 +31,6 @@ import (
 
 // Config tunes a simulation run.
 type Config struct {
-	// ControlPacketBits is the size used to compute per-packet transmission
-	// (serialization) time on each link: tx = bits / capacity. The paper
-	// models transmission times of control packets without consuming data
-	// bandwidth; 512 bits approximates its small RM-style control packets.
-	// Zero disables serialization delay.
-	ControlPacketBits int64
 	// BinSize is the packet-count binning interval (Figure 6 uses 5 ms).
 	// Zero disables binning.
 	BinSize time.Duration
@@ -56,9 +50,26 @@ type Config struct {
 	OracleCrossCheck bool
 }
 
+// ControlPacketBits is the size of every control packet, which sets its
+// transmission (serialization) time on a link: tx = bits / capacity. The
+// paper models transmission times of control packets without consuming data
+// bandwidth; 512 bits approximates its small RM-style control packets. The
+// baseline protocols' harness sends packets of the same size.
+const ControlPacketBits = 512
+
+// TxTime returns a control packet's transmission time on a link of the given
+// capacity: 0 on an unlimited link.
+func TxTime(capacity rate.Rate) time.Duration {
+	bps := capacity.Float64()
+	if bps <= 0 {
+		return 0
+	}
+	return time.Duration(ControlPacketBits / bps * float64(time.Second))
+}
+
 // DefaultConfig mirrors the paper's setup.
 func DefaultConfig() Config {
-	return Config{ControlPacketBits: 512, BinSize: 5 * time.Millisecond}
+	return Config{BinSize: 5 * time.Millisecond}
 }
 
 // Session is one incarnation of a session living in a simulated network. A
@@ -316,7 +327,7 @@ func (n *Network) ScheduleSetCapacity(at sim.Time, c rate.Rate, links ...graph.L
 				n.links[l].SetCapacity(c)
 			}
 			if int(l) < len(n.wires) && n.wires[l] != nil {
-				n.wires[l].SetTx(n.txFor(c))
+				n.wires[l].SetTx(TxTime(c))
 			}
 		}
 		n.apply(n.ctl.SetCapacity(c, ls))
@@ -557,21 +568,8 @@ func (n *Network) routerLink(id graph.LinkID) *core.RouterLink {
 
 func (n *Network) initWire(w *wireRec, l graph.Link) *wireRec {
 	w.port = port{n: n, node: l.From}
-	w.Init(&w.port, l.Propagation, n.txFor(l.Capacity))
+	w.Init(&w.port, l.Propagation, TxTime(l.Capacity))
 	return w
-}
-
-// txFor returns the per-packet transmission time on a link of the given
-// capacity: tx = bits / capacity, in seconds.
-func (n *Network) txFor(capacity rate.Rate) time.Duration {
-	if n.cfg.ControlPacketBits <= 0 {
-		return 0
-	}
-	bps := capacity.Float64()
-	if bps <= 0 {
-		return 0
-	}
-	return time.Duration(float64(n.cfg.ControlPacketBits) / bps * float64(time.Second))
 }
 
 // Oracle computes the max-min fair rates of the currently active sessions

@@ -92,7 +92,7 @@ func TestPinnedKeepsDetourAfterRestore(t *testing.T) {
 
 func TestReoptimizeOnRestoreReturnsToShortestPath(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.PathPolicy = control.Policy{Kind: control.ReoptimizeOnRestore}
+	cfg.PathPolicy = control.ReoptimizeOnRestore
 	net, s, ab := diamondNet(t, cfg)
 	if got := failRestoreCycle(t, net, s, ab); got != 3 {
 		t.Fatalf("session on %d hops after restore, want 3", got)
@@ -111,30 +111,35 @@ func TestReoptimizeOnRestoreReturnsToShortestPath(t *testing.T) {
 	}
 }
 
-func TestStretchHysteresisKeepsShortDetour(t *testing.T) {
-	// The detour is 4 hops vs a 3-hop best path: within a 1.5× stretch, so
-	// the policy must leave it alone.
-	cfg := DefaultConfig()
-	cfg.PathPolicy = control.Policy{Kind: control.ReoptimizeOnRestore, Stretch: 1.5}
-	net, s, ab := diamondNet(t, cfg)
-	if got := failRestoreCycle(t, net, s, ab); got != 4 {
-		t.Fatalf("session on %d hops; 4/3 is within stretch 1.5, must stay", got)
+// detourAfterRestore runs the fail → restore cycle with the session out
+// during the restore, so the sweep passes it by, and rejoins it: a rejoin
+// keeps its last path while that is up, here the 4-hop detour.
+func detourAfterRestore(t *testing.T, net *Network, s *Session, ab graph.LinkID) {
+	t.Helper()
+	rev := net.g.Link(ab).Reverse
+	net.ScheduleJoin(s, 0, rate.Inf)
+	net.ScheduleLinkFail(time.Millisecond, ab, rev)
+	net.ScheduleLeave(s, 2*time.Millisecond)
+	net.ScheduleLinkRestore(3*time.Millisecond, ab, rev)
+	net.ScheduleJoin(s, 4*time.Millisecond, rate.Inf)
+	net.Run()
+	if err := net.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(s.Current().Path); got != 4 {
+		t.Fatalf("rejoined on %d hops, want the 4-hop detour", got)
 	}
 	if net.Reoptimizations() != 0 {
-		t.Fatalf("reoptimizations = %d, want 0 under hysteresis", net.Reoptimizations())
+		t.Fatalf("reoptimizations = %d before any upgrade", net.Reoptimizations())
 	}
 }
 
-func TestCapacityUpgradeBypassesHysteresis(t *testing.T) {
-	// Same hysteresis as above, but after the restore the direct link's
-	// capacity doubles: the upgrade signal waives the stretch and the
-	// session migrates back.
+func TestCapacityUpgradeSweeps(t *testing.T) {
+	// Doubling the direct link's capacity sweeps: the session migrates back.
 	cfg := DefaultConfig()
-	cfg.PathPolicy = control.Policy{Kind: control.ReoptimizeOnRestore, Stretch: 1.5}
+	cfg.PathPolicy = control.ReoptimizeOnRestore
 	net, s, ab := diamondNet(t, cfg)
-	if got := failRestoreCycle(t, net, s, ab); got != 4 {
-		t.Fatalf("pre-upgrade: session on %d hops, want the kept detour", got)
-	}
+	detourAfterRestore(t, net, s, ab)
 	rev := net.g.Link(ab).Reverse
 	net.ScheduleSetCapacity(net.eng.Now()+time.Millisecond, rate.Mbps(160), ab, rev)
 	net.Run()
@@ -155,9 +160,9 @@ func TestCapacityUpgradeBypassesHysteresis(t *testing.T) {
 
 func TestCapacityIncreaseBelowThresholdDoesNotSweep(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.PathPolicy = control.Policy{Kind: control.ReoptimizeOnRestore, Stretch: 1.5}
+	cfg.PathPolicy = control.ReoptimizeOnRestore
 	net, s, ab := diamondNet(t, cfg)
-	failRestoreCycle(t, net, s, ab)
+	detourAfterRestore(t, net, s, ab)
 	rev := net.g.Link(ab).Reverse
 	// +25% is below the default 2× threshold: no sweep, the detour stays.
 	net.ScheduleSetCapacity(net.eng.Now()+time.Millisecond, rate.Mbps(100), ab, rev)
@@ -179,7 +184,7 @@ func TestCapacityIncreaseBelowThresholdDoesNotSweep(t *testing.T) {
 // user-churn run costs zero reconfiguration packets.
 func TestReconfigPacketAccounting(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.PathPolicy = control.Policy{Kind: control.ReoptimizeOnRestore}
+	cfg.PathPolicy = control.ReoptimizeOnRestore
 	net, s, ab := diamondNet(t, cfg)
 	failRestoreCycle(t, net, s, ab)
 	total := net.Stats().Total()
@@ -214,7 +219,7 @@ func TestReconfigPacketsDeterministicAcrossEngines(t *testing.T) {
 	const want = 37
 	for run := 0; run < 2; run++ {
 		cfg := DefaultConfig()
-		cfg.PathPolicy = control.Policy{Kind: control.ReoptimizeOnRestore}
+		cfg.PathPolicy = control.ReoptimizeOnRestore
 		net, s, ab := diamondNet(t, cfg)
 		failRestoreCycle(t, net, s, ab)
 		if got := net.ReconfigPackets(); got != want {

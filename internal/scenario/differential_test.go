@@ -37,7 +37,7 @@ func genDifferentialScript(seed int64) (string, error) {
 
 	var b strings.Builder
 	if rng.Intn(2) == 0 {
-		fmt.Fprintf(&b, "policy reoptimize stretch=1.2 min-gain=1\n")
+		fmt.Fprintf(&b, "policy reoptimize\n")
 	}
 	fmt.Fprintf(&b, "topology transit-stub small lan seed=%d hosts=%d\n", topoSeed, hosts)
 	paths := make([]graph.Path, n)

@@ -41,32 +41,24 @@ func TestParsePolicyDirective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Policy.Kind != control.ReoptimizeOnRestore {
-		t.Fatalf("policy kind = %v", sc.Policy.Kind)
-	}
-
-	sc, err = Parse("policy reoptimize stretch=1.5 min-gain=2\nrouter r1\nrouter r2\nlink r1 r2 10mbps 1us\nhost ha r1\nhost hb r2\nsession s ha hb\nat 0ms join s\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := control.Policy{Kind: control.ReoptimizeOnRestore, Stretch: 1.5, MinGain: 2}
-	if sc.Policy != want {
-		t.Fatalf("policy = %+v, want %+v", sc.Policy, want)
+	if sc.Policy != control.ReoptimizeOnRestore {
+		t.Fatalf("policy = %v", sc.Policy)
 	}
 }
 
 func TestParsePolicyErrors(t *testing.T) {
 	cases := map[string]string{
-		"policy bogus":                         "unknown policy",
-		"policy reoptimize stretch=0.5":        "must be a number",
-		"policy reoptimize min-gain=0":         "positive integer",
-		"policy reoptimize stretch":            "key=value",
-		"policy reoptimize wat=1":              "unknown option",
-		"policy reoptimize capacity-gain=2":    "unknown option",
-		"policy pinned stretch=2":              "takes no options",
-		"policy reoptimize\npolicy reoptimize": "duplicate policy",
-		"at 0ms expect reoptimized -1":         "non-negative",
-		"at 0ms expect reoptimized":            "usage",
+		"policy":                       "usage",
+		"policy bogus":                 "unknown policy",
+		"policy reoptimize-on-restore": "unknown policy",
+		"policy reoptimize stretch=1.5 min-gain=2": `unknown policy option "stretch"`,
+		"policy reoptimize min-gain=2":             `unknown policy option "min-gain"`,
+		"policy reoptimize stretch":                `unknown policy option "stretch"`,
+		"policy reoptimize capacity-gain=2":        `unknown policy option "capacity-gain"`,
+		"policy pinned stretch=2":                  `unknown policy option "stretch"`,
+		"policy reoptimize\npolicy reoptimize":     "duplicate policy",
+		"at 0ms expect reoptimized -1":             "non-negative",
+		"at 0ms expect reoptimized":                "usage",
 	}
 	for src, want := range cases {
 		_, err := Parse(src)

@@ -9,7 +9,7 @@
 //
 //	# optional path policy (default pinned); reoptimize migrates sessions
 //	# back onto shorter paths after restores — see control.Policy
-//	policy reoptimize stretch=1.5 min-gain=2
+//	policy reoptimize
 //
 //	# topology: either one generated...
 //	topology transit-stub small lan seed=42 hosts=24
@@ -617,43 +617,20 @@ func parseTopology(sc *Script, f []string) error {
 	return nil
 }
 
-// parsePolicy reads a `policy <pinned|reoptimize> [stretch=F] [min-gain=N]`
-// directive.
+// parsePolicy reads a `policy <pinned|reoptimize>` directive. A policy has
+// no options (control.Policy).
 func parsePolicy(sc *Script, f []string) error {
 	if len(f) < 1 {
-		return fmt.Errorf("usage: policy <pinned|reoptimize> [stretch=F] [min-gain=N]")
+		return fmt.Errorf("usage: policy <pinned|reoptimize>")
 	}
-	kind, ok := control.ParsePolicy(f[0])
+	p, ok := control.ParsePolicy(f[0])
 	if !ok {
 		return fmt.Errorf("unknown policy %q (pinned, reoptimize)", f[0])
+	} else if len(f) > 1 {
+		k, _, _ := strings.Cut(f[1], "=")
+		return fmt.Errorf("unknown policy option %q: a policy takes none", k)
 	}
-	cfg := control.Policy{Kind: kind}
-	for _, opt := range f[1:] {
-		k, v, ok := strings.Cut(opt, "=")
-		if !ok {
-			return fmt.Errorf("malformed option %q (want key=value)", opt)
-		}
-		switch k {
-		case "stretch":
-			x, err := strconv.ParseFloat(v, 64)
-			if err != nil || x < 1 {
-				return fmt.Errorf("option %s=%q must be a number ≥ 1", k, v)
-			}
-			cfg.Stretch = x
-		case "min-gain":
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 1 {
-				return fmt.Errorf("option min-gain=%q must be a positive integer", v)
-			}
-			cfg.MinGain = n
-		default:
-			return fmt.Errorf("unknown option %q", k)
-		}
-	}
-	if kind == control.Pinned && (cfg.Stretch != 0 || cfg.MinGain != 0) {
-		return fmt.Errorf("policy pinned takes no options")
-	}
-	sc.Policy = cfg
+	sc.Policy = p
 	return nil
 }
 

@@ -11,6 +11,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -77,6 +79,51 @@ func TestSurfaceLedger(t *testing.T) {
 	for cmd, flags := range got.Flags {
 		grew("flags of cmd/"+cmd, len(flags), len(want.Flags[cmd]))
 	}
+}
+
+// TestReadmeFlagTables fails when a command's flag table in README.md — the
+// table whose header cell is "`cmd/<name>` flag" — names other flags than
+// the command registers, so a flag and its README row come and go together.
+func TestReadmeFlagTables(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := readmeFlagTables(string(readme))
+	flags := measureSurface(t).Flags
+	for _, cmd := range []string{"bneck", "experiments", "mc"} {
+		if got, want := tables[cmd], flags[cmd]; !slices.Equal(got, want) {
+			t.Errorf("README.md's cmd/%s flag table names %q; the command registers %q", cmd, got, want)
+		}
+	}
+}
+
+// flagToken matches a -flag token not inside a hyphenated word.
+var flagToken = regexp.MustCompile(`(?:^|[^\w-])-([a-z][a-z0-9-]*)`)
+
+// readmeFlagTables maps each command with a flag table to the distinct
+// -flag tokens of the table's rows, sorted.
+func readmeFlagTables(md string) map[string][]string {
+	out := map[string][]string{}
+	cmd := ""
+	for _, line := range strings.Split(md, "\n") {
+		switch name, header := strings.CutPrefix(line, "| `cmd/"); {
+		case header:
+			cmd, _, _ = strings.Cut(name, "`")
+			out[cmd] = []string{}
+		case !strings.HasPrefix(line, "|"):
+			cmd = ""
+		case cmd != "":
+			for _, m := range flagToken.FindAllStringSubmatch(line, -1) {
+				out[cmd] = append(out[cmd], m[1])
+			}
+		}
+	}
+	for cmd, fs := range out {
+		slices.Sort(fs)
+		out[cmd] = slices.Compact(fs)
+	}
+	return out
 }
 
 func measureSurface(t *testing.T) surface {
