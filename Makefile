@@ -43,7 +43,8 @@ test-full:
 # — allocations once per page of the graph's stores, not per node or link —
 # and the simulated transport's hop (internal/network): disjoint
 # chains with one session per link, in cache and out of it — ns/pkt is the
-# hop, allocs/pkt must stay at one record per link (≈ 0.17), whole runs again —
+# hop, allocs/pkt must stay at one record per link (≈ 0.17), B/linkrec is that
+# record's size (432 bytes: the 448-byte class), whole runs again —
 # and one quiescent-state check (Validate) of the out-of-cache shape, in ms/op
 # and ns per link task.
 # Last the validation oracle (internal/waterfill): one full solve on a reused

@@ -11,18 +11,14 @@ import "math/bits"
 // and the array never shrinks, like the Go map it replaced: a link that
 // once carried k sessions is likely to carry k again.
 //
-// The zero value is an empty index. The first slot group is part of the map
-// itself: the first put points slots at first, so the index of a link that
-// carries few sessions lives in the link's own record — a lookup there
-// touches no second object — and only the growth past it allocates. slots
-// then aliases the map's own storage, which is why a map (and everything
-// that embeds one) must not be copied once used; see noCopy.
+// The zero value is an empty index. A table makes one at its second session,
+// so a one-session link pays no object or record bytes for it: a heap slot
+// array on every link once cost chains_bare 16 % of its packet rate, and a
+// four-slot inline group was slower and larger than two.
 type entryMap struct {
-	_     noCopy
 	slots []entrySlot // len is zero or a power of two
 	n     int32
 	shift uint8 // 64 − log2(len(slots)): hash → home slot
-	first [minEntrySlots]entrySlot
 }
 
 // entrySlot is one cell: ent == nil marks it free.
@@ -31,12 +27,8 @@ type entrySlot struct {
 	ent *tableEntry
 }
 
-// minEntrySlots is the size of the inline first slot group. At the ¾ load
-// limit it files one session; a second spills the index to the heap (four
-// slots, then doubling). A four-slot group, which would also hold a second
-// and a third session, measured slower and larger on every simulated
-// workload (docs/PR23_SIM_HOP.md).
-const minEntrySlots = 2
+// minEntrySlots is the first slot array's size: three sessions at ¾ load.
+const minEntrySlots = 4
 
 // home returns id's preferred slot: the top bits of the Fibonacci hash
 // (2^64/φ, odd). Masking the shift tells the compiler it is in range.
@@ -77,16 +69,11 @@ func (m *entryMap) place(ent *tableEntry) {
 	m.slots[i] = entrySlot{id: ent.id, ent: ent}
 }
 
-// grow moves the index into the inline group the first time and doubles the
-// array after that, refiling every entry.
+// grow doubles the slot array (or makes the first one), refiling every
+// entry.
 func (m *entryMap) grow() {
 	old := m.slots
-	if old == nil {
-		m.slots = m.first[:]
-		m.shift = uint8(64 - bits.TrailingZeros(minEntrySlots))
-		return
-	}
-	size := 2 * len(old)
+	size := max(2*len(old), minEntrySlots)
 	m.slots = make([]entrySlot, size)
 	m.shift = uint8(64 - bits.TrailingZeros(uint(size)))
 	for _, s := range old {
@@ -94,17 +81,14 @@ func (m *entryMap) grow() {
 			m.place(s.ent)
 		}
 	}
-	if &old[0] == &m.first[0] {
-		m.first = [minEntrySlots]entrySlot{} // spilled: drop the stale pointers
-	}
 }
 
-// del removes id and returns the entry that was filed under it, or nil. The
-// run after the freed slot is shifted back over it — each follower moves iff
-// the hole lies on its probe path — so every remaining key stays reachable
-// from its home slot without tombstones.
+// del removes id and returns the entry that was filed under it, or nil (also
+// from a nil index). The run after the freed slot is shifted back over it —
+// each follower moves iff the hole lies on its probe path — so every
+// remaining key stays reachable from its home slot without tombstones.
 func (m *entryMap) del(id SessionID) *tableEntry {
-	if m.n == 0 {
+	if m == nil || m.n == 0 {
 		return nil
 	}
 	mask := uint64(len(m.slots) - 1)
@@ -125,6 +109,3 @@ func (m *entryMap) del(id SessionID) *tableEntry {
 	m.n--
 	return ent
 }
-
-// len returns the number of entries filed.
-func (m *entryMap) len() int { return int(m.n) }

@@ -7,11 +7,12 @@ import (
 	"bneck/internal/rate"
 )
 
-// The tests in this file pin the lifetimes of a link's inline storage: the
-// first slot group of the entry index, the table's first entry, the bucket
-// pool's first bucket and the one-element first backing arrays. The
-// differential programs in table_diff_test.go check that what they hold is
-// right; these check where it lives and what it costs.
+// The tests in this file pin the lifetimes of a link's inline storage — the
+// table's first entry, the bucket pool's first bucket and the one-element
+// first backing arrays — and of the entry index, which a link gets with its
+// second session. The differential programs in table_diff_test.go check
+// that what they hold is right; these check where it lives and what it
+// costs.
 
 // TestSingleSessionLinkAllocatesNothing drives one link through the life of
 // a chain link — a session joins, settles, is restricted elsewhere (F_e),
@@ -62,8 +63,8 @@ func TestSingleSessionLinkAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(50, cycle); n != 0 {
 		t.Fatalf("a join → settle → F_e → leave cycle on a single-session link allocates %v objects, want 0", n)
 	}
-	if len(tb.entries.slots) != minEntrySlots || &tb.entries.slots[0] != &tb.entries.first[0] {
-		t.Fatalf("the index of a single-session link left its inline slot group")
+	if tb.index != nil {
+		t.Fatalf("a single-session link allocated an entry index")
 	}
 	if sink.n == 0 {
 		t.Fatalf("the link forwarded nothing")
@@ -77,13 +78,16 @@ type countEmitter struct{ n int }
 func (c *countEmitter) Emit(SessionID, int, Direction, Packet) { c.n++ }
 
 // TestInlineEntryAcrossGrowth takes one link 1 → 5 → 1 sessions and back up:
-// the first session holds the inline entry, the others live on the heap and
-// spill the slot group and the member list; when the first leaves while
-// others stay, the inline entry is free and the next join — not a heap entry
-// — takes it, with the link's state matching the oracle throughout.
+// the first session holds the inline entry, the others live on the heap,
+// the second makes the index (four slots, filing the inline entry too) and
+// spills the member list; when the first leaves while others stay, the
+// inline entry is free and the next join — not a heap entry — takes it and
+// is filed in the index, which is never dropped, with the link's state
+// matching the oracle throughout.
 func TestInlineEntryAcrossGrowth(t *testing.T) {
 	p := newPump(t)
 	p.addLink(1, rate.Mbps(100))
+	tb := &p.link(1).tbl
 	var srcs []*SourceNode
 	for s := SessionID(1); s <= 5; s++ {
 		src := p.addSession(s, 1)
@@ -91,8 +95,13 @@ func TestInlineEntryAcrossGrowth(t *testing.T) {
 		srcs = append(srcs, src)
 		p.run(10_000)
 		p.checkAll()
+		switch {
+		case s == 1 && tb.index != nil:
+			t.Fatalf("one session made an index")
+		case s == 2 && (tb.index == nil || len(tb.index.slots) != minEntrySlots || tb.index.get(1) != &tb.first):
+			t.Fatalf("the second session did not make a four-slot index filing the inline entry")
+		}
 	}
-	tb := &p.link(1).tbl
 	if tb.get(1) != &tb.first {
 		t.Fatalf("the first session is not in the inline entry")
 	}
@@ -101,8 +110,8 @@ func TestInlineEntryAcrossGrowth(t *testing.T) {
 			t.Fatalf("session %d shares the inline entry", s)
 		}
 	}
-	if len(tb.entries.slots) <= minEntrySlots || tb.entries.first != [minEntrySlots]entrySlot{} {
-		t.Fatalf("five sessions did not spill the slot group cleanly: %d slots, inline %v", len(tb.entries.slots), tb.entries.first)
+	if int(tb.index.n) != 5 || len(tb.index.slots) != 2*minEntrySlots {
+		t.Fatalf("five sessions in an index of %d entries, %d slots", int(tb.index.n), len(tb.index.slots))
 	}
 	if b := tb.get(1).bucket; b != &tb.buckets.first || len(b.members) != 5 {
 		t.Fatalf("five equal rates are not five members of the table's first bucket")
@@ -125,6 +134,9 @@ func TestInlineEntryAcrossGrowth(t *testing.T) {
 	p.checkAll()
 	if tb.get(6) != &tb.first || tb.get(5) == &tb.first || tb.sessions() != 2 {
 		t.Fatalf("the newcomer did not take the free inline entry")
+	}
+	if tb.index == nil || len(tb.index.slots) != 2*minEntrySlots {
+		t.Fatalf("the index shrank or went")
 	}
 	if got, want := p.rates[5], rate.Mbps(70); !got.Equal(want) {
 		t.Fatalf("session 5 rate %v, want %v", got, want)
@@ -182,9 +194,9 @@ func TestPropSingleSessionLinkChurn(t *testing.T) {
 			}
 			// Under the FIFO schedule a Leave reaches every link before the
 			// successor's Join, so a chain link never sees two sessions and
-			// never leaves its inline storage. Under a random channel-FIFO
-			// schedule the Join can overtake: the link spills, the survivor
-			// may be the heap entry, and the inline one is free for the next
+			// never gets an index. Under a random channel-FIFO schedule the
+			// Join can overtake: the link makes its index, the survivor may
+			// be the heap entry, and the inline one is free for the next
 			// round's join.
 			fifo := iter%2 == 0
 			if fifo {
@@ -196,9 +208,9 @@ func TestPropSingleSessionLinkChurn(t *testing.T) {
 			for c := 0; c < nChains; c++ {
 				for h := 1; h <= 3; h++ {
 					tb := &p.link(LinkRef(10*c + h)).tbl
-					if tb.sessions() != 1 || (fifo && (!tb.firstLive || len(tb.entries.slots) != minEntrySlots)) {
-						t.Fatalf("iter %d round %d: chain link %d holds %d sessions, inline live %t, %d slots",
-							iter, round, 10*c+h, tb.sessions(), tb.firstLive, len(tb.entries.slots))
+					if tb.sessions() != 1 || (fifo && (!tb.firstLive || tb.index != nil)) {
+						t.Fatalf("iter %d round %d: chain link %d holds %d sessions, inline live %t, index %t",
+							iter, round, 10*c+h, tb.sessions(), tb.firstLive, tb.index != nil)
 					}
 				}
 			}

@@ -232,6 +232,3 @@ func sortByID(ents []*tableEntry) {
 
 // len returns the number of sessions in the set.
 func (rs *rateSet) len() int { return rs.size }
-
-// distinct returns the number of distinct rates (for stats and tests).
-func (rs *rateSet) distinct() int { return len(rs.buckets) }

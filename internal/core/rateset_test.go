@@ -18,8 +18,8 @@ func TestRateSetBasics(t *testing.T) {
 	rs.add(rate.Mbps(5), e3, &pool)
 	rs.add(rate.Mbps(3), e2, &pool)
 	rs.add(rate.Mbps(5), e1, &pool)
-	if rs.len() != 3 || rs.distinct() != 2 {
-		t.Fatalf("len=%d distinct=%d", rs.len(), rs.distinct())
+	if rs.len() != 3 || len(rs.buckets) != 2 {
+		t.Fatalf("len=%d distinct=%d", rs.len(), len(rs.buckets))
 	}
 	if m, ok := rs.max(); !ok || !m.Equal(rate.Mbps(5)) {
 		t.Fatalf("max = %v", m)
@@ -43,7 +43,7 @@ func TestRateSetBasics(t *testing.T) {
 		t.Fatalf("swap-remove lost track of the moved member")
 	}
 	rs.remove(rate.Mbps(5), e3, &pool)
-	if rs.countAt(rate.Mbps(5)) != 0 || rs.distinct() != 1 {
+	if rs.countAt(rate.Mbps(5)) != 0 || len(rs.buckets) != 1 {
 		t.Fatalf("bucket not collapsed")
 	}
 	if e1.bucket != nil || e3.bucket != nil {
@@ -60,14 +60,14 @@ func TestRateSetRemovePanics(t *testing.T) {
 	const absentRate, absentSession = "core: rateSet.remove of absent rate", "core: rateSet.remove of absent session"
 	mustPanic := func(t *testing.T, want string, rs *rateSet, f func()) {
 		t.Helper()
-		size, distinct := rs.len(), rs.distinct()
+		size, distinct := rs.len(), len(rs.buckets)
 		defer func() {
 			t.Helper()
 			if got := recover(); got != want {
 				t.Fatalf("panic %v, want %q", got, want)
 			}
-			if rs.len() != size || rs.distinct() != distinct {
-				t.Fatalf("the failed remove changed the set: %d/%d → %d/%d", size, distinct, rs.len(), rs.distinct())
+			if rs.len() != size || len(rs.buckets) != distinct {
+				t.Fatalf("the failed remove changed the set: %d/%d → %d/%d", size, distinct, rs.len(), len(rs.buckets))
 			}
 		}()
 		f()

@@ -154,12 +154,10 @@ func (rl *RouterLink) reprobe(skip *tableEntry) {
 func (rl *RouterLink) onJoin(pkt Packet, hop int) {
 	t := &rl.tbl
 	s := pkt.Session
-	if t.get(s) != nil {
-		// A stale entry can only exist if a rejoin raced ahead of a Leave's
-		// cleanup, which the transport's FIFO order precludes; be safe and
-		// start from scratch.
-		t.remove(s)
-	}
+	// A stale entry can only exist if a rejoin raced ahead of a Leave's
+	// cleanup, which the transport's FIFO order precludes; be safe and start
+	// from scratch.
+	t.remove(s)
 	t.addNew(s, hop)
 	rl.processNewRestricted()
 	lambda, eta := pkt.Rate, pkt.Bneck
@@ -307,14 +305,14 @@ func (rl *RouterLink) onLeave(pkt Packet, hop int) {
 // every F_e member strictly below B_e.
 func (rl *RouterLink) Stable() bool {
 	t := &rl.tbl
-	for _, slot := range t.entries.slots {
-		if slot.ent != nil && slot.ent.mu != Idle {
+	for ent := range t.all {
+		if ent.mu != Idle {
 			return false
 		}
 	}
 	if t.reCount > 0 {
 		be := t.be()
-		if t.idleRates.countAt(be) != t.reCount {
+		if t.idleRates.countAt(be) != int(t.reCount) {
 			return false
 		}
 		if max, ok := t.feMax(); ok && !max.Less(be) {
@@ -333,10 +331,8 @@ func (rl *RouterLink) AppendState(b []byte) []byte {
 	t := &rl.tbl
 	b = fmt.Appendf(b, "L%d c%s", rl.ref, t.capacity.Key())
 	ents := make([]*tableEntry, 0, t.sessions())
-	for _, slot := range t.entries.slots {
-		if slot.ent != nil {
-			ents = append(ents, slot.ent)
-		}
+	for ent := range t.all {
+		ents = append(ents, ent)
 	}
 	sortByID(ents)
 	for _, e := range ents {

@@ -29,7 +29,7 @@ type tableEntry struct {
 // bookkeeping needed to evaluate every Figure 2 predicate in O(log k)
 // (k = number of distinct rates at the link) instead of O(|S_e|):
 //
-//   - entries: the open-addressed SessionID index (entryMap) — the one
+//   - index: the open-addressed SessionID index (entryMap) — the one
 //     lookup a packet pays; everything after it works on the entry pointer
 //   - sumFe: exact incremental Σ_{s∈F_e} λ_s, so B_e is O(1)
 //   - idleRates: rates of R_e members with μ = IDLE (these are exactly the
@@ -39,26 +39,26 @@ type tableEntry struct {
 //
 // A table{capacity: c} is ready to use; RouterLink embeds one by value.
 //
-// The first session's state is inline too: first is the tableEntry the first
-// addNew hands out (and hands out again whenever it is free), next to the
-// index's first slot group and the rate sets' first bucket. A link carrying
-// one session — every link of a chain, most links of a sparse topology —
-// keeps everything a packet touches in the one record, and allocates nothing
-// after it; further sessions get heap entries exactly as before. Because
-// first is reused, a pointer to it can outlive the session it described (in
-// RouterLink.scratch, or as the skip argument of a reprobe): addNew resets
-// the whole entry, remove leaves it out of both rate sets, and no handler
-// keeps a snapshot across an addNew.
+// The first session's state is inline: first is the tableEntry the first
+// addNew hands out (and again whenever it is free). Until a second session
+// comes there is no index — get compares first.id — so a link carrying one
+// session (every link of a chain, most of a sparse topology) keeps all a
+// packet touches in its one record and allocates nothing after it. The
+// second session makes the index, which files every entry from then on,
+// first included, and is never dropped. As first is reused, a pointer to it
+// can outlive its session (in RouterLink.scratch, or as a reprobe's skip):
+// addNew resets the whole entry, remove leaves it out of both rate sets,
+// and no handler keeps a snapshot across an addNew.
 type table struct {
 	_         noCopy
 	capacity  rate.Rate
 	sumFe     rate.Rate
-	reCount   int
-	reIdle    int
 	beCache   rate.Rate
+	reCount   int32
+	reIdle    int32
 	beValid   bool
-	firstLive bool // first is filed in entries
-	entries   entryMap
+	firstLive bool      // first holds a session
+	index     *entryMap // nil until the link holds two sessions at once
 	first     tableEntry
 	idleRates rateSet
 	feRates   rateSet
@@ -66,13 +66,13 @@ type table struct {
 }
 
 // noCopy marks a type that must not be copied after first use, because it
-// holds slices into its own inline storage (entryMap.slots, rateSet.buckets,
-// bucketPool.free, rateBucket.members, RouterLink.scratch): a copy would
-// share the original's arrays and then diverge from it at the first spill.
-// `go vet`'s copylocks check reports any by-value copy of a type containing
-// one. Zero values and composite literals (table{capacity: c}) are where
-// such a type starts; RouterLink.Init is the one initialiser, and everything
-// after it goes through pointers.
+// holds slices into its own inline storage (rateSet.buckets, bucketPool.free,
+// rateBucket.members, RouterLink.scratch) or pointers to it (table.index
+// files &first): a copy would share the original's arrays and then diverge
+// from it at the first spill. `go vet`'s copylocks check reports any
+// by-value copy of a type containing one. Zero values and composite literals
+// (table{capacity: c}) are where such a type starts; RouterLink.Init is the
+// one initialiser, and everything after it goes through pointers.
 type noCopy struct{}
 
 func (*noCopy) Lock()   {}
@@ -85,7 +85,7 @@ func (t *table) be() rate.Rate {
 		return rate.Inf
 	}
 	if !t.beValid {
-		t.beCache = t.capacity.Sub(t.sumFe).DivInt(t.reCount)
+		t.beCache = t.capacity.Sub(t.sumFe).DivInt(int(t.reCount))
 		t.beValid = true
 	}
 	return t.beCache
@@ -94,22 +94,35 @@ func (t *table) be() rate.Rate {
 func (t *table) invalidateBe() { t.beValid = false }
 
 // get returns the entry for s, or nil if the link does not know s.
-func (t *table) get(s SessionID) *tableEntry { return t.entries.get(s) }
+func (t *table) get(s SessionID) *tableEntry {
+	if t.index != nil {
+		return t.index.get(s)
+	}
+	if t.firstLive && t.first.id == s {
+		return &t.first
+	}
+	return nil
+}
 
 // addNew registers a session in R_e with μ = WAITING_RESPONSE (a Join just
 // passed). The caller must have ensured s is absent.
 func (t *table) addNew(s SessionID, hop int) *tableEntry {
-	if t.entries.get(s) != nil {
+	if t.get(s) != nil {
 		panic(fmt.Sprintf("core: addNew of existing session %d", s))
 	}
 	ent := &t.first
 	if t.firstLive {
 		ent = new(tableEntry)
-	} else {
-		t.firstLive = true
+		if t.index == nil { // the second session: from here on the index files everyone
+			t.index = new(entryMap)
+			t.index.put(&t.first)
+		}
 	}
+	t.firstLive = true
 	*ent = tableEntry{id: s, inRe: true, mu: WaitingResponse, hop: int32(hop)}
-	t.entries.put(ent)
+	if t.index != nil {
+		t.index.put(ent)
+	}
 	t.reCount++
 	t.invalidateBe()
 	return ent
@@ -117,10 +130,11 @@ func (t *table) addNew(s SessionID, hop int) *tableEntry {
 
 // remove deletes all state for s.
 func (t *table) remove(s SessionID) {
-	ent := t.entries.del(s)
+	ent := t.get(s)
 	if ent == nil {
 		return
 	}
+	t.index.del(s)
 	if ent.inRe {
 		if ent.mu == Idle {
 			t.idleRates.remove(ent.lambda, ent, &t.buckets)
@@ -211,7 +225,7 @@ func (t *table) allReIdleAtBe() bool {
 	if t.reCount == 0 || t.reIdle != t.reCount {
 		return false
 	}
-	return t.idleRates.countAt(t.be()) == t.reCount
+	return t.idleRates.countAt(t.be()) == int(t.reCount)
 }
 
 // feMax returns the largest λ among F_e members.
@@ -250,7 +264,22 @@ func (t *table) setCapacity(c rate.Rate) {
 }
 
 // sessions returns the number of sessions known at the link.
-func (t *table) sessions() int { return t.entries.len() }
+func (t *table) sessions() int { return int(t.reCount) + t.feRates.len() }
+
+// all yields every entry the table holds, in no particular order.
+func (t *table) all(yield func(*tableEntry) bool) {
+	if t.index == nil {
+		if t.firstLive {
+			yield(&t.first)
+		}
+		return
+	}
+	for _, slot := range t.index.slots {
+		if slot.ent != nil && !yield(slot.ent) {
+			return
+		}
+	}
+}
 
 // checkInvariants verifies internal consistency; tests call it after every
 // operation sequence and Validate after every epoch. It returns the first
@@ -261,17 +290,14 @@ func (t *table) sessions() int { return t.entries.len() }
 // that bucket, and the set sizes equal the entry counts — so the sets hold
 // exactly the entries they should.
 func (t *table) checkInvariants() error {
-	reCount, reIdle, n := 0, 0, 0
+	var reCount, reIdle int32
+	n := 0
 	sum := rate.Zero
-	for i := range t.entries.slots {
-		ent := t.entries.slots[i].ent
-		if ent == nil {
-			continue
-		}
+	for ent := range t.all {
 		n++
-		s := t.entries.slots[i].id
-		if ent.id != s || t.entries.get(s) != ent {
-			return fmt.Errorf("session %d misfiled under id %d", ent.id, s)
+		s := ent.id
+		if t.get(s) != ent {
+			return fmt.Errorf("session %d misfiled", s)
 		}
 		switch {
 		case ent.inRe && ent.mu == Idle:
@@ -298,8 +324,8 @@ func (t *table) checkInvariants() error {
 			}
 		}
 	}
-	if n != t.entries.len() {
-		return fmt.Errorf("entry index size %d, counted %d", t.entries.len(), n)
+	if t.index != nil && n != int(t.index.n) {
+		return fmt.Errorf("entry index size %d, counted %d", t.index.n, n)
 	}
 	if reCount != t.reCount {
 		return fmt.Errorf("reCount = %d, counted %d", t.reCount, reCount)
@@ -316,11 +342,11 @@ func (t *table) checkInvariants() error {
 	if err := t.checkIndex(&t.feRates, "fe", false); err != nil {
 		return err
 	}
-	if t.idleRates.len() != reIdle {
+	if t.idleRates.len() != int(reIdle) {
 		return fmt.Errorf("idle index size %d, want %d", t.idleRates.len(), reIdle)
 	}
-	if t.feRates.len() != n-reCount {
-		return fmt.Errorf("fe index size %d, want %d", t.feRates.len(), n-reCount)
+	if t.feRates.len() != n-int(reCount) {
+		return fmt.Errorf("fe index size %d, want %d", t.feRates.len(), n-int(reCount))
 	}
 	if t.reCount > 0 && t.capacity.Sub(t.sumFe).Sign() < 0 {
 		return fmt.Errorf("F_e oversubscribed: sum %v > capacity %v", t.sumFe, t.capacity)
@@ -354,7 +380,7 @@ func (t *table) checkIndex(rs *rateSet, name string, inRe bool) error {
 			if m.bucket != b || int(m.pos) != pos {
 				return fmt.Errorf("%s index member %d at %v does not point back", name, m.id, b.rate)
 			}
-			if t.entries.get(m.id) != m {
+			if t.get(m.id) != m {
 				return fmt.Errorf("%s index holds session %d, which the table does not", name, m.id)
 			}
 			if m.inRe != inRe || (inRe && m.mu != Idle) {

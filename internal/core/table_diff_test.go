@@ -16,11 +16,12 @@ import (
 // the simulation bit-identical.
 //
 // Programs 320 and up shape the population around the table's inline first
-// entry, slot group and buckets (the first 320 are the programs the test
-// always ran): even ones keep a single session on the link, so every addNew
-// after a remove reuses the inline entry while the bucket it just left sits
-// on a free list; odd ones breathe 1 → 5 → 1 sessions, across the spill of
-// the slot group, the member lists and the bucket arrays and back.
+// entry and buckets and its entry index (the first 320 are the programs the
+// test always ran): even ones keep a single session on the link, so every
+// addNew after a remove reuses the inline entry while the bucket it just
+// left sits on a free list, and no index is ever made; odd ones breathe
+// 1 → 5 → 1 sessions, across the making of the index and the spill of the
+// member lists and the bucket arrays, and back.
 func TestTableMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
 	for prog := 0; prog < 400; prog++ {
@@ -167,10 +168,16 @@ func TestTableMatchesReference(t *testing.T) {
 					t.Fatalf("prog %d step %d: %s = %v, reference %v", prog, step, what, ids(got), want)
 				}
 			}
-			spilled = spilled || len(opt.entries.slots) > minEntrySlots
+			if opt.index == nil && opt.sessions() > 1 {
+				t.Fatalf("prog %d step %d: %d sessions without an index", prog, step, opt.sessions())
+			}
+			if spilled && opt.index == nil {
+				t.Fatalf("prog %d step %d: the index went", prog, step)
+			}
+			spilled = spilled || opt.index != nil
 			if prog >= 320 && prog%2 == 0 {
 				// One session at a time: nothing may have spilled.
-				if len(opt.entries.slots) > minEntrySlots || cap(opt.idleRates.buckets) > 1 || cap(opt.feRates.buckets) > 1 ||
+				if opt.index != nil || cap(opt.idleRates.buckets) > 1 || cap(opt.feRates.buckets) > 1 ||
 					cap(opt.buckets.free) > 1 {
 					t.Fatalf("prog %d step %d: a single-session table spilled to the heap", prog, step)
 				}
@@ -248,11 +255,11 @@ func entryMapOps(t *testing.T, data []byte) {
 				t.Fatalf("op %d: get(%d) = %p, want %p", i/2, id, m.get(id), ref[id])
 			}
 		}
-		if m.len() != len(ref) {
-			t.Fatalf("op %d: len %d, want %d", i/2, m.len(), len(ref))
+		if int(m.n) != len(ref) {
+			t.Fatalf("op %d: len %d, want %d", i/2, int(m.n), len(ref))
 		}
-		if n := len(m.slots); n != 0 && (n < minEntrySlots || n&(n-1) != 0 || m.len()*4 > n*3) {
-			t.Fatalf("op %d: %d entries in %d slots", i/2, m.len(), n)
+		if n := len(m.slots); n != 0 && (n < minEntrySlots || n&(n-1) != 0 || int(m.n)*4 > n*3) {
+			t.Fatalf("op %d: %d entries in %d slots", i/2, int(m.n), n)
 		}
 		for id, ent := range ref {
 			if m.get(id) != ent {
@@ -327,29 +334,42 @@ func FuzzEntryMap(f *testing.F) {
 	f.Fuzz(entryMapOps)
 }
 
-// TestEntryMapNeverShrinks pins the growth policy the doc comment promises:
-// four slots at first, doubling at ¾ load, and no shrinking on delete.
+// TestEntryMapNeverShrinks pins the growth policy the doc comments promise:
+// a table has no index while it holds one session; the second session makes
+// one of four heap slots filing both; it doubles at ¾ load; and neither
+// deletes nor the table emptying shrink or drop it.
 func TestEntryMapNeverShrinks(t *testing.T) {
 	var m entryMap
 	if m.get(1) != nil || m.del(1) != nil || len(m.slots) != 0 {
 		t.Fatalf("zero entryMap is not an empty index")
 	}
-	m.put(&tableEntry{id: 1})
-	if len(m.slots) != minEntrySlots {
-		t.Fatalf("first put allocated %d slots, want %d", len(m.slots), minEntrySlots)
+	tb := newTable(rate.Mbps(100))
+	tb.addNew(1, 0)
+	if tb.index != nil {
+		t.Fatalf("one session made an index")
 	}
-	for s := SessionID(2); s <= 100; s++ {
-		m.put(&tableEntry{id: s})
+	if n := testing.AllocsPerRun(10, func() { tb.remove(1); tb.addNew(1, 0) }); n != 0 {
+		t.Fatalf("one session's leave and rejoin allocate %v objects", n)
 	}
-	size := len(m.slots)
+	tb.addNew(2, 0)
+	if tb.index == nil || len(tb.index.slots) != minEntrySlots || int(tb.index.n) != 2 || tb.index.get(1) != &tb.first {
+		t.Fatalf("the second session did not make a four-slot index filing both")
+	}
+	for s := SessionID(3); s <= 100; s++ {
+		tb.addNew(s, 0)
+	}
+	size := len(tb.index.slots)
 	if size != 256 {
 		t.Fatalf("100 entries in %d slots, want 256", size)
 	}
 	for s := SessionID(1); s <= 100; s++ {
-		m.del(s)
+		tb.remove(s)
 	}
-	if m.len() != 0 || len(m.slots) != size {
-		t.Fatalf("after deleting everything: len %d, %d slots (want 0, %d)", m.len(), len(m.slots), size)
+	if tb.index == nil || int(tb.index.n) != 0 || len(tb.index.slots) != size {
+		t.Fatalf("after removing everything: index %v (want 0 entries in %d slots)", tb.index, size)
+	}
+	if tb.addNew(7, 0) != &tb.first || tb.index.get(7) != &tb.first {
+		t.Fatalf("a session joining the emptied table is not the inline entry filed in the index")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"bneck/internal/graph"
 	"bneck/internal/rate"
@@ -25,7 +26,9 @@ import (
 // counts everything the timed runs allocate, the records created by the
 // joins included: one record per link over its seven packets, the hop
 // tables and the warm-up of the delivery pool — ≈ 0.17; a steady-state packet
-// allocates nothing (TestSteadyStateEmitAllocatesNothing).
+// allocates nothing (TestSteadyStateEmitAllocatesNothing). B/linkrec is the
+// size of that record, which a packet's visit to a link reads from
+// (TestLinkRecordFootprint bounds it).
 func BenchmarkChainHop(b *testing.B) {
 	const routers = 32
 	for _, chains := range []int{64, 1024} {
@@ -53,6 +56,7 @@ func BenchmarkChainHop(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(packets), "ns/pkt")
 			b.ReportMetric(float64(mallocs)/float64(packets), "allocs/pkt")
+			b.ReportMetric(float64(unsafe.Sizeof(linkRec{})), "B/linkrec")
 		})
 	}
 }

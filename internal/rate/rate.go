@@ -8,11 +8,12 @@
 // the protocol would either livelock (endless Update cycles) or mis-declare
 // bottlenecks. Rates are therefore exact rationals.
 //
-// A Rate is immutable. The implementation keeps an int64 numerator and
-// denominator fast path and transparently promotes to math/big.Rat when an
-// operation would overflow. Values are always normalized (reduced fraction,
-// positive denominator, demoted to the int64 path whenever they fit), so two
-// equal rates always have identical representations and Key strings.
+// A Rate is immutable and 24 bytes: an int64 numerator and denominator fast
+// path, promoted to math/big.Rat when an operation would overflow. Finite
+// values are always normalized (reduced fraction, positive denominator,
+// demoted to the int64 path whenever they fit), so two equal rates always
+// have identical representations and Key strings. +∞ is the one value with a
+// negative denominator (−1): a negation int64 cannot hold goes big instead.
 //
 // The zero value of Rate is the rate 0.
 package rate
@@ -28,32 +29,40 @@ import (
 // caller chooses), with a distinguished +∞ used for unbounded session
 // demands. Rate values are immutable; all methods return new values.
 type Rate struct {
-	// Exactly one interpretation applies, checked in this order:
-	//   inf       => +∞
+	// Exactly one interpretation applies:
+	//   den > 0   => value is num/den (reduced)
+	//   den < 0   => +∞ (num == 0, den == −1, br == nil)
 	//   br != nil => value is *br (normalized, does not fit int64 fast path)
-	//   den != 0  => value is num/den (reduced, den > 0)
 	//   otherwise => value is 0 (the useful zero value)
 	num int64
 	den int64
 	br  *big.Rat
-	inf bool
 }
 
 // Zero is the rate 0.
 var Zero = Rate{num: 0, den: 1}
 
 // Inf is the unbounded rate +∞, used for sessions with no maximum demand.
-var Inf = Rate{inf: true}
+var Inf = Rate{den: -1}
 
 // FromInt64 returns the rate v/1.
 func FromInt64(v int64) Rate { return Rate{num: v, den: 1} }
 
 // FromFrac returns the rate num/den. It panics if den == 0.
 func FromFrac(num, den int64) Rate {
-	if den == 0 {
+	switch {
+	case den == 0:
 		panic("rate: zero denominator")
+	case den < 0 && (num == math.MinInt64 || den == math.MinInt64):
+		return normalizeBig(big.NewRat(num, den)) // −num or −den overflows int64
+	case den < 0:
+		num, den = -num, -den
 	}
-	return normalizeInt(num, den)
+	if num == 0 {
+		return Zero
+	}
+	g := gcd64(num, den)
+	return Rate{num: num / g, den: den / g}
 }
 
 // FromBigRat returns the rate equal to r. The argument is copied.
@@ -62,18 +71,6 @@ func FromBigRat(r *big.Rat) Rate { return normalizeBig(new(big.Rat).Set(r)) }
 // Mbps returns the rate v megabits per second expressed in bits per second.
 // It is a convenience for building topologies with the paper's capacities.
 func Mbps(v int64) Rate { return FromInt64(v * 1_000_000) }
-
-// normalizeInt reduces num/den and returns the canonical Rate.
-func normalizeInt(num, den int64) Rate {
-	if den < 0 {
-		num, den = -num, -den
-	}
-	if num == 0 {
-		return Zero
-	}
-	g := gcd64(abs64(num), den)
-	return Rate{num: num / g, den: den / g}
-}
 
 // normalizeBig demotes r to the int64 fast path when possible. It takes
 // ownership of r.
@@ -85,35 +82,38 @@ func normalizeBig(r *big.Rat) Rate {
 	return Rate{br: r}
 }
 
-func abs64(v int64) int64 {
+// abs64 returns |v| as a uint64, which holds it for every int64 including
+// math.MinInt64 (two's complement wraparound lands on 2^63).
+func abs64(v int64) uint64 {
 	if v < 0 {
-		return -v
+		return uint64(-v)
 	}
-	return v
+	return uint64(v)
 }
 
+// gcd64 returns gcd(|a|, |b|), or 1 when both are 0. One argument is always
+// positive, which keeps the result within int64.
 func gcd64(a, b int64) int64 {
-	for b != 0 {
-		a, b = b, a%b
+	x, y := abs64(a), abs64(b)
+	for y != 0 {
+		x, y = y, x%y
 	}
-	if a == 0 {
+	if x == 0 {
 		return 1
 	}
-	return a
+	return int64(x)
 }
 
 // IsInf reports whether r is +∞.
-func (r Rate) IsInf() bool { return r.inf }
+func (r Rate) IsInf() bool { return r.den < 0 }
 
 // IsZero reports whether r is 0.
-func (r Rate) IsZero() bool {
-	return !r.inf && r.br == nil && (r.den == 0 || r.num == 0)
-}
+func (r Rate) IsZero() bool { return r.num == 0 && r.den >= 0 && r.br == nil }
 
 // Sign returns -1, 0 or +1 according to the sign of r. +∞ has sign +1.
 func (r Rate) Sign() int {
 	switch {
-	case r.inf:
+	case r.IsInf():
 		return 1
 	case r.br != nil:
 		return r.br.Sign()
@@ -129,7 +129,7 @@ func (r Rate) Sign() int {
 // toBig returns the value as a big.Rat. It panics on +∞. The result must not
 // be mutated when it aliases r.br; callers that mutate must copy.
 func (r Rate) toBig() *big.Rat {
-	if r.inf {
+	if r.IsInf() {
 		panic("rate: toBig on +Inf")
 	}
 	if r.br != nil {
@@ -144,13 +144,13 @@ func (r Rate) toBig() *big.Rat {
 // parts returns the int64 numerator and denominator, normalizing the zero
 // value, and whether the fast path applies.
 func (r Rate) parts() (num, den int64, ok bool) {
-	if r.inf || r.br != nil {
+	switch {
+	case r.den > 0:
+		return r.num, r.den, true
+	case r.den < 0 || r.br != nil:
 		return 0, 0, false
 	}
-	if r.den == 0 {
-		return 0, 1, true
-	}
-	return r.num, r.den, true
+	return 0, 1, true
 }
 
 // mul64 multiplies two int64s, reporting whether the result fits in an int64.
@@ -175,7 +175,7 @@ func add64(a, b int64) (int64, bool) {
 
 // Add returns r + o. Adding anything to +∞ yields +∞.
 func (r Rate) Add(o Rate) Rate {
-	if r.inf || o.inf {
+	if r.IsInf() || o.IsInf() {
 		return Inf
 	}
 	rn, rd, rok := r.parts()
@@ -211,7 +211,7 @@ func addInt(rn, rd, on, od int64) (Rate, bool) {
 		if rd == 1 {
 			return Rate{num: n, den: 1}, true
 		}
-		g2 := gcd64(abs64(n), rd)
+		g2 := gcd64(n, rd)
 		return Rate{num: n / g2, den: rd / g2}, true
 	}
 	g := gcd64(rd, od)
@@ -226,7 +226,7 @@ func addInt(rn, rd, on, od int64) (Rate, bool) {
 		return Rate{}, false
 	}
 	if g > 1 {
-		g2 := gcd64(abs64(t), g)
+		g2 := gcd64(t, g)
 		t, odg = t/g2, od/g2
 	}
 	d, ok := mul64(rdg, odg)
@@ -239,13 +239,13 @@ func addInt(rn, rd, on, od int64) (Rate, bool) {
 // Sub returns r - o. It panics if o is +∞ and r is finite; ∞ - x = ∞ for
 // finite x.
 func (r Rate) Sub(o Rate) Rate {
-	if r.inf {
-		if o.inf {
+	if r.IsInf() {
+		if o.IsInf() {
 			panic("rate: Inf - Inf")
 		}
 		return Inf
 	}
-	if o.inf {
+	if o.IsInf() {
 		panic("rate: finite - Inf")
 	}
 	return r.Add(o.Neg())
@@ -253,13 +253,13 @@ func (r Rate) Sub(o Rate) Rate {
 
 // Neg returns -r. It panics on +∞.
 func (r Rate) Neg() Rate {
-	if r.inf {
+	if r.IsInf() {
 		panic("rate: Neg on +Inf")
 	}
-	if r.br != nil {
-		return normalizeBig(new(big.Rat).Neg(r.br))
+	n, d, ok := r.parts()
+	if !ok || n == math.MinInt64 {
+		return normalizeBig(new(big.Rat).Neg(r.toBig()))
 	}
-	n, d, _ := r.parts()
 	return Rate{num: -n, den: d}
 }
 
@@ -268,7 +268,7 @@ func (r Rate) DivInt(n int) Rate {
 	if n <= 0 {
 		panic("rate: DivInt by non-positive")
 	}
-	if r.inf {
+	if r.IsInf() {
 		return Inf
 	}
 	rn, rd, ok := r.parts()
@@ -277,7 +277,7 @@ func (r Rate) DivInt(n int) Rate {
 		// grows as little as possible. What is left is already in lowest
 		// terms: rn/g is coprime to n/g by construction and to rd because
 		// rn is (and a zero rn gives g = n, rd = 1, hence 0/1).
-		g := gcd64(abs64(rn), int64(n))
+		g := gcd64(rn, int64(n))
 		if d, ok := mul64(rd, int64(n)/g); ok {
 			return Rate{num: rn / g, den: d}
 		}
@@ -292,7 +292,7 @@ func (r Rate) MulInt(n int) Rate {
 	if n < 0 {
 		panic("rate: MulInt by negative")
 	}
-	if r.inf {
+	if r.IsInf() {
 		return Inf
 	}
 	rn, rd, ok := r.parts()
@@ -311,12 +311,12 @@ func (r Rate) MulInt(n int) Rate {
 // Cmp compares r and o, returning -1, 0 or +1. +∞ compares greater than every
 // finite rate and equal to itself.
 func (r Rate) Cmp(o Rate) int {
-	switch {
-	case r.inf && o.inf:
+	switch rInf, oInf := r.IsInf(), o.IsInf(); {
+	case rInf && oInf:
 		return 0
-	case r.inf:
+	case rInf:
 		return 1
-	case o.inf:
+	case oInf:
 		return -1
 	}
 	rn, rd, rok := r.parts()
@@ -334,10 +334,8 @@ func (r Rate) Cmp(o Rate) int {
 func cmp128(a, b, c, d int64) int {
 	negAB := (a < 0) != (b < 0)
 	negCD := (c < 0) != (d < 0)
-	// uint64(abs64(x)) is the true |x| for every int64 including MinInt64
-	// (two's complement wraparound lands on 2^63).
-	hiAB, loAB := bits.Mul64(uint64(abs64(a)), uint64(abs64(b)))
-	hiCD, loCD := bits.Mul64(uint64(abs64(c)), uint64(abs64(d)))
+	hiAB, loAB := bits.Mul64(abs64(a), abs64(b))
+	hiCD, loCD := bits.Mul64(abs64(c), abs64(d))
 	if hiAB == 0 && loAB == 0 {
 		negAB = false
 	}
@@ -407,7 +405,7 @@ func Max(r, o Rate) Rate {
 //
 //bneck:float the one sanctioned exit from exact arithmetic: a display conversion whose result never feeds back into rates.
 func (r Rate) Float64() float64 {
-	if r.inf {
+	if r.IsInf() {
 		return math.Inf(1)
 	}
 	if r.br != nil {
@@ -421,7 +419,7 @@ func (r Rate) Float64() float64 {
 // Key returns a canonical string representation usable as a map key. Equal
 // rates always produce equal keys.
 func (r Rate) Key() string {
-	if r.inf {
+	if r.IsInf() {
 		return "inf"
 	}
 	if r.br != nil {

@@ -35,11 +35,21 @@ func TestFromFrac(t *testing.T) {
 		{0, 7, "0"},
 		{6, 3, "2"},
 		{7, 1, "7"},
+		// Negating either part of these overflows int64: the value goes big.
+		{math.MinInt64, -1, "9223372036854775808"},
+		{1, math.MinInt64, "-1/9223372036854775808"},
+		{math.MinInt64, math.MinInt64, "1"},
+		{math.MinInt64, 4, "-2305843009213693952"},
 	}
 	for _, c := range cases {
 		got := FromFrac(c.num, c.den)
 		if got.Key() != c.want {
 			t.Errorf("FromFrac(%d,%d).Key() = %q, want %q", c.num, c.den, got.Key(), c.want)
+		}
+		checkCanonical(t, c.want, got)
+		want, _ := new(big.Rat).SetString(c.want)
+		if wf, _ := want.Float64(); got.Sign() != want.Sign() || got.Float64() != wf {
+			t.Errorf("FromFrac(%d,%d): sign %d, float %v; want %d, %v", c.num, c.den, got.Sign(), got.Float64(), want.Sign(), wf)
 		}
 	}
 }
