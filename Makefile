@@ -8,8 +8,13 @@ GO ?= go
 
 check: vet lint build test bench benchmark-check
 
+# The prefetch kernel of internal/network has an assembly body per
+# architecture: vet checks the arm64 one against its declaration (asmdecl),
+# and a riscv64 build compiles the no-op the other architectures get.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/network/
+	GOARCH=riscv64 $(GO) build ./...
 
 # The invariant gate: bnecklint (the repo's own analyzer suite — see
 # DESIGN.md §12) always runs; staticcheck and govulncheck join in when

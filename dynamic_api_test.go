@@ -77,6 +77,36 @@ func TestLinkSetCapacityAtRejectsNonPositive(t *testing.T) {
 	}
 }
 
+// TestSessionRejectsNonPositiveDemand: a demand ≤ 0 panics at JoinAt and at
+// ChangeAt, before anything is scheduled, so the session keeps its granted
+// rate and the network validates.
+func TestSessionRejectsNonPositiveDemand(t *testing.T) {
+	sim, s, _, _ := buildDiamondAPI(t)
+	refuse := func(call string, d bneck.Rate, f func(time.Duration, bneck.Rate)) {
+		t.Helper()
+		defer func() {
+			want := fmt.Sprintf("non-positive demand %v", d)
+			if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), want) {
+				t.Fatalf("%s(%v) recovered %v, want the controller's %q", call, d, p, want)
+			}
+		}()
+		f(sim.Now()+time.Millisecond, d)
+	}
+	refuse("JoinAt", bneck.Mbps(-5), s.JoinAt)
+	refuse("JoinAt", bneck.Mbps(0), s.JoinAt)
+	s.JoinAt(sim.Now(), bneck.Unlimited)
+	sim.RunToQuiescence()
+	refuse("ChangeAt", bneck.Mbps(0), s.ChangeAt)
+	refuse("ChangeAt", bneck.Mbps(-5), s.ChangeAt)
+	rep := sim.RunToQuiescence()
+	if err := sim.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Rates[s.ID()].Equal(bneck.Mbps(40)) {
+		t.Fatalf("rate %v, want 40 Mbps", rep.Rates[s.ID()])
+	}
+}
+
 func TestLinkFailAtAndRestoreAt(t *testing.T) {
 	sim, s, top, bot := buildDiamondAPI(t)
 	s.JoinAt(0, bneck.Unlimited)

@@ -178,6 +178,15 @@ func (c *Controller) Change(id core.SessionID, demand rate.Rate) []Action {
 	return c.acts
 }
 
+// CheckDemand reports a demand d that is neither positive nor rate.Inf: what
+// both transports reject at a Join or Change call, before anything changes.
+func CheckDemand(d rate.Rate) error {
+	if d.Sign() <= 0 && !d.IsInf() {
+		return fmt.Errorf("control: non-positive demand %v", d)
+	}
+	return nil
+}
+
 // CheckLinks reports a link the graph lacks, or a capacity cp that is
 // neither positive nor rate.Inf: what Fail, Restore and SetCapacity reject
 // before they change anything.

@@ -18,8 +18,8 @@ const mailboxKeep = 256
 // two yields to Go's scheduler. A cascade never blocks, so without the yield
 // cascades in excess of the CPUs run one after the other, and B-Neck spends
 // many times the packets on joins it sees in sequence instead of together:
-// 256 joins on one CPU take 155 ms against 23 (docs/PR21_LIVE_INLINE.md has
-// the table; smaller slices cost live_churn 4 % at 2048, 7 % at 1024).
+// 256 joins on one CPU take 155 ms against 23 (smaller slices cost
+// live_churn 4 % at 2048, 7 % at 1024).
 const sliceTurns = 4096
 
 // actor is an unbounded FIFO mailbox and the handler of the task it serves;

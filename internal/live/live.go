@@ -307,7 +307,7 @@ func (s *Session) Stranded() bool { return s.State() == control.Stranded }
 func (s *Session) Active() bool { return s.State() == control.Active }
 
 // Join asynchronously invokes API.Join(s, demand); on a joined session it
-// is a Change (internal/control).
+// is a Change (internal/control). A demand ≤ 0 is an error; nothing changes.
 //
 // Join, Leave and Change call the controller while holding rt.mu, so a
 // concurrent topology event (FailLinks, which also holds rt.mu while it
@@ -316,12 +316,13 @@ func (s *Session) Active() bool { return s.State() == control.Active }
 // after its migration Leave and resurrect it on a failed path. The
 // established lock order rt.mu → actor.mu makes the nested enqueue safe. On
 // a closed runtime all three are no-ops.
-func (s *Session) Join(demand rate.Rate) {
+func (s *Session) Join(demand rate.Rate) error {
 	s.rt.mu.Lock()
 	defer s.rt.mu.Unlock()
-	if !s.rt.closed {
-		s.rt.apply(s.rt.ctl.Join(s.id, demand), nil)
+	if err := control.CheckDemand(demand); s.rt.closed || err != nil {
+		return s.rt.apply(nil, err)
 	}
+	return s.rt.apply(s.rt.ctl.Join(s.id, demand), nil)
 }
 
 // Leave asynchronously invokes API.Leave(s). See Join for the locking
@@ -335,13 +336,14 @@ func (s *Session) Leave() {
 }
 
 // Change asynchronously invokes API.Change(s, demand). See Join for the
-// locking discipline.
-func (s *Session) Change(demand rate.Rate) {
+// locking discipline and the demands it rejects.
+func (s *Session) Change(demand rate.Rate) error {
 	s.rt.mu.Lock()
 	defer s.rt.mu.Unlock()
-	if !s.rt.closed {
-		s.rt.apply(s.rt.ctl.Change(s.id, demand), nil)
+	if err := control.CheckDemand(demand); s.rt.closed || err != nil {
+		return s.rt.apply(nil, err)
 	}
+	return s.rt.apply(s.rt.ctl.Change(s.id, demand), nil)
 }
 
 // Rate returns the session's last granted rate. Safe to call from any

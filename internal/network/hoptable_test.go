@@ -23,8 +23,8 @@ func checkHops(t *testing.T, n *Network, s *Session) {
 	}
 	for i, l := range s.Path {
 		h := s.hops[i]
-		if h.task == nil || h.task != n.links[l] || core.LinkRef(l) != h.task.Ref() {
-			t.Fatalf("session %d hop %d: task %p, link table has %p for link %d", s.ID, i, h.task, n.links[l], l)
+		if h.rec == nil || h.rec != n.links[l] || core.LinkRef(l) != h.rec.task.Ref() {
+			t.Fatalf("session %d hop %d: record %p, link table has %p for link %d", s.ID, i, h.rec, n.links[l], l)
 		}
 		if h.fwd == nil || h.fwd != n.wires[l] {
 			t.Fatalf("session %d hop %d: forward wire is not link %d's", s.ID, i, l)
@@ -59,8 +59,8 @@ func TestHopTableFollowsMigration(t *testing.T) {
 	n.Run()
 	checkHops(t, n, s)
 	old := append([]hopRef(nil), s.hops...)
-	oldTask := n.links[top[0][0]]
-	if oldTask == nil || oldTask.Sessions() != 1 {
+	oldRec := n.links[top[0][0]]
+	if oldRec == nil || oldRec.task.Sessions() != 1 {
 		t.Fatalf("the session is not on the top route")
 	}
 
@@ -74,7 +74,7 @@ func TestHopTableFollowsMigration(t *testing.T) {
 		t.Fatalf("no successor")
 	}
 	checkHops(t, n, succ)
-	if succ.hops[1].task != n.links[bot[0][0]] || succ.hops[2].task != n.links[bot[1][0]] {
+	if succ.hops[1].rec != n.links[bot[0][0]] || succ.hops[2].rec != n.links[bot[1][0]] {
 		t.Fatalf("the successor's table does not name the bottom route")
 	}
 	// The departed incarnation's table is what it was, and its Leave got
@@ -86,12 +86,12 @@ func TestHopTableFollowsMigration(t *testing.T) {
 		}
 	}
 	for _, l := range []graph.LinkID{top[0][0], top[1][0]} {
-		if k := n.links[l].Sessions(); k != 0 {
+		if k := n.links[l].task.Sessions(); k != 0 {
 			t.Fatalf("old route link %d still knows %d sessions", l, k)
 		}
 	}
 	for _, l := range []graph.LinkID{path[0], path[len(path)-1]} {
-		if k := n.links[l].Sessions(); k != 1 {
+		if k := n.links[l].task.Sessions(); k != 1 {
 			t.Fatalf("access link %d knows %d sessions, want the successor only", l, k)
 		}
 	}
@@ -184,7 +184,7 @@ func TestSetCapacityReachesResolvedWire(t *testing.T) {
 	n.Run()
 	mid := path[1]
 	w := s.hops[1].fwd
-	if w != n.wires[mid] || s.hops[1].task != n.links[mid] {
+	if w != n.wires[mid] || s.hops[1].rec != n.links[mid] {
 		t.Fatalf("hop table and link index disagree")
 	}
 	// 512 control bits at 40 Mbps, then at 1 Mbps: arrival = now + tx + prop.
@@ -202,7 +202,7 @@ func TestSetCapacityReachesResolvedWire(t *testing.T) {
 	if got, _ := s.Rate(); !got.Equal(rate.Mbps(1)) {
 		t.Fatalf("rate %v after the cut, want 1 Mbps", got)
 	}
-	if s.hops[1].task.Capacity() != rate.Mbps(1) {
+	if s.hops[1].rec.task.Capacity() != rate.Mbps(1) {
 		t.Fatalf("the task the hop table points at kept the old capacity")
 	}
 	if got, want := arrival(), TxTime(rate.Mbps(1))+prop; got != want {

@@ -20,6 +20,7 @@ package network
 import (
 	"fmt"
 	"time"
+	"unsafe"
 
 	"bneck/internal/control"
 	"bneck/internal/core"
@@ -149,7 +150,7 @@ type Network struct {
 	// through them; SetCapacity and Validate sweep them — and no packet reads
 	// them. Growing them (AddHosts between runs) moves the pointers, never
 	// the records.
-	links []*core.RouterLink
+	links []*linkRec
 	wires []*wireRec
 	// sessByID is the session table, densely indexed by ID (IDs are assigned
 	// 1, 2, …): Emit resolves its session once per packet per hop, and at
@@ -296,8 +297,9 @@ func (n *Network) newSession(id core.SessionID, srcHost, dstHost graph.NodeID) *
 // ScheduleJoin joins the session at virtual time at with the given demand.
 // If a topology event broke the session's path before the join fires, the
 // join reroutes (or strands the session until a restore reconnects it). A
-// Join of a joined session changes its demand.
+// Join of a joined session changes its demand. A demand ≤ 0 panics here.
 func (n *Network) ScheduleJoin(s *Session, at sim.Time, demand rate.Rate) {
+	n.apply(nil, control.CheckDemand(demand))
 	n.globalAt(at, func() { n.apply(n.ctl.Join(s.ID, demand), nil) })
 }
 
@@ -310,8 +312,9 @@ func (n *Network) ScheduleLeave(s *Session, at sim.Time) {
 
 // ScheduleChange changes the session's demand at virtual time at. Changes
 // for stranded sessions update the demand they will rejoin with; changes for
-// sessions that are not joined dissolve.
+// sessions that are not joined dissolve. A demand ≤ 0 panics here.
 func (n *Network) ScheduleChange(s *Session, at sim.Time, demand rate.Rate) {
+	n.apply(nil, control.CheckDemand(demand))
 	n.globalAt(at, func() { n.apply(n.ctl.Change(s.ID, demand), nil) })
 }
 
@@ -324,7 +327,7 @@ func (n *Network) ScheduleSetCapacity(at sim.Time, c rate.Rate, links ...graph.L
 	n.globalAt(at, func() {
 		for _, l := range ls {
 			if int(l) < len(n.links) && n.links[l] != nil {
-				n.links[l].SetCapacity(c)
+				n.links[l].task.SetCapacity(c)
 			}
 			if int(l) < len(n.wires) && n.wires[l] != nil {
 				n.wires[l].SetTx(TxTime(c))
@@ -419,12 +422,12 @@ func (p *port) At(t sim.Time, f func()) {
 }
 
 // hopRef is what a packet needs to know about one link of its session's
-// path: the link's task, the wire a packet going down crosses to leave it,
+// path: the link's record, the wire a packet going down crosses to leave it,
 // and the wire of the reverse link, which a packet going up crosses to
 // reach it. A hop is one index into the session's table and the records
 // these point at; nothing on the way reads the graph or the link tables.
 type hopRef struct {
-	task     *core.RouterLink
+	rec      *linkRec
 	fwd, rev *wireRec
 }
 
@@ -471,6 +474,11 @@ func (em *port) Emit(s core.SessionID, from int, dir core.Direction, pkt core.Pa
 			w = sess.hops[from-2].rev
 		}
 	}
+	if 1 <= to && to <= len(sess.hops) {
+		// A link task receives it microseconds from now: fetch its whole record
+		// while this send goes on, not one miss at a time then (DESIGN.md §3).
+		prefetch(unsafe.Pointer(sess.hops[to-1].rec), unsafe.Sizeof(linkRec{}))
+	}
 	deliver := n.takeDeliver(sess, to, pkt)
 	if w == nil {
 		// Intra-host hand-off (source ↔ its access-link task): no wire. Both
@@ -502,7 +510,7 @@ func (n *Network) deliver(sess *Session, hop int, pkt core.Packet) {
 	case hop == len(sess.hops)+1:
 		sess.dst.Receive(pkt, hop)
 	default:
-		sess.hops[hop-1].task.Receive(pkt, hop)
+		sess.hops[hop-1].rec.task.Receive(pkt, hop)
 	}
 }
 
@@ -515,7 +523,7 @@ func (n *Network) deliver(sess *Session, hop int, pkt core.Packet) {
 func (n *Network) resolveHops(path graph.Path) []hopRef {
 	if want := n.g.NumLinks(); len(n.links) < want {
 		// Hosts and their access links can be added between runs.
-		n.links = append(n.links, make([]*core.RouterLink, want-len(n.links))...)
+		n.links = append(n.links, make([]*linkRec, want-len(n.links))...)
 		n.wires = append(n.wires, make([]*wireRec, want-len(n.wires))...)
 	}
 	hops := make([]hopRef, len(path))
@@ -534,7 +542,7 @@ func (n *Network) resolveHops(path graph.Path) []hopRef {
 	bare := make([]wireRec, unused)
 	for i, l := range path {
 		// The task first: a link's wire then lands in the task's record.
-		hops[i].task = n.routerLink(l)
+		hops[i].rec = n.linkRecord(l)
 		hops[i].fwd = n.wires[l]
 		rev := n.g.LinkReverse(l)
 		if n.wires[rev] == nil {
@@ -546,24 +554,24 @@ func (n *Network) resolveHops(path graph.Path) []hopRef {
 	return hops
 }
 
-// routerLink returns the RouterLink task of a directed link, creating the
-// link's record at first use. The task executes on the link's From node.
-func (n *Network) routerLink(id graph.LinkID) *core.RouterLink {
-	if rl := n.links[id]; rl != nil {
-		return rl
+// linkRecord returns the record of a directed link, creating it at first
+// use. Its task executes on the link's From node.
+func (n *Network) linkRecord(id graph.LinkID) *linkRec {
+	if rec := n.links[id]; rec != nil {
+		return rec
 	}
 	l := n.g.Link(id)
 	rec := new(linkRec)
 	w := n.initWire(&rec.wire, l)
 	rec.task.Init(core.LinkRef(id), l.Capacity, &w.port)
-	n.links[id] = &rec.task
+	n.links[id] = rec
 	if n.wires[id] == nil {
 		// Otherwise the link already served as somebody's way back and keeps
 		// that wire (and its backlog); the record's own then carries only
 		// the task's port.
 		n.wires[id] = w
 	}
-	return &rec.task
+	return rec
 }
 
 func (n *Network) initWire(w *wireRec, l graph.Link) *wireRec {
@@ -609,8 +617,8 @@ func (n *Network) rateOf(id core.SessionID) (rate.Rate, bool, bool) {
 
 // tasks walks the link tasks in link order.
 func (n *Network) tasks(yield func(graph.LinkID, control.Task) bool) {
-	for l, rl := range n.links {
-		if rl != nil && !yield(graph.LinkID(l), rl) {
+	for l, rec := range n.links {
+		if rec != nil && !yield(graph.LinkID(l), &rec.task) {
 			return
 		}
 	}

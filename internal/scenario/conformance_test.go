@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"bneck/internal/rate"
 )
 
 // conformanceTopology is the diamond of reoptimize.bneck with two sessions:
@@ -75,12 +77,17 @@ func agree(sc *Script, simRes, liveRes *Result) error {
 // TestTransportConformance runs one table of control-plane call sequences
 // that a well-formed script never contains through both transports. Each
 // run validates every epoch against the oracle, its expect lines pin the
-// agreed outcome, and the two transports must agree epoch by epoch.
+// agreed outcome, and the two transports must agree epoch by epoch. A row
+// with a bad demand replaces the demand of its last line, a join or change,
+// by one the script language refuses to parse: both transports must refuse
+// the call — the simulator's panics, live's returns the error.
 func TestTransportConformance(t *testing.T) {
+	zero, negative := rate.Zero, rate.Mbps(-5)
 	for _, tc := range []struct {
 		name   string
 		policy string
 		lines  []string
+		bad    *rate.Rate
 	}{
 		{"double join", "", []string{
 			"at 0ms join u demand=10mbps",
@@ -89,14 +96,14 @@ func TestTransportConformance(t *testing.T) {
 			"at 0ms expect rate s 30mbps",
 			"at 10ms join s",
 			"at 10ms expect rate s 70mbps",
-		}},
+		}, nil},
 		{"leave before join", "", []string{
 			"at 0ms join u demand=10mbps",
 			"at 0ms leave s",
 			"at 0ms expect rate s 0",
 			"at 10ms join s",
 			"at 10ms expect rate s 70mbps",
-		}},
+		}, nil},
 		{"change after leave", "", []string{
 			"at 0ms join u demand=10mbps",
 			"at 0ms join s",
@@ -106,7 +113,7 @@ func TestTransportConformance(t *testing.T) {
 			"at 20ms expect rate u 10mbps",
 			"at 30ms join s",
 			"at 30ms expect rate s 70mbps",
-		}},
+		}, nil},
 		{"change while stranded", "", []string{
 			"at 0ms join u demand=10mbps",
 			"at 0ms join s",
@@ -118,7 +125,7 @@ func TestTransportConformance(t *testing.T) {
 			"at 30ms restore ha r1",
 			"at 30ms expect stranded 0",
 			"at 30ms expect rate s 20mbps",
-		}},
+		}, nil},
 		{"leave while stranded, rejoin before restore", "", []string{
 			"at 0ms join u demand=10mbps",
 			"at 0ms join s",
@@ -131,7 +138,7 @@ func TestTransportConformance(t *testing.T) {
 			"at 40ms expect stranded 0",
 			"at 40ms expect rate s 15mbps",
 			"at 40ms expect migrated 0",
-		}},
+		}, nil},
 		{"fail a failed link, restore an up link", "", []string{
 			"at 0ms join u demand=10mbps",
 			"at 0ms join s",
@@ -146,7 +153,7 @@ func TestTransportConformance(t *testing.T) {
 			"at 30ms expect migrated 2",
 			"at 30ms expect reoptimized 0",
 			"at 30ms expect rate s 30mbps",
-		}},
+		}, nil},
 		// s sits out the restore's sweep and rejoins on its last path, the
 		// detour, so only the upgrade's sweep moves it back.
 		{"set-capacity upgrade under reoptimize", "policy reoptimize", []string{
@@ -162,12 +169,35 @@ func TestTransportConformance(t *testing.T) {
 			"at 40ms set-capacity r1 r2 160mbps",
 			"at 40ms expect reoptimized 2",
 			"at 40ms expect rate s 100mbps",
-		}},
+		}, nil},
+		{"join with zero demand", "", []string{
+			"at 0ms join u demand=10mbps",
+			"at 10ms join s demand=1mbps",
+		}, &zero},
+		{"join with negative demand", "", []string{
+			"at 0ms join u demand=10mbps",
+			"at 10ms join s demand=1mbps",
+		}, &negative},
+		{"change to zero demand", "", []string{
+			"at 0ms join u demand=10mbps",
+			"at 0ms join s",
+			"at 10ms change s demand=1mbps",
+		}, &zero},
+		{"change to negative demand", "", []string{
+			"at 0ms join u demand=10mbps",
+			"at 0ms join s",
+			"at 10ms change s demand=1mbps",
+		}, &negative},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sc, err := uncheckedScript(tc.policy+"\n"+conformanceTopology, tc.lines)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.bad != nil {
+				sc.Events[len(sc.Events)-1].Demand = *tc.bad
+				refusesDemand(t, sc, *tc.bad)
+				return
 			}
 			simRes, err := RunSim(sc)
 			if err != nil {
@@ -181,5 +211,23 @@ func TestTransportConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// refusesDemand runs sc, whose last event carries demand d, on both
+// transports: each must stop at that call with the controller's error.
+func refusesDemand(t *testing.T, sc *Script, d rate.Rate) {
+	t.Helper()
+	want := fmt.Sprintf("control: non-positive demand %v", d)
+	simErr := func() (p any) {
+		defer func() { p = recover() }()
+		RunSim(sc)
+		return nil
+	}()
+	if simErr == nil || !strings.Contains(fmt.Sprint(simErr), want) {
+		t.Fatalf("sim: recovered %v, want %q", simErr, want)
+	}
+	if _, err := RunLive(sc); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("live: %v, want %q", err, want)
 	}
 }

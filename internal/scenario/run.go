@@ -230,11 +230,11 @@ func RunLive(sc *Script) (*Result, error) {
 			var err error
 			switch ev.Op {
 			case OpJoin:
-				sessions[ev.sessionIdx].Join(ev.Demand)
+				err = sessions[ev.sessionIdx].Join(ev.Demand)
 			case OpLeave:
 				sessions[ev.sessionIdx].Leave()
 			case OpChange:
-				sessions[ev.sessionIdx].Change(ev.Demand)
+				err = sessions[ev.sessionIdx].Change(ev.Demand)
 			case OpFail:
 				err = rt.FailLinks(ev.ab, ev.ba)
 			case OpRestore:

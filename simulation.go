@@ -272,7 +272,7 @@ type Session struct {
 func (s *Session) ID() SessionID { return SessionID(s.inner.Current().ID) }
 
 // JoinAt schedules API.Join(s, demand) at virtual time at (which must not be
-// in the past).
+// in the past). A demand ≤ 0 panics here; Unlimited is the largest.
 func (s *Session) JoinAt(at time.Duration, demand Rate) {
 	s.sim.net.ScheduleJoin(s.inner, at, demand)
 }
@@ -282,7 +282,7 @@ func (s *Session) LeaveAt(at time.Duration) {
 	s.sim.net.ScheduleLeave(s.inner, at)
 }
 
-// ChangeAt schedules API.Change(s, demand) at virtual time at.
+// ChangeAt schedules API.Change(s, demand) at time at; a demand ≤ 0 panics here.
 func (s *Session) ChangeAt(at time.Duration, demand Rate) {
 	s.sim.net.ScheduleChange(s.inner, at, demand)
 }
