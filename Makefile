@@ -77,7 +77,7 @@ benchmark-check:
 	$(GO) test -C benchmark ./...
 	$(GO) run -C benchmark . -scale tiny
 
-# The model-checking gate (DESIGN.md §16): the regression corpus, a
+# The model-checking gate (DESIGN.md §13): the regression corpus, a
 # 2000-seed swarm over the paper fixture (4 sessions, 3 epochs, its expects,
 # a live run every 500 seeds), a 200-seed fuzzing swarm on the metro rung
 # under the race detector, and the two explorers — the controller explorer

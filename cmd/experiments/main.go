@@ -72,7 +72,7 @@ func main() {
 		big        = flag.Bool("big", false, "include the Big (11,000 router) topology in experiments 1, 4 and 5")
 		counts     = flag.String("counts", "", "comma-separated session counts for experiment 1 (overrides defaults)")
 		protocols  = flag.String("protocols", "bneck,bfyz", "comma-separated protocols for experiment 3 (bneck,bfyz,cg,rcp)")
-		validate   = flag.Bool("validate", true, "cross-check B-Neck runs against the centralized oracle")
+		validate   = flag.Bool("validate", true, "cross-check experiments 1 and 2 against the centralized oracle (experiments 3-5 always validate; 4 and 5 are scenario scripts)")
 		quiet      = flag.Bool("q", false, "suppress progress lines")
 		csvDir     = flag.String("csv", "", "also write figure data as CSV files into this directory")
 		workers    = flag.Int("workers", 1, "parallel sweep workers per fan-out level (1 = serial, negative = GOMAXPROCS); output is identical at any setting")
@@ -178,7 +178,6 @@ func main() {
 				cfg.Sizes = append(cfg.Sizes, topology.Big)
 			}
 			cfg.Seeds = []int64{*seed, *seed + 1, *seed + 2}
-			cfg.Validate = *validate
 			cfg.Sessions = scaled(cfg.Sessions)
 			cfg.Churn = scaled(cfg.Churn)
 			cfg.Progress = progress
@@ -194,7 +193,6 @@ func main() {
 				cfg.Sizes = append(cfg.Sizes, topology.Big)
 			}
 			cfg.Seeds = []int64{*seed, *seed + 1}
-			cfg.Validate = *validate
 			cfg.Sessions = scaled(cfg.Sessions)
 			cfg.Progress = progress
 			cfg.Workers = *workers

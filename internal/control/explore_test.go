@@ -34,7 +34,7 @@ type exConfig struct {
 	policy   Policy
 	ops      []exOp // the operations offered; nil: every one of the configuration
 	k        int
-	livelock bool // the protocol explorer finds the known livelock (DESIGN.md §16)
+	livelock bool // the protocol explorer finds the known livelock (DESIGN.md §13)
 }
 
 // exConfigs are the committed searches: the rig's five-router graph under

@@ -34,7 +34,7 @@ import (
 // protoConfigs are the committed searches: one session on a line, sized for
 // the bug doubles (a stale rejoin after [join0 leave0 join0], a left session
 // still stranded after [join0 fail0 leave0]); two sessions sharing a
-// bottleneck, which holds the known livelock (DESIGN.md §16: after a
+// bottleneck, which holds the known livelock (DESIGN.md §13: after a
 // re-probe, each session's SetBottleneck can pass the shared link while the
 // other is mid-probe, reach its destination unconfirmed and trigger the
 // other's next re-probe, forever); and two sessions moved together when the

@@ -191,18 +191,8 @@ func PlaceSessions(topo topology.Hosted, net *network.Network, count int) ([]*ne
 	if err != nil {
 		return nil, err
 	}
-	// Sessions are registered grouped by source router (stably), so their
-	// IDs follow this order, and so does every CSV an experiment writes.
-	g := topo.Topology()
-	order := make([]int, count)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return g.HostRouter(pairs[order[a]][0]) < g.HostRouter(pairs[order[b]][0])
-	})
 	sessions := make([]*network.Session, count)
-	for _, i := range order {
+	for _, i := range byRouter(topo.Topology(), pairs) {
 		path, err := net.HostPath(pairs[i][0], pairs[i][1])
 		if err != nil {
 			return nil, err
@@ -214,4 +204,18 @@ func PlaceSessions(topo topology.Hosted, net *network.Network, count int) ([]*ne
 		sessions[i] = s
 	}
 	return sessions, nil
+}
+
+// byRouter orders the pairs' indexes by source router (stably): the order
+// sessions are registered in, so their IDs follow it, and so does every CSV
+// an experiment writes.
+func byRouter(g *graph.Graph, pairs [][2]graph.NodeID) []int {
+	order := make([]int, len(pairs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return g.HostRouter(pairs[order[a]][0]) < g.HostRouter(pairs[order[b]][0])
+	})
+	return order
 }

@@ -7,10 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"bneck/internal/graph"
-	"bneck/internal/network"
-	"bneck/internal/rate"
-	"bneck/internal/sim"
 	"bneck/internal/topology"
 	"bneck/internal/trace"
 )
@@ -20,8 +16,9 @@ import (
 // every reconfiguration epoch mixes session churn with topology events —
 // link failures, restorations and capacity changes on links actually
 // carrying traffic — and measures how much control traffic and virtual time
-// B-Neck needs to re-reach quiescence. Every epoch is validated against the
-// water-filling oracle. One sweep cell per (topology, scenario, seed).
+// B-Neck needs to re-reach quiescence. One sweep cell per (topology,
+// scenario, seed); each cell is a generated scenario script (exp4Script)
+// whose every epoch validates against the water-filling oracle.
 type Exp4Config struct {
 	Sizes     []topology.Params
 	Scenarios []topology.Scenario
@@ -32,9 +29,7 @@ type Exp4Config struct {
 	Epochs int
 	// Churn sessions join, Churn leave and Churn change their demand in every
 	// epoch, alongside the topology events.
-	Churn int
-	// Validate cross-checks every epoch against the centralized oracle.
-	Validate bool
+	Churn    int
 	Progress io.Writer
 	// Workers bounds how many sweep cells run concurrently. Every cell has
 	// its own engine, topology and seeded RNG, so results (and CSV output)
@@ -60,7 +55,6 @@ func DefaultExp4() Exp4Config {
 		Sessions:  500,
 		Epochs:    8,
 		Churn:     25,
-		Validate:  true,
 	}
 }
 
@@ -104,166 +98,87 @@ func RunExperiment4(cfg Exp4Config) ([]Exp4Row, error) {
 	return sweep(grid(cfg.Sizes, cfg.Scenarios, cfg.Seeds), cfg.Workers, cfg.Progress,
 		func(c gridCell[int64]) string { return fmt.Sprintf("exp4 %s/%s/seed%d", c.size.Name, c.scen, c.n) },
 		func(c gridCell[int64]) ([]Exp4Row, string, error) {
-			rows, err := runExp4Cell(cfg, c.size, c.scen, c.n)
+			src, divs, err := exp4Script(cfg, c.size, c.scen, c.n)
 			if err != nil {
 				return nil, "", err
 			}
-			var pk uint64
-			for _, r := range rows {
-				pk += r.Packets
+			res, err := runScript(src)
+			if err != nil {
+				return nil, "", err
 			}
+			rows := make([]Exp4Row, len(res.Epochs))
+			var migrated uint64
+			for e, ep := range res.Epochs {
+				// The topology events, named as the table always has: "fail
+				// a-b", "restore a-b" and "cap/<div> a-b".
+				var events []string
+				for _, ev := range ep.Events {
+					switch f := strings.Fields(ev); f[0] {
+					case "fail", "restore":
+						events = append(events, f[0]+" "+f[1])
+					case "set-capacity":
+						events = append(events, fmt.Sprintf("cap/%d %s", divs[e], f[1]))
+					}
+				}
+				rows[e] = Exp4Row{
+					Network: c.size.Name, Scenario: c.scen.String(), Seed: c.n, Epoch: e,
+					Events: strings.Join(events, "+"), Joins: cfg.Churn, Leaves: cfg.Churn, Changes: cfg.Churn,
+					Active: ep.Active, Stranded: ep.Stranded, Migrated: ep.Migrations - migrated,
+					Requiescence: ep.Requiescence, Packets: ep.Packets,
+				}
+				migrated = ep.Migrations
+			}
+			rows[0].Events, rows[0].Joins, rows[0].Leaves, rows[0].Changes = "join burst", cfg.Sessions, 0, 0
 			return rows, fmt.Sprintf("exp4 %-6s %-3s seed=%-3d epochs=%-3d packets=%d\n",
-				c.size.Name, c.scen, c.n, len(rows)-1, pk), nil
+				c.size.Name, c.scen, c.n, len(rows)-1, res.TotalPackets), nil
 		})
 }
 
-func runExp4Cell(cfg Exp4Config, size topology.Params, scen topology.Scenario, seed int64) ([]Exp4Row, error) {
-	topo, err := topology.Generate(size, scen, seed)
-	if err != nil {
-		return nil, err
-	}
-	g := topo.Graph
-	eng := sim.New()
-	net := network.New(g, eng, network.DefaultConfig())
-
+// exp4Script generates one Experiment 4 cell as a scenario script: the base
+// join burst, then one after block per epoch. It also returns each epoch's
+// capacity divisor (0 where the epoch cuts no capacity).
+func exp4Script(cfg Exp4Config, size topology.Params, scen topology.Scenario, seed int64) (string, []int, error) {
+	var b strings.Builder
 	// All sessions — the base population and every epoch's joiners — are
-	// placed up front (the exp2 pattern). Joiners whose resolved path breaks
-	// before their join fires reroute at join time.
-	total := cfg.Sessions + cfg.Epochs*cfg.Churn
-	sessions, err := PlaceSessions(topo, net, total)
-	if err != nil {
-		return nil, err
+	// declared up front; a joiner whose path broke before its join reroutes
+	// at join time.
+	if _, _, err := cellScript(&b, size, scen, seed, cfg.Sessions+cfg.Epochs*cfg.Churn); err != nil {
+		return "", nil, err
 	}
 	rng := rand.New(rand.NewSource(seed + 31))
 	demands := trace.MixedDemands(0.3, 1, 100)
-
-	var rows []Exp4Row
-	var lastPackets, lastMigrated uint64
-	runEpoch := func(epoch int, start time.Duration, events string, joins, leaves, changes int) error {
-		q := net.Run()
-		// Oracle-validate only epochs that could have moved the allocation:
-		// ones whose churn or topology events touched the session set or a
-		// capacity. An idle epoch (possible when Churn is 0 and no in-use
-		// link was found) re-quiesces instantly with the allocation the
-		// previous epoch already validated — on Big cells the skipped
-		// water-filling run is a real saving.
-		changed := epoch == 0 || joins+leaves+changes > 0 || events != ""
-		if cfg.Validate && changed {
-			if err := net.Validate(); err != nil {
-				return fmt.Errorf("epoch %d: %w", epoch, err)
-			}
-		}
-		active, stranded := 0, 0
-		for _, s := range sessions {
-			switch {
-			case s.Stranded():
-				stranded++
-			case s.Active():
-				active++
-			}
-		}
-		pk, mg := net.Stats().Total(), net.Migrations()
-		req := time.Duration(0)
-		if q > start {
-			req = q - start
-		}
-		rows = append(rows, Exp4Row{
-			Network: size.Name, Scenario: scen.String(), Seed: seed, Epoch: epoch,
-			Events: events, Joins: joins, Leaves: leaves, Changes: changes,
-			Active: active, Stranded: stranded, Migrated: mg - lastMigrated,
-			Requiescence: req, Packets: pk - lastPackets,
-		})
-		lastPackets, lastMigrated = pk, mg
-		return nil
+	b.WriteString("after 0s {\n")
+	writeChurn(&b, trace.Joins(0, cfg.Sessions, 0, exp4Window, trace.Unbounded, rng))
+	active := make([]int, cfg.Sessions)
+	for i := range active {
+		active[i] = i
 	}
-
-	// Epoch 0: base join burst.
-	schedule(net, sessions, trace.Joins(0, cfg.Sessions, 0, exp4Window, trace.Unbounded, rng))
-	active := make([]int, 0, total)
-	for i := 0; i < cfg.Sessions; i++ {
-		active = append(active, i)
-	}
-	if err := runEpoch(0, 0, "join burst", cfg.Sessions, 0, 0); err != nil {
-		return nil, err
-	}
-
-	// linkInUse returns an up link on an active session's router segment,
-	// scanning sessions round-robin from a rotating offset so successive
-	// epochs disturb different parts of the network.
-	linkInUse := func(offset int, exclude map[graph.LinkID]bool) (graph.LinkID, bool) {
-		for k := 0; k < len(active); k++ {
-			s := sessions[active[(offset+k)%len(active)]]
-			if !s.Active() {
-				continue
-			}
-			cur := s.Current()
-			p := cur.Path
-			for _, l := range p[1 : len(p)-1] {
-				if g.LinkUp(l) && !exclude[l] && !exclude[g.Link(l).Reverse] {
-					return l, true
-				}
-			}
-		}
-		return graph.NoLink, false
-	}
-	linkName := func(l graph.LinkID) string {
-		gl := g.Link(l)
-		return g.Node(gl.From).Name + "-" + g.Node(gl.To).Name
-	}
-
-	var down []graph.LinkID
+	divs := make([]int, cfg.Epochs+1)
 	for epoch := 1; epoch <= cfg.Epochs; epoch++ {
-		start := eng.Now() + exp4Gap
-		var events []string
-		taken := make(map[graph.LinkID]bool)
-
-		// Fail one in-use router link (duplex).
-		if l, ok := linkInUse(epoch*7, taken); ok {
-			taken[l] = true
-			down = append(down, l)
-			net.ScheduleLinkFail(start, l, g.Link(l).Reverse)
-			events = append(events, "fail "+linkName(l))
+		// Fail one in-use router link (duplex), every other epoch restore the
+		// oldest failed one, and every third cut another in-use link's
+		// capacity to a half or a third. The picks rotate, so successive
+		// epochs disturb different parts of the network.
+		fmt.Fprintf(&b, "}\nafter %v {\nat 0s fail in-use pick=%d\n", exp4Gap, epoch*7)
+		if epoch%2 == 0 {
+			b.WriteString("at 0s restore failed\n")
 		}
-		// Every other epoch, restore the oldest failed link.
-		if epoch%2 == 0 && len(down) > 0 {
-			l := down[0]
-			down = down[1:]
-			net.ScheduleLinkRestore(start, l, g.Link(l).Reverse)
-			events = append(events, "restore "+linkName(l))
-		}
-		// Every third epoch, reconfigure the capacity of another in-use link.
 		if epoch%3 == 0 {
-			if l, ok := linkInUse(epoch*13, taken); ok {
-				taken[l] = true
-				factor := 2
-				if rng.Intn(2) == 0 {
-					factor = 3
-				}
-				c := g.Capacity(l).DivInt(factor)
-				if c.Sign() <= 0 {
-					c = rate.Mbps(10)
-				}
-				net.ScheduleSetCapacity(start, c, l, g.Link(l).Reverse)
-				events = append(events, "cap/"+fmt.Sprint(factor)+" "+linkName(l))
-			}
+			divs[epoch] = 3 - rng.Intn(2)
+			fmt.Fprintf(&b, "at 0s set-capacity in-use pick=%d div=%d\n", epoch*13, divs[epoch])
 		}
-
-		// Session churn: joiners from the pre-placed pool, leavers and
-		// changers sampled from the active set.
+		// Session churn: joiners from the declared pool, leavers and changers
+		// sampled from the active set.
 		firstJoin := cfg.Sessions + (epoch-1)*cfg.Churn
-		joins := trace.Joins(firstJoin, cfg.Churn, start, exp4Window, demands, rng)
+		joins := trace.Joins(firstJoin, cfg.Churn, 0, exp4Window, demands, rng)
 		leavers := trace.Sample(active, cfg.Churn, rng)
 		active = removeAll(active, leavers)
-		leaves := trace.Leaves(leavers, start, exp4Window, rng)
-		changers := trace.Sample(active, cfg.Churn, rng)
-		schedule(net, sessions, joins, leaves, trace.Changes(changers, start, exp4Window, demands, rng))
+		leaves := trace.Leaves(leavers, 0, exp4Window, rng)
+		writeChurn(&b, joins, leaves, trace.Changes(trace.Sample(active, cfg.Churn, rng), 0, exp4Window, demands, rng))
 		for i := firstJoin; i < firstJoin+cfg.Churn; i++ {
 			active = append(active, i)
 		}
-
-		if err := runEpoch(epoch, start, strings.Join(events, "+"), cfg.Churn, cfg.Churn, cfg.Churn); err != nil {
-			return nil, err
-		}
 	}
-	return rows, nil
+	b.WriteString("}\n")
+	return b.String(), divs, nil
 }

@@ -106,7 +106,7 @@ func TestExp4CSVDigest(t *testing.T) {
 	if err := WriteExp4CSV(&buf, rows); err != nil {
 		t.Fatal(err)
 	}
-	const want = "3a3f521fa1e5742b0094e6d1df8effc5b016febf4d18210f0e982ed742c4eeb5"
+	const want = "f4d0851c0ee0f002afdd16f9650eec24a68ca69856e486878c7daf1c35118afe"
 	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
 		t.Fatalf("exp4 CSV digest %s, want %s:\n%s", got, want, buf.Bytes())
 	}

@@ -4,13 +4,12 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 	"time"
 
 	"bneck/internal/control"
 	"bneck/internal/graph"
-	"bneck/internal/network"
 	"bneck/internal/rate"
-	"bneck/internal/sim"
 	"bneck/internal/topology"
 	"bneck/internal/trace"
 )
@@ -18,12 +17,12 @@ import (
 // Exp5Config parameterizes Experiment 5, the path re-optimization study: a
 // base population joins a transit-stub network, a batch of in-use router
 // links fails (forcing detour migrations), and the links are then restored.
-// Each sweep cell runs the identical workload twice — once under the Pinned
-// policy (sessions stay on their detours forever, the paper's behavior) and
-// once under ReoptimizeOnRestore — and measures what re-optimization buys
-// (path hops regained, rate regained) against what it costs (extra
-// reconfiguration packets). Every phase is validated against the
-// water-filling oracle.
+// Each sweep cell runs the identical generated script (exp5Script) twice —
+// once under the Pinned policy (sessions stay on their detours forever, the
+// paper's behavior) and once under ReoptimizeOnRestore — and measures what
+// re-optimization buys (path hops regained, rate regained) against what it
+// costs (extra reconfiguration packets). Every phase is validated against
+// the water-filling oracle.
 type Exp5Config struct {
 	Sizes     []topology.Params
 	Scenarios []topology.Scenario
@@ -32,9 +31,7 @@ type Exp5Config struct {
 	Sessions int
 	// Fails is how many distinct in-use duplex router links fail in the
 	// failure phase (all restored together in the restore phase).
-	Fails int
-	// Validate cross-checks every phase against the centralized oracle.
-	Validate bool
+	Fails    int
 	Progress io.Writer
 	// Workers bounds how many sweep cells run concurrently; results are
 	// byte-identical to a serial run (each cell owns its engines and RNGs).
@@ -56,7 +53,6 @@ func DefaultExp5() Exp5Config {
 		Seeds:     []int64{1, 2},
 		Sessions:  300,
 		Fails:     4,
-		Validate:  true,
 	}
 }
 
@@ -108,13 +104,9 @@ func RunExperiment5(cfg Exp5Config) ([]Exp5Row, error) {
 	return sweep(grid(cfg.Sizes, cfg.Scenarios, cfg.Seeds), cfg.Workers, cfg.Progress,
 		func(c gridCell[int64]) string { return fmt.Sprintf("exp5 %s/%s/seed%d", c.size.Name, c.scen, c.n) },
 		func(c gridCell[int64]) ([]Exp5Row, string, error) {
-			var rows []Exp5Row
-			for _, policy := range []control.Policy{control.Pinned, control.ReoptimizeOnRestore} {
-				rs, err := runExp5Cell(cfg, c.size, c.scen, c.n, policy)
-				if err != nil {
-					return nil, "", fmt.Errorf("%s: %w", policy, err)
-				}
-				rows = append(rows, rs...)
+			rows, err := runExp5Cell(cfg, c.size, c.scen, c.n)
+			if err != nil {
+				return nil, "", err
 			}
 			last := rows[len(rows)-1]
 			return rows, fmt.Sprintf("exp5 %-6s %-3s seed=%-3d reoptimized=%-3d reconfig_pkts=%d\n",
@@ -122,129 +114,93 @@ func RunExperiment5(cfg Exp5Config) ([]Exp5Row, error) {
 		})
 }
 
-func runExp5Cell(cfg Exp5Config, size topology.Params, scen topology.Scenario, seed int64, policy control.Policy) ([]Exp5Row, error) {
-	topo, err := topology.Generate(size, scen, seed)
+// exp5Script generates one Experiment 5 cell as a scenario script without
+// its policy line: the base join burst, a block failing cfg.Fails in-use
+// links picked from sessions spread evenly over the population (so the
+// detours multiply), and a block restoring them all. It also returns the
+// topology the script names and the sessions' host pairs in declaration
+// order.
+func exp5Script(cfg Exp5Config, size topology.Params, scen topology.Scenario, seed int64) (string, topology.Hosted, [][2]graph.NodeID, error) {
+	var b strings.Builder
+	topo, pairs, err := cellScript(&b, size, scen, seed, cfg.Sessions)
 	if err != nil {
-		return nil, err
+		return "", nil, nil, err
 	}
-	g := topo.Graph
-	netCfg := network.DefaultConfig()
-	netCfg.PathPolicy = policy
-	eng := sim.New()
-	net := network.New(g, eng, netCfg)
-
-	sessions, err := PlaceSessions(topo, net, cfg.Sessions)
-	if err != nil {
-		return nil, err
+	b.WriteString("after 0s {\n")
+	writeChurn(&b, trace.Joins(0, cfg.Sessions, 0, exp5Window, trace.Unbounded, rand.New(rand.NewSource(seed+41))))
+	fmt.Fprintf(&b, "}\nafter %v {\n", exp5Gap)
+	for k := 0; k < cfg.Fails; k++ {
+		fmt.Fprintf(&b, "at 0s fail in-use pick=%d\n", k*cfg.Sessions/cfg.Fails)
 	}
-
-	var rows []Exp5Row
-	var lastPackets, lastReconfig uint64
-	runPhase := func(phase string, start time.Duration) error {
-		q := net.Run()
-		if cfg.Validate {
-			if err := net.Validate(); err != nil {
-				return fmt.Errorf("phase %s: %w", phase, err)
-			}
-		}
-		row := Exp5Row{
-			Network: size.Name, Scenario: scen.String(), Seed: seed,
-			Policy: policy.String(), Phase: phase,
-			Migrated: net.Migrations(), Reoptimized: net.Reoptimizations(),
-		}
-		sumRate := rate.Zero
-		for _, s := range sessions {
-			switch {
-			case s.Stranded():
-				row.Stranded++
-				continue
-			case !s.Active():
-				continue
-			}
-			row.Active++
-			cur := s.Current()
-			row.HopsActive += len(cur.Path)
-			if best, err := net.HostPath(cur.SrcHost, cur.DstHost); err == nil {
-				row.HopsBest += len(best)
-			}
-			if r, ok := s.Rate(); ok {
-				sumRate = sumRate.Add(r)
-			}
-		}
-		row.SumRateMbps = sumRate.Float64() / 1e6
-		pk, rp := net.Stats().Total(), net.ReconfigPackets()
-		row.Packets = pk - lastPackets
-		row.ReconfigPackets = rp - lastReconfig
-		lastPackets, lastReconfig = pk, rp
-		if q > start {
-			row.Requiescence = q - start
-		}
-		rows = append(rows, row)
-		return nil
-	}
-
-	// Base phase: the join burst.
-	schedule(net, sessions, trace.Joins(0, cfg.Sessions, 0, exp5Window, trace.Unbounded, rand.New(rand.NewSource(seed+41))))
-	if err := runPhase("base", 0); err != nil {
-		return nil, err
-	}
-
-	// Failure phase: fail a batch of distinct in-use duplex router links,
-	// spread across different sessions' paths so the detours multiply.
-	fails := pickFailLinks(g, sessions, cfg.Fails)
-	if len(fails) == 0 {
-		return nil, fmt.Errorf("no in-use router link to fail")
-	}
-	start := eng.Now() + exp5Gap
-	for _, l := range fails {
-		net.ScheduleLinkFail(start, l, g.Link(l).Reverse)
-	}
-	if err := runPhase("fail", start); err != nil {
-		return nil, err
-	}
-
-	// Restore phase: everything comes back — where the policies diverge.
-	start = eng.Now() + exp5Gap
-	for _, l := range fails {
-		net.ScheduleLinkRestore(start, l, g.Link(l).Reverse)
-	}
-	if err := runPhase("restore", start); err != nil {
-		return nil, err
-	}
-	return rows, nil
+	fmt.Fprintf(&b, "}\nafter %v {\n%s}\n", exp5Gap, strings.Repeat("at 0s restore failed\n", cfg.Fails))
+	return b.String(), topo, pairs, nil
 }
 
-// pickFailLinks selects up to n distinct in-use duplex router links,
-// scanning the sessions' router segments in creation order and taking at
-// most one new link per session per pass, so the failures spread across the
-// population instead of gutting one path. Deterministic: same state, same
-// picks.
-func pickFailLinks(g *graph.Graph, sessions []*network.Session, n int) []graph.LinkID {
-	taken := make(map[graph.LinkID]bool)
-	var out []graph.LinkID
-	for len(out) < n {
-		before := len(out)
-		for _, s := range sessions {
-			if len(out) >= n {
-				break
+var exp5Phases = []string{"base", "fail", "restore"}
+
+func runExp5Cell(cfg Exp5Config, size topology.Params, scen topology.Scenario, seed int64) ([]Exp5Row, error) {
+	src, topo, pairs, err := exp5Script(cfg, size, scen, seed)
+	if err != nil {
+		return nil, err
+	}
+	// HopsBest is measured on the generator's copy of the topology, with the
+	// phase's failed links down, so scripts run no path queries for it.
+	g := topo.Topology()
+	paths := graph.NewResolver(g, 0)
+	node := make(map[string]graph.NodeID, g.NumNodes())
+	for i := range graph.NodeID(g.NumNodes()) {
+		node[g.Node(i).Name] = i
+	}
+	var rows []Exp5Row
+	for _, policy := range []control.Policy{control.Pinned, control.ReoptimizeOnRestore} {
+		res, err := runScript("policy " + policy.String() + "\n" + src)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", policy, err)
+		}
+		var reconfig uint64
+		for i, ep := range res.Epochs {
+			for _, ev := range ep.Events {
+				f := strings.Fields(ev)
+				if f[0] != "fail" && f[0] != "restore" {
+					continue // the base phase's joins
+				}
+				a, b, _ := strings.Cut(f[1], "-")
+				for l := range g.Out(node[a]) {
+					if g.LinkTo(l) != node[b] {
+						continue
+					}
+					if f[0] == "fail" {
+						g.FailLink(l)
+						g.FailLink(g.LinkReverse(l))
+					} else {
+						g.RestoreLink(l)
+						g.RestoreLink(g.LinkReverse(l))
+					}
+				}
 			}
-			if !s.Active() {
-				continue
+			row := Exp5Row{
+				Network: size.Name, Scenario: scen.String(), Seed: seed,
+				Policy: policy.String(), Phase: exp5Phases[i],
+				Active: ep.Active, Stranded: ep.Stranded,
+				Migrated: ep.Migrations, Reoptimized: ep.Reoptimizations,
+				Requiescence: ep.Requiescence, Packets: ep.Packets,
+				ReconfigPackets: ep.ReconfigPackets - reconfig,
 			}
-			p := s.Current().Path
-			for _, l := range p[1 : len(p)-1] {
-				if !g.LinkUp(l) || taken[l] {
+			reconfig = ep.ReconfigPackets
+			sum := rate.Zero
+			for k, s := range ep.Sessions {
+				if s.State != control.Active {
 					continue
 				}
-				taken[l] = true
-				taken[g.Link(l).Reverse] = true
-				out = append(out, l)
-				break // one link per session per pass
+				row.HopsActive += len(s.Path)
+				if best, err := paths.HostPath(pairs[k][0], pairs[k][1]); err == nil {
+					row.HopsBest += len(best)
+				}
+				sum = sum.Add(s.Rate)
 			}
-		}
-		if len(out) == before {
-			break // no eligible links left
+			row.SumRateMbps = sum.Float64() / 1e6
+			rows = append(rows, row)
 		}
 	}
-	return out
+	return rows, nil
 }

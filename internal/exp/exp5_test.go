@@ -84,7 +84,7 @@ func TestExp5CSVDigest(t *testing.T) {
 	if err := WriteExp5CSV(&buf, rows); err != nil {
 		t.Fatal(err)
 	}
-	const want = "7dee02457255e5cae02b24ffae6a5bd9dea8f73d5ac6163e4e9138247fb74690"
+	const want = "327b6aa35744629a5886fd1097831c653e713d3efe9318711bfb7cc62745b653"
 	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
 		t.Fatalf("exp5 CSV digest %s, want %s:\n%s", got, want, buf.Bytes())
 	}

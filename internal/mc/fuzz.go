@@ -21,13 +21,13 @@ const fuzzGrid = 5 * time.Millisecond
 const fuzzAttempts = 32
 
 // Fuzz derives a model whose churn timings are perturbed deterministically
-// from seed: every event after t=0 is jittered by up to two grid cells and
-// snapped to the grid. The t=0 epoch is pinned so the workload's initial
-// population is preserved. Scripted `expect` assertions are dropped — they
-// are golden values for the original timeline, meaningless after
-// perturbation — so fuzzed runs are judged purely by the schedule-independent
-// invariants (quiescence bound, oracle exactness, stale incarnations,
-// Validate).
+// from seed: every event after t=0 outside after blocks is jittered by up to
+// two grid cells and snapped to the grid; the t=0 epoch (the initial
+// population) and the blocks stay.
+// Scripted `expect` assertions are dropped — golden values for the original
+// timeline, meaningless after perturbation — so fuzzed runs are judged
+// purely by the schedule-independent invariants (quiescence bound, oracle
+// exactness, stale incarnations, Validate).
 func Fuzz(m *Model, seed int64) (*Model, error) {
 	if seed == 0 {
 		return nil, fmt.Errorf("mc: fuzz seed must be nonzero (zero marks an unfuzzed trace)")
@@ -47,7 +47,7 @@ func Fuzz(m *Model, seed int64) (*Model, error) {
 				scenario.OpExpectStranded, scenario.OpExpectReoptimized:
 				continue
 			}
-			if ev.At > 0 {
+			if ev.At > 0 && ev.Block == 0 {
 				jitter := time.Duration(rng.Intn(5)-2) * fuzzGrid
 				at := ev.At + jitter
 				at = (at / fuzzGrid) * fuzzGrid

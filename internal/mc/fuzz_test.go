@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -126,5 +127,72 @@ func TestFuzzKeepsDurationsSane(t *testing.T) {
 			t.Fatalf("timeline unsorted after fuzz: %v after %v", ev.At, last)
 		}
 		last = ev.At
+	}
+}
+
+// blockScript mixes absolute epochs with after blocks: a Fuzz of it may move
+// the absolute events, but no event may cross into, out of or between
+// blocks, nor move inside one.
+const blockScript = `router r1
+router r2
+router r3
+host h1 r1
+host h2 r2
+link r1 r2 100mbps 1ms
+link r1 r3 100mbps 1ms
+link r3 r2 100mbps 1ms
+session s1 h1 h2
+session s2 h1 h2
+at 0ms join s1
+at 20ms join s2 demand=30mbps
+at 40ms change s1 demand=50mbps
+after 5ms {
+  at 0ms fail in-use pick=0
+  at 1ms leave s2
+}
+after 5ms {
+  at 0ms restore failed
+  at 2ms join s2
+  at 3ms expect stranded 0
+}
+`
+
+func TestFuzzKeepsBlocks(t *testing.T) {
+	m := mustModel(t, blockScript)
+	type placed struct {
+		block int
+		at    time.Duration
+		line  int
+	}
+	blocked := func(sc *scenario.Script) (out []placed) {
+		for i, ev := range sc.Events {
+			if i > 0 && sc.Events[i-1].Block > ev.Block {
+				t.Fatalf("event on line %d (block %d) sorts after block %d", ev.Line, ev.Block, sc.Events[i-1].Block)
+			}
+			if ev.Block > 0 && ev.Op != scenario.OpExpectStranded {
+				out = append(out, placed{ev.Block, ev.At, ev.Line})
+			}
+		}
+		return out
+	}
+	want := blocked(m.Script)
+	moved := false
+	for seed := int64(1); seed <= 40; seed++ {
+		f, err := Fuzz(m, seed)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if got := blocked(f.Script); !slices.Equal(got, want) {
+			t.Fatalf("seed %d moved block events: %v, want %v", seed, got, want)
+		}
+		for i, ev := range f.Script.Events {
+			moved = moved || ev.Block == 0 && ev.At != m.Script.Events[i].At
+		}
+		if _, v := runOnce(f, &replayPicker{}); v != nil {
+			t.Fatalf("seed %d: fuzzed block workload violated in default order: %v", seed, v)
+		}
+	}
+	if !moved {
+		t.Fatal("no seed perturbed an absolute event")
 	}
 }

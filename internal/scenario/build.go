@@ -18,8 +18,12 @@ type world struct {
 	epochs []epoch
 }
 
+// An epoch is the events sharing a time, or one after block (block > 0),
+// which starts after the previous epoch quiesced.
 type epoch struct {
 	at     time.Duration
+	block  int
+	after  time.Duration
 	events []resolvedEvent
 }
 
@@ -28,7 +32,8 @@ type resolvedEvent struct {
 	// sessionIdx indexes Script.Sessions for session ops (and expect-rate
 	// assertions naming a session).
 	sessionIdx int
-	// ab/ba are the duplex pair for topology ops.
+	// ab/ba are the duplex pair for topology ops; a selector's are set when
+	// its epoch starts.
 	ab, ba graph.LinkID
 	// host is the asserted host for expect-rate events naming a host.
 	host graph.NodeID
@@ -110,17 +115,20 @@ func build(sc *Script) (*world, error) {
 				return nil, fmt.Errorf("scenario: line %d: expect rate names unknown session or host %q", ev.Line, ev.Session)
 			}
 			rev.host = id
-		default:
+		case OpFail, OpRestore, OpSetCapacity:
+			if ev.Selected {
+				break
+			}
 			ab, ba, err := w.linkBetween(ev.A, ev.B)
 			if err != nil {
 				return nil, fmt.Errorf("scenario: line %d: %w", ev.Line, err)
 			}
 			rev.ab, rev.ba = ab, ba
 		}
-		if n := len(w.epochs); n > 0 && w.epochs[n-1].at == ev.At {
+		if n := len(w.epochs); n > 0 && w.epochs[n-1].block == ev.Block && (ev.Block > 0 || w.epochs[n-1].at == ev.At) {
 			w.epochs[n-1].events = append(w.epochs[n-1].events, rev)
 		} else {
-			w.epochs = append(w.epochs, epoch{at: ev.At, events: []resolvedEvent{rev}})
+			w.epochs = append(w.epochs, epoch{at: ev.At, block: ev.Block, after: ev.After, events: []resolvedEvent{rev}})
 		}
 	}
 	return w, nil

@@ -63,11 +63,11 @@ func agree(sc *Script, simRes, liveRes *Result) error {
 		return fmt.Errorf("%d sim epochs, %d live epochs", len(simRes.Epochs), len(liveRes.Epochs))
 	}
 	for i, se := range simRes.Epochs {
-		for k, ss := range se.sessions {
-			ls := liveRes.Epochs[i].sessions[k]
-			if ss.state != ls.state || !slices.Equal(ss.path, ls.path) || !ss.rate.Equal(ls.rate) {
+		for k, ss := range se.Sessions {
+			ls := liveRes.Epochs[i].Sessions[k]
+			if ss.State != ls.State || !slices.Equal(ss.Path, ls.Path) || !ss.Rate.Equal(ls.Rate) {
 				return fmt.Errorf("epoch %v: session %s: sim %v on %v at %v, live %v on %v at %v",
-					se.At, sc.Sessions[k].Name, ss.state, ss.path, ss.rate, ls.state, ls.path, ls.rate)
+					se.At, sc.Sessions[k].Name, ss.State, ss.Path, ss.Rate, ls.State, ls.Path, ls.Rate)
 			}
 		}
 	}

@@ -9,7 +9,8 @@ import (
 // whatever it accepts must survive the static timeline replay and — for
 // cheap hand-built topologies — instantiation. Seeds cover the documented
 // grammar plus the malformed shapes the parser guards against (bad
-// timestamps, unknown nodes, events on failed links).
+// timestamps, unknown nodes, events on failed links), after blocks and link
+// selectors, and every rejection of those.
 func FuzzParse(f *testing.F) {
 	f.Add(handScript)
 	f.Add("topology transit-stub small lan seed=7 hosts=4\nsession s h0 h1\nat 0s join s\n")
@@ -35,6 +36,10 @@ func FuzzParse(f *testing.F) {
 	f.Add("repeat 999999999 {\nat 1ms expect stranded 0\n}\n")
 	f.Add("repeat 9223372036854775807 {\nat 1ns fail r1 r2\nat 2ns restore r1 r2\n}\n")
 	f.Add("at 1ms expect migrated -5\n")
+	f.Add(churnBlocks)
+	for _, c := range blockParseErrors {
+		f.Add(c.src)
+	}
 
 	f.Fuzz(func(t *testing.T, src string) {
 		sc, err := Parse(src)
@@ -46,8 +51,9 @@ func FuzzParse(f *testing.F) {
 		}
 		// Accepted scripts must be internally consistent.
 		for i := 1; i < len(sc.Events); i++ {
-			if sc.Events[i-1].At > sc.Events[i].At {
-				t.Fatalf("events not sorted: %v before %v", sc.Events[i-1].At, sc.Events[i].At)
+			a, b := sc.Events[i-1], sc.Events[i]
+			if a.Block > b.Block || a.Block == b.Block && a.At > b.At {
+				t.Fatalf("events not sorted: block %d at %v before block %d at %v", a.Block, a.At, b.Block, b.At)
 			}
 		}
 		if err := sc.checkTimeline(); err != nil {

@@ -43,23 +43,47 @@
 //	  at 2ms  restore r1 r2              # block's largest timestamp (2ms)
 //	}
 //
+//	after 5ms {                          # one epoch, 5ms after the previous
+//	  at 0ms   fail in-use pick=7        # epoch quiesced; offsets are from
+//	  at 0ms   set-capacity in-use pick=3 div=2  # its start
+//	  at 200us leave s2
+//	}
+//	after 5ms {
+//	  at 0ms   restore failed            # the oldest selector-failed link
+//	}
+//
 // Topology events name a duplex link by its two endpoints and apply to both
 // directions. Generated transit-stub topologies use the generator's
 // deterministic node names (transit routers t<d>.<i>, stub routers
-// s<d>.<i>, hosts h<n>).
+// s<d>.<i>, hosts h<n>). A run-time selector may stand in for the two names:
+// `in-use pick=N` scans the sessions the timeline has joined, in declaration
+// order from the N-th (mod their count), and takes the first up router link
+// on an active session's current path that no other topology event of the
+// epoch names or picked; `set-capacity in-use pick=N div=K` divides that
+// link's capacity by K; `restore failed` restores the oldest link a selector
+// failed and nothing restored. Selectors draw no randomness.
 //
 // Events sharing a timestamp form one epoch: the runner applies the epoch,
 // drives the network to quiescence, and validates the allocation before the
-// next epoch. `expect` events assert, after their epoch has quiesced and
-// validated, that the network is in a given state — `expect rate` that a
-// session holds exactly the given rate (or, for a host, that its active
-// sessions' granted rates sum to it), `expect migrated` that topology events
-// have rerouted exactly n sessions so far, `expect stranded` that exactly n
-// sessions are currently parked without a path — turning scripts into golden
-// regression tests on both transports. Parse additionally replays the
+// next epoch. An `after <d> { ... }` block is one epoch that starts d after
+// the previous one quiesced (on the live runtime, offsets only order the
+// events): all its events are scheduled at their offsets before the network
+// runs, so they race in one burst, and the epoch validates once. `expect`
+// events assert, after their epoch has quiesced and validated, that the
+// network is in a given state — `expect rate` that a session holds exactly
+// the given rate (or, for a host, that its active sessions' granted rates
+// sum to it), `expect migrated` that topology events have rerouted exactly n
+// sessions so far, `expect stranded` that exactly n sessions are currently
+// parked without a path — turning scripts into golden regression tests on
+// both transports. Parse additionally replays the
 // timeline statically (repeat blocks fully expanded) and rejects scripts
 // that fail an already-failed link, restore an up link, reconfigure a failed
-// link's capacity, or churn a session inconsistently.
+// link's capacity, churn a session inconsistently, or `restore failed` with
+// no selector-failed link outstanding. Blocks cannot nest, an absolute `at`
+// or `repeat` cannot follow an after block, and `pick=` must be
+// non-negative and `div=` positive. At run time an epoch fails when a
+// selector finds no link or a named fail or set-capacity hits a link a
+// selector failed.
 package scenario
 
 import (
@@ -121,19 +145,28 @@ func (o Op) String() string {
 
 // Event is one timeline entry. Session ops use Session (+Demand for
 // join/change); topology ops use the A–B endpoint names (+Capacity for
-// set-capacity). An expect-rate assertion names a session or a host in
-// Session and carries the expected rate in Demand; expect-migrated,
-// expect-stranded and expect-reoptimized assertions carry their expected
-// count in Count.
+// set-capacity), or a run-time selector. An expect-rate assertion names a
+// session or a host in Session and carries the expected rate in Demand;
+// expect-migrated, expect-stranded and expect-reoptimized assertions carry
+// their expected count in Count.
 type Event struct {
-	At       time.Duration
+	// At is the event's time, or its offset inside an after block.
+	At time.Duration
+	// Block numbers the event's after block from 1 (0: none), and After is
+	// that block's delay.
+	Block    int
+	After    time.Duration
 	Op       Op
 	Session  string
 	A, B     string
 	Demand   rate.Rate
 	Capacity rate.Rate
 	Count    int
-	Line     int
+	// Selected marks a topology event whose link the runner picks: `in-use
+	// pick=Pick` (and `div=Div` for set-capacity), or `restore failed`.
+	Selected  bool
+	Pick, Div int
+	Line      int
 }
 
 // TopoKind distinguishes generated from hand-built topologies.
@@ -194,7 +227,7 @@ type Script struct {
 	// Policy is the path re-optimization policy the runners install on the
 	// transport (the `policy` directive; zero value = pinned).
 	Policy control.Policy
-	// Events are sorted by time; ties keep script order.
+	// Events are sorted by (block, time); ties keep script order.
 	Events []Event
 }
 
@@ -206,12 +239,13 @@ const maxScriptHosts = 100_000
 // events) so a typo cannot demand a gigantic run.
 const maxScriptEvents = 100_000
 
-// repeatBlock collects the events of one `repeat <n> { ... }` block while
-// it is being parsed.
+// repeatBlock collects the events of one `repeat <n> { ... }` block, or of
+// the block-th `after <d> { ... }` block, while it is being parsed.
 type repeatBlock struct {
-	n      int
-	line   int
-	events []Event
+	n, block int
+	after    time.Duration
+	line     int
+	events   []Event
 }
 
 // Parse reads a scenario script and statically checks it. Every error names
@@ -224,6 +258,7 @@ func Parse(src string) (*Script, error) {
 	sawTopology := false
 	sawPolicy := false
 	var rep *repeatBlock
+	blocks := 0 // after blocks opened
 
 	lineNo := 0
 	scanner := bufio.NewScanner(strings.NewReader(src))
@@ -242,12 +277,23 @@ func Parse(src string) (*Script, error) {
 			return fmt.Errorf("scenario: line %d: %s", lineNo, fmt.Sprintf(format, args...))
 		}
 		if rep != nil && f[0] != "at" && f[0] != "}" {
-			return nil, fail("only `at` events may appear inside a repeat block")
+			return nil, fail("only `at` events may appear inside a block (blocks cannot nest)")
 		}
 		switch f[0] {
+		case "after":
+			if len(f) != 3 || f[2] != "{" {
+				return nil, fail("usage: after <delay> {")
+			}
+			d, err := parseDuration(f[1])
+			if err != nil {
+				return nil, fail("%v", err)
+			}
+			blocks++
+			rep = &repeatBlock{block: blocks, after: d, line: lineNo}
+			continue
 		case "repeat":
-			if rep != nil {
-				return nil, fail("repeat blocks cannot nest")
+			if blocks > 0 {
+				return nil, fail("repeat after an after block: absolute times cannot follow it")
 			}
 			if len(f) != 3 || f[2] != "{" {
 				return nil, fail("usage: repeat <n> {")
@@ -260,7 +306,7 @@ func Parse(src string) (*Script, error) {
 			continue
 		case "}":
 			if rep == nil {
-				return nil, fail("`}` without an open repeat block")
+				return nil, fail("`}` without an open repeat or after block")
 			}
 			if len(f) != 1 {
 				return nil, fail("`}` must stand alone")
@@ -377,6 +423,9 @@ func Parse(src string) (*Script, error) {
 				rep.events = append(rep.events, ev)
 				continue
 			}
+			if blocks > 0 {
+				return nil, fail("absolute `at` after an after block: its time would precede the block's epochs")
+			}
 			if len(sc.Events) >= maxScriptEvents {
 				return nil, fail("script exceeds %d events", maxScriptEvents)
 			}
@@ -389,7 +438,7 @@ func Parse(src string) (*Script, error) {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
 	if rep != nil {
-		return nil, fmt.Errorf("scenario: line %d: repeat block never closed", rep.line)
+		return nil, fmt.Errorf("scenario: line %d: block never closed", rep.line)
 	}
 
 	if sc.Topo.Kind == 0 {
@@ -408,18 +457,14 @@ func Parse(src string) (*Script, error) {
 			}
 		}
 		for _, ev := range sc.Events {
-			switch ev.Op {
-			case OpJoin, OpLeave, OpChange, OpExpectRate, OpExpectMigrated, OpExpectStranded, OpExpectReoptimized:
-				continue
+			if ev.A == "" {
+				continue // not a topology event naming its link
 			}
 			for _, n := range []string{ev.A, ev.B} {
-				if _, okR := routers[n]; okR {
-					continue
+				_, okR := routers[n]
+				if _, okH := hosts[n]; !okR && !okH {
+					return nil, fmt.Errorf("scenario: line %d: unknown node %q", ev.Line, n)
 				}
-				if _, okH := hosts[n]; okH {
-					continue
-				}
-				return nil, fmt.Errorf("scenario: line %d: unknown node %q", ev.Line, n)
 			}
 		}
 	}
@@ -443,29 +488,34 @@ func Parse(src string) (*Script, error) {
 		}
 	}
 
-	sort.SliceStable(sc.Events, func(i, j int) bool { return sc.Events[i].At < sc.Events[j].At })
-	if err := sc.checkTimeline(); err != nil {
+	if err := sc.Recheck(); err != nil {
 		return nil, err
 	}
 	return sc, nil
 }
 
-// Recheck re-sorts the timeline and re-runs the static consistency checks on
-// a script whose event timestamps were edited after Parse — the churn-timing
-// fuzzer's validity gate: a perturbation that double-fails a link or leaves
-// before joining is rejected exactly like a hand-written script would be.
+// Recheck sorts the timeline by (block, time) and runs the static
+// consistency checks — after Parse, and on a script whose event timestamps
+// were edited since: the churn-timing fuzzer's validity gate, where a
+// perturbation that double-fails a link or leaves before joining is rejected
+// exactly like a hand-written script would be.
 func (sc *Script) Recheck() error {
-	sort.SliceStable(sc.Events, func(i, j int) bool { return sc.Events[i].At < sc.Events[j].At })
+	sort.SliceStable(sc.Events, func(i, j int) bool {
+		a, b := sc.Events[i], sc.Events[j]
+		return a.Block < b.Block || a.Block == b.Block && a.At < b.At
+	})
 	return sc.checkTimeline()
 }
 
 // checkTimeline replays the sorted events statically: session churn must be
 // consistent (no double join, no leave before join) and topology events must
 // respect link state (no failing a failed link, no restoring an up link, no
-// reconfiguring a failed link).
+// reconfiguring a failed link, no `restore failed` without a selector-failed
+// link outstanding).
 func (sc *Script) checkTimeline() error {
 	joined := make(map[string]bool)
 	downPairs := make(map[[2]string]bool)
+	selFailed := 0
 	key := func(a, b string) [2]string {
 		if a > b {
 			a, b = b, a
@@ -489,19 +539,30 @@ func (sc *Script) checkTimeline() error {
 				return fmt.Errorf("scenario: line %d: change of session %q that is not joined", ev.Line, ev.Session)
 			}
 		case OpFail:
+			if ev.Selected {
+				selFailed++
+				break
+			}
 			k := key(ev.A, ev.B)
 			if downPairs[k] {
 				return fmt.Errorf("scenario: line %d: link %s-%s is already failed", ev.Line, ev.A, ev.B)
 			}
 			downPairs[k] = true
 		case OpRestore:
+			if ev.Selected {
+				if selFailed == 0 {
+					return fmt.Errorf("scenario: line %d: restore failed with no selector-failed link outstanding", ev.Line)
+				}
+				selFailed--
+				break
+			}
 			k := key(ev.A, ev.B)
 			if !downPairs[k] {
 				return fmt.Errorf("scenario: line %d: restore of link %s-%s that is up", ev.Line, ev.A, ev.B)
 			}
 			downPairs[k] = false
 		case OpSetCapacity:
-			if downPairs[key(ev.A, ev.B)] {
+			if !ev.Selected && downPairs[key(ev.A, ev.B)] {
 				return fmt.Errorf("scenario: line %d: set-capacity on failed link %s-%s", ev.Line, ev.A, ev.B)
 			}
 		}
@@ -516,9 +577,18 @@ func (sc *Script) checkTimeline() error {
 // shape of a long churn soak. The static timeline checker then replays the
 // expanded events, so a block whose iterations would double-fail a link is
 // rejected like any hand-written timeline.
+//
+// An after block is not laid out: its events keep their offsets and carry
+// the block's number and delay.
 func (r *repeatBlock) expand() ([]Event, error) {
 	if len(r.events) == 0 {
-		return nil, fmt.Errorf("repeat block is empty")
+		return nil, fmt.Errorf("block is empty")
+	}
+	if r.block > 0 {
+		for i := range r.events {
+			r.events[i].Block, r.events[i].After = r.block, r.after
+		}
+		return r.events, nil
 	}
 	// Division, not multiplication: a huge count must not overflow the
 	// guard itself (this parser sees untrusted input).
@@ -682,12 +752,20 @@ func parseEvent(f []string, line int) (Event, error) {
 		} else {
 			ev.Op = OpRestore
 		}
-		if len(args) != 2 {
-			return Event{}, fmt.Errorf("usage: at <time> %s <nodeA> <nodeB>", op)
-		}
-		ev.A, ev.B = args[0], args[1]
-		if ev.A == ev.B {
-			return Event{}, fmt.Errorf("%s endpoints coincide (%q)", op, ev.A)
+		switch {
+		case op == "fail" && len(args) == 2 && args[0] == "in-use":
+			ev.Selected = true
+			if ev.Pick, err = parseCount(args[1], "pick", 0); err != nil {
+				return Event{}, err
+			}
+		case op == "restore" && len(args) == 1 && args[0] == "failed":
+			ev.Selected = true
+		case len(args) != 2:
+			return Event{}, fmt.Errorf("usage: at <time> fail <nodeA> <nodeB> | fail in-use pick=<n> | restore <nodeA> <nodeB> | restore failed")
+		case args[0] == args[1]:
+			return Event{}, fmt.Errorf("%s endpoints coincide (%q)", op, args[0])
+		default:
+			ev.A, ev.B = args[0], args[1]
 		}
 	case "expect":
 		switch {
@@ -718,8 +796,18 @@ func parseEvent(f []string, line int) (Event, error) {
 		}
 	case "set-capacity":
 		ev.Op = OpSetCapacity
+		if len(args) == 3 && args[0] == "in-use" {
+			ev.Selected = true
+			if ev.Pick, err = parseCount(args[1], "pick", 0); err != nil {
+				return Event{}, err
+			}
+			if ev.Div, err = parseCount(args[2], "div", 1); err != nil {
+				return Event{}, err
+			}
+			break
+		}
 		if len(args) != 3 {
-			return Event{}, fmt.Errorf("usage: at <time> set-capacity <nodeA> <nodeB> <rate>")
+			return Event{}, fmt.Errorf("usage: at <time> set-capacity <nodeA> <nodeB> <rate> | set-capacity in-use pick=<n> div=<k>")
 		}
 		ev.A, ev.B = args[0], args[1]
 		if ev.A == ev.B {
@@ -740,6 +828,16 @@ func parseEvent(f []string, line int) (Event, error) {
 		return Event{}, fmt.Errorf("negative timestamp %v", at)
 	}
 	return ev, nil
+}
+
+// parseCount reads a key=<integer> selector option no smaller than min.
+func parseCount(s, key string, min int) (int, error) {
+	k, v, _ := strings.Cut(s, "=")
+	n, err := strconv.Atoi(v)
+	if k != key || err != nil || n < min {
+		return 0, fmt.Errorf("malformed option %q (want %s=<integer ≥ %d>)", s, key, min)
+	}
+	return n, nil
 }
 
 func parseDemandOpt(s string) (rate.Rate, error) {
