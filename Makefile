@@ -49,7 +49,8 @@ test-full:
 # and the simulated transport's hop (internal/network): disjoint
 # chains with one session per link, in cache and out of it — ns/pkt is the
 # hop, allocs/pkt must stay at one record per link (≈ 0.17), B/linkrec is that
-# record's size (432 bytes: the 448-byte class), whole runs again —
+# record's size (192 bytes: three cache lines, the 192-byte class), whole
+# runs again —
 # and one quiescent-state check (Validate) of the out-of-cache shape, in ms/op
 # and ns per link task.
 # Last the validation oracle (internal/waterfill): one full solve on a reused

@@ -6,7 +6,8 @@ import (
 	"bneck/internal/rate"
 )
 
-// Ablation: the indexed session table vs the naive Figure 2 transcription.
+// Ablation: the indexed session table vs the naive Figure 2 transcription
+// (modelTable, the reference of the differential tests).
 // The protocol evaluates the bottleneck predicate (∀r ∈ Re: λ = Be ∧ IDLE)
 // on every Response; with n sessions per link the naive form is O(n) per
 // packet, the indexed form O(1). DESIGN.md §5 calls this out as the one
@@ -21,10 +22,10 @@ func fillTable(n int) *table {
 	return t
 }
 
-func fillNaive(n int) *naiveTable {
-	t := newNaiveTable(rate.Mbps(int64(n)))
+func fillNaive(n int) *modelTable {
+	t := &modelTable{capacity: rate.Mbps(int64(n)), ents: map[SessionID]*tableEntry{}}
 	for s := SessionID(1); int(s) <= n; s++ {
-		t.re[s] = &naiveEntry{mu: Idle, lambda: rate.Mbps(1), hasLambda: true}
+		t.ents[s] = &tableEntry{id: s, inRe: true, mu: Idle, lambda: rate.Mbps(1), hasLambda: true}
 	}
 	return t
 }
@@ -69,8 +70,7 @@ func BenchmarkBeComputation(b *testing.B) {
 		b.Run("naive/"+itoa(n), func(b *testing.B) {
 			t := fillNaive(n)
 			for s := SessionID(1); int(s) <= n/2; s++ {
-				t.fe[s] = t.re[s]
-				delete(t.re, s)
+				t.ents[s].inRe = false
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

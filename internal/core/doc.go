@@ -35,11 +35,11 @@
 //     to a few cache lines and off the runtime's maps: an open-addressed
 //     session index (entrymap.go), buckets that list their members and
 //     members that know their bucket (rateset.go), the table embedded in
-//     the RouterLink by value, and the first session's slot, entry and
-//     bucket inline in the table, so a single-session link is one
-//     allocation; see DESIGN.md §5. Handlers iterate
-//     snapshots sorted by session ID, so emission order depends on the
-//     sets' contents only.
+//     the RouterLink by value, and the first session's entry inline in the
+//     table, which answers alone until a second session makes the index,
+//     so a single-session link is one allocation; see DESIGN.md §5.
+//     Handlers iterate snapshots sorted by session ID, so emission order
+//     depends on the sets' contents only.
 //   - Packets for sessions unknown at a link (removed by an earlier Leave
 //     racing with in-flight traffic) are dropped, which the figures leave
 //     implicit.

@@ -11,10 +11,11 @@ import "math/bits"
 // and the array never shrinks, like the Go map it replaced: a link that
 // once carried k sessions is likely to carry k again.
 //
-// The zero value is an empty index. A table makes one at its second session,
-// so a one-session link pays no object or record bytes for it: a heap slot
-// array on every link once cost chains_bare 16 % of its packet rate, and a
-// four-slot inline group was slower and larger than two.
+// The zero value is an empty index. A table makes one, in its sharedIndex,
+// at its second session, so a one-session link pays no object or record
+// bytes for it: a heap slot array on every link once cost chains_bare 16 %
+// of its packet rate, and a four-slot inline group was slower and larger
+// than two.
 type entryMap struct {
 	slots []entrySlot // len is zero or a power of two
 	n     int32
@@ -83,12 +84,12 @@ func (m *entryMap) grow() {
 	}
 }
 
-// del removes id and returns the entry that was filed under it, or nil (also
-// from a nil index). The run after the freed slot is shifted back over it —
-// each follower moves iff the hole lies on its probe path — so every
-// remaining key stays reachable from its home slot without tombstones.
+// del removes id and returns the entry that was filed under it, or nil. The
+// run after the freed slot is shifted back over it — each follower moves iff
+// the hole lies on its probe path — so every remaining key stays reachable
+// from its home slot without tombstones.
 func (m *entryMap) del(id SessionID) *tableEntry {
-	if m == nil || m.n == 0 {
+	if m.n == 0 {
 		return nil
 	}
 	mask := uint64(len(m.slots) - 1)

@@ -3,13 +3,14 @@ package core
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"bneck/internal/rate"
 )
 
 // The tests in this file pin the lifetimes of a link's inline storage — the
-// table's first entry, the bucket pool's first bucket and the one-element
-// first backing arrays — and of the entry index, which a link gets with its
+// table's first entry and the task's one-slot snapshot buffer — and of the
+// shared index (entry index, rate sets, Σλ, B_e), which a link gets with its
 // second session. The differential programs in table_diff_test.go check
 // that what they hold is right; these check where it lives and what it
 // costs.
@@ -17,9 +18,9 @@ import (
 // TestSingleSessionLinkAllocatesNothing drives one link through the life of
 // a chain link — a session joins, settles, is restricted elsewhere (F_e),
 // re-probes, leaves, and a successor joins — and requires every cycle after
-// the first to reuse the inline entry and buckets without touching the heap,
-// while the departed session's pointers are still in the scratch snapshot
-// and on the free lists.
+// the first to reuse the inline entry without touching the heap, while the
+// departed session's pointer is still in the snapshot slot, and the link
+// never to make a shared index.
 func TestSingleSessionLinkAllocatesNothing(t *testing.T) {
 	var sink countEmitter
 	rl := NewRouterLink(1, rate.Mbps(100), &sink)
@@ -35,39 +36,56 @@ func TestSingleSessionLinkAllocatesNothing(t *testing.T) {
 		if ent.bucket != nil || ent.hasLambda || ent.mu != WaitingResponse {
 			t.Fatalf("session %d inherited state from its predecessor: %+v", id, ent)
 		}
+		unshared := func(phase string) {
+			t.Helper()
+			if tb.x != nil {
+				t.Fatalf("session %d %s: a single-session link made a shared index", id, phase)
+			}
+			if err := rl.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		unshared("joined")
 		// Accepted at B_e: idle in R_e, the link is its bottleneck.
 		rl.Receive(Packet{Type: PktResponse, Session: id, Resp: RespResponse, Rate: rate.Mbps(100), Bneck: 1}, 1)
-		if ent.bucket != &tb.buckets.first {
-			t.Fatalf("session %d idle outside the table's inline bucket", id)
+		if ent.mu != Idle || !tb.allReIdleAtBe() {
+			t.Fatalf("session %d not idle at B_e = C_e: %+v", id, ent)
 		}
+		unshared("idle")
 		// A finite demand restricts it elsewhere: probe, settle at 7 Mbps,
 		// SetBottleneck moves it to F_e.
 		rl.Receive(Packet{Type: PktProbe, Session: id, Rate: rate.Mbps(7), Bneck: SourceRef}, 1)
 		rl.Receive(Packet{Type: PktResponse, Session: id, Resp: RespResponse, Rate: rate.Mbps(7), Bneck: SourceRef}, 1)
 		rl.Receive(Packet{Type: PktSetBottleneck, Session: id}, 1)
-		if ent.inRe || ent.bucket != &tb.buckets.first {
-			t.Fatalf("session %d did not carry the inline bucket into F_e: %+v", id, ent)
+		if ent.inRe || ent.bucket != nil {
+			t.Fatalf("session %d not in F_e, filed nowhere: %+v", id, ent)
 		}
-		if err := rl.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
+		unshared("in F_e")
 		rl.Receive(Packet{Type: PktLeave, Session: id}, 1)
 		if tb.sessions() != 0 || tb.firstLive {
 			t.Fatalf("leave of session %d left state behind", id)
 		}
-		if err := rl.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
+		unshared("left")
 	}
 	cycle() // claims the inline storage
 	if n := testing.AllocsPerRun(50, cycle); n != 0 {
 		t.Fatalf("a join → settle → F_e → leave cycle on a single-session link allocates %v objects, want 0", n)
 	}
-	if tb.index != nil {
-		t.Fatalf("a single-session link allocated an entry index")
-	}
 	if sink.n == 0 {
 		t.Fatalf("the link forwarded nothing")
+	}
+}
+
+// TestSharedIndexFootprint holds a shared link's side record to the 192-byte
+// allocation class, whose objects start on a cache line, with what every
+// packet at a shared link reads — the entry index and B_e — in its first.
+func TestSharedIndexFootprint(t *testing.T) {
+	var x sharedIndex
+	if n := unsafe.Sizeof(x); n > 192 {
+		t.Errorf("sharedIndex is %d bytes, want at most 192", n)
+	}
+	if end := unsafe.Offsetof(x.beValid); end >= 64 {
+		t.Errorf("B_e's flag at byte %d, past the first cache line", end)
 	}
 }
 
@@ -80,7 +98,7 @@ func (c *countEmitter) Emit(SessionID, int, Direction, Packet) { c.n++ }
 // TestInlineEntryAcrossGrowth takes one link 1 → 5 → 1 sessions and back up:
 // the first session holds the inline entry, the others live on the heap,
 // the second makes the index (four slots, filing the inline entry too) and
-// spills the member list; when the first leaves while others stay, the
+// makes the rate sets; when the first leaves while others stay, the
 // inline entry is free and the next join — not a heap entry — takes it and
 // is filed in the index, which is never dropped, with the link's state
 // matching the oracle throughout.
@@ -96,9 +114,9 @@ func TestInlineEntryAcrossGrowth(t *testing.T) {
 		p.run(10_000)
 		p.checkAll()
 		switch {
-		case s == 1 && tb.index != nil:
+		case s == 1 && tb.x != nil:
 			t.Fatalf("one session made an index")
-		case s == 2 && (tb.index == nil || len(tb.index.slots) != minEntrySlots || tb.index.get(1) != &tb.first):
+		case s == 2 && (tb.x == nil || len(tb.x.index.slots) != minEntrySlots || tb.x.index.get(1) != &tb.first):
 			t.Fatalf("the second session did not make a four-slot index filing the inline entry")
 		}
 	}
@@ -110,11 +128,11 @@ func TestInlineEntryAcrossGrowth(t *testing.T) {
 			t.Fatalf("session %d shares the inline entry", s)
 		}
 	}
-	if int(tb.index.n) != 5 || len(tb.index.slots) != 2*minEntrySlots {
-		t.Fatalf("five sessions in an index of %d entries, %d slots", int(tb.index.n), len(tb.index.slots))
+	if int(tb.x.index.n) != 5 || len(tb.x.index.slots) != 2*minEntrySlots {
+		t.Fatalf("five sessions in an index of %d entries, %d slots", int(tb.x.index.n), len(tb.x.index.slots))
 	}
-	if b := tb.get(1).bucket; b != &tb.buckets.first || len(b.members) != 5 {
-		t.Fatalf("five equal rates are not five members of the table's first bucket")
+	if b := tb.get(1).bucket; b == nil || len(b.members) != 5 {
+		t.Fatalf("five equal rates are not five members of one bucket")
 	}
 	// The inline holder leaves first; four heap entries stay.
 	srcs[0].Leave()
@@ -135,7 +153,7 @@ func TestInlineEntryAcrossGrowth(t *testing.T) {
 	if tb.get(6) != &tb.first || tb.get(5) == &tb.first || tb.sessions() != 2 {
 		t.Fatalf("the newcomer did not take the free inline entry")
 	}
-	if tb.index == nil || len(tb.index.slots) != 2*minEntrySlots {
+	if tb.x == nil || len(tb.x.index.slots) != 2*minEntrySlots {
 		t.Fatalf("the index shrank or went")
 	}
 	if got, want := p.rates[5], rate.Mbps(70); !got.Equal(want) {
@@ -208,9 +226,9 @@ func TestPropSingleSessionLinkChurn(t *testing.T) {
 			for c := 0; c < nChains; c++ {
 				for h := 1; h <= 3; h++ {
 					tb := &p.link(LinkRef(10*c + h)).tbl
-					if tb.sessions() != 1 || (fifo && (!tb.firstLive || tb.index != nil)) {
+					if tb.sessions() != 1 || (fifo && (!tb.firstLive || tb.x != nil)) {
 						t.Fatalf("iter %d round %d: chain link %d holds %d sessions, inline live %t, index %t",
-							iter, round, 10*c+h, tb.sessions(), tb.firstLive, tb.index != nil)
+							iter, round, 10*c+h, tb.sessions(), tb.firstLive, tb.x != nil)
 					}
 				}
 			}

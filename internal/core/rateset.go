@@ -26,59 +26,33 @@ import (
 // its member slice keeps that churn allocation-free. A table's two sets
 // share one pool — a bucket does not care which set files it — so a session
 // moving between R_e and F_e carries its bucket along.
-//
-// The first of everything is inline: the pool's first bucket, the
-// one-element first backing arrays of buckets and of the pool's free list,
-// and every bucket's first member slot. A link whose sessions all hold one
-// rate — any link carrying a single session — therefore indexes them without
-// allocating, and the walk from the set to the member stays inside the
-// link's record; a second distinct rate, or a second member, spills to the
-// heap through the ordinary append. The slices then point into the set, the
-// pool and the bucket themselves, so none of them may be copied once used;
-// see noCopy.
 type rateSet struct {
-	_          noCopy
-	buckets    []*rateBucket // ascending by rate
-	size       int
-	bucketsBuf [1]*rateBucket
+	buckets []*rateBucket // ascending by rate
 }
 
 type rateBucket struct {
-	rate       rate.Rate
-	members    []*tableEntry // unordered; members[i].pos == i; nil only in a pool's unclaimed first bucket
-	membersBuf [1]*tableEntry
+	rate    rate.Rate
+	members []*tableEntry // unordered; members[i].pos == i
 }
 
 // bucketPool supplies the rate sets of one table with buckets: emptied ones
-// first, then its inline first bucket (once), then the heap.
+// first, then the heap.
 type bucketPool struct {
-	_       noCopy
-	free    []*rateBucket // emptied buckets kept for reuse
-	freeBuf [1]*rateBucket
-	first   rateBucket
+	free []*rateBucket // emptied buckets kept for reuse
 }
 
-// get returns an empty bucket; a new one starts its member list in the
-// bucket's own inline slot.
+// get returns an empty bucket.
 func (p *bucketPool) get() *rateBucket {
 	if k := len(p.free); k > 0 {
 		b := p.free[k-1]
 		p.free = p.free[:k-1]
 		return b
 	}
-	b := &p.first
-	if b.members != nil {
-		b = new(rateBucket)
-	}
-	b.members = b.membersBuf[:0]
-	return b
+	return new(rateBucket)
 }
 
 // put parks an emptied bucket.
 func (p *bucketPool) put(b *rateBucket) {
-	if p.free == nil {
-		p.free = p.freeBuf[:0]
-	}
 	b.rate = rate.Zero
 	p.free = append(p.free, b)
 }
@@ -96,16 +70,12 @@ func (rs *rateSet) add(r rate.Rate, ent *tableEntry, pool *bucketPool) {
 	} else {
 		b = pool.get()
 		b.rate = r
-		if rs.buckets == nil {
-			rs.buckets = rs.bucketsBuf[:0]
-		}
 		rs.buckets = append(rs.buckets, nil)
 		copy(rs.buckets[i+1:], rs.buckets[i:])
 		rs.buckets[i] = b
 	}
 	ent.bucket, ent.pos = b, int32(len(b.members))
 	b.members = append(b.members, ent)
-	rs.size++
 }
 
 // remove deletes ent, filed at rate r, and hands a bucket it empties to
@@ -135,7 +105,6 @@ func (rs *rateSet) remove(r rate.Rate, ent *tableEntry, pool *bucketPool) {
 	b.members[last] = nil
 	b.members = b.members[:last]
 	ent.bucket, ent.pos = nil, 0
-	rs.size--
 }
 
 // panicAbsent reports a remove of an entry that is not filed at r in this
@@ -230,5 +199,11 @@ func sortByID(ents []*tableEntry) {
 	slices.SortFunc(ents, func(a, b *tableEntry) int { return cmp.Compare(a.id, b.id) })
 }
 
-// len returns the number of sessions in the set.
-func (rs *rateSet) len() int { return rs.size }
+// len returns the number of sessions in the set, counting them: only the
+// checks ask.
+func (rs *rateSet) len() (n int) {
+	for _, b := range rs.buckets {
+		n += len(b.members)
+	}
+	return n
+}

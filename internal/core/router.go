@@ -12,22 +12,18 @@ import (
 // here, atomically (the transport guarantees handlers never run
 // concurrently).
 //
-// A RouterLink must not be copied after Init: its table and its scratch
-// buffer hold slices into the task's own storage (see table and noCopy).
-// Transports either take one from NewRouterLink or embed one in a larger
-// per-link record and call Init on it in place.
+// A RouterLink must not be copied after Init: its table holds pointers
+// into the task's own storage (see table and noCopy). Transports either
+// take one from NewRouterLink or embed one in a larger per-link record and
+// call Init on it in place.
 type RouterLink struct {
-	_   noCopy
 	ref LinkRef
 	em  Emitter
-	// scratch is a reusable buffer for session-set snapshots taken while
-	// mutating the table underneath (handlers never run reentrantly, and no
-	// snapshot outlives its loop, so one buffer suffices). It starts in
-	// scratchBuf, which is all a single-session link ever needs.
-	scratch    []*tableEntry
-	scratchBuf [1]*tableEntry
+	// one is the snapshot buffer of a link without a shared index (see
+	// scratch).
+	one [1]*tableEntry
 	// tbl is embedded by value: the task and its table are one allocation,
-	// and a packet reaches the entry index without a pointer hop.
+	// and a packet reaches its entry without a pointer hop.
 	tbl table
 }
 
@@ -47,8 +43,18 @@ func NewRouterLink(ref LinkRef, capacity rate.Rate, em Emitter) *RouterLink {
 func (rl *RouterLink) Init(ref LinkRef, capacity rate.Rate, em Emitter) {
 	rl.ref = ref
 	rl.em = em
-	rl.scratch = rl.scratchBuf[:0]
 	rl.tbl.capacity = capacity
+}
+
+// scratch returns the buffer for a snapshot taken while mutating the table
+// underneath, emptied: the inline slot, or the shared index's. Either has
+// room for every session the link holds, and as handlers never run
+// reentrantly and no snapshot outlives its loop, one buffer suffices.
+func (rl *RouterLink) scratch() []*tableEntry {
+	if x := rl.tbl.x; x != nil {
+		return x.scratch[:0]
+	}
+	return rl.one[:0]
 }
 
 // Ref returns the link reference this task controls.
@@ -81,13 +87,11 @@ func (rl *RouterLink) SetCapacity(c rate.Rate) {
 		if !ok {
 			break
 		}
-		rl.scratch = t.appendFeSessionsAt(rl.scratch[:0], maxR)
-		for _, ent := range rl.scratch {
+		for _, ent := range t.appendFeSessionsAt(rl.scratch(), maxR) {
 			t.moveFeToRe(ent)
 		}
 	}
-	rl.scratch = t.appendIdleAll(rl.scratch[:0])
-	rl.reprobe(nil)
+	rl.reprobe(t.appendIdleAll(rl.scratch()), nil)
 }
 
 // Capacity returns the link's current data capacity C_e.
@@ -128,21 +132,17 @@ func (rl *RouterLink) processNewRestricted() {
 		if !ok || maxR.Less(t.be()) {
 			break
 		}
-		rl.scratch = t.appendFeSessionsAt(rl.scratch[:0], maxR)
-		for _, ent := range rl.scratch {
+		for _, ent := range t.appendFeSessionsAt(rl.scratch(), maxR) {
 			t.moveFeToRe(ent)
 		}
 	}
-	be := t.be()
-	rl.scratch = t.appendIdleAbove(rl.scratch[:0], be)
-	rl.reprobe(nil)
+	rl.reprobe(t.appendIdleAbove(rl.scratch(), t.be()), nil)
 }
 
-// reprobe tells every session of the snapshot in rl.scratch, except skip, to
-// start a new probe cycle: μ becomes WAITING_PROBE and an Update goes
-// upstream.
-func (rl *RouterLink) reprobe(skip *tableEntry) {
-	for _, ent := range rl.scratch {
+// reprobe tells every session of the snapshot snap, except skip, to start a
+// new probe cycle: μ becomes WAITING_PROBE and an Update goes upstream.
+func (rl *RouterLink) reprobe(snap []*tableEntry, skip *tableEntry) {
+	for _, ent := range snap {
 		if ent == skip {
 			continue
 		}
@@ -215,8 +215,7 @@ func (rl *RouterLink) onResponse(pkt Packet, hop int) {
 			// Bottleneck packets.
 			tau = RespBottleneck
 			eta = rl.ref
-			rl.scratch = t.appendIdleAt(rl.scratch[:0], be)
-			for _, r := range rl.scratch {
+			for _, r := range t.appendIdleAt(rl.scratch(), be) {
 				if r == ent {
 					continue
 				}
@@ -268,8 +267,7 @@ func (rl *RouterLink) onSetBottleneck(pkt Packet, hop int) {
 	case ent.mu == Idle && ent.hasLambda && ent.lambda.Less(be):
 		// s is restricted elsewhere: move it to F_e. Idle sessions pinned at
 		// the old estimate can now get more, so they must re-probe.
-		rl.scratch = t.appendIdleAt(rl.scratch[:0], be)
-		rl.reprobe(nil)
+		rl.reprobe(t.appendIdleAt(rl.scratch(), be), nil)
 		if ent.inRe {
 			t.moveReToFe(ent)
 		}
@@ -290,12 +288,12 @@ func (rl *RouterLink) onLeave(pkt Packet, hop int) {
 	if ent := t.get(s); ent != nil {
 		// R′ with the *old* B_e: sessions pinned at the current estimate can
 		// grow once s's share is freed.
-		rl.scratch = rl.scratch[:0]
+		snap := rl.scratch()
 		if t.reCount > 0 {
-			rl.scratch = t.appendIdleAt(rl.scratch, t.be())
+			snap = t.appendIdleAt(snap, t.be())
 		}
 		t.remove(s)
-		rl.reprobe(ent)
+		rl.reprobe(snap, ent)
 	}
 	rl.em.Emit(s, hop, Down, Packet{Type: PktLeave, Session: s})
 }
@@ -311,11 +309,10 @@ func (rl *RouterLink) Stable() bool {
 		}
 	}
 	if t.reCount > 0 {
-		be := t.be()
-		if t.idleRates.countAt(be) != int(t.reCount) {
+		if !t.allReIdleAtBe() {
 			return false
 		}
-		if max, ok := t.feMax(); ok && !max.Less(be) {
+		if max, ok := t.feMax(); ok && !max.Less(t.be()) {
 			return false
 		}
 	}

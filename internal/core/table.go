@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"bneck/internal/rate"
 )
@@ -12,8 +13,9 @@ import (
 // the session's path (needed to emit packets for sessions other than the one
 // currently being processed). bucket and pos are the entry's place in the
 // rate index (idleRates while IDLE in R_e, feRates while in F_e, nil
-// otherwise); see rateSet. The fields are ordered and sized so the entry
-// fills a 64-byte allocation class (and one cache line) exactly.
+// otherwise, and always on a table without an index); see rateSet. The
+// fields are ordered and sized so the entry fills a 64-byte allocation class
+// (and one cache line) exactly.
 type tableEntry struct {
 	id        SessionID
 	lambda    rate.Rate
@@ -27,7 +29,31 @@ type tableEntry struct {
 
 // table is a link's session table: the paper's R_e and F_e with the
 // bookkeeping needed to evaluate every Figure 2 predicate in O(log k)
-// (k = number of distinct rates at the link) instead of O(|S_e|):
+// (k = number of distinct rates at the link) instead of O(|S_e|). A
+// table{capacity: c} is ready to use; RouterLink embeds one by value.
+//
+// The table keeps what every link needs; first is the entry the first addNew
+// hands out (and again whenever it is free). What only a shared link needs
+// is in x, which the second session makes, which files every entry from then
+// on and is never dropped. Until then every predicate and snapshot answers
+// from first, and B_e is C_e while it is in R_e: a one-session link (every
+// link of a chain, most of a sparse topology) never divides, and a packet's
+// visit reads nothing outside the link's record and allocates nothing. As
+// first is reused, a pointer to it can outlive its session (in a snapshot
+// buffer, or as a reprobe's skip): addNew resets the whole entry, remove
+// leaves it out of both rate sets, and no handler keeps a snapshot across an
+// addNew.
+type table struct {
+	_         noCopy
+	capacity  rate.Rate
+	reCount   int32
+	reIdle    int32
+	firstLive bool         // first holds a session
+	x         *sharedIndex // nil until the link holds two sessions at once
+	first     tableEntry
+}
+
+// sharedIndex is the part of a table only a shared link needs:
 //
 //   - index: the open-addressed SessionID index (entryMap) — the one
 //     lookup a packet pays; everything after it works on the entry pointer
@@ -36,67 +62,84 @@ type tableEntry struct {
 //     sessions whose λ is meaningful and whose equality with B_e the
 //     protocol tests)
 //   - feRates: rates of F_e members (for ProcessNewRestricted's max test)
+//   - scratch: RouterLink's snapshot buffer, with room for every session
 //
-// A table{capacity: c} is ready to use; RouterLink embeds one by value.
-//
-// The first session's state is inline: first is the tableEntry the first
-// addNew hands out (and again whenever it is free). Until a second session
-// comes there is no index — get compares first.id — so a link carrying one
-// session (every link of a chain, most of a sparse topology) keeps all a
-// packet touches in its one record and allocates nothing after it. The
-// second session makes the index, which files every entry from then on,
-// first included, and is never dropped. As first is reused, a pointer to it
-// can outlive its session (in RouterLink.scratch, or as a reprobe's skip):
-// addNew resets the whole entry, remove leaves it out of both rate sets,
-// and no handler keeps a snapshot across an addNew.
-type table struct {
-	_         noCopy
-	capacity  rate.Rate
-	sumFe     rate.Rate
+// What every packet at a shared link reads, the index and B_e, comes first:
+// the record fills the 192-byte allocation class, whose objects start on a
+// cache line, so that is one line.
+type sharedIndex struct {
+	index     entryMap
 	beCache   rate.Rate
-	reCount   int32
-	reIdle    int32
 	beValid   bool
-	firstLive bool      // first holds a session
-	index     *entryMap // nil until the link holds two sessions at once
-	first     tableEntry
 	idleRates rateSet
 	feRates   rateSet
+	scratch   []*tableEntry
+	sumFe     rate.Rate
 	buckets   bucketPool // shared by idleRates and feRates
 }
 
-// noCopy marks a type that must not be copied after first use, because it
-// holds slices into its own inline storage (rateSet.buckets, bucketPool.free,
-// rateBucket.members, RouterLink.scratch) or pointers to it (table.index
-// files &first): a copy would share the original's arrays and then diverge
-// from it at the first spill. `go vet`'s copylocks check reports any
-// by-value copy of a type containing one. Zero values and composite literals
-// (table{capacity: c}) are where such a type starts; RouterLink.Init is the
-// one initialiser, and everything after it goes through pointers.
+// file and unfile are the rate-set half of a table move: an idle R_e
+// member is filed in idleRates, an F_e member in feRates and Σλ. A nil
+// index has none; the one session's place is read off its entry.
+func (x *sharedIndex) file(ent *tableEntry) {
+	switch {
+	case x == nil:
+	case ent.inRe:
+		x.idleRates.add(ent.lambda, ent, &x.buckets)
+	default:
+		x.feRates.add(ent.lambda, ent, &x.buckets)
+		x.sumFe = x.sumFe.Add(ent.lambda)
+	}
+}
+
+func (x *sharedIndex) unfile(ent *tableEntry) {
+	switch {
+	case x == nil:
+	case ent.inRe:
+		x.idleRates.remove(ent.lambda, ent, &x.buckets)
+	default:
+		x.feRates.remove(ent.lambda, ent, &x.buckets)
+		x.sumFe = x.sumFe.Sub(ent.lambda)
+	}
+}
+
+// noCopy marks a type that must not be copied after first use: the entry
+// index files &table.first, so a copy would share the original's index and
+// diverge from it. `go vet`'s copylocks check reports any by-value copy of a
+// type containing one. Zero values and composite literals (table{capacity:
+// c}) are where such a type starts; RouterLink.Init is the one initialiser.
 type noCopy struct{}
 
 func (*noCopy) Lock()   {}
 func (*noCopy) Unlock() {}
 
 // be returns B_e = (C_e − Σ_{s∈F_e} λ_s)/|R_e|, or +∞ when R_e is empty
-// (an empty R_e restricts nothing).
+// (an empty R_e restricts nothing). Without an index R_e is the one
+// session and F_e empty, so B_e is C_e.
 func (t *table) be() rate.Rate {
-	if t.reCount == 0 {
+	x := t.x
+	switch {
+	case t.reCount == 0:
 		return rate.Inf
+	case x == nil:
+		return t.capacity
+	case !x.beValid:
+		x.beCache = t.capacity.Sub(x.sumFe).DivInt(int(t.reCount))
+		x.beValid = true
 	}
-	if !t.beValid {
-		t.beCache = t.capacity.Sub(t.sumFe).DivInt(int(t.reCount))
-		t.beValid = true
-	}
-	return t.beCache
+	return x.beCache
 }
 
-func (t *table) invalidateBe() { t.beValid = false }
+func (t *table) invalidateBe() {
+	if t.x != nil {
+		t.x.beValid = false
+	}
+}
 
 // get returns the entry for s, or nil if the link does not know s.
 func (t *table) get(s SessionID) *tableEntry {
-	if t.index != nil {
-		return t.index.get(s)
+	if t.x != nil {
+		return t.x.index.get(s)
 	}
 	if t.firstLive && t.first.id == s {
 		return &t.first
@@ -113,15 +156,19 @@ func (t *table) addNew(s SessionID, hop int) *tableEntry {
 	ent := &t.first
 	if t.firstLive {
 		ent = new(tableEntry)
-		if t.index == nil { // the second session: from here on the index files everyone
-			t.index = new(entryMap)
-			t.index.put(&t.first)
+		if t.x == nil { // the second: index first, filed as its state calls for
+			t.x = new(sharedIndex)
+			t.x.index.put(&t.first)
+			if !t.first.inRe || t.first.mu == Idle {
+				t.x.file(&t.first)
+			}
 		}
 	}
 	t.firstLive = true
 	*ent = tableEntry{id: s, inRe: true, mu: WaitingResponse, hop: int32(hop)}
-	if t.index != nil {
-		t.index.put(ent)
+	if x := t.x; x != nil {
+		x.index.put(ent)
+		x.scratch = slices.Grow(x.scratch[:0], int(x.index.n))
 	}
 	t.reCount++
 	t.invalidateBe()
@@ -134,16 +181,14 @@ func (t *table) remove(s SessionID) {
 	if ent == nil {
 		return
 	}
-	t.index.del(s)
+	if t.x != nil {
+		t.x.index.del(s)
+	}
 	if ent.inRe {
-		if ent.mu == Idle {
-			t.idleRates.remove(ent.lambda, ent, &t.buckets)
-			t.reIdle--
-		}
+		t.setState(ent, WaitingProbe) // out of the idle set
 		t.reCount--
 	} else {
-		t.feRates.remove(ent.lambda, ent, &t.buckets)
-		t.sumFe = t.sumFe.Sub(ent.lambda)
+		t.x.unfile(ent)
 	}
 	if ent == &t.first {
 		t.firstLive = false
@@ -160,7 +205,7 @@ func (t *table) setState(ent *tableEntry, mu State) {
 		panic("core: use setIdle to enter IDLE")
 	}
 	if ent.inRe && ent.mu == Idle {
-		t.idleRates.remove(ent.lambda, ent, &t.buckets)
+		t.x.unfile(ent)
 		t.reIdle--
 	}
 	ent.mu = mu
@@ -173,13 +218,13 @@ func (t *table) setIdle(ent *tableEntry, lambda rate.Rate) {
 		panic(fmt.Sprintf("core: setIdle on F_e member %d", ent.id))
 	}
 	if ent.mu == Idle {
-		t.idleRates.remove(ent.lambda, ent, &t.buckets)
+		t.x.unfile(ent)
 		t.reIdle--
 	}
 	ent.lambda = lambda
 	ent.hasLambda = true
 	ent.mu = Idle
-	t.idleRates.add(lambda, ent, &t.buckets)
+	t.x.file(ent)
 	t.reIdle++
 }
 
@@ -189,12 +234,11 @@ func (t *table) moveFeToRe(ent *tableEntry) {
 	if ent.inRe {
 		panic(fmt.Sprintf("core: moveFeToRe on R_e member %d", ent.id))
 	}
-	t.feRates.remove(ent.lambda, ent, &t.buckets)
-	t.sumFe = t.sumFe.Sub(ent.lambda)
+	t.x.unfile(ent)
 	ent.inRe = true
 	t.reCount++
 	if ent.mu == Idle {
-		t.idleRates.add(ent.lambda, ent, &t.buckets)
+		t.x.file(ent)
 		t.reIdle++
 	}
 	t.invalidateBe()
@@ -209,12 +253,11 @@ func (t *table) moveReToFe(ent *tableEntry) {
 	if ent.mu != Idle || !ent.hasLambda {
 		panic(fmt.Sprintf("core: moveReToFe on non-idle session %d", ent.id))
 	}
-	t.idleRates.remove(ent.lambda, ent, &t.buckets)
+	t.x.unfile(ent)
 	t.reIdle--
 	ent.inRe = false
 	t.reCount--
-	t.sumFe = t.sumFe.Add(ent.lambda)
-	t.feRates.add(ent.lambda, ent, &t.buckets)
+	t.x.file(ent)
 	t.invalidateBe()
 }
 
@@ -225,11 +268,19 @@ func (t *table) allReIdleAtBe() bool {
 	if t.reCount == 0 || t.reIdle != t.reCount {
 		return false
 	}
-	return t.idleRates.countAt(t.be()) == int(t.reCount)
+	if t.x == nil {
+		return t.first.lambda.Equal(t.be())
+	}
+	return t.x.idleRates.countAt(t.be()) == int(t.reCount)
 }
 
 // feMax returns the largest λ among F_e members.
-func (t *table) feMax() (rate.Rate, bool) { return t.feRates.max() }
+func (t *table) feMax() (rate.Rate, bool) {
+	if t.x == nil {
+		return t.first.lambda, t.firstLive && !t.first.inRe
+	}
+	return t.x.feRates.max()
+}
 
 // The snapshot helpers append entries to dst, sorted by session ID, and
 // return it, so a caller reusing one buffer takes a stable snapshot — one it
@@ -238,22 +289,44 @@ func (t *table) feMax() (rate.Rate, bool) { return t.feRates.max() }
 
 // appendFeSessionsAt appends the F_e members with λ = r.
 func (t *table) appendFeSessionsAt(dst []*tableEntry, r rate.Rate) []*tableEntry {
-	return t.feRates.appendSessionsAt(dst, r)
+	if t.x == nil {
+		return t.lone(dst, true, r, false)
+	}
+	return t.x.feRates.appendSessionsAt(dst, r)
 }
 
 // appendIdleAt appends the R_e members that are IDLE with λ = r.
 func (t *table) appendIdleAt(dst []*tableEntry, r rate.Rate) []*tableEntry {
-	return t.idleRates.appendSessionsAt(dst, r)
+	if t.x == nil {
+		return t.lone(dst, false, r, false)
+	}
+	return t.x.idleRates.appendSessionsAt(dst, r)
 }
 
 // appendIdleAbove appends the R_e members that are IDLE with λ > r.
 func (t *table) appendIdleAbove(dst []*tableEntry, r rate.Rate) []*tableEntry {
-	return t.idleRates.appendSessionsAbove(dst, r)
+	if t.x == nil {
+		return t.lone(dst, false, r, true)
+	}
+	return t.x.idleRates.appendSessionsAbove(dst, r)
 }
 
 // appendIdleAll appends every IDLE R_e member.
 func (t *table) appendIdleAll(dst []*tableEntry) []*tableEntry {
-	return t.idleRates.appendAll(dst)
+	if t.x == nil {
+		return t.lone(dst, false, t.first.lambda, false) // its own λ: any
+	}
+	return t.x.idleRates.appendAll(dst)
+}
+
+// lone is the snapshot of a table without an index: first, if it is live,
+// in F_e (fe) or IDLE in R_e (!fe), and its λ is r (or above r).
+func (t *table) lone(dst []*tableEntry, fe bool, r rate.Rate, above bool) []*tableEntry {
+	f := &t.first
+	if t.firstLive && f.inRe != fe && (fe || f.mu == Idle) && (above && f.lambda.Greater(r) || !above && f.lambda.Equal(r)) {
+		dst = append(dst, f)
+	}
+	return dst
 }
 
 // setCapacity changes C_e. The caller (RouterLink.SetCapacity) is responsible
@@ -264,17 +337,25 @@ func (t *table) setCapacity(c rate.Rate) {
 }
 
 // sessions returns the number of sessions known at the link.
-func (t *table) sessions() int { return int(t.reCount) + t.feRates.len() }
+func (t *table) sessions() int {
+	if t.x != nil {
+		return int(t.x.index.n)
+	}
+	if t.firstLive {
+		return 1
+	}
+	return 0
+}
 
 // all yields every entry the table holds, in no particular order.
 func (t *table) all(yield func(*tableEntry) bool) {
-	if t.index == nil {
+	if t.x == nil {
 		if t.firstLive {
 			yield(&t.first)
 		}
 		return
 	}
-	for _, slot := range t.index.slots {
+	for _, slot := range t.x.index.slots {
 		if slot.ent != nil && !yield(slot.ent) {
 			return
 		}
@@ -288,7 +369,8 @@ func (t *table) all(yield func(*tableEntry) bool) {
 // indexed sits at its recorded position in a bucket of its own rate, every
 // member of either set is a live entry of the right kind pointing back at
 // that bucket, and the set sizes equal the entry counts — so the sets hold
-// exactly the entries they should.
+// exactly the entries they should. A table without an index holds at most
+// its inline entry, filed nowhere.
 func (t *table) checkInvariants() error {
 	var reCount, reIdle int32
 	n := 0
@@ -306,7 +388,7 @@ func (t *table) checkInvariants() error {
 			if !ent.hasLambda {
 				return fmt.Errorf("idle session %d without lambda", s)
 			}
-			if !ent.indexed() {
+			if !t.filed(ent) {
 				return fmt.Errorf("idle session %d missing from idle index", s)
 			}
 		case ent.inRe:
@@ -319,13 +401,10 @@ func (t *table) checkInvariants() error {
 				return fmt.Errorf("F_e session %d without lambda", s)
 			}
 			sum = sum.Add(ent.lambda)
-			if !ent.indexed() {
+			if !t.filed(ent) {
 				return fmt.Errorf("F_e session %d missing from fe index", s)
 			}
 		}
-	}
-	if t.index != nil && n != int(t.index.n) {
-		return fmt.Errorf("entry index size %d, counted %d", t.index.n, n)
 	}
 	if reCount != t.reCount {
 		return fmt.Errorf("reCount = %d, counted %d", t.reCount, reCount)
@@ -333,41 +412,53 @@ func (t *table) checkInvariants() error {
 	if reIdle != t.reIdle {
 		return fmt.Errorf("reIdle = %d, counted %d", t.reIdle, reIdle)
 	}
-	if !sum.Equal(t.sumFe) {
-		return fmt.Errorf("sumFe = %v, counted %v", t.sumFe, sum)
+	if t.reCount > 0 && t.capacity.Sub(sum).Sign() < 0 {
+		return fmt.Errorf("F_e oversubscribed: sum %v > capacity %v", sum, t.capacity)
 	}
-	if err := t.checkIndex(&t.idleRates, "idle", true); err != nil {
+	x := t.x
+	if x == nil {
+		if n > 1 {
+			return fmt.Errorf("%d sessions without an index", n)
+		}
+		return nil
+	}
+	if n != int(x.index.n) {
+		return fmt.Errorf("entry index size %d, counted %d", x.index.n, n)
+	}
+	if !sum.Equal(x.sumFe) {
+		return fmt.Errorf("sumFe = %v, counted %v", x.sumFe, sum)
+	}
+	if err := t.checkIndex(&x.idleRates, "idle", true); err != nil {
 		return err
 	}
-	if err := t.checkIndex(&t.feRates, "fe", false); err != nil {
+	if err := t.checkIndex(&x.feRates, "fe", false); err != nil {
 		return err
 	}
-	if t.idleRates.len() != int(reIdle) {
-		return fmt.Errorf("idle index size %d, want %d", t.idleRates.len(), reIdle)
+	if x.idleRates.len() != int(reIdle) {
+		return fmt.Errorf("idle index size %d, want %d", x.idleRates.len(), reIdle)
 	}
-	if t.feRates.len() != n-int(reCount) {
-		return fmt.Errorf("fe index size %d, want %d", t.feRates.len(), n-int(reCount))
-	}
-	if t.reCount > 0 && t.capacity.Sub(t.sumFe).Sign() < 0 {
-		return fmt.Errorf("F_e oversubscribed: sum %v > capacity %v", t.sumFe, t.capacity)
+	if x.feRates.len() != n-int(reCount) {
+		return fmt.Errorf("fe index size %d, want %d", x.feRates.len(), n-int(reCount))
 	}
 	return nil
 }
 
-// indexed reports whether ent sits where it says it does: at pos in a bucket
-// whose rate is its λ.
-func (ent *tableEntry) indexed() bool {
+// filed reports whether an entry that belongs in a rate set sits where it
+// says it does: at pos in a bucket whose rate is its λ. Without an index it
+// must say nowhere.
+func (t *table) filed(ent *tableEntry) bool {
 	b := ent.bucket
+	if t.x == nil {
+		return b == nil
+	}
 	return b != nil && int(ent.pos) < len(b.members) && b.members[ent.pos] == ent && b.rate.Equal(ent.lambda)
 }
 
 // checkIndex verifies one rate index from the bucket side: buckets ascending
 // and non-empty, every member a live entry of this table that points back at
 // its bucket and position and belongs in this set (idle R_e members in the
-// idle index, F_e members in the fe index), and the size the sum of the
-// bucket sizes.
+// idle index, F_e members in the fe index).
 func (t *table) checkIndex(rs *rateSet, name string, inRe bool) error {
-	size := 0
 	for i, b := range rs.buckets {
 		if len(b.members) == 0 {
 			return fmt.Errorf("%s index keeps an empty bucket at %v", name, b.rate)
@@ -375,7 +466,6 @@ func (t *table) checkIndex(rs *rateSet, name string, inRe bool) error {
 		if i > 0 && !rs.buckets[i-1].rate.Less(b.rate) {
 			return fmt.Errorf("%s index buckets out of order at %v", name, b.rate)
 		}
-		size += len(b.members)
 		for pos, m := range b.members {
 			if m.bucket != b || int(m.pos) != pos {
 				return fmt.Errorf("%s index member %d at %v does not point back", name, m.id, b.rate)
@@ -387,9 +477,6 @@ func (t *table) checkIndex(rs *rateSet, name string, inRe bool) error {
 				return fmt.Errorf("session %d filed in the %s index", m.id, name)
 			}
 		}
-	}
-	if size != rs.len() {
-		return fmt.Errorf("%s index size %d, buckets hold %d", name, rs.len(), size)
 	}
 	return nil
 }

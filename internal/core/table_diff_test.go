@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
@@ -8,198 +9,413 @@ import (
 	"bneck/internal/rate"
 )
 
-// TestTableMatchesReference runs random operation programs against the table
-// and against the map-based table it replaced (table_ref_test.go) and
-// requires, after every step, the same B_e, the same predicates and the same
-// session-ID *sequence* from every snapshot helper — the sequence is the
-// emission order of Figure 2's handlers, so equal sequences are what keeps
-// the simulation bit-identical.
-//
-// Programs 320 and up shape the population around the table's inline first
-// entry and buckets and its entry index (the first 320 are the programs the
-// test always ran): even ones keep a single session on the link, so every
-// addNew after a remove reuses the inline entry while the bucket it just
-// left sits on a free list, and no index is ever made; odd ones breathe
-// 1 → 5 → 1 sessions, across the making of the index and the spill of the
-// member lists and the bucket arrays, and back.
-func TestTableMatchesReference(t *testing.T) {
-	r := rand.New(rand.NewSource(53))
-	for prog := 0; prog < 400; prog++ {
-		// popCap bounds the population at a step (0: unbounded).
-		popCap := func(step int) int {
-			switch {
-			case prog < 320:
-				return 0
-			case prog%2 == 0 || (step/40)%2 == 0:
-				return 1
-			}
-			return 5
-		}
-		capacity := rate.FromInt64(int64(10+r.Intn(1000)) * 1_000_000)
-		opt := newTable(capacity)
-		ref := newRefTable(capacity)
-		var known []SessionID
+// modelTable is Figure 2's per-link state read straight off its
+// definitions: a map of entries, with B_e, the predicates and the snapshots
+// computed by scanning it and snapshots sorted by session ID. Only the
+// entries' Figure 2 fields (set, μ, λ) and hop are used.
+type modelTable struct {
+	capacity rate.Rate
+	ents     map[SessionID]*tableEntry
+}
 
-		// ID shapes the index must cope with: sequential, strided by a power
-		// of two (every key lands in few home slots under a masking hash),
-		// and arbitrary including zero and negatives.
-		nextID := SessionID(r.Intn(3) - 1)
-		stride := SessionID(1) << uint(r.Intn(3)*8)
-		newID := func() SessionID {
-			if prog%3 == 2 {
-				for {
-					s := SessionID(r.Int63n(1<<40) - 1<<39)
-					if ref.get(s) == nil {
-						return s
-					}
-				}
-			}
-			nextID += stride
-			return nextID
-		}
-		// Few distinct rates, so buckets hold several members and emptied
-		// buckets are reused.
-		randRate := func() rate.Rate {
-			return rate.FromFrac(int64(1+r.Intn(12))*1_000_000, int64(1+r.Intn(3)))
-		}
-		pick := func() (SessionID, *tableEntry, *refTableEntry) {
-			if len(known) == 0 {
-				return 0, nil, nil
-			}
-			s := known[r.Intn(len(known))]
-			return s, opt.get(s), ref.get(s)
-		}
-
-		steps := 100 + r.Intn(300)
-		spilled := false
-		for step := 0; step < steps; step++ {
-			op := r.Intn(12)
-			if c := popCap(step); c > 0 {
-				switch {
-				case len(known) > c || (len(known) == c && op <= 2):
-					op = 3 // full: a leave makes room for the next join
-				case len(known) == 0:
-					op = 0
-				}
-			}
-			switch op {
-			case 0, 1, 2: // addNew
-				s := newID()
-				hop := r.Intn(30)
-				wasEmpty := opt.sessions() == 0
-				got := opt.addNew(s, hop)
-				if got.id != s || int(got.hop) != hop {
-					t.Fatalf("prog %d step %d: addNew(%d, %d) returned id %d hop %d", prog, step, s, hop, got.id, got.hop)
-				}
-				if wasEmpty && got != &opt.first {
-					t.Fatalf("prog %d step %d: first session of an empty table not filed inline", prog, step)
-				}
-				ref.addNew(s, hop)
-				known = append(known, s)
-			case 3: // remove
-				if s, ent, _ := pick(); ent != nil {
-					opt.remove(s)
-					ref.remove(s)
-					i := slices.Index(known, s)
-					known = slices.Delete(known, i, i+1)
-				}
-			case 4, 5, 6: // setIdle (R_e only), often at a rate already present
-				if s, ent, rent := pick(); ent != nil && ent.inRe {
-					lam := randRate()
-					opt.setIdle(ent, lam)
-					ref.setIdle(s, rent, lam)
-				}
-			case 7: // setState
-				if s, ent, rent := pick(); ent != nil {
-					mu := WaitingProbe
-					if r.Intn(2) == 0 {
-						mu = WaitingResponse
-					}
-					opt.setState(ent, mu)
-					ref.setState(s, rent, mu)
-				}
-			case 8, 9: // moveReToFe, as the protocol does it: idle and below B_e
-				if s, ent, rent := pick(); ent != nil && ent.inRe && ent.mu == Idle && ent.lambda.Less(opt.be()) {
-					opt.moveReToFe(ent)
-					ref.moveReToFe(s, rent)
-				}
-			case 10: // moveFeToRe
-				if s, ent, rent := pick(); ent != nil && !ent.inRe {
-					opt.moveFeToRe(ent)
-					ref.moveFeToRe(s, rent)
-				}
-			case 11: // setCapacity, never below what F_e already holds
-				c := opt.sumFe.Add(rate.FromInt64(int64(1+r.Intn(1000)) * 1_000_000))
-				opt.setCapacity(c)
-				ref.setCapacity(c)
-			}
-
-			if err := opt.checkInvariants(); err != nil {
-				t.Fatalf("prog %d step %d: invariants: %v", prog, step, err)
-			}
-			if err := ref.checkInvariants(); err != nil {
-				t.Fatalf("prog %d step %d: reference invariants: %v", prog, step, err)
-			}
-			if opt.sessions() != ref.sessions() {
-				t.Fatalf("prog %d step %d: sessions %d vs %d", prog, step, opt.sessions(), ref.sessions())
-			}
-			for _, s := range known {
-				ent, rent := opt.get(s), ref.get(s)
-				if ent == nil || ent.id != s || ent.inRe != rent.inRe || ent.mu != rent.mu ||
-					ent.hasLambda != rent.hasLambda || !ent.lambda.Equal(rent.lambda) || int(ent.hop) != rent.hop {
-					t.Fatalf("prog %d step %d: entry %d is %+v, reference %+v", prog, step, s, ent, rent)
-				}
-			}
-			be := opt.be()
-			if be.Key() != ref.be().Key() {
-				t.Fatalf("prog %d step %d: be %v vs %v", prog, step, be, ref.be())
-			}
-			if opt.allReIdleAtBe() != ref.allReIdleAtBe() {
-				t.Fatalf("prog %d step %d: allReIdleAtBe %t vs %t", prog, step, opt.allReIdleAtBe(), ref.allReIdleAtBe())
-			}
-			om, ook := opt.feMax()
-			rm, rok := ref.feMax()
-			if ook != rok || om.Key() != rm.Key() {
-				t.Fatalf("prog %d step %d: feMax (%v,%t) vs (%v,%t)", prog, step, om, ook, rm, rok)
-			}
-			same := func(what string, got []*tableEntry, want []SessionID) {
-				t.Helper()
-				if !slices.Equal(ids(got), want) {
-					t.Fatalf("prog %d step %d: %s = %v, reference %v", prog, step, what, ids(got), want)
-				}
-			}
-			if opt.index == nil && opt.sessions() > 1 {
-				t.Fatalf("prog %d step %d: %d sessions without an index", prog, step, opt.sessions())
-			}
-			if spilled && opt.index == nil {
-				t.Fatalf("prog %d step %d: the index went", prog, step)
-			}
-			spilled = spilled || opt.index != nil
-			if prog >= 320 && prog%2 == 0 {
-				// One session at a time: nothing may have spilled.
-				if opt.index != nil || cap(opt.idleRates.buckets) > 1 || cap(opt.feRates.buckets) > 1 ||
-					cap(opt.buckets.free) > 1 {
-					t.Fatalf("prog %d step %d: a single-session table spilled to the heap", prog, step)
-				}
-			}
-			same("appendIdleAll", opt.appendIdleAll(nil), ref.appendIdleAll(nil))
-			probes := []rate.Rate{randRate(), randRate()}
-			if !be.IsInf() {
-				probes = append(probes, be)
-			}
-			if ook {
-				probes = append(probes, om)
-			}
-			for _, p := range probes {
-				same("appendIdleAt", opt.appendIdleAt(nil, p), ref.appendIdleAt(nil, p))
-				same("appendIdleAbove", opt.appendIdleAbove(nil, p), ref.appendIdleAbove(nil, p))
-				same("appendFeSessionsAt", opt.appendFeSessionsAt(nil, p), ref.appendFeSessionsAt(nil, p))
-			}
-		}
-		if prog >= 320 && prog%2 == 1 && !spilled {
-			t.Fatalf("prog %d: a breathing program never crossed the inline/heap boundary", prog)
+// be is (C_e − Σ_{s∈F_e} λ_s)/|R_e|, +∞ for an empty R_e.
+func (m *modelTable) be() rate.Rate {
+	re, sum := 0, rate.Zero
+	for _, e := range m.ents {
+		if e.inRe {
+			re++
+		} else {
+			sum = sum.Add(e.lambda)
 		}
 	}
+	if re == 0 {
+		return rate.Inf
+	}
+	return m.capacity.Sub(sum).DivInt(re)
+}
+
+// allReIdleAtBe is ∀r ∈ R_e: λ_r = B_e ∧ μ_r = IDLE, false for an empty R_e.
+func (m *modelTable) allReIdleAtBe() bool {
+	be, re := m.be(), 0
+	for _, e := range m.ents {
+		if e.inRe {
+			re++
+			if e.mu != Idle || !e.lambda.Equal(be) {
+				return false
+			}
+		}
+	}
+	return re > 0
+}
+
+func (m *modelTable) feMax() (rate.Rate, bool) {
+	max, ok := rate.Zero, false
+	for _, e := range m.ents {
+		if !e.inRe && (!ok || e.lambda.Greater(max)) {
+			max, ok = e.lambda, true
+		}
+	}
+	return max, ok
+}
+
+// snapshot returns the IDs of the entries keep accepts, sorted.
+func (m *modelTable) snapshot(keep func(e *tableEntry) bool) []SessionID {
+	var out []SessionID
+	for s, e := range m.ents {
+		if keep(e) {
+			out = append(out, s)
+		}
+	}
+	slices.SortFunc(out, func(a, b SessionID) int { return cmp.Compare(a, b) })
+	return out
+}
+
+func idleIn(e *tableEntry) bool { return e.inRe && e.mu == Idle }
+
+// tableRun drives a table and the model through one program of table
+// operations, every choice drawn from draw (a value in [0, n)), and compares
+// every observable after every step. The session IDs come in one of three
+// shapes the index must cope with: sequential, strided by a power of two
+// (every key lands in few home slots under a masking hash), or scrambled
+// over the whole range, zero and negatives included.
+type tableRun struct {
+	t       *testing.T
+	name    string
+	draw    func(n int) int
+	tb      *table
+	m       modelTable
+	known   []SessionID
+	n       int64 // IDs handed out
+	shape   int
+	wide    bool // rates drawn from 700 fractions rather than 36
+	spilled bool // the table has had an index
+}
+
+func newTableRun(t *testing.T, name string, draw func(int) int) *tableRun {
+	c := rate.FromInt64(int64(10+draw(1000)) * 1_000_000)
+	return &tableRun{t: t, name: name, draw: draw, tb: newTable(c),
+		m: modelTable{capacity: c, ents: map[SessionID]*tableEntry{}}, shape: draw(3)}
+}
+
+func (p *tableRun) newID() SessionID {
+	p.n++
+	switch p.shape {
+	case 0:
+		return SessionID(p.n - 1)
+	case 1:
+		return SessionID(p.n << 16)
+	}
+	return SessionID(uint64(p.n) * 0xD6E8FEB86659FD93) // odd: a bijection
+}
+
+// randRate draws from few distinct rates, so buckets hold several members
+// and emptied buckets are reused; wide runs draw from many, so most idle
+// sessions have a bucket of their own.
+func (p *tableRun) randRate() rate.Rate {
+	if p.wide {
+		return rate.FromFrac(int64(1+p.draw(100))*1_000_000, int64(1+p.draw(7)))
+	}
+	return rate.FromFrac(int64(1+p.draw(12))*1_000_000, int64(1+p.draw(3)))
+}
+
+func (p *tableRun) pick() (SessionID, *tableEntry, *tableEntry) {
+	if len(p.known) == 0 {
+		return 0, nil, nil
+	}
+	s := p.known[p.draw(len(p.known))]
+	return s, p.tb.get(s), p.m.ents[s]
+}
+
+// The operations, each applied to both sides.
+
+func (p *tableRun) addNew() {
+	s, hop := p.newID(), p.draw(30)
+	wasEmpty := p.tb.sessions() == 0
+	got := p.tb.addNew(s, hop)
+	if got.id != s || int(got.hop) != hop {
+		p.fail("addNew(%d, %d) returned id %d hop %d", s, hop, got.id, got.hop)
+	}
+	if wasEmpty && got != &p.tb.first {
+		p.fail("first session of an empty table not filed inline")
+	}
+	p.m.ents[s] = &tableEntry{id: s, inRe: true, mu: WaitingResponse, hop: int32(hop)}
+	p.known = append(p.known, s)
+}
+
+func (p *tableRun) remove() {
+	if s, ent, _ := p.pick(); ent != nil {
+		p.tb.remove(s)
+		delete(p.m.ents, s)
+		i := slices.Index(p.known, s)
+		p.known = slices.Delete(p.known, i, i+1)
+	}
+}
+
+func (p *tableRun) setIdle(lam rate.Rate) {
+	if _, ent, me := p.pick(); ent != nil && ent.inRe {
+		p.tb.setIdle(ent, lam)
+		me.mu, me.lambda, me.hasLambda = Idle, lam, true
+	}
+}
+
+func (p *tableRun) setState(mu State) {
+	if _, ent, me := p.pick(); ent != nil {
+		p.tb.setState(ent, mu)
+		me.mu = mu
+	}
+}
+
+// moveReToFe as the protocol does it: idle and below B_e.
+func (p *tableRun) moveReToFe() {
+	if _, ent, me := p.pick(); ent != nil && ent.inRe && ent.mu == Idle && ent.lambda.Less(p.tb.be()) {
+		p.tb.moveReToFe(ent)
+		me.inRe = false
+	}
+}
+
+func (p *tableRun) moveFeToRe() {
+	if _, ent, me := p.pick(); ent != nil && !ent.inRe {
+		p.tb.moveFeToRe(ent)
+		me.inRe = true
+	}
+}
+
+// setCapacity never goes below what F_e already holds.
+func (p *tableRun) setCapacity() {
+	sum := rate.Zero
+	for _, e := range p.m.ents {
+		if !e.inRe {
+			sum = sum.Add(e.lambda)
+		}
+	}
+	c := sum.Add(rate.FromInt64(int64(1+p.draw(1000)) * 1_000_000))
+	p.tb.setCapacity(c)
+	p.m.capacity = c
+}
+
+// random applies one random operation; cap bounds the population (0:
+// unbounded): a full table leaves before it joins again.
+func (p *tableRun) random(cap int) {
+	op := p.draw(12)
+	if cap > 0 {
+		switch {
+		case len(p.known) > cap || (len(p.known) == cap && op <= 2):
+			op = 3
+		case len(p.known) == 0:
+			op = 0
+		}
+	}
+	switch op {
+	case 0, 1, 2:
+		p.addNew()
+	case 3:
+		p.remove()
+	case 4, 5, 6: // often at a rate already present
+		p.setIdle(p.randRate())
+	case 7:
+		p.setState([]State{WaitingProbe, WaitingResponse}[p.draw(2)])
+	case 8, 9:
+		p.moveReToFe()
+	case 10:
+		p.moveFeToRe()
+	case 11:
+		p.setCapacity()
+	}
+	p.check()
+}
+
+func (p *tableRun) fail(format string, args ...any) {
+	p.t.Helper()
+	p.t.Fatalf("%s: "+format, append([]any{p.name}, args...)...)
+}
+
+// check compares the table with the model: invariants, entries, B_e, the
+// predicates and all four snapshots at B_e, at the largest F_e rate and at
+// two drawn rates — as ID sequences, because the sequence is the emission
+// order of Figure 2's handlers, so equal sequences are what keeps the
+// simulation bit-identical. A table has an index exactly from its second
+// session on.
+func (p *tableRun) check() {
+	p.t.Helper()
+	tb, m := p.tb, &p.m
+	if err := tb.checkInvariants(); err != nil {
+		p.fail("invariants: %v", err)
+	}
+	if tb.sessions() != len(m.ents) {
+		p.fail("sessions %d, model %d", tb.sessions(), len(m.ents))
+	}
+	for s, me := range m.ents {
+		ent := tb.get(s)
+		if ent == nil || ent.id != s || ent.inRe != me.inRe || ent.mu != me.mu ||
+			ent.hasLambda != me.hasLambda || !ent.lambda.Equal(me.lambda) || ent.hop != me.hop {
+			p.fail("entry %d is %+v, model %+v", s, ent, me)
+		}
+	}
+	if tb.x == nil && len(m.ents) > 1 {
+		p.fail("%d sessions without an index", len(m.ents))
+	}
+	if p.spilled && tb.x == nil {
+		p.fail("the index went")
+	}
+	p.spilled = p.spilled || tb.x != nil
+	be := tb.be()
+	if be.Key() != m.be().Key() {
+		p.fail("be %v, model %v", be, m.be())
+	}
+	if tb.allReIdleAtBe() != m.allReIdleAtBe() {
+		p.fail("allReIdleAtBe %t, model %t", tb.allReIdleAtBe(), m.allReIdleAtBe())
+	}
+	fm, fok := tb.feMax()
+	mm, mok := m.feMax()
+	if fok != mok || fok && fm.Key() != mm.Key() {
+		p.fail("feMax (%v,%t), model (%v,%t)", fm, fok, mm, mok)
+	}
+	same := func(what string, got []*tableEntry, want []SessionID) {
+		p.t.Helper()
+		if !slices.Equal(ids(got), want) {
+			p.fail("%s = %v, model %v", what, ids(got), want)
+		}
+	}
+	same("appendIdleAll", tb.appendIdleAll(nil), m.snapshot(idleIn))
+	probes := []rate.Rate{p.randRate(), p.randRate()}
+	if !be.IsInf() {
+		probes = append(probes, be)
+	}
+	if fok {
+		probes = append(probes, fm)
+	}
+	for _, r := range probes {
+		same("appendIdleAt", tb.appendIdleAt(nil, r), m.snapshot(func(e *tableEntry) bool {
+			return idleIn(e) && e.lambda.Equal(r)
+		}))
+		same("appendIdleAbove", tb.appendIdleAbove(nil, r), m.snapshot(func(e *tableEntry) bool {
+			return idleIn(e) && e.lambda.Greater(r)
+		}))
+		same("appendFeSessionsAt", tb.appendFeSessionsAt(nil, r), m.snapshot(func(e *tableEntry) bool {
+			return !e.inRe && e.lambda.Equal(r)
+		}))
+	}
+}
+
+// crossings are the three states the one session of a table can be in when
+// a second arrives and the index is made: idle in R_e (filed in idleRates),
+// waiting in R_e (filed nowhere), in F_e (filed in feRates, seeding Σλ).
+var crossings = []string{"idle in R_e", "waiting in R_e", "in F_e"}
+
+// cross brings the table to one session in the given crossing state, checks
+// it has no index, and adds a second session.
+func (p *tableRun) cross(k int) {
+	for len(p.known) > 0 {
+		p.remove()
+	}
+	p.addNew()
+	// Below B_e = C_e, so that the session may move to F_e.
+	p.setIdle(rate.Min(p.randRate(), p.tb.capacity.DivInt(2)))
+	switch k {
+	case 1:
+		p.setState(WaitingProbe)
+	case 2:
+		p.moveReToFe()
+	}
+	p.check()
+	if f := &p.tb.first; p.tb.x != nil || (f.mu == Idle) == (k == 1) || f.inRe == (k == 2) {
+		p.fail("not one session %s without an index: %+v", crossings[k], *f)
+	}
+	p.addNew()
+	p.check()
+}
+
+// TestTableMatchesReference runs random operation programs against the table
+// and against the model and requires, after every step, the same entries,
+// B_e, predicates and snapshot sequences.
+//
+// Programs 320 to 399 shape the population around the table's inline first
+// entry and its index (the first 320 are unbounded): even ones keep a single
+// session on the link, so every addNew after a remove reuses the inline
+// entry and no index is ever made; odd ones breathe 1 → 5 → 1 sessions,
+// across the making of the index and back. Programs 400 and up cross the
+// boundary from each of the three states the first session can be in, then
+// breathe.
+func TestTableMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(53))
+	for prog := 0; prog < 430; prog++ {
+		p := newTableRun(t, "prog "+itoa(prog), r.Intn)
+		steps := 100 + r.Intn(300)
+		if prog >= 400 {
+			k := prog % len(crossings)
+			p.name += " (" + crossings[k] + ")"
+			p.cross(k)
+		}
+		for step := 0; step < steps; step++ {
+			switch {
+			case prog < 320:
+				p.random(0)
+			case prog < 400 && (prog%2 == 0 || (step/40)%2 == 0):
+				p.random(1)
+				if prog%2 == 0 && p.tb.x != nil {
+					p.fail("step %d: a single-session table made an index", step)
+				}
+			default:
+				p.random(5)
+			}
+		}
+		if prog >= 320 && prog%2 == 1 && !p.spilled {
+			t.Fatalf("prog %d: a breathing program never made an index", prog)
+		}
+	}
+}
+
+// TestTableMatchesNaive runs long unbounded programs against the model with
+// rates drawn wide: nearly every idle session sits alone in its bucket, so
+// the rate sets grow with the population and buckets are made and emptied
+// at almost every setIdle, where TestTableMatchesReference's few rates keep
+// buckets shared and reused.
+func TestTableMatchesNaive(t *testing.T) {
+	r := rand.New(rand.NewSource(37))
+	for prog := 0; prog < 100; prog++ {
+		p := newTableRun(t, "wide prog "+itoa(prog), r.Intn)
+		p.wide = true
+		for step := 0; step < 400; step++ {
+			p.random(0)
+		}
+	}
+}
+
+// FuzzTable is TestTableMatchesReference's interpreter driven by fuzz
+// bytes: each byte is one choice, and the program ends with the input. The
+// first byte picks the shape: a population bound of 1, 2 or 5 sessions (or
+// none), or one of the three crossings first.
+func FuzzTable(f *testing.F) {
+	r := rand.New(rand.NewSource(61))
+	for i := 0; i < 16; i++ {
+		seed := make([]byte, 64+r.Intn(1024))
+		r.Read(seed)
+		seed[0] = byte(i)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		shape := int(data[0]) % 7
+		data = data[1:]
+		draw := func(n int) int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := int(data[0])
+			data = data[1:]
+			return b % n
+		}
+		p := newTableRun(t, "fuzz", draw)
+		if shape >= 4 {
+			p.cross(shape - 4)
+			shape = 3
+		}
+		for len(data) > 0 {
+			p.random([]int{0, 1, 2, 5}[shape])
+		}
+	})
 }
 
 // TestSnapshotAppendsAfterPrefix checks the scratch-slice contract: a
@@ -345,30 +561,31 @@ func TestEntryMapNeverShrinks(t *testing.T) {
 	}
 	tb := newTable(rate.Mbps(100))
 	tb.addNew(1, 0)
-	if tb.index != nil {
+	if tb.x != nil {
 		t.Fatalf("one session made an index")
 	}
 	if n := testing.AllocsPerRun(10, func() { tb.remove(1); tb.addNew(1, 0) }); n != 0 {
 		t.Fatalf("one session's leave and rejoin allocate %v objects", n)
 	}
 	tb.addNew(2, 0)
-	if tb.index == nil || len(tb.index.slots) != minEntrySlots || int(tb.index.n) != 2 || tb.index.get(1) != &tb.first {
+	ix := &tb.x.index
+	if len(ix.slots) != minEntrySlots || int(ix.n) != 2 || ix.get(1) != &tb.first {
 		t.Fatalf("the second session did not make a four-slot index filing both")
 	}
 	for s := SessionID(3); s <= 100; s++ {
 		tb.addNew(s, 0)
 	}
-	size := len(tb.index.slots)
+	size := len(ix.slots)
 	if size != 256 {
 		t.Fatalf("100 entries in %d slots, want 256", size)
 	}
 	for s := SessionID(1); s <= 100; s++ {
 		tb.remove(s)
 	}
-	if tb.index == nil || int(tb.index.n) != 0 || len(tb.index.slots) != size {
-		t.Fatalf("after removing everything: index %v (want 0 entries in %d slots)", tb.index, size)
+	if tb.x == nil || &tb.x.index != ix || int(ix.n) != 0 || len(ix.slots) != size {
+		t.Fatalf("after removing everything: index %v (want 0 entries in %d slots)", ix, size)
 	}
-	if tb.addNew(7, 0) != &tb.first || tb.index.get(7) != &tb.first {
+	if tb.addNew(7, 0) != &tb.first || ix.get(7) != &tb.first {
 		t.Fatalf("a session joining the emptied table is not the inline entry filed in the index")
 	}
 }

@@ -247,7 +247,7 @@ func TestCloseDropsQueuedWork(t *testing.T) {
 	_ = s
 }
 
-// TestCloseMidCascade (ROADMAP item 3(d), the live half): Close lands while
+// TestCloseMidCascade (DESIGN.md §3, "Close may land mid-cascade"): Close lands while
 // 256 join cascades are running. It returns, the network then goes quiescent,
 // the workers caught mid-cascade end, and every later call is a no-op — no
 // packet, no migration, no link taken down — and nothing panics or hangs.

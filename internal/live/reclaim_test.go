@@ -201,7 +201,7 @@ func awaitGoroutines(t *testing.T, max int) {
 }
 
 // TestBoundedGrowthUnderChurn is the runtime's bounded-growth contract
-// (ROADMAP item 3.4): through a churn soak with failures, restores, leaves,
+// (DESIGN.md §3, the actor runtime): through a churn soak with failures, restores, leaves,
 // rejoins and demand changes, every quiescence finds the runtime at its
 // footprint (checkQuiescentFootprint) — actors own no goroutine, so the
 // count returns to the pre-traffic baseline every time — and at the end a

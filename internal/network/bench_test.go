@@ -21,16 +21,20 @@ import (
 // session, changes every demand to a finite rate (which moves each session
 // into F_e along its chain) and makes every session leave, running to
 // quiescence after each burst; only the three runs are timed. chains=64
-// stays in cache, chains=1024 does not (≈ 20 MB of link records), and the
+// stays in cache, chains=1024 does not (≈ 10 MB of link records), and the
 // distance between the two is what the memory layout still costs once Emit
 // has prefetched the receiving hop's record at send: chains=1024 against
 // chains=64 is that prefetch's layer-local number (medians of alternating
 // runs on 2 vCPUs: chains=1024 went from 564 to 341 ns/pkt, chains=64 from
-// 181 to 179, so the cold/warm gap fell from ×3.1 to ×1.9). allocs/pkt
-// counts everything the timed runs allocate, the records created by the
-// joins included: one record per link over its seven packets, the hop
-// tables and the warm-up of the delivery pool — ≈ 0.17; a steady-state packet
-// allocates nothing (TestSteadyStateEmitAllocatesNothing). B/linkrec is the
+// 181 to 179, so the cold/warm gap fell from ×3.1 to ×1.9). Moving what only
+// a shared link needs out of the record (432 → 192 bytes, DESIGN.md §5)
+// took chains=1024 from 351 to 245 ns/pkt (medians of six alternating
+// runs, all six won) and left chains=64 in its noise (225 → 191, four of
+// six). allocs/pkt counts everything the timed runs allocate, the records
+// created by the joins included: one record per link over its seven
+// packets, the hop tables and the warm-up of the delivery pool — ≈ 0.17; a
+// steady-state packet allocates nothing
+// (TestSteadyStateEmitAllocatesNothing). B/linkrec is the
 // size of that record, which a packet's visit to a link reads from
 // (TestLinkRecordFootprint bounds it).
 func BenchmarkChainHop(b *testing.B) {

@@ -241,16 +241,16 @@ func TestOneDirectionalLinkRejected(t *testing.T) {
 	n.resolveHops(path)
 }
 
-// TestLinkRecordFootprint bounds what a packet's visit to a link reads: the
-// link's record (task, table, first entry and bucket, wire) fits the
-// 448-byte allocation class, which a 24-byte rate.Rate and a table without
-// an index until its second session leave it in.
+// TestLinkRecordFootprint bounds what a packet's visit to a one-session
+// link reads: the link's record (task, table, first entry, wire) fits three
+// cache lines, the 192-byte allocation class, which a 24-byte rate.Rate and
+// a table whose rate index waits for its second session leave it in.
 func TestLinkRecordFootprint(t *testing.T) {
 	if got := unsafe.Sizeof(rate.Rate{}); got != 24 {
 		t.Errorf("rate.Rate is %d bytes, want 24", got)
 	}
-	if got := unsafe.Sizeof(linkRec{}); got > 448 {
-		t.Errorf("linkRec is %d bytes, want at most 448", got)
+	if got := unsafe.Sizeof(linkRec{}); got > 192 {
+		t.Errorf("linkRec is %d bytes, want at most 192", got)
 	}
 }
 

@@ -521,7 +521,7 @@ func Format(w io.Writer, res *Result) {
 			rq = ep.Requiescence.Round(time.Microsecond).String()
 		}
 		fmt.Fprintf(w, "%-10v %-12s %-14s %10d %8d %8d  %s\n",
-			ep.At, q, rq, ep.Packets, ep.Active, ep.Stranded, strings.Join(ep.Events, ", "))
+			ep.At.Round(time.Microsecond), q, rq, ep.Packets, ep.Active, ep.Stranded, strings.Join(ep.Events, ", "))
 	}
 	fmt.Fprintf(w, "total packets: %d, migrations: %d, reoptimizations: %d, reconfig packets: %d (every epoch validated against the oracle)\n",
 		res.TotalPackets, res.Migrations, res.Reoptimizations, res.ReconfigPackets)

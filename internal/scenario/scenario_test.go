@@ -221,6 +221,43 @@ func TestFailoverScenarioBothTransports(t *testing.T) {
 	}
 }
 
+// TestFormatColumnsAlign prints the churn example, whose after blocks start
+// at quiescence times such as 5.535768ms, and requires every epoch row to
+// keep the header's columns: a left-aligned field starts where its heading
+// does, a right-aligned one ends where its heading does.
+func TestFormatColumnsAlign(t *testing.T) {
+	src, err := os.ReadFile("../../examples/scenarios/churn.bneck")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := Parse(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunSim(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	Format(&b, res)
+	lines := strings.Split(b.String(), "\n")
+	header, rows := lines[0], lines[1:len(lines)-2]
+	if len(rows) != len(res.Epochs) || res.Epochs[1].At%time.Microsecond == 0 {
+		t.Fatalf("%d rows for %d epochs, second at %v: not the shape this test needs", len(rows), len(res.Epochs), res.Epochs[1].At)
+	}
+	for _, line := range rows {
+		row := []rune(line) // fmt pads µ as one column
+		for _, col := range strings.Fields(header) {
+			a := strings.Index(header, col)
+			z := a + len(col)
+			left := col == "epoch" || col == "requiesced" || col == "re-quiescence" || col == "events"
+			if left && (row[a] == ' ' || a > 0 && row[a-1] != ' ') || !left && (row[z-1] == ' ' || row[z] != ' ') {
+				t.Fatalf("column %q out of place in row\n%s\nunder\n%s", col, line, header)
+			}
+		}
+	}
+}
+
 func TestEpochOverrunAppliesImmediately(t *testing.T) {
 	// Two epochs 1ns apart: convergence of the first overruns the second's
 	// timestamp; the runner must apply it at the later time instead of
