@@ -30,7 +30,11 @@ import (
 // a shared link needs out of the record (432 → 192 bytes, DESIGN.md §5)
 // took chains=1024 from 351 to 245 ns/pkt (medians of six alternating
 // runs, all six won) and left chains=64 in its noise (225 → 191, four of
-// six). allocs/pkt counts everything the timed runs allocate, the records
+// six). Reading no Session on a link hop — the delivery carries the
+// receiving record, hop tables are indexed by session ID, the engine keys
+// events with one sequence (DESIGN.md §3, "What a hop costs") — took
+// chains=1024 from 199 to 154 ns/pkt (six alternating runs, all six won)
+// and chains=64 from 152 to 141 (four of six, inside its noise). allocs/pkt counts everything the timed runs allocate, the records
 // created by the joins included: one record per link over its seven
 // packets, the hop tables and the warm-up of the delivery pool — ≈ 0.17; a
 // steady-state packet allocates nothing

@@ -18,11 +18,11 @@ import (
 // index holds for s's path: hops[i] serves Path[i].
 func checkHops(t *testing.T, n *Network, s *Session) {
 	t.Helper()
-	if len(s.hops) != len(s.Path) {
-		t.Fatalf("session %d: %d hops for a %d-link path", s.ID, len(s.hops), len(s.Path))
+	if len(n.hops[s.ID]) != len(s.Path) {
+		t.Fatalf("session %d: %d hops for a %d-link path", s.ID, len(n.hops[s.ID]), len(s.Path))
 	}
 	for i, l := range s.Path {
-		h := s.hops[i]
+		h := n.hops[s.ID][i]
 		if h.rec == nil || h.rec != n.links[l] || core.LinkRef(l) != h.rec.task.Ref() {
 			t.Fatalf("session %d hop %d: record %p, link table has %p for link %d", s.ID, i, h.rec, n.links[l], l)
 		}
@@ -52,13 +52,13 @@ func TestHopTableFollowsMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, _ := n.NewSession(ha, hb, path)
-	if s.hops != nil {
+	if n.hops[s.ID] != nil {
 		t.Fatalf("hop table built before the join (set-up must not pay for it)")
 	}
 	n.ScheduleJoin(s, 0, rate.Inf)
 	n.Run()
 	checkHops(t, n, s)
-	old := append([]hopRef(nil), s.hops...)
+	old := append([]hopRef(nil), n.hops[s.ID]...)
 	oldRec := n.links[top[0][0]]
 	if oldRec == nil || oldRec.task.Sessions() != 1 {
 		t.Fatalf("the session is not on the top route")
@@ -74,13 +74,13 @@ func TestHopTableFollowsMigration(t *testing.T) {
 		t.Fatalf("no successor")
 	}
 	checkHops(t, n, succ)
-	if succ.hops[1].rec != n.links[bot[0][0]] || succ.hops[2].rec != n.links[bot[1][0]] {
+	if n.hops[succ.ID][1].rec != n.links[bot[0][0]] || n.hops[succ.ID][2].rec != n.links[bot[1][0]] {
 		t.Fatalf("the successor's table does not name the bottom route")
 	}
 	// The departed incarnation's table is what it was, and its Leave got
 	// through it: the old route's tasks are empty, the shared access
 	// links carry only the successor.
-	for i, h := range s.hops {
+	for i, h := range n.hops[s.ID] {
 		if h != old[i] {
 			t.Fatalf("migration rewrote the departed incarnation's hop %d", i)
 		}
@@ -136,7 +136,7 @@ func TestHopTableSurvivesGrowth(t *testing.T) {
 	before := make([][]hopRef, len(first))
 	for i, s := range first {
 		checkHops(t, n, s)
-		before[i] = append([]hopRef(nil), s.hops...)
+		before[i] = append([]hopRef(nil), n.hops[s.ID]...)
 	}
 	indexLen := len(n.links)
 
@@ -150,7 +150,7 @@ func TestHopTableSurvivesGrowth(t *testing.T) {
 	}
 	for i, s := range first {
 		checkHops(t, n, s)
-		for j, h := range s.hops {
+		for j, h := range n.hops[s.ID] {
 			if h != before[i][j] {
 				t.Fatalf("growth moved session %d's hop %d", s.ID, j)
 			}
@@ -183,8 +183,8 @@ func TestSetCapacityReachesResolvedWire(t *testing.T) {
 	n.ScheduleJoin(s, 0, rate.Inf)
 	n.Run()
 	mid := path[1]
-	w := s.hops[1].fwd
-	if w != n.wires[mid] || s.hops[1].rec != n.links[mid] {
+	w := n.hops[s.ID][1].fwd
+	if w != n.wires[mid] || n.hops[s.ID][1].rec != n.links[mid] {
 		t.Fatalf("hop table and link index disagree")
 	}
 	// 512 control bits at 40 Mbps, then at 1 Mbps: arrival = now + tx + prop.
@@ -202,7 +202,7 @@ func TestSetCapacityReachesResolvedWire(t *testing.T) {
 	if got, _ := s.Rate(); !got.Equal(rate.Mbps(1)) {
 		t.Fatalf("rate %v after the cut, want 1 Mbps", got)
 	}
-	if s.hops[1].rec.task.Capacity() != rate.Mbps(1) {
+	if n.hops[s.ID][1].rec.task.Capacity() != rate.Mbps(1) {
 		t.Fatalf("the task the hop table points at kept the old capacity")
 	}
 	if got, want := arrival(), TxTime(rate.Mbps(1))+prop; got != want {

@@ -86,11 +86,6 @@ type Session struct {
 	Path    graph.Path
 	src     *core.SourceNode
 	dst     *core.DestinationNode
-	// hops is the session's hop table: hops[i] serves Path[i]. Start resolves
-	// it — in serial context, before the session's first packet exists — and
-	// every Emit and delivery for the session indexes it instead of walking
-	// Path → graph → links[]/wires[].
-	hops []hopRef
 	// srcPort and dstPort are the ports of the session's endpoint tasks on
 	// their hosts; src and dst emit through pointers to them.
 	srcPort, dstPort port
@@ -158,6 +153,10 @@ type Network struct {
 	// cache miss per lookup on every path, so the slice is the only table.
 	// Slot 0 stays nil; walking the rest is walking creation order.
 	sessByID []*Session
+	// hops holds the hop tables by session ID: hops[s][i] serves Path[i].
+	// Start writes one, before the session's first packet, and no packet
+	// walks Session → Path → graph → links[]/wires[] (DESIGN.md §3).
+	hops [][]hopRef
 
 	// stats counts the packets sent across physical links (by type, and in
 	// bins of Config.BinSize).
@@ -177,17 +176,19 @@ type Network struct {
 // deliverEvents, each with a closure built exactly once over the event
 // itself; Emit pops one, fills in the pending delivery, and the closure
 // recycles its event before delivering, so steady-state packet traffic
-// allocates nothing.
+// allocates nothing. A delivery to a link task carries its record; only
+// the endpoints' (rec nil) look the session up.
 type deliverEvent struct {
-	sess *Session
-	hop  int
-	pkt  core.Packet
-	fn   func()
+	rec *linkRec
+	s   core.SessionID
+	hop int
+	pkt core.Packet
+	fn  func()
 }
 
-// takeDeliver returns a ready-to-schedule callback delivering pkt to hop on
-// sess, drawing from the free list when possible.
-func (n *Network) takeDeliver(sess *Session, hop int, pkt core.Packet) func() {
+// takeDeliver returns a ready-to-schedule callback delivering pkt to hop of
+// s — rec's task, or an endpoint if rec is nil — from the free list if it can.
+func (n *Network) takeDeliver(rec *linkRec, s core.SessionID, hop int, pkt core.Packet) func() {
 	var d *deliverEvent
 	if k := len(n.free); k > 0 {
 		d = n.free[k-1]
@@ -195,13 +196,13 @@ func (n *Network) takeDeliver(sess *Session, hop int, pkt core.Packet) func() {
 	} else {
 		d = &deliverEvent{}
 		d.fn = func() {
-			sess, hop, pkt := d.sess, d.hop, d.pkt
-			d.sess = nil
+			rec, s, hop, pkt := d.rec, d.s, d.hop, d.pkt
+			d.rec = nil
 			n.free = append(n.free, d)
-			n.deliver(sess, hop, pkt)
+			n.deliver(rec, s, hop, pkt)
 		}
 	}
-	d.sess, d.hop, d.pkt = sess, hop, pkt
+	d.rec, d.s, d.hop, d.pkt = rec, s, hop, pkt
 	return d.fn
 }
 
@@ -212,6 +213,7 @@ func New(g *graph.Graph, eng *sim.Engine, cfg Config) *Network {
 		g:        g,
 		eng:      eng,
 		sessByID: make([]*Session, 1), // IDs start at 1; slot 0 stays nil
+		hops:     make([][]hopRef, 1),
 		sessPkts: make([]uint64, 1),
 		stats:    metrics.NewPacketStats(cfg.BinSize),
 	}
@@ -288,8 +290,9 @@ func (n *Network) newSession(id core.SessionID, srcHost, dstHost graph.NodeID) *
 	})
 	s.dst = core.NewDestinationNode(id, &s.dstPort)
 	n.sessByID = append(n.sessByID, s)
-	// Size the per-session counter table now, so Emit can index it without
+	// Size the per-session tables now, so Emit can index them without
 	// bounds games.
+	n.hops = append(n.hops, nil)
 	n.sessPkts = append(n.sessPkts, 0)
 	return s
 }
@@ -380,7 +383,7 @@ func (n *Network) apply(acts []control.Action, err error) {
 			// The one place a path becomes live: resolve its hop table (and
 			// the records of links nobody used before) now, in serial
 			// context, before the Join below emits the session's first packet.
-			s.hops = n.resolveHops(a.Path)
+			n.hops[a.ID] = n.resolveHops(a.Path)
 			s.src.Join(a.Demand)
 		case control.Leave:
 			n.sessByID[a.ID].src.Leave()
@@ -454,63 +457,68 @@ type linkRec struct {
 // crossing the corresponding physical wire.
 func (em *port) Emit(s core.SessionID, from int, dir core.Direction, pkt core.Packet) {
 	n := em.n
-	var sess *Session
-	if int(s) < len(n.sessByID) {
-		sess = n.sessByID[s]
+	if int(s) >= len(n.hops) || n.hops[s] == nil {
+		panic(fmt.Sprintf("network: emit for session %d, which has no path", s))
 	}
-	if sess == nil {
-		panic(fmt.Sprintf("network: emit for unknown session %d", s))
-	}
+	hops := n.hops[s]
 	var to int
 	var w *wireRec
 	if dir == core.Down {
 		to = from + 1
 		if from >= 1 {
-			w = sess.hops[from-1].fwd
+			w = hops[from-1].fwd
 		}
 	} else {
 		to = from - 1
 		if from >= 2 {
-			w = sess.hops[from-2].rev
+			w = hops[from-2].rev
 		}
 	}
-	if 1 <= to && to <= len(sess.hops) {
-		// A link task receives it microseconds from now: fetch its whole record
-		// while this send goes on, not one miss at a time then (DESIGN.md §3).
-		prefetch(unsafe.Pointer(sess.hops[to-1].rec), unsafe.Sizeof(linkRec{}))
+	var rec *linkRec
+	if 1 <= to && to <= len(hops) {
+		// A link task receives it microseconds from now: fetch its record (and
+		// on the way up the wire it answers on) while this send goes on.
+		rec = hops[to-1].rec
+		prefetch(unsafe.Pointer(rec), unsafe.Sizeof(linkRec{}))
+		if dir == core.Up && to >= 2 {
+			prefetch(unsafe.Pointer(hops[to-2].rev), unsafe.Sizeof(wireRec{}))
+		}
 	}
-	deliver := n.takeDeliver(sess, to, pkt)
+	deliver := n.takeDeliver(rec, s, to, pkt)
+	now := n.eng.Now()
 	if w == nil {
 		// Intra-host hand-off (source ↔ its access-link task): no wire. Both
 		// endpoints live on the source host; the event is keyed by it.
-		n.eng.SendFrom(int32(em.node), n.eng.Now(), deliver)
+		n.eng.SendFrom(int32(em.node), now, deliver)
 		return
 	}
 	// The packet crosses a physical link: account it (the paper counts
 	// every packet sent across a link) and serialize it on the wire.
-	now := n.eng.Now()
 	n.stats.Record(pkt.Type, now)
-	n.sessPkts[sess.ID]++
+	n.sessPkts[s]++
 	if n.cfg.OnPacket != nil {
 		// The wire's link: the sender's own going down, the reverse of the
 		// one below it going up.
-		link := sess.Path[min(from, to)-1]
+		link := n.sessByID[s].Path[min(from, to)-1]
 		if dir == core.Up {
 			link = n.g.LinkReverse(link)
 		}
 		n.cfg.OnPacket(link, pkt, now)
 	}
-	w.Send(deliver)
+	n.eng.SendFrom(int32(em.node), w.Depart(now), deliver)
 }
 
-func (n *Network) deliver(sess *Session, hop int, pkt core.Packet) {
+// deliver hands pkt to hop of s, fetching the hop-table slot a link task's
+// answer reads while the task runs.
+func (n *Network) deliver(rec *linkRec, s core.SessionID, hop int, pkt core.Packet) {
 	switch {
+	case rec != nil:
+		prefetch(unsafe.Pointer(&n.hops[s][hop-1]), unsafe.Sizeof(hopRef{}))
+		rec.task.Receive(pkt, hop)
 	case hop == 0:
-		sess.src.Receive(pkt)
-	case hop == len(sess.hops)+1:
-		sess.dst.Receive(pkt, hop)
+		n.sessByID[s].src.Receive(pkt)
 	default:
-		sess.hops[hop-1].rec.task.Receive(pkt, hop)
+		n.sessByID[s].dst.Receive(pkt, hop)
 	}
 }
 

@@ -14,8 +14,8 @@ import "sort"
 // covers.
 type Choice struct {
 	At     Time
-	Seq    uint64
-	Src    int32 // creator key (ExtCreator for At/After/DaemonAt)
+	Seq    uint64 // the engine's scheduling count: orders one creator's events
+	Src    int32  // creator key (ExtCreator for At/After/DaemonAt)
 	Daemon bool
 }
 

@@ -6,8 +6,8 @@
 // The event queue is a radix heap over virtual time whose buckets hold
 // 24-byte event values, the time and one packed (creator, sequence) key, so
 // scheduling performs no per-event allocation and one unsigned compare
-// orders two events of the same instant. Equal-time events fire in key
-// order, which makes runs deterministic.
+// orders two events of the same instant; the sequence is the engine's count
+// of schedulings. Equal-time events fire in key order (deterministic runs).
 package sim
 
 import (
@@ -25,7 +25,7 @@ type Time = time.Duration
 const ExtCreator int32 = -1
 
 // Engine is a single-threaded discrete event scheduler. Events scheduled for
-// the same instant run in key order — (time, creator, creator sequence) —
+// the same instant run in key order — (time, creator, engine sequence) —
 // which makes runs deterministic. Events scheduled without a creator
 // (At/After/DaemonAt) are all keyed under ExtCreator and fire in scheduling
 // order among themselves, the engine's historical contract.
@@ -37,10 +37,9 @@ const ExtCreator int32 = -1
 type Engine struct {
 	now      Time
 	events   eventQueue
-	seq      uint64
-	ctr      []uint64 // per-creator sequence counters for SendFrom
-	regular  int      // number of non-daemon events in the queue
-	stopped  bool     // Stop was called; Run unwinds
+	seq      uint64 // schedulings so far, every creator's: the keys' sequence
+	regular  int    // number of non-daemon events in the queue
+	stopped  bool   // Stop was called; Run unwinds
 	nEvents  uint64
 	lastBusy Time // time of the most recently executed regular event
 
@@ -82,7 +81,7 @@ func (e *Engine) DaemonAt(t Time, fn func()) {
 	e.schedule(t, fn, true)
 }
 
-// schedule assigns the ExtCreator key: external events order by a single
+// schedule assigns the ExtCreator key: external events order by the
 // engine-wide sequence.
 //
 //bneck:keyed
@@ -99,21 +98,19 @@ func (e *Engine) schedule(t Time, fn func(), daemon bool) {
 // node whose execution performs the scheduling. Same-time events of
 // different creators run in creator order, and one creator's events in the
 // order it scheduled them, so the total order of a run depends only on what
-// each node did — never on how the queue happened to be laid out. A creator
-// is a node ID in [0, 2²⁴−1); anything else panics, as does a creator's
-// 2³⁹th scheduling.
+// each node did — never on how the queue happened to be laid out (the
+// engine-wide sequence only grows, so it orders each creator's events). A
+// creator is a node ID in [0, 2²⁴−1); anything else panics, as does the
+// engine's 2³⁹th scheduling.
 //
-//bneck:keyed assigns the (time, creator, creator-seq) key.
+//bneck:keyed assigns the (time, creator, seq) key.
 func (e *Engine) SendFrom(creator int32, t Time, fn func()) {
 	e.checkTime(t)
 	if creator < 0 || creator >= maxCreator {
 		panic(fmt.Sprintf("sim: creator %d out of range [0, %d)", creator, maxCreator))
 	}
-	if n := int(creator) + 1; n > len(e.ctr) {
-		e.ctr = append(e.ctr, make([]uint64, n-len(e.ctr))...)
-	}
-	e.ctr[creator]++
-	e.events.push(event{at: t, key: eventKey(creator, e.ctr[creator], false), fn: fn})
+	e.seq++
+	e.events.push(event{at: t, key: eventKey(creator, e.seq, false), fn: fn})
 	e.regular++
 }
 
@@ -166,13 +163,13 @@ func (e *Engine) Run() Time {
 }
 
 // RunUntil executes all events (regular and daemon) scheduled strictly
-// before or at t, then sets the clock to t.
+// before or at t, then sets the clock to t unless a Stop ended it early.
 func (e *Engine) RunUntil(t Time) {
 	e.stopped = false
 	for e.events.len() > 0 && e.events.minTime() <= t && !e.stopped {
 		e.Step()
 	}
-	if e.now < t {
+	if !e.stopped && e.now < t {
 		e.now = t
 	}
 }

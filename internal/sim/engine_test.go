@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"container/heap"
 	"math/rand"
 	"sort"
 	"testing"
@@ -209,5 +210,112 @@ func TestPropRandomEventOrder(t *testing.T) {
 				t.Fatalf("fired times differ from scheduled")
 			}
 		}
+	}
+}
+
+// FuzzEventOrder is the executable spec of the engine's event order. Fuzz
+// bytes drive At, DaemonAt and SendFrom from four creators, from outside
+// and from inside running events, at the current instant and later; the
+// engine must run the events in the order of a container/heap reference
+// keyed by (time, creator, that creator's own count of schedulings), under
+// Run's rule that daemon events run only while a regular one is pending.
+// The engine keys events by one engine-wide count instead: this is what
+// says the two orders are the same.
+func FuzzEventOrder(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
+	f.Add([]byte{5, 0, 2, 0, 8, 0, 11, 0, 2, 2, 2, 1, 1, 1, 3, 0, 0})
+	f.Add([]byte{2, 0, 1, 0, 0, 0, 5, 0, 2, 11, 1, 2, 8, 0, 2, 5, 0, 2, 2, 0, 1, 4, 3})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		e := New()
+		got := eventProgram(prog, e.Now, func(kind int, creator int32, at Time, fn func()) {
+			switch kind {
+			case 0:
+				e.At(at, fn)
+			case 1:
+				e.DaemonAt(at, fn)
+			default:
+				e.SendFrom(creator, at, fn)
+			}
+		}, func() { e.Run() })
+		ref := &refQueue{ctr: map[int32]uint64{}}
+		want := eventProgram(prog, func() Time { return ref.now }, ref.add, ref.run)
+		if len(got) != len(want) {
+			t.Fatalf("the engine ran %d events, the reference %d", len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("event %d: the engine ran #%d, the reference #%d\nengine    %v\nreference %v", i, got[i], want[i], got, want)
+			}
+		}
+		if e.Now() != ref.now {
+			t.Fatalf("clock %v, reference %v", e.Now(), ref.now)
+		}
+	})
+}
+
+// eventProgram replays prog as schedulings through add: kind 0 an external
+// regular event, 1 an external daemon, 2 a keyed event of creator c, 0–3
+// µs from now. Four come from outside, and each event that runs makes up to
+// two more. It returns the events' numbers in the order run ran them.
+func eventProgram(prog []byte, now func() Time, add func(kind int, c int32, at Time, fn func()), run func()) []int {
+	var order []int
+	i, made := 0, 0
+	next := func() byte {
+		if i == len(prog) {
+			return 0
+		}
+		i++
+		return prog[i-1]
+	}
+	var schedule func()
+	schedule = func() {
+		if i == len(prog) || made == 1000 {
+			return
+		}
+		b, d := next(), next()
+		id := made
+		made++
+		add(int(b%3), int32(b/3%4), now()+Time(d%4)*time.Microsecond, func() {
+			order = append(order, id)
+			for k := next() % 3; k > 0; k-- {
+				schedule()
+			}
+		})
+	}
+	for k := 0; k < 4; k++ {
+		schedule()
+	}
+	run()
+	return order
+}
+
+// refQueue is the reference engine: refHeap, ordered by (time, creator,
+// per-creator sequence), external events under ExtCreator.
+type refQueue struct {
+	h       refHeap
+	ctr     map[int32]uint64
+	now     Time
+	regular int
+}
+
+func (q *refQueue) add(kind int, c int32, at Time, fn func()) {
+	if kind < 2 {
+		c = ExtCreator
+	}
+	q.ctr[c]++
+	heap.Push(&q.h, &refEvent{at: at, src: c, seq: q.ctr[c], daemon: kind == 1, fn: fn})
+	if kind != 1 {
+		q.regular++
+	}
+}
+
+func (q *refQueue) run() {
+	for q.regular > 0 {
+		ev := heap.Pop(&q.h).(*refEvent)
+		q.now = ev.at
+		if !ev.daemon {
+			q.regular--
+		}
+		ev.fn()
 	}
 }

@@ -7,10 +7,10 @@ import (
 
 // event is one scheduled callback, stored by value inside the queue and
 // ordered by (at, key). The key packs the rest of the order into one word,
-// (creator+1)<<40 | seq<<1 | daemon, where seq counts the creator's
+// (creator+1)<<40 | seq<<1 | daemon, where seq counts the engine's
 // schedulings. ExtCreator packs as 0, so external events precede every
-// node's at the same instant; a creator never reuses a sequence number, so
-// keys are unique and one unsigned compare gives the (creator, seq) order.
+// node's at the same instant; no two events share a seq, so keys are unique
+// and one unsigned compare gives the (creator, seq) order.
 type event struct {
 	at  Time
 	key uint64
@@ -26,7 +26,7 @@ const (
 // creator.
 func eventKey(creator int32, seq uint64, daemon bool) uint64 {
 	if seq >= 1<<seqBits {
-		panic(fmt.Sprintf("sim: creator %d scheduled 2^%d events", creator, seqBits))
+		panic(fmt.Sprintf("sim: the engine scheduled 2^%d events", seqBits))
 	}
 	k := uint64(creator+1)<<(seqBits+1) | seq<<1
 	if daemon {

@@ -11,12 +11,14 @@ import (
 
 // refEvent / refHeap is a container/heap-based event queue over the
 // unpacked key, kept as the executable specification the radix queue must
-// match: pop order is (time, creator, creator sequence) ascending.
+// match: pop order is (time, creator, creator sequence) ascending. fn is
+// the callback, for FuzzEventOrder's reference engine.
 type refEvent struct {
 	at     Time
 	src    int32
 	seq    uint64
 	daemon bool
+	fn     func()
 }
 
 type refHeap []*refEvent
@@ -263,8 +265,8 @@ func TestEventKeyOrder(t *testing.T) {
 	}
 }
 
-// TestKeyedConstructorsRejectBadKeys: a creator outside [0, 2²⁴−1), or a
-// creator's sequence number past 39 bits, is refused with a sim: panic
+// TestKeyedConstructorsRejectBadKeys: a creator outside [0, 2²⁴−1), or the
+// engine's sequence number past 39 bits, is refused with a sim: panic
 // instead of an index panic or a key that sorts wrong.
 func TestKeyedConstructorsRejectBadKeys(t *testing.T) {
 	cases := []struct {
@@ -275,7 +277,7 @@ func TestKeyedConstructorsRejectBadKeys(t *testing.T) {
 		{"negative creator", func(e *Engine) { e.SendFromTo(-5, 0, 0, func() {}) }},
 		{"first creator out of range", func(e *Engine) { e.SendFrom(1<<24-1, 0, func() {}) }},
 		{"creator seq overflow", func(e *Engine) {
-			e.ctr = []uint64{1<<39 - 1}
+			e.seq = 1<<39 - 1
 			e.SendFrom(0, 0, func() {})
 		}},
 		{"external seq overflow", func(e *Engine) {
@@ -339,6 +341,43 @@ func TestStopThenRun(t *testing.T) {
 	e.Run()
 	if !fired {
 		t.Fatal("Run after idle Stop did not execute events")
+	}
+}
+
+// TestStoppedRunUntilKeepsClock: a Stop inside RunUntil leaves the clock at
+// the stopping event, not at RunUntil's bound, so the events still due
+// before the bound can be scheduled next to and run later without the
+// clock ever going back.
+func TestStoppedRunUntilKeepsClock(t *testing.T) {
+	e := New()
+	var clock []Time
+	for i := 1; i <= 6; i++ {
+		i := i
+		e.At(time.Duration(i)*time.Millisecond, func() {
+			clock = append(clock, e.Now())
+			if i == 2 {
+				e.Stop()
+			}
+		})
+	}
+	e.RunUntil(10 * time.Millisecond)
+	if e.Now() != 2*time.Millisecond || e.Pending() != 4 {
+		t.Fatalf("after the stop: Now = %v with %d events pending, want 2ms and 4", e.Now(), e.Pending())
+	}
+	e.At(3*time.Millisecond, func() { clock = append(clock, e.Now()) }) // must not panic
+	e.Run()
+	if len(clock) != 7 || e.Now() != 6*time.Millisecond {
+		t.Fatalf("%d events ran, Now = %v; want 7 and 6ms", len(clock), e.Now())
+	}
+	for i := 1; i < len(clock); i++ {
+		if clock[i] < clock[i-1] {
+			t.Fatalf("the clock went back: %v", clock)
+		}
+	}
+	// Unstopped, RunUntil still moves the clock to its bound.
+	e.RunUntil(10 * time.Millisecond)
+	if e.Now() != 10*time.Millisecond {
+		t.Fatalf("Now = %v after an unstopped RunUntil, want 10ms", e.Now())
 	}
 }
 

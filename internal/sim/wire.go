@@ -48,14 +48,16 @@ func (w *Wire) Init(eng Sched, propagation, txPerPacket time.Duration) {
 // Send schedules deliver to run after the packet is serialized onto the wire
 // and propagates. It returns the arrival time.
 func (w *Wire) Send(deliver func()) Time {
-	start := w.free
-	if now := w.eng.Now(); start < now {
-		start = now
-	}
-	w.free = start + w.tx
-	arrival := w.free + w.prop
+	arrival := w.Depart(w.eng.Now())
 	w.eng.At(arrival, deliver)
 	return arrival
+}
+
+// Depart serializes one packet sent at now and returns its arrival time, for
+// a transport that schedules the arrival itself.
+func (w *Wire) Depart(now Time) Time {
+	w.free = max(w.free, now) + w.tx
+	return w.free + w.prop
 }
 
 // SetTx changes the per-packet transmission time — a capacity
