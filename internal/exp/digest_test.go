@@ -1,0 +1,54 @@
+package exp
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"strings"
+	"testing"
+
+	"bneck/internal/topology"
+)
+
+// TestExp1CSVDigest pins Experiment 1's CSV and table bytes — the table
+// carries the settling-time percentiles the CSV leaves out — on small LAN and
+// WAN cells and a 0-session cell, to a SHA-256 digest.
+func TestExp1CSVDigest(t *testing.T) {
+	cfg := smallExp1()
+	cfg.SessionCounts = []int{0, 40, 150}
+	rows, err := RunExperiment1(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := WriteExp1CSV(&b, rows); err != nil {
+		t.Fatal(err)
+	}
+	b.WriteString(FormatExp1(rows))
+	const want = "07b9a39758bd798501d2ec4ad1f20f455479cc8bbda7520664c1cc08c04d6576"
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(b.String()))); got != want {
+		t.Fatalf("exp1 digest %s, want %s:\n%s", got, want, b.String())
+	}
+}
+
+// TestExp2CSVDigest pins Experiment 2's CSV and table bytes on a small LAN
+// and a small WAN run to a SHA-256 digest.
+func TestExp2CSVDigest(t *testing.T) {
+	var b strings.Builder
+	for _, scen := range []topology.Scenario{topology.LAN, topology.WAN} {
+		cfg := DefaultExp2()
+		cfg.Topology, cfg.Scenario = topology.Small, scen
+		cfg.Base, cfg.Dyn = 150, 30
+		res, err := RunExperiment2(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteExp2CSV(&b, res); err != nil {
+			t.Fatal(err)
+		}
+		b.WriteString(FormatExp2(res))
+	}
+	const want = "a3d60710e1d83f4d38ece2a61f791dfa644048c780fbe4a7ff582dde9d1ec53a"
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(b.String()))); got != want {
+		t.Fatalf("exp2 digest %s, want %s:\n%s", got, want, b.String())
+	}
+}
