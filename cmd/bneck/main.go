@@ -6,15 +6,16 @@
 // Usage:
 //
 //	bneck [-size small|medium|big] [-scenario lan|wan] [-internet] [-sessions N]
-//	      [-demand-cap P] [-seed S] [-validate] [-v] [-live]
+//	      [-demand-cap P] [-seed S] [-v] [-live]
 //	bneck -run-scenario <script> [-live] [-path-policy pinned|reoptimize]
 //
-// Without -live every run executes on the serial discrete-event simulator:
-// the join burst is Experiment 1's cell (exp.JoinBurst) with a quarter of
-// the demands capped, and its wall time covers placement and validation.
-// With -live the protocol runs on the concurrent actor runtime instead (one
-// mailbox per task, no simulator): quiescence becomes wall-clock
-// termination and the scenario exercises real parallelism.
+// The join burst is a generated scenario script (exp.BurstScript):
+// Experiment 1's cell with a quarter of the demands capped, one after block
+// of joins validated against the water-filling oracle. Without -live it runs
+// on the serial discrete-event simulator, and its wall time covers the
+// topology build, the run and the validation. With -live the same script
+// runs on the concurrent actor runtime instead (one mailbox per task, no
+// simulator): quiescence becomes wall-clock termination.
 //
 // With -run-scenario the command executes a declarative event script — one
 // timeline mixing session churn with link failures, restorations and
@@ -36,15 +37,11 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
 	"os"
-	"sort"
-	"sync"
 	"time"
 
 	"bneck/internal/control"
 	"bneck/internal/exp"
-	"bneck/internal/live"
 	"bneck/internal/rate"
 	"bneck/internal/scenario"
 	"bneck/internal/topology"
@@ -62,7 +59,6 @@ func main() {
 		sessions   = flag.Int("sessions", 100, "number of sessions to join")
 		demandCap  = flag.Float64("demand-cap", 0.25, "fraction of sessions with a finite demand")
 		seed       = flag.Int64("seed", 1, "deterministic seed")
-		validate   = flag.Bool("validate", true, "cross-check against the centralized oracle")
 		verbose    = flag.Bool("v", false, "print every session's rate")
 		liveMode   = flag.Bool("live", false, "run on the concurrent actor runtime instead of the simulator")
 		scenFile   = flag.String("run-scenario", "", "execute a declarative scenario script (full DSL reference: docs/SCENARIOS.md)")
@@ -84,53 +80,77 @@ func main() {
 		return
 	}
 
-	if *sessions < 0 {
-		log.Fatalf("negative -sessions %d", *sessions)
-	}
-	topo, err := topology.GenerateByName(*sizeName, *scenName, *internet, *seed)
+	size, err := topology.ScaleByName(*sizeName)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var topoDesc string
-	switch t := topo.(type) {
-	case *topology.Network:
-		topoDesc = fmt.Sprintf("%s (%d routers), %s scenario", t.Params.Name, t.Params.Routers(), t.Scenario)
-	case *topology.Internet:
-		topoDesc = fmt.Sprintf("%s (%d routers), internet hierarchy", t.Params.Name, t.Params.Routers())
+	scen := topology.LAN
+	if !*internet {
+		if scen, err = topology.ScenarioByName(*scenName); err != nil {
+			log.Fatal(err)
+		}
 	}
-
-	if *liveMode {
-		runLive(topo, topoDesc, *sessions, *demandCap, *seed, *validate)
-		return
+	src, topo, err := exp.BurstScript(size.Stub, scen, *internet, *seed, *sessions, trace.MixedDemands(*demandCap, 1, 100))
+	if err != nil {
+		log.Fatal(err)
+	}
+	sc, err := scenario.Parse(src)
+	if err != nil {
+		log.Fatal(err)
 	}
 	wall := time.Now()
-	row, net, err := exp.JoinBurst(topo, *sessions, *seed, time.Millisecond, trace.MixedDemands(*demandCap, 1, 100), *validate)
+	res, err := run(sc, *liveMode)
 	if err != nil {
 		log.Fatal(err)
 	}
 	wallDur := time.Since(wall)
+	row := exp.BurstRow(res, *sessions)
 
-	fmt.Printf("topology   : %s\n", topoDesc)
-	fmt.Printf("sessions   : %d joined within 1ms (demand-capped fraction %.2f)\n", *sessions, *demandCap)
-	fmt.Printf("quiescence : %v (virtual), %v (wall)\n", row.Quiescence, wallDur.Round(time.Millisecond))
-	fmt.Printf("packets    : %d total, %.1f per session\n", row.Packets, row.PacketsPerSession)
-	if *validate {
-		fmt.Println("validation : all rates equal the centralized max-min fair rates ✓")
+	var desc string
+	switch t := topo.(type) {
+	case *topology.Network:
+		desc = fmt.Sprintf("%s (%d routers), %s scenario", t.Params.Name, t.Params.Routers(), t.Scenario)
+	case *topology.Internet:
+		desc = fmt.Sprintf("%s (%d routers), internet hierarchy", t.Params.Name, t.Params.Routers())
 	}
+	joined := "within 1ms"
+	quiescence := fmt.Sprintf("%v (virtual), %v (wall)", row.Quiescence, wallDur.Round(time.Millisecond))
+	if *liveMode {
+		desc, joined = desc+", live actor runtime", "in one burst"
+		quiescence = fmt.Sprintf("%v (wall clock, detected by termination)", wallDur.Round(time.Microsecond))
+	}
+	fmt.Printf("topology   : %s\n", desc)
+	fmt.Printf("sessions   : %d joined %s (demand-capped fraction %.2f)\n", *sessions, joined, *demandCap)
+	fmt.Printf("quiescence : %s\n", quiescence)
+	fmt.Printf("packets    : %d total, %.1f per session\n", row.Packets, row.PacketsPerSession)
+	fmt.Println("validation : all rates equal the centralized max-min fair rates ✓")
 
 	if *verbose {
+		demand := make(map[string]rate.Rate, len(sc.Sessions))
+		for _, ev := range sc.Events {
+			demand[ev.Session] = ev.Demand // the burst's joins
+		}
 		fmt.Printf("\n%-8s %-12s %-10s %s\n", "session", "rate (Mbps)", "path len", "demand")
-		all := net.Sessions()
-		sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
-		for _, s := range all {
-			r, _ := s.Rate()
-			d := "∞"
-			if !s.Demand().IsInf() {
-				d = fmt.Sprintf("%.0f Mbps", s.Demand().Float64()/1e6)
+		for _, ep := range res.Epochs { // the burst's one epoch, if any session joined
+			for k, s := range ep.Sessions {
+				d := "∞"
+				if dm := demand[sc.Sessions[k].Name]; !dm.IsInf() {
+					d = fmt.Sprintf("%.0f Mbps", dm.Float64()/1e6)
+				}
+				// Sessions take IDs from 1 in declaration order.
+				fmt.Printf("%-8d %-12.2f %-10d %s\n", k+1, s.Rate.Float64()/1e6, len(s.Path), d)
 			}
-			fmt.Printf("%-8d %-12.2f %-10d %s\n", s.ID, r.Float64()/1e6, len(s.Path), d)
 		}
 	}
+}
+
+// run executes a parsed script on the simulator, or with live on the actor
+// runtime.
+func run(sc *scenario.Script, live bool) (*scenario.Result, error) {
+	if live {
+		return scenario.RunLive(sc)
+	}
+	return scenario.RunSim(sc)
 }
 
 // runScenario parses and executes a scenario script, printing the per-epoch
@@ -148,13 +168,8 @@ func runScenario(path string, liveMode bool, policy *control.Policy) {
 	if policy != nil {
 		sc.Policy = *policy
 	}
-	var res *scenario.Result
 	wall := time.Now()
-	if liveMode {
-		res, err = scenario.RunLive(sc)
-	} else {
-		res, err = scenario.RunSim(sc)
-	}
+	res, err := run(sc, liveMode)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -162,62 +177,4 @@ func runScenario(path string, liveMode bool, policy *control.Policy) {
 		path, len(sc.Sessions), len(sc.Events), res.Transport)
 	fmt.Printf("wall time  : %v\n\n", time.Since(wall).Round(time.Millisecond))
 	scenario.Format(os.Stdout, res)
-}
-
-// runLive executes the scenario on the goroutine/actor runtime: joins fire
-// from concurrent goroutines and quiescence is detected by termination.
-func runLive(topo topology.Hosted, desc string, sessions int, demandCap float64, seed int64, validate bool) {
-	hosts := topo.AddHosts(2 * sessions)
-	rt := live.New(topo.Topology())
-	defer rt.Close()
-
-	rng := rand.New(rand.NewSource(seed + 7))
-	demandFn := trace.MixedDemands(demandCap, 1, 100)
-	type sess struct {
-		s      *live.Session
-		demand rate.Rate
-	}
-	all := make([]sess, sessions)
-	for i := 0; i < sessions; i++ {
-		src := hosts[i]
-		dst := hosts[rng.Intn(len(hosts))]
-		for dst == src {
-			dst = hosts[rng.Intn(len(hosts))]
-		}
-		p, err := rt.HostPath(src, dst)
-		if err != nil {
-			log.Fatal(err)
-		}
-		s, err := rt.NewSession(p)
-		if err != nil {
-			log.Fatal(err)
-		}
-		all[i] = sess{s: s, demand: demandFn(rng)}
-	}
-
-	wall := time.Now()
-	var wg sync.WaitGroup
-	for _, x := range all {
-		wg.Add(1)
-		go func(x sess) {
-			defer wg.Done()
-			x.s.Join(x.demand)
-		}(x)
-	}
-	// All joins must be enqueued before termination detection is meaningful;
-	// Join returns once the request is in the source actor's mailbox.
-	wg.Wait()
-	rt.WaitQuiescent()
-	wallDur := time.Since(wall)
-
-	fmt.Printf("topology   : %s, live actor runtime\n", desc)
-	fmt.Printf("sessions   : %d joined from concurrent goroutines\n", sessions)
-	fmt.Printf("quiescence : %v (wall clock, detected by termination)\n", wallDur.Round(time.Microsecond))
-
-	if validate {
-		if err := rt.Validate(); err != nil {
-			log.Fatalf("validation FAILED: %v", err)
-		}
-		fmt.Println("validation : all rates equal the centralized max-min fair rates ✓")
-	}
 }

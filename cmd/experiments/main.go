@@ -11,8 +11,11 @@
 //	          reconfiguration packets)
 //	-exp all → everything
 //
-// The internet-scale join burst is cmd/bneck's: bneck -internet -size
-// small|medium|big -sessions N.
+// Experiments 1, 2, 4 and 5 are generated scenario scripts (one after block
+// per burst, phase or epoch), and every epoch of every script is validated
+// against the centralized oracle; Experiment 3 drives the simulator
+// directly and validates at quiescence. The internet-scale join burst is
+// cmd/bneck's: bneck -internet -size small|medium|big -sessions N.
 //
 // Defaults are laptop-scale; use -scale to multiply session counts toward
 // the paper's numbers (e.g. -scale 10 runs Experiment 2 with 100,000 base
@@ -72,7 +75,6 @@ func main() {
 		big        = flag.Bool("big", false, "include the Big (11,000 router) topology in experiments 1, 4 and 5")
 		counts     = flag.String("counts", "", "comma-separated session counts for experiment 1 (overrides defaults)")
 		protocols  = flag.String("protocols", "bneck,bfyz", "comma-separated protocols for experiment 3 (bneck,bfyz,cg,rcp)")
-		validate   = flag.Bool("validate", true, "cross-check experiments 1 and 2 against the centralized oracle (experiments 3-5 always validate; 4 and 5 are scenario scripts)")
 		quiet      = flag.Bool("q", false, "suppress progress lines")
 		csvDir     = flag.String("csv", "", "also write figure data as CSV files into this directory")
 		workers    = flag.Int("workers", 1, "parallel sweep workers per fan-out level (1 = serial, negative = GOMAXPROCS); output is identical at any setting")
@@ -125,7 +127,6 @@ func main() {
 		{"1", func() (string, func(opener) error, error) {
 			cfg := exp.DefaultExp1()
 			cfg.Seed = *seed
-			cfg.Validate = *validate
 			cfg.Progress = progress
 			cfg.Workers = *workers
 			if *big {
@@ -146,7 +147,6 @@ func main() {
 		{"2", func() (string, func(opener) error, error) {
 			cfg := exp.DefaultExp2()
 			cfg.Seed = *seed
-			cfg.Validate = *validate
 			cfg.Base = scaled(cfg.Base)
 			cfg.Dyn = scaled(cfg.Dyn)
 			cfg.Progress = progress

@@ -2,7 +2,10 @@
 // regenerates every evaluation figure: Figure 5 (Experiment 1), Figure 6
 // (Experiment 2), Figures 7 and 8 (Experiment 3). Each experiment is
 // parameterized so the full paper scale (hundreds of thousands of sessions)
-// and a laptop scale (the defaults) run the same code.
+// and a laptop scale (the defaults) run the same code. Experiments 1 and 2,
+// and experiments 4 and 5 beyond the paper, are generated scenario scripts
+// run through the scenario package's one epoch loop; Experiment 3 drives
+// the simulator directly.
 package exp
 
 import (
@@ -10,12 +13,12 @@ import (
 	"io"
 	"math/rand"
 	"sort"
+	"strings"
 	"time"
 
 	"bneck/internal/graph"
 	"bneck/internal/metrics"
-	"bneck/internal/network"
-	"bneck/internal/sim"
+	"bneck/internal/scenario"
 	"bneck/internal/topology"
 	"bneck/internal/trace"
 )
@@ -27,9 +30,6 @@ type Exp1Config struct {
 	Scenarios     []topology.Scenario
 	SessionCounts []int
 	Seed          int64
-	// Validate cross-checks every run against the centralized oracle
-	// (the paper does; costs extra wall time).
-	Validate bool
 	// Progress, if non-nil, receives one line per completed run.
 	Progress io.Writer
 	// Workers bounds how many sweep cells run concurrently. Every cell has
@@ -51,7 +51,6 @@ func DefaultExp1() Exp1Config {
 		Scenarios:     []topology.Scenario{topology.LAN, topology.WAN},
 		SessionCounts: []int{10, 100, 1000, 5000},
 		Seed:          1,
-		Validate:      true,
 	}
 }
 
@@ -65,14 +64,12 @@ type Exp1Row struct {
 	Quiescence        time.Duration
 	Packets           uint64
 	PacketsPerSession float64
-	Events            uint64
 	// Settle* are percentiles of the per-session settling time: from a
 	// session's join to its final rate notification. The network-wide
 	// quiescence time is driven by the slowest dependency chain; these show
 	// how the rest of the population fares.
 	SettleP50 time.Duration
 	SettleP90 time.Duration
-	SettleMax time.Duration
 }
 
 // RunExperiment1 executes the sweep and returns one row per cell. Cells run
@@ -87,14 +84,15 @@ func RunExperiment1(cfg Exp1Config) ([]Exp1Row, error) {
 	return sweep(grid(cfg.Sizes, cfg.Scenarios, cfg.SessionCounts), cfg.Workers, cfg.Progress,
 		func(c gridCell[int]) string { return fmt.Sprintf("exp1 %s/%s/%d", c.size.Name, c.scen, c.n) },
 		func(c gridCell[int]) ([]Exp1Row, string, error) {
-			topo, err := topology.Generate(c.size, c.scen, cfg.Seed)
+			src, _, err := BurstScript(c.size, c.scen, false, cfg.Seed, c.n, trace.Unbounded)
 			if err != nil {
 				return nil, "", err
 			}
-			row, _, err := JoinBurst(topo, c.n, cfg.Seed, exp1JoinWindow, trace.Unbounded, cfg.Validate)
+			res, err := runScript(src)
 			if err != nil {
 				return nil, "", err
 			}
+			row := BurstRow(res, c.n)
 			row.Network, row.Scenario = c.size.Name, c.scen.String()
 			return []Exp1Row{row}, fmt.Sprintf(
 				"exp1 %-6s %-3s sessions=%-7d quiescence=%-12v packets=%d\n",
@@ -102,62 +100,44 @@ func RunExperiment1(cfg Exp1Config) ([]Exp1Row, error) {
 		})
 }
 
-// JoinBurst is one join-burst run, Experiment 1's cell and cmd/bneck's
-// simulated run alike: it places count sessions on topo (PlaceSessions),
-// lands their joins uniformly in [0, window) with demands drawn from demand,
-// runs to quiescence and, if validate, checks the rates against the oracle.
-// The joins draw from their own stream seeded with seed+7. The returned row
-// leaves Network and Scenario to the caller; its packets per session are 0
-// when no session joined. The network it ran is returned for inspection.
-func JoinBurst(topo topology.Hosted, count int, seed int64, window time.Duration, demand trace.DemandFn, validate bool) (Exp1Row, *network.Network, error) {
-	eng := sim.New()
-	net := network.New(topo.Topology(), eng, network.DefaultConfig())
-	sessions, err := PlaceSessions(topo, net, count)
-	if err != nil {
-		return Exp1Row{}, nil, err
-	}
-	schedule(net, sessions, trace.Joins(0, count, 0, window, demand, rand.New(rand.NewSource(seed+7))))
-	q := net.Run()
-	if validate {
-		if err := net.Validate(); err != nil {
-			return Exp1Row{}, nil, err
+// BurstRow reads a join burst's row off its script's run; it leaves Network
+// and Scenario to the caller. Packets per session are 0 when no session
+// joined.
+func BurstRow(res *scenario.Result, count int) Exp1Row {
+	row := Exp1Row{Sessions: count, Packets: res.TotalPackets}
+	var settle []float64
+	if len(res.Epochs) > 0 { // a burst of no session has no epoch
+		ep := res.Epochs[0]
+		row.Quiescence = ep.Quiescence
+		for _, s := range ep.Sessions {
+			settle = append(settle, float64(s.Settle))
 		}
 	}
-	settle := make([]float64, 0, len(sessions))
-	for _, s := range sessions {
-		settle = append(settle, float64(s.SettlingTime()))
-	}
 	sum := metrics.Summarize(settle)
-	row := Exp1Row{
-		Sessions:   count,
-		Quiescence: q,
-		Packets:    net.Stats().Total(),
-		Events:     eng.Events(),
-		SettleP50:  time.Duration(sum.Median),
-		SettleP90:  time.Duration(sum.P90),
-		SettleMax:  time.Duration(sum.Max),
-	}
+	row.SettleP50, row.SettleP90 = time.Duration(sum.Median), time.Duration(sum.P90)
 	if count > 0 {
 		row.PacketsPerSession = float64(row.Packets) / float64(count)
 	}
-	return row, net, nil
+	return row
 }
 
-// schedule hands the events to the network list by list, in order.
-func schedule(net *network.Network, sessions []*network.Session, events ...[]trace.Event) {
-	for _, evs := range events {
-		for _, ev := range evs {
-			s := sessions[ev.Session]
-			switch ev.Kind {
-			case trace.Join:
-				net.ScheduleJoin(s, ev.At, ev.Demand)
-			case trace.Leave:
-				net.ScheduleLeave(s, ev.At)
-			case trace.Change:
-				net.ScheduleChange(s, ev.At, ev.Demand)
-			}
-		}
+// BurstScript generates one join burst, Experiment 1's cell and cmd/bneck's
+// run alike, as a scenario script: count sessions on the named topology of
+// size (its internet rung when internet is set; scen is then not read),
+// joining in one after block at offsets drawn uniformly from the first
+// millisecond, with demands drawn from demand. The joins draw from their own
+// stream seeded with seed+7. A burst of no session has no block. It also
+// returns the topology the script names.
+func BurstScript(size topology.Params, scen topology.Scenario, internet bool, seed int64, count int, demand trace.DemandFn) (string, topology.Hosted, error) {
+	var b strings.Builder
+	topo, _, err := cellScript(&b, size, scen, internet, seed, count)
+	if err != nil || count == 0 {
+		return b.String(), topo, err
 	}
+	b.WriteString("after 0s {\n")
+	writeChurn(&b, trace.Joins(0, count, 0, exp1JoinWindow, demand, rand.New(rand.NewSource(seed+7))))
+	b.WriteString("}\n")
+	return b.String(), topo, nil
 }
 
 // drawPairs attaches 2·count hosts to the topology and draws one (source,
@@ -182,33 +162,9 @@ func drawPairs(topo topology.Hosted, count int) ([][2]graph.NodeID, error) {
 	return pairs, nil
 }
 
-// PlaceSessions draws the sessions' host pairs (drawPairs) and registers the
-// sessions with the network. Paths come from the network's own resolver
-// (Network.HostPath). Any generated topology works: transit-stub and
-// internet-scale topologies both satisfy topology.Hosted.
-func PlaceSessions(topo topology.Hosted, net *network.Network, count int) ([]*network.Session, error) {
-	pairs, err := drawPairs(topo, count)
-	if err != nil {
-		return nil, err
-	}
-	sessions := make([]*network.Session, count)
-	for _, i := range byRouter(topo.Topology(), pairs) {
-		path, err := net.HostPath(pairs[i][0], pairs[i][1])
-		if err != nil {
-			return nil, err
-		}
-		s, err := net.NewSession(pairs[i][0], pairs[i][1], path)
-		if err != nil {
-			return nil, err
-		}
-		sessions[i] = s
-	}
-	return sessions, nil
-}
-
 // byRouter orders the pairs' indexes by source router (stably): the order
-// sessions are registered in, so their IDs follow it, and so does every CSV
-// an experiment writes.
+// a cell's script declares its sessions in, so their IDs follow it, and so
+// does every CSV an experiment writes.
 func byRouter(g *graph.Graph, pairs [][2]graph.NodeID) []int {
 	order := make([]int, len(pairs))
 	for i := range order {

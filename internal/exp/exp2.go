@@ -4,11 +4,10 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 	"time"
 
 	"bneck/internal/metrics"
-	"bneck/internal/network"
-	"bneck/internal/sim"
 	"bneck/internal/topology"
 	"bneck/internal/trace"
 )
@@ -26,7 +25,6 @@ type Exp2Config struct {
 	// from the Base − Dyn sessions left, so Base must be at least 2 × Dyn.
 	Dyn      int
 	Seed     int64
-	Validate bool
 	Progress io.Writer
 }
 
@@ -46,7 +44,6 @@ func DefaultExp2() Exp2Config {
 		Base:     10_000,
 		Dyn:      2_000,
 		Seed:     1,
-		Validate: true,
 	}
 }
 
@@ -67,113 +64,77 @@ type Exp2Phase struct {
 type Exp2Result struct {
 	Phases []Exp2Phase
 	// Bins are per-interval packet counts by type over the whole run.
-	Bins    []metrics.Bin
-	Packets uint64
+	Bins []metrics.Bin
 }
 
-// RunExperiment2 executes the five phases.
+// RunExperiment2 executes the five phases as one generated script
+// (exp2Script), every phase validated against the oracle.
 func RunExperiment2(cfg Exp2Config) (*Exp2Result, error) {
-	if cfg.Dyn < 0 {
-		return nil, fmt.Errorf("exp2: negative dyn %d", cfg.Dyn)
+	if cfg.Dyn < 1 {
+		return nil, fmt.Errorf("exp2: dyn %d < 1", cfg.Dyn)
 	} else if cfg.Base < 2*cfg.Dyn {
 		return nil, fmt.Errorf("exp2: base %d < 2×dyn %d", cfg.Base, cfg.Dyn)
 	}
-	topo, err := topology.Generate(cfg.Topology, cfg.Scenario, cfg.Seed)
+	src, err := exp2Script(cfg)
 	if err != nil {
 		return nil, err
 	}
-	eng := sim.New()
-	net := network.New(topo.Graph, eng, network.DefaultConfig())
-
-	// Sessions: base (phase 1) + dyn (phase 4) + dyn (phase 5) joiners.
-	total := cfg.Base + 2*cfg.Dyn
-	sessions, err := PlaceSessions(topo, net, total)
+	run, err := runScript(src)
 	if err != nil {
 		return nil, err
+	}
+	res := &Exp2Result{Bins: run.Bins}
+	for i, name := range []string{
+		fmt.Sprintf("join %d", cfg.Base), fmt.Sprintf("leave %d", cfg.Dyn), fmt.Sprintf("change %d", cfg.Dyn),
+		fmt.Sprintf("join %d", cfg.Dyn), fmt.Sprintf("mixed 3x%d", cfg.Dyn),
+	} {
+		ep := run.Epochs[i]
+		res.Phases = append(res.Phases, Exp2Phase{
+			Name: name, Start: ep.At, Quiescence: ep.Quiescence, Took: ep.Requiescence, Packets: ep.Packets,
+		})
+		if cfg.Progress != nil {
+			fmt.Fprintf(cfg.Progress, "exp2 phase %-22s start=%-10v quiescent=%-10v took=%v\n",
+				name, ep.At, ep.Quiescence, ep.Requiescence)
+		}
+	}
+	return res, nil
+}
+
+// exp2Script generates Experiment 2 as a scenario script: Base sessions join
+// in an `after 0s` block, and each later phase is an after block exp2Gap past
+// the previous phase's quiescence — Dyn leave, Dyn change their demand, Dyn
+// new sessions join, then Dyn of each at once. Every draw (pairs, offsets,
+// demands, leavers, changers) is made here.
+func exp2Script(cfg Exp2Config) (string, error) {
+	var b strings.Builder
+	// Sessions: Base (phase 1) + Dyn (phase 4) + Dyn (phase 5) joiners.
+	if _, _, err := cellScript(&b, cfg.Topology, cfg.Scenario, false, cfg.Seed, cfg.Base+2*cfg.Dyn); err != nil {
+		return "", err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 13))
 	demands := trace.MixedDemands(0.5, 1, 100)
-
-	res := &Exp2Result{}
-	active := make([]int, 0, total) // indexes of currently active sessions
-	lastPackets := uint64(0)
-
-	runPhase := func(name string, start time.Duration, events []trace.Event) error {
-		schedule(net, sessions, events)
-		q := net.Run()
-		if cfg.Validate {
-			if err := net.Validate(); err != nil {
-				return fmt.Errorf("phase %q: %w", name, err)
-			}
-		}
-		pk := net.Stats().Total()
-		res.Phases = append(res.Phases, Exp2Phase{
-			Name:       name,
-			Start:      start,
-			Quiescence: q,
-			Took:       q - start,
-			Packets:    pk - lastPackets,
-		})
-		lastPackets = pk
-		if cfg.Progress != nil {
-			fmt.Fprintf(cfg.Progress, "exp2 phase %-22s start=%-10v quiescent=%-10v took=%v\n",
-				name, start, q, q-start)
-		}
-		return nil
+	block := func(after time.Duration, events ...[]trace.Event) {
+		fmt.Fprintf(&b, "after %v {\n", after)
+		writeChurn(&b, events...)
+		b.WriteString("}\n")
 	}
-
-	// Phase 1: Base sessions join.
-	joins := trace.Joins(0, cfg.Base, 0, exp2Window, trace.Unbounded, rng)
-	for i := 0; i < cfg.Base; i++ {
-		active = append(active, i)
+	block(0, trace.Joins(0, cfg.Base, 0, exp2Window, trace.Unbounded, rng))
+	active := make([]int, cfg.Base) // indexes of the active sessions
+	for i := range active {
+		active[i] = i
 	}
-	if err := runPhase(fmt.Sprintf("join %d", cfg.Base), 0, joins); err != nil {
-		return nil, err
-	}
-
-	// Phase 2: Dyn sessions leave.
-	start := eng.Now() + exp2Gap
 	leavers := trace.Sample(active, cfg.Dyn, rng)
 	active = removeAll(active, leavers)
-	if err := runPhase(fmt.Sprintf("leave %d", cfg.Dyn), start,
-		trace.Leaves(leavers, start, exp2Window, rng)); err != nil {
-		return nil, err
-	}
-
-	// Phase 3: Dyn sessions change their maximum rate.
-	start = eng.Now() + exp2Gap
-	changers := trace.Sample(active, cfg.Dyn, rng)
-	if err := runPhase(fmt.Sprintf("change %d", cfg.Dyn), start,
-		trace.Changes(changers, start, exp2Window, demands, rng)); err != nil {
-		return nil, err
-	}
-
-	// Phase 4: Dyn new sessions join.
-	start = eng.Now() + exp2Gap
-	joins = trace.Joins(cfg.Base, cfg.Dyn, start, exp2Window, trace.Unbounded, rng)
+	block(exp2Gap, trace.Leaves(leavers, 0, exp2Window, rng))
+	block(exp2Gap, trace.Changes(trace.Sample(active, cfg.Dyn, rng), 0, exp2Window, demands, rng))
+	block(exp2Gap, trace.Joins(cfg.Base, cfg.Dyn, 0, exp2Window, trace.Unbounded, rng))
 	for i := cfg.Base; i < cfg.Base+cfg.Dyn; i++ {
 		active = append(active, i)
 	}
-	if err := runPhase(fmt.Sprintf("join %d", cfg.Dyn), start, joins); err != nil {
-		return nil, err
-	}
-
-	// Phase 5: Dyn join + Dyn leave + Dyn change, all at once.
-	start = eng.Now() + exp2Gap
-	joins = trace.Joins(cfg.Base+cfg.Dyn, cfg.Dyn, start, exp2Window, trace.Unbounded, rng)
+	joins := trace.Joins(cfg.Base+cfg.Dyn, cfg.Dyn, 0, exp2Window, trace.Unbounded, rng)
 	leavers = trace.Sample(active, cfg.Dyn, rng)
 	active = removeAll(active, leavers)
-	changers = trace.Sample(active, cfg.Dyn, rng)
-	mixed := trace.Merge(
-		joins,
-		trace.Leaves(leavers, start, exp2Window, rng),
-		trace.Changes(changers, start, exp2Window, demands, rng),
-	)
-	if err := runPhase(fmt.Sprintf("mixed 3x%d", cfg.Dyn), start, mixed); err != nil {
-		return nil, err
-	}
-
-	res.Bins = net.Stats().Bins()
-	res.Packets = net.Stats().Total()
-	return res, nil
+	changers := trace.Sample(active, cfg.Dyn, rng)
+	block(exp2Gap, joins, trace.Leaves(leavers, 0, exp2Window, rng), trace.Changes(changers, 0, exp2Window, demands, rng))
+	return b.String(), nil
 }

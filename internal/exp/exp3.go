@@ -188,8 +188,8 @@ func buildExp3Workload(cfg Exp3Config) (*exp3Workload, error) {
 	w := &exp3Workload{topo: topo}
 	w.asm.Capacity = func(l graph.LinkID) rate.Rate { return topo.Graph.Link(l).Capacity }
 
-	// Draw the pairs but resolve raw paths (not PlaceSessions: there is no
-	// network here, and every protocol reuses the paths).
+	// Draw the pairs but resolve raw paths: there is no network here, and
+	// every protocol reuses the paths.
 	pairs, err := drawPairs(topo, cfg.Sessions)
 	if err != nil {
 		return nil, err
@@ -364,7 +364,12 @@ func runExp3BNeck(cfg Exp3Config, w *exp3Workload) (*Exp3Series, error) {
 		}
 		sessions[i] = s
 	}
-	schedule(net, sessions, w.joins, w.leaves)
+	for _, ev := range w.joins {
+		net.ScheduleJoin(sessions[ev.Session], ev.At, ev.Demand)
+	}
+	for _, ev := range w.leaves {
+		net.ScheduleLeave(sessions[ev.Session], ev.At)
+	}
 
 	series := &Exp3Series{Protocol: "B-Neck"}
 	sampleErr := w.sampleInto(series, eng, cfg, func(idx int) (float64, bool) {

@@ -142,7 +142,7 @@ func exp4Script(cfg Exp4Config, size topology.Params, scen topology.Scenario, se
 	// All sessions — the base population and every epoch's joiners — are
 	// declared up front; a joiner whose path broke before its join reroutes
 	// at join time.
-	if _, _, err := cellScript(&b, size, scen, seed, cfg.Sessions+cfg.Epochs*cfg.Churn); err != nil {
+	if _, _, err := cellScript(&b, size, scen, false, seed, cfg.Sessions+cfg.Epochs*cfg.Churn); err != nil {
 		return "", nil, err
 	}
 	rng := rand.New(rand.NewSource(seed + 31))

@@ -122,7 +122,7 @@ func RunExperiment5(cfg Exp5Config) ([]Exp5Row, error) {
 // order.
 func exp5Script(cfg Exp5Config, size topology.Params, scen topology.Scenario, seed int64) (string, topology.Hosted, [][2]graph.NodeID, error) {
 	var b strings.Builder
-	topo, pairs, err := cellScript(&b, size, scen, seed, cfg.Sessions)
+	topo, pairs, err := cellScript(&b, size, scen, false, seed, cfg.Sessions)
 	if err != nil {
 		return "", nil, nil, err
 	}

@@ -5,9 +5,8 @@ import (
 	"testing"
 	"time"
 
-	"bneck/internal/network"
-	"bneck/internal/sim"
 	"bneck/internal/topology"
+	"bneck/internal/trace"
 )
 
 func smallExp1() Exp1Config {
@@ -303,12 +302,15 @@ func TestBadSessionCounts(t *testing.T) {
 			_, err := RunExperiment4(cfg)
 			return err
 		}},
-		{"PlaceSessions negative", func() error {
-			topo, err := topology.Generate(topology.Small, topology.LAN, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = PlaceSessions(topo, network.New(topo.Graph, sim.New(), network.DefaultConfig()), -1)
+		{"BurstScript negative", func() error {
+			_, _, err := BurstScript(topology.Small, topology.LAN, false, 1, -1, trace.Unbounded)
+			return err
+		}},
+		{"exp2 zero dyn", func() error {
+			cfg := DefaultExp2()
+			cfg.Topology = topology.Small
+			cfg.Base, cfg.Dyn = 15, 0
+			_, err := RunExperiment2(cfg)
 			return err
 		}},
 	} {

@@ -26,28 +26,27 @@ func hashTopology(n *topology.Internet) uint64 {
 }
 
 // internetBurst is `bneck -internet`: a validated 1 ms join burst with a
-// quarter of the demands capped, on a generated internet topology.
-func internetBurst(t *testing.T, params topology.InternetParams, sessions int, seed int64) (Exp1Row, *topology.Internet) {
+// quarter of the demands capped, on the internet rung of size.
+func internetBurst(t *testing.T, size topology.Params, sessions int, seed int64) (Exp1Row, *topology.Internet) {
 	t.Helper()
-	topo, err := topology.GenerateInternet(params, seed)
+	src, topo, err := BurstScript(size, topology.LAN, true, seed, sessions, trace.MixedDemands(0.25, 1, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, _, err := JoinBurst(topo, sessions, seed, time.Millisecond, trace.MixedDemands(0.25, 1, 100), true)
+	res, err := runScript(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return row, topo
+	return BurstRow(res, sessions), topo.(*topology.Internet)
 }
 
 // TestInternetPaperValidated pins the smallest rung end to end: generated
 // topology, join burst, oracle validation — the numbers
 // `bneck -internet -size small -sessions 80` prints.
 func TestInternetPaperValidated(t *testing.T) {
-	row, topo := internetBurst(t, topology.InternetPaper, 80, 1)
-	if row.Quiescence != 446648609*time.Nanosecond || row.Packets != 2266 || row.Events != 2684 {
-		t.Fatalf("paper rung: q=%v after %d packets, %d events; want 446.648609ms, 2266, 2684",
-			row.Quiescence, row.Packets, row.Events)
+	row, topo := internetBurst(t, topology.Small, 80, 1)
+	if row.Quiescence != 446648609*time.Nanosecond || row.Packets != 2266 {
+		t.Fatalf("paper rung: q=%v after %d packets; want 446.648609ms, 2266", row.Quiescence, row.Packets)
 	}
 	// Links are counted after host placement.
 	if n := topo.Graph.NumLinks(); n != 440 {
@@ -66,7 +65,7 @@ func TestInternetDeterministic(t *testing.T) {
 	want := hashTopology(base)
 	var ref Exp1Row
 	for run := 0; run < 2; run++ {
-		row, _ := internetBurst(t, topology.InternetPaper, 60, 9)
+		row, _ := internetBurst(t, topology.Small, 60, 9)
 		if run == 0 {
 			ref = row
 		} else if row != ref {
@@ -90,10 +89,9 @@ func TestInternetGlobalSmoke(t *testing.T) {
 	if r := topology.InternetGlobal.Routers(); r < 10000 {
 		t.Fatalf("global rung has %d routers, want ≥ 10000", r)
 	}
-	row, topo := internetBurst(t, topology.InternetGlobal, 200, 2)
+	row, topo := internetBurst(t, topology.Big, 200, 2)
 	if row.Packets == 0 || row.Quiescence <= 0 {
 		t.Fatalf("the join burst sent %d packets, quiesced at %v", row.Packets, row.Quiescence)
 	}
-	t.Logf("global rung: %d links, q=%v, %d packets, %d events",
-		topo.Graph.NumLinks(), row.Quiescence, row.Packets, row.Events)
+	t.Logf("global rung: %d links, q=%v, %d packets", topo.Graph.NumLinks(), row.Quiescence, row.Packets)
 }

@@ -10,18 +10,27 @@ import (
 	"bneck/internal/trace"
 )
 
-// cellScript writes the head of an Experiment 4 or 5 cell's script: the
-// cell's transit-stub topology with two hosts per session, and count
-// sessions named s<i> after their drawn pair, declared in PlaceSessions'
-// order so that their IDs, and with them the simulator's tie-breaks, are
-// the ones PlaceSessions gives. Every draw happens here, on the generator's
-// own copy of the topology; the script carries the results as names. It returns the topology the pairs were
-// drawn on and the pairs in declaration order.
-func cellScript(b *strings.Builder, size topology.Params, scen topology.Scenario, seed int64, count int) (topology.Hosted, [][2]graph.NodeID, error) {
-	if s, err := topology.ScaleByName(strings.ToLower(size.Name)); err != nil || s.Stub != size {
+// cellScript writes the head of a cell's script: the named topology of size
+// — its transit-stub network under scen, or with internet its internet rung
+// — with two hosts per session, and count sessions named s<i> after their
+// drawn pair, declared in source-router order (byRouter), which fixes their
+// IDs and with them the simulator's tie-breaks. Every draw happens here, on
+// the generator's own copy of the topology; the script carries the results
+// as names. It returns the topology the pairs were drawn on and the pairs in
+// declaration order.
+func cellScript(b *strings.Builder, size topology.Params, scen topology.Scenario, internet bool, seed int64, count int) (topology.Hosted, [][2]graph.NodeID, error) {
+	s, err := topology.ScaleByName(strings.ToLower(size.Name))
+	if err != nil || s.Stub != size {
 		return nil, nil, fmt.Errorf("exp: topology %q is not a named scale", size.Name)
 	}
-	topo, err := topology.Generate(size, scen, seed)
+	var topo topology.Hosted
+	if internet {
+		topo, err = topology.GenerateInternet(s.Internet, seed)
+		fmt.Fprintf(b, "topology internet %s", s.Rung)
+	} else {
+		topo, err = topology.Generate(size, scen, seed)
+		fmt.Fprintf(b, "topology transit-stub %s %s", s.Name, strings.ToLower(scen.String()))
+	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -30,8 +39,7 @@ func cellScript(b *strings.Builder, size topology.Params, scen topology.Scenario
 		return nil, nil, err
 	}
 	g := topo.Topology()
-	fmt.Fprintf(b, "topology transit-stub %s %s seed=%d hosts=%d\n",
-		strings.ToLower(size.Name), strings.ToLower(scen.String()), seed, 2*count)
+	fmt.Fprintf(b, " seed=%d hosts=%d\n", seed, 2*count)
 	declared := make([][2]graph.NodeID, 0, count)
 	for _, i := range byRouter(g, pairs) {
 		fmt.Fprintf(b, "session s%d %s %s\n", i, g.Node(pairs[i][0]).Name, g.Node(pairs[i][1]).Name)

@@ -5,13 +5,34 @@ import (
 
 	"bneck/internal/scenario"
 	"bneck/internal/topology"
+	"bneck/internal/trace"
 )
 
-// TestExperimentScriptsBothTransports generates a small Experiment 4 cell
-// and a small Experiment 5 cell and runs both scripts on the simulator and
-// on the live runtime, where every epoch must validate. The simulator's
-// epochs must be the rows RunExperiment4 and RunExperiment5 report.
+// TestExperimentScriptsBothTransports generates a small cell of every
+// scripted experiment (1, 2, 4 and 5) and runs the scripts on the simulator
+// and on the live runtime, where every epoch must validate. The simulator's
+// epochs must be the rows the experiments report.
 func TestExperimentScriptsBothTransports(t *testing.T) {
+	cfg1 := smallExp1()
+	cfg1.Scenarios, cfg1.SessionCounts = []topology.Scenario{topology.LAN}, []int{40}
+	rows1, err := RunExperiment1(cfg1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src1, _, err := BurstScript(topology.Small, topology.LAN, false, cfg1.Seed, 40, trace.Unbounded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg2 := DefaultExp2()
+	cfg2.Topology, cfg2.Base, cfg2.Dyn = topology.Small, 60, 12
+	res2, err := RunExperiment2(cfg2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src2, err := exp2Script(cfg2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg4 := smallExp4()
 	cfg4.Seeds, cfg4.Sessions, cfg4.Epochs, cfg4.Churn = []int64{3}, 40, 3, 5
 	rows4, err := RunExperiment4(cfg4)
@@ -38,7 +59,14 @@ func TestExperimentScriptsBothTransports(t *testing.T) {
 		packets          uint64
 		requiescenceUS   int64
 	}
-	var want4, want5 []row
+	want1 := []row{{40, 0, rows1[0].Packets, rows1[0].Quiescence.Microseconds()}}
+	var want2, want4, want5 []row
+	for i, p := range res2.Phases {
+		// Active after each phase: join, leave, change, join, then a join and
+		// a leave of Dyn sessions each.
+		active := []int{60, 48, 48, 60, 60}[i]
+		want2 = append(want2, row{active, 0, p.Packets, p.Took.Microseconds()})
+	}
 	for _, r := range rows4 {
 		want4 = append(want4, row{r.Active, r.Stranded, r.Packets, r.Requiescence.Microseconds()})
 	}
@@ -49,7 +77,7 @@ func TestExperimentScriptsBothTransports(t *testing.T) {
 		name string
 		src  string
 		want []row
-	}{{"exp4", src4, want4}, {"exp5", src5, want5}} {
+	}{{"exp1", src1, want1}, {"exp2", src2, want2}, {"exp4", src4, want4}, {"exp5", src5, want5}} {
 		sc, err := scenario.Parse(c.src)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)

@@ -11,6 +11,7 @@ import (
 	"bneck/internal/control"
 	"bneck/internal/graph"
 	"bneck/internal/live"
+	"bneck/internal/metrics"
 	"bneck/internal/network"
 	"bneck/internal/rate"
 	"bneck/internal/sim"
@@ -62,6 +63,9 @@ type Result struct {
 	// reconfigurations: Leave cascades of force-departed incarnations plus
 	// Join cascades of topology-driven rejoins.
 	ReconfigPackets uint64
+	// Bins are the simulator's per-interval packet counts by type over the
+	// whole run (nil on the live runtime).
+	Bins []metrics.Bin
 }
 
 // SimOptions are the model checker's hooks into a simulator run. The zero
@@ -120,7 +124,12 @@ func RunSimOpts(sc *Script, opt SimOptions) (*Result, error) {
 	cfg.OracleCrossCheck = opt.OracleCrossCheck
 	eng := sim.New()
 	eng.SetChooser(opt.Chooser)
-	return run(w, "sim", &simNet{net: network.New(w.g, eng, cfg), eng: eng, deadline: opt.EpochDeadline})
+	net := network.New(w.g, eng, cfg)
+	res, err := run(w, "sim", &simNet{net: net, eng: eng, deadline: opt.EpochDeadline})
+	if err == nil {
+		res.Bins = net.Stats().Bins()
+	}
+	return res, err
 }
 
 // RunLive executes the script on the concurrent actor runtime. Epochs apply
@@ -335,6 +344,9 @@ type SessionState struct {
 	State control.State
 	Path  graph.Path
 	Rate  rate.Rate
+	// Settle is the simulator's settling time: from the current
+	// incarnation's join to its last rate notification (zero on live).
+	Settle time.Duration
 }
 
 // snapshot records every session's state, and counts the active and the
@@ -343,6 +355,9 @@ func snapshot[S ratedSession](sessions []S) (out []SessionState, active, strande
 	out = make([]SessionState, len(sessions))
 	for i, s := range sessions {
 		out[i] = SessionState{State: s.State(), Path: s.Path()}
+		if ss, ok := any(s).(simSession); ok {
+			out[i].Settle = ss.SettlingTime()
+		}
 		switch out[i].State {
 		case control.Active:
 			active++

@@ -231,13 +231,14 @@ type Script struct {
 	Events []Event
 }
 
-// maxScriptHosts bounds transit-stub host counts so a typo cannot demand a
-// gigantic generation.
-const maxScriptHosts = 100_000
-
-// maxScriptEvents bounds the expanded timeline (repeat blocks multiply
-// events) so a typo cannot demand a gigantic run.
-const maxScriptEvents = 100_000
+// The parser's bounds limit what a typo can multiply, not how long a script
+// is. maxScriptHosts bounds a generated topology's hosts= beyond two per
+// declared session, so a typo cannot demand a gigantic generation;
+// maxScriptEvents bounds the events repeat blocks add.
+const (
+	maxScriptHosts  = 100_000
+	maxScriptEvents = 100_000
+)
 
 // repeatBlock collects the events of one `repeat <n> { ... }` block, or of
 // the block-th `after <d> { ... }` block, while it is being parsed.
@@ -255,10 +256,10 @@ func Parse(src string) (*Script, error) {
 	sessions := make(map[string]int)
 	routers := make(map[string]int)
 	hosts := make(map[string]int)
-	sawTopology := false
+	topoLine := 0
 	sawPolicy := false
 	var rep *repeatBlock
-	blocks := 0 // after blocks opened
+	blocks, repeated := 0, 0 // after blocks opened, events repeat blocks added
 
 	lineNo := 0
 	scanner := bufio.NewScanner(strings.NewReader(src))
@@ -315,8 +316,10 @@ func Parse(src string) (*Script, error) {
 			if err != nil {
 				return nil, fmt.Errorf("scenario: line %d: %w", rep.line, err)
 			}
-			if len(sc.Events)+len(expanded) > maxScriptEvents {
-				return nil, fail("repeat expands past %d events", maxScriptEvents)
+			if rep.block == 0 {
+				if repeated += len(expanded); repeated > maxScriptEvents {
+					return nil, fail("repeat expands past %d events", maxScriptEvents)
+				}
 			}
 			sc.Events = append(sc.Events, expanded...)
 			rep = nil
@@ -324,10 +327,10 @@ func Parse(src string) (*Script, error) {
 		}
 		switch f[0] {
 		case "topology":
-			if sawTopology {
+			if topoLine > 0 {
 				return nil, fail("duplicate topology line")
 			}
-			sawTopology = true
+			topoLine = lineNo
 			if err := parseTopology(sc, f[1:]); err != nil {
 				return nil, fail("%v", err)
 			}
@@ -426,9 +429,6 @@ func Parse(src string) (*Script, error) {
 			if blocks > 0 {
 				return nil, fail("absolute `at` after an after block: its time would precede the block's epochs")
 			}
-			if len(sc.Events) >= maxScriptEvents {
-				return nil, fail("script exceeds %d events", maxScriptEvents)
-			}
 			sc.Events = append(sc.Events, ev)
 		default:
 			return nil, fail("unknown directive %q", f[0])
@@ -443,6 +443,8 @@ func Parse(src string) (*Script, error) {
 
 	if sc.Topo.Kind == 0 {
 		sc.Topo.Kind = TopoHand
+	} else if bound := max(maxScriptHosts, 2*len(sc.Sessions)); sc.Topo.Hosts > bound {
+		return nil, fmt.Errorf("scenario: line %d: hosts=%d out of range [0, %d]", topoLine, sc.Topo.Hosts, bound)
 	}
 	if sc.Topo.Kind != TopoHand && (len(sc.Routers) > 0 || len(sc.Hosts) > 0 || len(sc.Links) > 0) {
 		return nil, fmt.Errorf("scenario: hand-built declarations cannot mix with a generated topology")
@@ -675,8 +677,8 @@ func parseTopology(sc *Script, f []string) error {
 		case "seed":
 			spec.Seed = n
 		case "hosts":
-			if n < 0 || n > maxScriptHosts {
-				return fmt.Errorf("hosts=%d out of range [0, %d]", n, maxScriptHosts)
+			if n < 0 {
+				return fmt.Errorf("hosts=%d out of range", n)
 			}
 			spec.Hosts = int(n)
 		default:

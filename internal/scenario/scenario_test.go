@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"os"
 	"reflect"
 	"strings"
@@ -91,6 +92,12 @@ func TestParseErrors(t *testing.T) {
 		{"internet malformed option", "topology internet paper hosts", "malformed option"},
 		{"internet unknown option", "topology internet paper size=3", `unknown option "size"`},
 		{"infinite capacity", "router r1\nrouter r2\nlink r1 r2 10mbps 1us\nat 0s set-capacity r1 r2 unlimited", "finite rate"},
+		// hosts= may pass 100,000 only up to two hosts per declared session.
+		{"hosts past both bounds", "topology transit-stub small lan hosts=100001\nsession s1 h0 h1\nsession s2 h2 h3\n", "line 1: hosts=100001 out of range"},
+		{"negative hosts", "topology transit-stub small lan hosts=-1", "out of range"},
+		// Repeat blocks add at most 100,000 events, one block or several.
+		{"repeat past the event bound", "router r1\nrepeat 100001 {\nat 1ns expect stranded 0\n}\n", "expands past"},
+		{"repeats past the event bound", "router r1\nrepeat 60000 {\nat 1ns expect stranded 0\n}\nrepeat 60000 {\nat 1ns expect stranded 0\n}\n", "line 7: repeat expands past"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -102,6 +109,38 @@ func TestParseErrors(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, c.wantSub)
 			}
 		})
+	}
+}
+
+// TestParseBoundsScaleWithSessions: a generated-topology script longer than
+// 100,000 literal events, with two hosts per session past 100,000 hosts,
+// parses — the bounds limit what a typo multiplies, not a script's length —
+// and one host more is refused.
+func TestParseBoundsScaleWithSessions(t *testing.T) {
+	const sessions = 60_000
+	var b strings.Builder
+	b.WriteString("topology transit-stub small lan seed=1 hosts=%d\n")
+	for i := range sessions {
+		fmt.Fprintf(&b, "session s%d h%d h%d\n", i, 2*i, 2*i+1)
+	}
+	b.WriteString("after 0s {\n")
+	for i := range sessions {
+		fmt.Fprintf(&b, "at %dns join s%d\n", i, i)
+	}
+	b.WriteString("}\nafter 1ms {\n")
+	for i := range sessions {
+		fmt.Fprintf(&b, "at 0s change s%d demand=1mbps\n", i)
+	}
+	b.WriteString("}\n")
+	sc, err := Parse(fmt.Sprintf(b.String(), 2*sessions))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sc.Events) != 2*sessions || sc.Topo.Hosts != 2*sessions {
+		t.Fatalf("%d events on %d hosts, want %d on %d", len(sc.Events), sc.Topo.Hosts, 2*sessions, 2*sessions)
+	}
+	if _, err := Parse(fmt.Sprintf(b.String(), 2*sessions+1)); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("hosts=2×sessions+1: %v, want out of range", err)
 	}
 }
 

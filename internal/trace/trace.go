@@ -102,17 +102,6 @@ func Changes(sessions []int, start, window time.Duration, demand DemandFn, r *ra
 	return evs
 }
 
-// Merge combines schedules into one, sorted by time (ties keep argument
-// order).
-func Merge(schedules ...[]Event) []Event {
-	var out []Event
-	for _, s := range schedules {
-		out = append(out, s...)
-	}
-	sortEvents(out)
-	return out
-}
-
 // Sample picks k distinct values from population (a permutation prefix),
 // deterministically from r. It panics if k > len(population).
 func Sample(population []int, k int, r *rand.Rand) []int {

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"time"
 
@@ -73,19 +72,6 @@ func TestLeavesAndChanges(t *testing.T) {
 		if e.At < time.Millisecond || e.At >= 2*time.Millisecond {
 			t.Fatalf("change outside window: %v", e.At)
 		}
-	}
-}
-
-func TestMergeSorts(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	a := Joins(0, 50, 0, time.Millisecond, Unbounded, r)
-	b := Leaves([]int{0, 1, 2}, 500*time.Microsecond, time.Millisecond, r)
-	m := Merge(a, b)
-	if len(m) != 53 {
-		t.Fatalf("merged = %d", len(m))
-	}
-	if !sort.SliceIsSorted(m, func(i, j int) bool { return m[i].At < m[j].At }) {
-		t.Fatalf("merge not sorted")
 	}
 }
 
