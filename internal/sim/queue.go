@@ -26,13 +26,21 @@ const (
 // creator.
 func eventKey(creator int32, seq uint64, daemon bool) uint64 {
 	if seq >= 1<<seqBits {
-		panic(fmt.Sprintf("sim: the engine scheduled 2^%d events", seqBits))
+		panic(seqOverflow{})
 	}
 	k := uint64(creator+1)<<(seqBits+1) | seq<<1
 	if daemon {
 		k |= 1
 	}
 	return k
+}
+
+// seqOverflow is eventKey's panic value: formatting its message out of line
+// keeps eventKey inlinable.
+type seqOverflow struct{}
+
+func (seqOverflow) Error() string {
+	return fmt.Sprintf("sim: the engine scheduled 2^%d events", seqBits)
 }
 
 // keySrc and keySeq unpack a key's creator and sequence number.
