@@ -21,8 +21,9 @@ type Exp2Config struct {
 	// Base sessions join in phase 1.
 	Base int
 	// Dyn sessions leave (phase 2), change rates (phase 3), join (phase 4),
-	// and do all three at once (phase 5). Phases 3 and 5 draw Dyn changers
-	// from the Base − Dyn sessions left, so Base must be at least 2 × Dyn.
+	// and do all three at once (phase 5), so Dyn must be positive. Phases 3
+	// and 5 draw Dyn changers from the Base − Dyn sessions left, so Base
+	// must be at least 2 × Dyn.
 	Dyn      int
 	Seed     int64
 	Progress io.Writer

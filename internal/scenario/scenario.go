@@ -231,14 +231,10 @@ type Script struct {
 	Events []Event
 }
 
-// The parser's bounds limit what a typo can multiply, not how long a script
-// is. maxScriptHosts bounds a generated topology's hosts= beyond two per
-// declared session, so a typo cannot demand a gigantic generation;
-// maxScriptEvents bounds the events repeat blocks add.
-const (
-	maxScriptHosts  = 100_000
-	maxScriptEvents = 100_000
-)
+// The parser's bounds limit what a typo can multiply, not a script's length:
+// hosts= may pass maxScriptHosts only up to two per declared session, and
+// repeat blocks may add at most maxScriptEvents events between them.
+const maxScriptHosts, maxScriptEvents = 100_000, 100_000
 
 // repeatBlock collects the events of one `repeat <n> { ... }` block, or of
 // the block-th `after <d> { ... }` block, while it is being parsed.

@@ -35,8 +35,8 @@ func eventKey(creator int32, seq uint64, daemon bool) uint64 {
 	return k
 }
 
-// seqOverflow is eventKey's panic value: formatting its message out of line
-// keeps eventKey inlinable.
+// seqOverflow is eventKey's panic value. Its message is formatted out of
+// line, in Error, so that eventKey inlines.
 type seqOverflow struct{}
 
 func (seqOverflow) Error() string {
