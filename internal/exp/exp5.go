@@ -116,7 +116,7 @@ func RunExperiment5(cfg Exp5Config) ([]Exp5Row, error) {
 
 // exp5Script generates one Experiment 5 cell as a scenario script without
 // its policy line: the base join burst, a block failing cfg.Fails in-use
-// links picked from sessions spread evenly over the population (so the
+// links picked from sessions drawn over the whole population (so the
 // detours multiply), and a block restoring them all. It also returns the
 // topology the script names and the sessions' host pairs in declaration
 // order.
@@ -126,11 +126,12 @@ func exp5Script(cfg Exp5Config, size topology.Params, scen topology.Scenario, se
 	if err != nil {
 		return "", nil, nil, err
 	}
+	rng := rand.New(rand.NewSource(seed + 41))
 	b.WriteString("after 0s {\n")
-	writeChurn(&b, trace.Joins(0, cfg.Sessions, 0, exp5Window, trace.Unbounded, rand.New(rand.NewSource(seed+41))))
+	writeChurn(&b, trace.Joins(0, cfg.Sessions, 0, exp5Window, trace.Unbounded, rng))
 	fmt.Fprintf(&b, "}\nafter %v {\n", exp5Gap)
-	for k := 0; k < cfg.Fails; k++ {
-		fmt.Fprintf(&b, "at 0s fail in-use pick=%d\n", k*cfg.Sessions/cfg.Fails)
+	for range cfg.Fails {
+		fmt.Fprintf(&b, "at 0s fail in-use pick=%d\n", rng.Intn(cfg.Sessions))
 	}
 	fmt.Fprintf(&b, "}\nafter %v {\n%s}\n", exp5Gap, strings.Repeat("at 0s restore failed\n", cfg.Fails))
 	return b.String(), topo, pairs, nil

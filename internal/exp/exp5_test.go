@@ -84,7 +84,7 @@ func TestExp5CSVDigest(t *testing.T) {
 	if err := WriteExp5CSV(&buf, rows); err != nil {
 		t.Fatal(err)
 	}
-	const want = "327b6aa35744629a5886fd1097831c653e713d3efe9318711bfb7cc62745b653"
+	const want = "b0197cfbc8400081f55673f41fd73e9a15f5a2db7102bc45d9209b84dae8b437"
 	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
 		t.Fatalf("exp5 CSV digest %s, want %s:\n%s", got, want, buf.Bytes())
 	}
