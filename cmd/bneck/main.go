@@ -117,7 +117,7 @@ func main() {
 	quiescence := fmt.Sprintf("%v (virtual), %v (wall)", row.Quiescence, wallDur.Round(time.Millisecond))
 	if *liveMode {
 		desc, joined = desc+", live actor runtime", "in one burst"
-		quiescence = fmt.Sprintf("%v (wall clock, detected by termination)", wallDur.Round(time.Microsecond))
+		quiescence = fmt.Sprintf("detected by termination (%v wall, set-up included)", wallDur.Round(time.Microsecond))
 	}
 	fmt.Printf("topology   : %s\n", desc)
 	fmt.Printf("sessions   : %d joined %s (demand-capped fraction %.2f)\n", *sessions, joined, *demandCap)
