@@ -47,7 +47,7 @@ func TestExp2CSVDigest(t *testing.T) {
 		}
 		b.WriteString(FormatExp2(res))
 	}
-	const want = "a3d60710e1d83f4d38ece2a61f791dfa644048c780fbe4a7ff582dde9d1ec53a"
+	const want = "e4a1daa105f66329b738da50531419dbc44dffe28e64490635206e1ab03b2074"
 	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(b.String()))); got != want {
 		t.Fatalf("exp2 digest %s, want %s:\n%s", got, want, b.String())
 	}

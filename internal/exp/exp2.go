@@ -63,7 +63,9 @@ type Exp2Phase struct {
 
 // Exp2Result is the data behind Figure 6.
 type Exp2Result struct {
-	Phases []Exp2Phase
+	// Network and Scenario name the run's topology, as in Exp1Row.
+	Network, Scenario string
+	Phases            []Exp2Phase
 	// Bins are per-interval packet counts by type over the whole run.
 	Bins []metrics.Bin
 }
@@ -84,7 +86,7 @@ func RunExperiment2(cfg Exp2Config) (*Exp2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Exp2Result{Bins: run.Bins}
+	res := &Exp2Result{Network: cfg.Topology.Name, Scenario: cfg.Scenario.String(), Bins: run.Bins}
 	for i, name := range []string{
 		fmt.Sprintf("join %d", cfg.Base), fmt.Sprintf("leave %d", cfg.Dyn), fmt.Sprintf("change %d", cfg.Dyn),
 		fmt.Sprintf("join %d", cfg.Dyn), fmt.Sprintf("mixed 3x%d", cfg.Dyn),

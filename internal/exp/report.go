@@ -29,7 +29,7 @@ func FormatExp1(rows []Exp1Row) string {
 // per-bin packet-type breakdown.
 func FormatExp2(res *Exp2Result) string {
 	var b strings.Builder
-	b.WriteString("Figure 6 — Experiment 2: dynamics on Medium/LAN\n")
+	b.WriteString(fmt.Sprintf("Figure 6 — Experiment 2: dynamics on %s/%s\n", res.Network, res.Scenario))
 	b.WriteString(fmt.Sprintf("%-22s %12s %14s %12s %14s\n",
 		"phase", "start", "quiescent at", "took", "packets"))
 	for _, p := range res.Phases {

@@ -6,8 +6,8 @@ import (
 	"sync/atomic"
 )
 
-// mailboxKeep is the longest drained mailbox buffer (in messages, ≈ 26 KB)
-// an actor keeps for reuse. A steady actor alternates between two buffers of
+// mailboxKeep is the longest drained mailbox buffer (in messages, 16 KB) an
+// actor keeps for reuse. A steady actor alternates between two buffers of
 // at most this length for its whole life; a burst that grew one past it — a
 // join storm through a core link — costs that one buffer to the collector
 // instead of pinning the burst's high-water mark on every link actor until
@@ -24,58 +24,57 @@ const sliceTurns = 4096
 
 // actor is an unbounded FIFO mailbox and the handler of the task it serves;
 // it owns no goroutine. The enqueue that finds it idle claims it (running)
-// for a worker to drain, and the drain lets go only on finding the mailbox
-// empty, both decided under mu. So one goroutine at a time runs handle — the
-// per-task atomicity the protocol's when-blocks require — no message is left
-// unclaimed, and successive claim holders are ordered by mu, which lets the
-// task's state, batch and w go unsynchronized.
+// and hands its message to the claim holder in head; the drain lets go only
+// on finding the mailbox empty, both decided under mu. So one goroutine at a
+// time runs handle — the per-task atomicity the protocol's when-blocks
+// require — no message is left unclaimed, and successive claim holders are
+// ordered by mu, so the task's state, head, batch and w need no lock.
 //
-// A drain takes the whole mailbox in one critical section and hands its
-// emptied buffer back: a burst of k messages costs the consumer one lock
-// round trip, and producers append into a buffer that is reused.
+// A message that finds the actor idle costs two lock round trips, claim and
+// release. A drain takes the whole mailbox behind the head in one critical
+// section and hands its emptied buffer back, so a burst of k costs one more.
 type actor struct {
 	mu      sync.Mutex //bneck:lock mailbox
 	queue   []message  // producers append under mu
 	running bool       // the claim; guarded by mu
+	// head is the claiming message, written under mu by the enqueue that
+	// claims and read by the claim holder alone. An idle actor's queue is
+	// empty, so head precedes everything appended after the claim.
+	head message
 	// batch is the buffer the drain is working through, or has just worked
-	// through. Only the claim holder touches it, and its last write of a
-	// round precedes that round's counter decrement, so a reader that has
-	// seen the counter reach zero (the bounded-growth test) reads it safely.
+	// through. Only the claim holder touches it.
 	batch []message
 	// w is the draining worker, stamped by drain for the task's emitter.
 	w *worker
 	// stopped is written under mu and read by enqueue under mu; the drain
-	// also polls it between the messages of a batch, lock-free, so a stop
-	// takes effect mid-batch.
+	// also polls it between messages, lock-free, so a stop takes effect
+	// mid-batch.
 	stopped atomic.Bool
-	acts    *activityCounter
+	acts    *activityCounter // counts the workers this actor's claims start
 	// handle runs once per message, in FIFO order, never concurrently; the
 	// pointer is valid only for the call.
 	handle func(*message)
 }
 
-func newActor(acts *activityCounter, handle func(*message)) *actor {
-	return &actor{acts: acts, handle: handle}
-}
-
-// enqueue appends a message (counts as activity until processed) and, if the
-// actor was idle, claims it: for the list of w, the worker the calling
-// handler runs on, or, outside a handler (w nil), for a new worker — the
-// runtime's only source of parallelism. It never blocks and runs no handler,
-// so it is legal under rt.mu or a stripe (lock order mu → stripe → mailbox).
+// enqueue appends a message or, if the actor was idle, claims it with the
+// message in head: for the list of w, the worker the calling handler runs
+// on, or, outside a handler (w nil), for a new worker — the runtime's only
+// source of parallelism. It never blocks and runs no handler, so it is
+// legal under rt.mu or a stripe (lock order mu → stripe → mailbox).
 //
 //bneck:locks mailbox
 func (a *actor) enqueue(m message, w *worker) {
-	a.acts.add(1)
 	a.mu.Lock()
 	if a.stopped.Load() {
 		a.mu.Unlock()
-		a.acts.add(-1)
 		return
 	}
-	a.queue = append(a.queue, m)
 	claimed := !a.running
-	a.running = true
+	if claimed {
+		a.head, a.running = m, true
+	} else {
+		a.queue = append(a.queue, m)
+	}
 	a.mu.Unlock()
 	if claimed && w != nil {
 		w.next = append(w.next, a)
@@ -84,12 +83,17 @@ func (a *actor) enqueue(m message, w *worker) {
 	}
 }
 
-// drain works through the claimed actor's mailbox, batch after batch, until
-// it finds it empty under mu — a stop leaves it so — and releases the claim.
+// drain handles the claimed actor's head, then works through its mailbox,
+// batch after batch, until it finds it empty under mu — a stop leaves it so
+// — and releases the claim.
 //
 //bneck:locks mailbox
 func (a *actor) drain(w *worker) {
 	a.w = w
+	if !a.stopped.Load() {
+		a.handle(&a.head)
+	}
+	a.head = message{} // must not pin a dead incarnation
 	for {
 		a.mu.Lock()
 		if len(a.queue) == 0 {
@@ -99,8 +103,7 @@ func (a *actor) drain(w *worker) {
 		}
 		a.batch, a.queue = a.queue, a.batch[:0]
 		a.mu.Unlock()
-		n := len(a.batch)
-		for i := 0; i < n && !a.stopped.Load(); i++ {
+		for i := 0; i < len(a.batch) && !a.stopped.Load(); i++ {
 			a.handle(&a.batch[i])
 		}
 		if cap(a.batch) > mailboxKeep {
@@ -108,34 +111,29 @@ func (a *actor) drain(w *worker) {
 		} else {
 			clear(a.batch) // a kept buffer must not pin dead incarnations
 		}
-		// One decrement for the whole batch, after its last handler: what
-		// the handlers emitted is already counted, so the counter cannot
-		// reach zero mid-cascade. It un-counts what a stop cut off, too.
-		a.acts.add(-int64(n))
 	}
 }
 
-// stop retires the actor; queued messages are dropped (and un-counted) so
-// Close never hangs the activity counter. A drain in mid-batch drops and
-// un-counts the rest; a claim waiting on a list finds the mailbox empty.
+// stop retires the actor: queued messages are dropped, a drain in mid-batch
+// drops the rest of its batch, and a claim waiting on a list skips the head
+// and finds the mailbox empty.
 //
 //bneck:locks mailbox
 func (a *actor) stop() {
 	a.mu.Lock()
-	dropped := len(a.queue)
 	a.queue = nil
 	a.stopped.Store(true)
 	a.mu.Unlock()
-	a.acts.add(-int64(dropped))
 }
 
 // worker is one goroutine's private list of claimed actors: no lock, no
 // sharing. run drains them in claim order, what their handlers claim joins
 // the back — a trampoline, constant stack depth for any cascade — and the
-// goroutine ends with the list. The activity counter is what waits for it.
+// goroutine ends with the list, un-counting itself (activityCounter).
 type worker struct {
 	cur, next []*actor // cur is being drained; claims append to next
 	loop      func()   // run, bound once, so that `go w.loop()` allocates nothing
+	acts      *activityCounter
 }
 
 // spareWorkers recycles finished workers' list buffers (no goroutine, no
@@ -148,6 +146,8 @@ func startWorker(first *actor) {
 		w = new(worker)
 		w.loop = w.run
 	}
+	w.acts = first.acts
+	w.acts.add(1)
 	w.next = append(w.next, first)
 	go w.loop()
 }
@@ -163,12 +163,16 @@ func (w *worker) run() {
 			}
 		}
 	}
+	w.acts.add(-1) // after the last handler: see activityCounter
 	spareWorkers.Put(w)
 }
 
-// activityCounter is a reusable quiescence detector: add(+1) when a message
-// is enqueued, add(−n) when n messages are fully processed or dropped; wait
-// blocks while the count is non-zero.
+// activityCounter is a reusable quiescence detector over live workers:
+// add(+1) before a worker's `go`, add(−1) once it has emptied its list; wait
+// blocks while the count is non-zero. Zero live workers is quiescence: a
+// claimed actor is on a live worker's list or being drained, an unclaimed
+// actor's mailbox is empty, and only a call from outside a handler starts a
+// worker (DESIGN.md §3).
 //
 // The count is one atomic; the mutex and condition variable exist only for
 // the hand-off to waiters. The add that brings the count to zero broadcasts
@@ -202,10 +206,10 @@ func (c *activityCounter) add(d int64) {
 }
 
 // wait returns once it has read a zero count. Every add is a
-// read-modify-write of the same atomic, so the add that wrote the zero is
-// ordered after every add before it, and the load that reads the zero after
-// that one: whatever a handler wrote before its decrement is visible to the
-// caller (Validate relies on it).
+// read-modify-write of the same atomic, so the zero is ordered after every
+// add before it — each counted worker's exit decrement among them, which
+// follows its last handler — and the load that reads it after that: whatever
+// a handler wrote is visible to the caller (Validate relies on it).
 func (c *activityCounter) wait() {
 	c.mu.Lock()
 	for c.n.Load() != 0 {

@@ -6,12 +6,17 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"bneck/internal/core"
 )
 
+func newActor(acts *activityCounter, handle func(*message)) *actor {
+	return &actor{acts: acts, handle: handle}
+}
+
 // waitOrFail fails the test when the counter has not drained in time — a
-// message left counted would otherwise hang the test binary.
+// worker that never ends would otherwise hang the test binary.
 func waitOrFail(t *testing.T, acts *activityCounter) {
 	t.Helper()
 	done := make(chan struct{})
@@ -22,7 +27,7 @@ func waitOrFail(t *testing.T, acts *activityCounter) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatalf("activity counter stuck at %d", acts.n.Load())
+		t.Fatalf("activity counter stuck at %d live workers", acts.n.Load())
 	}
 }
 
@@ -89,7 +94,7 @@ func TestActorBuffersBounded(t *testing.T) {
 	for i := 0; i < burst; i++ {
 		a.enqueue(message{kind: msgPacket, hop: int32(i)}, nil)
 	}
-	close(gate) // at most two batches share the burst, so one is ≥ burst/2
+	close(gate) // the rest of the burst, behind the head, is one batch
 	waitOrFail(t, acts)
 	// A trickle afterwards runs on the two small buffers.
 	for i := 0; i < 3; i++ {
@@ -104,9 +109,9 @@ func TestActorBuffersBounded(t *testing.T) {
 }
 
 // checkMailboxBounded asserts the post-quiescence mailbox invariant: nothing
-// queued, and neither buffer holds more than mailboxKeep messages' worth of
-// memory. Call only after the activity counter has been seen at zero (that
-// is what makes reading batch safe).
+// queued, the head cleared, and neither buffer holds more than mailboxKeep
+// messages' worth of memory. Call only after the activity counter has been
+// seen at zero (that is what makes reading head and batch safe).
 func checkMailboxBounded(t *testing.T, name string, a *actor) {
 	t.Helper()
 	a.mu.Lock()
@@ -115,15 +120,18 @@ func checkMailboxBounded(t *testing.T, name string, a *actor) {
 	if queued != 0 {
 		t.Errorf("%s: %d messages queued after quiescence", name, queued)
 	}
+	if a.head != (message{}) {
+		t.Errorf("%s: head still holds a handled message after quiescence", name)
+	}
 	if qcap > mailboxKeep || cap(a.batch) > mailboxKeep {
 		t.Errorf("%s: buffers of %d and %d messages kept, bound %d", name, qcap, cap(a.batch), mailboxKeep)
 	}
 }
 
 // TestActorStopMidBatch: stop arrives while the drain is in the middle of a
-// batch. The rest of the batch must be dropped — not handled — and
-// un-counted, together with what was enqueued behind it, so the counter
-// returns to exactly zero and wait returns.
+// batch. The rest of the batch must be dropped — not handled — together with
+// what was enqueued behind it, so the claim-holding worker, the only one
+// counted, ends and the counter returns to exactly zero.
 func TestActorStopMidBatch(t *testing.T) {
 	const batch, handledBeforeStop = 10, 4
 	acts := newActivityCounter()
@@ -145,15 +153,15 @@ func TestActorStopMidBatch(t *testing.T) {
 	for i := 0; i < batch; i++ {
 		a.enqueue(message{kind: msgPacket, hop: int32(i)}, nil)
 	}
-	close(gate) // the ten are taken in one drain, with the gate message or after it
+	close(gate) // the Join was the head; the ten are the first batch
 	<-reached
 	for i := 0; i < 3; i++ { // lands behind the batch, in the mailbox proper
 		a.enqueue(message{kind: msgPacket, hop: int32(batch + i)}, nil)
 	}
 	// The message being handled, the unhandled rest of the batch and the
-	// three behind it are all still activity.
-	if got, min := acts.n.Load(), int64(batch-handledBeforeStop+1+3); got < min {
-		t.Fatalf("counter = %d mid-batch, want at least %d", got, min)
+	// three behind it are all the claim holder's: one live worker.
+	if got := acts.n.Load(); got != 1 {
+		t.Fatalf("counter = %d mid-batch, want 1, the claim-holding worker", got)
 	}
 	a.stop()
 	close(release)
@@ -167,7 +175,7 @@ func TestActorStopMidBatch(t *testing.T) {
 }
 
 // TestActorEnqueueAfterStop: a message for a stopped actor is dropped and
-// un-counted.
+// starts no worker.
 func TestActorEnqueueAfterStop(t *testing.T) {
 	acts := newActivityCounter()
 	a := newActor(acts, func(*message) { t.Error("handler ran on a stopped actor") })
@@ -242,7 +250,8 @@ func TestClaimExclusiveAndFIFO(t *testing.T) {
 // 10⁵ times. Both are decided under the mailbox mutex, so the message is
 // either picked up by the releasing drain or claims the actor anew; were
 // running read or cleared outside the mutex, a round would leave its message
-// queued on an unclaimed actor and the wait below would hang.
+// queued on an unclaimed actor, where no worker would handle it before the
+// wait below returned.
 func TestClaimNoLostWakeup(t *testing.T) {
 	rounds := 100_000
 	if testing.Short() {
@@ -251,30 +260,36 @@ func TestClaimNoLostWakeup(t *testing.T) {
 	acts := newActivityCounter()
 	handled := 0
 	a := newActor(acts, func(*message) { handled++ })
-	done := make(chan struct{})
+	done := make(chan int, 1)
 	go func() {
-		defer close(done)
 		for r := 0; r < rounds; r++ {
 			a.enqueue(message{kind: msgPacket}, nil) // a fresh worker drains one message and releases
 			a.enqueue(message{kind: msgPacket}, nil) // races that release
 			acts.wait()
+			if handled != 2*(r+1) {
+				done <- r
+				return
+			}
 		}
+		done <- rounds
 	}()
 	select {
-	case <-done:
+	case r := <-done:
+		if r != rounds {
+			t.Fatalf("round %d: a wake-up was lost, %d of %d messages handled at quiescence", r, handled, 2*(r+1))
+		}
 	case <-time.After(60 * time.Second):
-		t.Fatalf("a wake-up was lost: counter stuck at %d", acts.n.Load())
-	}
-	if handled != 2*rounds {
-		t.Fatalf("handled %d of %d messages", handled, 2*rounds)
+		t.Fatalf("counter stuck at %d", acts.n.Load())
 	}
 }
 
 // privateWorker returns a worker for the test to fill and run on its own
-// goroutine. run recycles it, so it must be as startWorker would build it.
-func privateWorker() *worker {
-	w := new(worker)
+// goroutine. run recycles it and un-counts it, so it must be as startWorker
+// would build it, counted on acts.
+func privateWorker(acts *activityCounter) *worker {
+	w := &worker{acts: acts}
 	w.loop = w.run
+	acts.add(1)
 	return w
 }
 
@@ -294,7 +309,7 @@ func TestClaimSelfSend(t *testing.T) {
 			t.Errorf("worker lists hold %d entries after a self-send, want the one being drained", n)
 		}
 	})
-	w := privateWorker()
+	w := privateWorker(acts)
 	a.enqueue(message{kind: msgPacket}, w)
 	w.run()
 	if handled != chain+1 || acts.n.Load() != 0 || a.running {
@@ -309,7 +324,7 @@ func TestClaimStoppedOnList(t *testing.T) {
 	ran := 0
 	first := newActor(acts, func(*message) { ran++ })
 	second := newActor(acts, func(*message) { t.Error("handler ran on an actor stopped while claimed") })
-	w := privateWorker()
+	w := privateWorker(acts)
 	first.enqueue(message{kind: msgPacket}, w)
 	second.enqueue(message{kind: msgPacket}, w)
 	second.enqueue(message{kind: msgPacket}, w)
@@ -382,10 +397,12 @@ func TestActivityCounterNoEarlyWake(t *testing.T) {
 	}
 
 	// Every tenth pair goes through an actor on the same counter instead.
-	// Each enqueue that finds it idle makes a fresh worker its owner, so the
-	// plain seen is written by many successive owners ordered by nothing but
-	// the mailbox mutex (the next handler relies on that edge), and read by
-	// the waiters through the counter's chain (Validate relies on both).
+	// Each enqueue that finds it idle starts a fresh worker, counted on c,
+	// and makes it the owner, so the plain seen is written by many successive
+	// owners ordered by nothing but the mailbox mutex (the next handler
+	// relies on that edge), and read by the waiters through the counter's
+	// chain, which each worker's exit decrement joins after its last handler
+	// (Validate relies on both).
 	a := newActor(c, func(*message) { seen++ })
 	workers := runtime.GOMAXPROCS(0)
 	var wg sync.WaitGroup
@@ -407,7 +424,7 @@ func TestActivityCounterNoEarlyWake(t *testing.T) {
 	if got := returned.Load(); got != 0 {
 		t.Fatalf("%d waiters returned while the count was held above zero", got)
 	}
-	for c.n.Load() != 1 { // the actor's messages drain; only the guard stays
+	for c.n.Load() != 1 { // the actor's workers end; only the guard stays
 		runtime.Gosched()
 	}
 
@@ -430,4 +447,59 @@ func TestActivityCounterUnderflowPanics(t *testing.T) {
 		}
 	}()
 	newActivityCounter().add(-1)
+}
+
+// TestActorHeadFIFO: producers race the claim, round after round. Each round
+// starts on an idle actor, so one producer's first message becomes the head
+// and the others' land in the mailbox before or after the claim holder has
+// handled it; every producer's order must survive that head → mailbox
+// boundary, and each round ends with its messages all handled and the head
+// cleared.
+func TestActorHeadFIFO(t *testing.T) {
+	const producers, each = 4, 3
+	rounds := 2000
+	if testing.Short() {
+		rounds = 200
+	}
+	acts := newActivityCounter()
+	next := make([]int32, producers) // handler-only state
+	handled := 0
+	a := newActor(acts, func(m *message) {
+		p := int(m.pkt.Session)
+		if m.hop != next[p] {
+			t.Errorf("producer %d: got message %d, want %d", p, m.hop, next[p])
+		}
+		next[p] = m.hop + 1
+		handled++
+	})
+	for r := 0; r < rounds; r++ {
+		var start, wg sync.WaitGroup
+		start.Add(1)
+		for p := 0; p < producers; p++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				start.Wait()
+				for i := 0; i < each; i++ {
+					a.enqueue(message{kind: msgPacket, hop: int32(r*each + i), pkt: core.Packet{Session: core.SessionID(p)}}, nil)
+				}
+			}()
+		}
+		start.Done()
+		wg.Wait()
+		waitOrFail(t, acts)
+		if want := (r + 1) * producers * each; handled != want {
+			t.Fatalf("round %d: handled %d of %d messages at quiescence", r, handled, want)
+		}
+		checkMailboxBounded(t, "actor", a)
+	}
+	a.stop()
+}
+
+// TestMessageSize pins a message to one cache line: every append to a
+// mailbox and every hand-off through head copies one.
+func TestMessageSize(t *testing.T) {
+	if got := unsafe.Sizeof(message{}); got != 64 {
+		t.Fatalf("message is %d bytes, want 64", got)
+	}
 }

@@ -8,12 +8,9 @@
 // call started and concurrent calls are the parallelism (DESIGN.md §3).
 //
 // Quiescence, the paper's headline property, becomes observable termination:
-// a global activity counter tracks enqueued-but-unprocessed messages
-// (a counter-based variant of Dijkstra–Scholten termination detection,
-// possible here because all sends happen inside message handlers), and
-// WaitQuiescent blocks until the network goes silent. The counter is one
-// atomic; its mutex is touched only when the count reaches zero and by
-// waiters (see activityCounter).
+// an activity counter tracks the live workers — the goroutines that drain
+// claimed actors — and WaitQuiescent blocks until none is left, which is
+// network silence (see activityCounter).
 //
 // The runtime supports dynamic topologies: SetLinkCapacity reconfigures a
 // link's router task in place (the crossing sessions re-probe), and
@@ -377,7 +374,7 @@ func (rt *Runtime) SetLinkCapacity(c rate.Rate, links ...graph.LinkID) error {
 		la, ok := d.actors[l]
 		d.mu.Unlock()
 		if ok {
-			la.a.enqueue(message{kind: msgSetCapacity, demand: c}, nil)
+			la.a.enqueue(message{kind: msgSetCapacity, pkt: core.Packet{Rate: c}}, nil)
 		}
 	}
 	return rt.apply(rt.ctl.SetCapacity(c, links))
@@ -557,8 +554,8 @@ func (rt *Runtime) Validate() error {
 //
 // The source task's state, like the link tasks' state Check reads through
 // tasks, is read without a lock, and safely: every handler's writes
-// precede its actor's decrement of the activity counter, every change of
-// the counter is a read-modify-write of one atomic — so each is ordered
+// precede its worker's exit decrement of the activity counter, every change
+// of the counter is a read-modify-write of one atomic — so each is ordered
 // after all before it, a release sequence in C11 terms — and WaitQuiescent
 // returned because it read the zero the last of them wrote. That load
 // therefore happens after every handler that has run, and these reads after
@@ -626,7 +623,7 @@ func (rt *Runtime) apply(acts []control.Action, err error) error {
 			rt.dropRate(a.ID)
 			rt.incarnationFor(a.ID).src.enqueue(message{kind: msgLeave}, nil)
 		case control.Change:
-			rt.incarnationFor(a.ID).src.enqueue(message{kind: msgChange, demand: a.Demand}, nil)
+			rt.incarnationFor(a.ID).src.enqueue(message{kind: msgChange, pkt: core.Packet{Rate: a.Demand}}, nil)
 		}
 	}
 	return nil
@@ -655,26 +652,26 @@ func (rt *Runtime) start(id core.SessionID, path graph.Path, demand rate.Rate) {
 	inc.srcT = srcT
 	// The controller issues Join, Change and Leave only in an order the
 	// task's state machine accepts; anything else panics in the task.
-	inc.src = newActor(rt.activity, func(m *message) {
+	inc.src = &actor{acts: rt.activity, handle: func(m *message) {
 		switch m.kind {
 		case msgPacket:
 			srcT.Receive(m.pkt)
 		case msgJoin:
-			srcT.Join(m.demand)
+			srcT.Join(m.pkt.Rate)
 		case msgLeave:
 			srcT.Leave()
 		case msgChange:
-			srcT.Change(m.demand)
+			srcT.Change(m.pkt.Rate)
 		}
-	})
+	}}
 	hop := len(path) + 1
-	inc.dst = newActor(rt.activity, func(m *message) { dstT.Receive(m.pkt, hop) })
+	inc.dst = &actor{acts: rt.activity, handle: func(m *message) { dstT.Receive(m.pkt, hop) }}
 	srcEm.self, dstEm.self = inc.src, inc.dst
 	d := &rt.incs[incStripe(id)]
 	d.mu.Lock()
 	d.m[id] = inc
 	d.mu.Unlock()
-	inc.src.enqueue(message{kind: msgJoin, demand: demand}, nil)
+	inc.src.enqueue(message{kind: msgJoin, pkt: core.Packet{Rate: demand}}, nil)
 }
 
 // linkActorLocked returns (creating if needed) the actor hosting the
@@ -695,16 +692,16 @@ func (rt *Runtime) linkActorLocked(id graph.LinkID) *actor {
 	// the handler points the task's emitter at that incarnation first.
 	em := &emitter{rt: rt}
 	task := core.NewRouterLink(core.LinkRef(id), rt.g.Capacity(id), em)
-	a := newActor(rt.activity, func(m *message) {
+	a := &actor{acts: rt.activity, handle: func(m *message) {
 		switch m.kind {
 		case msgPacket:
 			em.cur = m.inc
 			task.Receive(m.pkt, int(m.hop))
 		case msgSetCapacity:
 			em.cur = nil // the re-probes go to whoever crosses the link
-			task.SetCapacity(m.demand)
+			task.SetCapacity(m.pkt.Rate)
 		}
-	})
+	}}
 	em.self = a
 	d.mu.Lock()
 	d.actors[id] = &linkActor{a: a, task: task}
@@ -729,8 +726,8 @@ func (rt *Runtime) linkCounterLocked(id graph.LinkID) *atomic.Uint64 {
 }
 
 // emitter adapts the Runtime to core.Emitter for one task. Emissions always
-// happen inside an actor's handler, so the activity counter can never reach
-// zero while a cascade is in flight.
+// happen inside an actor's handler, on a live worker, so the activity
+// counter can never reach zero while a cascade is in flight.
 //
 // cur is the incarnation the task is most likely to emit for: fixed for a
 // session's endpoint tasks, set by a link actor's handler from the message
@@ -795,6 +792,8 @@ const (
 	msgSetCapacity
 )
 
+// message is one 64-byte cache line. A Join's or a Change's demand, or a
+// msgSetCapacity's new capacity, rides in pkt.Rate.
 type message struct {
 	kind msgKind
 	hop  int32
@@ -802,7 +801,4 @@ type message struct {
 	// inc is the incarnation a msgPacket was emitted for; the receiving link
 	// actor's emitter starts from it.
 	inc *incarnation
-	// demand carries the Join/Change demand, or the new capacity for
-	// msgSetCapacity.
-	demand rate.Rate
 }

@@ -363,7 +363,7 @@ func TestCallsAfterCloseAreNoOps(t *testing.T) {
 					id, s.ID(), s.Active(), n, rt.ctl.Len(), g.LinkUp(l), rt.Migrations())
 			}
 			if got := rt.activity.n.Load(); got != 0 {
-				t.Fatalf("%d messages queued on a closed runtime", got)
+				t.Fatalf("%d workers started on a closed runtime", got)
 			}
 			if !g.Link(l).Capacity.Equal(rate.Mbps(60)) {
 				t.Fatalf("closed runtime reconfigured link %d to %v", l, g.Link(l).Capacity)
