@@ -85,9 +85,11 @@ benchmark-check:
 # (every sequence of up to five operations on two small graphs, DESIGN.md
 # §6) and the protocol explorer (B-Neck's tasks on FIFO channels under every
 # delivery schedule) — which print their state and transition counts. Each
-# build-tag bug double reopens one historical hole: the committed choice
-# trace must reproduce it and both explorers must find it. A swarm violation
-# writes mc-violation.trace (CI uploads it as an artifact).
+# build-tag bug double reopens one historical hole: the committed delay
+# trace must reproduce it, and the swarm and both explorers must find it. A
+# swarm violation writes the delay trace mc-violation.trace (CI uploads it
+# as an artifact). The swarms' summary lines count the delayed crossings
+# and the distinct packet totals they reached.
 mc-smoke:
 	$(GO) test -run TestRegressionCorpus -count=1 -v ./internal/mc/
 	$(GO) run ./cmd/mc -scenario internal/mc/testdata/paper.bneck -seeds 2000 -live-every 500

@@ -1,10 +1,10 @@
 // Command mc samples the quiescence theorem over event interleavings: it
-// loads (or synthesizes) a scenario, draws the simulator's cross-node
-// tie-breaks from a seeded swarm with the internal/mc harness, and checks
-// every explored schedule against the quiescence-bound, oracle-exactness,
-// stale-incarnation and (sampled) live-Validate invariants. The exhaustive
-// check of the protocol in the paper's own model is internal/control's
-// TestExploreProtocol.
+// loads (or synthesizes) a scenario, holds the simulator's packets on their
+// FIFO wires for times a seeded swarm draws (the internal/mc harness, up to
+// the script's per-hop round trip), and checks every explored schedule
+// against the quiescence-bound, oracle-exactness, stale-incarnation and
+// (sampled) live-Validate invariants. The exhaustive check of the protocol
+// in the paper's own model is internal/control's TestExploreProtocol.
 //
 // Usage:
 //
@@ -24,12 +24,12 @@
 //	-seed0 n             first swarm seed (default 1)
 //	-fuzz                perturb churn timings per swarm seed
 //	-live-every n        run the live runtime every n-th schedule (0 = off)
-//	-replay path         replay a recorded choice trace instead of exploring
+//	-replay path         replay a recorded delay trace instead of exploring
 //	-no-minimize         keep a violating trace as found (skip ddmin)
 //	-out path            violating trace file (default mc-violation.trace)
 //	-v                   progress output
 //
-// On a violation, mc writes the (minimized) choice trace to -out and exits 1;
+// On a violation, mc writes the (minimized) delay trace to -out and exits 1;
 // replaying it with -replay reproduces the failure deterministically.
 package main
 
@@ -56,7 +56,7 @@ func main() {
 		seed0        = flag.Int64("seed0", 1, "first swarm seed")
 		fuzz         = flag.Bool("fuzz", false, "perturb churn timings per swarm seed")
 		liveEvery    = flag.Int("live-every", 0, "run the live runtime every n-th schedule (0 = off)")
-		replayPath   = flag.String("replay", "", "replay a recorded choice trace")
+		replayPath   = flag.String("replay", "", "replay a recorded delay trace (bneck-mc trace v2)")
 		noMinimize   = flag.Bool("no-minimize", false, "keep a violating trace as found")
 		outPath      = flag.String("out", "mc-violation.trace", "violating trace file")
 		verbose      = flag.Bool("v", false, "progress output")
@@ -99,8 +99,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("explored %d schedules (%d choice points, %d live runs)\n",
-		res.Runs, res.ChoicePoints, res.LiveRuns)
+	fmt.Printf("explored %d schedules (%d delayed crossings, %d distinct packet totals, %d live runs)\n",
+		res.Runs, res.Delayed, res.PacketTotals, res.LiveRuns)
 	if res.Violation == nil {
 		fmt.Println("no invariant violations")
 		return
@@ -122,7 +122,7 @@ func main() {
 	if err := tr.WriteFile(*outPath); err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("choice trace written to %s (replay with -replay)", *outPath)
+	log.Printf("delay trace written to %s (replay with -replay)", *outPath)
 	os.Exit(1)
 }
 

@@ -49,22 +49,22 @@ func TestSuiteNamesUnique(t *testing.T) {
 // TestDeterminismScope pins the boundary the schedule explorer depends on:
 // the engine and the control plane must stay under the determinism lints
 // (the explorer's replay guarantee is built on both being pure functions of
-// their inputs and the recorded picks), while internal/mc itself must stay out —
-// its swarm strategy and churn fuzzer draw from seeded math/rand by design,
-// and adding it to DeterministicPackages would flag every chooser.
+// their inputs and the recorded holds), while internal/mc itself must stay
+// out — its delay adversary and churn fuzzer draw from seeded math/rand by
+// design, and adding it to DeterministicPackages would flag every draw.
 func TestDeterminismScope(t *testing.T) {
 	in := map[string]bool{}
 	for _, p := range analysis.DeterministicPackages {
 		in[p] = true
 	}
 	if !in["bneck/internal/sim"] {
-		t.Error("bneck/internal/sim left DeterministicPackages: the chooser hook must not cost the engine its determinism lint")
+		t.Error("bneck/internal/sim left DeterministicPackages: a delay trace replays only on an engine that is a pure function of its inputs and the holds")
 	}
 	if !in["bneck/internal/control"] {
 		t.Error("bneck/internal/control left DeterministicPackages: its sweeps and readmissions decide the simulator's event order")
 	}
 	if in["bneck/internal/mc"] {
-		t.Error("bneck/internal/mc joined DeterministicPackages: the explorer's seeded randomness is intentional")
+		t.Error("bneck/internal/mc joined DeterministicPackages: the swarm's seeded holds and fuzzed timings are intentional")
 	}
 	for p := range in { // a stale entry (a deleted package) lints nothing
 		if _, err := os.Stat(filepath.Join("..", "..", strings.TrimPrefix(p, "bneck/"))); err != nil {

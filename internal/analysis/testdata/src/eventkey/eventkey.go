@@ -75,11 +75,11 @@ func (n *transport) sendKeyed(creator int32, t int64, fn func()) {
 	n.eng.SendFrom(creator, t, fn)
 }
 
-// popChosen models the schedule explorer's chooser pop: it scans the
-// frontier for the chosen same-time event and removes it in place. Removal
-// never pushes — events leave the heap with the key they entered with — so
-// the pop path needs no annotation and stays clean.
-func (e *Engine) popChosen(k int) event {
+// removeAt models an in-place removal from the queue: the event at slot k
+// leaves and the tail fills its slot. Removal never pushes — events leave
+// the heap with the key they entered with — so it needs no annotation and
+// stays clean.
+func (e *Engine) removeAt(k int) event {
 	ev := e.events.ev[k]
 	e.events.ev[k] = e.events.ev[len(e.events.ev)-1]
 	e.events.ev = e.events.ev[:len(e.events.ev)-1]
@@ -105,7 +105,7 @@ func (q *eventQueue) refillViaPush(from *[]event) {
 
 // removeViaRepush is the tempting-but-wrong removal: popping the slot and
 // re-inserting the displaced tail through push. The analyzer cannot tell a
-// re-homed event from a forged one, and the blessed removal (popChosen)
+// re-homed event from a forged one, and the blessed removal (removeAt)
 // never needs a push — so an unannotated re-push is flagged like any bypass.
 func (e *Engine) removeViaRepush(k int) event {
 	ev := e.events.ev[k]

@@ -67,6 +67,7 @@ func Fuzz(m *Model, seed int64) (*Model, error) {
 			Source:   m.Source,
 			Hash:     m.Hash,
 			Deadline: m.Deadline,
+			Hold:     m.Hold,
 			FuzzSeed: seed,
 		}, nil
 	}

@@ -47,12 +47,12 @@ func TestFuzzDeterministicAndValid(t *testing.T) {
 		t.Fatalf("fuzzed model metadata wrong: seed=%d hash=%q", a.FuzzSeed, a.Hash)
 	}
 	// The perturbed timeline must still pass the static checks and run clean
-	// in default order under the full invariant set.
+	// undelayed under the full invariant set.
 	if err := a.Script.Recheck(); err != nil {
 		t.Fatalf("fuzzed timeline fails recheck: %v", err)
 	}
-	if _, v := runOnce(a, &replayPicker{}); v != nil {
-		t.Fatalf("fuzzed workload violated in default order: %v", v)
+	if _, v := runOnce(a, &holds{}); v != nil {
+		t.Fatalf("fuzzed workload violated undelayed: %v", v)
 	}
 }
 
@@ -188,8 +188,8 @@ func TestFuzzKeepsBlocks(t *testing.T) {
 		for i, ev := range f.Script.Events {
 			moved = moved || ev.Block == 0 && ev.At != m.Script.Events[i].At
 		}
-		if _, v := runOnce(f, &replayPicker{}); v != nil {
-			t.Fatalf("seed %d: fuzzed block workload violated in default order: %v", seed, v)
+		if _, v := runOnce(f, &holds{}); v != nil {
+			t.Fatalf("seed %d: fuzzed block workload violated undelayed: %v", seed, v)
 		}
 	}
 	if !moved {

@@ -1,16 +1,17 @@
 // Package mc is the schedule-exploration harness: it model-checks the
 // paper's quiescence theorem over event interleavings by driving the
-// deterministic simulator under controlled nondeterminism.
+// deterministic simulator under seeded wire delays.
 //
 // The determinism suites elsewhere in the repository pin exactly one
 // (time, creator, creator-seq) total order per workload. The paper's claims
 // — quiescence, max-min exactness, stale-message safety — are theorems over
 // *all* schedules. The protocol explorer in internal/control's tests checks
 // them exhaustively in the paper's own model (FIFO channels, arbitrary
-// delays) on small graphs; this package samples the rest on whole scenario
-// scripts, at any rung: it installs a sim.Chooser on the engine and draws
-// the cross-creator tie-breaks from one seeded swarm, optionally composed
-// with a churn-timing fuzzer that perturbs the scenario timeline.
+// delays) on small graphs; this package samples the same model on whole
+// scenario scripts, at any rung: each swarm seed holds packets on their
+// wires for random times (FIFO per wire, so every run is a legal execution
+// of the paper's channels), optionally composed with a churn-timing fuzzer
+// that perturbs the scenario timeline.
 //
 // Every explored run is checked against four invariants: quiescence within
 // a structural bound (scenario.ErrQuiescenceOverrun); final rates byte-equal
@@ -18,7 +19,7 @@
 // WaterFilling and Verify on the same instance (waterfill.ErrCrossCheck);
 // no-stale-incarnation (control.ErrStaleIncarnation); and — sampled — the
 // live runtime's Validate. A violating schedule serializes to a compact
-// choice-trace file that cmd/mc replays deterministically and shrinks by
+// delay-trace file that cmd/mc replays deterministically and shrinks by
 // delta-debugging.
 package mc
 
@@ -102,7 +103,7 @@ type Config struct {
 	Fuzz bool
 	// LiveEvery runs the script on the live runtime every n-th explored
 	// schedule (0 disables). The live transport has no virtual clock, so
-	// these runs sample real concurrency rather than replaying the chosen
+	// these runs sample real concurrency rather than replaying the delayed
 	// schedule.
 	LiveEvery int
 	// Stats receives progress output when non-nil.
@@ -113,8 +114,11 @@ type Config struct {
 type Result struct {
 	// Runs is the number of schedules executed.
 	Runs int
-	// ChoicePoints is the total number of consulted tie-breaks.
-	ChoicePoints int
+	// Delayed is the total number of packet crossings the swarm held.
+	Delayed int
+	// PacketTotals is the number of distinct scenario.Result.TotalPackets
+	// the clean runs reached: how far apart in work their schedules were.
+	PacketTotals int
 	// LiveRuns is how many sampled live-transport runs executed.
 	LiveRuns int
 	// Violation is the first invariant failure, nil if none.

@@ -68,6 +68,11 @@ func TestQuiescenceBound(t *testing.T) {
 	if inet.Deadline <= m.Deadline {
 		t.Fatalf("internet bound %v not above hand-built %v", inet.Deadline, m.Deadline)
 	}
+	// The holds are bounded by the same per-hop round trip, which does not
+	// scale with sessions.
+	if m.Hold <= 0 || m2.Hold != m.Hold || inet.Hold <= m.Hold {
+		t.Fatalf("hold bounds %v, %v (doubled sessions), %v (internet)", m.Hold, m2.Hold, inet.Hold)
+	}
 }
 
 // TestClassifyCrossCheck: a Validate failure of the oracle's cross-check,
@@ -116,27 +121,41 @@ func TestSwarm(t *testing.T) {
 }
 
 func TestViolationYieldsReplayableTrace(t *testing.T) {
-	m := mustModel(t, badExpectScript)
-	res, err := Explore(m, Config{Seeds: 10})
+	swarmFindsViolation(t, mustModel(t, badExpectScript), KindExpectation)
+}
+
+// swarmFindsViolation runs a 10-seed swarm on m and requires it to report a
+// violation of the given kind whose trace replays to that kind, before and
+// after minimization.
+func swarmFindsViolation(t *testing.T, m *Model, kind InvariantKind) {
+	t.Helper()
+	res, err := Explore(m, Config{Seeds: 10, Seed0: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Violation == nil {
-		t.Fatal("always-failing expectation not caught")
+	v := res.Violation
+	if v == nil {
+		t.Fatalf("%d seeds found no violation", res.Runs)
 	}
-	if res.Violation.Kind != KindExpectation {
-		t.Fatalf("violation kind = %v, want %v", res.Violation.Kind, KindExpectation)
+	if v.Kind != kind {
+		t.Fatalf("violation kind = %v, want %v (err: %v)", v.Kind, kind, v.Err)
 	}
-	tr := res.Violation.Trace
+	tr := v.Trace
 	if tr == nil || tr.ScriptHash != m.Hash {
 		t.Fatalf("violation trace missing or mishashed: %+v", tr)
 	}
-	v, err := Replay(m, tr)
+	if v, err := Replay(m, tr); err != nil || v == nil || v.Kind != kind {
+		t.Fatalf("the trace does not reproduce: %v, %v", v, err)
+	}
+	min, _, err := Minimize(m, tr, kind)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v == nil || v.Kind != KindExpectation {
-		t.Fatalf("trace replay did not reproduce: %+v", v)
+	if min.Deviations() > tr.Deviations() {
+		t.Fatalf("minimization grew the trace: %d > %d deviations", min.Deviations(), tr.Deviations())
+	}
+	if v, err := Replay(m, min); err != nil || v == nil || v.Kind != kind {
+		t.Fatalf("the minimized trace does not reproduce: %v, %v", v, err)
 	}
 }
 
@@ -144,13 +163,13 @@ func TestMinimize(t *testing.T) {
 	m := mustModel(t, badExpectScript)
 	// The expectation fails on every schedule, so every deviation in this
 	// hand-inflated trace is noise ddmin must strip.
-	fat := &Trace{ScriptHash: m.Hash, Picks: []int{1, 0, 1, 1, 0, 1}}
+	fat := &Trace{ScriptHash: m.Hash, Delays: []time.Duration{300, 0, 1000, 42000, 0, 7}}
 	min, replays, err := Minimize(m, fat, KindExpectation)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if min.Deviations() != 0 {
-		t.Fatalf("minimized trace keeps %d deviations: %v", min.Deviations(), min.Picks)
+		t.Fatalf("minimized trace keeps %d deviations: %v", min.Deviations(), min.Delays)
 	}
 	if replays == 0 {
 		t.Fatal("minimization did not replay anything")
@@ -190,9 +209,29 @@ func TestSynthesize(t *testing.T) {
 	if _, err := Synthesize("warp", 3, 4, 7); err == nil {
 		t.Fatal("unknown rung accepted")
 	}
-	// The synthesized workload must actually run clean in default order.
-	if picks, v := runOnce(a, &replayPicker{}); v != nil {
-		t.Fatalf("synthesized workload violated in default order (%d picks): %v", len(picks), v)
+	// The synthesized workload must actually run clean undelayed.
+	if _, v := runOnce(a, &holds{}); v != nil {
+		t.Fatalf("synthesized workload violated undelayed: %v", v)
+	}
+}
+
+// TestSwarmReach: on the paper fixture the holds move the amount of work a
+// run does — 200 seeds reach at least 10 distinct packet totals.
+func TestSwarmReach(t *testing.T) {
+	m, err := FromFile("testdata/paper.bneck")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Explore(m, Config{Seeds: 200, Seed0: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Violation != nil {
+		t.Fatal(res.Violation)
+	}
+	if res.PacketTotals < 10 || res.Delayed == 0 {
+		t.Fatalf("200 seeds held %d crossings and reached %d distinct packet totals, want at least 10",
+			res.Delayed, res.PacketTotals)
 	}
 }
 

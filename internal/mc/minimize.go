@@ -1,10 +1,12 @@
 package mc
 
+import "time"
+
 // Minimization is ddmin (Zeller's delta debugging) over the trace's
-// deviations — the nonzero picks. A schedule is "the default order plus a
+// deviations — the nonzero holds. A schedule is "the undelayed run plus a
 // set of deviations", so shrinking the deviation set while the violation
 // still reproduces yields the smallest explanation of the failure: a trace
-// a human can read as "these N tie-breaks, taken out of order, break the
+// a human can read as "these N packets, held this long, break the
 // invariant". Reproduction means replaying the candidate trace yields a
 // violation of the same kind; a different violation is a different bug and
 // does not count.
@@ -15,28 +17,28 @@ package mc
 // unchanged.
 func Minimize(m *Model, t *Trace, kind InvariantKind) (*Trace, int, error) {
 	replays := 0
-	reproduces := func(picks []int) (bool, error) {
+	reproduces := func(delays []time.Duration) (bool, error) {
 		replays++
-		v, err := Replay(m, &Trace{ScriptHash: t.ScriptHash, FuzzSeed: t.FuzzSeed, Picks: picks})
+		v, err := Replay(m, &Trace{ScriptHash: t.ScriptHash, FuzzSeed: t.FuzzSeed, Delays: delays})
 		if err != nil {
 			return false, err
 		}
 		return v != nil && v.Kind == kind, nil
 	}
 
-	// Deviation positions in the pick vector.
+	// Deviation positions in the hold vector.
 	var devs []int
-	for i, p := range t.Picks {
-		if p != 0 {
+	for i, d := range t.Delays {
+		if d != 0 {
 			devs = append(devs, i)
 		}
 	}
-	build := func(keep []int) []int {
-		picks := make([]int, len(t.Picks))
+	build := func(keep []int) []time.Duration {
+		delays := make([]time.Duration, len(t.Delays))
 		for _, i := range keep {
-			picks[i] = t.Picks[i]
+			delays[i] = t.Delays[i]
 		}
-		return picks
+		return delays
 	}
 
 	if ok, err := reproduces(build(devs)); err != nil {
@@ -45,7 +47,7 @@ func Minimize(m *Model, t *Trace, kind InvariantKind) (*Trace, int, error) {
 		return t, replays, nil
 	}
 
-	// Shortcut ddmin entirely when the default schedule already reproduces —
+	// Shortcut ddmin entirely when the undelayed run already reproduces —
 	// the deviations were never load-bearing.
 	if ok, err := reproduces(build(nil)); err != nil {
 		return nil, replays, err

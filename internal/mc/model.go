@@ -20,7 +20,8 @@ import (
 const boundFactor = 8.0
 
 // Model is a checkable workload: a parsed scenario plus the structural
-// quiescence bound its epochs are held to.
+// quiescence bound its epochs are held to and the bound on the swarm's
+// holds.
 type Model struct {
 	Script *scenario.Script
 	// Source is the script text; Hash identifies it in trace files.
@@ -28,6 +29,10 @@ type Model struct {
 	Hash   string
 	// Deadline is the per-epoch quiescence bound (0 disables the invariant).
 	Deadline time.Duration
+	// Hold bounds the swarm's holds: each packet crossing is held, with
+	// probability ½, for a time uniform in [0, Hold). It is the per-hop
+	// round trip the quiescence bound is built from; zero holds nothing.
+	Hold time.Duration
 	// FuzzSeed, when nonzero, records that Script's timeline was perturbed
 	// from the base script by the churn fuzzer with this seed — replay
 	// re-derives the same perturbation.
@@ -40,12 +45,8 @@ func FromScript(src string) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Model{
-		Script:   sc,
-		Source:   src,
-		Hash:     hashSource(src),
-		Deadline: quiescenceBound(sc),
-	}
+	m := &Model{Script: sc, Source: src, Hash: hashSource(src)}
+	m.Deadline, m.Hold = quiescenceBound(sc)
 	return m, nil
 }
 
@@ -63,17 +64,15 @@ func hashSource(src string) string {
 	return hex.EncodeToString(h[:8])
 }
 
-// quiescenceBound derives a per-epoch deadline from the script's structure:
-// boundFactor × sessions × hops × per-hop round-trip. Hand-built scripts measure
-// their own declarations; generated topologies use the generator's hierarchy
-// depth and per-tier delays. The bound is deliberately structural, not
-// empirical: the invariant asserts the paper's O(sessions × hops) shape, and
-// the factor only absorbs constant slack (transmission time, queueing).
-func quiescenceBound(sc *scenario.Script) time.Duration {
-	sessions := len(sc.Sessions)
-	if sessions == 0 {
-		return 0
-	}
+// quiescenceBound derives a per-epoch deadline from the script's structure,
+// boundFactor × sessions × hops × per-hop round-trip, and returns it with
+// the per-hop round-trip. Hand-built scripts measure their own
+// declarations; generated topologies use the generator's hierarchy depth and
+// per-tier delays. The bound is deliberately structural, not empirical: the
+// invariant asserts the paper's O(sessions × hops) shape, and the factor
+// only absorbs constant slack (transmission time, queueing, holds). A script
+// without sessions gets no deadline.
+func quiescenceBound(sc *scenario.Script) (bound, perHop time.Duration) {
 	var hops int
 	var maxDelay time.Duration
 	switch sc.Topo.Kind {
@@ -104,12 +103,12 @@ func quiescenceBound(sc *scenario.Script) time.Duration {
 	if maxDelay <= 0 {
 		maxDelay = time.Microsecond
 	}
-	perHop := 2 * maxDelay // request/response round trip per hop
-	bound := time.Duration(boundFactor * float64(sessions) * float64(hops) * float64(perHop))
-	if floor := time.Millisecond; bound < floor {
-		bound = floor
+	perHop = 2 * maxDelay // request/response round trip per hop
+	if len(sc.Sessions) == 0 {
+		return 0, perHop
 	}
-	return bound
+	bound = time.Duration(boundFactor * float64(len(sc.Sessions)) * float64(hops) * float64(perHop))
+	return max(bound, time.Millisecond), perHop
 }
 
 // Synthesize builds a session-churn workload over an internet-ladder rung:

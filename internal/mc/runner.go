@@ -2,71 +2,72 @@ package mc
 
 import (
 	"fmt"
+	"math/rand"
+	"time"
 
 	"bneck/internal/scenario"
-	"bneck/internal/sim"
 )
 
-// picker is the strategy side of a run: it sees each consulted tie-break and
-// returns the candidate index to execute.
-type picker interface {
-	pick(depth int, cands []sim.Choice) int
+// holds is the delay adversary of one run (scenario.SimOptions.Delay): one
+// hold per packet crossing a physical link. A swarm run draws each from its
+// seed's rng — with probability ½ a time uniform in [0, max), otherwise
+// none — and a replay reads them from a trace, none past its end. Every
+// draw is recorded, so a violating run serializes as the holds it took.
+type holds struct {
+	rng    *rand.Rand // nil on replay
+	max    time.Duration
+	replay []time.Duration
+	drawn  []time.Duration
 }
 
-// recorder adapts a picker to sim.Chooser, recording the pick vector so a
-// violating run can be serialized as a trace.
-type recorder struct {
-	p     picker
-	picks []int
-	depth int
-}
-
-func (r *recorder) Choose(now sim.Time, cands []sim.Choice) int {
-	k := r.p.pick(r.depth, cands)
-	if k < 0 || k >= len(cands) {
-		k = 0
+func (h *holds) next() time.Duration {
+	var d time.Duration
+	switch i := len(h.drawn); {
+	case h.rng != nil:
+		if h.rng.Intn(2) == 0 && h.max > 0 {
+			d = time.Duration(h.rng.Int63n(int64(h.max)))
+		}
+	case i < len(h.replay):
+		d = h.replay[i]
 	}
-	r.depth++
-	r.picks = append(r.picks, k)
-	return k
+	h.drawn = append(h.drawn, d)
+	return d
 }
 
-// runOnce executes one schedule of the model under the picker and checks the
-// simulator-side invariants. It returns the recorded pick vector and, when
-// an invariant failed, the classified violation (with its trace attached).
+// runOnce executes one schedule of the model under the holds and checks the
+// simulator-side invariants. It returns the run's result or, when an
+// invariant failed, the classified violation (with its trace attached).
 // Panics inside the run — protocol state corruption — are converted to
 // KindPanic violations rather than unwinding the exploration.
-func runOnce(m *Model, p picker) (picks []int, v *Violation) {
-	rec := &recorder{p: p}
+func runOnce(m *Model, h *holds) (res *scenario.Result, v *Violation) {
 	defer func() {
-		picks = rec.picks
 		if e := recover(); e != nil {
 			v = &Violation{
 				Kind:  KindPanic,
 				Err:   fmt.Errorf("run panicked: %v", e),
-				Trace: newTrace(m, rec.picks),
+				Trace: newTrace(m, h.drawn),
 			}
 		}
 	}()
-	_, err := scenario.RunSimOpts(m.Script, scenario.SimOptions{
-		Chooser:          rec,
+	res, err := scenario.RunSimOpts(m.Script, scenario.SimOptions{
+		Delay:            h.next,
 		OracleCrossCheck: true,
 		EpochDeadline:    m.Deadline,
 	})
 	if err != nil {
-		return rec.picks, &Violation{Kind: classify(err), Err: err, Trace: newTrace(m, rec.picks)}
+		return nil, &Violation{Kind: classify(err), Err: err, Trace: newTrace(m, h.drawn)}
 	}
-	return rec.picks, nil
+	return res, nil
 }
 
-// runLive executes the model once on the live actor runtime (no chooser —
-// the live transport's nondeterminism is real goroutine scheduling) and
+// runLive executes the model once on the live actor runtime (no holds — the
+// live transport's nondeterminism is real goroutine scheduling) and
 // classifies any failure. The trace cannot replay a live schedule; it
-// carries the pick vector of the simulator run that sampled it, purely as
+// carries the holds of the simulator run that sampled it, purely as
 // provenance.
-func runLive(m *Model, simPicks []int) *Violation {
+func runLive(m *Model, simHolds []time.Duration) *Violation {
 	if _, err := scenario.RunLive(m.Script); err != nil {
-		return &Violation{Kind: liveKind(err), Err: err, Trace: newTrace(m, simPicks)}
+		return &Violation{Kind: liveKind(err), Err: err, Trace: newTrace(m, simHolds)}
 	}
 	return nil
 }

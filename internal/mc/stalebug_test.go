@@ -41,3 +41,13 @@ func TestStaleBugTraceReproduces(t *testing.T) {
 		t.Fatalf("the minimized trace does not reproduce: %v, %v", v, err)
 	}
 }
+
+// TestStaleBugSwarmFinds: the swarm rediscovers the bug on the corpus script
+// unaided, within 10 seeds, and its trace replays and minimizes.
+func TestStaleBugSwarmFinds(t *testing.T) {
+	m, err := FromFile("testdata/stale_rejoin.bneck")
+	if err != nil {
+		t.Fatal(err)
+	}
+	swarmFindsViolation(t, m, KindStaleIncarnation)
+}

@@ -43,3 +43,13 @@ func TestStrandBugTraceReproduces(t *testing.T) {
 		t.Fatalf("the minimized trace does not reproduce: %v, %v", v, err)
 	}
 }
+
+// TestStrandBugSwarmFinds: the swarm rediscovers the bug on the corpus script
+// unaided, within 10 seeds, and its trace replays and minimizes.
+func TestStrandBugSwarmFinds(t *testing.T) {
+	m, err := FromFile("testdata/pr2_stranding.bneck")
+	if err != nil {
+		t.Fatal(err)
+	}
+	swarmFindsViolation(t, m, KindExpectation)
+}

@@ -6,65 +6,71 @@ import (
 	"os"
 	"strconv"
 	"strings"
-
-	"bneck/internal/sim"
+	"time"
 )
 
-// Trace is a serialized schedule: the pick made at every consulted
-// tie-break, plus enough metadata to rebuild the exact workload. Replaying
-// the picks on the same script reproduces the schedule byte for byte — the
-// engine is deterministic between choice points, and a pick of 0 (or a pick
-// past the end of the vector) is the engine's default order.
+// traceHeader is the first line of every trace file. Version 1 recorded
+// same-instant tie-break picks, which the engine no longer takes.
+const traceHeader = "bneck-mc trace v2"
+
+// Trace is a serialized schedule: the hold of every packet crossing a
+// physical link, plus enough metadata to rebuild the exact workload.
+// Replaying the holds on the same script reproduces the schedule byte for
+// byte — the simulator is deterministic given them, and a crossing past the
+// end of the vector is held for nothing.
 type Trace struct {
-	// ScriptHash identifies the script the picks apply to (sha256 prefix of
+	// ScriptHash identifies the script the holds apply to (sha256 prefix of
 	// the source text).
 	ScriptHash string
 	// FuzzSeed, when nonzero, says the script's timeline must first be
 	// perturbed by the churn fuzzer with this seed.
 	FuzzSeed int64
-	// Picks is the choice vector; entry i is the candidate index taken at
-	// the i-th consulted tie-break.
-	Picks []int
+	// Delays is the hold vector; entry i is the hold of the run's i-th
+	// packet crossing.
+	Delays []time.Duration
 }
 
-func newTrace(m *Model, picks []int) *Trace {
-	t := &Trace{ScriptHash: m.Hash, FuzzSeed: m.FuzzSeed, Picks: append([]int(nil), picks...)}
-	// Trailing zeros are the default order; dropping them keeps committed
-	// traces minimal without changing the replayed schedule.
-	for len(t.Picks) > 0 && t.Picks[len(t.Picks)-1] == 0 {
-		t.Picks = t.Picks[:len(t.Picks)-1]
+func newTrace(m *Model, delays []time.Duration) *Trace {
+	t := &Trace{ScriptHash: m.Hash, FuzzSeed: m.FuzzSeed, Delays: append([]time.Duration(nil), delays...)}
+	// Trailing zeros hold nothing; dropping them keeps committed traces
+	// minimal without changing the replayed schedule.
+	for len(t.Delays) > 0 && t.Delays[len(t.Delays)-1] == 0 {
+		t.Delays = t.Delays[:len(t.Delays)-1]
 	}
 	return t
 }
 
-// Deviations counts nonzero picks — the schedule's distance from the
-// default order, and the quantity minimization shrinks.
-func (t *Trace) Deviations() int {
+// deviations counts the nonzero holds of a vector.
+func deviations(delays []time.Duration) int {
 	n := 0
-	for _, p := range t.Picks {
-		if p != 0 {
+	for _, d := range delays {
+		if d != 0 {
 			n++
 		}
 	}
 	return n
 }
 
-// Format renders the trace file:
+// Deviations counts the trace's nonzero holds — the schedule's distance
+// from the undelayed run, and the quantity minimization shrinks.
+func (t *Trace) Deviations() int { return deviations(t.Delays) }
+
+// Format renders the trace file, holds in nanoseconds:
 //
-//	bneck-mc trace v1
+//	bneck-mc trace v2
 //	script <hash>
 //	fuzz <seed>        # only for fuzzed timelines
-//	picks 0 0 2 1 3
+//	delays 0 0 431870 0 1200
 func (t *Trace) Format() string {
 	var b strings.Builder
-	b.WriteString("bneck-mc trace v1\n")
+	b.WriteString(traceHeader + "\n")
 	fmt.Fprintf(&b, "script %s\n", t.ScriptHash)
 	if t.FuzzSeed != 0 {
 		fmt.Fprintf(&b, "fuzz %d\n", t.FuzzSeed)
 	}
-	b.WriteString("picks")
-	for _, p := range t.Picks {
-		fmt.Fprintf(&b, " %d", p)
+	b.WriteString("delays")
+	for _, d := range t.Delays {
+		fmt.Fprintf(&b, " %d", d.Nanoseconds())
 	}
 	b.WriteString("\n")
 	return b.String()
@@ -89,8 +95,10 @@ func ParseTrace(src string) (*Trace, error) {
 		}
 		f := strings.Fields(line)
 		switch {
+		case !header && line == "bneck-mc trace v1":
+			return nil, fmt.Errorf("mc: a v1 trace records tie-break picks, which the simulator no longer takes; record the schedule again with cmd/mc (%s)", traceHeader)
 		case !header:
-			if line != "bneck-mc trace v1" {
+			if line != traceHeader {
 				return nil, fmt.Errorf("mc: not a trace file (bad header %q)", line)
 			}
 			header = true
@@ -102,13 +110,13 @@ func ParseTrace(src string) (*Trace, error) {
 				return nil, fmt.Errorf("mc: trace line %d: bad fuzz seed %q", lineNo, f[1])
 			}
 			t.FuzzSeed = seed
-		case f[0] == "picks":
+		case f[0] == "delays":
 			for _, s := range f[1:] {
-				p, err := strconv.Atoi(s)
-				if err != nil || p < 0 {
-					return nil, fmt.Errorf("mc: trace line %d: bad pick %q", lineNo, s)
+				ns, err := strconv.ParseInt(s, 10, 64)
+				if err != nil || ns < 0 {
+					return nil, fmt.Errorf("mc: trace line %d: bad delay %q", lineNo, s)
 				}
-				t.Picks = append(t.Picks, p)
+				t.Delays = append(t.Delays, time.Duration(ns))
 			}
 		default:
 			return nil, fmt.Errorf("mc: trace line %d: unknown directive %q", lineNo, f[0])
@@ -132,21 +140,11 @@ func LoadTrace(path string) (*Trace, error) {
 	return ParseTrace(string(data))
 }
 
-// replayPicker replays a pick vector, default order beyond its end.
-type replayPicker struct{ picks []int }
-
-func (r *replayPicker) pick(depth int, cands []sim.Choice) int {
-	if depth < len(r.picks) {
-		return r.picks[depth]
-	}
-	return 0
-}
-
 // Replay executes the trace's schedule against the model and returns the
 // violation it reproduces (nil if the schedule satisfies every invariant —
 // e.g. the bug the trace documents has been fixed). The model must match
-// the trace: hash mismatches are an error, because the picks would select
-// among different events.
+// the trace: hash mismatches are an error, because the holds would land on
+// different packets.
 func Replay(m *Model, t *Trace) (*Violation, error) {
 	if m.Hash != t.ScriptHash {
 		return nil, fmt.Errorf("mc: trace was recorded against script %s, model is %s", t.ScriptHash, m.Hash)
@@ -154,6 +152,6 @@ func Replay(m *Model, t *Trace) (*Violation, error) {
 	if t.FuzzSeed != 0 && m.FuzzSeed != t.FuzzSeed {
 		return nil, fmt.Errorf("mc: trace needs fuzz seed %d applied to the model (have %d)", t.FuzzSeed, m.FuzzSeed)
 	}
-	_, v := runOnce(m, &replayPicker{picks: t.Picks})
+	_, v := runOnce(m, &holds{replay: t.Delays})
 	return v, nil
 }

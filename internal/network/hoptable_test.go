@@ -32,9 +32,8 @@ func checkHops(t *testing.T, n *Network, s *Session) {
 		if rev := n.g.LinkReverse(l); h.rev == nil || h.rev != n.wires[rev] {
 			t.Fatalf("session %d hop %d: reverse wire is not link %d's", s.ID, i, rev)
 		}
-		link := n.g.Link(l)
-		if h.fwd.node != link.From || h.rev.node != link.To {
-			t.Fatalf("session %d hop %d: wires bound to the wrong nodes", s.ID, i)
+		if h.rec.port.node != n.g.Link(l).From {
+			t.Fatalf("session %d hop %d: task bound to node %d, not its link's From", s.ID, i, h.rec.port.node)
 		}
 	}
 }
@@ -188,12 +187,11 @@ func TestSetCapacityReachesResolvedWire(t *testing.T) {
 		t.Fatalf("hop table and link index disagree")
 	}
 	// 512 control bits at 40 Mbps, then at 1 Mbps: arrival = now + tx + prop.
-	arrival := func() time.Duration { return w.Send(func() {}) - eng.Now() }
+	arrival := func() time.Duration { return w.Depart(eng.Now(), 0) - eng.Now() }
 	prop := g.Link(mid).Propagation
 	if got, want := arrival(), TxTime(rate.Mbps(40))+prop; got != want {
 		t.Fatalf("before: arrival after %v, want %v", got, want)
 	}
-	eng.Run()
 	n.ScheduleSetCapacity(eng.Now()+time.Millisecond, rate.Mbps(1), mid, g.LinkReverse(mid))
 	n.Run()
 	if err := n.Validate(); err != nil {
@@ -208,7 +206,6 @@ func TestSetCapacityReachesResolvedWire(t *testing.T) {
 	if got, want := arrival(), TxTime(rate.Mbps(1))+prop; got != want {
 		t.Fatalf("after: arrival after %v, want %v (the resolved wire kept the old transmission time)", got, want)
 	}
-	eng.Run()
 }
 
 // TestOneDirectionalLinkRejected: a link without a reverse cannot carry a

@@ -49,6 +49,12 @@ type Config struct {
 	// (Assembler.CrossCheck), failing with an error wrapping
 	// waterfill.ErrCrossCheck on any disagreement.
 	OracleCrossCheck bool
+	// Delay, if set, is drawn once per packet crossing a physical link: the
+	// wire's transmitter holds the packet that much longer before sending
+	// it (sim.Wire.Depart), which delays the packets behind it and reorders
+	// none. It is the schedule explorer's adversary (internal/mc); nil runs
+	// every wire at its own pace.
+	Delay func() time.Duration
 }
 
 // ControlPacketBits is the size of every control packet, which sets its
@@ -146,7 +152,7 @@ type Network struct {
 	// them. Growing them (AddHosts between runs) moves the pointers, never
 	// the records.
 	links []*linkRec
-	wires []*wireRec
+	wires []*sim.Wire
 	// sessByID is the session table, densely indexed by ID (IDs are assigned
 	// 1, 2, …): Emit resolves its session once per packet per hop, and at
 	// internet scale (~10⁵ sessions) a map here would cost a hash plus a
@@ -406,22 +412,15 @@ func (n *Network) Run() sim.Time {
 // clock to t — for observing transients.
 func (n *Network) RunUntil(t sim.Time) { n.eng.RunUntil(t) }
 
-// port is a foothold on one node: what a protocol task emits through and
-// what a wire schedules through. Session endpoints live on their hosts, a
-// RouterLink — and the sending end of its link's wire — on the From side of
-// the directed link. The node keys the deliveries an emission schedules.
-// Tasks and wires hold a pointer to a port stored next to them (in the
-// Session, in the link's record), so binding one allocates nothing.
+// port is a foothold on one node: what a protocol task emits through.
+// Session endpoints live on their hosts, a RouterLink on the From side of
+// its directed link, which is also the sending end of the link's wire. The
+// node keys the deliveries an emission schedules. Tasks hold a pointer to a
+// port stored next to them (in the Session, in the link's record), so
+// binding one allocates nothing.
 type port struct {
 	n    *Network
 	node graph.NodeID
-}
-
-// Now and At make a port the sim.Sched of its wire.
-func (p *port) Now() sim.Time { return p.n.eng.Now() }
-
-func (p *port) At(t sim.Time, f func()) {
-	p.n.eng.SendFrom(int32(p.node), t, f)
 }
 
 // hopRef is what a packet needs to know about one link of its session's
@@ -431,26 +430,18 @@ func (p *port) At(t sim.Time, f func()) {
 // these point at; nothing on the way reads the graph or the link tables.
 type hopRef struct {
 	rec      *linkRec
-	fwd, rev *wireRec
-}
-
-// wireRec is one directed link's wire together with the port it runs on:
-// the wire's Sched points into the record, so nothing is boxed and a Send
-// stays inside one allocation.
-type wireRec struct {
-	sim.Wire
-	port
+	fwd, rev *sim.Wire
 }
 
 // linkRec is everything a directed link that carries a task owns, in one
-// allocation: the RouterLink (whose table holds its first session inline)
-// and the link's own wire — the one the task's downstream packets leave on —
-// whose port the task also emits through. A link used only in reverse, as
-// the way back for another link's upstream packets, has a bare wireRec
-// instead.
+// allocation: the RouterLink (whose table holds its first session inline),
+// the port it emits through and the link's own wire, the one the task's
+// downstream packets leave on. A link used only in reverse, as the way back
+// for another link's upstream packets, has a bare sim.Wire instead.
 type linkRec struct {
 	task core.RouterLink
-	wire wireRec
+	wire sim.Wire
+	port port
 }
 
 // Emit moves a packet one hop along (or against) the session's path,
@@ -462,7 +453,7 @@ func (em *port) Emit(s core.SessionID, from int, dir core.Direction, pkt core.Pa
 	}
 	hops := n.hops[s]
 	var to int
-	var w *wireRec
+	var w *sim.Wire
 	if dir == core.Down {
 		to = from + 1
 		if from >= 1 {
@@ -481,7 +472,7 @@ func (em *port) Emit(s core.SessionID, from int, dir core.Direction, pkt core.Pa
 		rec = hops[to-1].rec
 		prefetch(unsafe.Pointer(rec), unsafe.Sizeof(linkRec{}))
 		if dir == core.Up && to >= 2 {
-			prefetch(unsafe.Pointer(hops[to-2].rev), unsafe.Sizeof(wireRec{}))
+			prefetch(unsafe.Pointer(hops[to-2].rev), unsafe.Sizeof(sim.Wire{}))
 		}
 	}
 	deliver := n.takeDeliver(rec, s, to, pkt)
@@ -505,7 +496,11 @@ func (em *port) Emit(s core.SessionID, from int, dir core.Direction, pkt core.Pa
 		}
 		n.cfg.OnPacket(link, pkt, now)
 	}
-	n.eng.SendFrom(int32(em.node), w.Depart(now), deliver)
+	var hold time.Duration
+	if n.cfg.Delay != nil {
+		hold = n.cfg.Delay()
+	}
+	n.eng.SendFrom(int32(em.node), w.Depart(now, hold), deliver)
 }
 
 // deliver hands pkt to hop of s, fetching the hop-table slot a link task's
@@ -532,7 +527,7 @@ func (n *Network) resolveHops(path graph.Path) []hopRef {
 	if want := n.g.NumLinks(); len(n.links) < want {
 		// Hosts and their access links can be added between runs.
 		n.links = append(n.links, make([]*linkRec, want-len(n.links))...)
-		n.wires = append(n.wires, make([]*wireRec, want-len(n.wires))...)
+		n.wires = append(n.wires, make([]*sim.Wire, want-len(n.wires))...)
 	}
 	hops := make([]hopRef, len(path))
 	// The ways back nobody has used yet come out of one allocation, in path
@@ -547,14 +542,14 @@ func (n *Network) resolveHops(path graph.Path) []hopRef {
 			unused++
 		}
 	}
-	bare := make([]wireRec, unused)
+	bare := make([]sim.Wire, unused)
 	for i, l := range path {
 		// The task first: a link's wire then lands in the task's record.
 		hops[i].rec = n.linkRecord(l)
 		hops[i].fwd = n.wires[l]
 		rev := n.g.LinkReverse(l)
 		if n.wires[rev] == nil {
-			n.wires[rev] = n.initWire(&bare[0], n.g.Link(rev))
+			n.wires[rev] = initWire(&bare[0], n.g.Link(rev))
 			bare = bare[1:]
 		}
 		hops[i].rev = n.wires[rev]
@@ -569,22 +564,21 @@ func (n *Network) linkRecord(id graph.LinkID) *linkRec {
 		return rec
 	}
 	l := n.g.Link(id)
-	rec := new(linkRec)
-	w := n.initWire(&rec.wire, l)
-	rec.task.Init(core.LinkRef(id), l.Capacity, &w.port)
+	rec := &linkRec{port: port{n: n, node: l.From}}
+	rec.task.Init(core.LinkRef(id), l.Capacity, &rec.port)
 	n.links[id] = rec
 	if n.wires[id] == nil {
 		// Otherwise the link already served as somebody's way back and keeps
-		// that wire (and its backlog); the record's own then carries only
-		// the task's port.
-		n.wires[id] = w
+		// that wire (and its backlog); the record's own goes unused.
+		n.wires[id] = initWire(&rec.wire, l)
 	}
 	return rec
 }
 
-func (n *Network) initWire(w *wireRec, l graph.Link) *wireRec {
-	w.port = port{n: n, node: l.From}
-	w.Init(&w.port, l.Propagation, TxTime(l.Capacity))
+// initWire readies a wire for Emit, which departs packets on it and keys
+// their arrivals itself, and returns it.
+func initWire(w *sim.Wire, l graph.Link) *sim.Wire {
+	w.Init(nil, l.Propagation, TxTime(l.Capacity))
 	return w
 }
 

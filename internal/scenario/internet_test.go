@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"bneck/internal/sim"
 )
 
 // TestInternetTopologyScript runs a script over the paper-sized internet
@@ -129,9 +127,9 @@ at 0ms join s demand=5mbps
 	}
 }
 
-// TestChooserPickZeroMatchesRunSim: a chooser that always takes the default
-// candidate reproduces the unexplored run exactly.
-func TestChooserPickZeroMatchesRunSim(t *testing.T) {
+// TestZeroDelayMatchesRunSim: a delay source that holds no packet
+// reproduces the undelayed run exactly.
+func TestZeroDelayMatchesRunSim(t *testing.T) {
 	sc, err := Parse("router r1\nrouter r2\nlink r1 r2 10mbps 1us\nhost h1 r1\nhost h2 r2\nsession s h1 h2\nsession u h2 h1\nat 0ms join s\nat 0ms join u\n")
 	if err != nil {
 		t.Fatal(err)
@@ -140,15 +138,15 @@ func TestChooserPickZeroMatchesRunSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunSimOpts(sc, SimOptions{Chooser: alwaysZero{}})
+	draws := 0
+	got, err := RunSimOpts(sc, SimOptions{Delay: func() time.Duration { draws++; return 0 }})
 	if err != nil {
-		t.Fatalf("run with a pick-0 chooser failed: %v", err)
+		t.Fatalf("run with an all-zero delay failed: %v", err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("pick-0 chooser changed the run:\n%+v\n%+v", want, got)
+		t.Fatalf("an all-zero delay changed the run:\n%+v\n%+v", want, got)
+	}
+	if uint64(draws) != got.TotalPackets {
+		t.Fatalf("%d delay draws for %d packets across links", draws, got.TotalPackets)
 	}
 }
-
-type alwaysZero struct{}
-
-func (alwaysZero) Choose(now sim.Time, cands []sim.Choice) int { return 0 }

@@ -71,9 +71,9 @@ type Result struct {
 // SimOptions are the model checker's hooks into a simulator run. The zero
 // value reproduces RunSim.
 type SimOptions struct {
-	// Chooser installs a schedule controller on the engine's same-time
-	// tie-breaking — the model-checking hook (internal/mc).
-	Chooser sim.Chooser
+	// Delay holds packets on their wires, one draw per link crossing
+	// (network.Config.Delay) — the model-checking hook (internal/mc).
+	Delay func() time.Duration
 	// OracleCrossCheck makes every epoch's validation also check the
 	// oracle's rates (Centralized B-Neck, waterfill.Solver) against the
 	// classic WaterFilling and Verify's Definition-1 test on the same
@@ -112,8 +112,8 @@ func RunSim(sc *Script) (*Result, error) {
 	return RunSimOpts(sc, SimOptions{})
 }
 
-// RunSimOpts is RunSim with the model checker's hooks: a schedule chooser,
-// the oracle cross-check and a per-epoch quiescence deadline.
+// RunSimOpts is RunSim with the model checker's hooks: wire delays, the
+// oracle cross-check and a per-epoch quiescence deadline.
 func RunSimOpts(sc *Script, opt SimOptions) (*Result, error) {
 	w, err := build(sc)
 	if err != nil {
@@ -122,8 +122,8 @@ func RunSimOpts(sc *Script, opt SimOptions) (*Result, error) {
 	cfg := network.DefaultConfig()
 	cfg.PathPolicy = sc.Policy
 	cfg.OracleCrossCheck = opt.OracleCrossCheck
+	cfg.Delay = opt.Delay
 	eng := sim.New()
-	eng.SetChooser(opt.Chooser)
 	net := network.New(w.g, eng, cfg)
 	res, err := run(w, "sim", &simNet{net: net, eng: eng, deadline: opt.EpochDeadline})
 	if err == nil {

@@ -42,12 +42,6 @@ type Engine struct {
 	stopped  bool   // Stop was called; Run unwinds
 	nEvents  uint64
 	lastBusy Time // time of the most recently executed regular event
-
-	// Schedule-exploration hook (internal/mc): nil in production, so the
-	// Step hot path pays one predictable branch and nothing else.
-	chooser Chooser
-	candBuf []Choice
-	candIdx []int
 }
 
 // New returns an engine with the clock at 0.
@@ -126,18 +120,11 @@ func (e *Engine) checkTime(t Time) {
 }
 
 // Step executes the next event. It returns false when no events remain.
-// With a Chooser installed (SetChooser), the event is picked from the
-// enabled set at the frontier time instead of popped in key order.
 func (e *Engine) Step() bool {
 	if e.events.len() == 0 {
 		return false
 	}
-	var ev event
-	if e.chooser == nil {
-		ev = e.events.pop()
-	} else {
-		ev = e.popChosen()
-	}
+	ev := e.events.pop()
 	e.now = ev.at
 	if ev.key&1 == 0 {
 		e.regular--

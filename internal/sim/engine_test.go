@@ -2,7 +2,9 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -181,6 +183,86 @@ func TestWireZeroTxStillFIFO(t *testing.T) {
 		if v != i {
 			t.Fatalf("FIFO violated with zero tx: %v", order)
 		}
+	}
+}
+
+// TestWireHoldsKeepFIFO: whatever holds a sender draws, the packets on one
+// wire arrive in the order they were sent, and none arrives before its send
+// time plus its hold, the transmission time and the propagation delay.
+func TestWireHoldsKeepFIFO(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for iter := 0; iter < 200; iter++ {
+		prop := time.Duration(r.Intn(50)) * time.Microsecond
+		tx := time.Duration(r.Intn(3)) * time.Microsecond
+		w := NewWire(nil, prop, tx)
+		var now, last Time
+		for i := 0; i < 100; i++ {
+			now += time.Duration(r.Intn(4)) * time.Microsecond
+			var hold Time
+			if r.Intn(2) == 0 {
+				hold = time.Duration(r.Int63n(int64(100 * time.Microsecond)))
+			}
+			at := w.Depart(now, hold)
+			if at < now+hold+tx+prop {
+				t.Fatalf("iter %d packet %d: arrival %v before send %v + hold %v + tx %v + prop %v", iter, i, at, now, hold, tx, prop)
+			}
+			if at < last {
+				t.Fatalf("iter %d packet %d: arrival %v overtakes the previous packet's %v", iter, i, at, last)
+			}
+			last = at
+		}
+	}
+}
+
+// TestTieBreakSeqOrder pins the engine's order at one instant: one
+// creator's events run in scheduling (sequence) order, creators in creator
+// order, external events before every node's.
+func TestTieBreakSeqOrder(t *testing.T) {
+	const at = 50 * time.Microsecond
+	for _, tc := range []struct {
+		name     string
+		creators []int32 // scheduling order of (creator) at one instant
+		want     []string
+	}{
+		{
+			name:     "single creator preserves seq order",
+			creators: []int32{2, 2, 2, 2},
+			want:     []string{"2/0", "2/1", "2/2", "2/3"},
+		},
+		{
+			name:     "creators sort before seq",
+			creators: []int32{3, 1, 3, 1},
+			want:     []string{"1/1", "1/3", "3/0", "3/2"},
+		},
+		{
+			name:     "external events precede node creators",
+			creators: []int32{2, ExtCreator, 0, ExtCreator},
+			want:     []string{"-1/1", "-1/3", "0/2", "2/0"},
+		},
+		{
+			name:     "interleaved creators",
+			creators: []int32{1, 0, 2, 0, 1, 2},
+			want:     []string{"0/1", "0/3", "1/0", "1/4", "2/2", "2/5"},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Run("classic", func(t *testing.T) {
+				var log []string
+				e := New()
+				for i, c := range tc.creators {
+					rec := func() { log = append(log, fmt.Sprintf("%d/%d", c, i)) }
+					if c == ExtCreator {
+						e.At(at, rec)
+					} else {
+						e.SendFrom(c, at, rec)
+					}
+				}
+				e.Run()
+				if !slices.Equal(log, tc.want) {
+					t.Fatalf("execution order %v, want %v", log, tc.want)
+				}
+			})
+		})
 	}
 }
 

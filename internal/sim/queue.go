@@ -43,10 +43,6 @@ func (seqOverflow) Error() string {
 	return fmt.Sprintf("sim: the engine scheduled 2^%d events", seqBits)
 }
 
-// keySrc and keySeq unpack a key's creator and sequence number.
-func keySrc(k uint64) int32  { return int32(k>>(seqBits+1)) - 1 }
-func keySeq(k uint64) uint64 { return k >> 1 & (1<<seqBits - 1) }
-
 // eventQueue is a radix heap over virtual time (Ahuja, Mehlhorn, Orlin and
 // Tarjan, JACM 1990). Every queued event is at or after last, the time of
 // the latest refill, and waits in bucket bits.Len64(at ^ last). Bucket 0
@@ -87,17 +83,26 @@ func (q *eventQueue) minTime() Time {
 	return minAt(q.b[bits.TrailingZeros64(q.mask)])
 }
 
+// pop removes and returns the root of bucket 0, the first event in (time,
+// key) order, refilling the bucket first if it is empty.
 func (q *eventQueue) pop() event {
-	q.front()
-	return q.take(0)
+	if len(q.b[0]) == 0 {
+		q.refill()
+	}
+	h := q.b[0]
+	out, n := h[0], len(h)-1
+	h[0], h[n] = h[n], event{} // release the closure
+	q.b[0] = h[:n]
+	q.n--
+	if n > 0 {
+		q.down(0)
+	}
+	return out
 }
 
-// front returns bucket 0, the events at the earliest queued time, refilling
-// it first if it is empty.
-func (q *eventQueue) front() []event {
-	if len(q.b[0]) > 0 {
-		return q.b[0]
-	}
+// refill moves the lowest non-empty bucket down: last becomes its earliest
+// time, and its events land in lower buckets, those at last in bucket 0.
+func (q *eventQueue) refill() {
 	i := bits.TrailingZeros64(q.mask)
 	src := q.b[i]
 	q.last = minAt(src)
@@ -112,21 +117,6 @@ func (q *eventQueue) front() []event {
 	for j := len(q.b[0])/2 - 1; j >= 0; j-- {
 		q.down(j)
 	}
-	return q.b[0]
-}
-
-// take removes and returns slot j of bucket 0: any slot, so the chooser can
-// run an enabled event that is not the key minimum.
-func (q *eventQueue) take(j int) event {
-	h := q.b[0]
-	out, n := h[j], len(h)-1
-	h[j], h[n] = h[n], event{} // release the closure
-	q.b[0] = h[:n]
-	q.n--
-	if j < n && !q.down(j) {
-		q.up(j)
-	}
-	return out
 }
 
 func minAt(evs []event) Time {
@@ -137,8 +127,7 @@ func minAt(evs []event) Time {
 	return m
 }
 
-// up and down sift slot j of the bucket-0 heap; down reports whether it
-// moved the event.
+// up and down sift slot j of the bucket-0 heap.
 func (q *eventQueue) up(j int) {
 	h := q.b[0]
 	ev := h[j]
@@ -148,7 +137,7 @@ func (q *eventQueue) up(j int) {
 	h[j] = ev
 }
 
-func (q *eventQueue) down(j int) bool {
+func (q *eventQueue) down(j int) {
 	h := q.b[0]
 	ev, i := h[j], j
 	for c := 2*i + 1; c < len(h); c = 2*i + 1 {
@@ -161,5 +150,4 @@ func (q *eventQueue) down(j int) bool {
 		h[i], i = h[c], c
 	}
 	h[i] = ev
-	return i > j
 }

@@ -9,6 +9,10 @@ import (
 	"time"
 )
 
+// keySrc and keySeq unpack a key's creator and sequence number.
+func keySrc(k uint64) int32  { return int32(k>>(seqBits+1)) - 1 }
+func keySeq(k uint64) uint64 { return k >> 1 & (1<<seqBits - 1) }
+
 // refEvent / refHeap is a container/heap-based event queue over the
 // unpacked key, kept as the executable specification the radix queue must
 // match: pop order is (time, creator, creator sequence) ascending. fn is
@@ -134,44 +138,6 @@ func TestPropHeapMatchesContainerHeap(t *testing.T) {
 		p.push(at, int32(rng.Intn(10))-1, false)
 	}
 	p.drain("burst drain")
-}
-
-// TestFrontRemovalIntegrity takes each slot of the frontier — the chooser's
-// removal of an enabled event that is not the key minimum — and checks that
-// the rest still pops in (time, key) order and that nothing is lost.
-func TestFrontRemovalIntegrity(t *testing.T) {
-	const n = 64
-	fill := func() *eventQueue {
-		q := new(eventQueue)
-		for i := 0; i < n; i++ {
-			// A third at the frontier, with scattered keys; the rest later.
-			at := Time(i%3) * Time((i*37)%n+1) * time.Microsecond
-			q.push(event{at: at, key: eventKey(int32((i*13)%7)-1, uint64(i+1), false)})
-		}
-		return q
-	}
-	frontier := len(fill().front())
-	if frontier < 2 {
-		t.Fatalf("frontier holds %d events; the test needs several", frontier)
-	}
-	for slot := 0; slot < frontier; slot++ {
-		q := fill()
-		q.front()
-		removed := q.take(slot)
-		seen := map[uint64]bool{removed.key: true}
-		var prev event
-		for i := 0; q.len() > 0; i++ {
-			ev := q.pop()
-			if i > 0 && (ev.at < prev.at || ev.at == prev.at && ev.key < prev.key) {
-				t.Fatalf("slot %d: pop order violated after removal (removed %v)", slot, removed)
-			}
-			seen[ev.key] = true
-			prev = ev
-		}
-		if len(seen) != n {
-			t.Fatalf("slot %d: %d distinct events out of %d", slot, len(seen), n)
-		}
-	}
 }
 
 // TestHeapPopReleasesClosure guards against the queue pinning executed

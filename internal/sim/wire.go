@@ -12,7 +12,11 @@ import (
 // the paper's LAN scenarios.
 //
 // FIFO order is guaranteed: departures are serialized (monotone departure
-// times) and the engine breaks equal-time ties in scheduling order.
+// times) and the engine breaks equal-time ties in scheduling order. A hold
+// (Depart) keeps the transmitter busy for that much longer before the
+// packet goes out, so it delays the packets queued behind it too and never
+// reorders them: a FIFO channel with an arbitrary finite delay, the paper's
+// channel model.
 type Wire struct {
 	eng  Sched
 	prop time.Duration
@@ -20,10 +24,11 @@ type Wire struct {
 	free Time          // when the transmitter next becomes idle
 }
 
-// Sched is the scheduling surface a wire needs: the clock of the sending
-// side and absolute-time scheduling of the arrival. *Engine satisfies it
-// directly; a transport passes a per-link adapter whose At keys the arrival
-// by the sending node (Engine.SendFrom).
+// Sched is the scheduling surface Send needs: the clock of the sending side
+// and absolute-time scheduling of the arrival. *Engine satisfies it
+// directly. Sched, NewWire and Send stay because the repository's benchmark
+// replays packets through them; the simulated transport calls Depart and
+// keys each arrival itself.
 type Sched interface {
 	Now() Time
 	At(t Time, fn func())
@@ -38,9 +43,8 @@ func NewWire(eng Sched, propagation, txPerPacket time.Duration) *Wire {
 }
 
 // Init makes the zero Wire at w what NewWire returns, for a wire that lives
-// inside a larger per-link record. Passing a pointer into that same record
-// as eng keeps the wire and its scheduler adapter in one allocation (an
-// interface holding a pointer boxes nothing).
+// inside a larger per-link record. A transport that only calls Depart
+// passes a nil eng.
 func (w *Wire) Init(eng Sched, propagation, txPerPacket time.Duration) {
 	w.eng, w.prop, w.tx = eng, propagation, txPerPacket
 }
@@ -48,15 +52,16 @@ func (w *Wire) Init(eng Sched, propagation, txPerPacket time.Duration) {
 // Send schedules deliver to run after the packet is serialized onto the wire
 // and propagates. It returns the arrival time.
 func (w *Wire) Send(deliver func()) Time {
-	arrival := w.Depart(w.eng.Now())
+	arrival := w.Depart(w.eng.Now(), 0)
 	w.eng.At(arrival, deliver)
 	return arrival
 }
 
-// Depart serializes one packet sent at now and returns its arrival time, for
-// a transport that schedules the arrival itself.
-func (w *Wire) Depart(now Time) Time {
-	w.free = max(w.free, now) + w.tx
+// Depart serializes one packet sent at now after holding the transmitter
+// for hold, and returns its arrival time, for a transport that schedules the
+// arrival itself (and passes a nil Sched).
+func (w *Wire) Depart(now, hold Time) Time {
+	w.free = max(w.free, now) + hold + w.tx
 	return w.free + w.prop
 }
 
