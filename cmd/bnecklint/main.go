@@ -5,7 +5,7 @@
 //
 //	detrange    unsorted map iteration in deterministic packages
 //	walltime    time.Now / os.Getenv / unseeded math/rand in the same
-//	lockorder   the live runtime's mu → stripe → mailbox lock order
+//	lockorder   the live runtime's mu → rate → mailbox lock order
 //	eventkey    creator-keyed event scheduling (no ExtCreator/heap bypasses)
 //	floatrate   no float arithmetic in the exact 128-bit rate pipeline
 //

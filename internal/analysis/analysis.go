@@ -20,7 +20,7 @@
 //	//bneck:float            float arithmetic for reporting only
 //	//bneck:global           blessed funnel for un-keyed (external) events
 //	//bneck:keyed            assigns event keys / pushes into an event heap
-//	//bneck:lock <tier>      lock field; tier is mu, stripe or mailbox
+//	//bneck:lock <tier>      lock field; tier is mu, rate or mailbox
 //	//bneck:locks <tier...>  calling this function acquires these tiers
 //
 // Every directive is an escape hatch with a documented burden: the line it

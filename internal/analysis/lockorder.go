@@ -8,19 +8,19 @@ import (
 // Lockorder machine-checks the live runtime's documented two-tier locking
 // (live.go, Runtime): the only legal acquisition order is
 //
-//	mu (runtime lifecycle) → domain stripe → actor mailbox
+//	mu (runtime lifecycle) → incarnation rate → actor mailbox
 //
-// Lock fields declare their tier with //bneck:lock mu|stripe|mailbox;
+// Lock fields declare their tier with //bneck:lock mu|rate|mailbox;
 // functions that acquire tiers internally declare them with
 // //bneck:locks <tier...> so call sites are checked too. The analyzer walks
 // each function linearly (branch bodies are explored with a copy of the
 // held set) and reports:
 //
 //   - acquiring an outer-or-equal tier while an inner one is held — in
-//     particular taking rt.mu while holding a domain stripe, the deadlock
+//     particular taking rt.mu while holding a rate lock, the deadlock
 //     shape the documented order exists to exclude;
-//   - holding two domain stripes at once (stripes are peers; Emit-path
-//     stripe locks never nest);
+//   - holding two rate locks at once (rate locks are peers, one per
+//     incarnation, and never nest);
 //   - a raw channel operation while any runtime lock is held — mailbox
 //     traffic under a lock must go through the non-blocking actor.enqueue,
 //     never a blocking send.
@@ -30,7 +30,7 @@ import (
 // for the runtime's lock/defer style).
 var Lockorder = &Analyzer{
 	Name:  "lockorder",
-	Doc:   "enforce the live runtime's mu → stripe → mailbox lock order",
+	Doc:   "enforce the live runtime's mu → rate → mailbox lock order",
 	Match: inPackages("bneck/internal/live"),
 	Run:   runLockorder,
 }
@@ -38,12 +38,12 @@ var Lockorder = &Analyzer{
 // lock tiers, outermost first.
 const (
 	tierMu = iota
-	tierStripe
+	tierRate
 	tierMailbox
 )
 
-var tierNames = map[string]int{"mu": tierMu, "stripe": tierStripe, "mailbox": tierMailbox}
-var tierLabel = [...]string{"mu", "a domain stripe", "an actor mailbox"}
+var tierNames = map[string]int{"mu": tierMu, "rate": tierRate, "mailbox": tierMailbox}
+var tierLabel = [...]string{"mu", "a rate lock", "an actor mailbox"}
 
 type heldLock struct {
 	tier  int
@@ -85,7 +85,7 @@ func buildLockIndex(pass *Pass) *lockIndex {
 						}
 						tier, known := tierNames[args[0]]
 						if !known {
-							pass.Reportf(fld.Pos(), "unknown //bneck:lock tier %q (want mu, stripe or mailbox)", args[0])
+							pass.Reportf(fld.Pos(), "unknown //bneck:lock tier %q (want mu, rate or mailbox)", args[0])
 							continue
 						}
 						for _, name := range fld.Names {
@@ -107,7 +107,7 @@ func buildLockIndex(pass *Pass) *lockIndex {
 				for _, a := range args {
 					tier, known := tierNames[a]
 					if !known {
-						pass.Reportf(d.Pos(), "unknown //bneck:locks tier %q (want mu, stripe or mailbox)", a)
+						pass.Reportf(d.Pos(), "unknown //bneck:locks tier %q (want mu, rate or mailbox)", a)
 						continue
 					}
 					idx.funcs[fn] = append(idx.funcs[fn], tier)
@@ -119,7 +119,7 @@ func buildLockIndex(pass *Pass) *lockIndex {
 }
 
 // lockField resolves the receiver of an x.Lock()/x.Unlock() call to an
-// annotated lock field, unwrapping selector chains like rt.incs[i].mu.
+// annotated lock field, unwrapping selector chains like inc.rmu or rt.links[i].a.mu.
 func (idx *lockIndex) lockField(info *types.Info, recv ast.Expr) (*types.Var, int, bool) {
 	sel, ok := ast.Unparen(recv).(*ast.SelectorExpr)
 	if !ok {
@@ -162,12 +162,12 @@ func acquire(pass *Pass, held []heldLock, tier int, pos ast.Node) bool {
 			continue // strictly outer: in order
 		}
 		switch {
-		case h.tier == tierStripe && tier == tierStripe:
-			pass.Reportf(pos.Pos(), "acquires a domain stripe while another stripe is held: stripes are peers and never nest (lock order mu → stripe → mailbox, live.Runtime)")
+		case h.tier == tierRate && tier == tierRate:
+			pass.Reportf(pos.Pos(), "acquires a rate lock while another rate lock is held: rate locks are peers and never nest (lock order mu → rate → mailbox, live.Runtime)")
 		case h.tier == tier:
 			pass.Reportf(pos.Pos(), "re-acquires %s while it is already held (self-deadlock)", tierLabel[tier])
 		default:
-			pass.Reportf(pos.Pos(), "acquires %s while holding %s: the documented order is mu → stripe → mailbox (live.Runtime)", tierLabel[tier], tierLabel[h.tier])
+			pass.Reportf(pos.Pos(), "acquires %s while holding %s: the documented order is mu → rate → mailbox (live.Runtime)", tierLabel[tier], tierLabel[h.tier])
 		}
 		return false
 	}

@@ -1,6 +1,6 @@
 // Package lockorder models the live runtime's two-tier locking: a runtime
-// mutex, peer stripe locks, and actor mailboxes, with the documented order
-// mu → stripe → mailbox.
+// mutex, peer rate locks (one per incarnation), and actor mailboxes, with
+// the documented order mu → rate → mailbox.
 package lockorder
 
 import "sync"
@@ -12,7 +12,7 @@ type actor struct {
 	queue []message
 }
 
-// enqueue is the non-blocking mailbox append: legal under mu or a stripe.
+// enqueue is the non-blocking mailbox append: legal under mu or a rate lock.
 //
 //bneck:locks mailbox
 func (a *actor) enqueue(m message) {
@@ -21,43 +21,43 @@ func (a *actor) enqueue(m message) {
 	a.mu.Unlock()
 }
 
-type stripe struct {
-	mu sync.Mutex //bneck:lock stripe
+type incarnation struct {
+	mu sync.Mutex //bneck:lock rate
 	m  map[int]*actor
 }
 
 type runtime struct {
-	mu      sync.Mutex //bneck:lock mu
-	stripes [4]stripe
-	ch      chan message
+	mu   sync.Mutex //bneck:lock mu
+	incs [4]incarnation
+	ch   chan message
 }
 
-// inOrder follows the documented order exactly: mu, then one stripe, then a
+// inOrder follows the documented order exactly: mu, then one rate lock, then a
 // mailbox via the non-blocking enqueue.
 func (rt *runtime) inOrder(k int, m message) {
 	rt.mu.Lock()
-	s := &rt.stripes[k%4]
-	s.mu.Lock()
-	s.m[k].enqueue(m)
-	s.mu.Unlock()
+	inc := &rt.incs[k%4]
+	inc.mu.Lock()
+	inc.m[k].enqueue(m)
+	inc.mu.Unlock()
 	rt.mu.Unlock()
 }
 
-// muUnderStripe is the deadlock shape the order exists to exclude.
-func (rt *runtime) muUnderStripe(k int) {
-	s := &rt.stripes[k%4]
-	s.mu.Lock()
-	rt.mu.Lock() // want "acquires mu while holding a domain stripe"
+// muUnderRate is the deadlock shape the order exists to exclude.
+func (rt *runtime) muUnderRate(k int) {
+	inc := &rt.incs[k%4]
+	inc.mu.Lock()
+	rt.mu.Lock() // want "acquires mu while holding a rate lock"
 	rt.mu.Unlock()
-	s.mu.Unlock()
+	inc.mu.Unlock()
 }
 
-// twoStripes nests peer stripes, which never happens in the Emit path.
-func (rt *runtime) twoStripes(i, j int) {
-	rt.stripes[i%4].mu.Lock()
-	rt.stripes[j%4].mu.Lock() // want "another stripe is held"
-	rt.stripes[j%4].mu.Unlock()
-	rt.stripes[i%4].mu.Unlock()
+// twoRates nests peer rate locks, which the runtime never does.
+func (rt *runtime) twoRates(i, j int) {
+	rt.incs[i%4].mu.Lock()
+	rt.incs[j%4].mu.Lock() // want "another rate lock is held"
+	rt.incs[j%4].mu.Unlock()
+	rt.incs[i%4].mu.Unlock()
 }
 
 // rawSend blocks on a channel while holding mu: mailbox traffic under a
@@ -76,20 +76,20 @@ func (rt *runtime) reacquire() {
 	rt.mu.Unlock()
 }
 
-// stripeThenRelease re-locks in order after releasing: the
-// stripe → release → mu → stripe pattern linkActorFor uses.
-func (rt *runtime) stripeThenRelease(k int) *actor {
-	s := &rt.stripes[k%4]
-	s.mu.Lock()
-	a := s.m[k]
-	s.mu.Unlock()
+// rateThenRelease re-locks in order after releasing: rate → release →
+// mu → rate.
+func (rt *runtime) rateThenRelease(k int) *actor {
+	inc := &rt.incs[k%4]
+	inc.mu.Lock()
+	a := inc.m[k]
+	inc.mu.Unlock()
 	if a != nil {
 		return a
 	}
 	rt.mu.Lock()
-	s.mu.Lock()
-	a = s.m[k]
-	s.mu.Unlock()
+	inc.mu.Lock()
+	a = inc.m[k]
+	inc.mu.Unlock()
 	rt.mu.Unlock()
 	return a
 }
@@ -98,8 +98,8 @@ func (rt *runtime) stripeThenRelease(k int) *actor {
 func (rt *runtime) deferred(k int, m message) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	s := &rt.stripes[k%4]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.m[k].enqueue(m)
+	inc := &rt.incs[k%4]
+	inc.mu.Lock()
+	defer inc.mu.Unlock()
+	inc.m[k].enqueue(m)
 }

@@ -37,11 +37,15 @@ import (
 // bottleneck, which holds the known livelock (DESIGN.md §13: after a
 // re-probe, each session's SetBottleneck can pass the shared link while the
 // other is mid-probe, reach its destination unconfirmed and trigger the
-// other's next re-probe, forever); and two sessions moved together when the
-// link they share fails.
+// other's next re-probe, forever); two sessions moved together when the
+// link they share fails; and two sessions that share a link but not their
+// destination links, which holds the same livelock: there a fix that holds
+// a SetBottleneck back at the shared link must still let it reach the
+// session's own link after it.
 //
 //	ha ─ r1 ─ r2 ─ hb          ha, hc ─ r1 ─ hb          ha, hc ─ r1 ─ r2 ─ hb
 //	                                                               └ r3 ┘
+//	ha, hc ─ r1 ─ r2 ─ hb, hd
 var protoConfigs = []exConfig{
 	{
 		name: "line/1 session",
@@ -74,6 +78,18 @@ var protoConfigs = []exConfig{
 		links:    []string{"r1-r2"},
 		ops:      []exOp{{exJoin, 0}, {exJoin, 1}, {exFail, 0}},
 		k:        2,
+	},
+	{
+		name: "split/2 sessions",
+		build: func() (*graph.Graph, map[string]graph.NodeID, map[string][2]graph.LinkID) {
+			return buildGraph([]string{"r1", "r2"}, []string{"ha", "hb", "hc", "hd"},
+				[]string{"ha-r1", "hc-r1", "r1-r2", "r2-hb", "r2-hd"})
+		},
+		sessions: [][2]string{{"ha", "hb"}, {"hc", "hd"}},
+		links:    []string{"r1-r2"},
+		ops:      []exOp{{exJoin, 0}, {exJoin, 1}, {exChange, 0}, {exLeave, 1}, {exCut, 0}},
+		k:        3,
+		livelock: true,
 	},
 }
 

@@ -60,7 +60,7 @@ type actor struct {
 // message in head: for the list of w, the worker the calling handler runs
 // on, or, outside a handler (w nil), for a new worker — the runtime's only
 // source of parallelism. It never blocks and runs no handler, so it is
-// legal under rt.mu or a stripe (lock order mu → stripe → mailbox).
+// legal under rt.mu (lock order mu → rate → mailbox).
 //
 //bneck:locks mailbox
 func (a *actor) enqueue(m message, w *worker) {

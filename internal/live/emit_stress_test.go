@@ -5,19 +5,18 @@ import (
 	"sync"
 	"testing"
 
-	"bneck/internal/core"
 	"bneck/internal/graph"
 	"bneck/internal/rate"
 	"bneck/internal/topology"
 )
 
-// TestLiveChurnEmitStress hammers the lock-sharded Emit path: many sessions
-// join, change and leave from concurrent goroutines while topology events
-// fail, reconfigure and restore in-use links, so packet emissions race with
-// incarnation creation/retirement and link-actor creation across every
-// stripe. Run with -race (CI does) this is the data-race test of the
-// striped incarnation/link domains; the final validation and the packet
-// parity check make sure merge-on-demand readers see every stripe.
+// TestLiveChurnEmitStress hammers the Emit path: many sessions join, change
+// and leave from concurrent goroutines while topology events fail,
+// reconfigure and restore in-use links, so packet emissions race with
+// incarnation creation/retirement and link-actor creation. Run with -race
+// (CI does) this is the data-race test of the incarnation and link tables;
+// the final validation and the packet parity check make sure their readers
+// see every entry.
 func TestLiveChurnEmitStress(t *testing.T) {
 	topo, err := topology.Generate(topology.Small, topology.LAN, 23)
 	if err != nil {
@@ -118,8 +117,8 @@ func TestLiveChurnEmitStress(t *testing.T) {
 		}
 	}()
 	// Rate readers race the rate upcalls: every Change above lands a setRate
-	// on a stripe while these goroutines read the same table through both the
-	// per-session and the merge-all paths.
+	// on an incarnation while these goroutines read it through both the
+	// per-session and the all-sessions paths.
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -144,8 +143,8 @@ func TestLiveChurnEmitStress(t *testing.T) {
 		t.Fatalf("after churn storm: %v", err)
 	}
 
-	// Merge-on-demand sanity: the striped per-link counters must agree on
-	// ordering and cover every link that carried traffic.
+	// The per-link counters must come in link order and cover every link
+	// that carried traffic.
 	counts := rt.LinkPackets()
 	if len(counts) == 0 {
 		t.Fatal("no link packets recorded")
@@ -159,20 +158,5 @@ func TestLiveChurnEmitStress(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("zero total packets after a churn storm")
-	}
-}
-
-// TestLiveEmitStripesDistribute sanity-checks the stripe functions: dense
-// session and link IDs spread across all domains instead of piling onto one.
-func TestLiveEmitStripesDistribute(t *testing.T) {
-	var incSeen, linkSeen [emitDomains]bool
-	for i := 0; i < emitDomains*4; i++ {
-		incSeen[incStripe(core.SessionID(i))] = true
-		linkSeen[linkStripe(graph.LinkID(i))] = true
-	}
-	for d := 0; d < emitDomains; d++ {
-		if !incSeen[d] || !linkSeen[d] {
-			t.Fatalf("stripe %d never hit by dense IDs", d)
-		}
 	}
 }

@@ -24,7 +24,8 @@
 // made by the control plane the simulator transport shares
 // (internal/control), called under the runtime mutex; the runtime applies
 // the actions it returns on its actors. Validate is the same control plane's
-// Check over the runtime's rate ledger and link tasks. See DESIGN.md §6, §11.
+// Check over the incarnations' granted rates and the link tasks. See
+// DESIGN.md §6, §11.
 //
 // Mailboxes are unbounded by design: B-Neck generates bounded traffic per
 // reconfiguration, and bounded mailboxes could deadlock the bidirectional
@@ -37,48 +38,45 @@ package live
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"bneck/internal/control"
 	"bneck/internal/core"
 	"bneck/internal/graph"
-	"bneck/internal/metrics"
 	"bneck/internal/rate"
 )
 
 // Runtime hosts a concurrent B-Neck deployment over a mutable graph.
 //
 // Locking is two-tier. The cold path — session lifecycle, topology
-// mutation, migration, validation — serializes on mu, so concurrent
-// reconfigurations never interleave half-applied. The hot path — Emit, one
-// call per packet per hop across every actor — takes one lock, the target's
-// mailbox, otherwise only atomics, and wakes nobody (a target found idle
-// joins the emitting worker's own list): the emitting task already holds
-// its packet's incarnation (each task owns its emitter), and the
-// incarnation's hop table names the target actor and the link's packet
+// mutation, migration, validation and the table readers — serializes on mu,
+// so concurrent reconfigurations never interleave half-applied. The hot
+// path — Emit, one call per packet per hop across every actor — takes one
+// lock, the target's mailbox, otherwise only atomics, and wakes nobody (a
+// target found idle joins the emitting worker's own list): the emitting task
+// already holds its packet's incarnation (each task owns its emitter), and
+// the incarnation's hop table names the target actor and the link's packet
 // counters. A link task emitting for a session other than its packet's (an
-// Update to the sessions a bottleneck change affects) looks that
-// incarnation up in one stripe of the incarnation table; the rate upcall
-// every source task fires per λ-change writes the same stripe.
-// Merge-on-demand readers (LinkPackets, Rates) gather the stripes.
+// Update to the sessions a bottleneck change affects) loads that
+// incarnation from incs, which takes no lock. The rate upcall a source task
+// fires per λ-change writes its own incarnation's rate under that
+// incarnation's leaf lock.
 //
-// No handler ever takes mu or a link stripe, and no caller holding mu runs
-// a handler (a claim made under mu starts a worker). An incarnation's
-// actors and hop table are created, with the link actors and packet
-// counters it points to, under mu by the call that enqueues its Join
-// (start), before any of its packets exists: lazily, from inside
-// a handler, the first packet on a link would wait behind a running
-// FailLinks. Creating them at Join and not at NewSession keeps session
-// set-up cheap and creates exactly the actors a Join cascade would have
-// reached. Because every creation holds mu, SetLinkCapacity (which holds mu
-// too) either lands in the capacity a new task is built with or finds the
-// installed actor.
+// No handler ever takes mu, and no caller holding mu runs a handler (a
+// claim made under mu starts a worker). An incarnation's actors and hop
+// table are created, with the link records and actors it points to, under
+// mu by the call that enqueues its Join (start), before any of its packets
+// exists: lazily, from inside a handler, the first packet on a link would
+// wait behind a running FailLinks. Creating them at Join and not at
+// NewSession keeps session set-up cheap and creates exactly the actors a
+// Join cascade would have reached. Because every creation holds mu,
+// SetLinkCapacity (which holds mu too) either lands in the capacity a new
+// task is built with or finds the installed actor.
 //
-// Lock order: mu → domain stripe → actor mailbox. Emit never holds two
-// locks at once, and nothing acquires mu while holding a stripe. The order
-// is machine-checked by bnecklint's lockorder analyzer through the
+// Lock order: mu → rate → actor mailbox. Emit never holds two locks at
+// once, and nothing acquires mu while holding a rate lock. The order is
+// machine-checked by bnecklint's lockorder analyzer through the
 // //bneck:lock tier annotations below (DESIGN.md §12, "Machine-enforced
 // invariants").
 type Runtime struct {
@@ -92,42 +90,30 @@ type Runtime struct {
 
 	activity *activityCounter
 
-	// incs shards the incarnation table and the granted-rate table by
-	// session ID; lnks shards the link-actor table and the per-link packet
-	// counters (the live twin of the simulator's per-wire counters) by link
-	// ID. Entries of lnks are added only under mu (plus the stripe, for the
-	// readers that do not hold mu) and never removed.
-	incs [emitDomains]incDomain
-	lnks [emitDomains]linkDomain
+	// links holds each directed link's record by link ID, nil for a link no
+	// joined incarnation's packets can cross in either direction. Grown
+	// (links may be added to g after New) and filled under mu; records are
+	// never removed.
+	links []*linkRec
+	// incs maps a session ID to its incarnation: stored under mu by start,
+	// deleted under mu when reclaimed, loaded without a lock by Emit.
+	incs sync.Map
 }
 
-// emitDomains is the stripe count of the striped tables. A power of two so
-// the stripe pick is a mask; 32 stripes keep the collision probability low
-// at actor counts well past the paper's topologies.
-const emitDomains = 32
-
-type incDomain struct {
-	mu sync.Mutex //bneck:lock stripe
-	m  map[core.SessionID]*incarnation
-	// rates holds the granted rates of this stripe's sessions. Rate upcalls
-	// arrive from every source actor concurrently (one per λ-change per
-	// session), so they are striped like the incarnation lookups of link
-	// tasks emitting for a session other than their packet's.
-	rates map[core.SessionID]rate.Rate
-}
-
-type linkDomain struct {
-	mu     sync.Mutex //bneck:lock stripe
-	actors map[graph.LinkID]*linkActor
-	// pkts holds one counter per directed link some joined incarnation's
-	// packets can cross, in either direction; hop tables point at them and
-	// Emit bumps them without a lock.
-	pkts map[graph.LinkID]*atomic.Uint64
-}
-
-type linkActor struct {
+// linkRec is one directed link: its packet counter (the live twin of the
+// simulator's per-wire counters), which hop tables point at and Emit bumps
+// without a lock, and, once a joined incarnation's path crosses the link,
+// the actor hosting its router task.
+type linkRec struct {
+	pkts atomic.Uint64
 	a    *actor
 	task *core.RouterLink
+}
+
+// LinkCount is one directed link's packet total (Runtime.LinkPackets).
+type LinkCount struct {
+	Link    graph.LinkID
+	Packets uint64
 }
 
 // hopRef is what Emit needs about one link of an incarnation's path: the
@@ -138,13 +124,10 @@ type hopRef struct {
 	fwd, rev *atomic.Uint64
 }
 
-func incStripe(id core.SessionID) int { return int(uint64(id) & (emitDomains - 1)) }
-func linkStripe(id graph.LinkID) int  { return int(uint32(id) & (emitDomains - 1)) }
-
-// incarnation is one started protocol lifetime of a session: a session ID
-// and the actors hosting its source and destination tasks. The controller
-// decides when one starts and departs, and holds its path; a departed one
-// is reclaimed at the next quiescence.
+// incarnation is one started protocol lifetime of a session: a session ID,
+// the actors hosting its source and destination tasks, and the rate granted
+// to it. The controller decides when one starts and departs, and holds its
+// path; a departed one is reclaimed at the next quiescence.
 type incarnation struct {
 	id   core.SessionID
 	src  *actor
@@ -162,6 +145,12 @@ type incarnation struct {
 	// Leave cascade drained. Set under mu; atomic because Emit checks it on
 	// a worker goroutine.
 	reclaimed atomic.Bool
+	// lambda is the last rate the source task's upcall granted, once granted
+	// is set. The upcall writes them from the source's handler; readers hold
+	// mu. Both sides hold rmu.
+	rmu     sync.Mutex //bneck:lock rate
+	lambda  rate.Rate
+	granted bool
 }
 
 // New returns a runtime over g. The runtime owns g's mutable state: apply
@@ -170,14 +159,6 @@ type incarnation struct {
 func New(g *graph.Graph) *Runtime {
 	rt := &Runtime{g: g, activity: newActivityCounter()}
 	rt.ctl = control.New(g, func(id core.SessionID) uint64 { return rt.incarnationFor(id).pkts.Load() })
-	for i := range rt.incs {
-		rt.incs[i].m = make(map[core.SessionID]*incarnation)
-		rt.incs[i].rates = make(map[core.SessionID]rate.Rate)
-	}
-	for i := range rt.lnks {
-		rt.lnks[i].actors = make(map[graph.LinkID]*linkActor)
-		rt.lnks[i].pkts = make(map[graph.LinkID]*atomic.Uint64)
-	}
 	return rt
 }
 
@@ -190,51 +171,32 @@ func (rt *Runtime) SetPathPolicy(p control.Policy) {
 	rt.ctl.Policy = p
 }
 
-// incarnationFor returns the live incarnation registered under a session ID
-// (nil when retired and reclaimed). One stripe lock; Emit needs it only when
-// a link task emits for a session other than its packet's.
-//
-//bneck:locks stripe
+// incarnationFor returns the incarnation registered under a session ID (nil
+// when never started, or retired and reclaimed). It takes no lock; Emit
+// needs it only when a link task emits for a session other than its
+// packet's.
 func (rt *Runtime) incarnationFor(id core.SessionID) *incarnation {
-	d := &rt.incs[incStripe(id)]
-	d.mu.Lock()
-	inc := d.m[id]
-	d.mu.Unlock()
+	v, _ := rt.incs.Load(id)
+	inc, _ := v.(*incarnation)
 	return inc
 }
 
-// setRate records a granted rate from a source task's rate upcall. Hot
-// path: upcalls arrive concurrently from every worker goroutine; one
-// stripe lock each.
+// setRate is the source task's rate upcall: one leaf lock, no lookup.
 //
-//bneck:locks stripe
-func (rt *Runtime) setRate(id core.SessionID, lambda rate.Rate) {
-	d := &rt.incs[incStripe(id)]
-	d.mu.Lock()
-	d.rates[id] = lambda
-	d.mu.Unlock()
+//bneck:locks rate
+func (inc *incarnation) setRate(_ core.SessionID, lambda rate.Rate) {
+	inc.rmu.Lock()
+	inc.lambda, inc.granted = lambda, true
+	inc.rmu.Unlock()
 }
 
-// dropRate forgets a departed incarnation's granted rate. Callers may hold
-// rt.mu: mu → stripe is the established order.
+// rate reads the incarnation's granted rate.
 //
-//bneck:locks stripe
-func (rt *Runtime) dropRate(id core.SessionID) {
-	d := &rt.incs[incStripe(id)]
-	d.mu.Lock()
-	delete(d.rates, id)
-	d.mu.Unlock()
-}
-
-// rateFor reads one session's granted rate. One stripe lock.
-//
-//bneck:locks stripe
-func (rt *Runtime) rateFor(id core.SessionID) (rate.Rate, bool) {
-	d := &rt.incs[incStripe(id)]
-	d.mu.Lock()
-	r, ok := d.rates[id]
-	d.mu.Unlock()
-	return r, ok
+//bneck:locks rate
+func (inc *incarnation) rate() (rate.Rate, bool) {
+	inc.rmu.Lock()
+	defer inc.rmu.Unlock()
+	return inc.lambda, inc.granted
 }
 
 // Session is a logical session between two hosts. Reroutes change its
@@ -346,11 +308,12 @@ func (s *Session) Change(demand rate.Rate) error {
 // Rate returns the session's last granted rate. Safe to call from any
 // goroutine; stable once WaitQuiescent has returned.
 func (s *Session) Rate() (rate.Rate, bool) {
-	id, st := s.current()
-	if st != control.Active {
+	s.rt.mu.Lock()
+	defer s.rt.mu.Unlock()
+	if s.rt.ctl.State(s.id) != control.Active {
 		return rate.Zero, false
 	}
-	return s.rt.rateFor(id)
+	return s.rt.incarnationFor(s.rt.ctl.Current(s.id)).rate()
 }
 
 // SetLinkCapacity changes the capacity of the given directed links (pass a
@@ -360,7 +323,7 @@ func (s *Session) Rate() (rate.Rate, bool) {
 // simulator assumes the same). An unknown link or a non-positive capacity
 // is an error, and nothing changes.
 //
-//bneck:locks stripe mailbox
+//bneck:locks mailbox
 func (rt *Runtime) SetLinkCapacity(c rate.Rate, links ...graph.LinkID) error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -369,12 +332,8 @@ func (rt *Runtime) SetLinkCapacity(c rate.Rate, links ...graph.LinkID) error {
 		return rt.apply(nil, err)
 	}
 	for _, l := range links {
-		d := &rt.lnks[linkStripe(l)]
-		d.mu.Lock()
-		la, ok := d.actors[l]
-		d.mu.Unlock()
-		if ok {
-			la.a.enqueue(message{kind: msgSetCapacity, pkt: core.Packet{Rate: c}}, nil)
+		if int(l) < len(rt.links) && rt.links[l] != nil && rt.links[l].a != nil {
+			rt.links[l].a.enqueue(message{kind: msgSetCapacity, pkt: core.Packet{Rate: c}}, nil)
 		}
 	}
 	return rt.apply(rt.ctl.SetCapacity(c, links))
@@ -456,83 +415,65 @@ func (rt *Runtime) WaitQuiescent() {
 
 // reclaimRetired stops and drops the actors of every incarnation that can
 // never process protocol traffic again: every departed one — superseded by
-// a migration, left through Leave, or stranded by a failure. Callers hold
-// mu and have seen the network quiescent (no message in flight can target
-// a retired incarnation); the stripe locks only order the deletes against
-// concurrent Emit lookups.
+// a migration, left through Leave, or stranded by a failure — and its
+// granted rate with it. Callers hold mu and have seen the network quiescent
+// (no message in flight can target a retired incarnation).
 //
-//bneck:locks stripe mailbox
+//bneck:locks mailbox
 func (rt *Runtime) reclaimRetired() {
-	for i := range rt.incs {
-		d := &rt.incs[i]
-		d.mu.Lock()
-		for id, inc := range d.m {
-			if !rt.ctl.Departed(id) {
-				continue
-			}
+	rt.incs.Range(func(_, v any) bool {
+		if inc := v.(*incarnation); rt.ctl.Departed(inc.id) {
 			inc.reclaimed.Store(true)
 			inc.src.stop()
 			inc.dst.stop()
-			delete(d.m, id)
+			rt.incs.Delete(inc.id)
 		}
-		d.mu.Unlock()
-	}
+		return true
+	})
 }
 
 // Incarnations returns how many session incarnations currently hold live
 // actors (reclaimed ones are gone; see WaitQuiescent).
 func (rt *Runtime) Incarnations() int {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	n := 0
-	for i := range rt.incs {
-		d := &rt.incs[i]
-		d.mu.Lock()
-		n += len(d.m)
-		d.mu.Unlock()
-	}
+	rt.incs.Range(func(_, _ any) bool { n++; return true })
 	return n
 }
 
 // LinkPackets returns per-directed-link packet totals for every link that
-// carried traffic, ordered by link ID — the same report, with the same
-// field names, as the simulator transport's Network.LinkPackets. The
-// stripes merge on demand; each counter is read atomically, so a call that
-// races traffic sees every link at some recent value, and one made after
-// WaitQuiescent sees the exact totals.
-func (rt *Runtime) LinkPackets() []metrics.LinkCount {
-	var out []metrics.LinkCount
-	for i := range rt.lnks {
-		d := &rt.lnks[i]
-		d.mu.Lock()
-		for id, c := range d.pkts {
-			if n := c.Load(); n > 0 {
-				out = append(out, metrics.LinkCount{Link: id, Packets: n})
-			}
+// carried traffic, ordered by link ID. Each counter is read atomically, so
+// a call that races traffic sees every link at some recent value, and one
+// made after WaitQuiescent sees the exact totals.
+func (rt *Runtime) LinkPackets() []LinkCount {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	var out []LinkCount
+	for id, l := range rt.links {
+		if l == nil {
+			continue
 		}
-		d.mu.Unlock()
+		if n := l.pkts.Load(); n > 0 {
+			out = append(out, LinkCount{Link: graph.LinkID(id), Packets: n})
+		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Link < out[b].Link })
 	return out
 }
 
-// Rates returns a snapshot of all granted rates, keyed by current
-// incarnation IDs. The per-stripe tables merge on demand, like LinkPackets.
+// Rates returns a snapshot of the granted rates of the incarnations that
+// have not departed, keyed by incarnation ID.
 func (rt *Runtime) Rates() map[core.SessionID]rate.Rate {
-	n := 0
-	for i := range rt.incs {
-		d := &rt.incs[i]
-		d.mu.Lock()
-		n += len(d.rates)
-		d.mu.Unlock()
-	}
-	out := make(map[core.SessionID]rate.Rate, n)
-	for i := range rt.incs {
-		d := &rt.incs[i]
-		d.mu.Lock()
-		for k, v := range d.rates {
-			out[k] = v
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	out := make(map[core.SessionID]rate.Rate)
+	rt.incs.Range(func(_, v any) bool {
+		inc := v.(*incarnation)
+		if r, ok := inc.rate(); ok && !rt.ctl.Departed(inc.id) {
+			out[inc.id] = r
 		}
-		d.mu.Unlock()
-	}
+		return true
+	})
 	return out
 }
 
@@ -549,8 +490,8 @@ func (rt *Runtime) Validate() error {
 	return nil
 }
 
-// rateOf reads incarnation id's granted rate from the ledger and whether its
-// source task holds it confirmed.
+// rateOf reads incarnation id's granted rate and whether its source task
+// holds it confirmed.
 //
 // The source task's state, like the link tasks' state Check reads through
 // tasks, is read without a lock, and safely: every handler's writes
@@ -561,21 +502,22 @@ func (rt *Runtime) Validate() error {
 // therefore happens after every handler that has run, and these reads after
 // it.
 //
-//bneck:locks stripe
+//bneck:locks rate
 func (rt *Runtime) rateOf(id core.SessionID) (rate.Rate, bool, bool) {
-	r, ok := rt.rateFor(id)
-	// nil for a stale incarnation reclaimed as departed; Check reports it as such.
 	inc := rt.incarnationFor(id)
-	return r, ok, inc != nil && inc.srcT.Converged()
+	if inc == nil {
+		return rate.Zero, false, false // reclaimed as departed; Check reports it as such
+	}
+	r, ok := inc.rate()
+	return r, ok, inc.srcT.Converged()
 }
 
-// tasks walks the link tasks. Callers hold mu, which every insertion holds.
+// tasks walks the link tasks in link order. Callers hold mu, which every
+// insertion holds.
 func (rt *Runtime) tasks(yield func(graph.LinkID, control.Task) bool) {
-	for i := range rt.lnks {
-		for l, la := range rt.lnks[i].actors {
-			if !yield(l, la.task) {
-				return
-			}
+	for id, l := range rt.links {
+		if l != nil && l.a != nil && !yield(graph.LinkID(id), l.task) {
+			return
 		}
 	}
 }
@@ -588,29 +530,23 @@ func (rt *Runtime) Close() {
 		return
 	}
 	rt.closed = true
-	for i := range rt.lnks {
-		d := &rt.lnks[i]
-		d.mu.Lock()
-		for _, la := range d.actors {
-			la.a.stop()
+	for _, l := range rt.links {
+		if l != nil && l.a != nil {
+			l.a.stop()
 		}
-		d.mu.Unlock()
 	}
-	for i := range rt.incs {
-		d := &rt.incs[i]
-		d.mu.Lock()
-		for _, inc := range d.m {
-			inc.src.stop()
-			inc.dst.stop()
-		}
-		d.mu.Unlock()
-	}
+	rt.incs.Range(func(_, v any) bool {
+		inc := v.(*incarnation)
+		inc.src.stop()
+		inc.dst.stop()
+		return true
+	})
 }
 
 // apply executes the controller's actions in order, or reports the bad
 // input that stopped a topology operation. Callers hold mu.
 //
-//bneck:locks stripe mailbox
+//bneck:locks mailbox
 func (rt *Runtime) apply(acts []control.Action, err error) error {
 	if err != nil {
 		return fmt.Errorf("live: %w", err)
@@ -620,7 +556,6 @@ func (rt *Runtime) apply(acts []control.Action, err error) error {
 		case control.Start:
 			rt.start(a.ID, a.Path, a.Demand)
 		case control.Leave:
-			rt.dropRate(a.ID)
 			rt.incarnationFor(a.ID).src.enqueue(message{kind: msgLeave}, nil)
 		case control.Change:
 			rt.incarnationFor(a.ID).src.enqueue(message{kind: msgChange, pkt: core.Packet{Rate: a.Demand}}, nil)
@@ -630,24 +565,25 @@ func (rt *Runtime) apply(acts []control.Action, err error) error {
 }
 
 // start creates incarnation id — its two actors and its hop table, with the
-// link actor and packet counters of every link on the path that no
-// incarnation crossed before — and enqueues its Join, the only place one
-// is enqueued. It is the twin of the simulator transport's resolveHops:
-// tasks materialize in the caller, under mu, before the first packet
-// exists, so Emit only ever indexes a finished table.
+// link records and link actors of every link on the path that no
+// incarnation crossed before — publishes it in incs and enqueues its Join,
+// the only place one is enqueued. It is the twin of the simulator
+// transport's resolveHops: tasks materialize in the caller, under mu,
+// before the first packet exists, so Emit only ever indexes a finished
+// table.
 //
-//bneck:locks stripe mailbox
+//bneck:locks mailbox
 func (rt *Runtime) start(id core.SessionID, path graph.Path, demand rate.Rate) {
 	inc := &incarnation{id: id, hops: make([]hopRef, len(path))}
 	for i, l := range path {
-		inc.hops[i] = hopRef{task: rt.linkActorLocked(l), fwd: rt.linkCounterLocked(l)}
+		inc.hops[i] = hopRef{task: rt.linkActor(l), fwd: &rt.link(l).pkts}
 		if rev := rt.g.LinkReverse(l); rev != graph.NoLink {
-			inc.hops[i].rev = rt.linkCounterLocked(rev)
+			inc.hops[i].rev = &rt.link(rev).pkts
 		}
 	}
 	// An endpoint task only ever emits for its session: its emitter is fixed.
 	srcEm, dstEm := &emitter{rt: rt, cur: inc}, &emitter{rt: rt, cur: inc}
-	srcT := core.NewSourceNode(id, srcEm, rt.setRate)
+	srcT := core.NewSourceNode(id, srcEm, inc.setRate)
 	dstT := core.NewDestinationNode(id, dstEm)
 	inc.srcT = srcT
 	// The controller issues Join, Change and Leave only in an order the
@@ -667,32 +603,38 @@ func (rt *Runtime) start(id core.SessionID, path graph.Path, demand rate.Rate) {
 	hop := len(path) + 1
 	inc.dst = &actor{acts: rt.activity, handle: func(m *message) { dstT.Receive(m.pkt, hop) }}
 	srcEm.self, dstEm.self = inc.src, inc.dst
-	d := &rt.incs[incStripe(id)]
-	d.mu.Lock()
-	d.m[id] = inc
-	d.mu.Unlock()
+	rt.incs.Store(id, inc)
 	inc.src.enqueue(message{kind: msgJoin, pkt: core.Packet{Rate: demand}}, nil)
 }
 
-// linkActorLocked returns (creating if needed) the actor hosting the
-// RouterLink task of a directed link. Callers hold rt.mu, which excludes
-// SetLinkCapacity for the whole read-capacity-and-install sequence — a
-// reconfiguration therefore either lands in the capacity the new task is
-// built with, or finds the installed actor and enqueues its re-probe. The
-// stripe is taken only to publish the entry to the readers that do not hold
-// mu.
-//
-//bneck:locks stripe
-func (rt *Runtime) linkActorLocked(id graph.LinkID) *actor {
-	d := &rt.lnks[linkStripe(id)]
-	if la, ok := d.actors[id]; ok {
-		return la.a
+// link returns directed link id's record, creating it, and growing the
+// table to the graph's link count, if needed. Callers hold mu.
+func (rt *Runtime) link(id graph.LinkID) *linkRec {
+	if int(id) >= len(rt.links) {
+		rt.links = append(rt.links, make([]*linkRec, rt.g.NumLinks()-len(rt.links))...)
+	}
+	if rt.links[id] == nil {
+		rt.links[id] = new(linkRec)
+	}
+	return rt.links[id]
+}
+
+// linkActor returns (creating if needed) the actor hosting the RouterLink
+// task of a directed link. Callers hold mu, which excludes SetLinkCapacity
+// for the whole read-capacity-and-install sequence — a reconfiguration
+// therefore either lands in the capacity the new task is built with, or
+// finds the installed actor and enqueues its re-probe.
+func (rt *Runtime) linkActor(id graph.LinkID) *actor {
+	l := rt.link(id)
+	if l.a != nil {
+		return l.a
 	}
 	// A link task emits for whichever session its current packet belongs to;
 	// the handler points the task's emitter at that incarnation first.
 	em := &emitter{rt: rt}
 	task := core.NewRouterLink(core.LinkRef(id), rt.g.Capacity(id), em)
-	a := &actor{acts: rt.activity, handle: func(m *message) {
+	l.task = task
+	l.a = &actor{acts: rt.activity, handle: func(m *message) {
 		switch m.kind {
 		case msgPacket:
 			em.cur = m.inc
@@ -702,27 +644,8 @@ func (rt *Runtime) linkActorLocked(id graph.LinkID) *actor {
 			task.SetCapacity(m.pkt.Rate)
 		}
 	}}
-	em.self = a
-	d.mu.Lock()
-	d.actors[id] = &linkActor{a: a, task: task}
-	d.mu.Unlock()
-	return a
-}
-
-// linkCounterLocked returns (creating if needed) a directed link's packet
-// counter. Callers hold rt.mu; the stripe publishes the entry to LinkPackets.
-//
-//bneck:locks stripe
-func (rt *Runtime) linkCounterLocked(id graph.LinkID) *atomic.Uint64 {
-	d := &rt.lnks[linkStripe(id)]
-	c, ok := d.pkts[id]
-	if !ok {
-		c = new(atomic.Uint64)
-		d.mu.Lock()
-		d.pkts[id] = c
-		d.mu.Unlock()
-	}
-	return c
+	em.self = l.a
+	return l.a
 }
 
 // emitter adapts the Runtime to core.Emitter for one task. Emissions always
@@ -742,10 +665,10 @@ type emitter struct {
 // Emit implements core.Emitter. This is the hottest call site of the whole
 // runtime — every packet of every hop of every session goes through it, from
 // every worker goroutine concurrently — so it takes no lock but the target's
-// mailbox: the incarnation is at hand (or one stripe away, when a link task
-// emits for a session other than its packet's), and its hop table, immutable
-// once the Join is enqueued, holds the target actor and the counters of the
-// link the packet crosses.
+// mailbox: the incarnation is at hand (or one lock-free load away, when a
+// link task emits for a session other than its packet's), and its hop
+// table, immutable once the Join is enqueued, holds the target actor and
+// the counters of the link the packet crosses.
 func (e *emitter) Emit(s core.SessionID, from int, dir core.Direction, pkt core.Packet) {
 	inc := e.cur
 	if inc == nil || inc.id != s {

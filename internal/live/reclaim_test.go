@@ -99,9 +99,8 @@ func TestReclaimRetiredIncarnations(t *testing.T) {
 }
 
 // TestLinkPacketCountersParity: the live runtime reports per-link packet
-// counters in the same shape as the simulator transport (metrics.LinkCount,
-// same field names), counting the same crossing rule — every packet sent
-// across a directed link, intra-host hand-offs excluded.
+// counters (LinkCount) by the simulator transport's crossing rule — every
+// packet sent across a directed link, intra-host hand-offs excluded.
 func TestLinkPacketCountersParity(t *testing.T) {
 	g, paths, _ := churnGrid(t)
 	rt := New(g)
@@ -142,6 +141,83 @@ func TestLinkPacketCountersParity(t *testing.T) {
 	}
 }
 
+// TestLateRateUpcallAfterLeave: a rate upcall that lands after the session's
+// Leave was issued — the source task draining a Response queued ahead of the
+// Leave — leaves no rate behind. Rates skips the departed incarnation, and
+// the quiescence that reclaims it drops its rate with it.
+func TestLateRateUpcallAfterLeave(t *testing.T) {
+	g, paths, _ := churnGrid(t)
+	rt := New(g)
+	defer rt.Close()
+	s, err := rt.NewSession(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Join(rate.Mbps(60))
+	rt.WaitQuiescent()
+	id := s.ID()
+	inc := rt.incarnationFor(id)
+	s.Leave()
+	inc.setRate(id, rate.Mbps(60)) // the late upcall
+	if got := rt.Rates(); len(got) != 0 {
+		t.Fatalf("Rates() = %v after Leave", got)
+	}
+	rt.WaitQuiescent()
+	rt.WaitQuiescent()
+	if got, n := rt.Rates(), rt.Incarnations(); len(got) != 0 || n != 0 {
+		t.Fatalf("Rates() = %v with %d incarnations after quiescence", got, n)
+	}
+}
+
+// TestLinksAddedAfterNew: hosts and links added to the graph after New —
+// before the first Join, and again once the link table exists — carry
+// traffic, are counted by LinkPackets in both directions, and validate.
+func TestLinksAddedAfterNew(t *testing.T) {
+	g := graph.New()
+	a, b := g.AddRouter("a"), g.AddRouter("b")
+	g.Connect(a, b, rate.Mbps(100), time.Microsecond)
+	rt := New(g)
+	defer rt.Close()
+	var sessions []*Session
+	addPairs := func(n int) {
+		batch := len(sessions)
+		for i := 0; i < n; i++ {
+			hs, hd := g.AddHost("hs"), g.AddHost("hd")
+			g.Connect(hs, a, rate.Mbps(100), time.Microsecond)
+			g.Connect(hd, b, rate.Mbps(100), time.Microsecond)
+			p, err := rt.HostPath(hs, hd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := rt.NewSession(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sessions = append(sessions, s)
+		}
+		for _, s := range sessions[batch:] {
+			s.Join(rate.Inf)
+		}
+		rt.WaitQuiescent()
+	}
+	addPairs(2)
+	addPairs(2)
+	if err := rt.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	counted := make(map[graph.LinkID]bool)
+	for _, lc := range rt.LinkPackets() {
+		counted[lc.Link] = true
+	}
+	for i, s := range sessions {
+		for _, l := range s.Path() {
+			if !counted[l] || !counted[g.LinkReverse(l)] {
+				t.Fatalf("session %d: link %d or its reverse carried no counted packet", i, l)
+			}
+		}
+	}
+}
+
 // settledGoroutines samples runtime.NumGoroutine until it stops moving:
 // actors stopped by an earlier test's Close exit asynchronously.
 func settledGoroutines() int {
@@ -172,17 +248,17 @@ func checkQuiescentFootprint(t *testing.T, rt *Runtime, base int, all []*Session
 	if got := rt.Incarnations(); got != live {
 		t.Errorf("%d incarnations, %d live sessions", got, live)
 	}
-	for i := range rt.lnks {
-		for _, la := range rt.lnks[i].actors {
-			checkMailboxBounded(t, "link actor", la.a)
+	for _, l := range rt.links {
+		if l != nil && l.a != nil {
+			checkMailboxBounded(t, "link actor", l.a)
 		}
 	}
-	for i := range rt.incs {
-		for _, inc := range rt.incs[i].m {
-			checkMailboxBounded(t, "source actor", inc.src)
-			checkMailboxBounded(t, "destination actor", inc.dst)
-		}
-	}
+	rt.incs.Range(func(_, v any) bool {
+		inc := v.(*incarnation)
+		checkMailboxBounded(t, "source actor", inc.src)
+		checkMailboxBounded(t, "destination actor", inc.dst)
+		return true
+	})
 	awaitGoroutines(t, base)
 }
 
@@ -302,12 +378,13 @@ func TestBoundedGrowthUnderChurn(t *testing.T) {
 	}
 
 	linkActors := 0
-	for i := range rt.lnks {
-		for l := range rt.lnks[i].actors {
-			linkActors++
-			if !joined[l] {
-				t.Errorf("link %d has an actor but is on no joined incarnation's path", l)
-			}
+	for id, l := range rt.links {
+		if l == nil || l.a == nil {
+			continue
+		}
+		linkActors++
+		if !joined[graph.LinkID(id)] {
+			t.Errorf("link %d has an actor but is on no joined incarnation's path", id)
 		}
 	}
 	if linkActors != len(joined) {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"bneck/internal/core"
-	"bneck/internal/graph"
 )
 
 // PacketStats counts protocol packets, total, by type, and by time bin.
@@ -45,13 +44,6 @@ func (ps *PacketStats) Record(t core.PacketType, at time.Duration) {
 	}
 	ps.bins[idx].Total++
 	ps.bins[idx].ByType[t-1]++
-}
-
-// LinkCount is one directed link's packet total, as the live actor runtime
-// reports it (Runtime.LinkPackets).
-type LinkCount struct {
-	Link    graph.LinkID
-	Packets uint64
 }
 
 // Total returns the number of packets recorded.
