@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"bneck/internal/topology"
 )
@@ -50,5 +51,36 @@ func TestExp2CSVDigest(t *testing.T) {
 	const want = "e4a1daa105f66329b738da50531419dbc44dffe28e64490635206e1ab03b2074"
 	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(b.String()))); got != want {
 		t.Fatalf("exp2 digest %s, want %s:\n%s", got, want, b.String())
+	}
+}
+
+// TestExp3CSVDigest pins Experiment 3's bytes on a small LAN — both Figure 7
+// CSVs of each protocol, the Figure 8 CSV and the table — to a SHA-256
+// digest. The burst-phase oracles and the schedule's draws all feed it.
+func TestExp3CSVDigest(t *testing.T) {
+	cfg := DefaultExp3()
+	cfg.Topology = topology.Small
+	cfg.Sessions, cfg.Leavers = 150, 15
+	cfg.Horizon = 40 * time.Millisecond
+	res, err := RunExperiment3(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, s := range res.Series {
+		if err := WriteExp3ErrorCSV(&b, s.SourceErr, s.Protocol); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteExp3ErrorCSV(&b, s.LinkErr, s.Protocol); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := WriteExp3PacketsCSV(&b, res); err != nil {
+		t.Fatal(err)
+	}
+	b.WriteString(FormatExp3(res))
+	const want = "62008bf1a8dda0efcf75cfa03c95289a5f73d252407df4e7b43c831f694c2201"
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(b.String()))); got != want {
+		t.Fatalf("exp3 digest %s, want %s:\n%s", got, want, b.String())
 	}
 }
