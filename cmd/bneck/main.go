@@ -45,7 +45,6 @@ import (
 	"bneck/internal/rate"
 	"bneck/internal/scenario"
 	"bneck/internal/topology"
-	"bneck/internal/trace"
 )
 
 func main() {
@@ -90,7 +89,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	src, topo, err := exp.BurstScript(size.Stub, scen, *internet, *seed, *sessions, trace.MixedDemands(*demandCap, 1, 100))
+	src, topo, err := exp.BurstScript(size.Stub, scen, *internet, *seed, *sessions, exp.MixedDemands(*demandCap, 1, 100))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -93,9 +93,6 @@ func main() {
 		}
 		cpuOut = f
 	}
-	if *workers == 0 {
-		*workers = 1 // align with the config semantics: 0 and 1 are serial
-	}
 
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {

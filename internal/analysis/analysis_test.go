@@ -115,3 +115,35 @@ func TestSelfLint(t *testing.T) {
 		}
 	}
 }
+
+// TestExpandTrailingSlash: a pattern names the same packages with or without
+// a trailing slash, so `bnecklint ./internal/live/` checks what
+// `bnecklint ./internal/live` checks.
+func TestExpandTrailingSlash(t *testing.T) {
+	modRoot, err := analysis.FindModRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loader, err := analysis.NewLoader(modRoot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pats := range [][2]string{
+		{"./internal/live", "./internal/live/"},
+		{"internal/live", "internal/live/"},
+		{".", "./"},
+		{"./internal/core/...", "./internal/core//..."},
+	} {
+		want, err := loader.Expand(pats[:1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := loader.Expand(pats[1:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 || strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("%q expands to %v, %q to %v", pats[1], got, pats[0], want)
+		}
+	}
+}

@@ -188,7 +188,8 @@ func defaultBuildTag(tag string) bool {
 
 // Expand resolves CLI package patterns relative to the module root: "./..."
 // (every package in the module), "./dir/..." (every package under dir), or a
-// single "./dir". Results are import paths in sorted order.
+// single "./dir" (a trailing slash is ignored). Results are import paths in
+// sorted order.
 func (l *Loader) Expand(patterns []string) ([]string, error) {
 	seen := make(map[string]bool)
 	var out []string
@@ -199,15 +200,11 @@ func (l *Loader) Expand(patterns []string) ([]string, error) {
 		}
 	}
 	for _, pat := range patterns {
-		recursive := false
-		if rest, ok := strings.CutSuffix(pat, "/..."); ok {
-			recursive = true
-			pat = rest
-		}
-		if pat == "." || pat == "./" {
+		pat, recursive := strings.CutSuffix(pat, "/...")
+		// Clean drops "./" and a trailing slash: "./dir/" names dir.
+		if pat = filepath.ToSlash(filepath.Clean(pat)); pat == "." {
 			pat = ""
 		}
-		pat = strings.TrimPrefix(pat, "./")
 		root := filepath.Join(l.ModRoot, filepath.FromSlash(pat))
 		if !recursive {
 			path := l.ModPath

@@ -91,7 +91,7 @@ func TestExp3ParallelMatchesSerial(t *testing.T) {
 }
 
 func TestRunParallel(t *testing.T) {
-	for _, workers := range []int{-1, 1, 3, 16} {
+	for _, workers := range []int{-1, 0, 1, 3, 16} {
 		var calls atomic.Int64
 		out := make([]int, 100)
 		if err := RunParallel(len(out), workers, func(i int) error {

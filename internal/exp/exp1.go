@@ -18,9 +18,9 @@ import (
 
 	"bneck/internal/graph"
 	"bneck/internal/metrics"
+	"bneck/internal/rate"
 	"bneck/internal/scenario"
 	"bneck/internal/topology"
-	"bneck/internal/trace"
 )
 
 // Exp1Config parameterizes Experiment 1: many sessions join a quiet network
@@ -84,7 +84,7 @@ func RunExperiment1(cfg Exp1Config) ([]Exp1Row, error) {
 	return sweep(grid(cfg.Sizes, cfg.Scenarios, cfg.SessionCounts), cfg.Workers, cfg.Progress,
 		func(c gridCell[int]) string { return fmt.Sprintf("exp1 %s/%s/%d", c.size.Name, c.scen, c.n) },
 		func(c gridCell[int]) ([]Exp1Row, string, error) {
-			src, _, err := BurstScript(c.size, c.scen, false, cfg.Seed, c.n, trace.Unbounded)
+			src, _, err := BurstScript(c.size, c.scen, false, cfg.Seed, c.n, unbounded)
 			if err != nil {
 				return nil, "", err
 			}
@@ -128,14 +128,14 @@ func BurstRow(res *scenario.Result, count int) Exp1Row {
 // millisecond, with demands drawn from demand. The joins draw from their own
 // stream seeded with seed+7. A burst of no session has no block. It also
 // returns the topology the script names.
-func BurstScript(size topology.Params, scen topology.Scenario, internet bool, seed int64, count int, demand trace.DemandFn) (string, topology.Hosted, error) {
+func BurstScript(size topology.Params, scen topology.Scenario, internet bool, seed int64, count int, demand func(*rand.Rand) rate.Rate) (string, topology.Hosted, error) {
 	var b strings.Builder
 	topo, _, err := cellScript(&b, size, scen, internet, seed, count)
 	if err != nil || count == 0 {
 		return b.String(), topo, err
 	}
 	b.WriteString("after 0s {\n")
-	writeChurn(&b, trace.Joins(0, count, 0, exp1JoinWindow, demand, rand.New(rand.NewSource(seed+7))))
+	writeChurn(&b, draws("join", span(0, count), exp1JoinWindow, demand, rand.New(rand.NewSource(seed+7))))
 	b.WriteString("}\n")
 	return b.String(), topo, nil
 }

@@ -9,7 +9,6 @@ import (
 
 	"bneck/internal/metrics"
 	"bneck/internal/topology"
-	"bneck/internal/trace"
 )
 
 // Exp2Config parameterizes Experiment 2 (Figure 6): five phases of session
@@ -115,29 +114,25 @@ func exp2Script(cfg Exp2Config) (string, error) {
 		return "", err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 13))
-	demands := trace.MixedDemands(0.5, 1, 100)
-	block := func(after time.Duration, events ...[]trace.Event) {
+	demands := MixedDemands(0.5, 1, 100)
+	block := func(after time.Duration, events ...[]event) {
 		fmt.Fprintf(&b, "after %v {\n", after)
 		writeChurn(&b, events...)
 		b.WriteString("}\n")
 	}
-	block(0, trace.Joins(0, cfg.Base, 0, exp2Window, trace.Unbounded, rng))
-	active := make([]int, cfg.Base) // indexes of the active sessions
-	for i := range active {
-		active[i] = i
-	}
-	leavers := trace.Sample(active, cfg.Dyn, rng)
+	active := span(0, cfg.Base) // indexes of the active sessions
+	block(0, draws("join", active, exp2Window, unbounded, rng))
+	leavers := sample(active, cfg.Dyn, rng)
 	active = removeAll(active, leavers)
-	block(exp2Gap, trace.Leaves(leavers, 0, exp2Window, rng))
-	block(exp2Gap, trace.Changes(trace.Sample(active, cfg.Dyn, rng), 0, exp2Window, demands, rng))
-	block(exp2Gap, trace.Joins(cfg.Base, cfg.Dyn, 0, exp2Window, trace.Unbounded, rng))
-	for i := cfg.Base; i < cfg.Base+cfg.Dyn; i++ {
-		active = append(active, i)
-	}
-	joins := trace.Joins(cfg.Base+cfg.Dyn, cfg.Dyn, 0, exp2Window, trace.Unbounded, rng)
-	leavers = trace.Sample(active, cfg.Dyn, rng)
+	block(exp2Gap, draws("leave", leavers, exp2Window, nil, rng))
+	block(exp2Gap, draws("change", sample(active, cfg.Dyn, rng), exp2Window, demands, rng))
+	joiners := span(cfg.Base, cfg.Dyn)
+	block(exp2Gap, draws("join", joiners, exp2Window, unbounded, rng))
+	active = append(active, joiners...)
+	joins := draws("join", span(cfg.Base+cfg.Dyn, cfg.Dyn), exp2Window, unbounded, rng)
+	leavers = sample(active, cfg.Dyn, rng)
 	active = removeAll(active, leavers)
-	changers := trace.Sample(active, cfg.Dyn, rng)
-	block(exp2Gap, joins, trace.Leaves(leavers, 0, exp2Window, rng), trace.Changes(changers, 0, exp2Window, demands, rng))
+	changers := sample(active, cfg.Dyn, rng)
+	block(exp2Gap, joins, draws("leave", leavers, exp2Window, nil, rng), draws("change", changers, exp2Window, demands, rng))
 	return b.String(), nil
 }

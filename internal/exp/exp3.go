@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 	"time"
 
 	"bneck/internal/baseline"
@@ -16,7 +15,6 @@ import (
 	"bneck/internal/rate"
 	"bneck/internal/sim"
 	"bneck/internal/topology"
-	"bneck/internal/trace"
 	"bneck/internal/waterfill"
 )
 
@@ -96,16 +94,15 @@ type Exp3Result struct {
 type exp3Workload struct {
 	topo    *topology.Network
 	paths   []graph.Path
-	joins   []trace.Event
-	leaves  []trace.Event
+	joins   []event
+	leaves  []event
 	joinAt  []time.Duration // per session
 	leaveAt []time.Duration // per session; 0 = never leaves
 	stays   []int           // session indexes active at the end
 
-	mu      sync.Mutex                    // guards oracles and asm (shared across protocol runs)
-	oracles map[time.Duration]*exp3Oracle // per sample instant (burst phase)
-	final   *exp3Oracle
-	asm     waterfill.Assembler[graph.LinkID]
+	burst []*exp3Oracle // burst[k] holds for the sample instant (k+1)·exp3SampleEvery
+	final *exp3Oracle   // holds from exp3Window on
+	asm   waterfill.Assembler[graph.LinkID]
 }
 
 // exp3Oracle is the max-min ground truth for one set of active sessions:
@@ -145,15 +142,6 @@ func RunExperiment3(cfg Exp3Config) (*Exp3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Workers != 0 && cfg.Workers != 1 {
-		// Warm the burst-phase oracle cache up front so concurrent protocol
-		// runs only read the workload (the mutex in oracleAt is a backstop).
-		for t := exp3SampleEvery; t <= cfg.Horizon && t < exp3Window; t += exp3SampleEvery {
-			if _, err := w.oracleAt(t); err != nil {
-				return nil, err
-			}
-		}
-	}
 	series, err := sweep(cfg.Protocols, cfg.Workers, cfg.Progress,
 		func(p string) string { return "exp3 " + p },
 		func(p string) ([]Exp3Series, string, error) {
@@ -177,9 +165,11 @@ func RunExperiment3(cfg Exp3Config) (*Exp3Result, error) {
 	return &Exp3Result{Series: series}, nil
 }
 
-// buildExp3Workload creates the topology, sessions and schedules, and
-// computes the final-configuration oracle: the fair rates of the sessions
-// that remain, the bottleneck links, and their fair loads.
+// buildExp3Workload creates the topology, sessions and schedules, and solves
+// every oracle the samples read: the final configuration's (the fair rates
+// of the sessions that remain, the bottleneck links, and their fair loads),
+// then one per sample instant inside the burst. Protocol runs only read the
+// workload.
 func buildExp3Workload(cfg Exp3Config) (*exp3Workload, error) {
 	topo, err := topology.Generate(cfg.Topology, cfg.Scenario, cfg.Seed)
 	if err != nil {
@@ -205,30 +195,26 @@ func buildExp3Workload(cfg Exp3Config) (*exp3Workload, error) {
 	}
 
 	schedRng := rand.New(rand.NewSource(cfg.Seed + 17))
-	w.joins = trace.Joins(0, cfg.Sessions, 0, exp3Window, trace.Unbounded, schedRng)
+	all := span(0, cfg.Sessions)
+	w.joins = draws("join", all, exp3Window, unbounded, schedRng)
 	w.joinAt = make([]time.Duration, cfg.Sessions)
 	for _, ev := range w.joins {
-		w.joinAt[ev.Session] = ev.At
+		w.joinAt[ev.session] = ev.at
 	}
-	all := make([]int, cfg.Sessions)
-	for i := range all {
-		all[i] = i
-	}
-	leavers := trace.Sample(all, cfg.Leavers, schedRng)
+	leavers := sample(all, cfg.Leavers, schedRng)
 	// A leaver departs inside the window but strictly after its own join
 	// (the paper's sessions leave during the same first 5 ms they joined in),
 	// so its leaveAt is positive.
 	w.leaveAt = make([]time.Duration, cfg.Sessions)
-	w.leaves = make([]trace.Event, 0, len(leavers))
+	w.leaves = make([]event, 0, len(leavers))
 	for _, l := range leavers {
 		after := w.joinAt[l] + time.Microsecond
-		span := exp3Window - after
 		at := after
-		if span > 0 {
-			at += time.Duration(schedRng.Int63n(int64(span)))
+		if width := exp3Window - after; width > 0 {
+			at += time.Duration(schedRng.Int63n(int64(width)))
 		}
 		w.leaveAt[l] = at
-		w.leaves = append(w.leaves, trace.Event{At: at, Kind: trace.Leave, Session: l})
+		w.leaves = append(w.leaves, event{at: at, op: "leave", session: l})
 	}
 	for i, at := range w.leaveAt {
 		if at == 0 {
@@ -236,12 +222,22 @@ func buildExp3Workload(cfg Exp3Config) (*exp3Workload, error) {
 		}
 	}
 
-	w.oracles = make(map[time.Duration]*exp3Oracle)
-	final, err := w.solveOracle(w.stays)
-	if err != nil {
+	if w.final, err = w.solveOracle(w.stays); err != nil {
 		return nil, err
 	}
-	w.final = final
+	for t := exp3SampleEvery; t <= cfg.Horizon && t < exp3Window; t += exp3SampleEvery {
+		var active []int
+		for i := range w.paths {
+			if w.joinAt[i] <= t && (w.leaveAt[i] == 0 || w.leaveAt[i] > t) {
+				active = append(active, i)
+			}
+		}
+		o, err := w.solveOracle(active)
+		if err != nil {
+			return nil, err
+		}
+		w.burst = append(w.burst, o)
+	}
 	return w, nil
 }
 
@@ -286,44 +282,21 @@ func (w *exp3Workload) solveOracle(active []int) (*exp3Oracle, error) {
 	return o, nil
 }
 
-// oracleAt returns the ground truth for the sessions active at time t.
-// After the dynamics window closes the final oracle applies; during the
-// burst, per-instant oracles are computed once and cached (they are shared
-// by all protocols).
-func (w *exp3Workload) oracleAt(t time.Duration) (*exp3Oracle, error) {
+// oracleAt returns the ground truth for the sessions active at the sample
+// instant t.
+func (w *exp3Workload) oracleAt(t time.Duration) *exp3Oracle {
 	if t >= exp3Window {
-		return w.final, nil
+		return w.final
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if o, ok := w.oracles[t]; ok {
-		return o, nil
-	}
-	var active []int
-	for i := range w.paths {
-		joined := w.joinAt[i] <= t
-		left := w.leaveAt[i] > 0 && w.leaveAt[i] <= t
-		if joined && !left {
-			active = append(active, i)
-		}
-	}
-	o, err := w.solveOracle(active)
-	if err != nil {
-		return nil, err
-	}
-	w.oracles[t] = o
-	return o, nil
+	return w.burst[t/exp3SampleEvery-1]
 }
 
 // sampleErrors computes the Figure 7 error distributions at instant t:
 // sessions are measured against the max-min rates of the session set active
 // at t, and only sessions holding an assigned rate contribute (a session the
 // protocol has not yet answered has no "assigned rate" to be wrong about).
-func (w *exp3Workload) sampleErrors(t time.Duration, assigned func(idx int) (float64, bool)) (srcErrs, linkErrs []float64, err error) {
-	o, err := w.oracleAt(t)
-	if err != nil {
-		return nil, nil, err
-	}
+func (w *exp3Workload) sampleErrors(t time.Duration, assigned func(idx int) (float64, bool)) (srcErrs, linkErrs []float64) {
+	o := w.oracleAt(t)
 	// Iterate sessions in index order: srcErrs carries the append order into
 	// the per-source error distribution.
 	idxs := make([]int, 0, len(o.fair))
@@ -348,7 +321,7 @@ func (w *exp3Workload) sampleErrors(t time.Duration, assigned func(idx int) (flo
 		}
 		linkErrs = append(linkErrs, metrics.RelativeErrorPct(sum, o.fairLoad[l]))
 	}
-	return srcErrs, linkErrs, nil
+	return srcErrs, linkErrs
 }
 
 func runExp3BNeck(cfg Exp3Config, w *exp3Workload) (*Exp3Series, error) {
@@ -365,23 +338,20 @@ func runExp3BNeck(cfg Exp3Config, w *exp3Workload) (*Exp3Series, error) {
 		sessions[i] = s
 	}
 	for _, ev := range w.joins {
-		net.ScheduleJoin(sessions[ev.Session], ev.At, ev.Demand)
+		net.ScheduleJoin(sessions[ev.session], ev.at, ev.demand)
 	}
 	for _, ev := range w.leaves {
-		net.ScheduleLeave(sessions[ev.Session], ev.At)
+		net.ScheduleLeave(sessions[ev.session], ev.at)
 	}
 
 	series := &Exp3Series{Protocol: "B-Neck"}
-	sampleErr := w.sampleInto(series, eng, cfg, func(idx int) (float64, bool) {
+	w.sampleInto(series, eng, cfg, func(idx int) (float64, bool) {
 		if r, ok := sessions[idx].Rate(); ok && sessions[idx].Active() {
 			return r.Float64(), true
 		}
 		return 0, false
 	})
 	q := net.Run()
-	if *sampleErr != nil {
-		return nil, *sampleErr
-	}
 	if err := net.Validate(); err != nil {
 		return nil, err
 	}
@@ -406,25 +376,22 @@ func runExp3Baseline(cfg Exp3Config, w *exp3Workload, proto baseline.Protocol) (
 		sessions[i] = s
 	}
 	for _, ev := range w.joins {
-		h.ScheduleJoin(sessions[ev.Session], ev.At)
+		h.ScheduleJoin(sessions[ev.session], ev.at)
 	}
 	for _, ev := range w.leaves {
-		h.ScheduleLeave(sessions[ev.Session], ev.At)
+		h.ScheduleLeave(sessions[ev.session], ev.at)
 	}
 	h.StartTicks()
 	h.StopProbing(cfg.Horizon)
 
 	series := &Exp3Series{Protocol: proto.Name()}
-	sampleErr := w.sampleInto(series, eng, cfg, func(idx int) (float64, bool) {
+	w.sampleInto(series, eng, cfg, func(idx int) (float64, bool) {
 		if sessions[idx].Active() && sessions[idx].Rate() > 0 {
 			return sessions[idx].Rate(), true
 		}
 		return 0, false
 	})
 	eng.RunUntil(cfg.Horizon)
-	if *sampleErr != nil {
-		return nil, *sampleErr
-	}
 	series.Bins = h.Stats().Bins()
 	series.Packets = h.Stats().Total()
 	series.ConvergedAt = convergedAt(series.SourceErr)
@@ -433,23 +400,16 @@ func runExp3Baseline(cfg Exp3Config, w *exp3Workload, proto baseline.Protocol) (
 
 // sampleInto installs daemon sampling events every SampleEvery up to the
 // horizon, each adding the Figure 7 error distributions of the rates
-// assigned reports to series. The returned error is the last sample's
-// failure, if any.
-func (w *exp3Workload) sampleInto(series *Exp3Series, eng *sim.Engine, cfg Exp3Config, assigned func(idx int) (float64, bool)) *error {
-	var sampleErr error
+// assigned reports to series.
+func (w *exp3Workload) sampleInto(series *Exp3Series, eng *sim.Engine, cfg Exp3Config, assigned func(idx int) (float64, bool)) {
 	for t := exp3SampleEvery; t <= cfg.Horizon; t += exp3SampleEvery {
 		at := t
 		eng.DaemonAt(at, func() {
-			src, link, err := w.sampleErrors(at, assigned)
-			if err != nil {
-				sampleErr = err
-				return
-			}
+			src, link := w.sampleErrors(at, assigned)
 			series.SourceErr.Add(at, src)
 			series.LinkErr.Add(at, link)
 		})
 	}
-	return &sampleErr
 }
 
 // convergedAt finds the first sample after which the mean absolute source

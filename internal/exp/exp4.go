@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"bneck/internal/topology"
-	"bneck/internal/trace"
 )
 
 // Exp4Config parameterizes Experiment 4, the dynamic-topology experiment the
@@ -146,13 +145,10 @@ func exp4Script(cfg Exp4Config, size topology.Params, scen topology.Scenario, se
 		return "", nil, err
 	}
 	rng := rand.New(rand.NewSource(seed + 31))
-	demands := trace.MixedDemands(0.3, 1, 100)
+	demands := MixedDemands(0.3, 1, 100)
 	b.WriteString("after 0s {\n")
-	writeChurn(&b, trace.Joins(0, cfg.Sessions, 0, exp4Window, trace.Unbounded, rng))
-	active := make([]int, cfg.Sessions)
-	for i := range active {
-		active[i] = i
-	}
+	active := span(0, cfg.Sessions)
+	writeChurn(&b, draws("join", active, exp4Window, unbounded, rng))
 	divs := make([]int, cfg.Epochs+1)
 	for epoch := 1; epoch <= cfg.Epochs; epoch++ {
 		// Fail one in-use router link (duplex), every other epoch restore the
@@ -170,14 +166,13 @@ func exp4Script(cfg Exp4Config, size topology.Params, scen topology.Scenario, se
 		// Session churn: joiners from the declared pool, leavers and changers
 		// sampled from the active set.
 		firstJoin := cfg.Sessions + (epoch-1)*cfg.Churn
-		joins := trace.Joins(firstJoin, cfg.Churn, 0, exp4Window, demands, rng)
-		leavers := trace.Sample(active, cfg.Churn, rng)
+		joiners := span(firstJoin, cfg.Churn)
+		joins := draws("join", joiners, exp4Window, demands, rng)
+		leavers := sample(active, cfg.Churn, rng)
 		active = removeAll(active, leavers)
-		leaves := trace.Leaves(leavers, 0, exp4Window, rng)
-		writeChurn(&b, joins, leaves, trace.Changes(trace.Sample(active, cfg.Churn, rng), 0, exp4Window, demands, rng))
-		for i := firstJoin; i < firstJoin+cfg.Churn; i++ {
-			active = append(active, i)
-		}
+		leaves := draws("leave", leavers, exp4Window, nil, rng)
+		writeChurn(&b, joins, leaves, draws("change", sample(active, cfg.Churn, rng), exp4Window, demands, rng))
+		active = append(active, joiners...)
 	}
 	b.WriteString("}\n")
 	return b.String(), divs, nil

@@ -11,7 +11,6 @@ import (
 	"bneck/internal/graph"
 	"bneck/internal/rate"
 	"bneck/internal/topology"
-	"bneck/internal/trace"
 )
 
 // Exp5Config parameterizes Experiment 5, the path re-optimization study: a
@@ -128,7 +127,7 @@ func exp5Script(cfg Exp5Config, size topology.Params, scen topology.Scenario, se
 	}
 	rng := rand.New(rand.NewSource(seed + 41))
 	b.WriteString("after 0s {\n")
-	writeChurn(&b, trace.Joins(0, cfg.Sessions, 0, exp5Window, trace.Unbounded, rng))
+	writeChurn(&b, draws("join", span(0, cfg.Sessions), exp5Window, unbounded, rng))
 	fmt.Fprintf(&b, "}\nafter %v {\n", exp5Gap)
 	for range cfg.Fails {
 		fmt.Fprintf(&b, "at 0s fail in-use pick=%d\n", rng.Intn(cfg.Sessions))

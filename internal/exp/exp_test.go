@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"bneck/internal/topology"
-	"bneck/internal/trace"
 )
 
 func smallExp1() Exp1Config {
@@ -303,7 +302,7 @@ func TestBadSessionCounts(t *testing.T) {
 			return err
 		}},
 		{"BurstScript negative", func() error {
-			_, _, err := BurstScript(topology.Small, topology.LAN, false, 1, -1, trace.Unbounded)
+			_, _, err := BurstScript(topology.Small, topology.LAN, false, 1, -1, unbounded)
 			return err
 		}},
 		{"exp2 zero dyn", func() error {

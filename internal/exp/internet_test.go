@@ -8,7 +8,6 @@ import (
 
 	"bneck/internal/graph"
 	"bneck/internal/topology"
-	"bneck/internal/trace"
 )
 
 func hashTopology(n *topology.Internet) uint64 {
@@ -29,7 +28,7 @@ func hashTopology(n *topology.Internet) uint64 {
 // quarter of the demands capped, on the internet rung of size.
 func internetBurst(t *testing.T, size topology.Params, sessions int, seed int64) (Exp1Row, *topology.Internet) {
 	t.Helper()
-	src, topo, err := BurstScript(size, topology.LAN, true, seed, sessions, trace.MixedDemands(0.25, 1, 100))
+	src, topo, err := BurstScript(size, topology.LAN, true, seed, sessions, MixedDemands(0.25, 1, 100))
 	if err != nil {
 		t.Fatal(err)
 	}

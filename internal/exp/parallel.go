@@ -15,27 +15,13 @@ import (
 // number are complete and identical to a serial sweep — parallelism must
 // never change experiment output, only wall time.
 //
-// workers <= 0 selects GOMAXPROCS; workers == 1 runs the jobs inline in
-// index order with no goroutines at all.
+// workers of 0 or 1 runs one worker, which takes the jobs in index order;
+// a negative value selects GOMAXPROCS.
 func RunParallel(n, workers int, job func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if workers <= 0 {
+	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		var first error
-		for i := 0; i < n; i++ {
-			if err := job(i); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
+	workers = max(1, min(workers, n))
 	errs := make([]error, n)
 	next := make(chan int)
 	var wg sync.WaitGroup
@@ -69,9 +55,6 @@ func RunParallel(n, workers int, job func(i int) error) error {
 // one and that cell's error prefixed with name(cell); the lines stop at the
 // same cell.
 func sweep[C, R any](cells []C, workers int, progress io.Writer, name func(C) string, run func(C) ([]R, string, error)) ([]R, error) {
-	if workers == 0 {
-		workers = 1
-	}
 	type result struct {
 		rows []R
 		line string

@@ -2,12 +2,15 @@ package exp
 
 import (
 	"fmt"
+	"math/rand"
+	"sort"
 	"strings"
+	"time"
 
 	"bneck/internal/graph"
+	"bneck/internal/rate"
 	"bneck/internal/scenario"
 	"bneck/internal/topology"
-	"bneck/internal/trace"
 )
 
 // cellScript writes the head of a cell's script: the named topology of size
@@ -48,14 +51,74 @@ func cellScript(b *strings.Builder, size topology.Params, scen topology.Scenario
 	return topo, declared, nil
 }
 
-// writeChurn writes session events as `at` lines; their times are offsets
-// from the enclosing block's start.
-func writeChurn(b *strings.Builder, events ...[]trace.Event) {
+// event is one scheduled session action, an `at` line of a script: op is
+// "join", "leave" or "change", at its offset from the enclosing block's
+// start, and demand is read for a join or a change.
+type event struct {
+	at      time.Duration
+	op      string
+	session int
+	demand  rate.Rate
+}
+
+// draws schedules op for every listed session at an offset drawn uniformly
+// from [0, window), each offset followed by the session's demand draw for a
+// join or a change (a leave draws none), and sorts the events stably by
+// offset. Schedules are deterministic given r.
+func draws(op string, sessions []int, window time.Duration, demand func(*rand.Rand) rate.Rate, r *rand.Rand) []event {
+	evs := make([]event, len(sessions))
+	for i, s := range sessions {
+		evs[i] = event{at: time.Duration(r.Int63n(int64(window))), op: op, session: s}
+		if op != "leave" {
+			evs[i].demand = demand(r)
+		}
+	}
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].at < evs[j].at })
+	return evs
+}
+
+// unbounded always demands +∞: greedy sessions.
+func unbounded(*rand.Rand) rate.Rate { return rate.Inf }
+
+// MixedDemands returns a demand draw that is +∞ with probability 1-p and
+// otherwise uniform over [lo, hi] Mbps — the paper allows sessions to cap
+// their requested rate.
+func MixedDemands(p float64, lo, hi int64) func(*rand.Rand) rate.Rate {
+	return func(r *rand.Rand) rate.Rate {
+		if r.Float64() >= p {
+			return rate.Inf
+		}
+		return rate.Mbps(lo + r.Int63n(hi-lo+1))
+	}
+}
+
+// sample picks k distinct values of population by a permutation prefix drawn
+// from r and returns them sorted. It panics if k > len(population).
+func sample(population []int, k int, r *rand.Rand) []int {
+	out := make([]int, k)
+	for i, j := range r.Perm(len(population))[:k] {
+		out[i] = population[j]
+	}
+	sort.Ints(out)
+	return out
+}
+
+// span returns the session indexes [first, first+n).
+func span(first, n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = first + i
+	}
+	return out
+}
+
+// writeChurn writes session events as `at` lines.
+func writeChurn(b *strings.Builder, events ...[]event) {
 	for _, evs := range events {
 		for _, ev := range evs {
-			fmt.Fprintf(b, "at %dns %s s%d", ev.At, ev.Kind, ev.Session)
-			if ev.Kind != trace.Leave {
-				fmt.Fprintf(b, " demand=%v", ev.Demand)
+			fmt.Fprintf(b, "at %dns %s s%d", ev.at, ev.op, ev.session)
+			if ev.op != "leave" {
+				fmt.Fprintf(b, " demand=%v", ev.demand)
 			}
 			b.WriteByte('\n')
 		}

@@ -5,7 +5,6 @@ import (
 
 	"bneck/internal/scenario"
 	"bneck/internal/topology"
-	"bneck/internal/trace"
 )
 
 // TestExperimentScriptsBothTransports generates a small cell of every
@@ -19,7 +18,7 @@ func TestExperimentScriptsBothTransports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src1, _, err := BurstScript(topology.Small, topology.LAN, false, cfg1.Seed, 40, trace.Unbounded)
+	src1, _, err := BurstScript(topology.Small, topology.LAN, false, cfg1.Seed, 40, unbounded)
 	if err != nil {
 		t.Fatal(err)
 	}

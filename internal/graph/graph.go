@@ -155,28 +155,14 @@ func (g *Graph) Connect(a, b NodeID, capacity rate.Rate, propagation time.Durati
 	}
 	g.checkNode(a)
 	g.checkNode(b)
-	ab := g.addLink(a, b, capacity, propagation)
-	ba := g.addLink(b, a, capacity, propagation)
-	g.link(ab).reverse = ba
-	g.link(ba).reverse = ab
-	return ab, ba
+	ab := LinkID(g.links.n)
+	g.addLink(ab, ab+1, a, b, capacity, propagation)
+	g.addLink(ab+1, ab, b, a, capacity, propagation)
+	return ab, ab + 1
 }
 
-// ConnectAsym adds a single directed link (for tests building hand-crafted
-// scenarios). The paper's model is duplex; prefer Connect. The reverse link
-// is set to NoLink.
-func (g *Graph) ConnectAsym(a, b NodeID, capacity rate.Rate, propagation time.Duration) LinkID {
-	if a == b {
-		panic(fmt.Sprintf("graph: self loop on node %d", a))
-	}
-	g.checkNode(a)
-	g.checkNode(b)
-	return g.addLink(a, b, capacity, propagation)
-}
-
-func (g *Graph) addLink(from, to NodeID, capacity rate.Rate, propagation time.Duration) LinkID {
-	id := LinkID(g.links.n)
-	g.links.add(link{id: id, reverse: NoLink, from: from, to: to, next: NoLink, propagation: propagation})
+func (g *Graph) addLink(id, reverse LinkID, from, to NodeID, capacity rate.Rate, propagation time.Duration) {
+	g.links.add(link{id: id, reverse: reverse, from: from, to: to, next: NoLink, propagation: propagation})
 	g.caps.add(capacity)
 	n := g.node(from)
 	if n.last == NoLink {
@@ -186,7 +172,6 @@ func (g *Graph) addLink(from, to NodeID, capacity rate.Rate, propagation time.Du
 	}
 	n.last = id
 	n.degree++
-	return id
 }
 
 // Has reports whether id names a node of g.
@@ -225,11 +210,10 @@ func (g *Graph) Capacity(id LinkID) rate.Rate {
 	return *g.caps.at(int(id))
 }
 
-// LinkReverse returns the ID of the link in the opposite direction (NoLink
-// for asymmetric links). Unlike Link it reads only the immutable Reverse
-// field — no struct copy on the per-packet path — and is safe to call
-// concurrently with capacity or failure mutations; the live runtime's
-// lock-striped Emit path depends on that.
+// LinkReverse returns the ID of the link in the opposite direction. Unlike
+// Link it reads only the immutable Reverse field — no struct copy on the
+// per-packet path — and is safe to call concurrently with capacity or
+// failure mutations.
 func (g *Graph) LinkReverse(id LinkID) LinkID {
 	g.checkLink(id)
 	return g.link(id).reverse
@@ -351,7 +335,7 @@ func (g *Graph) Validate() error {
 		if l.propagation < 0 {
 			return fmt.Errorf("link %d has negative propagation %v", id, l.propagation)
 		}
-		if r := l.reverse; r != NoLink && (g.link(r).from != l.to || g.link(r).to != l.from) {
+		if r := g.link(l.reverse); r.from != l.to || r.to != l.from {
 			return fmt.Errorf("link %d reverse mismatch", id)
 		}
 	}

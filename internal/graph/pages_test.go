@@ -12,10 +12,11 @@ import (
 const pageSize = 1 << pageBits
 
 // TestPageBoundaries grows a graph to three pages and one entry of nodes and
-// of links, holding a plain-slice copy of everything it adds, and checks
-// every ID, every Link field, Capacity and every Out sequence against it —
-// including a hub whose out-links fall on every page — before and after
-// SetCapacity, FailLink and RestoreLink on links at the page edges.
+// three pages and two entries of links, holding a plain-slice copy of
+// everything it adds, and checks every ID, every Link field, Capacity and
+// every Out sequence against it — including a hub whose out-links fall on
+// every page — before and after SetCapacity, FailLink and RestoreLink on
+// links at the page edges.
 func TestPageBoundaries(t *testing.T) {
 	const n = 3*pageSize + 1
 	rng := rand.New(rand.NewSource(1))
@@ -55,10 +56,11 @@ func TestPageBoundaries(t *testing.T) {
 		record(a, b, c, p, ba)
 		record(b, a, c, p, ab)
 	}
-	if id := g.ConnectAsym(hub, 0, rate.Inf, time.Second); id != n-1 {
-		t.Fatalf("ConnectAsym returned %d, want %d", id, n-1)
+	if ab, ba := g.Connect(hub, 0, rate.Inf, time.Second); ab != n-1 || ba != n {
+		t.Fatalf("Connect returned (%d, %d), want (%d, %d)", ab, ba, n-1, n)
 	}
-	record(hub, 0, rate.Inf, time.Second, NoLink)
+	record(hub, 0, rate.Inf, time.Second, n)
+	record(0, hub, rate.Inf, time.Second, n-1)
 	onPage := map[LinkID]bool{}
 	for _, l := range out[hub] {
 		onPage[l>>pageBits] = true
@@ -69,8 +71,8 @@ func TestPageBoundaries(t *testing.T) {
 
 	check := func(when string) {
 		t.Helper()
-		if g.NumNodes() != n || g.NumLinks() != n {
-			t.Fatalf("%s: %d nodes, %d links, want %d of each", when, g.NumNodes(), g.NumLinks(), n)
+		if g.NumNodes() != n || g.NumLinks() != n+1 {
+			t.Fatalf("%s: %d nodes, %d links, want %d and %d", when, g.NumNodes(), g.NumLinks(), n, n+1)
 		}
 		for i, w := range want {
 			id := LinkID(i)

@@ -74,9 +74,6 @@ func (r *Resolver) HostPath(src, dst NodeID) (Path, error) {
 		return nil, fmt.Errorf("graph: access link of host %d is down", src)
 	}
 	down := dstUp.reverse
-	if down == NoLink {
-		return nil, fmt.Errorf("graph: host %d has no router→host link", dst)
-	}
 	if g.link(down).failed {
 		return nil, fmt.Errorf("graph: access link of host %d is down", dst)
 	}
@@ -262,10 +259,9 @@ func (a *adjacency) put(n NodeID, h hop) {
 }
 
 // ValidatePath checks that p is a connected host-to-host path in g whose
-// links are all up and all have a reverse (the paper's duplex model; only
-// ConnectAsym builds a link without one). Both transports resolve a
-// session's way back from the reverse links when the session joins, so a
-// path that passes here can carry every packet of the protocol.
+// links are all up. Every link has a reverse by construction (Connect adds
+// both directions), so a path that passes here can carry every packet of
+// the protocol, the upstream ones over the reverse links.
 func ValidatePath(g *Graph, p Path) error {
 	if len(p) < 2 {
 		return fmt.Errorf("graph: path too short (%d links)", len(p))
@@ -276,11 +272,6 @@ func ValidatePath(g *Graph, p Path) error {
 		}
 		if g.link(l).failed {
 			return fmt.Errorf("graph: path crosses failed link %d", l)
-		}
-		if g.link(l).reverse == NoLink {
-			// A session's upstream packets (Response, Update, Bottleneck)
-			// retrace its path over the reverse links.
-			return fmt.Errorf("graph: path crosses link %d, which has no reverse", l)
 		}
 	}
 	for i := 1; i < len(p); i++ {

@@ -49,9 +49,6 @@ func (r refResolver) HostPath(src, dst NodeID) (Path, error) {
 		return nil, fmt.Errorf("graph: access link of host %d is down", src)
 	}
 	down := r.g.Link(r.g.AccessLink(dst)).Reverse
-	if down == NoLink {
-		return nil, fmt.Errorf("graph: host %d has no router→host link", dst)
-	}
 	if r.g.Link(down).Failed {
 		return nil, fmt.Errorf("graph: access link of host %d is down", dst)
 	}

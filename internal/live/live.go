@@ -118,7 +118,7 @@ type LinkCount struct {
 
 // hopRef is what Emit needs about one link of an incarnation's path: the
 // actor hosting the link's router task and the packet counters of the link
-// and of its reverse (nil when the link has none).
+// and of its reverse.
 type hopRef struct {
 	task     *actor
 	fwd, rev *atomic.Uint64
@@ -576,10 +576,8 @@ func (rt *Runtime) apply(acts []control.Action, err error) error {
 func (rt *Runtime) start(id core.SessionID, path graph.Path, demand rate.Rate) {
 	inc := &incarnation{id: id, hops: make([]hopRef, len(path))}
 	for i, l := range path {
-		inc.hops[i] = hopRef{task: rt.linkActor(l), fwd: &rt.link(l).pkts}
-		if rev := rt.g.LinkReverse(l); rev != graph.NoLink {
-			inc.hops[i].rev = &rt.link(rev).pkts
-		}
+		inc.hops[i] = hopRef{task: rt.linkActor(l), fwd: &rt.link(l).pkts,
+			rev: &rt.link(rt.g.LinkReverse(l)).pkts}
 	}
 	// An endpoint task only ever emits for its session: its emitter is fixed.
 	srcEm, dstEm := &emitter{rt: rt, cur: inc}, &emitter{rt: rt, cur: inc}
@@ -696,10 +694,8 @@ func (e *emitter) Emit(s core.SessionID, from int, dir core.Direction, pkt core.
 		}
 	} else if from >= 2 {
 		h := &hops[from-2]
-		if h.rev != nil {
-			h.rev.Add(1)
-			inc.pkts.Add(1)
-		}
+		h.rev.Add(1)
+		inc.pkts.Add(1)
 		target, hop = h.task, from-1
 	}
 	target.enqueue(message{kind: msgPacket, hop: int32(hop), pkt: pkt, inc: inc}, e.self.w)

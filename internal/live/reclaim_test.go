@@ -132,7 +132,7 @@ func TestLinkPacketCountersParity(t *testing.T) {
 		if !seen[l] {
 			t.Fatalf("on-path link %d missing from the report", l)
 		}
-		if rev := g.Link(l).Reverse; rev != graph.NoLink && !seen[rev] {
+		if rev := g.LinkReverse(l); !seen[rev] {
 			t.Fatalf("reverse link %d missing from the report", rev)
 		}
 	}

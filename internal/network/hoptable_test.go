@@ -2,7 +2,6 @@ package network
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -206,36 +205,6 @@ func TestSetCapacityReachesResolvedWire(t *testing.T) {
 	if got, want := arrival(), TxTime(rate.Mbps(1))+prop; got != want {
 		t.Fatalf("after: arrival after %v, want %v (the resolved wire kept the old transmission time)", got, want)
 	}
-}
-
-// TestOneDirectionalLinkRejected: a link without a reverse cannot carry a
-// session — the upstream packets have no way back. NewSession says so when
-// handed such a path, and a join that would adopt one (the resolver routes
-// over whatever is up) stops at the join, not at the first Response.
-func TestOneDirectionalLinkRejected(t *testing.T) {
-	g := graph.New()
-	r1, r2 := g.AddRouter("r1"), g.AddRouter("r2")
-	ha, hb := g.AddHost("ha"), g.AddHost("hb")
-	g.Connect(ha, r1, rate.Mbps(100), time.Microsecond)
-	oneWay := g.ConnectAsym(r1, r2, rate.Mbps(40), time.Microsecond)
-	g.Connect(r2, hb, rate.Mbps(100), time.Microsecond)
-	n := New(g, sim.New(), DefaultConfig())
-	path, err := n.HostPath(ha, hb)
-	if err != nil || len(path) != 3 || path[1] != oneWay {
-		t.Fatalf("resolver path %v, %v", path, err)
-	}
-	if _, err := n.NewSession(ha, hb, path); err == nil || !strings.Contains(err.Error(), "has no reverse") {
-		t.Fatalf("NewSession over a one-directional link: %v", err)
-	}
-	if len(n.Sessions()) != 0 {
-		t.Fatalf("the rejected session was registered")
-	}
-	defer func() {
-		if msg, _ := recover().(string); !strings.Contains(msg, "has no reverse") {
-			t.Fatalf("resolving a hop table over a one-directional link: %q", msg)
-		}
-	}()
-	n.resolveHops(path)
 }
 
 // TestLinkRecordFootprint bounds what a packet's visit to a one-session

@@ -113,10 +113,6 @@ func (s *Session) State() control.State { return s.srcPort.n.ctl.State(s.ID) }
 // failure (it rejoins automatically on restore).
 func (s *Session) Stranded() bool { return s.State() == control.Stranded }
 
-// JoinedAt returns the virtual time of the session's (last) join, following
-// topology-event migrations.
-func (s *Session) JoinedAt() sim.Time { return s.Current().joinedAt }
-
 // SettlingTime returns how long after joining the session received its last
 // rate notification — its individual convergence latency. After a migration
 // it measures the successor's join-to-rate latency.
@@ -519,10 +515,7 @@ func (n *Network) deliver(rec *linkRec, s core.SessionID, hop int, pkt core.Pack
 
 // resolveHops returns the hop table of a path, materializing the records of
 // the links it is the first to use. Start calls it before the session's first
-// packet exists. Every link of a validated path has a reverse (graph.ValidatePath
-// says so to whoever passes a path in); a path the resolver hands a
-// first-time joiner directly is checked here, so a link without one stops
-// the join that would use it instead of the first Response to come back.
+// packet exists.
 func (n *Network) resolveHops(path graph.Path) []hopRef {
 	if want := n.g.NumLinks(); len(n.links) < want {
 		// Hosts and their access links can be added between runs.
@@ -534,11 +527,7 @@ func (n *Network) resolveHops(path graph.Path) []hopRef {
 	// order: a session's upstream packets cross them one after the other.
 	unused := 0
 	for _, l := range path {
-		rev := n.g.LinkReverse(l)
-		if rev == graph.NoLink {
-			panic(fmt.Sprintf("network: join over link %d, which has no reverse", l))
-		}
-		if n.wires[rev] == nil {
+		if n.wires[n.g.LinkReverse(l)] == nil {
 			unused++
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"bneck/internal/rate"
 	"bneck/internal/sim"
 	"bneck/internal/topology"
-	"bneck/internal/trace"
 )
 
 // TestSoakMediumLAN runs a paper-like load (thousands of sessions with mixed
@@ -29,7 +28,12 @@ func TestSoakMediumLAN(t *testing.T) {
 	hosts := topo.AddHosts(2 * sessions)
 	res := graph.NewResolver(topo.Graph, 512)
 	rng := rand.New(rand.NewSource(5))
-	demand := trace.MixedDemands(0.3, 1, 100)
+	demand := func(r *rand.Rand) rate.Rate { // +∞, or 1–100 Mbps with probability 0.3
+		if r.Float64() >= 0.3 {
+			return rate.Inf
+		}
+		return rate.Mbps(1 + r.Int63n(100))
+	}
 
 	all := make([]*Session, sessions)
 	for i := 0; i < sessions; i++ {

@@ -12,6 +12,10 @@ import (
 	"bneck/internal/sim"
 )
 
+// JoinedAt returns the virtual time of the session's (last) join, following
+// topology-event migrations.
+func (s *Session) JoinedAt() sim.Time { return s.Current().joinedAt }
+
 func TestOnPacketTracer(t *testing.T) {
 	g, ha, hb := buildLine(rate.Mbps(40))
 	eng := sim.New()

@@ -65,9 +65,6 @@ func FromFrac(num, den int64) Rate {
 	return Rate{num: num / g, den: den / g}
 }
 
-// FromBigRat returns the rate equal to r. The argument is copied.
-func FromBigRat(r *big.Rat) Rate { return normalizeBig(new(big.Rat).Set(r)) }
-
 // Mbps returns the rate v megabits per second expressed in bits per second.
 // It is a convenience for building topologies with the paper's capacities.
 func Mbps(v int64) Rate { return FromInt64(v * 1_000_000) }
@@ -106,9 +103,6 @@ func gcd64(a, b int64) int64 {
 
 // IsInf reports whether r is +∞.
 func (r Rate) IsInf() bool { return r.den < 0 }
-
-// IsZero reports whether r is 0.
-func (r Rate) IsZero() bool { return r.num == 0 && r.den >= 0 && r.br == nil }
 
 // Sign returns -1, 0 or +1 according to the sign of r. +∞ has sign +1.
 func (r Rate) Sign() int {
@@ -380,9 +374,6 @@ func (r Rate) LessEq(o Rate) bool { return r.Cmp(o) <= 0 }
 
 // Greater reports whether r > o.
 func (r Rate) Greater(o Rate) bool { return r.Cmp(o) > 0 }
-
-// GreaterEq reports whether r >= o.
-func (r Rate) GreaterEq(o Rate) bool { return r.Cmp(o) >= 0 }
 
 // Min returns the smaller of r and o.
 func Min(r, o Rate) Rate {

@@ -6,6 +6,15 @@ import (
 	"testing"
 )
 
+// FromBigRat returns the rate equal to r. The argument is copied.
+func FromBigRat(r *big.Rat) Rate { return normalizeBig(new(big.Rat).Set(r)) }
+
+// IsZero reports whether r is 0.
+func (r Rate) IsZero() bool { return r.num == 0 && r.den >= 0 && r.br == nil }
+
+// GreaterEq reports whether r >= o.
+func (r Rate) GreaterEq(o Rate) bool { return r.Cmp(o) >= 0 }
+
 func TestZeroValue(t *testing.T) {
 	var r Rate
 	if !r.IsZero() {

@@ -146,7 +146,7 @@ func (w *world) linkBetween(a, b string) (graph.LinkID, graph.LinkID, error) {
 	}
 	for lid := range w.g.Out(na) {
 		l := w.g.Link(lid)
-		if l.To == nb && l.Reverse != graph.NoLink {
+		if l.To == nb {
 			return l.ID, l.Reverse, nil
 		}
 	}

@@ -339,7 +339,7 @@ func TestPropVerifyRejectsPerturbations(t *testing.T) {
 		}
 		perturbed := append([]rate.Rate(nil), rates...)
 		delta := rates[j].DivInt(10)
-		if delta.IsZero() {
+		if delta.Sign() == 0 {
 			continue
 		}
 		perturbed[j] = rates[j].Sub(delta)

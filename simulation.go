@@ -213,7 +213,7 @@ func (s *Simulation) RouterLinks() []*Link {
 	var out []*Link
 	for id := 0; id < s.g.NumLinks(); id++ {
 		l := s.g.Link(graph.LinkID(id))
-		if l.Reverse == graph.NoLink || l.Reverse < l.ID {
+		if l.Reverse < l.ID {
 			continue // visit each duplex pair once, from its first direction
 		}
 		if s.g.Node(l.From).Kind != graph.Router || s.g.Node(l.To).Kind != graph.Router {
@@ -232,7 +232,7 @@ func (s *Simulation) LinkBetween(x, y Node) (*Link, bool) {
 	}
 	for lid := range s.g.Out(x.id) {
 		l := s.g.Link(lid)
-		if l.To == y.id && l.Reverse != graph.NoLink {
+		if l.To == y.id {
 			return &Link{sim: s, ab: l.ID, ba: l.Reverse}, true
 		}
 	}
